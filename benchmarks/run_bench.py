@@ -18,7 +18,7 @@ Usage::
         --label ci --out BENCH_ann_ci.json \
         --check benchmarks/results/BENCH_ann_small.json --check-label after
 
-    # Million-vector tier: memmapped data, graph vs. exact probe cost
+    # Million-vector tier: memmapped data, probe cost and end-to-end QPS
     # (writes benchmarks/results/BENCH_ann_large.json; the dataset file is
     # cached under benchmarks/.cache/ and reused across runs).
     PYTHONPATH=src python benchmarks/run_bench.py --large
@@ -44,12 +44,6 @@ Measured quantities per run:
   batch/single-query QPS tracked alongside the L2 numbers.  Every record
   carries a ``metric`` field; the ``--check`` gate also covers the MIPS
   batch QPS.
-* ``estimation_modes`` — per-kernel QPS of the three ``<x_b, q̄_u>``
-  estimation modes (``gemm`` / ``lut`` / ``lut8``), each answering the same
-  workload from a fresh reload of one shared archive, plus a hard
-  ``lut_matches_gemm`` bit-identity gate (any divergence fails the run) and
-  the end-to-end recall of the reduced-precision ``lut8`` path.  The
-  ``--check`` gate covers the ``lut`` and ``lut8`` batch QPS rows.
 * ``phases`` — coarse per-phase breakdown of the sequential path (probe /
   rerank / estimation+preparation) from an instrumented second pass.
 * ``durability`` — the crash-safe serving-state costs: cold (materialized)
@@ -68,11 +62,6 @@ Measured quantities per run:
   (the single-CPU-honest headline; wall-clock QPS is tracked but not
   thread-scaling-gated).  The ``--check`` gate additionally bounds
   closed-loop p99 regressions.
-* ``probe_equivalence`` — the graph-probing gates: for all three metrics,
-  the HNSW centroid graph at ``ef >= n_clusters`` must reproduce the exact
-  probed sets per query, and at the default ``ef`` its end-to-end recall
-  must stay within ``PROBE_RECALL_TOLERANCE`` of the exact baseline.  Both
-  are hard gates.
 * ``pareto`` — the multi-bit recall/QPS/code-size Pareto sweep: extended
   RaBitQ at ``B ∈ {1, 2, 4, 8}`` bits per dimension against the PQ / OPQ /
   SQ8 baselines, all through the same ``sqrt(n)``-cluster IVF geometry and
@@ -382,99 +371,6 @@ def bench_sharded(args, dataset) -> dict:
             flush=True,
         )
     return out
-
-
-def bench_estimation_modes(args, dataset) -> dict:
-    """Per-kernel QPS of the three ``<x_b, q̄_u>`` estimation modes.
-
-    One index is fitted and archived once; each mode then answers the same
-    query workload from a *fresh reload* of that archive, so every engine
-    starts from the identical rounding-stream state and the comparison
-    isolates the estimation kernel (GEMM on unpacked bits vs. fast-scan
-    4-bit LUT accumulation vs. uint8-quantized LUTs).  The ``lut`` row
-    doubles as a hard equivalence gate: its batch ids and distances must
-    match ``gemm`` bit for bit or the whole run fails.
-    """
-    import shutil
-    import tempfile
-
-    from repro.io.persistence import load_searcher, save_searcher
-
-    data, queries = dataset.data, dataset.queries
-    k, nprobe = args.k, args.nprobe
-    n_single = min(args.n_queries, args.n_single)
-
-    searcher = IVFQuantizedSearcher(
-        "rabitq", rabitq_config=RaBitQConfig(seed=0), rng=args.seed
-    ).fit(data)
-    code_bytes = _code_bytes_per_vector(searcher)
-    tmp = Path(tempfile.mkdtemp(prefix="run_bench_modes_"))
-    modes: dict[str, dict] = {}
-    reference = None
-    lut_matches = True
-    try:
-        archive = tmp / "idx.npz"
-        save_searcher(searcher, archive)
-        del searcher
-        for mode in ("gemm", "lut", "lut8"):
-            engine = load_searcher(archive)
-            engine.estimation_mode = mode
-            # Warm-up consumes the same randomness in every engine (stream
-            # consumption is mode-independent), keeping the timed batches
-            # comparable bit for bit.
-            engine.search_batch(queries[: min(16, len(queries))], k, nprobe=nprobe)
-            for query in queries[: min(16, len(queries))]:
-                engine.search(query, k, nprobe=nprobe)
-
-            start = time.perf_counter()
-            batch = engine.search_batch(queries, k, nprobe=nprobe)
-            batch_seconds = time.perf_counter() - start
-
-            mode_latency = LatencyRecorder()
-            start = time.perf_counter()
-            for query in queries[:n_single]:
-                t0 = time.perf_counter()
-                engine.search(query, k, nprobe=nprobe)
-                mode_latency.record(time.perf_counter() - t0)
-            single_seconds = time.perf_counter() - start
-
-            recall = recall_at_k([r.ids for r in batch], dataset.ground_truth, k)
-            if mode == "gemm":
-                reference = batch
-            elif mode == "lut":
-                lut_matches = all(
-                    np.array_equal(a.ids, b.ids)
-                    and np.array_equal(a.distances, b.distances)
-                    for a, b in zip(reference, batch)
-                )
-            modes[mode] = {
-                "single_query": {
-                    "n_queries": n_single,
-                    "qps": round(n_single / single_seconds, 1),
-                    "latency_ms": mode_latency.summary_ms(),
-                },
-                "batch": {
-                    "n_queries": len(queries),
-                    "qps": round(len(queries) / batch_seconds, 1),
-                },
-                f"recall_at_{k}": round(float(recall), 4),
-            }
-            print(
-                f"[run_bench] mode {mode}: single "
-                f"{modes[mode]['single_query']['qps']} QPS | batch "
-                f"{modes[mode]['batch']['qps']} QPS | recall@{k} "
-                f"{recall:.4f}",
-                flush=True,
-            )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    print(f"[run_bench] lut matches gemm bit-for-bit: {lut_matches}", flush=True)
-    return {
-        "metric": "l2",
-        "code_bytes_per_vector": code_bytes,
-        "modes": modes,
-        "lut_matches_gemm": bool(lut_matches),
-    }
 
 
 def bench_serving(args, dataset) -> dict:
@@ -1037,99 +933,8 @@ def bench_pareto(args, dataset) -> dict:
     }
 
 
-#: Pinned recall floor for the graph-probing gates: graph probing at the
-#: default ``ef`` must stay within this recall@k of the exact-scan baseline,
-#: and at ``ef >= n_clusters`` the probed sets must match exactly.
-PROBE_RECALL_TOLERANCE = 0.01
-
-
-def bench_probe_equivalence(args, dataset) -> dict:
-    """Graph-probing ≡ exact-probing gates at default bench scale.
-
-    For every served metric the same index answers the workload twice —
-    once with the exact centroid scan and once routed through the HNSW
-    centroid graph.  Two hard gates (enforced in ``main``):
-
-    * ``sets_equal_at_full_ef`` — with ``ef >= n_clusters`` the graph's
-      beam covers every centroid, so its probed set must equal the exact
-      scan's, per query, for all three metrics.
-    * ``max_recall_delta`` — at the *default* graph ``ef`` the end-to-end
-      recall@k may differ from exact probing by at most
-      ``PROBE_RECALL_TOLERANCE``.
-    """
-    from repro.datasets.ground_truth import brute_force_ground_truth
-
-    data, queries = dataset.data, dataset.queries
-    k, nprobe = args.k, args.nprobe
-    per_metric = {}
-    for metric in ("l2", "ip", "cosine"):
-        ground_truth = (
-            dataset.ground_truth
-            if metric == "l2"
-            else brute_force_ground_truth(data, queries, k, metric=metric)
-        )
-        searcher = IVFQuantizedSearcher(
-            "rabitq",
-            rabitq_config=RaBitQConfig(seed=0),
-            rng=args.seed,
-            metric=metric,
-        ).fit(data)
-        ivf = searcher.ivf
-        n_clusters = ivf.centroids.shape[0]
-
-        sample = queries[: min(32, len(queries))]
-        exact_sets = [
-            np.sort(ivf.probe(q, nprobe, metric=metric)) for q in sample
-        ]
-        ivf.probe_strategy = "graph"
-        graph_sets = [
-            np.sort(ivf.probe(q, nprobe, metric=metric, ef=n_clusters))
-            for q in sample
-        ]
-        sets_equal = all(
-            np.array_equal(a, b) for a, b in zip(exact_sets, graph_sets)
-        )
-
-        ivf.probe_strategy = "exact"
-        exact_batch = searcher.search_batch(queries, k, nprobe=nprobe)
-        recall_exact = float(
-            recall_at_k([r.ids for r in exact_batch], ground_truth, k)
-        )
-        searcher.probe_strategy = "graph"
-        graph_batch = searcher.search_batch(queries, k, nprobe=nprobe)
-        recall_graph = float(
-            recall_at_k([r.ids for r in graph_batch], ground_truth, k)
-        )
-        delta = abs(recall_graph - recall_exact)
-        per_metric[metric] = {
-            "n_set_queries": len(sample),
-            "sets_equal_at_full_ef": bool(sets_equal),
-            "recall_exact": round(recall_exact, 4),
-            "recall_graph": round(recall_graph, 4),
-            "recall_delta": round(delta, 4),
-        }
-        print(
-            f"[run_bench] probe equivalence [{metric}]: sets equal at "
-            f"ef={n_clusters}: {sets_equal} | recall@{k} exact "
-            f"{recall_exact:.4f} vs graph {recall_graph:.4f} "
-            f"(delta {delta:.4f})",
-            flush=True,
-        )
-    return {
-        "nprobe": nprobe,
-        "recall_tolerance": PROBE_RECALL_TOLERANCE,
-        "per_metric": per_metric,
-        "sets_equal_at_full_ef": all(
-            row["sets_equal_at_full_ef"] for row in per_metric.values()
-        ),
-        "max_recall_delta": max(
-            row["recall_delta"] for row in per_metric.values()
-        ),
-    }
-
-
 def bench_large(args) -> dict:
-    """Million-vector tier: memmapped data, graph vs. exact probe cost.
+    """Million-vector tier: memmapped data, probe cost and end-to-end QPS.
 
     The dataset is materialized once as a float32 ``.npy`` under
     ``--large-cache`` (chunk-wise generation — no full-size array is ever
@@ -1138,17 +943,9 @@ def bench_large(args) -> dict:
     ``--large-kmeans-sample`` subsample and assignment runs chunked, so
     the fit stays tractable at a million rows on one CPU.
 
-    Measured per probe strategy: probe wall-clock, probe keys evaluated
-    per query (the honest cost metric on a host where a Python beam loop
-    competes against one vectorized GEMV), end-to-end batch QPS and
-    recall@k.  Hard gates (enforced in ``main``):
+    Measured: probe wall-clock, probe keys evaluated per query, end-to-end
+    batch QPS and recall@k.  Hard gate (enforced in ``main``):
 
-    * ``sets_equal_at_full_ef`` — graph probing at ``ef = n_clusters``
-      must reproduce the exact probed sets.
-    * ``recall_floor_ok`` — graph probing at full ``ef`` must match the
-      exact baseline's recall within ``PROBE_RECALL_TOLERANCE``.
-    * ``keys_reduced`` — graph probing must evaluate strictly fewer keys
-      per query than the exact scan.
     * ``rss_bounded`` — peak RSS must stay under a pinned affine bound of
       the on-disk dataset size (memmap discipline, not residency).
     """
@@ -1159,7 +956,7 @@ def bench_large(args) -> dict:
         generate_memmap_dataset,
         memmap_queries,
     )
-    from repro.index.hnsw import STAT_KEY_EVALS
+    from repro.index.ivf import STAT_KEY_EVALS
 
     n, dim = args.large_n, args.large_dim
     n_queries, k = args.large_queries, args.k
@@ -1200,90 +997,44 @@ def bench_large(args) -> dict:
         flush=True,
     )
 
+    stats: dict = {}
     start = time.perf_counter()
-    ivf.centroid_graph()  # build once, outside the timed probe loops
-    graph_build_seconds = time.perf_counter() - start
-
-    probe = {}
-    for strategy in ("exact", "graph"):
-        ivf.probe_strategy = strategy
-        stats: dict = {}
-        start = time.perf_counter()
-        for query in queries:
-            ivf.probe(query, nprobe, stats=stats)
-        seconds = time.perf_counter() - start
-        keys = stats.get(STAT_KEY_EVALS, n_clusters * n_queries)
-        probe[strategy] = {
-            "seconds": round(seconds, 4),
-            "probes_per_second": round(n_queries / seconds, 1),
-            "keys_per_query": round(keys / n_queries, 1),
-            "keys_per_second": round(keys / seconds, 1),
-        }
-        print(
-            f"[run_bench] large: {strategy} probe "
-            f"{probe[strategy]['probes_per_second']} probes/s, "
-            f"{probe[strategy]['keys_per_query']} keys/query",
-            flush=True,
-        )
-
-    end_to_end = {}
-    recalls = {}
-    for strategy in ("exact", "graph"):
-        searcher.probe_strategy = strategy
-        start = time.perf_counter()
-        batch = searcher.search_batch(queries, k, nprobe=nprobe)
-        seconds = time.perf_counter() - start
-        recalls[strategy] = float(
-            recall_at_k([r.ids for r in batch], ground_truth, k)
-        )
-        end_to_end[strategy] = {
-            "batch_qps": round(n_queries / seconds, 1),
-            f"recall_at_{k}": round(recalls[strategy], 4),
-        }
-        print(
-            f"[run_bench] large: {strategy} end-to-end "
-            f"{end_to_end[strategy]['batch_qps']} QPS, recall@{k} "
-            f"{recalls[strategy]:.4f}",
-            flush=True,
-        )
-
-    # Full-ef gates: with the beam as wide as the centroid set, graph
-    # probing must reproduce the exact probed sets (and hence recall).
-    sample = queries[: min(16, n_queries)]
-    searcher.probe_strategy = "exact"
-    exact_sets = [np.sort(ivf.probe(q, nprobe)) for q in sample]
-    ivf.probe_strategy = "graph"
-    graph_sets = [
-        np.sort(ivf.probe(q, nprobe, ef=n_clusters)) for q in sample
-    ]
-    sets_equal = all(
-        np.array_equal(a, b) for a, b in zip(exact_sets, graph_sets)
-    )
-    searcher.probe_strategy = "graph"
-    ivf.probe_ef = n_clusters
-    try:
-        full_ef_batch = searcher.search_batch(queries, k, nprobe=nprobe)
-    finally:
-        ivf.probe_ef = None
-        searcher.probe_strategy = "exact"
-    recall_full_ef = float(
-        recall_at_k([r.ids for r in full_ef_batch], ground_truth, k)
-    )
-    recall_floor_ok = (
-        abs(recall_full_ef - recalls["exact"]) <= PROBE_RECALL_TOLERANCE
+    for query in queries:
+        ivf.probe(query, nprobe, stats=stats)
+    seconds = time.perf_counter() - start
+    keys = stats[STAT_KEY_EVALS]
+    probe = {
+        "seconds": round(seconds, 4),
+        "probes_per_second": round(n_queries / seconds, 1),
+        "keys_per_query": round(keys / n_queries, 1),
+        "keys_per_second": round(keys / seconds, 1),
+    }
+    print(
+        f"[run_bench] large: probe {probe['probes_per_second']} probes/s, "
+        f"{probe['keys_per_query']} keys/query",
+        flush=True,
     )
 
-    keys_reduced = (
-        probe["graph"]["keys_per_query"] < probe["exact"]["keys_per_query"]
+    start = time.perf_counter()
+    batch = searcher.search_batch(queries, k, nprobe=nprobe)
+    seconds = time.perf_counter() - start
+    recall = float(recall_at_k([r.ids for r in batch], ground_truth, k))
+    end_to_end = {
+        "batch_qps": round(n_queries / seconds, 1),
+        f"recall_at_{k}": round(recall, 4),
+    }
+    print(
+        f"[run_bench] large: end-to-end {end_to_end['batch_qps']} QPS, "
+        f"recall@{k} {recall:.4f}",
+        flush=True,
     )
+
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rss_bound_mb = 2048 + 12 * dataset_mb
     rss_bounded = peak_rss_mb <= rss_bound_mb
     print(
-        f"[run_bench] large: sets equal at ef={n_clusters}: {sets_equal} | "
-        f"full-ef recall {recall_full_ef:.4f} vs exact "
-        f"{recalls['exact']:.4f} | keys reduced: {keys_reduced} | peak RSS "
-        f"{peak_rss_mb:.0f} MiB (bound {rss_bound_mb:.0f})",
+        f"[run_bench] large: peak RSS {peak_rss_mb:.0f} MiB "
+        f"(bound {rss_bound_mb:.0f})",
         flush=True,
     )
     return {
@@ -1298,19 +1049,13 @@ def bench_large(args) -> dict:
         "generate_seconds": round(generate_seconds, 2),
         "ground_truth_seconds": round(gt_seconds, 2),
         "fit_seconds": round(fit_seconds, 2),
-        "graph_build_seconds": round(graph_build_seconds, 2),
-        "probe": probe,
-        "end_to_end": end_to_end,
-        f"recall_at_{k}_full_ef": round(recall_full_ef, 4),
-        "recall_tolerance": PROBE_RECALL_TOLERANCE,
+        # The committed records key these by probe strategy; "exact" is
+        # the only one.
+        "probe": {"exact": probe},
+        "end_to_end": {"exact": end_to_end},
         "peak_rss_mb": round(peak_rss_mb, 1),
         "rss_bound_mb": round(rss_bound_mb, 1),
-        "gates": {
-            "sets_equal_at_full_ef": bool(sets_equal),
-            "recall_floor_ok": bool(recall_floor_ok),
-            "keys_reduced": bool(keys_reduced),
-            "rss_bounded": bool(rss_bounded),
-        },
+        "gates": {"rss_bounded": bool(rss_bounded)},
     }
 
 
@@ -1337,26 +1082,6 @@ def bench_kernels(args) -> dict:
             lambda: bitops.binary_dot_uint(packed, planes)
         ),
     }
-
-    from repro.core import lut as lutmod
-
-    segments = lutmod.split_into_segments(bits)
-    luts = lutmod.build_query_luts(plane_values.astype(np.float64))
-    q8_tables, q8_scale, q8_offset = lutmod.quantize_luts_to_uint8(luts)
-    out["split_into_segments_seconds"] = _timeit(
-        lambda: lutmod.split_into_segments(bits)
-    )
-    out["build_query_luts_seconds"] = _timeit(
-        lambda: lutmod.build_query_luts(plane_values.astype(np.float64))
-    )
-    out["lut_accumulate_seconds"] = _timeit(
-        lambda: lutmod.lut_accumulate(segments, luts)
-    )
-    out["lut_accumulate_uint8_seconds"] = _timeit(
-        lambda: lutmod.lut_accumulate_uint8(
-            segments, q8_tables, q8_scale, q8_offset
-        )
-    )
 
     quantized_dot = rng.normal(size=n_codes)
     alignments = rng.uniform(0.5, 1.0, size=n_codes)
@@ -1432,11 +1157,6 @@ def main(argv=None) -> int:
         help="skip the MIPS (metric='ip') and cosine workloads",
     )
     parser.add_argument(
-        "--skip-estimation-modes",
-        action="store_true",
-        help="skip the gemm/lut/lut8 estimation-kernel comparison",
-    )
-    parser.add_argument(
         "--skip-durability",
         action="store_true",
         help="skip the warm-start / journal-replay durability benchmark",
@@ -1447,11 +1167,6 @@ def main(argv=None) -> int:
         help="skip the online-serving (micro-batching) benchmark",
     )
     parser.add_argument(
-        "--skip-probe-equivalence",
-        action="store_true",
-        help="skip the graph-probing vs. exact-probing equivalence gates",
-    )
-    parser.add_argument(
         "--skip-pareto",
         action="store_true",
         help="skip the multi-bit RaBitQ vs. baselines Pareto sweep",
@@ -1460,8 +1175,8 @@ def main(argv=None) -> int:
         "--large",
         action="store_true",
         help=(
-            "run ONLY the million-vector tier (memmapped data, graph vs. "
-            "exact probe cost); writes BENCH_ann_large.json by default"
+            "run ONLY the million-vector tier (memmapped data, probe cost "
+            "and end-to-end QPS); writes BENCH_ann_large.json by default"
         ),
     )
     parser.add_argument(
@@ -1543,19 +1258,11 @@ def main(argv=None) -> int:
 
     dataset = _load_bench_dataset(args)
     run["results"] = bench_ann(args, dataset)
-    if not args.skip_probe_equivalence:
-        run["results"]["probe_equivalence"] = bench_probe_equivalence(
-            args, dataset
-        )
     if not args.skip_sharded:
         run["results"]["sharded"] = bench_sharded(args, dataset)
     if not args.skip_similarity:
         run["results"]["mips"] = bench_similarity(args, dataset, "ip")
         run["results"]["cosine"] = bench_similarity(args, dataset, "cosine")
-    if not args.skip_estimation_modes:
-        run["results"]["estimation_modes"] = bench_estimation_modes(
-            args, dataset
-        )
     if not args.skip_durability:
         run["results"]["durability"] = bench_durability(args, dataset)
     if not args.skip_serving:
@@ -1605,30 +1312,6 @@ def main(argv=None) -> int:
                 f"{sorted({e['shards'] for e in broken})}"
             )
             return 1
-
-    probe_eq = run["results"].get("probe_equivalence")
-    if probe_eq is not None:
-        if not probe_eq["sets_equal_at_full_ef"]:
-            print(
-                "[run_bench] FAIL: graph probing at ef >= n_clusters did not "
-                "reproduce the exact probed sets"
-            )
-            return 1
-        if probe_eq["max_recall_delta"] > PROBE_RECALL_TOLERANCE:
-            print(
-                "[run_bench] FAIL: graph-probing recall deviates from exact "
-                f"by {probe_eq['max_recall_delta']} "
-                f"(tolerance {PROBE_RECALL_TOLERANCE})"
-            )
-            return 1
-
-    est_modes = run["results"].get("estimation_modes")
-    if est_modes is not None and not est_modes["lut_matches_gemm"]:
-        print(
-            "[run_bench] FAIL: estimation_mode='lut' batch results diverged "
-            "from 'gemm' (the LUT path must be bit-identical)"
-        )
-        return 1
 
     durability = run["results"].get("durability")
     if durability is not None and not durability["recovery_bit_identical"]:
@@ -1715,30 +1398,6 @@ def main(argv=None) -> int:
                     f"{args.max_regression:.0%}"
                 )
                 return 1
-
-        # Estimation-kernel gates: the LUT paths must not silently regress
-        # (present only when both runs measured them).
-        base_modes = baseline["results"].get("estimation_modes")
-        got_modes = run["results"].get("estimation_modes")
-        if base_modes is not None and got_modes is not None:
-            for mode in ("lut", "lut8"):
-                base_row = base_modes["modes"].get(mode)
-                got_row = got_modes["modes"].get(mode)
-                if base_row is None or got_row is None:
-                    continue
-                base_qps = base_row["batch"]["qps"]
-                got_qps = got_row["batch"]["qps"]
-                floor = (1.0 - args.max_regression) * base_qps
-                print(
-                    f"[run_bench] {mode} regression gate (batch): {got_qps} "
-                    f"QPS vs baseline {base_qps} QPS (floor {floor:.1f})"
-                )
-                if got_qps < floor:
-                    print(
-                        f"[run_bench] FAIL: {mode} batch QPS regressed > "
-                        f"{args.max_regression:.0%}"
-                    )
-                    return 1
 
         # Serving tail-latency gate: the coalescing engine's closed-loop
         # p99 must not blow up (present only when both runs measured it).

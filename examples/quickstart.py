@@ -59,16 +59,6 @@ proven bit-identical to sequential ``search`` — see
 ``examples/online_serving.py`` and the "Online serving" section of
 ``benchmarks/README.md``.
 
-Which estimation kernel: ``estimation_mode="gemm"`` (default) computes the
-coarse integer dots as one float64 GEMM per probed cluster;
-``estimation_mode="lut"`` runs the paper's fast-scan 4-bit look-up-table
-accumulation (Sec. 3.3.2) with *bit-identical* answers, and ``"lut8"``
-additionally quantizes each query's tables to uint8 as the SIMD layout
-does (bounded extra estimation error, corrected by the exact re-rank).
-The mode is a constructor argument and a settable property on a fitted
-searcher; archives record it (format v5).  See the "Estimation modes"
-section of ``benchmarks/README.md``.
-
 Run with:  python examples/quickstart.py
 """
 
@@ -181,28 +171,6 @@ def main() -> None:
         print(f"Reloaded searcher top-5 ids: {again.ids.tolist()} "
               f"(identical: "
               f"{np.array_equal(result.ids, again.ids) and np.array_equal(result.distances, again.distances)})")
-
-        # Estimation kernels: the fast-scan LUT mode answers bit-identically
-        # to the default GEMM mode (switching consumes no randomness, so the
-        # two searchers stay stream-for-stream comparable).
-        restored.estimation_mode = "lut"
-        via_lut = restored.search(query, 5, nprobe=16)
-        via_gemm = searcher.search(query, 5, nprobe=16)
-        print(f"estimation_mode='lut' top-5 ids: {via_lut.ids.tolist()} "
-              f"(identical to gemm: "
-              f"{np.array_equal(via_lut.ids, via_gemm.ids) and np.array_equal(via_lut.distances, via_gemm.distances)})")
-
-        # Coarse probing: probe_strategy='graph' routes centroid selection
-        # through an HNSW graph over the centroids; at a full-width beam it
-        # is bit-identical to the exact scan (see "Graph-accelerated
-        # probing" in benchmarks/README.md and the --large bench tier).
-        restored.estimation_mode = "gemm"
-        restored.probe_strategy = "graph"
-        restored.ivf.probe_ef = restored.ivf.centroids.shape[0]
-        via_graph = restored.search(query, 5, nprobe=16)
-        print(f"probe_strategy='graph' top-5 ids: {via_graph.ids.tolist()} "
-              f"(identical to exact probing: "
-              f"{np.array_equal(via_graph.ids, via_gemm.ids) and np.array_equal(via_graph.distances, via_gemm.distances)})")
 
     # Multi-bit codes: bits=4 spends 4 bits per dimension (extended RaBitQ)
     # instead of 1, trading 4x the code bytes for much tighter estimates —

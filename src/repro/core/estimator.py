@@ -419,10 +419,7 @@ def undo_query_quantization(
 
     Every estimation kernel feeds this transform the same way: the GEMM,
     popcount and 4-bit LUT paths produce the identical exact integer
-    ``<x_b, q_u>`` (so their outputs here are bit-identical), and the
-    ``lut8`` path passes its reduced-precision float accumulation through
-    unchanged — the elementwise op order holds for arbitrary float input,
-    keeping ``lut8`` batch ≡ sequential as well.
+    ``<x_b, q_u>``, so their outputs here are bit-identical.
     """
     sqrt_d = np.sqrt(float(code_length))
     dot_f = np.asarray(integer_dot, dtype=np.float64)

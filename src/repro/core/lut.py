@@ -38,12 +38,6 @@ _PATTERN_BITS = np.array(
     dtype=np.float64,
 )
 
-#: Cap on the (n_queries, n_codes, n_segments) gather tensor of the batched
-#: accumulators, in elements (8 bytes each => ~32 MiB peak).  Chunking runs
-#: over the query axis only, so results are unchanged.
-_BATCH_GATHER_ELEMENTS = 4_000_000
-
-
 def _as_segment_matrix(segment_ids: np.ndarray, n_segments: int) -> np.ndarray:
     """Normalize segment ids to a 2-D ``(n_codes, n_segments)`` batch.
 
@@ -178,45 +172,6 @@ def lut_accumulate(segment_ids: np.ndarray, luts: np.ndarray) -> np.ndarray:
     return values.sum(axis=1)
 
 
-def lut_accumulate_batch(segment_ids: np.ndarray, luts: np.ndarray) -> np.ndarray:
-    """Accumulate LUT values for a batch of codes against a batch of queries.
-
-    Parameters
-    ----------
-    segment_ids:
-        Output of :func:`split_into_segments`, shape ``(n_codes, n_segments)``.
-    luts:
-        Output of :func:`build_query_luts_batch`, shape
-        ``(n_queries, n_segments, 16)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Float64 matrix of shape ``(n_queries, n_codes)``; row ``i`` equals
-        ``lut_accumulate(segment_ids, luts[i])`` bit-for-bit (the
-        accumulated values are exact integers).
-    """
-    tables = np.asarray(luts, dtype=np.float64)
-    if tables.ndim != 3 or tables.shape[2] != SEGMENT_PATTERNS:
-        raise DimensionMismatchError(
-            f"batched LUTs must have shape (n_queries, n_segments, "
-            f"{SEGMENT_PATTERNS})"
-        )
-    ids = _as_segment_matrix(segment_ids, tables.shape[1])
-    segment_index = np.arange(ids.shape[1])[None, :]
-    idx = ids.astype(np.intp)
-    # (n_queries, n_codes, n_segments) gather, reduced over segments;
-    # chunked over queries to bound the transient tensor.
-    n_queries = tables.shape[0]
-    per_query = max(1, ids.shape[0] * ids.shape[1])
-    step = max(1, _BATCH_GATHER_ELEMENTS // per_query)
-    out = np.empty((n_queries, ids.shape[0]), dtype=np.float64)
-    for lo in range(0, n_queries, step):
-        hi = min(lo + step, n_queries)
-        out[lo:hi] = tables[lo:hi, segment_index, idx].sum(axis=2)
-    return out
-
-
 def quantize_luts_to_uint8(
     luts: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
@@ -277,61 +232,6 @@ def lut_accumulate_uint8(
     return offset * ids.shape[1] + scale * values.sum(axis=1)
 
 
-def lut_accumulate_uint8_batch(
-    segment_ids: np.ndarray,
-    quantized_luts: np.ndarray,
-    scales: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray:
-    """Batched variant of :func:`lut_accumulate_uint8`.
-
-    Parameters
-    ----------
-    segment_ids:
-        Output of :func:`split_into_segments`, shape ``(n_codes, n_segments)``.
-    quantized_luts:
-        Stacked per-query ``uint8`` tables, shape
-        ``(n_queries, n_segments, 16)``.
-    scales, offsets:
-        Per-query dequantization factors, shape ``(n_queries,)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Float64 matrix of shape ``(n_queries, n_codes)``; row ``i`` equals
-        ``lut_accumulate_uint8(segment_ids, quantized_luts[i], scales[i],
-        offsets[i])`` bit-for-bit (identical elementwise scalar op order:
-        ``offset * n_segments + scale * int_sum``).
-    """
-    tables = np.asarray(quantized_luts)
-    if tables.dtype != np.uint8:
-        raise InvalidParameterError("quantized_luts must have dtype uint8")
-    if tables.ndim != 3 or tables.shape[2] != SEGMENT_PATTERNS:
-        raise DimensionMismatchError(
-            f"batched LUTs must have shape (n_queries, n_segments, "
-            f"{SEGMENT_PATTERNS})"
-        )
-    ids = _as_segment_matrix(segment_ids, tables.shape[1])
-    scale_col = np.asarray(scales, dtype=np.float64).reshape(-1, 1)
-    offset_col = np.asarray(offsets, dtype=np.float64).reshape(-1, 1)
-    if scale_col.shape[0] != tables.shape[0] or offset_col.shape[0] != tables.shape[0]:
-        raise DimensionMismatchError(
-            "scales/offsets must have one entry per query LUT"
-        )
-    segment_index = np.arange(ids.shape[1])[None, :]
-    idx = ids.astype(np.intp)
-    n_queries = tables.shape[0]
-    per_query = max(1, ids.shape[0] * ids.shape[1])
-    step = max(1, _BATCH_GATHER_ELEMENTS // per_query)
-    sums = np.empty((n_queries, ids.shape[0]), dtype=np.int64)
-    for lo in range(0, n_queries, step):
-        hi = min(lo + step, n_queries)
-        sums[lo:hi] = (
-            tables[lo:hi, segment_index, idx].astype(np.int64).sum(axis=2)
-        )
-    return offset_col * ids.shape[1] + scale_col * sums
-
-
 __all__ = [
     "SEGMENT_BITS",
     "SEGMENT_PATTERNS",
@@ -339,8 +239,6 @@ __all__ = [
     "build_query_luts",
     "build_query_luts_batch",
     "lut_accumulate",
-    "lut_accumulate_batch",
     "quantize_luts_to_uint8",
     "lut_accumulate_uint8",
-    "lut_accumulate_uint8_batch",
 ]

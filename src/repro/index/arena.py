@@ -9,9 +9,6 @@ replaces that object soup with one contiguous, cluster-grouped layout:
 * ``codes`` — one ``(capacity, n_words)`` ``uint64`` matrix of packed codes;
 * ``bits`` — the same codes unpacked to 0/1 ``uint8`` (the operand of the
   integer-exact GEMM/GEMV estimation kernel; 1 byte per code bit);
-* ``segs`` — the same codes grouped into 4-bit segment ids
-  (:func:`repro.core.lut.split_into_segments`; the operand of the
-  fast-scan LUT estimation kernel, ``estimation_mode="lut"``/``"lut8"``);
 * ``consts`` — one ``(N_CONSTS, capacity)`` float64 matrix of fused
   estimator constants (see :func:`repro.core.estimator.build_code_consts`),
   stored constants-major so each constant's slice over a cluster is
@@ -39,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.estimator import N_CONSTS
-from repro.core.lut import SEGMENT_BITS, split_into_segments
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
 #: Extra capacity factor applied to a cluster region when it overflows.
@@ -69,14 +65,12 @@ class CodeArena:
         ``B > 1`` the ``codes`` matrix holds ``B`` plane-major packed
         bit-planes per row (``n_words`` is ``B`` times the base word
         count), the ``bits`` matrix holds per-dimension *levels* in
-        ``[0, 2^B - 1]`` instead of 0/1, and the LUT ``segs`` matrix is
-        empty (fast-scan tables are binary-only).
+        ``[0, 2^B - 1]`` instead of 0/1.
     """
 
     __slots__ = (
         "codes",
         "bits",
-        "segs",
         "consts",
         "slots",
         "starts",
@@ -112,9 +106,6 @@ class CodeArena:
         self.bits_per_dim = int(bits_per_dim)
         self.codes = np.empty((0, self.n_words), dtype=np.uint64)
         self.bits = np.empty((0, self.code_length), dtype=np.uint8)
-        self.segs = np.empty(
-            (0, self._segs_cols()), dtype=np.uint8
-        )
         self.consts = np.empty((self.n_consts, 0), dtype=np.float64)
         self.slots = np.empty(0, dtype=np.int64)
         self.starts = np.zeros(n_clusters, dtype=np.int64)
@@ -124,12 +115,6 @@ class CodeArena:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    def _segs_cols(self) -> int:
-        """Columns of the LUT segment matrix (0 for multi-bit arenas)."""
-        if self.bits_per_dim > 1:
-            return 0
-        return self.code_length // SEGMENT_BITS
 
     @property
     def n_clusters(self) -> int:
@@ -146,7 +131,6 @@ class CodeArena:
         return int(
             self.codes.nbytes
             + self.bits.nbytes
-            + self.segs.nbytes
             + self.consts.nbytes
             + self.slots.nbytes
         )
@@ -165,11 +149,6 @@ class CodeArena:
         """Unpacked 0/1 codes of cluster ``cid`` (a contiguous view)."""
         start, end = self.cluster_range(cid)
         return self.bits[start:end]
-
-    def cluster_segments(self, cid: int) -> np.ndarray:
-        """4-bit segment ids of cluster ``cid`` (a contiguous view)."""
-        start, end = self.cluster_range(cid)
-        return self.segs[start:end]
 
     def cluster_consts(self, cid: int) -> np.ndarray:
         """Fused constants of cluster ``cid``, shape ``(N_CONSTS, size)``."""
@@ -219,7 +198,6 @@ class CodeArena:
         *,
         codes: np.ndarray,
         bits: np.ndarray,
-        segs: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
         sizes: np.ndarray,
@@ -246,14 +224,12 @@ class CodeArena:
         expected = {
             "codes": (total, arena.n_words),
             "bits": (total, arena.code_length),
-            "segs": (total, arena._segs_cols()),
             "consts": (arena.n_consts, total),
             "slots": (total,),
         }
         arrays = {
             "codes": codes,
             "bits": bits,
-            "segs": segs,
             "consts": consts,
             "slots": slots,
         }
@@ -265,7 +241,6 @@ class CodeArena:
                 )
         arena.codes = codes
         arena.bits = bits
-        arena.segs = segs
         arena.consts = consts
         arena.slots = slots
         arena.sizes = sizes.copy()
@@ -278,8 +253,8 @@ class CodeArena:
     def dump_tight(self) -> dict[str, np.ndarray]:
         """Slack-free copies of the backing arrays, in cluster-grouped order.
 
-        Returns ``codes`` / ``bits`` / ``segs`` / ``consts`` / ``slots``
-        plus the per-cluster ``sizes`` — exactly the layout
+        Returns ``codes`` / ``bits`` / ``consts`` / ``slots`` plus the
+        per-cluster ``sizes`` — exactly the layout
         :meth:`from_sections` adopts, so a dump → load round trip
         reproduces the arena's live rows bit-identically (capacity slack is
         the only thing dropped).
@@ -295,7 +270,6 @@ class CodeArena:
         return {
             "codes": np.ascontiguousarray(self.codes[rows]),
             "bits": np.ascontiguousarray(self.bits[rows]),
-            "segs": np.ascontiguousarray(self.segs[rows]),
             "consts": np.ascontiguousarray(self.consts[:, rows]),
             "slots": np.ascontiguousarray(self.slots[rows]),
             "sizes": self.sizes.copy(),
@@ -306,9 +280,6 @@ class CodeArena:
         total = int(caps.sum())
         self.codes = np.zeros((total, self.n_words), dtype=np.uint64)
         self.bits = np.zeros((total, self.code_length), dtype=np.uint8)
-        self.segs = np.zeros(
-            (total, self._segs_cols()), dtype=np.uint8
-        )
         self.consts = np.zeros((self.n_consts, total), dtype=np.float64)
         self.slots = np.full(total, -1, dtype=np.int64)
         self.caps = caps.astype(np.int64, copy=True)
@@ -317,21 +288,11 @@ class CodeArena:
         )
         self.sizes = sizes.astype(np.int64, copy=True)
 
-    def _write_block(self, cid, offset, codes, bits, consts, slots, segs=None) -> None:
+    def _write_block(self, cid, offset, codes, bits, consts, slots) -> None:
         pos = int(self.starts[cid]) + int(offset)
         end = pos + codes.shape[0]
         self.codes[pos:end] = codes
         self.bits[pos:end] = bits
-        # Segment ids are derived from the unpacked bits unless the caller
-        # already holds them (rebuild/compact copy the existing rows).
-        # Multi-bit rows carry levels, not 0/1 bits, and have no LUT
-        # segments at all.
-        if self.bits_per_dim > 1:
-            pass
-        elif segs is None:
-            self.segs[pos:end] = split_into_segments(bits)
-        else:
-            self.segs[pos:end] = segs
         self.consts[:, pos:end] = consts
         self.slots[pos:end] = slots
 
@@ -370,7 +331,6 @@ class CodeArena:
     def _rebuild(self, new_caps: np.ndarray) -> None:
         """Re-lay-out every region with the given capacities (data preserved)."""
         old_codes, old_bits = self.codes, self.bits
-        old_segs = self.segs
         old_consts, old_slots = self.consts, self.slots
         old_starts, sizes = self.starts.copy(), self.sizes.copy()
         self._allocate(sizes, new_caps)
@@ -386,7 +346,6 @@ class CodeArena:
                 old_bits[src],
                 old_consts[:, src],
                 old_slots[src],
-                segs=old_segs[src],
             )
 
     def compact(self, keep_slot: np.ndarray) -> None:
@@ -401,7 +360,6 @@ class CodeArena:
         mask = np.asarray(keep_slot, dtype=bool).reshape(-1)
         remap = np.cumsum(mask, dtype=np.int64) - 1
         old_codes, old_bits = self.codes, self.bits
-        old_segs = self.segs
         old_consts, old_slots = self.consts, self.slots
         old_starts, old_sizes = self.starts.copy(), self.sizes.copy()
 
@@ -428,7 +386,6 @@ class CodeArena:
                 old_bits[kept],
                 old_consts[:, kept],
                 remap[old_slots[kept]],
-                segs=old_segs[kept],
             )
 
 

@@ -7,25 +7,19 @@ insertion with the heuristic neighbour-selection rule, searched with the
 usual best-first beam search controlled by ``ef_search``.
 
 The implementation is intentionally faithful rather than micro-optimized; it
-serves as a relative reference curve in the QPS/recall trade-off — and, since
-the graph-accelerated probing work, as the navigation structure over IVF
-centroids (see :mod:`repro.index.ivf`).  For that role the index supports:
+serves as a relative reference curve in the QPS/recall trade-off.  Beyond
+the textbook algorithm the index supports:
 
 * **metric-aware search keys** — ``search(..., metric="l2"|"ip"|"cosine")``
   ranks nodes by exactly the minimization key that
   :meth:`repro.core.metric.Metric.probe_key` produces (squared L2 via the
   norm-expansion kernel, negated inner product, negated cosine), so graph
-  probing and exact-scan probing order candidates on identical key values.
+  searches and exact centroid scans order candidates on identical key values.
   The graph *structure* is always built under L2 (a navigable small world is
   a connectivity property, not a metric-specific one); only the search-time
   keys follow the served metric.
 * **a batch entry point** — :meth:`search_batch` runs the per-query search
   for every row of a query matrix and returns rectangular id/key matrices.
-* **serialization** — :meth:`to_state` flattens the layered adjacency into a
-  canonical set of integer arrays (sorted node order, neighbour lists
-  preserved verbatim) and :meth:`from_state` rebuilds an identical graph;
-  round-tripping is bit-stable, which is what lets the persistence layer
-  store centroid graphs inside format-v7 archives.
 """
 
 from __future__ import annotations
@@ -43,13 +37,9 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
+from repro.index.ivf import STAT_KEY_EVALS
 from repro.substrates.linalg import as_float_matrix, squared_distances_to_point
 from repro.substrates.rng import RngLike, ensure_rng
-
-#: Stats-dict key counting how many node keys a search evaluated (the
-#: graph-probing analogue of "centroids scanned"; exact probing always
-#: evaluates ``n_clusters`` keys per query).
-STAT_KEY_EVALS = "n_key_evals"
 
 
 class HNSWIndex:
@@ -437,128 +427,6 @@ class HNSWIndex:
             "max_degree": float(degrees.max()),
             "n_layers": float(len(self._layers)),
         }
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def to_state(self) -> dict:
-        """Flatten the graph into a canonical, array-valued state dict.
-
-        Layout: per layer, nodes are listed in ascending id order
-        (``nodes`` / ``degrees`` aligned, ``layer_sizes`` giving the node
-        count per layer) and every node's neighbour list is stored verbatim
-        in ``neighbours`` — list order is search-relevant, so it is
-        preserved exactly.  The canonical node order makes serialization a
-        pure function of the graph: save → load → save reproduces the same
-        bytes.  ``data`` is the raw node matrix; callers that already
-        persist it elsewhere (the centroid graph does) may drop it and
-        supply ``data=`` to :meth:`from_state`.
-        """
-        if self._data is None or self._entry_point is None:
-            raise NotFittedError("HNSWIndex must be fitted before use")
-        layer_sizes: list[int] = []
-        nodes: list[int] = []
-        degrees: list[int] = []
-        neighbours: list[int] = []
-        for adjacency in self._layers:
-            layer_sizes.append(len(adjacency))
-            for node in sorted(adjacency):
-                links = adjacency[node]
-                nodes.append(node)
-                degrees.append(len(links))
-                neighbours.extend(links)
-        return {
-            "m": int(self.m),
-            "ef_construction": int(self.ef_construction),
-            "entry_point": int(self._entry_point),
-            "max_level": int(self._max_level),
-            "layer_sizes": np.asarray(layer_sizes, dtype=np.int64),
-            "nodes": np.asarray(nodes, dtype=np.int64),
-            "degrees": np.asarray(degrees, dtype=np.int64),
-            "neighbours": np.asarray(neighbours, dtype=np.int64),
-            "data": self._data,
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, *, data: np.ndarray | None = None
-    ) -> "HNSWIndex":
-        """Rebuild a fitted index from :meth:`to_state` output.
-
-        ``data`` overrides the state's node matrix (used when the vectors
-        are persisted elsewhere, e.g. the IVF centroid matrix backing the
-        centroid graph).  The rebuilt graph searches bit-identically to the
-        serialized one: adjacency, neighbour-list order and the entry point
-        are restored exactly.
-        """
-        mat = as_float_matrix(
-            data if data is not None else state["data"], "data"
-        )
-        if mat.shape[0] == 0:
-            raise EmptyDatasetError("cannot restore an HNSW index with no nodes")
-        index = cls(
-            m=int(state["m"]),
-            ef_construction=int(state["ef_construction"]),
-            rng=0,
-        )
-        n_nodes = mat.shape[0]
-        layer_sizes = np.asarray(state["layer_sizes"], dtype=np.int64).reshape(-1)
-        nodes = np.asarray(state["nodes"], dtype=np.int64).reshape(-1)
-        degrees = np.asarray(state["degrees"], dtype=np.int64).reshape(-1)
-        neighbours = np.asarray(state["neighbours"], dtype=np.int64).reshape(-1)
-        if nodes.shape[0] != degrees.shape[0]:
-            raise InvalidParameterError(
-                "corrupt HNSW state: nodes and degrees must align"
-            )
-        if int(layer_sizes.sum()) != nodes.shape[0]:
-            raise InvalidParameterError(
-                "corrupt HNSW state: layer_sizes must sum to the node count"
-            )
-        if int(degrees.sum()) != neighbours.shape[0]:
-            raise InvalidParameterError(
-                "corrupt HNSW state: degrees must sum to the neighbour count"
-            )
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_nodes):
-            raise InvalidParameterError(
-                "corrupt HNSW state: node ids outside the data matrix"
-            )
-        if neighbours.size and (
-            neighbours.min() < 0 or neighbours.max() >= n_nodes
-        ):
-            raise InvalidParameterError(
-                "corrupt HNSW state: neighbour ids outside the data matrix"
-            )
-        layers: list[dict[int, list[int]]] = []
-        node_pos = 0
-        link_pos = 0
-        for size in layer_sizes:
-            adjacency: dict[int, list[int]] = {}
-            for _ in range(int(size)):
-                node = int(nodes[node_pos])
-                degree = int(degrees[node_pos])
-                adjacency[node] = [
-                    int(x) for x in neighbours[link_pos : link_pos + degree]
-                ]
-                node_pos += 1
-                link_pos += degree
-            layers.append(adjacency)
-        entry_point = int(state["entry_point"])
-        max_level = int(state["max_level"])
-        if not layers or entry_point not in layers[0]:
-            raise InvalidParameterError(
-                "corrupt HNSW state: entry point missing from layer 0"
-            )
-        if max_level != len(layers) - 1:
-            raise InvalidParameterError(
-                "corrupt HNSW state: max_level must match the layer count"
-            )
-        index._data = mat
-        index._layers = layers
-        index._entry_point = entry_point
-        index._max_level = max_level
-        index._sq_norms = None
-        return index
 
 
 __all__ = ["HNSWIndex", "STAT_KEY_EVALS"]

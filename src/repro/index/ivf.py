@@ -7,14 +7,7 @@ combines RaBitQ (and the PQ/OPQ baselines) with this index: quantization
 codes are stored per bucket, and the per-cluster centroid doubles as the
 normalization centroid of RaBitQ.
 
-Probing supports two strategies.  ``"exact"`` (the default) ranks every
-centroid per query with the metric's key kernel — the historical behaviour
-and the equivalence oracle.  ``"graph"`` navigates an HNSW graph built over
-the centroids (deterministically, from a fixed seed, so rebuilds after
-``fit``/``compact`` or when loading a pre-v7 archive are bit-identical),
-evaluating keys only along the beam-search frontier — at million-vector
-scale with ~4k centroids this cuts the per-query probe cost from "every
-centroid" to "a few beam neighbourhoods".
+Probing ranks every centroid per query with the metric's key kernel.
 
 After :meth:`IVFIndex.fit` the inverted lists are mutable without
 re-clustering: :meth:`IVFIndex.assign` finds the nearest existing centroid
@@ -39,7 +32,6 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.index.hnsw import STAT_KEY_EVALS, HNSWIndex
 from repro.substrates.kmeans import kmeans_fit
 from repro.substrates.linalg import (
     as_float_matrix,
@@ -49,31 +41,9 @@ from repro.substrates.linalg import (
 from repro.substrates.rng import RngLike, ensure_rng
 
 
-#: Valid centroid-probing strategies: ``"exact"`` scans every centroid with
-#: the metric's key kernel (the historical behaviour and the equivalence
-#: oracle); ``"graph"`` routes the ranking through an HNSW graph built over
-#: the centroids, evaluating keys only along the beam-search frontier.
-PROBE_STRATEGIES = ("exact", "graph")
-
-#: Construction parameters of the centroid graph.  The build is a pure
-#: function of the centroid matrix: the RNG driving HNSW level draws is
-#: always seeded with :data:`CENTROID_GRAPH_SEED`, so ``fit``/``compact``
-#: rebuilds — and on-demand rebuilds when loading a pre-v7 archive — produce
-#: bit-identical graphs.
-CENTROID_GRAPH_M = 8
-CENTROID_GRAPH_EF_CONSTRUCTION = 80
-CENTROID_GRAPH_SEED = 0x52425147  # "RBQG"
-
-
-def default_graph_ef(nprobe: int, n_clusters: int) -> int:
-    """Default beam width for graph probing.
-
-    Wide enough that the top-``nprobe`` centroids are found with high
-    probability (the bench gates recall against exact probing), clamped to
-    the cluster count — at ``ef == n_clusters`` beam search degenerates to
-    an exhaustive ranked scan and reproduces exact probing's candidate set.
-    """
-    return min(int(n_clusters), max(4 * int(nprobe), 64))
+#: Key of the probe work counter in ``stats`` dicts: the number of centroid
+#: keys evaluated.
+STAT_KEY_EVALS = "n_key_evals"
 
 
 def default_n_clusters(n_vectors: int) -> int:
@@ -113,13 +83,6 @@ class IVFIndex:
         Lloyd iterations of the coarse quantizer.
     rng:
         Seed or generator.
-    probe_strategy:
-        ``"exact"`` (default) ranks every centroid per query with the
-        metric's key kernel; ``"graph"`` navigates an HNSW graph built over
-        the centroids (see :meth:`centroid_graph`), evaluating keys only
-        for visited nodes.  The strategy is a property and may be switched
-        on a fitted index at any time; the graph is built lazily on first
-        graph probe and invalidated whenever centroids are (re)installed.
     """
 
     def __init__(
@@ -128,41 +91,17 @@ class IVFIndex:
         *,
         kmeans_iters: int = 15,
         rng: RngLike = None,
-        probe_strategy: str = "exact",
     ) -> None:
         if n_clusters is not None and n_clusters <= 0:
             raise InvalidParameterError("n_clusters must be positive when given")
-        if probe_strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
         self.n_clusters = n_clusters
         self.kmeans_iters = int(kmeans_iters)
         self._rng = ensure_rng(rng)
-        self._probe_strategy = probe_strategy
-        #: Beam-width override for graph probing; ``None`` applies
-        #: :func:`default_graph_ef` per query (``probe``'s ``ef=`` argument
-        #: overrides both).
-        self.probe_ef: int | None = None
         self._centroids: np.ndarray | None = None
         self._centroid_sq: np.ndarray | None = None
-        self._centroid_graph: HNSWIndex | None = None
         self._buckets: list[IVFBucket] | None = None
         self._assignments: np.ndarray | None = None
         self._dim: int | None = None
-
-    @property
-    def probe_strategy(self) -> str:
-        """The active probing strategy: ``"exact"`` or ``"graph"``."""
-        return self._probe_strategy
-
-    @probe_strategy.setter
-    def probe_strategy(self, strategy: str) -> None:
-        if strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
-        self._probe_strategy = strategy
 
     @property
     def is_fitted(self) -> bool:
@@ -210,43 +149,6 @@ class IVFIndex:
         """
         self._centroids = centroids
         self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
-        # The centroid graph is derived state: invalidate it whenever the
-        # centroids change so the next graph probe rebuilds it (always from
-        # the fixed CENTROID_GRAPH_SEED, hence deterministically).
-        self._centroid_graph = None
-
-    def centroid_graph(self) -> HNSWIndex:
-        """The HNSW graph over the centroids, built lazily and deterministically.
-
-        A pure function of the centroid matrix: construction always seeds
-        its level RNG with :data:`CENTROID_GRAPH_SEED`, so two indexes with
-        equal centroids carry bit-identical graphs — which is what lets
-        pre-v7 archives (no persisted graph) rebuild on demand and still
-        match a v7 round-trip exactly.  The build is idempotent, so a
-        concurrent first probe at worst duplicates work, never diverges.
-        """
-        if self._centroid_graph is None:
-            self._centroid_graph = HNSWIndex(
-                m=CENTROID_GRAPH_M,
-                ef_construction=CENTROID_GRAPH_EF_CONSTRUCTION,
-                rng=CENTROID_GRAPH_SEED,
-            ).fit(self.centroids)
-        return self._centroid_graph
-
-    def install_centroid_graph(self, graph: HNSWIndex) -> None:
-        """Adopt a deserialized centroid graph (persistence-layer hook)."""
-        if not isinstance(graph, HNSWIndex):
-            raise InvalidParameterError("graph must be an HNSWIndex")
-        centroids = self.centroids
-        if len(graph) != centroids.shape[0] or (
-            graph.data.shape[1] != centroids.shape[1]
-        ):
-            raise InvalidParameterError(
-                f"graph covers {len(graph)} nodes of dimension "
-                f"{graph.data.shape[1]}, index has {centroids.shape[0]} "
-                f"centroids of dimension {centroids.shape[1]}"
-            )
-        self._centroid_graph = graph
 
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
@@ -346,7 +248,6 @@ class IVFIndex:
         *,
         kmeans_iters: int = 15,
         rng: RngLike = None,
-        probe_strategy: str = "exact",
     ) -> "IVFIndex":
         """Rebuild a fitted index from its centroids and assignment array.
 
@@ -362,12 +263,7 @@ class IVFIndex:
             raise InvalidParameterError(
                 "assignments reference clusters outside the centroid matrix"
             )
-        index = cls(
-            centre.shape[0],
-            kmeans_iters=kmeans_iters,
-            rng=rng,
-            probe_strategy=probe_strategy,
-        )
+        index = cls(centre.shape[0], kmeans_iters=kmeans_iters, rng=rng)
         index._install_centroids(centre)
         index._assignments = assigned
         index._dim = int(centre.shape[1])
@@ -496,77 +392,14 @@ class IVFIndex:
             return self._probe_distances(vec)
         return metric.probe_key(self.centroids, self.centroid_sq_norms, vec)
 
-    def _subset_keys(
-        self, cluster_ids: np.ndarray, vec: np.ndarray, metric
-    ) -> np.ndarray:
-        """:meth:`_probe_keys` restricted to ``cluster_ids``.
-
-        Uses the same norm-expansion / probe-key arithmetic on the indexed
-        centroid rows, so for ``cluster_ids == arange(n_clusters)`` the
-        result is bit-identical to the full scan.
-        """
-        centroids = self.centroids[cluster_ids]
-        sq_norms = self.centroid_sq_norms[cluster_ids]
-        if metric is L2 or metric.name == "l2":
-            return sq_norms - 2.0 * (centroids @ vec) + vec @ vec
-        return metric.probe_key(centroids, sq_norms, vec)
-
     def _exact_probe(
         self, vec: np.ndarray, nprobe: int, metric, stats: dict | None
     ) -> np.ndarray:
-        """Exhaustive key ranking (the historical probe and the oracle)."""
+        """Rank every centroid by its key; the per-query kernel of both probes."""
         keys = self._probe_keys(vec, metric)
         if stats is not None:
             stats[STAT_KEY_EVALS] = stats.get(STAT_KEY_EVALS, 0) + keys.shape[0]
         return topk_indices(keys, nprobe).astype(np.int64)
-
-    def _graph_probe(
-        self,
-        vec: np.ndarray,
-        nprobe: int,
-        metric,
-        ef: int | None,
-        stats: dict | None,
-    ) -> np.ndarray:
-        """Rank clusters by beam search over the centroid graph.
-
-        The beam width is ``ef`` (then ``self.probe_ef``, then
-        :func:`default_graph_ef`), clamped to at least ``nprobe``; the
-        beam's candidates are then re-ranked by :meth:`_subset_keys`, the
-        exact scan's kernel restricted to the candidate rows, so the
-        returned ids follow the same key order and tie-breaking exact
-        probing uses.  Should the beam reach fewer than ``nprobe`` nodes
-        (possible only on a disconnected graph), the query falls back to
-        the exact scan rather than return a short row.
-        """
-        graph = self.centroid_graph()
-        if ef is None:
-            ef = self.probe_ef
-        if ef is None:
-            ef = default_graph_ef(nprobe, len(graph))
-        beam = max(int(ef), nprobe)
-        # The beam generates candidates; the final ranking recomputes their
-        # keys in one id-sorted subset call.  The beam's incremental
-        # neighbour-batch keys can differ from a full scan by float ulps
-        # (BLAS kernels round differently at different operand shapes), so
-        # selecting directly from them would make the nprobe boundary
-        # diverge from the exact scan.  Re-ranking the sorted candidate
-        # subset restores the exact scan's arithmetic and lowest-id
-        # tie-breaking — at ``ef >= n_clusters`` the subset is the whole
-        # centroid matrix in original order and the probed set is
-        # bit-identical to ``_exact_probe``.
-        ids, _ = graph.search(
-            vec, beam, ef_search=beam, metric=metric, stats=stats
-        )
-        if ids.shape[0] < nprobe:
-            return self._exact_probe(vec, nprobe, metric, stats)
-        cands = np.sort(ids)
-        keys = self._subset_keys(cands, vec, metric)
-        if stats is not None:
-            stats[STAT_KEY_EVALS] = (
-                stats.get(STAT_KEY_EVALS, 0) + cands.shape[0]
-            )
-        return cands[topk_indices(keys, nprobe)].astype(np.int64)
 
     def probe(
         self,
@@ -574,7 +407,6 @@ class IVFIndex:
         nprobe: int,
         *,
         metric="l2",
-        ef: int | None = None,
         stats: dict | None = None,
     ) -> np.ndarray:
         """Ids of the ``nprobe`` clusters ranked best by ``metric``.
@@ -582,12 +414,7 @@ class IVFIndex:
         The default ``metric="l2"`` probes the centroids closest to the
         query (the historical behaviour, bit-identical); ``"ip"`` /
         ``"cosine"`` probe the centroids with the largest inner product /
-        cosine similarity.  With ``probe_strategy="graph"`` the ranking
-        runs as a beam search over the centroid HNSW graph instead of an
-        exhaustive scan; ``ef`` overrides the beam width for this call
-        (ignored by the exact strategy), and at ``ef >= n_clusters`` the
-        beam covers every (reachable) centroid, reproducing the exact
-        scan's candidate set.  ``stats``, when given a dict, accumulates
+        cosine similarity.  ``stats``, when given a dict, accumulates
         ``"n_key_evals"`` — the number of centroid keys evaluated.
         """
         if nprobe <= 0:
@@ -595,8 +422,6 @@ class IVFIndex:
         resolved = resolve_metric(metric)
         vec = self._check_query(query)
         nprobe = min(nprobe, self.centroids.shape[0])
-        if self._probe_strategy == "graph":
-            return self._graph_probe(vec, nprobe, resolved, ef, stats)
         return self._exact_probe(vec, nprobe, resolved, stats)
 
     def probe_batch(
@@ -605,16 +430,14 @@ class IVFIndex:
         nprobe: int,
         *,
         metric="l2",
-        ef: int | None = None,
         stats: dict | None = None,
     ) -> np.ndarray:
         """Probed cluster ids for every row of ``queries`` at once.
 
         Returns an ``(n_queries, min(nprobe, n_clusters))`` matrix whose row
         ``i`` equals ``probe(queries[i], nprobe, metric=metric)`` exactly:
-        every row runs the identical per-query ranking kernel — exact scan
-        or graph beam search, per ``probe_strategy`` — and the identical
-        selection as the per-query path.
+        every row runs the identical per-query ranking kernel and the
+        identical selection as the per-query path.
         """
         if nprobe <= 0:
             raise InvalidParameterError("nprobe must be positive")
@@ -629,12 +452,8 @@ class IVFIndex:
         centroids = self.centroids
         nprobe = min(nprobe, centroids.shape[0])
         out = np.empty((mat.shape[0], nprobe), dtype=np.int64)
-        if self._probe_strategy == "graph":
-            for i in range(mat.shape[0]):
-                out[i] = self._graph_probe(mat[i], nprobe, resolved, ef, stats)
-        else:
-            for i in range(mat.shape[0]):
-                out[i] = self._exact_probe(mat[i], nprobe, resolved, stats)
+        for i in range(mat.shape[0]):
+            out[i] = self._exact_probe(mat[i], nprobe, resolved, stats)
         return out
 
     def candidates(
@@ -658,13 +477,4 @@ class IVFIndex:
         return np.asarray([len(bucket) for bucket in self.buckets], dtype=np.int64)
 
 
-__all__ = [
-    "IVFIndex",
-    "IVFBucket",
-    "default_n_clusters",
-    "default_graph_ef",
-    "PROBE_STRATEGIES",
-    "CENTROID_GRAPH_M",
-    "CENTROID_GRAPH_EF_CONSTRUCTION",
-    "CENTROID_GRAPH_SEED",
-]
+__all__ = ["IVFIndex", "IVFBucket", "default_n_clusters", "STAT_KEY_EVALS"]

@@ -59,29 +59,7 @@ randomized-rounding quantization against the cluster's private rounding
 stream) keeps the exact arithmetic of the pre-arena implementation, so
 search results are bit-identical to the former per-cluster-quantizer code —
 the equivalence suite in ``tests/test_arena_equivalence.py`` checks this
-against a literal port of that implementation.  Optionally, prepared
-queries can be memoized per ``(query bytes, cluster)`` with a FIFO eviction
-cap (``query_cache_size``): repeated identical queries — common in
-benchmark loops and dedup-heavy traffic — then skip re-preparation entirely
-and consume no randomness.  The cache is off by default because replaying a
-query *without* consuming the rounding stream changes how later draws line
-up compared to an uncached searcher (results remain valid estimates, and
-batch ≡ sequential still holds exactly: the batch path simulates the
-sequential cache bookkeeping, including FIFO evictions).
-
-**Cache invalidation guarantee.**  Every mutation — :meth:`fit`,
-:meth:`insert`, :meth:`delete`, :meth:`compact` (including automatic
-compactions triggered by ``compact_threshold``) — clears the prepared-query
-cache.  Cached per-cluster query state therefore never crosses a change of
-the indexed set: at every mutation boundary a cached searcher re-prepares
-its next queries exactly as an uncached searcher with the same stream
-history would, so the two stay bit-identical as long as no query repeats
-*between* mutations.  (Previously only ``fit`` cleared the cache, so
-entries keyed by cluster id survived ``insert``/``delete``/``compact`` and
-replayed stale pre-mutation preparation state — the regression is pinned in
-``tests/test_query_cache.py``.)  A searcher reloaded via
-:func:`repro.io.persistence.load_searcher` likewise starts with a cold
-cache.
+against a literal port of that implementation.
 
 **Thread safety.**  ``search`` and ``search_batch`` may be called
 concurrently from several threads on one fitted searcher: scratch buffers
@@ -89,16 +67,14 @@ and the rotation pad are thread-local, probing reads an eagerly computed
 centroid-norm cache, and mutation methods are the only writers of index
 state (mutations must not run concurrently with queries or each other).
 Concurrent queries are additionally *bit-identical to any serial execution
-order* when query preparation is deterministic — ``randomized_rounding=
-False`` and ``query_cache_size=0`` — because preparation then neither
-consumes per-cluster rounding streams nor mutates the cache, making every
-query a pure read.  With randomized rounding (the paper's default) or the
-cache enabled, concurrent calls remain memory-safe (NumPy generators
-serialize their draws internally) but the per-cluster stream consumption
-order depends on scheduling, so results are valid estimates yet not
-reproducible run-to-run; wrap queries in an external lock — or use one
-:class:`repro.index.sharded.ShardedSearcher` worker thread per shard —
-when determinism matters.
+order* when ``randomized_rounding=False``: preparation then consumes no
+per-cluster rounding stream, making every query a pure read.  With
+randomized rounding (the paper's default) concurrent calls remain
+memory-safe (NumPy generators serialize their draws internally) but the
+per-cluster stream consumption order depends on scheduling, so results are
+valid estimates yet not reproducible run-to-run; wrap queries in an
+external lock — or use one :class:`repro.index.sharded.ShardedSearcher`
+worker thread per shard — when determinism matters.
 
 The index is *mutable* after :meth:`IVFQuantizedSearcher.fit` (the index
 lifecycle required by a serving deployment):
@@ -133,7 +109,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -149,15 +124,6 @@ from repro.core.estimator import (
     undo_query_quantization,
     undo_query_quantization_multibit,
 )
-from repro.core.lut import (
-    build_query_luts,
-    build_query_luts_batch,
-    lut_accumulate,
-    lut_accumulate_batch,
-    lut_accumulate_uint8,
-    lut_accumulate_uint8_batch,
-    quantize_luts_to_uint8,
-)
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows, encode_rows_multibit
 from repro.core.query import quantize_query_matrix, quantize_query_vector
@@ -169,7 +135,7 @@ from repro.exceptions import (
 )
 from repro.index.arena import CodeArena
 from repro.index.flat import FlatIndex
-from repro.index.ivf import PROBE_STRATEGIES, IVFIndex
+from repro.index.ivf import IVFIndex
 from repro.index.rerank import ErrorBoundReranker, Reranker
 from repro.substrates.linalg import as_float_matrix
 from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
@@ -179,10 +145,6 @@ from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
 #: processed query chunk in :meth:`IVFQuantizedSearcher.search_batch`
 #: (4 float64 fields => roughly 256 MiB at this setting).
 _SEARCH_BATCH_MAX_PAIRS = 8_000_000
-
-#: The supported ``<x_b, q̄_u>`` estimation kernels (see the class docstring).
-_ESTIMATION_MODES = ("gemm", "lut", "lut8")
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -263,51 +225,6 @@ class BatchSearchResult:
         return int(self.n_exact.sum())
 
 
-class _PreparedClusterQuery:
-    """A query prepared against one cluster's centroid/rounding stream.
-
-    Lightweight (slots-only) so it can be cached per ``(query, cluster)``:
-    the quantized query coordinates as float64 (the GEMV operand), the
-    affine undo coefficients, and the query-to-centroid norm.  An instance
-    with ``codes_f64 is None`` is an unfilled placeholder (the batch path's
-    cache bookkeeping creates those before the vectorized preparation).
-
-    ``codes_f64`` doubles as the *publication sentinel* for concurrent
-    readers: every fill path assigns the other four fields first and
-    ``codes_f64`` last, and no fill path ever writes into an entry created
-    by a different call (unfilled foreign placeholders are replaced with a
-    fresh entry instead).  A reader that observes ``codes_f64 is not
-    None`` therefore always sees a complete, internally consistent
-    preparation, even when cache-enabled searchers are queried from
-    several threads.
-
-    ``luts`` / ``lut8_tables`` hold the fast-scan look-up tables of the
-    LUT estimation modes, derived lazily from ``codes_f64`` on first use
-    (building them consumes no randomness, so the per-cluster rounding
-    streams — and therefore the ``lut`` ≡ ``gemm`` bit-identity — are
-    independent of the estimation mode).  ``lut8_tables`` is assigned
-    last of the three uint8 fields, making it the publication sentinel of
-    the quantized tables under the same torn-read rules as ``codes_f64``.
-    """
-
-    __slots__ = (
-        "codes_f64",
-        "delta",
-        "lower",
-        "sum_codes_f",
-        "query_norm",
-        "luts",
-        "lut8_tables",
-        "lut8_scale",
-        "lut8_offset",
-    )
-
-    def __init__(self) -> None:
-        self.codes_f64 = None
-        self.luts = None
-        self.lut8_tables = None
-
-
 def _empty_estimate() -> tuple[np.ndarray, DistanceEstimate]:
     empty = np.empty(0, dtype=np.float64)
     return np.empty(0, dtype=np.int64), DistanceEstimate(
@@ -344,12 +261,6 @@ class IVFQuantizedSearcher:
         Tombstone fraction at which :meth:`delete` triggers an automatic
         :meth:`compact` (``None`` disables auto-compaction; explicit
         ``compact()`` calls still work).
-    query_cache_size:
-        Capacity (in entries) of the FIFO prepared-query cache keyed by
-        ``(query bytes, cluster id)``; ``0`` (the default) disables caching.
-        With the cache enabled, repeated identical queries skip preparation
-        and draw no randomness — see the module docstring for the exact
-        replay semantics.
     metric:
         The served metric: ``"l2"`` (squared Euclidean distance, the
         default and the paper's setting), ``"ip"`` (maximum-inner-product
@@ -360,41 +271,13 @@ class IVFQuantizedSearcher:
         maximization for similarities, and results report metric values
         best-first.  Similarity metrics require
         ``quantizer_kind="rabitq"``.
-    estimation_mode:
-        The ``<x_b, q̄_u>`` estimation kernel (RaBitQ searchers only):
-        ``"gemm"`` (the default) runs the integer-exact float64 GEMM/GEMV
-        on the unpacked codes; ``"lut"`` runs the paper's fast-scan 4-bit
-        look-up-table accumulation (Sec. 3.3.2) over the arena's segment
-        ids — **bit-identical** to ``"gemm"`` (float64 accumulation of
-        integer query codes is exact) across the whole lifecycle,
-        sequential, batch and sharded; ``"lut8"`` additionally quantizes
-        each query's tables to ``uint8`` as the SIMD fast-scan layout
-        does, trading exactness for the reduced-precision table format
-        (absolute estimation error on the integer dot is bounded by
-        ``n_segments * scale / 2``).  The mode is a property and may be
-        switched on a fitted searcher at any mutation-free point; LUTs
-        are derived lazily per prepared query and consume no randomness,
-        so switching modes never perturbs the rounding streams, and the
-        concurrency / cache contract above is mode-independent.
     bits:
         Code width ``B`` in bits per dimension (RaBitQ searchers only).
         ``None`` (the default) keeps the width of ``rabitq_config``
         (itself defaulting to 1, the paper's binary construction); an
         explicit value overrides it.  Multi-bit widths (2 / 4 / 8) store
         scalar-quantized residual magnitudes as extra bit-planes for a
-        space/accuracy trade-off, and require ``estimation_mode="gemm"``
-        — the fast-scan LUT modes are binary-only and reject ``B > 1``
-        with :class:`repro.exceptions.InvalidParameterError`.
-    probe_strategy:
-        How the ``nprobe`` clusters are found per query: ``"exact"`` (the
-        default) scans every centroid with the metric's key kernel;
-        ``"graph"`` navigates a deterministic HNSW graph over the centroids
-        (built lazily at first use, rebuilt bit-identically after re-fits —
-        see :meth:`IVFIndex.centroid_graph`), evaluating keys only along
-        the beam-search frontier.  Downstream estimation, re-ranking and
-        randomness are identical under both strategies; only the probed
-        cluster ranking may differ, and the benchmark gates pin graph
-        probing's candidate sets and recall against the exact oracle.
+        space/accuracy trade-off.
     """
 
     def __init__(
@@ -407,11 +290,8 @@ class IVFQuantizedSearcher:
         reranker: Optional[Reranker] = None,
         rng: RngLike = None,
         compact_threshold: float | None = 0.25,
-        query_cache_size: int = 0,
         metric: str | Metric = "l2",
-        estimation_mode: str = "gemm",
         bits: int | None = None,
-        probe_strategy: str = "exact",
     ) -> None:
         if quantizer_kind not in ("rabitq", "external"):
             raise InvalidParameterError(
@@ -425,28 +305,12 @@ class IVFQuantizedSearcher:
             raise InvalidParameterError(
                 "compact_threshold must lie in (0, 1] or be None"
             )
-        if query_cache_size < 0:
-            raise InvalidParameterError("query_cache_size must be >= 0")
         self._metric = resolve_metric(metric)
         if quantizer_kind != "rabitq" and self._metric.name != "l2":
             raise InvalidParameterError(
                 "similarity metrics require quantizer_kind='rabitq' "
                 "(external baseline quantizers estimate squared L2 only)"
             )
-        if estimation_mode not in _ESTIMATION_MODES:
-            raise InvalidParameterError(
-                f"estimation_mode must be one of {_ESTIMATION_MODES}"
-            )
-        if estimation_mode != "gemm" and quantizer_kind != "rabitq":
-            raise InvalidParameterError(
-                "LUT estimation modes require quantizer_kind='rabitq'"
-            )
-        if probe_strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
-        self._probe_strategy = probe_strategy
-        self._estimation_mode = estimation_mode
         self.quantizer_kind = quantizer_kind
         self.n_clusters = n_clusters
         self.rabitq_config = (
@@ -457,22 +321,11 @@ class IVFQuantizedSearcher:
             self.rabitq_config = self.rabitq_config.with_overrides(
                 bits=int(bits)
             )
-        if (
-            quantizer_kind == "rabitq"
-            and self.rabitq_config.bits > 1
-            and estimation_mode != "gemm"
-        ):
-            raise InvalidParameterError(
-                f"estimation_mode {estimation_mode!r} supports only 1-bit "
-                f"codes (fast-scan LUT tables are binary); use 'gemm' for "
-                f"bits={self.rabitq_config.bits}"
-            )
         self.external_quantizer = external_quantizer
         self.reranker: Reranker = (
             reranker if reranker is not None else ErrorBoundReranker()
         )
         self.compact_threshold = compact_threshold
-        self.query_cache_size = int(query_cache_size)
         self._rng = ensure_rng(rng)
         self._ivf: IVFIndex | None = None
         self._flat: FlatIndex | None = None
@@ -489,13 +342,9 @@ class IVFQuantizedSearcher:
         self._next_id = 0
         # Query-time work areas: the scratch-buffer pool (grown on demand,
         # reused across queries; one pool *per thread*, so concurrent
-        # searches never share a buffer) and the optional prepared-query
-        # cache.
+        # searches never share a buffer).
         self._tls = threading.local()
         self._pad_len: int | None = None
-        self._prepared_cache: "OrderedDict[tuple[bytes, int], _PreparedClusterQuery]" = (
-            OrderedDict()
-        )
         # Crash-recovery state, populated by the persistence layer: the
         # UUID of the archive generation this searcher was loaded from (or
         # last saved as) and the attached mutation journal, if any.
@@ -510,63 +359,6 @@ class IVFQuantizedSearcher:
     def metric(self) -> str:
         """Name of the served metric (``"l2"``, ``"ip"`` or ``"cosine"``)."""
         return self._metric.name
-
-    @property
-    def estimation_mode(self) -> str:
-        """The ``<x_b, q̄_u>`` kernel: ``"gemm"``, ``"lut"`` or ``"lut8"``.
-
-        Settable on a fitted searcher (outside of concurrent queries):
-        switching kernels changes how the integer dot is computed, never
-        what randomness is consumed, so ``"lut"`` answers stay
-        bit-identical to ``"gemm"`` from any shared stream state.
-        """
-        return self._estimation_mode
-
-    @estimation_mode.setter
-    def estimation_mode(self, mode: str) -> None:
-        if mode not in _ESTIMATION_MODES:
-            raise InvalidParameterError(
-                f"estimation_mode must be one of {_ESTIMATION_MODES}"
-            )
-        if mode != "gemm" and self.quantizer_kind != "rabitq":
-            raise InvalidParameterError(
-                "LUT estimation modes require quantizer_kind='rabitq'"
-            )
-        if (
-            mode != "gemm"
-            and self.quantizer_kind == "rabitq"
-            and self.rabitq_config.bits > 1
-        ):
-            raise InvalidParameterError(
-                f"estimation_mode {mode!r} supports only 1-bit codes "
-                f"(fast-scan LUT tables are binary); use 'gemm' for "
-                f"bits={self.rabitq_config.bits}"
-            )
-        self._estimation_mode = mode
-
-    @property
-    def probe_strategy(self) -> str:
-        """Centroid-probing strategy: ``"exact"`` or ``"graph"``.
-
-        Settable on a fitted searcher at any mutation-free point — the
-        strategy changes how the ``nprobe`` clusters are *found*, never
-        which estimator or rounding stream a probed cluster uses, so
-        switching strategies perturbs no randomness.  With ``"graph"`` the
-        IVF index navigates a deterministic HNSW graph over its centroids
-        (built lazily on the first graph probe); ``"exact"`` restores the
-        exhaustive centroid scan, which remains the equivalence oracle.
-        """
-        return self._probe_strategy
-
-    @probe_strategy.setter
-    def probe_strategy(self, strategy: str) -> None:
-        if strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
-        self._probe_strategy = strategy
-        if self._ivf is not None:
-            self._ivf.probe_strategy = strategy
 
     @property
     def is_fitted(self) -> bool:
@@ -707,9 +499,9 @@ class IVFQuantizedSearcher:
         """
         mat = as_float_matrix(data, "data")
         self._flat = FlatIndex(mat)
-        self._ivf = IVFIndex(
-            self.n_clusters, rng=self._rng, probe_strategy=self._probe_strategy
-        ).fit(mat, kmeans_sample_size=kmeans_sample_size)
+        self._ivf = IVFIndex(self.n_clusters, rng=self._rng).fit(
+            mat, kmeans_sample_size=kmeans_sample_size
+        )
 
         if self.quantizer_kind == "rabitq":
             # All clusters share one rotation so that the query only needs to
@@ -756,7 +548,6 @@ class IVFQuantizedSearcher:
         self._n_dead = 0
         self._next_id = n
         self._tls = threading.local()
-        self._prepared_cache.clear()
         return self
 
     # ------------------------------------------------------------------ #
@@ -877,11 +668,6 @@ class IVFQuantizedSearcher:
         for slot, ext in zip(slots.tolist(), new_ids.tolist()):
             self._id_to_slot[ext] = slot
         self._next_id = max(self._next_id, int(new_ids.max()) + 1)
-        # Mutations invalidate the prepared-query cache: a cached entry must
-        # never survive across a change of the indexed set, so that a cached
-        # searcher re-prepares exactly like an uncached one at every
-        # mutation boundary (see the module docstring).
-        self._prepared_cache.clear()
         # Journal the *resolved* ids: replay must never re-derive id
         # assignment (the fresh-id counter may have moved since).
         self._journal_record("insert", vectors=mat, ids=new_ids)
@@ -918,7 +704,6 @@ class IVFQuantizedSearcher:
             del self._id_to_slot[ext]
             self._live[slot] = False
         self._n_dead += len(slots)
-        self._prepared_cache.clear()  # mutations invalidate cached queries
         if (
             self.compact_threshold is not None
             and self.quantizer_kind == "rabitq"
@@ -967,7 +752,6 @@ class IVFQuantizedSearcher:
         }
         reclaimed = self._n_dead
         self._n_dead = 0
-        self._prepared_cache.clear()  # mutations invalidate cached queries
         # The no-reclaim early return above skips the record: a replayed
         # no-op compact would be harmless, but not journaling it keeps the
         # journal a faithful log of state *changes*.
@@ -1016,28 +800,20 @@ class IVFQuantizedSearcher:
             return (pad @ matrix)[0]
         return self._shared_rotation.apply_inverse(pad)[0]
 
-    def _prepare_cluster_query(
-        self,
-        vec: np.ndarray,
-        cid: int,
-        entry: _PreparedClusterQuery,
-        residual: np.ndarray | None = None,
-    ) -> _PreparedClusterQuery:
-        """Prepare ``vec`` against cluster ``cid``, filling ``entry``.
+    def _prepare_cluster_query(self, residual: np.ndarray, cid: int) -> tuple:
+        """Prepare the query residual ``vec - centroid`` against cluster ``cid``.
 
-        The arithmetic is exactly the pre-arena per-cluster preparation
-        (normalize to the cluster centroid, pad, rotate the single row,
-        randomized-rounding quantization from the cluster's stream), minus
-        the look-up-table construction and bit-plane packing the fused GEMV
-        kernel never touches — skipping those consumes no randomness.
-        ``residual`` optionally passes the precomputed ``vec - centroid``
-        row (the caller batches that subtraction across probed clusters;
-        elementwise, so the values are unchanged).
+        Returns ``(quantized, query_norm)``.  The arithmetic is exactly the
+        pre-arena per-cluster preparation (normalize to the cluster
+        centroid, pad, rotate the single row, randomized-rounding
+        quantization from the cluster's stream), minus the look-up-table
+        construction and bit-plane packing the fused GEMV kernel never
+        touches — skipping those consumes no randomness.  The caller
+        batches the residual subtraction across probed clusters
+        (elementwise, so the values are unchanged).
         """
-        assert self._ivf is not None and self._query_rngs is not None
+        assert self._query_rngs is not None
         config = self.rabitq_config
-        if residual is None:
-            residual = vec - self._ivf.centroids[cid]
         # Inline normalize_query on the precomputed residual; the 1-D norm
         # is sqrt(dot) — exactly what np.linalg.norm computes on a vector.
         norm = float(np.sqrt(np.dot(residual, residual)))
@@ -1053,12 +829,7 @@ class IVFQuantizedSearcher:
             rng=self._query_rngs[cid],
             with_bitplanes=False,
         )
-        entry.delta = quantized.delta
-        entry.lower = quantized.lower
-        entry.sum_codes_f = float(quantized.sum_codes)
-        entry.query_norm = query_norm
-        entry.codes_f64 = quantized.codes.astype(np.float64)  # sentinel last
-        return entry
+        return quantized, query_norm
 
     def _prepare_cluster_queries(
         self, sub_mat: np.ndarray, cid: int
@@ -1099,81 +870,14 @@ class IVFQuantizedSearcher:
         )
         return quantized, query_norms
 
-    def _prepared_for(
-        self,
-        vec: np.ndarray,
-        key_bytes: bytes | None,
-        cid: int,
-        residual: np.ndarray | None = None,
-    ) -> _PreparedClusterQuery:
-        """Cache-aware prepared query for ``(vec, cid)`` (sequential path).
-
-        Misses prepare into a *fresh* entry and publish it to the cache
-        only once complete (an existing unfilled placeholder — possible
-        only after a failed or concurrent batch call — is replaced, never
-        written into), so concurrent readers can never observe a torn
-        entry.
-        """
-        if key_bytes is None:
-            return self._prepare_cluster_query(
-                vec, cid, _PreparedClusterQuery(), residual
-            )
-        cache = self._prepared_cache
-        key = (key_bytes, cid)
-        entry = cache.get(key)
-        if entry is not None and entry.codes_f64 is not None:
-            return entry
-        fresh = self._prepare_cluster_query(
-            vec, cid, _PreparedClusterQuery(), residual
-        )
-        cache[key] = fresh
-        while len(cache) > self.query_cache_size:
-            cache.popitem(last=False)
-        return fresh
-
-    @staticmethod
-    def _query_luts(prepared: _PreparedClusterQuery) -> np.ndarray:
-        """The prepared query's fast-scan LUTs, built lazily on first use.
-
-        Derivation is a pure function of the already-quantized codes —
-        no randomness is consumed, so the per-cluster rounding streams
-        (and with them the ``lut`` ≡ ``gemm`` bit-identity) are
-        independent of the estimation mode.  The benign write race under
-        concurrent lazy fills is idempotent (both threads derive the same
-        tables from the same published codes).
-        """
-        luts = prepared.luts
-        if luts is None:
-            luts = build_query_luts(prepared.codes_f64)
-            prepared.luts = luts
-        return luts
-
-    @classmethod
-    def _query_luts_uint8(
-        cls, prepared: _PreparedClusterQuery
-    ) -> tuple[np.ndarray, float, float]:
-        """The prepared query's ``uint8``-quantized LUTs (+ scale/offset)."""
-        tables = prepared.lut8_tables
-        if tables is None:
-            tables, scale, offset = quantize_luts_to_uint8(
-                cls._query_luts(prepared)
-            )
-            prepared.lut8_scale = scale
-            prepared.lut8_offset = offset
-            prepared.lut8_tables = tables  # sentinel last
-            return tables, scale, offset
-        return tables, prepared.lut8_scale, prepared.lut8_offset
-
     def _estimate_rabitq(
         self, query: np.ndarray, cluster_ids: np.ndarray
     ) -> tuple[np.ndarray, DistanceEstimate]:
         """Fused estimation for all live vectors in the probed clusters.
 
-        One integer pass per probed cluster on its contiguous arena slice
-        — a GEMV over the unpacked codes or a fast-scan LUT accumulation
-        over the segment ids, per ``estimation_mode`` — coefficients and
-        constants gathered into the scratch pool, then a single fused
-        affine/estimator pass over the whole candidate set.
+        One integer GEMV per probed cluster on its contiguous arena slice,
+        coefficients and constants gathered into the scratch pool, then a
+        single fused affine/estimator pass over the whole candidate set.
         Tombstoned rows are masked out *after* the full per-cluster estimate
         (never skipped before it): this keeps the per-cluster randomized
         query-rounding streams — and with them the batch ≡ sequential
@@ -1197,14 +901,10 @@ class IVFQuantizedSearcher:
         consts_buf = self._scratch_get(
             "consts", n_consts * total, np.float64
         )[: n_consts * total].reshape(n_consts, total)
-        mode = self._estimation_mode
-        if mode == "gemm":
-            bits_f = self._scratch_get(
-                "bits_f", max_size * code_length, np.float64
-            )[: max_size * code_length].reshape(max_size, code_length)
-            dot = self._scratch_get("dot", max_size, np.float64)
-        else:
-            bits_f = dot = None  # LUT modes never touch the unpacked codes
+        bits_f = self._scratch_get(
+            "bits_f", max_size * code_length, np.float64
+        )[: max_size * code_length].reshape(max_size, code_length)
+        dot = self._scratch_get("dot", max_size, np.float64)
         tmp = self._scratch_get("tmp", max_size, np.float64)
 
         # Similarity metrics need the per-cluster centroid-decomposition
@@ -1233,7 +933,6 @@ class IVFQuantizedSearcher:
             else None
         )
 
-        key_bytes = query.tobytes() if self.query_cache_size > 0 else None
         # One batched subtraction for all probed centroids (elementwise, so
         # each row equals the per-cluster ``vec - centroid``).
         residuals = query[None, :] - self._ivf.centroids[cluster_ids]
@@ -1243,30 +942,19 @@ class IVFQuantizedSearcher:
             size = int(sizes[cid])
             if size == 0:
                 continue
-            prepared = self._prepared_for(query, key_bytes, cid, residuals[j])
+            quantized, query_norm = self._prepare_cluster_query(
+                residuals[j], cid
+            )
             start = int(arena.starts[cid])
             end = start + size
-            # Integer inner products <x_b, q_u>.  "gemm": float64 GEMV on
-            # the unpacked codes — exact (all partial sums are integers far
-            # below 2^53), hence identical to the popcount kernel.  "lut":
-            # fast-scan LUT accumulation over the 4-bit segment ids — the
-            # same exact integers, hence bit-identical.  "lut8": the
-            # reduced-precision uint8-table accumulation (bounded error).
-            if mode == "gemm":
-                np.copyto(
-                    bits_f[:size], arena.bits[start:end], casting="unsafe"
-                )
-                np.matmul(bits_f[:size], prepared.codes_f64, out=dot[:size])
-                acc = dot[:size]
-            elif mode == "lut":
-                acc = lut_accumulate(
-                    arena.segs[start:end], self._query_luts(prepared)
-                )
-            else:
-                tables, scale, table_offset = self._query_luts_uint8(prepared)
-                acc = lut_accumulate_uint8(
-                    arena.segs[start:end], tables, scale, table_offset
-                )
+            # Integer inner products <x_b, q_u>: float64 GEMV on the
+            # unpacked codes — exact (all partial sums are integers far
+            # below 2^53), hence identical to the popcount kernel.
+            np.copyto(bits_f[:size], arena.bits[start:end], casting="unsafe")
+            acc = dot[:size]
+            np.matmul(
+                bits_f[:size], quantized.codes.astype(np.float64), out=acc
+            )
             # Affine undo of the query quantization (Eq. 19-20) — the
             # out=-buffer form of estimator.undo_query_quantization, written
             # straight into this cluster's slice of the flat buffer with
@@ -1274,8 +962,9 @@ class IVFQuantizedSearcher:
             # Multi-bit codes go through the shared multi-bit undo (level
             # sums in the popcount row, rescales in the trailing row).
             sl = slice(offset, offset + size)
-            delta = prepared.delta
-            lower = prepared.lower
+            delta = quantized.delta
+            lower = quantized.lower
+            sum_codes = float(quantized.sum_codes)
             if code_bits > 1:
                 qdot[sl] = undo_query_quantization_multibit(
                     acc,
@@ -1283,7 +972,7 @@ class IVFQuantizedSearcher:
                     arena.consts[-1, start:end],
                     delta,
                     lower,
-                    prepared.sum_codes_f,
+                    sum_codes,
                     code_length,
                     code_bits,
                 )
@@ -1296,12 +985,12 @@ class IVFQuantizedSearcher:
                     out=tmp[:size],
                 )
                 out += tmp[:size]
-                out -= delta / sqrt_d * prepared.sum_codes_f
+                out -= delta / sqrt_d * sum_codes
                 out -= sqrt_d * lower
             consts_buf[:, sl] = arena.consts[:, start:end]
-            qn[sl] = prepared.query_norm
+            qn[sl] = query_norm
             if qround is not None:
-                qround[sl] = 0.5 * eps0 * prepared.delta
+                qround[sl] = 0.5 * eps0 * delta
             cand[sl] = arena.slots[start:end]
             if qoff is not None:
                 qoff[sl] = float(
@@ -1425,10 +1114,7 @@ class IVFQuantizedSearcher:
         stacking or per-query concatenation.  Per-cluster query groups are
         processed in ascending query order so each cluster's
         randomized-rounding stream is consumed in the same order as
-        sequential calls (with the prepared-query cache enabled, the
-        sequential cache bookkeeping — hits, misses and FIFO evictions — is
-        simulated in that same global order), keeping batch output
-        bit-identical.
+        sequential calls, keeping batch output bit-identical.
         """
         arena = self._arena
         assert arena is not None and self._live is not None
@@ -1454,94 +1140,10 @@ class IVFQuantizedSearcher:
         ip_flat = np.empty(total, dtype=np.float64)
         cand_flat = np.empty(total, dtype=np.int64)
 
-        # Group (query, probe position) pairs by cluster.  With the
-        # prepared-query cache enabled this is one global pass over the
-        # sequential visiting order which also performs the cache
-        # bookkeeping (placeholders for misses, FIFO eviction) exactly as a
-        # sequential loop would; without the cache, grouping is a single
-        # stable argsort of the flattened probe matrix (stable => ascending
-        # query order inside every cluster group, preserving per-cluster
-        # stream consumption order).
-        cache_on = self.query_cache_size > 0
-        cache = self._prepared_cache
-        # cluster id -> (query indices, probe positions, entries or None)
-        groups: list[tuple[int, np.ndarray, np.ndarray, list | None]] = []
-        if cache_on:
-            probe_lists = probes.tolist()
-            grouped: dict[int, list[tuple[int, int, _PreparedClusterQuery]]] = {}
-            misses: dict[int, list[tuple[int, _PreparedClusterQuery]]] = {}
-            pending: set[int] = set()  # placeholders scheduled in this call
-            key_bytes = [query_mat[qi].tobytes() for qi in range(n_queries)]
-            for qi in range(n_queries):
-                for j, cid in enumerate(probe_lists[qi]):
-                    if sizes[cid] == 0:
-                        continue
-                    key = (key_bytes[qi], cid)
-                    entry = cache.get(key)
-                    unfilled = entry is not None and entry.codes_f64 is None
-                    if entry is None or (unfilled and id(entry) not in pending):
-                        # A miss, or an unfilled placeholder left by a
-                        # *different* call: schedule a fresh entry of our
-                        # own (replacing a foreign placeholder in place
-                        # keeps its FIFO position) — fill paths never
-                        # write into another call's entry objects.
-                        entry = _PreparedClusterQuery()
-                        cache[key] = entry
-                        while len(cache) > self.query_cache_size:
-                            cache.popitem(last=False)
-                        pending.add(id(entry))
-                        misses.setdefault(cid, []).append((qi, entry))
-                    grouped.setdefault(cid, []).append((qi, j, entry))
-            # Vectorized preparation of the cache misses, one call per
-            # cluster in ascending query order.
-            for cid, missing in misses.items():
-                rows = np.asarray([qi for qi, _ in missing], dtype=np.intp)
-                quantized, query_norms = self._prepare_cluster_queries(
-                    query_mat[rows], cid
-                )
-                codes_f = quantized.codes.astype(np.float64)
-                for row, (_, entry) in enumerate(missing):
-                    entry.delta = float(quantized.delta[row])
-                    entry.lower = float(quantized.lower[row])
-                    entry.sum_codes_f = float(quantized.sum_codes[row])
-                    entry.query_norm = float(query_norms[row])
-                    entry.codes_f64 = codes_f[row].copy()  # sentinel last
-            for cid, pairs in grouped.items():
-                groups.append(
-                    (
-                        cid,
-                        np.asarray([qi for qi, _, _ in pairs], dtype=np.intp),
-                        np.asarray([j for _, j, _ in pairs], dtype=np.intp),
-                        [entry for _, _, entry in pairs],
-                    )
-                )
-        else:
-            width = probes.shape[1]
-            flat_cids = probes.ravel()
-            order = np.argsort(flat_cids, kind="stable")
-            sorted_cids = flat_cids[order]
-            starts = np.flatnonzero(
-                np.diff(sorted_cids, prepend=sorted_cids[:1] - 1)
-            )
-            ends = np.append(starts[1:], sorted_cids.shape[0])
-            for seg_start, seg_end in zip(starts.tolist(), ends.tolist()):
-                cid = int(sorted_cids[seg_start])
-                if sizes[cid] == 0:
-                    continue
-                pair_idx = order[seg_start:seg_end]
-                groups.append(
-                    (cid, pair_idx // width, pair_idx % width, None)
-                )
-
-        mode = self._estimation_mode
         max_size = int(size_mat.max()) if size_mat.size else 0
-        bits_f = (
-            self._scratch_get("bits_f", max_size * code_length, np.float64)[
-                : max_size * code_length
-            ].reshape(max_size, code_length)
-            if max_size and mode == "gemm"
-            else np.empty((0, code_length), dtype=np.float64)
-        )
+        bits_f = self._scratch_get(
+            "bits_f", max_size * code_length, np.float64
+        )[: max_size * code_length].reshape(max_size, code_length)
 
         # Similarity metrics: per-query raw norms (cosine) and, inside the
         # group loop, per-(query, cluster) centroid offsets — each scalar
@@ -1555,92 +1157,40 @@ class IVFQuantizedSearcher:
                 row = query_mat[qi]
                 qraw_all[qi] = float(np.sqrt(np.dot(row, row)))
 
-        for cid, qis, js, entries in groups:
+        # Group (query, probe position) pairs by cluster: a single stable
+        # argsort of the flattened probe matrix (stable => ascending query
+        # order inside every cluster group, preserving per-cluster stream
+        # consumption order).
+        width = probes.shape[1]
+        flat_cids = probes.ravel()
+        order = np.argsort(flat_cids, kind="stable")
+        sorted_cids = flat_cids[order]
+        starts = np.flatnonzero(
+            np.diff(sorted_cids, prepend=sorted_cids[:1] - 1)
+        )
+        ends = np.append(starts[1:], sorted_cids.shape[0])
+        for seg_start, seg_end in zip(starts.tolist(), ends.tolist()):
+            cid = int(sorted_cids[seg_start])
+            if sizes[cid] == 0:
+                continue
+            pair_idx = order[seg_start:seg_end]
+            qis, js = pair_idx // width, pair_idx % width
             start, end = arena.cluster_range(cid)
             size = end - start
             n_group = qis.shape[0]
-            codes_mat = luts_stack = None
-            lut8_tables = lut8_scales = lut8_offsets = None
-            if entries is not None:
-                delta = np.empty(n_group, dtype=np.float64)
-                lower = np.empty(n_group, dtype=np.float64)
-                sums = np.empty(n_group, dtype=np.float64)
-                query_norms = np.empty(n_group, dtype=np.float64)
-                for row, entry in enumerate(entries):
-                    delta[row] = entry.delta
-                    lower[row] = entry.lower
-                    sums[row] = entry.sum_codes_f
-                    query_norms[row] = entry.query_norm
-                if mode == "gemm":
-                    codes_mat = np.empty(
-                        (n_group, code_length), dtype=np.float64
-                    )
-                    for row, entry in enumerate(entries):
-                        codes_mat[row] = entry.codes_f64
-                elif mode == "lut":
-                    luts_stack = np.stack(
-                        [self._query_luts(entry) for entry in entries]
-                    )
-                else:
-                    per_entry = [
-                        self._query_luts_uint8(entry) for entry in entries
-                    ]
-                    lut8_tables = np.stack([t for t, _, _ in per_entry])
-                    lut8_scales = np.asarray(
-                        [s for _, s, _ in per_entry], dtype=np.float64
-                    )
-                    lut8_offsets = np.asarray(
-                        [o for _, _, o in per_entry], dtype=np.float64
-                    )
-            else:
-                quantized, query_norms = self._prepare_cluster_queries(
-                    query_mat[qis], cid
-                )
-                delta = quantized.delta
-                lower = quantized.lower
-                sums = quantized.sum_codes.astype(np.float64)
-                if mode == "gemm":
-                    codes_mat = quantized.codes.astype(np.float64)
-                else:
-                    # Batched LUT construction: exact integers, so each
-                    # slice equals the per-query build bit for bit.
-                    luts_stack = build_query_luts_batch(quantized.codes)
-                    if mode == "lut8":
-                        n_segments = luts_stack.shape[1]
-                        lut8_tables = np.empty(
-                            luts_stack.shape, dtype=np.uint8
-                        )
-                        lut8_scales = np.empty(n_group, dtype=np.float64)
-                        lut8_offsets = np.empty(n_group, dtype=np.float64)
-                        for row in range(n_group):
-                            (
-                                lut8_tables[row],
-                                lut8_scales[row],
-                                lut8_offsets[row],
-                            ) = quantize_luts_to_uint8(luts_stack[row])
+            quantized, query_norms = self._prepare_cluster_queries(
+                query_mat[qis], cid
+            )
+            delta = quantized.delta
+            lower = quantized.lower
+            sums = quantized.sum_codes.astype(np.float64)
 
             # Integer inner-product matrix for the whole query group on the
             # cluster's contiguous slice: one exact float64 GEMM on the
-            # unpacked codes, or the fast-scan accumulation over the 4-bit
-            # segment ids ("lut" produces the same exact integers; "lut8"
-            # the reduced-precision approximation) — each row bit-identical
-            # to the corresponding sequential single-query kernel.
-            if mode == "gemm":
-                np.copyto(
-                    bits_f[:size], arena.bits[start:end], casting="unsafe"
-                )
-                integer_dot = codes_mat @ bits_f[:size].T
-            elif mode == "lut":
-                integer_dot = lut_accumulate_batch(
-                    arena.segs[start:end], luts_stack
-                )
-            else:
-                integer_dot = lut_accumulate_uint8_batch(
-                    arena.segs[start:end],
-                    lut8_tables,
-                    lut8_scales,
-                    lut8_offsets,
-                )
+            # unpacked codes — each row bit-identical to the sequential
+            # single-query GEMV.
+            np.copyto(bits_f[:size], arena.bits[start:end], casting="unsafe")
+            integer_dot = quantized.codes.astype(np.float64) @ bits_f[:size].T
 
             # Per-query affine undo of the scalar quantization (Eq. 19-20);
             # identical elementwise arithmetic to the single-query path
@@ -1800,7 +1350,12 @@ class IVFQuantizedSearcher:
         # ascending query order, so per-cluster RNG consumption — and
         # therefore every result — is unchanged: this is purely a peak-memory
         # cap.
-        pair_counts = self._ivf.bucket_sizes()[probes].sum(axis=1)
+        bucket_sizes = (
+            self._arena.sizes
+            if self._arena is not None
+            else self._ivf.bucket_sizes()
+        )
+        pair_counts = bucket_sizes[probes].sum(axis=1)
         ids_out: list[np.ndarray] = []
         dists_out: list[np.ndarray] = []
         n_candidates: list[int] = []

@@ -53,10 +53,9 @@ batch order, so parallel execution is bit-identical to serial regardless of
 scheduling.  Concurrent *top-level* calls on the same ``ShardedSearcher``
 are memory-safe (shard scratch is thread-local) but interleave stream
 consumption nondeterministically unless query preparation is deterministic
-(``randomized_rounding=False``, ``query_cache_size=0``) — the same contract
-as the underlying searcher, see ``repro/index/searcher.py``.  Mutations
-(:meth:`insert` / :meth:`delete` / :meth:`compact`) must not run
-concurrently with queries.
+(``randomized_rounding=False``) — the same contract as the underlying
+searcher, see ``repro/index/searcher.py``.  Mutations (:meth:`insert` /
+:meth:`delete` / :meth:`compact`) must not run concurrently with queries.
 """
 
 from __future__ import annotations
@@ -73,10 +72,8 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.index.ivf import PROBE_STRATEGIES
 from repro.index.rerank import Reranker
 from repro.index.searcher import (
-    _ESTIMATION_MODES,
     BatchSearchResult,
     IVFQuantizedSearcher,
     SearchResult,
@@ -125,29 +122,17 @@ class ShardedSearcher:
     rng:
         Seed or generator; per-shard KMeans/rotation generators are spawned
         from it, so a given seed reproduces the exact shard states.
-    compact_threshold / query_cache_size:
+    compact_threshold:
         Forwarded to every shard (see :class:`IVFQuantizedSearcher`).
     metric:
         The served metric (``"l2"``, ``"ip"`` or ``"cosine"``), forwarded
         to every shard; the cross-shard merge is metric-aware (stable
         top-k on ascending distances or descending similarity scores, ties
         toward the lower shard).  See :mod:`repro.core.metric`.
-    estimation_mode:
-        The ``<x_b, q̄_u>`` estimation kernel (``"gemm"`` / ``"lut"`` /
-        ``"lut8"``), forwarded to every shard; settable on a fitted
-        instance (outside of concurrent queries), which switches every
-        shard at once.  ``"lut"`` answers are bit-identical to ``"gemm"``
-        shard by shard, hence also after the deterministic merge — see
-        :class:`IVFQuantizedSearcher`.
     bits:
         Code width ``B`` in bits per dimension, forwarded to every shard
         (an explicit value overrides ``rabitq_config``; ``None`` keeps
-        the config's width).  Multi-bit widths require
-        ``estimation_mode="gemm"`` — see :class:`IVFQuantizedSearcher`.
-    probe_strategy:
-        Centroid-probing strategy (``"exact"`` / ``"graph"``), forwarded
-        to every shard and settable on a fitted instance, which switches
-        every shard at once — see :class:`IVFQuantizedSearcher`.
+        the config's width).
     """
 
     def __init__(
@@ -161,11 +146,8 @@ class ShardedSearcher:
         reranker: Optional[Reranker] = None,
         rng: RngLike = None,
         compact_threshold: float | None = 0.25,
-        query_cache_size: int = 0,
         metric: str | Metric = "l2",
-        estimation_mode: str = "gemm",
         bits: int | None = None,
-        probe_strategy: str = "exact",
     ) -> None:
         if n_shards <= 0:
             raise InvalidParameterError("n_shards must be positive")
@@ -175,14 +157,6 @@ class ShardedSearcher:
             )
         if n_threads is not None and n_threads < 0:
             raise InvalidParameterError("n_threads must be >= 0 when given")
-        if estimation_mode not in _ESTIMATION_MODES:
-            raise InvalidParameterError(
-                f"estimation_mode must be one of {_ESTIMATION_MODES}"
-            )
-        if probe_strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
         self.n_shards = int(n_shards)
         self.assignment = assignment
         self.n_clusters = n_clusters
@@ -194,22 +168,9 @@ class ShardedSearcher:
                 else RaBitQConfig(seed=0)
             )
             self.rabitq_config = base.with_overrides(bits=int(bits))
-        if (
-            self.rabitq_config is not None
-            and self.rabitq_config.bits > 1
-            and estimation_mode != "gemm"
-        ):
-            raise InvalidParameterError(
-                f"estimation_mode {estimation_mode!r} supports only 1-bit "
-                f"codes (fast-scan LUT tables are binary); use 'gemm' for "
-                f"bits={self.rabitq_config.bits}"
-            )
         self.reranker = reranker
         self.compact_threshold = compact_threshold
-        self.query_cache_size = int(query_cache_size)
         self._metric = resolve_metric(metric)
-        self._estimation_mode = estimation_mode
-        self._probe_strategy = probe_strategy
         self._rng = ensure_rng(rng)
         self._n_threads = self.n_shards if n_threads is None else int(n_threads)
         self._pool: ThreadPoolExecutor | None = None
@@ -297,58 +258,11 @@ class ShardedSearcher:
         return self._metric.name
 
     @property
-    def estimation_mode(self) -> str:
-        """The ``<x_b, q̄_u>`` kernel (``"gemm"`` / ``"lut"`` / ``"lut8"``).
-
-        Assigning a new mode switches every shard at once.  Like the
-        per-shard setter it must not race in-flight queries.
-        """
-        return self._estimation_mode
-
-    @property
     def bits(self) -> int:
         """Code width ``B`` in bits per dimension (1 for binary RaBitQ)."""
         if self.rabitq_config is not None:
             return int(self.rabitq_config.bits)
         return 1
-
-    @estimation_mode.setter
-    def estimation_mode(self, mode: str) -> None:
-        if mode not in _ESTIMATION_MODES:
-            raise InvalidParameterError(
-                f"estimation_mode must be one of {_ESTIMATION_MODES}"
-            )
-        if mode != "gemm" and self.bits > 1:
-            raise InvalidParameterError(
-                f"estimation_mode {mode!r} supports only 1-bit codes "
-                f"(fast-scan LUT tables are binary); use 'gemm' for "
-                f"bits={self.bits}"
-            )
-        if self._shards is not None:
-            for shard in self._shards:
-                shard.estimation_mode = mode
-        self._estimation_mode = mode
-
-    @property
-    def probe_strategy(self) -> str:
-        """Centroid-probing strategy (``"exact"`` / ``"graph"``).
-
-        Assigning a new strategy switches every shard at once; each shard's
-        centroid graph is built lazily on its first graph probe.  Like the
-        other serving knobs it must not race in-flight queries.
-        """
-        return self._probe_strategy
-
-    @probe_strategy.setter
-    def probe_strategy(self, strategy: str) -> None:
-        if strategy not in PROBE_STRATEGIES:
-            raise InvalidParameterError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}"
-            )
-        if self._shards is not None:
-            for shard in self._shards:
-                shard.probe_strategy = strategy
-        self._probe_strategy = strategy
 
     @property
     def is_fitted(self) -> bool:
@@ -432,10 +346,7 @@ class ShardedSearcher:
                 reranker=self.reranker,
                 rng=shard_rngs[s],
                 compact_threshold=self.compact_threshold,
-                query_cache_size=self.query_cache_size,
                 metric=self._metric,
-                estimation_mode=self._estimation_mode,
-                probe_strategy=self._probe_strategy,
             )
             for s in range(self.n_shards)
         ]
@@ -755,18 +666,6 @@ class ShardedSearcher:
             raise InvalidParameterError(
                 "all shards must serve the same metric"
             )
-        if any(
-            shard.estimation_mode != first.estimation_mode for shard in shards
-        ):
-            raise InvalidParameterError(
-                "all shards must use the same estimation_mode"
-            )
-        if any(
-            shard.probe_strategy != first.probe_strategy for shard in shards
-        ):
-            raise InvalidParameterError(
-                "all shards must use the same probe_strategy"
-            )
         if any(shard.bits != first.bits for shard in shards):
             raise InvalidParameterError(
                 "all shards must use the same code width (bits)"
@@ -779,10 +678,7 @@ class ShardedSearcher:
             rabitq_config=first.rabitq_config,
             reranker=first.reranker,
             compact_threshold=first.compact_threshold,
-            query_cache_size=first.query_cache_size,
             metric=first.metric,
-            estimation_mode=first.estimation_mode,
-            probe_strategy=first.probe_strategy,
         )
         g2s: dict[int, tuple[int, int]] = {}
         for s, (shard, mapping) in enumerate(zip(shards, l2g)):

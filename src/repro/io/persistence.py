@@ -16,16 +16,16 @@ Four archive flavours are provided:
   *bit-identically* (ids, distances and cost counters) to the saved one,
   and supports further ``insert`` / ``delete`` / ``compact`` calls.
 
-  The current searcher format (**v6**) is a binary container holding a
-  JSON header plus 64-byte-aligned raw sections for every large array —
-  the arena's packed codes, the uint8 GEMM operand, the 4-bit segment-id
-  matrix, the fused constants, the slot map, and the raw re-rank vectors.
-  Sections can be read zero-copy via ``np.memmap``
+  The current searcher format (**v9**, the v6 container) is a binary
+  file holding a JSON header plus 64-byte-aligned raw sections for every
+  large array — the arena's packed codes, the uint8 GEMM operand, the
+  fused constants, the slot map, and the raw re-rank vectors.  Sections
+  can be read zero-copy via ``np.memmap``
   (``load_searcher(path, mmap=True)``), so a warm restart skips
-  decompression, bit-unpacking and segment derivation entirely and
-  supports datasets larger than RAM.  The npz layouts v1–v5 still load
-  bit-identically, and ``save_searcher(..., layout="npz")`` still writes
-  the v5 npz for interoperability with older builds.
+  decompression and bit-unpacking entirely and supports datasets larger
+  than RAM.  Container versions v6–v8 and the npz layouts v1–v5 still
+  load bit-identically, and ``save_searcher(..., layout="npz")`` still
+  writes the v5 npz for interoperability with older builds.
 * :func:`save_sharded_searcher` / :func:`load_sharded_searcher` — a
   complete :class:`repro.index.sharded.ShardedSearcher` as a *directory*:
   a ``manifest.json`` (magic, format version, archive UUID chain, shard
@@ -64,6 +64,7 @@ import numpy as np
 from repro.core.bitops import unpack_bits
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
 from repro.core.estimator import N_CONSTS, build_code_consts
+from repro.core.lut import split_into_segments
 from repro.core.metric import resolve_metric
 from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.core.rotation import FastHadamardRotation, QRRotation, Rotation
@@ -76,7 +77,6 @@ from repro.exceptions import (
 )
 from repro.index.arena import CodeArena
 from repro.index.flat import FlatIndex
-from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFIndex
 from repro.index.rerank import (
     ErrorBoundReranker,
@@ -117,27 +117,28 @@ _RABITQ_VERSIONS = (2, 3)
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
 #: in particular a ``mmap=True`` load — adopts them without re-deriving
-#: anything.  Unlike v5, the uint8 GEMM operand and the 4-bit segment-id
-#: matrix are stored, not recomputed.  Version 7 keeps the identical
-#: container (same magic, prefix, alignment and section rules) and adds
-#: the centroid-probing strategy to the metadata plus — for
-#: ``probe_strategy="graph"`` searchers — the serialized centroid HNSW
-#: graph as three integer sections, so graph-probing searchers reload
-#: without rebuilding the graph.  Version-6 archives still load (the
-#: strategy defaults to ``"exact"``; a graph is rebuilt deterministically
-#: on demand if the strategy is later switched).  Version 8 again keeps
-#: the identical container and adds the code width ``bits`` (bits per
-#: dimension, multi-bit extended RaBitQ) to the metadata; v6/v7 archives
-#: carry no key and load as ``bits=1``, which is exactly what those
-#: builds wrote.
-SEARCHER_FORMAT_VERSION = 8
+#: anything.  Unlike v5, the uint8 GEMM operand is stored, not recomputed.
+#: Versions 7–9 keep the identical container (same magic, prefix,
+#: alignment and section rules).  Version 7 added ``probe_strategy``
+#: metadata and, for graph probing, a ``centroid_graph`` metadata block
+#: with three ``graph_*`` integer sections; version 8 added the code
+#: width ``bits`` (v6/v7 archives carry no key and load as ``bits=1``,
+#: which is exactly what those builds wrote).  Version 9 drops what the
+#: removed serving knobs stored: the ``arena_segs`` section (4-bit LUT
+#: segment ids), the ``estimation_mode`` / ``probe_strategy`` metadata and
+#: the centroid-graph block and sections.  v6–v8 archives still load; the
+#: loader never reads those keys and sections, so an archive saved under
+#: a LUT kernel or graph probing serves through the GEMM kernel and the
+#: exhaustive centroid scan (which were their bit-identity oracles).
+SEARCHER_FORMAT_VERSION = 9
 
 #: Binary-container (v6-layout) format versions this build can read.
-_SEARCHER_BINARY_VERSIONS = (6, 7, 8)
+_SEARCHER_BINARY_VERSIONS = (6, 7, 8, 9)
 
 #: The newest npz-layout searcher format (written by ``layout="npz"``).
-#: Version 5 records the searcher's ``estimation_mode``; version 4 the
-#: served ``metric``; version 3 was the arena-aware layout; version 1
+#: Version 5 records an ``estimation_mode`` (this build always writes
+#: ``"gemm"`` and ignores the key on load); version 4 the served
+#: ``metric``; version 3 was the arena-aware layout; version 1
 #: predates the arena.  All are still read via the npz loader, answering
 #: bit-identically to the build that wrote them.
 SEARCHER_NPZ_FORMAT_VERSION = 5
@@ -787,7 +788,7 @@ def save_searcher(
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
-    packed codes, GEMM/LUT operands, the fused estimator-constants matrix,
+    packed codes, the GEMM operand, the fused estimator-constants matrix,
     IVF centroids/assignments, raw vectors, tombstones, external-id
     mapping and RNG streams — so that :func:`load_searcher` reproduces
     search results bit-identically and supports further mutation.
@@ -824,14 +825,16 @@ def _save_searcher_v6(
     *,
     _format_version: int = SEARCHER_FORMAT_VERSION,
 ) -> str:
-    """Write the binary container (v8 layout); returns the new archive UUID.
+    """Write the binary container (v9 layout); returns the new archive UUID.
 
-    ``_format_version=6`` / ``7`` are test-only hooks that write faithful
-    legacy archives (v6: no probe-strategy metadata, no graph sections;
-    v7: no code-width metadata) so the backward-compatibility suites can
-    exercise real legacy input without keeping binary fixtures in the
-    tree.  Neither can represent multi-bit codes, so saving a
-    ``bits > 1`` searcher at a legacy version is refused.
+    ``_format_version=6`` / ``7`` / ``8`` are test-only hooks that write
+    faithful legacy archives (the ``arena_segs`` section and default
+    ``estimation_mode`` / ``probe_strategy`` metadata those builds wrote;
+    v7: no code-width metadata; v6: no probe-strategy metadata either) so
+    the backward-compatibility suites can exercise real legacy input
+    without keeping binary fixtures in the tree.  v6 and v7 cannot
+    represent multi-bit codes, so saving a ``bits > 1`` searcher at those
+    versions is refused.
     """
     if _format_version not in _SEARCHER_BINARY_VERSIONS:
         raise InvalidParameterError(
@@ -877,7 +880,6 @@ def _save_searcher_v6(
         "reranker_kind": reranker_kind,
         "reranker_param": reranker_param,
         "metric": searcher.metric,
-        "estimation_mode": searcher.estimation_mode,
         # Shapes (cross-checked against the section table on load)
         "dim": int(flat.dim),
         "n_slots": int(len(flat)),
@@ -894,7 +896,6 @@ def _save_searcher_v6(
     sections = {
         "arena_codes": dump["codes"],
         "arena_bits": dump["bits"],
-        "arena_segs": dump["segs"],
         "arena_consts": dump["consts"],
         "arena_slots": dump["slots"],
         "data": np.ascontiguousarray(flat.data, dtype=np.float64),
@@ -906,30 +907,16 @@ def _save_searcher_v6(
     }
     if _format_version >= 8:
         meta["bits"] = int(arena.bits_per_dim)
-    if _format_version >= 7:
-        meta["probe_strategy"] = searcher.probe_strategy
-        if searcher.probe_strategy == "graph":
-            # The graph's node vectors ARE the centroids section; only the
-            # topology (layers, degrees, adjacency) needs its own sections.
-            graph_state = ivf.centroid_graph().to_state()
-            meta["centroid_graph"] = {
-                "m": int(graph_state["m"]),
-                "ef_construction": int(graph_state["ef_construction"]),
-                "entry_point": int(graph_state["entry_point"]),
-                "max_level": int(graph_state["max_level"]),
-                "layer_sizes": np.asarray(
-                    graph_state["layer_sizes"], dtype=np.int64
-                ).tolist(),
-            }
-            sections["graph_nodes"] = np.ascontiguousarray(
-                graph_state["nodes"], dtype=np.int64
-            )
-            sections["graph_degrees"] = np.ascontiguousarray(
-                graph_state["degrees"], dtype=np.int64
-            )
-            sections["graph_neighbours"] = np.ascontiguousarray(
-                graph_state["neighbours"], dtype=np.int64
-            )
+    if _format_version < 9:
+        meta["estimation_mode"] = "gemm"
+        if _format_version >= 7:
+            meta["probe_strategy"] = "exact"
+        # Multi-bit arenas stored an empty (rows, 0) segment matrix.
+        sections["arena_segs"] = (
+            split_into_segments(dump["bits"])
+            if arena.bits_per_dim == 1
+            else np.empty((dump["bits"].shape[0], 0), dtype=np.uint8)
+        )
     header = {
         "magic": MAGIC_SEARCHER,
         "format_version": int(_format_version),
@@ -1014,13 +1001,10 @@ def _save_searcher_npz(searcher: IVFQuantizedSearcher, path: Path) -> None:
         reranker_param=np.int64(reranker_param),
         # Served metric (format v4)
         metric=np.str_(searcher.metric),
-        # Estimation kernel (format v5); the segment-id matrix of the LUT
-        # modes is derived from packed_codes at load time, never stored.
-        estimation_mode=np.str_(searcher.estimation_mode),
-        # Centroid probe strategy (optional key; format stays v5 because
-        # older loaders ignore unknown keys — the graph itself is never
-        # stored in npz, it is rebuilt deterministically on load).
-        probe_strategy=np.str_(searcher.probe_strategy),
+        # Constants older builds require (format v5) or honour: the only
+        # estimation kernel and probe this build has.
+        estimation_mode=np.str_("gemm"),
+        probe_strategy=np.str_("exact"),
         # IVF + flat index state
         centroids=ivf.centroids,
         assignments=ivf.assignments,
@@ -1055,8 +1039,8 @@ def load_searcher(
     Parameters
     ----------
     mmap:
-        Memory-map the archive's large sections (packed codes, GEMM and
-        LUT operands, fused constants, raw vectors) instead of reading
+        Memory-map the archive's large sections (packed codes, the GEMM
+        operand, fused constants, raw vectors) instead of reading
         them into RAM: the load is near-constant-time and the dataset may
         exceed physical memory.  Results are bit-identical to a
         materialized load; the first mutation reallocates the affected
@@ -1116,9 +1100,7 @@ def _make_searcher_shell(
     reranker_kind: str,
     reranker_param: int,
     metric,
-    estimation_mode: str,
     searcher_rng_state: dict,
-    probe_strategy: str = "exact",
 ) -> IVFQuantizedSearcher:
     return IVFQuantizedSearcher(
         "rabitq",
@@ -1128,8 +1110,6 @@ def _make_searcher_shell(
         rng=_rng_from_state(searcher_rng_state),
         compact_threshold=compact_threshold,
         metric=metric,
-        estimation_mode=estimation_mode,
-        probe_strategy=probe_strategy,
     )
 
 
@@ -1180,7 +1160,6 @@ def _load_searcher_v6(
         )
         metric = resolve_metric(str(meta["metric"]))
         threshold = meta["compact_threshold"]
-        probe_strategy = str(meta.get("probe_strategy", "exact"))
         searcher = _make_searcher_shell(
             config=config,
             n_clusters_param=(
@@ -1192,9 +1171,7 @@ def _load_searcher_v6(
             reranker_kind=str(meta["reranker_kind"]),
             reranker_param=int(meta["reranker_param"]),
             metric=metric,
-            estimation_mode=str(meta["estimation_mode"]),
             searcher_rng_state=meta["searcher_rng_state"],
-            probe_strategy=probe_strategy,
         )
 
         code_length = int(meta["code_length"])
@@ -1245,30 +1222,7 @@ def _load_searcher_v6(
             assignments,
             kmeans_iters=int(meta["kmeans_iters"]),
             rng=searcher._rng,
-            probe_strategy=probe_strategy,
         )
-        graph_meta = meta.get("centroid_graph")
-        if graph_meta is not None:
-            # v7 archives persist the centroid graph's topology; the node
-            # vectors are the centroids section, so the graph costs only
-            # three small integer sections on disk.
-            graph_state = {
-                "m": int(graph_meta["m"]),
-                "ef_construction": int(graph_meta["ef_construction"]),
-                "entry_point": int(graph_meta["entry_point"]),
-                "max_level": int(graph_meta["max_level"]),
-                "layer_sizes": np.asarray(
-                    graph_meta["layer_sizes"], dtype=np.int64
-                ),
-                "nodes": sections.load("graph_nodes", mmap=mmap),
-                "degrees": sections.load("graph_degrees", mmap=mmap),
-                "neighbours": sections.load("graph_neighbours", mmap=mmap),
-            }
-            graph = HNSWIndex.from_state(
-                graph_state,
-                data=np.asarray(centroids, dtype=np.float64),
-            )
-            searcher._ivf.install_centroid_graph(graph)
 
         sizes = np.asarray(meta["arena_sizes"], dtype=np.int64).reshape(-1)
         if sizes.shape[0] != n_clusters:
@@ -1287,7 +1241,6 @@ def _load_searcher_v6(
             n_consts,
             codes=sections.load("arena_codes", mmap=mmap),
             bits=sections.load("arena_bits", mmap=mmap),
-            segs=sections.load("arena_segs", mmap=mmap),
             consts=sections.load("arena_consts", mmap=mmap),
             slots=sections.load("arena_slots", mmap=mmap),
             sizes=sizes,
@@ -1389,16 +1342,6 @@ def _load_searcher_npz(path: Path) -> IVFQuantizedSearcher:
                 str(archive["metric"]) if format_version >= 4 else "l2"
             )
             metric = resolve_metric(metric_name)
-            # Pre-v5 archives predate the LUT estimation kernel: they were
-            # always written by (and load as) GEMM-mode searchers.
-            estimation_mode = (
-                str(archive["estimation_mode"]) if format_version >= 5 else "gemm"
-            )
-            probe_strategy = (
-                str(archive["probe_strategy"])
-                if "probe_strategy" in archive.files
-                else "exact"
-            )
             searcher = _make_searcher_shell(
                 config=config,
                 n_clusters_param=(
@@ -1408,11 +1351,9 @@ def _load_searcher_npz(path: Path) -> IVFQuantizedSearcher:
                 reranker_kind=str(archive["reranker_kind"]),
                 reranker_param=int(archive["reranker_param"]),
                 metric=metric,
-                estimation_mode=estimation_mode,
                 searcher_rng_state=json.loads(
                     str(archive["searcher_rng_state"])
                 ),
-                probe_strategy=probe_strategy,
             )
 
             data = np.asarray(archive["data"], dtype=np.float64)
@@ -1425,7 +1366,6 @@ def _load_searcher_npz(path: Path) -> IVFQuantizedSearcher:
                 archive["assignments"],
                 kmeans_iters=int(archive["kmeans_iters"]),
                 rng=searcher._rng,
-                probe_strategy=probe_strategy,
             )
 
             packed_codes = archive["packed_codes"]
@@ -1653,8 +1593,6 @@ def save_sharded_searcher(sharded: ShardedSearcher, path: PathLike) -> None:
         "parent_uuid": parent_uuid,
         "n_shards": sharded.n_shards,
         "metric": sharded.metric,
-        "estimation_mode": sharded.estimation_mode,
-        "probe_strategy": sharded.probe_strategy,
         "bits": sharded.bits,
         "assignment": sharded.assignment,
         "next_gid": sharded._next_gid,
@@ -1786,28 +1724,8 @@ def load_sharded_searcher(
             f"sharded manifest declares metric {manifest_metric!r} but the "
             f"shard archives serve {sorted({s.metric for s in shards})}"
         )
-    # Likewise, manifests written before the LUT kernel carry no
-    # "estimation_mode" key; their shard archives load as gemm.
-    manifest_mode = manifest.get("estimation_mode")
-    if manifest_mode is not None and any(
-        shard.estimation_mode != manifest_mode for shard in shards
-    ):
-        raise PersistenceError(
-            f"sharded manifest declares estimation_mode {manifest_mode!r} "
-            f"but the shard archives use "
-            f"{sorted({s.estimation_mode for s in shards})}"
-        )
-    # Manifests written before the centroid graph carry no
-    # "probe_strategy" key; their shard archives load as exact.
-    manifest_probe = manifest.get("probe_strategy")
-    if manifest_probe is not None and any(
-        shard.probe_strategy != manifest_probe for shard in shards
-    ):
-        raise PersistenceError(
-            f"sharded manifest declares probe_strategy {manifest_probe!r} "
-            f"but the shard archives use "
-            f"{sorted({s.probe_strategy for s in shards})}"
-        )
+    # Older manifests' "estimation_mode" / "probe_strategy" keys are
+    # ignored, like the per-shard metadata of the same name.
     # Manifests written before multi-bit codes carry no "bits" key; their
     # shard archives load as binary (bits=1).
     manifest_bits = manifest.get("bits")

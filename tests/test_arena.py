@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import N_CONSTS
-from repro.core.lut import split_into_segments
 from repro.exceptions import DimensionMismatchError
 from repro.index.arena import CodeArena
 
@@ -58,17 +57,6 @@ class TestBuildAndViews:
     def test_memory_bytes_positive(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         assert arena.memory_bytes() > 0
-
-    def test_segments_track_bits(self, arena_and_blocks):
-        # The 4-bit segment-id matrix (the LUT kernel's input) is derived
-        # from the unpacked bits and kept in the same cluster-grouped order.
-        arena, blocks = arena_and_blocks
-        assert arena.segs.dtype == np.uint8
-        assert arena.segs.shape == (arena.n_rows, arena.code_length // 4)
-        for cid, (_, bits, _, _) in blocks.items():
-            np.testing.assert_array_equal(
-                arena.cluster_segments(cid), split_into_segments(bits)
-            )
 
 
 class TestAppend:
@@ -159,20 +147,3 @@ class TestCompact:
         arena.compact(np.ones(8, dtype=bool))
         np.testing.assert_array_equal(arena.cluster_codes(0), blocks[0][0])
         np.testing.assert_array_equal(arena.cluster_slots(2), blocks[2][3])
-
-    def test_segments_maintained_through_lifecycle(self, arena_and_blocks):
-        # Append (rebuild + in-slack paths) and compact must keep the
-        # segment matrix consistent with the bits without recomputing it
-        # from scratch each time.
-        arena, _ = arena_and_blocks
-        rng = np.random.default_rng(6)
-        arena.append(1, *_block(rng, 4, arena.code_length, arena.n_words, 8))
-        arena.append(1, *_block(rng, 1, arena.code_length, arena.n_words, 12))
-        keep = np.ones(13, dtype=bool)
-        keep[[0, 9, 10]] = False
-        arena.compact(keep)
-        for cid in range(arena.n_clusters):
-            np.testing.assert_array_equal(
-                arena.cluster_segments(cid),
-                split_into_segments(arena.cluster_bits(cid)),
-            )

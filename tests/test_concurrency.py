@@ -6,10 +6,9 @@ Contract under test (documented in ``repro/index/searcher.py``):
   threads on one fitted searcher — scratch buffers and the rotation pad
   are thread-local, and probing reads an eagerly computed centroid-norm
   cache, so concurrent queries never share a mutable work area;
-* with *deterministic query preparation* (``randomized_rounding=False``
-  and ``query_cache_size=0``) every query is a pure read, so concurrent
-  results are additionally bit-identical to serial execution in any
-  interleaving;
+* with *deterministic query preparation* (``randomized_rounding=False``)
+  every query is a pure read, so concurrent results are additionally
+  bit-identical to serial execution in any interleaving;
 * with randomized rounding (the default), one top-level
   ``ShardedSearcher`` call is still deterministic — each shard's stream is
   consumed by exactly one task, in batch order — which

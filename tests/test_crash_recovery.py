@@ -23,7 +23,7 @@ For **every** crash point the suite asserts, element-wise:
 
 The same sweep runs for the sharded directory archive (per-shard v6
 files, idmap, atomic manifest commit, one directory-level journal) and,
-in curated form, across every metric and both estimation kernels.
+in curated form, across every metric.
 """
 
 from __future__ import annotations
@@ -121,14 +121,13 @@ def _surviving_mutations(fs, journal_label: str, commit_label: str):
 
 @pytest.fixture(scope="module")
 def single_env(tmp_path_factory):
-    """Pristine archives + uncrashed twin streams, per (metric, mode)."""
+    """Pristine archives + uncrashed twin streams, per metric."""
     root = tmp_path_factory.mktemp("crash_single")
-    cache: dict[tuple[str, str], tuple[Path, list[dict]]] = {}
+    cache: dict[str, tuple[Path, list[dict]]] = {}
 
-    def get(metric: str, mode: str):
-        key = (metric, mode)
-        if key not in cache:
-            d = root / f"{metric}_{mode}"
+    def get(metric: str):
+        if metric not in cache:
+            d = root / metric
             d.mkdir()
             searcher = IVFQuantizedSearcher(
                 "rabitq",
@@ -136,7 +135,6 @@ def single_env(tmp_path_factory):
                 rabitq_config=RaBitQConfig(seed=5),
                 rng=9,
                 metric=metric,
-                estimation_mode=mode,
             )
             searcher.fit(_DATA)
             pristine = d / ARCHIVE
@@ -150,8 +148,8 @@ def single_env(tmp_path_factory):
                 twin = load_searcher(pristine)
                 _apply_mutations(twin, _EXTRA, upto)
                 twins.append(_stream(twin))
-            cache[key] = (pristine, twins)
-        return cache[key]
+            cache[metric] = (pristine, twins)
+        return cache[metric]
 
     return get
 
@@ -202,7 +200,7 @@ def _run_single_crash(
 
 def test_protocol_has_enough_crash_points(single_env, tmp_path):
     """The acceptance bar: >= 8 distinct syscall-level crash points."""
-    pristine, _ = single_env("l2", "gemm")
+    pristine, _ = single_env("l2")
     archive = tmp_path / ARCHIVE
     shutil.copyfile(pristine, archive)
     events = trace(_single_protocol(archive))
@@ -216,7 +214,7 @@ def test_protocol_has_enough_crash_points(single_env, tmp_path):
 
 
 def test_every_crash_point_recovers_bit_identically(single_env, tmp_path):
-    pristine, twins = single_env("l2", "gemm")
+    pristine, twins = single_env("l2")
     probe = tmp_path / "probe"
     probe.mkdir()
     shutil.copyfile(pristine, probe / ARCHIVE)
@@ -229,7 +227,7 @@ def test_every_crash_point_recovers_bit_identically(single_env, tmp_path):
 
 def test_every_crash_point_recovers_under_power_loss(single_env, tmp_path):
     """Same sweep, but un-fsynced bytes are lost when the crash fires."""
-    pristine, twins = single_env("l2", "gemm")
+    pristine, twins = single_env("l2")
     probe = tmp_path / "probe"
     probe.mkdir()
     shutil.copyfile(pristine, probe / ARCHIVE)
@@ -246,7 +244,7 @@ def test_every_crash_point_recovers_under_power_loss(single_env, tmp_path):
 
 def test_torn_writes_recover_bit_identically(single_env, tmp_path):
     """Every write event, torn in half at the crash point."""
-    pristine, twins = single_env("l2", "gemm")
+    pristine, twins = single_env("l2")
     probe = tmp_path / "probe"
     probe.mkdir()
     shutil.copyfile(pristine, probe / ARCHIVE)
@@ -283,13 +281,12 @@ def _curated_events(events: list[str]) -> list[int]:
     return sorted(picked)
 
 
-@pytest.mark.parametrize("mode", ["gemm", "lut"])
 @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
-def test_curated_crash_points_recover_for_metric_and_mode(
-    single_env, tmp_path, metric, mode
+def test_curated_crash_points_recover_for_each_metric(
+    single_env, tmp_path, metric
 ):
-    """Every metric x both estimation kernels, at each protocol phase."""
-    pristine, twins = single_env(metric, mode)
+    """Every metric, at each protocol phase."""
+    pristine, twins = single_env(metric)
     probe = tmp_path / "probe"
     probe.mkdir()
     shutil.copyfile(pristine, probe / ARCHIVE)

@@ -12,7 +12,8 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.index.flat import FlatIndex
-from repro.index.ivf import IVFIndex, default_n_clusters
+from repro.index.ivf import STAT_KEY_EVALS, IVFIndex, default_n_clusters
+from repro.index.searcher import IVFQuantizedSearcher
 
 
 @pytest.fixture(scope="module")
@@ -385,3 +386,89 @@ class TestProbeCacheInvalidation:
         np.testing.assert_array_equal(
             restored.probe_batch(queries, 4), fitted.probe_batch(queries, 4)
         )
+
+
+@pytest.fixture(scope="module")
+def clustered_ivf():
+    rng = np.random.default_rng(11)
+    centers = rng.standard_normal((8, 16)) * 3.0
+    data = centers[rng.integers(0, 8, size=1200)] + rng.standard_normal(
+        (1200, 16)
+    )
+    queries = centers[rng.integers(0, 8, size=25)] + rng.standard_normal(
+        (25, 16)
+    )
+    return data, queries, IVFIndex(40, rng=0).fit(data)
+
+
+class TestProbeMetric:
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_probe_batch_matches_probe(self, clustered_ivf, metric):
+        _, queries, ivf = clustered_ivf
+        batch = ivf.probe_batch(queries, 6, metric=metric)
+        for i, query in enumerate(queries):
+            np.testing.assert_array_equal(
+                batch[i], ivf.probe(query, 6, metric=metric)
+            )
+
+    def test_stats_count_every_centroid_key(self, clustered_ivf):
+        _, queries, ivf = clustered_ivf
+        stats: dict = {}
+        ivf.probe(queries[0], 4, stats=stats)
+        assert stats[STAT_KEY_EVALS] == ivf.centroids.shape[0]
+        ivf.probe_batch(queries[:3], 4, stats=stats)
+        assert stats[STAT_KEY_EVALS] == 4 * ivf.centroids.shape[0]
+
+    def test_candidates_follow_metric(self, clustered_ivf):
+        _, queries, ivf = clustered_ivf
+        # Regression: candidates() used to probe under L2 regardless of the
+        # metric argument.  It must enumerate exactly the probed clusters
+        # of the requested metric.
+        for metric in ("l2", "ip", "cosine"):
+            probed = ivf.probe(queries[0], 4, metric=metric)
+            expected = np.concatenate(
+                [ivf.buckets[c].vector_ids for c in probed]
+            )
+            got = ivf.candidates(queries[0], 4, metric=metric)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_ip_candidates_differ_from_l2(self, clustered_ivf):
+        _, queries, ivf = clustered_ivf
+        assert any(
+            not np.array_equal(
+                ivf.candidates(q, 2, metric="ip"),
+                ivf.candidates(q, 2, metric="l2"),
+            )
+            for q in queries
+        )
+
+
+class TestSampledKMeans:
+    def test_kmeans_sample_size_fit(self, clustered_ivf):
+        data, queries, _ = clustered_ivf
+        ivf = IVFIndex(12, rng=0).fit(data, kmeans_sample_size=300)
+        assert ivf.centroids.shape == (12, data.shape[1])
+        assert ivf.assignments.shape[0] == data.shape[0]
+        assert sum(len(b) for b in ivf.buckets) == data.shape[0]
+        assert ivf.probe(queries[0], 3).shape == (3,)
+
+    def test_sample_covering_all_rows_matches_plain_fit(self, clustered_ivf):
+        data, _, _ = clustered_ivf
+        plain = IVFIndex(12, rng=0).fit(data)
+        sampled = IVFIndex(12, rng=0).fit(
+            data, kmeans_sample_size=data.shape[0]
+        )
+        np.testing.assert_array_equal(plain.centroids, sampled.centroids)
+        np.testing.assert_array_equal(plain.assignments, sampled.assignments)
+
+    def test_searcher_forwards_sample_size(self, clustered_ivf):
+        data, queries, _ = clustered_ivf
+        searcher = IVFQuantizedSearcher("rabitq", n_clusters=12, rng=0).fit(
+            data, kmeans_sample_size=300
+        )
+        assert searcher.search(queries[0], 5, nprobe=4).ids.shape[0] == 5
+
+    def test_invalid_sample_size(self, clustered_ivf):
+        data, _, _ = clustered_ivf
+        with pytest.raises(InvalidParameterError):
+            IVFIndex(12, rng=0).fit(data, kmeans_sample_size=0)

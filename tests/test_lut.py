@@ -11,9 +11,7 @@ from repro.core.lut import (
     build_query_luts,
     build_query_luts_batch,
     lut_accumulate,
-    lut_accumulate_batch,
     lut_accumulate_uint8,
-    lut_accumulate_uint8_batch,
     quantize_luts_to_uint8,
     split_into_segments,
 )
@@ -64,7 +62,7 @@ class TestBuildQueryLuts:
 
 
 class TestBatchHelpers:
-    """The batched LUT helpers must equal their per-row scalar twins."""
+    """The batched LUT builder must equal its per-row scalar twin."""
 
     def test_build_batch_equals_per_row(self, rng):
         queries = rng.integers(0, 16, size=(5, 64)).astype(np.float64)
@@ -83,50 +81,6 @@ class TestBatchHelpers:
     def test_build_batch_requires_2d(self):
         with pytest.raises(InvalidParameterError):
             build_query_luts_batch(np.zeros(64))
-
-    def test_accumulate_batch_equals_per_row(self, rng):
-        bits = rng.integers(0, 2, size=(25, 96))
-        queries = rng.integers(0, 16, size=(4, 96)).astype(np.float64)
-        segments = split_into_segments(bits)
-        stacked = build_query_luts_batch(queries)
-        out = lut_accumulate_batch(segments, stacked)
-        assert out.shape == (4, 25)
-        for i in range(queries.shape[0]):
-            np.testing.assert_array_equal(
-                out[i], lut_accumulate(segments, stacked[i])
-            )
-
-    def test_accumulate_uint8_batch_equals_per_row(self, rng):
-        bits = rng.integers(0, 2, size=(25, 96))
-        queries = rng.normal(size=(4, 96))
-        segments = split_into_segments(bits)
-        stacked = build_query_luts_batch(queries)
-        per_query = [quantize_luts_to_uint8(stacked[i]) for i in range(4)]
-        tables = np.stack([q[0] for q in per_query])
-        scales = np.array([q[1] for q in per_query])
-        offsets = np.array([q[2] for q in per_query])
-        out = lut_accumulate_uint8_batch(segments, tables, scales, offsets)
-        assert out.shape == (4, 25)
-        for i, (table, scale, offset) in enumerate(per_query):
-            np.testing.assert_array_equal(
-                out[i], lut_accumulate_uint8(segments, table, scale, offset)
-            )
-
-    def test_accumulate_batch_wrong_rank(self):
-        with pytest.raises(DimensionMismatchError):
-            lut_accumulate_batch(
-                np.zeros((2, 4), dtype=np.uint8), np.zeros((4, SEGMENT_PATTERNS))
-            )
-
-    def test_accumulate_uint8_batch_factor_mismatch(self):
-        tables = np.zeros((3, 4, SEGMENT_PATTERNS), dtype=np.uint8)
-        with pytest.raises(DimensionMismatchError):
-            lut_accumulate_uint8_batch(
-                np.zeros((2, 4), dtype=np.uint8),
-                tables,
-                np.zeros(2),
-                np.zeros(3),
-            )
 
 
 class TestDegenerateShapes:
@@ -155,18 +109,6 @@ class TestDegenerateShapes:
         tables = np.zeros((4, SEGMENT_PATTERNS), dtype=np.uint8)
         out = lut_accumulate_uint8(np.zeros((0, 4), dtype=np.uint8), tables, 1.0, 0.0)
         assert out.shape == (0,)
-
-    def test_accumulate_batch_empty_codes(self):
-        tables = np.zeros((3, 4, SEGMENT_PATTERNS))
-        out = lut_accumulate_batch(np.zeros((0, 4), dtype=np.uint8), tables)
-        assert out.shape == (3, 0)
-
-    def test_accumulate_uint8_batch_empty_codes(self):
-        tables = np.zeros((3, 4, SEGMENT_PATTERNS), dtype=np.uint8)
-        out = lut_accumulate_uint8_batch(
-            np.zeros((0, 4), dtype=np.uint8), tables, np.ones(3), np.zeros(3)
-        )
-        assert out.shape == (3, 0)
 
 
 class TestLutAccumulate:

@@ -1,13 +1,13 @@
 """Memory-mapped (zero-copy) archive loading: equivalence and rejection.
 
 ``load_searcher(path, mmap=True)`` maps a format-v6 archive's large
-sections (packed codes, GEMM operand, segment ids, fused constants, raw
-vectors) straight from the file instead of materializing them.  The
-contract under test:
+sections (packed codes, GEMM operand, fused constants, raw vectors)
+straight from the file instead of materializing them.  The contract under
+test:
 
 * **Equivalence** — a memory-mapped searcher's result stream (ids,
   distances, ``n_exact``) is element-wise identical to a materialized
-  load of the same archive, across every metric and estimation mode.
+  load of the same archive, across every metric.
 * **Mutability** — an mmap-loaded searcher still supports the full
   mutation lifecycle; the first mutation reallocates in memory and the
   mapped file is never written.
@@ -33,7 +33,6 @@ from repro.io import load_searcher, save_searcher
 from repro.io.persistence import V6_MAGIC
 
 METRICS = ("l2", "ip", "cosine")
-MODES = ("gemm", "lut", "lut8")
 
 N, DIM, N_CLUSTERS = 220, 16, 5
 K, NPROBE = 5, 3
@@ -51,30 +50,28 @@ def _stream(searcher) -> dict:
 
 @pytest.fixture(scope="module")
 def archives(tmp_path_factory):
-    """One mutated v6 archive per (metric, mode) combination, built lazily."""
+    """One mutated v6 archive per metric, built lazily."""
     root = tmp_path_factory.mktemp("mmap_archives")
-    cache: dict[tuple[str, str], Path] = {}
+    cache: dict[str, Path] = {}
 
-    def build(metric: str, mode: str) -> Path:
-        key = (metric, mode)
-        if key not in cache:
+    def build(metric: str) -> Path:
+        if metric not in cache:
             searcher = IVFQuantizedSearcher(
                 "rabitq",
                 n_clusters=N_CLUSTERS,
                 rabitq_config=RaBitQConfig(seed=9),
                 rng=11,
                 metric=metric,
-                estimation_mode=mode,
             )
             searcher.fit(_DATA)
             # Mutate before saving so tombstones and a non-trivial id map
             # are part of the archived state.
             searcher.insert(_EXTRA)
             searcher.delete(np.arange(0, 40, 5))
-            path = root / f"{metric}_{mode}.rbq"
+            path = root / f"{metric}.rbq"
             save_searcher(searcher, path)
-            cache[key] = path
-        return cache[key]
+            cache[metric] = path
+        return cache[metric]
 
     return build
 
@@ -86,16 +83,11 @@ def archives(tmp_path_factory):
 
 class TestMmapEquivalence:
     @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_mmap_stream_identical_to_materialized(
-        self, archives, metric, mode
-    ):
-        path = archives(metric, mode)
+    def test_mmap_stream_identical_to_materialized(self, archives, metric):
+        path = archives(metric)
         materialized = load_searcher(path)
         mapped = load_searcher(path, mmap=True)
-        assert_stream_equal(
-            _stream(mapped), _stream(materialized), f"{metric}/{mode}"
-        )
+        assert_stream_equal(_stream(mapped), _stream(materialized), metric)
 
     def test_mmap_sections_are_memmapped(self, archives):
         def file_backed(array) -> bool:
@@ -107,7 +99,7 @@ class TestMmapEquivalence:
                 array = getattr(array, "base", None)
             return False
 
-        mapped = load_searcher(archives("l2", "gemm"), mmap=True)
+        mapped = load_searcher(archives("l2"), mmap=True)
         # The big sections are zero-copy views of the file...
         assert isinstance(mapped._arena.codes, np.memmap)
         assert isinstance(mapped._arena.consts, np.memmap)
@@ -119,7 +111,7 @@ class TestMmapEquivalence:
         assert mapped._live.flags.writeable
 
     def test_mmap_searcher_survives_full_mutation_lifecycle(self, archives):
-        path = archives("l2", "lut")
+        path = archives("l2")
         before = Path(path).read_bytes()
         mapped = load_searcher(path, mmap=True)
         twin = load_searcher(path)
@@ -136,7 +128,7 @@ class TestMmapEquivalence:
         assert Path(path).read_bytes() == before
 
     def test_mutated_mmap_searcher_resaves_cleanly(self, archives, tmp_path):
-        mapped = load_searcher(archives("ip", "gemm"), mmap=True)
+        mapped = load_searcher(archives("ip"), mmap=True)
         mapped.insert(np.random.default_rng(4).standard_normal((5, DIM)))
         out = tmp_path / "resaved.rbq"
         save_searcher(mapped, out)
@@ -171,7 +163,7 @@ def _tampered(path: Path, out: Path, mutate) -> Path:
 
 @pytest.fixture()
 def v6_path(archives):
-    return archives("l2", "gemm")
+    return archives("l2")
 
 
 @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))

@@ -198,23 +198,6 @@ class TestSearcher:
         # re-ranker escalates no more (in practice: fewer) candidates.
         assert n_exact(4) <= n_exact(1)
 
-    @pytest.mark.parametrize("mode", ["lut", "lut8"])
-    def test_lut_modes_reject_multibit_at_construction(self, mode):
-        with pytest.raises(InvalidParameterError, match="1-bit"):
-            IVFQuantizedSearcher(
-                "rabitq", n_clusters=4, bits=2, estimation_mode=mode
-            )
-
-    @pytest.mark.parametrize("mode", ["lut", "lut8"])
-    def test_lut_modes_reject_multibit_at_assignment(self, corpus, mode):
-        data, _ = corpus
-        searcher = IVFQuantizedSearcher(
-            "rabitq", n_clusters=8, bits=4, rng=1
-        ).fit(data)
-        with pytest.raises(InvalidParameterError, match="1-bit"):
-            searcher.estimation_mode = mode
-        assert searcher.estimation_mode == "gemm"
-
 
 class TestSharded:
     def test_bits_forwarded_to_every_shard(self, corpus):
@@ -226,16 +209,3 @@ class TestSharded:
         assert all(shard.bits == 4 for shard in sharded.shards)
         result = sharded.search(queries[0], 5, nprobe=4)
         assert result.ids.shape == (5,)
-
-    @pytest.mark.parametrize("mode", ["lut", "lut8"])
-    def test_lut_modes_reject_multibit(self, corpus, mode):
-        data, _ = corpus
-        with pytest.raises(InvalidParameterError, match="1-bit"):
-            ShardedSearcher(
-                n_shards=2, n_clusters=4, bits=2, estimation_mode=mode
-            )
-        sharded = ShardedSearcher(
-            n_shards=2, n_clusters=4, rng=2, bits=4
-        ).fit(data)
-        with pytest.raises(InvalidParameterError, match="1-bit"):
-            sharded.estimation_mode = mode

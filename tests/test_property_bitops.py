@@ -15,9 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.bitops import (
     binary_dot_uint,
-    binary_dot_uint_batch,
     bitplanes_from_uint,
-    bitplanes_from_uint_batch,
     hamming_distance,
     pack_bits,
     popcount_total,
@@ -25,9 +23,7 @@ from repro.core.bitops import (
 )
 from repro.core.lut import (
     build_query_luts,
-    build_query_luts_batch,
     lut_accumulate,
-    lut_accumulate_batch,
     lut_accumulate_uint8,
     quantize_luts_to_uint8,
     split_into_segments,
@@ -142,39 +138,6 @@ class TestLutProperties:
         bitwise = binary_dot_uint(pack_bits(codes), bitplanes_from_uint(values, bits))
         lut_result = lut_accumulate(
             split_into_segments(codes), build_query_luts(values.astype(np.float64))
-        )
-        np.testing.assert_array_equal(lut_result, bitwise.astype(np.float64))
-
-    @given(
-        data=st.data(),
-        n_codes=st.integers(1, 4),
-        n_queries=st.integers(1, 4),
-        n_segments=st.integers(1, 20),
-        bits=st.integers(1, 16),
-    )
-    @settings(**_SETTINGS)
-    def test_batched_lut_and_bitwise_paths_agree(
-        self, data, n_codes, n_queries, n_segments, bits
-    ):
-        # Batched twin of the above: the stacked-LUT accumulator must equal
-        # binary_dot_uint_batch exactly for every (query, code) pair.
-        length = 4 * n_segments
-        codes = data.draw(
-            hnp.arrays(np.uint8, (n_codes, length), elements=st.integers(0, 1))
-        )
-        values = data.draw(
-            hnp.arrays(
-                np.int64, (n_queries, length), elements=st.integers(0, 2**bits - 1)
-            )
-        ).astype(np.uint64)
-        bitwise = binary_dot_uint_batch(
-            pack_bits(codes),
-            bitplanes_from_uint_batch(values, bits),
-            query_values=values,
-        )
-        lut_result = lut_accumulate_batch(
-            split_into_segments(codes),
-            build_query_luts_batch(values.astype(np.float64)),
         )
         np.testing.assert_array_equal(lut_result, bitwise.astype(np.float64))
 

@@ -312,17 +312,3 @@ class TestDegenerateQueryShapes:
             seq, bat, queries, k=4, nprobe=6
         )
         assert all(r.ids.shape == (4,) for r in refilled)
-
-    def test_degenerate_shapes_with_query_cache(self):
-        # The same degenerate shapes must hold with the prepared-query
-        # cache enabled (batch simulates the sequential bookkeeping).
-        rng = np.random.default_rng(11)
-        data = rng.standard_normal((80, 10))
-        base = rng.standard_normal((3, 10))
-        queries = np.vstack([base, base[:2]])  # repeats -> cache hits
-        seq, bat = self._twins(data, query_cache_size=8, compact_threshold=None)
-        seq.delete(seq.live_ids[::3])
-        bat.delete(bat.live_ids[::3])
-        self._assert_batch_equals_sequential(
-            seq, bat, queries, k=10_000, nprobe=1000
-        )

