@@ -23,10 +23,10 @@ Usage::
     # cached under benchmarks/.cache/ and reused across runs).
     PYTHONPATH=src python benchmarks/run_bench.py --large
 
-The output file accumulates one entry per ``--label`` under ``"runs"`` (so a
-single file can hold the pre-change ``before`` and post-change ``after``
-measurements side by side); when both ``before`` and ``after`` are present a
-``"speedup"`` section is derived from them.
+The output file accumulates one entry per ``--label`` under ``"runs"``.
+Serving, durability, per-phase and end-to-end regression measurements live
+in the repo benchmark (``perf/``, ``BENCHMARK.json``); this script keeps
+what that cannot hold in 16 s.
 
 Measured quantities per run:
 
@@ -44,24 +44,6 @@ Measured quantities per run:
   batch/single-query QPS tracked alongside the L2 numbers.  Every record
   carries a ``metric`` field; the ``--check`` gate also covers the MIPS
   batch QPS.
-* ``phases`` — coarse per-phase breakdown of the sequential path (probe /
-  rerank / estimation+preparation) from an instrumented second pass.
-* ``durability`` — the crash-safe serving-state costs: cold (materialized)
-  vs. memory-mapped warm-start load time of the format-v6 archive, the
-  journal-replay throughput (mutation records applied per second when a
-  journal-attached archive is reopened), and a hard
-  ``recovery_bit_identical`` gate — the replayed searcher's batch results
-  must match the in-memory mutated searcher bit for bit or the run fails.
-* ``serving`` — the online serving front end: the coalescing engine's
-  burst / closed-loop / open-loop-Poisson drivers vs. the sequential
-  one-query-at-a-time reference, with exact p50/p95/p99 latency
-  percentiles, admission-control and deadline-degradation counters, and
-  two hard gates — every coalesced response must be bit-identical to a
-  sequential ``search`` replay of the engine's execution log, and
-  micro-batching must reduce mean work per request at batch fill >= 4
-  (the single-CPU-honest headline; wall-clock QPS is tracked but not
-  thread-scaling-gated).  The ``--check`` gate additionally bounds
-  closed-loop p99 regressions.
 * ``pareto`` — the multi-bit recall/QPS/code-size Pareto sweep: extended
   RaBitQ at ``B ∈ {1, 2, 4, 8}`` bits per dimension against the PQ / OPQ /
   SQ8 baselines, all through the same ``sqrt(n)``-cluster IVF geometry and
@@ -70,16 +52,6 @@ Measured quantities per run:
   than at ``B=1`` on the full tier) and the ``B=4`` point must clear
   ``PARETO_RECALL_FLOOR``.
 * ``kernels`` — micro-benchmarks of the packed-bit kernels at fixed sizes.
-* ``sharded`` — the ``shards×threads`` sweep of the
-  :class:`repro.index.sharded.ShardedSearcher` serving engine at a *fixed
-  global probe budget* (per-shard ``nprobe = nprobe_total / shards``): batch
-  QPS per configuration, recall, and a hard parallel ≡ serial equivalence
-  gate (the parallel engine's results are compared bit-for-bit against a
-  serial run restored from the same archived stream state; any mismatch
-  fails the run).  The ``--check`` regression gate additionally compares
-  the single-shard (shards=1, threads=1) batch QPS against the committed
-  baseline, so wrapping a searcher in the serving layer can never silently
-  regress.
 """
 
 from __future__ import annotations
@@ -114,26 +86,6 @@ def _timeit(fn, *, repeat: int = 5, number: int = 1) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / number)
     return best
-
-
-class _TimingReranker:
-    """Transparent re-ranker proxy accumulating time spent in re-ranking."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.seconds = 0.0
-
-    def rerank(self, *args, **kwargs):
-        start = time.perf_counter()
-        out = self._inner.rerank(*args, **kwargs)
-        self.seconds += time.perf_counter() - start
-        return out
-
-    def rerank_batch(self, *args, **kwargs):
-        start = time.perf_counter()
-        out = self._inner.rerank_batch(*args, **kwargs)
-        self.seconds += time.perf_counter() - start
-        return out
 
 
 def _load_bench_dataset(args):
@@ -192,23 +144,6 @@ def bench_ann(args, dataset) -> dict:
 
     recall = recall_at_k([r.ids for r in batch], dataset.ground_truth, k)
 
-    # Instrumented pass for the coarse phase breakdown (separate from the
-    # timed runs above so the proxies cannot skew the QPS numbers).
-    n_phase = min(n_single, 100)
-    probe_seconds = _timeit(
-        lambda: searcher.ivf.probe_batch(queries[:n_phase], nprobe), repeat=3
-    )
-    proxy = _TimingReranker(searcher.reranker)
-    searcher.reranker = proxy
-    try:
-        start = time.perf_counter()
-        for query in queries[:n_phase]:
-            searcher.search(query, k, nprobe=nprobe)
-        instrumented_seconds = time.perf_counter() - start
-    finally:
-        searcher.reranker = proxy._inner
-    rerank_seconds = proxy.seconds
-
     results = {
         "metric": "l2",
         "fit_seconds": round(fit_seconds, 3),
@@ -230,494 +165,10 @@ def bench_ann(args, dataset) -> dict:
             batch.total_candidates / len(batch), 1
         ),
         "avg_exact_per_query": round(batch.total_exact / len(batch), 1),
-        "phases": {
-            "n_queries": n_phase,
-            "probe_seconds_per_query": round(probe_seconds / n_phase, 6),
-            "rerank_seconds_per_query": round(rerank_seconds / n_phase, 6),
-            "estimate_and_prepare_seconds_per_query": round(
-                max(0.0, instrumented_seconds - rerank_seconds) / n_phase
-                - probe_seconds / n_phase,
-                6,
-            ),
-        },
     }
     print(
         f"[run_bench] single {results['single_query']['qps']} QPS | "
         f"batch {results['batch']['qps']} QPS | recall@{k} {recall:.4f}",
-        flush=True,
-    )
-    return results
-
-
-def bench_sharded(args, dataset) -> dict:
-    """``shards×threads`` sweep of the sharded serving engine.
-
-    The sweep partitions the *same index geometry* across shards
-    (equal-geometry sharding: per-shard clusters = the single searcher's
-    cluster count / shards, per-shard ``nprobe = nprobe_total / shards``),
-    so the total cell count, probed-cell sizes and global probe budget all
-    match the 1-shard baseline and the configurations differ only in the
-    serving topology.  This isolates the serving-layer effects: KMeans
-    construction cost drops superlinearly with per-shard cluster count
-    (``sharded_fit_speedup``), and shard fan-out scales with cores
-    (``threads`` dimension; flat on a single-CPU host).  For every shard
-    count the fitted engine is archived once; a serial (``n_threads=0``)
-    and a parallel reload then answer the full query batch from the
-    *identical* stream state, and their results are compared bit for bit —
-    the ``equivalent_to_serial`` gate.
-    """
-    import shutil
-    import tempfile
-
-    from repro.index.ivf import default_n_clusters
-    from repro.index.sharded import ShardedSearcher
-    from repro.io.persistence import (
-        load_sharded_searcher,
-        save_sharded_searcher,
-    )
-
-    data, queries = dataset.data, dataset.queries
-    k = args.k
-    n_queries = queries.shape[0]
-    code_bytes = None
-    sweep = []
-    shard_counts = [s for s in (1, 2, 4) if s <= args.n]
-    total_clusters = default_n_clusters(args.n)
-    for shards in shard_counts:
-        nprobe_shard = max(1, args.nprobe // shards)
-        clusters_shard = max(1, total_clusters // shards)
-        start = time.perf_counter()
-        sharded = ShardedSearcher(
-            shards,
-            n_threads=1,
-            n_clusters=clusters_shard,
-            rabitq_config=RaBitQConfig(seed=0),
-            rng=args.seed,
-        ).fit(data)
-        fit_seconds = time.perf_counter() - start
-        tmp = Path(tempfile.mkdtemp(prefix="run_bench_sharded_"))
-        try:
-            archive = tmp / "sharded_idx"
-            save_sharded_searcher(sharded, archive)
-            del sharded
-            serial = load_sharded_searcher(archive, n_threads=0)
-            parallel = load_sharded_searcher(archive, n_threads=shards)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        # Both engines resume from the archived stream state: their first
-        # batch answers must be bit-identical.
-        serial_results = serial.search_batch(queries, k, nprobe=nprobe_shard)
-        parallel_results = parallel.search_batch(queries, k, nprobe=nprobe_shard)
-        equivalent = all(
-            np.array_equal(a.ids, b.ids)
-            and np.array_equal(a.distances, b.distances)
-            for a, b in zip(serial_results, parallel_results)
-        )
-        recall = recall_at_k(
-            [r.ids for r in parallel_results], dataset.ground_truth, k
-        )
-        shared = {
-            "shards": shards,
-            "nprobe_per_shard": nprobe_shard,
-            "clusters_per_shard": clusters_shard,
-            "fit_seconds": round(fit_seconds, 3),
-            "recall_at_10": round(float(recall), 4),
-            "avg_candidates_per_query": round(
-                parallel_results.total_candidates / n_queries, 1
-            ),
-            "equivalent_to_serial": bool(equivalent),
-        }
-        thread_counts = [1] if shards == 1 else [1, shards]
-        for threads, engine in zip(thread_counts, (serial, parallel)):
-            seconds = _timeit(
-                lambda e=engine: e.search_batch(queries, k, nprobe=nprobe_shard),
-                repeat=3,
-            )
-            entry = dict(shared, threads=threads, batch_qps=round(n_queries / seconds, 1))
-            sweep.append(entry)
-            print(
-                f"[run_bench] sharded: {shards} shard(s) x {threads} "
-                f"thread(s), nprobe/shard {nprobe_shard}: "
-                f"{entry['batch_qps']} QPS, recall@{k} {recall:.4f}, "
-                f"equivalent={equivalent}",
-                flush=True,
-            )
-        if code_bytes is None:
-            code_bytes = _code_bytes_per_vector(serial.shards[0])
-        serial.close()
-        parallel.close()
-    out = {
-        "metric": "l2",
-        "nprobe_total": args.nprobe,
-        "code_bytes_per_vector": code_bytes,
-        "sweep": sweep,
-    }
-    base = next(
-        (e for e in sweep if e["shards"] == 1 and e["threads"] == 1), None
-    )
-    four = [e for e in sweep if e["shards"] == 4]
-    if base and four:
-        out["speedup_4shard_batch"] = round(
-            max(e["batch_qps"] for e in four) / base["batch_qps"], 2
-        )
-        out["sharded_fit_speedup"] = round(
-            base["fit_seconds"] / min(e["fit_seconds"] for e in four), 2
-        )
-        print(
-            f"[run_bench] sharded: 4-shard batch speedup "
-            f"{out['speedup_4shard_batch']}x, fit speedup "
-            f"{out['sharded_fit_speedup']}x (host has {os.cpu_count()} "
-            f"CPU(s); thread fan-out is flat on 1)",
-            flush=True,
-        )
-    return out
-
-
-def bench_serving(args, dataset) -> dict:
-    """Online serving benchmark: coalescing engine vs. one-query-at-a-time.
-
-    One index is fitted and archived once; every participant — the
-    sequential reference, the serving searcher and the replay twin — is a
-    fresh reload of that archive, so they all start from the identical
-    rounding-stream state.  Three drivers run against one serving
-    searcher in sequence (its stream state advances across drivers, and
-    the replay twin follows the concatenated execution log):
-
-    * ``burst`` — all requests submitted at once (closed-loop, zero think
-      time): the micro-batcher's best case, measuring the *work per
-      request* the coalescing engine achieves against the sequential
-      reference.  This driver runs with a large batch cap because the
-      batch engine's saving comes from per-cluster grouping (it needs
-      several queries probing the same cluster to amortize anything).
-      On a single-CPU host this work ratio — not wall-clock thread
-      scaling — is the honest headline, and the ``gates`` entry requires
-      micro-batching to reduce mean work per request at a mean batch
-      fill >= 4.
-    * ``closed_loop`` — a fixed pool of client threads submitting
-      back-to-back: a bounded-concurrency regime whose enqueue-to-answer
-      p50/p95/p99 come from the engine's exact ``LatencyRecorder``
-      (nearest-rank percentiles; the ``--check`` gate bounds closed-loop
-      p99 regressions on the small tier).
-    * ``open_loop`` — seeded Poisson arrivals at ~1.3x the sequential
-      service rate against a bounded queue with per-request deadlines and
-      the EWMA budget controller attached: exercises admission control
-      (``rejected``) and deadline degradation (``degraded_requests``,
-      ``deadline_miss_rate``) under honest overload.
-
-    The equivalence hard gate replays the full execution log — every
-    answered request, in executed order, at its *effective* probe budget
-    — through plain sequential ``search`` calls on the twin; any
-    non-bit-identical response fails the run in ``main``.
-    """
-    import shutil
-    import tempfile
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.exceptions import AdmissionRejectedError
-    from repro.io.persistence import load_searcher, save_searcher
-    from repro.serving import (
-        BudgetController,
-        ServingEngine,
-        execution_log_matches,
-    )
-
-    data, queries = dataset.data, dataset.queries
-    k, nprobe = args.k, args.nprobe
-    n_serving = min(len(queries), 512)
-    work = queries[:n_serving]
-    max_batch, max_delay_us = 16, 2000
-    # Work-per-request is a per-cluster-grouping win: it needs roughly
-    # batch * nprobe / n_clusters > 1 queries landing on each probed
-    # cluster, so the burst driver (which measures the work ratio, not
-    # latency) runs with a much larger batch cap and a window wide
-    # enough to swallow the whole submission burst.
-    burst_batch = min(n_serving, 256)
-    burst_delay_us = 20_000
-    n_warm = min(16, n_serving)
-
-    searcher = IVFQuantizedSearcher(
-        "rabitq", rabitq_config=RaBitQConfig(seed=0), rng=args.seed
-    ).fit(data)
-    tmp = Path(tempfile.mkdtemp(prefix="run_bench_serving_"))
-    try:
-        archive = tmp / "idx.rbq"
-        save_searcher(searcher, archive)
-        del searcher
-
-        # --- sequential one-at-a-time reference -----------------------
-        sequential = load_searcher(archive)
-        sequential.search_batch(work[:n_warm], k, nprobe=nprobe)
-        seq_latency = LatencyRecorder()
-        start = time.perf_counter()
-        for query in work:
-            t0 = time.perf_counter()
-            sequential.search(query, k, nprobe=nprobe)
-            seq_latency.record(time.perf_counter() - t0)
-        seq_seconds = time.perf_counter() - start
-        seq_per_request = seq_seconds / n_serving
-        del sequential
-
-        # The serving searcher and its replay twin consume identical
-        # warm-up randomness, keeping their streams in lock-step.
-        serving = load_searcher(archive)
-        twin = load_searcher(archive)
-        serving.search_batch(work[:n_warm], k, nprobe=nprobe)
-        twin.search_batch(work[:n_warm], k, nprobe=nprobe)
-        logs = []
-
-        # --- burst: all requests at once ------------------------------
-        engine = ServingEngine(
-            serving,
-            max_batch=burst_batch,
-            max_delay_us=burst_delay_us,
-            max_queue_depth=n_serving + 1,
-            record_requests=True,
-        )
-        start = time.perf_counter()
-        pending = [
-            engine.submit_async(query, k, nprobe=nprobe) for query in work
-        ]
-        for p in pending:
-            p.result(timeout=600.0)
-        engine.drain(timeout=600.0)
-        burst_seconds = time.perf_counter() - start
-        burst_stats = engine.stats()
-        burst_latency = engine.latency.summary_ms()
-        logs.extend(engine.execution_log())
-        engine.close()
-        burst_per_request = burst_seconds / n_serving
-        work_reduction = seq_per_request / burst_per_request
-
-        # --- closed loop: C client threads, zero think time -----------
-        n_clients = 8
-        engine = ServingEngine(
-            serving,
-            max_batch=max_batch,
-            max_delay_us=max_delay_us,
-            max_queue_depth=n_serving + 1,
-            record_requests=True,
-        )
-
-        def client(slice_queries):
-            for query in slice_queries:
-                engine.submit(query, k, nprobe=nprobe, timeout=600.0)
-
-        slices = [work[c::n_clients] for c in range(n_clients)]
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=n_clients) as pool:
-            list(pool.map(client, slices))
-        engine.drain(timeout=600.0)
-        closed_seconds = time.perf_counter() - start
-        closed_stats = engine.stats()
-        closed_latency = engine.latency.summary_ms()
-        logs.extend(engine.execution_log())
-        engine.close()
-
-        # --- open loop: seeded Poisson arrivals, deadlines, overload --
-        arrival_rate = 1.3 / seq_per_request  # requests/second offered
-        deadline = max(0.01, 50.0 * seq_per_request)
-        gaps = np.random.default_rng(args.seed + 7).exponential(
-            1.0 / arrival_rate, size=n_serving
-        )
-        engine = ServingEngine(
-            serving,
-            max_batch=max_batch,
-            max_delay_us=max_delay_us,
-            max_queue_depth=64,
-            budget=BudgetController(min_nprobe=max(1, nprobe // 4)),
-            record_requests=True,
-        )
-        pending = []
-        next_arrival = time.perf_counter()
-        start = next_arrival
-        for query, gap in zip(work, gaps):
-            next_arrival += gap
-            pause = next_arrival - time.perf_counter()
-            if pause > 0:
-                time.sleep(pause)
-            try:
-                pending.append(
-                    engine.submit_async(
-                        query, k, nprobe=nprobe, deadline=deadline
-                    )
-                )
-            except AdmissionRejectedError:
-                pass  # counted by the engine's stats
-        for p in pending:
-            p.result(timeout=600.0)
-        engine.drain(timeout=600.0)
-        open_seconds = time.perf_counter() - start
-        open_stats = engine.stats()
-        open_latency = engine.latency.summary_ms()
-        logs.extend(engine.execution_log())
-        engine.close()
-
-        # --- coalescing-equivalence hard gate -------------------------
-        mismatched = execution_log_matches(twin, logs)
-        equivalent = not mismatched
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    results = {
-        "n_requests": n_serving,
-        "max_batch": max_batch,
-        "max_delay_us": max_delay_us,
-        "sequential": {
-            "seconds_per_request": round(seq_per_request, 6),
-            "qps": round(n_serving / seq_seconds, 1),
-            "latency_ms": seq_latency.summary_ms(),
-        },
-        "burst": {
-            "max_batch": burst_batch,
-            "max_delay_us": burst_delay_us,
-            "seconds_per_request": round(burst_per_request, 6),
-            "qps": round(n_serving / burst_seconds, 1),
-            "batch_fill": round(burst_stats["mean_batch_fill"], 2),
-            "max_batch_fill": burst_stats["max_batch_fill"],
-            "work_per_request_reduction": round(work_reduction, 3),
-            "latency_ms": burst_latency,
-        },
-        "closed_loop": {
-            "clients": n_clients,
-            "qps": round(n_serving / closed_seconds, 1),
-            "batch_fill": round(closed_stats["mean_batch_fill"], 2),
-            "latency_ms": closed_latency,
-        },
-        "open_loop": {
-            "arrival_rate": round(arrival_rate, 1),
-            "offered_load": 1.3,
-            "deadline_ms": round(deadline * 1e3, 3),
-            "qps": round(open_stats["completed"] / open_seconds, 1),
-            "batch_fill": round(open_stats["mean_batch_fill"], 2),
-            "rejected": open_stats["rejected"],
-            "degraded_requests": open_stats["degraded_requests"],
-            "deadline_miss_rate": round(open_stats["deadline_miss_rate"], 4),
-            "latency_ms": open_latency,
-        },
-        "replayed_requests": len(logs),
-        "coalesced_equivalent": bool(equivalent),
-        "gates": {
-            "coalesced_equivalent": bool(equivalent),
-            "work_per_request_reduced": bool(
-                burst_stats["mean_batch_fill"] >= 4.0 and work_reduction > 1.0
-            ),
-        },
-    }
-    print(
-        f"[run_bench] serving: sequential {results['sequential']['qps']} QPS "
-        f"| burst {results['burst']['qps']} QPS at fill "
-        f"{results['burst']['batch_fill']} "
-        f"({results['burst']['work_per_request_reduction']}x less work/req) | "
-        f"closed-loop p99 {closed_latency['p99_ms']}ms | open-loop "
-        f"rejected {open_stats['rejected']} miss-rate "
-        f"{results['open_loop']['deadline_miss_rate']}",
-        flush=True,
-    )
-    print(
-        f"[run_bench] serving coalesced ≡ sequential replay: {equivalent} "
-        f"({len(logs)} requests replayed)",
-        flush=True,
-    )
-    return results
-
-
-def bench_durability(args, dataset) -> dict:
-    """Crash-safe serving-state costs: warm-start loads and journal replay.
-
-    One index is fitted and archived once (format v6).  Loading it back is
-    timed twice — materialized (``cold_load``) and memory-mapped
-    (``mmap_load``), whose ratio is the warm-start speedup the zero-copy
-    layout buys.  A journal-attached copy then absorbs a fixed mutation
-    workload (insert/delete batches); reopening with ``journal=True``
-    replays those records, and the replay throughput is derived from the
-    extra time that reopen costs over a plain load.  The replayed
-    searcher's batch answers must be bit-identical to the in-memory
-    mutated searcher (``recovery_bit_identical``) — the crash-recovery
-    contract, enforced as a hard gate in ``main``.
-    """
-    import shutil
-    import tempfile
-
-    from repro.io.persistence import load_searcher, save_searcher
-
-    data, queries = dataset.data, dataset.queries
-    k, nprobe = args.k, args.nprobe
-    check_queries = queries[: min(50, len(queries))]
-    rng = np.random.default_rng(args.seed + 1)
-    batch_rows = 25 if args.small else 100
-    n_insert_batches, n_delete_batches = 10, 5
-
-    searcher = IVFQuantizedSearcher(
-        "rabitq", rabitq_config=RaBitQConfig(seed=0), rng=args.seed
-    ).fit(data)
-    code_bytes = _code_bytes_per_vector(searcher)
-    tmp = Path(tempfile.mkdtemp(prefix="run_bench_durability_"))
-    try:
-        archive = tmp / "idx.rbq"
-        save_searcher(searcher, archive)
-        del searcher
-        archive_mb = archive.stat().st_size / 2**20
-
-        cold_seconds = _timeit(lambda: load_searcher(archive), repeat=3)
-        mmap_seconds = _timeit(
-            lambda: load_searcher(archive, mmap=True), repeat=3
-        )
-
-        # Journal a fixed mutation workload against the archive.
-        live = load_searcher(archive, journal=True)
-        n_records = 0
-        for i in range(n_insert_batches):
-            live.insert(rng.standard_normal((batch_rows, data.shape[1])))
-            n_records += 1
-            if i < n_delete_batches:
-                alive = live.live_ids
-                live.delete(
-                    rng.choice(alive, size=min(50, alive.shape[0] // 4),
-                               replace=False)
-                )
-                n_records += 1
-        live_batch = live.search_batch(check_queries, k, nprobe=nprobe)
-
-        # Replay is idempotent (the journal is never consumed), so the
-        # reopen can be timed best-of-N like every other measurement.
-        replay_total = _timeit(
-            lambda: load_searcher(archive, journal=True), repeat=3
-        )
-        replay_seconds = max(replay_total - cold_seconds, 1e-9)
-
-        recovered = load_searcher(archive, journal=True)
-        recovered_batch = recovered.search_batch(
-            check_queries, k, nprobe=nprobe
-        )
-        identical = all(
-            np.array_equal(a.ids, b.ids)
-            and np.array_equal(a.distances, b.distances)
-            and a.n_exact == b.n_exact
-            for a, b in zip(recovered_batch, live_batch)
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    results = {
-        "archive_mb": round(archive_mb, 2),
-        "code_bytes_per_vector": code_bytes,
-        "cold_load_seconds": round(cold_seconds, 4),
-        "mmap_load_seconds": round(mmap_seconds, 4),
-        "warm_start_speedup": round(cold_seconds / mmap_seconds, 2),
-        "journal": {
-            "n_records": n_records,
-            "rows_per_insert": batch_rows,
-            "replay_seconds": round(replay_seconds, 4),
-            "records_per_second": round(n_records / replay_seconds, 1),
-        },
-        "recovery_bit_identical": bool(identical),
-    }
-    print(
-        f"[run_bench] durability: cold load {cold_seconds * 1e3:.1f}ms | "
-        f"mmap load {mmap_seconds * 1e3:.1f}ms "
-        f"({results['warm_start_speedup']}x warm-start) | replay "
-        f"{results['journal']['records_per_second']} records/s | "
-        f"recovery bit-identical: {identical}",
         flush=True,
     )
     return results
@@ -1147,24 +598,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--skip-kernels", action="store_true")
     parser.add_argument(
-        "--skip-sharded",
-        action="store_true",
-        help="skip the shards x threads sweep of the sharded serving engine",
-    )
-    parser.add_argument(
         "--skip-similarity",
         action="store_true",
         help="skip the MIPS (metric='ip') and cosine workloads",
-    )
-    parser.add_argument(
-        "--skip-durability",
-        action="store_true",
-        help="skip the warm-start / journal-replay durability benchmark",
-    )
-    parser.add_argument(
-        "--skip-serving",
-        action="store_true",
-        help="skip the online-serving (micro-batching) benchmark",
     )
     parser.add_argument(
         "--skip-pareto",
@@ -1258,15 +694,9 @@ def main(argv=None) -> int:
 
     dataset = _load_bench_dataset(args)
     run["results"] = bench_ann(args, dataset)
-    if not args.skip_sharded:
-        run["results"]["sharded"] = bench_sharded(args, dataset)
     if not args.skip_similarity:
         run["results"]["mips"] = bench_similarity(args, dataset, "ip")
         run["results"]["cosine"] = bench_similarity(args, dataset, "cosine")
-    if not args.skip_durability:
-        run["results"]["durability"] = bench_durability(args, dataset)
-    if not args.skip_serving:
-        run["results"]["serving"] = bench_serving(args, dataset)
     if not args.skip_pareto:
         run["results"]["pareto"] = bench_pareto(args, dataset)
     if not args.skip_kernels:
@@ -1281,45 +711,9 @@ def main(argv=None) -> int:
             print(f"[run_bench] overwriting unreadable {out_path}")
             doc = {"runs": {}}
     doc.setdefault("runs", {})[args.label] = run
-    if "before" in doc["runs"] and "after" in doc["runs"]:
-        before = doc["runs"]["before"]["results"]
-        after = doc["runs"]["after"]["results"]
-        doc["speedup"] = {
-            "single_query_qps": round(
-                after["single_query"]["qps"] / before["single_query"]["qps"], 2
-            ),
-            "batch_qps": round(
-                after["batch"]["qps"] / before["batch"]["qps"], 2
-            ),
-            "recall_at_10_delta": round(
-                after["recall_at_10"] - before["recall_at_10"], 4
-            ),
-        }
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"[run_bench] wrote {out_path}")
-
-    sharded = run["results"].get("sharded")
-    if sharded is not None:
-        broken = [
-            entry for entry in sharded["sweep"]
-            if not entry["equivalent_to_serial"]
-        ]
-        if broken:
-            print(
-                "[run_bench] FAIL: sharded parallel results diverged from "
-                f"serial at shard counts "
-                f"{sorted({e['shards'] for e in broken})}"
-            )
-            return 1
-
-    durability = run["results"].get("durability")
-    if durability is not None and not durability["recovery_bit_identical"]:
-        print(
-            "[run_bench] FAIL: journal-replayed searcher diverged from the "
-            "in-memory mutated searcher (recovery must be bit-identical)"
-        )
-        return 1
 
     pareto = run["results"].get("pareto")
     if pareto is not None:
@@ -1328,23 +722,6 @@ def main(argv=None) -> int:
         )
         if failed:
             print(f"[run_bench] FAIL: pareto gate(s) failed: {failed}")
-            return 1
-
-    serving = run["results"].get("serving")
-    if serving is not None:
-        if not serving["gates"]["coalesced_equivalent"]:
-            print(
-                "[run_bench] FAIL: coalesced serving responses diverged from "
-                "the sequential search replay (must be bit-identical)"
-            )
-            return 1
-        if not serving["gates"]["work_per_request_reduced"]:
-            print(
-                "[run_bench] FAIL: micro-batching did not reduce mean work "
-                f"per request at batch fill >= 4 (fill "
-                f"{serving['burst']['batch_fill']}, reduction "
-                f"{serving['burst']['work_per_request_reduction']}x)"
-            )
             return 1
 
     if args.check:
@@ -1369,56 +746,6 @@ def main(argv=None) -> int:
             print("[run_bench] FAIL: single-query QPS regressed > "
                   f"{args.max_regression:.0%}")
             return 1
-
-        def _one_shard_qps(results):
-            section = results.get("sharded")
-            if section is None:
-                return None
-            return next(
-                (
-                    entry["batch_qps"]
-                    for entry in section["sweep"]
-                    if entry["shards"] == 1 and entry["threads"] == 1
-                ),
-                None,
-            )
-
-        base_shard = _one_shard_qps(baseline["results"])
-        got_shard = _one_shard_qps(run["results"])
-        if base_shard is not None and got_shard is not None:
-            floor = (1.0 - args.max_regression) * base_shard
-            print(
-                f"[run_bench] sharded regression gate (1 shard, batch): "
-                f"{got_shard} QPS vs baseline {base_shard} QPS "
-                f"(floor {floor:.1f})"
-            )
-            if got_shard < floor:
-                print(
-                    "[run_bench] FAIL: single-shard batch QPS regressed > "
-                    f"{args.max_regression:.0%}"
-                )
-                return 1
-
-        # Serving tail-latency gate: the coalescing engine's closed-loop
-        # p99 must not blow up (present only when both runs measured it).
-        # Tail percentiles are noisier than mean QPS, so the tolerated
-        # regression is doubled relative to the throughput gates.
-        base_serving = baseline["results"].get("serving")
-        got_serving = run["results"].get("serving")
-        if base_serving is not None and got_serving is not None:
-            base_p99 = base_serving["closed_loop"]["latency_ms"]["p99_ms"]
-            got_p99 = got_serving["closed_loop"]["latency_ms"]["p99_ms"]
-            ceiling = (1.0 + 2.0 * args.max_regression) * base_p99
-            print(
-                f"[run_bench] serving p99 gate (closed loop): {got_p99} ms "
-                f"vs baseline {base_p99} ms (ceiling {ceiling:.3f})"
-            )
-            if got_p99 > ceiling:
-                print(
-                    "[run_bench] FAIL: closed-loop p99 latency regressed > "
-                    f"{2 * args.max_regression:.0%}"
-                )
-                return 1
 
         # MIPS workload gate: the metric-generic path must not silently
         # regress either (present only when both runs measured it).

@@ -72,14 +72,14 @@ def main() -> None:
         )
 
         # The mutable lifecycle and persistence work unchanged: the archive
-        # (format v4) records the metric, so a reloaded searcher keeps
-        # serving the same workload.
+        # records the metric, so a reloaded searcher keeps serving the same
+        # workload.
         fresh_ids = searcher.insert(
             rng.standard_normal((5, 24)) @ mixing + 0.2
         )
         searcher.delete(fresh_ids[:2])
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"{metric}_index.npz"
+            path = Path(tmp) / f"{metric}_index.rbq"
             save_searcher(searcher, path)
             reloaded = load_searcher(path)
         print(

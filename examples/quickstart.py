@@ -21,7 +21,7 @@ The searcher stores its codes in a contiguous *code arena* — one
 cluster-grouped packed code matrix plus one fused matrix of per-code
 estimator constants — so probing clusters yields contiguous array slices
 and estimation runs as one integer inner-product pass plus one fused
-affine transform (see ``benchmarks/README.md`` for the layout, the v5
+affine transform (see ``benchmarks/README.md`` for the layout, the
 archive format, and ``benchmarks/run_bench.py`` for the tracked
 single-query/batch QPS trajectory in ``BENCH_ann.json``).
 
@@ -32,24 +32,13 @@ queries are available together (offline evaluation, multi-user serving),
 scans each code matrix once per batch, typically several times faster while
 returning element-wise identical estimates.
 
-When to shard: past a single searcher, ``repro.index.sharded.
-ShardedSearcher`` partitions the dataset across independent shards with
-stable global ids, fans queries out on a thread pool (bit-identical to the
-serial merge) and runs the same insert/delete/compact lifecycle and
-persistence (``save_sharded_searcher``/``load_sharded_searcher``) — see
-``examples/sharded_serving.py`` and the "Sharded serving" section of
-``benchmarks/README.md``.  Every mutation also invalidates the optional
-prepared-query cache, so cached query state never crosses a change of the
-indexed set.
-
 Which metric: everything below serves squared-L2 (the paper's setting),
 but the same stack serves maximum-inner-product (MIPS) and cosine traffic
 — pass ``metric="ip"`` or ``metric="cosine"`` to ``IVFQuantizedSearcher``
-/ ``ShardedSearcher`` and probing, estimation bounds, re-ranking and the
-sharded merge all follow the metric (results then report similarity
-scores, descending).  See ``examples/mips_search.py`` and the "Metric
-selection" section of ``benchmarks/README.md``; archives record the
-metric (format v4), and pre-metric archives load as ``l2``.
+and probing, estimation bounds and re-ranking all follow the metric
+(results then report similarity scores, descending).  See
+``examples/mips_search.py`` and the "Metric selection" section of
+``benchmarks/README.md``; archives record the metric.
 
 Serving live traffic: concurrent single queries coalesce into
 ``search_batch`` micro-batches through ``repro.serving.ServingEngine`` —
@@ -160,7 +149,7 @@ def main() -> None:
     # (note the save happens before the query: querying advances the
     # randomized-rounding streams, and identity means identical streams).
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "searcher.npz"
+        path = Path(tmp) / "searcher.rbq"
         save_searcher(searcher, path)
         restored = load_searcher(path)
         print(f"Saved {path.stat().st_size / 1024:.1f} KiB archive and "

@@ -42,10 +42,8 @@ from repro.exceptions import (
 from repro.io import (
     load_rabitq,
     load_searcher,
-    load_sharded_searcher,
     save_rabitq,
     save_searcher,
-    save_sharded_searcher,
 )
 
 __version__ = "1.0.0"
@@ -69,8 +67,6 @@ __all__ = [
     "load_rabitq",
     "save_searcher",
     "load_searcher",
-    "save_sharded_searcher",
-    "load_sharded_searcher",
     "ReproError",
     "NotFittedError",
     "DimensionMismatchError",

@@ -15,9 +15,8 @@ This module makes the choice of metric a first-class *strategy* consumed by
 every layer of the serving stack: the fused estimation kernels
 (:mod:`repro.core.estimator`), IVF probing (:mod:`repro.index.ivf`),
 re-ranking (:mod:`repro.index.rerank`), the searcher
-(:mod:`repro.index.searcher`), the sharded merge
-(:mod:`repro.index.sharded`) and persistence (archive format v4 records
-the metric).
+(:mod:`repro.index.searcher`) and persistence (the archive records the
+metric).
 
 Two conventions keep the layers metric-generic:
 

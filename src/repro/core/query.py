@@ -118,13 +118,13 @@ def quantize_query_vector(
     lower = float(query.min())
     upper = float(query.max())
     levels = (1 << bits) - 1
-    value_range = upper - lower
-    if value_range <= 0.0:
-        # Degenerate constant query: every coordinate quantizes to level 0.
+    delta = (upper - lower) / levels
+    if delta <= 0.0:
+        # Degenerate query — constant, or a subnormal range whose step
+        # underflows to zero: every coordinate quantizes to level 0.
         codes = np.zeros(query.shape[0], dtype=np.uint64)
         delta = 1.0
     else:
-        delta = value_range / levels
         scaled = (query - lower) / delta
         if randomized:
             generator = ensure_rng(rng)
@@ -260,17 +260,17 @@ def quantize_query_matrix(
 
     lower = mat.min(axis=1)
     upper = mat.max(axis=1)
-    value_range = upper - lower
-    # Mirror the scalar branch condition (``if value_range <= 0.0``) exactly:
-    # a NaN range must land in the live branch (and consume a rounding draw)
+    step = (upper - lower) / levels
+    # Mirror the scalar branch condition (``if delta <= 0.0``) exactly: a
+    # NaN range must land in the live branch (and consume a rounding draw)
     # just as it does in quantize_query_vector, or the RNG streams of the two
     # paths would desynchronize for every later row.
-    live = ~(value_range <= 0.0)
+    live = ~(step <= 0.0)
 
     codes = np.zeros((n_queries, code_length), dtype=np.float64)
     delta = np.ones(n_queries, dtype=np.float64)
     if live.any():
-        delta[live] = value_range[live] / levels
+        delta[live] = step[live]
         scaled = (mat[live] - lower[live, None]) / delta[live, None]
         if randomized:
             generator = ensure_rng(rng)

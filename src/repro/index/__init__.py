@@ -9,8 +9,6 @@
   the searcher's fused estimation hot path.
 * :mod:`repro.index.searcher` — IVF + quantizer ANN pipelines
   (IVF-RaBitQ and IVF-PQ/OPQ) used by the Fig. 4 experiments.
-* :mod:`repro.index.sharded` — shard-parallel serving layer fanning
-  queries across independent searchers and merging with stable top-k.
 """
 
 from repro.index.arena import CodeArena
@@ -27,7 +25,6 @@ from repro.index.searcher import (
     IVFQuantizedSearcher,
     SearchResult,
 )
-from repro.index.sharded import ShardedSearcher
 
 __all__ = [
     "CodeArena",
@@ -40,5 +37,4 @@ __all__ = [
     "IVFQuantizedSearcher",
     "SearchResult",
     "BatchSearchResult",
-    "ShardedSearcher",
 ]

@@ -73,8 +73,7 @@ randomized rounding (the paper's default) concurrent calls remain
 memory-safe (NumPy generators serialize their draws internally) but the
 per-cluster stream consumption order depends on scheduling, so results are
 valid estimates yet not reproducible run-to-run; wrap queries in an
-external lock — or use one :class:`repro.index.sharded.ShardedSearcher`
-worker thread per shard — when determinism matters.
+external lock when determinism matters.
 
 The index is *mutable* after :meth:`IVFQuantizedSearcher.fit` (the index
 lifecycle required by a serving deployment):

@@ -1,6 +1,6 @@
 """Index persistence: save and load fitted quantizers and searchers.
 
-Three on-disk formats:
+Two on-disk formats:
 
 * a bare RaBitQ quantizer (:func:`save_rabitq` / :func:`load_rabitq`) —
   a single ``.npz`` archive with packed codes, per-vector metadata,
@@ -10,22 +10,15 @@ Three on-disk formats:
   additionally the IVF centroids/assignments, the raw vectors for exact
   re-ranking, the tombstone/external-id lifecycle state and the query-time
   RNG streams, so a restarted server resumes with bit-identical results.
-  The default layout (format v6) is a memmap-able binary container:
-  ``load_searcher(path, mmap=True)`` opens in near-constant time with the
-  large sections mapped zero-copy; ``save_searcher(..., layout="npz")``
-  writes the legacy npz layout for older builds;
-* a sharded searcher (:func:`save_sharded_searcher` /
-  :func:`load_sharded_searcher`) — a *directory* holding a JSON manifest,
-  one standard searcher archive per shard, and the global id map, so a
-  whole serving topology restarts bit-identically (the per-shard files are
-  plain searcher archives and remain individually loadable).
+  The one container (``RBQARCH6``, written as format v9, read as v6–v9)
+  is a memmap-able binary file: ``load_searcher(path, mmap=True)`` opens
+  in near-constant time with the large sections mapped zero-copy.
 
-Every save is crash-safe (temp file + fsync + atomic rename; directory
-archives commit through their manifest), and mutations *between* saves
-can be made durable with the append-only journal in
-:mod:`repro.io.journal`: load with ``journal=True`` to replay and
-re-attach it, and every subsequent ``insert`` / ``delete`` / ``compact``
-is fsynced to the journal before it returns.
+Every save is crash-safe (temp file + fsync + atomic rename), and
+mutations *between* saves can be made durable with the append-only
+journal in :mod:`repro.io.journal`: load with ``journal=True`` to replay
+and re-attach it, and every subsequent ``insert`` / ``delete`` /
+``compact`` is fsynced to the journal before it returns.
 
 Unreadable archives (missing, truncated, corrupt, wrong magic or version)
 raise :class:`repro.exceptions.PersistenceError`; a journal that belongs
@@ -42,10 +35,8 @@ from repro.io.persistence import (
     default_journal_path,
     load_rabitq,
     load_searcher,
-    load_sharded_searcher,
     save_rabitq,
     save_searcher,
-    save_sharded_searcher,
 )
 
 __all__ = [
@@ -53,8 +44,6 @@ __all__ = [
     "load_rabitq",
     "save_searcher",
     "load_searcher",
-    "save_sharded_searcher",
-    "load_sharded_searcher",
     "default_journal_path",
     "MutationJournal",
     "read_journal",

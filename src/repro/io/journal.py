@@ -5,16 +5,16 @@ A saved archive captures the index at one instant; every ``insert`` /
 journal closes that window: a searcher with an attached
 :class:`MutationJournal` appends one checksummed, length-prefixed record
 per mutation (fsynced before the mutating call returns), and
-:func:`repro.io.load_searcher` / :func:`repro.io.load_sharded_searcher`
-replay the journal on open — so the recovered searcher is bit-identical
-to the crashed one as of its last completed mutation.
+:func:`repro.io.load_searcher` replays the journal on open — so the
+recovered searcher is bit-identical to the crashed one as of its last
+completed mutation.
 
 On-disk layout (all integers little-endian)::
 
     header:  8s  magic  b"RBQJRNL1"
              u32 header_len
              header_len bytes of JSON:
-                 {"archive_uuid": ..., "kind": "searcher" | "sharded"}
+                 {"archive_uuid": ..., "kind": "searcher"}
     record:  u32 payload_len
              u32 crc32(payload)
              payload_len bytes of payload
@@ -373,10 +373,8 @@ class _SuspendScope:
 def replay_records(searcher, records: list[JournalRecord]) -> int:
     """Apply journal records to a freshly-loaded searcher, in order.
 
-    Works for both :class:`~repro.index.searcher.IVFQuantizedSearcher`
-    and :class:`~repro.index.sharded.ShardedSearcher` (the mutation API is
-    identical; insert records carry the resolved external ids, so replay
-    never re-derives id assignment).  The searcher must not have a journal
+    Insert records carry the resolved external ids, so replay never
+    re-derives id assignment.  The searcher must not have a journal
     attached yet — replay is the *source* of the journal's records, so
     re-recording them would duplicate the file.
 

@@ -1,12 +1,12 @@
 """Save/load support for fitted RaBitQ quantizers and full IVF searchers.
 
-Four archive flavours are provided:
+Two archive flavours are provided:
 
 * :func:`save_rabitq` / :func:`load_rabitq` — a single fitted
   :class:`repro.core.quantizer.RaBitQ`: configuration, rotation matrix,
   packed codes, per-vector metadata, centroid and the query-rounding RNG
   state.  Enough for a query-serving process that does estimation only (no
-  raw vectors, so no exact re-ranking).  NumPy ``.npz``, format v2.
+  raw vectors, so no exact re-ranking).  NumPy ``.npz``, format v2/v3.
 * :func:`save_searcher` / :func:`load_searcher` — a complete
   :class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
   assignments, the per-cluster packed code matrices, the raw vectors of the
@@ -16,33 +16,23 @@ Four archive flavours are provided:
   *bit-identically* (ids, distances and cost counters) to the saved one,
   and supports further ``insert`` / ``delete`` / ``compact`` calls.
 
-  The current searcher format (**v9**, the v6 container) is a binary
-  file holding a JSON header plus 64-byte-aligned raw sections for every
-  large array — the arena's packed codes, the uint8 GEMM operand, the
-  fused constants, the slot map, and the raw re-rank vectors.  Sections
-  can be read zero-copy via ``np.memmap``
-  (``load_searcher(path, mmap=True)``), so a warm restart skips
-  decompression and bit-unpacking entirely and supports datasets larger
-  than RAM.  Container versions v6–v8 and the npz layouts v1–v5 still
-  load bit-identically, and ``save_searcher(..., layout="npz")`` still
-  writes the v5 npz for interoperability with older builds.
-* :func:`save_sharded_searcher` / :func:`load_sharded_searcher` — a
-  complete :class:`repro.index.sharded.ShardedSearcher` as a *directory*:
-  a ``manifest.json`` (magic, format version, archive UUID chain, shard
-  count, assignment policy, id counters), one standard searcher archive
-  per shard (generation-tagged v6 files that :func:`load_searcher` can
-  also open individually — the "flattened view" used by the equivalence
-  tests), and a generation-tagged ``idmap`` holding the per-shard
-  local→global id arrays.  A reloaded sharded searcher answers queries
-  bit-identically and supports the full mutation lifecycle.
+  The searcher has exactly one on-disk container (``RBQARCH6``, written
+  as format **v9**, read as v6–v9): a binary file holding a JSON header
+  plus 64-byte-aligned raw sections for every large array — the arena's
+  packed codes, the uint8 GEMM operand, the fused constants, the slot
+  map, and the raw re-rank vectors.  Sections can be read zero-copy via
+  ``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm restart
+  skips decompression and bit-unpacking entirely and supports datasets
+  larger than RAM.  The npz searcher layouts (v1–v5) and the sharded
+  directory archive are retired: :func:`load_searcher` refuses them by
+  name, and the last commit that reads them is ``422ac16``.
 
 Every save is **crash-safe**: archives are written to a temporary file,
-fsynced, and atomically renamed over the destination (directory archives
-commit through their manifest the same way), so a crash mid-save always
-leaves either the complete previous archive or the complete new one —
-never a torn file under the final name.  Mutations *between* saves are
-covered by the append-only journal (:mod:`repro.io.journal`): pass
-``journal=True`` to the loaders to replay and re-attach it.
+fsynced, and atomically renamed over the destination, so a crash mid-save
+always leaves either the complete previous archive or the complete new
+one — never a torn file under the final name.  Mutations *between* saves
+are covered by the append-only journal (:mod:`repro.io.journal`): pass
+``journal=True`` to :func:`load_searcher` to replay and re-attach it.
 
 Every load error caused by the file itself — missing, truncated, corrupt,
 wrong magic, unsupported version, misaligned or short v6 sections —
@@ -56,14 +46,13 @@ import os
 import struct
 import uuid as _uuid
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from repro.core.bitops import unpack_bits
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
-from repro.core.estimator import N_CONSTS, build_code_consts
 from repro.core.lut import split_into_segments
 from repro.core.metric import resolve_metric
 from repro.core.quantizer import QuantizedDataset, RaBitQ
@@ -85,7 +74,6 @@ from repro.index.rerank import (
     TopCandidateReranker,
 )
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
 from repro.io import _fsio
 from repro.io.journal import (
     MutationJournal,
@@ -98,7 +86,6 @@ PathLike = Union[str, os.PathLike]
 #: Magic identifiers distinguishing the archive flavours.
 MAGIC_RABITQ = "rabitq/quantizer"
 MAGIC_SEARCHER = "rabitq/searcher"
-MAGIC_SHARDED = "rabitq/sharded"
 
 #: Quantizer-archive format, bumped on incompatible changes.  Version 2
 #: added the magic header and the query-RNG state.  Version 3 adds the
@@ -117,7 +104,7 @@ _RABITQ_VERSIONS = (2, 3)
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
 #: in particular a ``mmap=True`` load — adopts them without re-deriving
-#: anything.  Unlike v5, the uint8 GEMM operand is stored, not recomputed.
+#: anything.  The uint8 GEMM operand is stored, not recomputed.
 #: Versions 7–9 keep the identical container (same magic, prefix,
 #: alignment and section rules).  Version 7 added ``probe_strategy``
 #: metadata and, for graph probing, a ``centroid_graph`` metadata block
@@ -135,30 +122,12 @@ SEARCHER_FORMAT_VERSION = 9
 #: Binary-container (v6-layout) format versions this build can read.
 _SEARCHER_BINARY_VERSIONS = (6, 7, 8, 9)
 
-#: The newest npz-layout searcher format (written by ``layout="npz"``).
-#: Version 5 records an ``estimation_mode`` (this build always writes
-#: ``"gemm"`` and ignores the key on load); version 4 the served
-#: ``metric``; version 3 was the arena-aware layout; version 1
-#: predates the arena.  All are still read via the npz loader, answering
-#: bit-identically to the build that wrote them.
-SEARCHER_NPZ_FORMAT_VERSION = 5
+#: Last commit whose ``load_searcher`` reads the retired layouts: the npz
+#: searcher archives (v1–v5) and the sharded directory archive.
+_RETIRED_LAYOUTS_COMMIT = "422ac16"
 
-#: Older (npz) searcher-archive formats this build can still read.
-_SEARCHER_LEGACY_VERSIONS = (1, 3, 4, 5)
-
-#: Sharded-archive (directory) format, bumped on incompatible changes.
-#: Version 2 added the archive UUID chain, generation-tagged shard/idmap
-#: file names (so a crashed re-save can never corrupt the previous
-#: generation) and atomic manifest replacement; version 1 directories
-#: (fixed file names, npz shards) still load.
-SHARDED_FORMAT_VERSION = 2
-
-#: Older sharded-archive formats this build can still read.
-_SHARDED_LEGACY_VERSIONS = (1,)
-
-#: File names inside a sharded archive directory.
-_SHARDED_MANIFEST = "manifest.json"
-_SHARDED_JOURNAL = "mutations.journal"
+#: The one journal kind (the header field predates the retired layouts).
+_JOURNAL_KIND = "searcher"
 
 #: First bytes of a format-v6 searcher archive.
 V6_MAGIC = b"RBQARCH6"
@@ -190,6 +159,7 @@ _PARSE_ERRORS = _READ_ERRORS + (
     IndexError,
     TypeError,
     AttributeError,
+    OverflowError,  # an RNG state word wider than its bit generator holds
     InvalidParameterError,
     DimensionMismatchError,
 )
@@ -212,15 +182,8 @@ def _resolve_path(path: PathLike) -> Path:
 
 
 def default_journal_path(path: PathLike) -> Path:
-    """The journal file that belongs to the archive at ``path``.
-
-    Single-file searcher archives keep their journal right next to them
-    (``<archive>.journal``); sharded directory archives keep one journal
-    for the whole topology inside the directory (``mutations.journal``).
-    """
+    """The journal file of the archive at ``path``: ``<archive>.journal``."""
     candidate = Path(path)
-    if candidate.is_dir():
-        return candidate / _SHARDED_JOURNAL
     return candidate.with_name(candidate.name + ".journal")
 
 
@@ -434,21 +397,37 @@ def _write_v6_archive(
     _commit_temp(tmp, path)
 
 
-def _detect_searcher_layout(path: Path) -> str:
-    """``"v6"`` for the binary container, ``"npz"`` for everything else.
+def _not_a_container(path: Path, head: bytes) -> PersistenceError:
+    """The error for a file that does not start with ``RBQARCH6``.
 
-    Unreadable and garbage files fall through to the npz loader, whose
-    error reporting distinguishes truncation, foreign files and legacy
-    versions.
+    Names what the file is when that can be told — in particular the
+    retired npz searcher layouts, with the last commit that reads them.
     """
-    try:
-        with open(path, "rb") as f:
-            head = f.read(len(V6_MAGIC))
-    except OSError as exc:
-        raise PersistenceError(
-            f"cannot read searcher index file {path!s}: {exc}"
-        ) from exc
-    return "v6" if head == V6_MAGIC else "npz"
+    if head[:2] == b"PK":  # a zip file, i.e. an ``.npz``
+        try:
+            with np.load(path) as archive:
+                magic = str(archive["magic"])
+                version = int(archive["format_version"])
+        except _READ_ERRORS + (zlib.error,):
+            pass
+        else:
+            if magic == MAGIC_SEARCHER:
+                return PersistenceError(
+                    f"{path!s} is an npz searcher archive (format "
+                    f"v{version}); the npz layouts v1-v5 are retired and "
+                    f"the last commit that reads them is "
+                    f"{_RETIRED_LAYOUTS_COMMIT} (load it there and re-save "
+                    f"to upgrade)"
+                )
+            return PersistenceError(
+                f"{path!s} is an npz archive with magic {magic!r} (format "
+                f"v{version}), not a searcher archive; quantizer archives "
+                f"are read by load_rabitq"
+            )
+    return PersistenceError(
+        f"{path!s} is not a searcher archive (it does not start with the "
+        f"{V6_MAGIC.decode()} container magic)"
+    )
 
 
 def _read_v6_header(path: Path) -> tuple[dict, int]:
@@ -457,16 +436,14 @@ def _read_v6_header(path: Path) -> tuple[dict, int]:
         size = os.path.getsize(path)
         with open(path, "rb") as f:
             prefix = f.read(_V6_PREFIX.size)
+            if prefix[: len(V6_MAGIC)] != V6_MAGIC:
+                raise _not_a_container(path, prefix)
             if len(prefix) < _V6_PREFIX.size:
                 raise PersistenceError(
                     f"cannot read searcher index file {path!s}: corrupt or "
                     f"truncated archive (short v6 prefix)"
                 )
-            magic, header_len = _V6_PREFIX.unpack(prefix)
-            if magic != V6_MAGIC:
-                raise PersistenceError(
-                    f"{path!s} is not a v6 searcher archive"
-                )
+            _, header_len = _V6_PREFIX.unpack(prefix)
             if header_len > _V6_MAX_HEADER:
                 raise PersistenceError(
                     f"cannot read searcher index file {path!s}: implausible "
@@ -502,8 +479,7 @@ def _read_v6_header(path: Path) -> tuple[dict, int]:
         raise PersistenceError(
             f"unsupported searcher index format version "
             f"{header.get('format_version')}; this build reads version(s) "
-            f"{', '.join(map(str, _SEARCHER_BINARY_VERSIONS))}, "
-            f"{', '.join(map(str, _SEARCHER_LEGACY_VERSIONS))}"
+            f"{', '.join(map(str, _SEARCHER_BINARY_VERSIONS))}"
         )
     return header, size
 
@@ -528,7 +504,8 @@ class _V6Sections:
                 shape = tuple(int(s) for s in entry["shape"])
                 offset = int(entry["offset"])
                 nbytes = int(entry["nbytes"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+                # SyntaxError: ``np.dtype`` evaluates comma-separated specs.
                 raise PersistenceError(
                     f"cannot read searcher index file {path!s}: malformed "
                     f"v6 section table entry ({exc})"
@@ -775,16 +752,7 @@ def _cluster_rng_states(searcher: IVFQuantizedSearcher) -> list[dict | None]:
     return states
 
 
-def _rotate_attached_journal(obj, archive_path: Path, new_uuid: str) -> None:
-    """After a successful save, restart the attached journal (if any)."""
-    journal = getattr(obj, "_journal", None)
-    if journal is not None:
-        journal.rotate(default_journal_path(archive_path), new_uuid)
-
-
-def save_searcher(
-    searcher: IVFQuantizedSearcher, path: PathLike, *, layout: str = "v6"
-) -> None:
+def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
@@ -793,11 +761,9 @@ def save_searcher(
     mapping and RNG streams — so that :func:`load_searcher` reproduces
     search results bit-identically and supports further mutation.
 
-    ``layout`` selects the on-disk format: ``"v6"`` (default) writes the
-    memmap-able binary container, ``"npz"`` the v5 npz layout readable by
-    older builds.  Both are written crash-safely (temp file + fsync +
-    atomic rename).  A v6 save also records the archive UUID chain and —
-    when the searcher has a mutation journal attached — rotates the
+    The memmap-able binary container is written crash-safely (temp file +
+    fsync + atomic rename).  The save also records the archive UUID chain
+    and — when the searcher has a mutation journal attached — rotates the
     journal, since the new archive subsumes every journaled mutation.
 
     Raises
@@ -805,18 +771,10 @@ def save_searcher(
     NotFittedError
         If the searcher has not been fitted.
     InvalidParameterError
-        If the searcher uses an external (non-RaBitQ) quantizer, a custom
-        re-ranker that the archive format cannot represent, or an unknown
-        ``layout``.
+        If the searcher uses an external (non-RaBitQ) quantizer or a
+        custom re-ranker that the archive format cannot represent.
     """
-    if layout == "v6":
-        _save_searcher_v6(searcher, Path(path))
-    elif layout == "npz":
-        _save_searcher_npz(searcher, Path(path))
-    else:
-        raise InvalidParameterError(
-            f"layout must be 'v6' or 'npz', got {layout!r}"
-        )
+    _save_searcher_v6(searcher, Path(path))
 
 
 def _save_searcher_v6(
@@ -926,104 +884,10 @@ def _save_searcher_v6(
     }
     _write_v6_archive(path, header, sections)
     searcher._archive_uuid = archive_uuid
-    _rotate_attached_journal(searcher, path, archive_uuid)
+    # The new archive subsumes every journaled mutation: restart the journal.
+    if searcher._journal is not None:
+        searcher._journal.rotate(default_journal_path(path), archive_uuid)
     return archive_uuid
-
-
-def _save_searcher_npz(searcher: IVFQuantizedSearcher, path: Path) -> None:
-    """Write the legacy v5 npz layout (readable by older builds)."""
-    if searcher.bits > 1:
-        raise InvalidParameterError(
-            f"the legacy npz layout cannot represent bits={searcher.bits} "
-            f"codes (older builds would misread the bit-planes as sign "
-            f"bits); save multi-bit searchers with layout='v6'"
-        )
-    reranker_kind, reranker_param = _check_saveable(searcher)
-    ivf = searcher.ivf
-    flat = searcher.flat
-    config = searcher.rabitq_config
-    arena = searcher._arena
-    query_rngs = searcher._query_rngs
-    assert arena is not None and query_rngs is not None
-    assert searcher._ids is not None and searcher._live is not None
-
-    code_length = arena.code_length
-    n_words = arena.n_words
-    n_consts = arena.n_consts
-    n_slots = len(flat)
-
-    # Per-slot quantized metadata, scattered from the cluster-grouped arena
-    # regions.  Every slot lives in exactly one region, so this is a pure
-    # re-indexing; the loader rebuilds the regions from the bucket id lists
-    # (always sorted ascending), which reproduces the arena row order.
-    packed_codes = np.zeros((n_slots, n_words), dtype=np.uint64)
-    code_consts = np.zeros((n_consts, n_slots), dtype=np.float64)
-    rng_states = _cluster_rng_states(searcher)
-    for cid in range(arena.n_clusters):
-        start, end = arena.cluster_range(cid)
-        if start == end:
-            continue
-        slots = arena.slots[start:end]
-        packed_codes[slots] = arena.codes[start:end]
-        code_consts[:, slots] = arena.consts[:, start:end]
-
-    assert searcher._shared_rotation is not None
-    rotation_entries = _save_rotation(searcher._shared_rotation)
-
-    final = path
-    if not final.name.endswith(".npz"):
-        final = final.with_name(final.name + ".npz")
-    _savez_atomic(
-        final,
-        magic=np.str_(MAGIC_SEARCHER),
-        format_version=np.int64(SEARCHER_NPZ_FORMAT_VERSION),
-        # RaBitQ configuration
-        epsilon0=np.float64(config.epsilon0),
-        query_bits=np.int64(config.query_bits),
-        config_code_length=np.int64(
-            -1 if config.code_length is None else config.code_length
-        ),
-        code_length=np.int64(code_length),
-        randomized_rounding=np.bool_(config.randomized_rounding),
-        rotation_kind=np.str_(config.rotation),
-        seed=np.int64(-1 if config.seed is None else config.seed),
-        # Searcher construction parameters
-        n_clusters_param=np.int64(
-            -1 if searcher.n_clusters is None else searcher.n_clusters
-        ),
-        kmeans_iters=np.int64(ivf.kmeans_iters),
-        compact_threshold=np.float64(
-            np.nan
-            if searcher.compact_threshold is None
-            else searcher.compact_threshold
-        ),
-        reranker_kind=np.str_(reranker_kind),
-        reranker_param=np.int64(reranker_param),
-        # Served metric (format v4)
-        metric=np.str_(searcher.metric),
-        # Constants older builds require (format v5) or honour: the only
-        # estimation kernel and probe this build has.
-        estimation_mode=np.str_("gemm"),
-        probe_strategy=np.str_("exact"),
-        # IVF + flat index state
-        centroids=ivf.centroids,
-        assignments=ivf.assignments,
-        data=flat.data,
-        # Quantized per-slot metadata (arena layout)
-        packed_codes=packed_codes,
-        n_consts=np.int64(n_consts),
-        code_consts=code_consts,
-        # Lifecycle state
-        ids=searcher._ids,
-        live=searcher._live,
-        next_id=np.int64(searcher._next_id),
-        # Random streams
-        quantizer_rng_states=np.str_(
-            json.dumps(rng_states, default=_json_default)
-        ),
-        searcher_rng_state=np.str_(_rng_state_json(searcher._rng)),
-        **rotation_entries,
-    )
 
 
 def load_searcher(
@@ -1044,8 +908,7 @@ def load_searcher(
         them into RAM: the load is near-constant-time and the dataset may
         exceed physical memory.  Results are bit-identical to a
         materialized load; the first mutation reallocates the affected
-        arrays in memory (the mapped file is never written).  Requires a
-        format-v6 archive.
+        arrays in memory (the mapped file is never written).
     journal:
         Replay the mutation journal next to the archive (if one exists
         for this archive generation) and attach it, so subsequent
@@ -1053,64 +916,36 @@ def load_searcher(
         crash-recovery contract.  A torn journal tail is truncated, a
         journal superseded by the save that wrote this archive is
         discarded, and a journal belonging to any other archive raises
-        :class:`repro.exceptions.JournalError`.  Requires a format-v6
-        archive.
+        :class:`repro.exceptions.JournalError`.
 
     Raises
     ------
     PersistenceError
-        If the file is missing, truncated or corrupt, is not a searcher
-        archive, uses an unsupported format version, has a misaligned or
-        short v6 section table, or ``mmap`` / ``journal`` is requested
-        for a pre-v6 archive.
+        If the file is missing, truncated or corrupt, uses an unsupported
+        format version, has a misaligned or short v6 section table, or is
+        anything but the binary container — an npz archive, a sharded
+        directory, garbage; the message names what was found.
     """
     candidate = _resolve_path(path)
-    if _detect_searcher_layout(candidate) == "v6":
-        header, file_size = _read_v6_header(candidate)
-        searcher = _load_searcher_v6(candidate, header, file_size, mmap=mmap)
-        if journal:
-            _attach_journal(
-                searcher,
-                default_journal_path(candidate),
-                kind="searcher",
-                archive_uuid=str(header.get("archive_uuid")),
-                parent_uuid=header.get("parent_uuid"),
-            )
-        return searcher
-    if mmap:
+    if candidate.is_dir():
+        sharded = (candidate / "manifest.json").is_file()
         raise PersistenceError(
-            f"memory-mapped loading requires a format v6 archive; "
-            f"{candidate!s} is a legacy npz archive (re-save it with "
-            f"save_searcher to upgrade)"
+            f"{candidate!s} is a {'sharded searcher ' if sharded else ''}"
+            f"directory, not a searcher archive file; the sharded directory "
+            f"layout is retired and the last commit that reads it is "
+            f"{_RETIRED_LAYOUTS_COMMIT} (each shard_NNNN-*.rbq file inside "
+            f"one is a plain searcher archive that load_searcher opens)"
         )
+    header, file_size = _read_v6_header(candidate)
+    searcher = _load_searcher_v6(candidate, header, file_size, mmap=mmap)
     if journal:
-        raise PersistenceError(
-            f"mutation journaling requires a format v6 archive; "
-            f"{candidate!s} is a legacy npz archive (re-save it with "
-            f"save_searcher to upgrade)"
+        _attach_journal(
+            searcher,
+            default_journal_path(candidate),
+            archive_uuid=str(header.get("archive_uuid")),
+            parent_uuid=header.get("parent_uuid"),
         )
-    return _load_searcher_npz(candidate)
-
-
-def _make_searcher_shell(
-    *,
-    config: RaBitQConfig,
-    n_clusters_param: int | None,
-    compact_threshold: float | None,
-    reranker_kind: str,
-    reranker_param: int,
-    metric,
-    searcher_rng_state: dict,
-) -> IVFQuantizedSearcher:
-    return IVFQuantizedSearcher(
-        "rabitq",
-        n_clusters=n_clusters_param,
-        rabitq_config=config,
-        reranker=_load_reranker(reranker_kind, reranker_param),
-        rng=_rng_from_state(searcher_rng_state),
-        compact_threshold=compact_threshold,
-        metric=metric,
-    )
+    return searcher
 
 
 def _install_lifecycle(
@@ -1160,18 +995,20 @@ def _load_searcher_v6(
         )
         metric = resolve_metric(str(meta["metric"]))
         threshold = meta["compact_threshold"]
-        searcher = _make_searcher_shell(
-            config=config,
-            n_clusters_param=(
+        searcher = IVFQuantizedSearcher(
+            "rabitq",
+            n_clusters=(
                 None
                 if meta["n_clusters_param"] is None
                 else int(meta["n_clusters_param"])
             ),
+            rabitq_config=config,
+            reranker=_load_reranker(
+                str(meta["reranker_kind"]), int(meta["reranker_param"])
+            ),
+            rng=_rng_from_state(meta["searcher_rng_state"]),
             compact_threshold=None if threshold is None else float(threshold),
-            reranker_kind=str(meta["reranker_kind"]),
-            reranker_param=int(meta["reranker_param"]),
             metric=metric,
-            searcher_rng_state=meta["searcher_rng_state"],
         )
 
         code_length = int(meta["code_length"])
@@ -1313,183 +1150,15 @@ def _load_searcher_v6(
     return searcher
 
 
-def _load_searcher_npz(path: Path) -> IVFQuantizedSearcher:
-    with _open_archive(
-        path,
-        magic=MAGIC_SEARCHER,
-        versions=_SEARCHER_LEGACY_VERSIONS,
-        kind="searcher index",
-    ) as archive:
-        try:
-            format_version = int(archive["format_version"])
-            seed = int(archive["seed"])
-            config_code_length = int(archive["config_code_length"])
-            config = RaBitQConfig(
-                epsilon0=float(archive["epsilon0"]),
-                query_bits=int(archive["query_bits"]),
-                code_length=(
-                    None if config_code_length < 0 else config_code_length
-                ),
-                randomized_rounding=bool(archive["randomized_rounding"]),
-                rotation=str(archive["rotation_kind"]),
-                seed=None if seed < 0 else seed,
-            )
-            n_clusters_param = int(archive["n_clusters_param"])
-            threshold = float(archive["compact_threshold"])
-            # Pre-v4 archives predate the metric layer: they were always
-            # written by (and load as) squared-L2 searchers.
-            metric_name = (
-                str(archive["metric"]) if format_version >= 4 else "l2"
-            )
-            metric = resolve_metric(metric_name)
-            searcher = _make_searcher_shell(
-                config=config,
-                n_clusters_param=(
-                    None if n_clusters_param < 0 else n_clusters_param
-                ),
-                compact_threshold=None if np.isnan(threshold) else threshold,
-                reranker_kind=str(archive["reranker_kind"]),
-                reranker_param=int(archive["reranker_param"]),
-                metric=metric,
-                searcher_rng_state=json.loads(
-                    str(archive["searcher_rng_state"])
-                ),
-            )
-
-            data = np.asarray(archive["data"], dtype=np.float64)
-            code_length = int(archive["code_length"])
-            rotation = _load_rotation(archive, code_length)
-            searcher._shared_rotation = rotation
-            searcher._flat = FlatIndex(data, allow_empty=True)
-            searcher._ivf = IVFIndex.from_state(
-                archive["centroids"],
-                archive["assignments"],
-                kmeans_iters=int(archive["kmeans_iters"]),
-                rng=searcher._rng,
-            )
-
-            packed_codes = archive["packed_codes"]
-            n_slots = data.shape[0]
-            n_words = (code_length + 63) // 64
-            if packed_codes.ndim != 2 or packed_codes.shape[1] != n_words:
-                raise PersistenceError(
-                    f"archive has inconsistent code matrices: packed_codes "
-                    f"shape {packed_codes.shape} does not match code length "
-                    f"{code_length} ({n_words} words)"
-                )
-            if format_version >= 3:
-                # Arena-aware layout: the fused constants matrix is stored
-                # directly, with the metric's row count (v3 archives are
-                # always l2, so both checks reduce to N_CONSTS there).
-                expected_consts = metric.n_consts
-                if int(archive["n_consts"]) != expected_consts:
-                    raise PersistenceError(
-                        f"archive stores {int(archive['n_consts'])} fused "
-                        f"constants per code; metric {metric.name!r} "
-                        f"expects {expected_consts}"
-                    )
-                code_consts = np.asarray(
-                    archive["code_consts"], dtype=np.float64
-                )
-                if code_consts.shape != (expected_consts, n_slots):
-                    raise PersistenceError(
-                        f"archive has inconsistent per-slot arrays: "
-                        f"code_consts has shape {code_consts.shape}, "
-                        f"expected {(expected_consts, n_slots)}"
-                    )
-                per_slot_checks = ()
-            else:
-                # Legacy v1 layout: rebuild the fused constants from the
-                # stored per-slot metadata (same elementwise arithmetic the
-                # saving build would have used, so estimates stay
-                # bit-identical).
-                per_slot_checks = (
-                    ("code_popcounts", archive["code_popcounts"]),
-                    ("alignments", archive["alignments"]),
-                    ("norms", archive["norms"]),
-                )
-            for name, array in per_slot_checks + (
-                ("assignments", searcher._ivf.assignments),
-                ("packed_codes", packed_codes),
-                ("ids", archive["ids"]),
-                ("live", archive["live"]),
-            ):
-                if array.shape[0] != n_slots:
-                    raise PersistenceError(
-                        f"archive has inconsistent per-slot arrays: "
-                        f"{name} has {array.shape[0]} rows, data has {n_slots}"
-                    )
-            if format_version < 3:
-                code_consts = build_code_consts(
-                    archive["alignments"],
-                    archive["norms"],
-                    archive["code_popcounts"],
-                    code_length,
-                    config.epsilon0,
-                )
-            rng_states = json.loads(str(archive["quantizer_rng_states"]))
-            if len(rng_states) != len(searcher._ivf.buckets):
-                raise PersistenceError(
-                    "archive has inconsistent cluster metadata: "
-                    f"{len(rng_states)} RNG states for "
-                    f"{len(searcher._ivf.buckets)} clusters"
-                )
-            n_clusters = len(searcher._ivf.buckets)
-            query_rngs: list[np.random.Generator | None] = []
-            blocks: dict[int, tuple] = {}
-            for cid, bucket in enumerate(searcher._ivf.buckets):
-                if len(bucket) == 0:
-                    query_rngs.append(None)
-                    continue
-                state = rng_states[cid]
-                if state is None:
-                    raise PersistenceError(
-                        f"archive has no RNG state for non-empty cluster {cid}"
-                    )
-                slots = bucket.vector_ids
-                cluster_codes = packed_codes[slots]
-                blocks[cid] = (
-                    cluster_codes,
-                    unpack_bits(cluster_codes, code_length),
-                    code_consts[:, slots],
-                    slots,
-                )
-                query_rngs.append(_rng_from_state(state))
-            searcher._query_rngs = query_rngs
-            searcher._arena = CodeArena.from_blocks(
-                n_clusters, code_length, n_words, blocks, metric.n_consts
-            )
-            searcher._pad_len = code_length
-            searcher._rotation_matrix = (
-                rotation.as_matrix()
-                if isinstance(rotation, QRRotation)
-                else None
-            )
-
-            _install_lifecycle(
-                searcher,
-                archive["ids"],
-                archive["live"],
-                int(archive["next_id"]),
-            )
-        except _PARSE_ERRORS as exc:
-            raise PersistenceError(
-                f"cannot read searcher index file {path!s}: corrupt or "
-                f"truncated archive ({exc})"
-            ) from exc
-    return searcher
-
-
 # --------------------------------------------------------------------- #
-# Journal attachment (shared by searcher and sharded loads)
+# Journal attachment
 # --------------------------------------------------------------------- #
 
 
 def _attach_journal(
-    obj,
+    searcher: IVFQuantizedSearcher,
     journal_path: Path,
     *,
-    kind: str,
     archive_uuid: str,
     parent_uuid: str | None,
 ) -> None:
@@ -1510,27 +1179,31 @@ def _attach_journal(
     """
     contents = read_journal(journal_path)
     if contents is None:
-        obj._journal = MutationJournal.create(journal_path, archive_uuid, kind)
+        searcher._journal = MutationJournal.create(
+            journal_path, archive_uuid, _JOURNAL_KIND
+        )
         return
-    if contents.kind != kind:
+    if contents.kind != _JOURNAL_KIND:
         raise JournalError(
             f"journal {journal_path!s} records {contents.kind!r} mutations; "
-            f"this archive needs a {kind!r} journal"
+            f"this archive needs a {_JOURNAL_KIND!r} journal"
         )
     if contents.archive_uuid == archive_uuid:
         try:
-            replay_records(obj, contents.records)
+            replay_records(searcher, contents.records)
         except (InvalidParameterError, DimensionMismatchError) as exc:
             raise PersistenceError(
                 f"journal {journal_path!s} cannot be replayed against "
                 f"archive {archive_uuid}: {exc}"
             ) from exc
-        obj._journal = MutationJournal.resume(journal_path, contents)
+        searcher._journal = MutationJournal.resume(journal_path, contents)
         return
     if parent_uuid is not None and contents.archive_uuid == parent_uuid:
         # Superseded: the archive was saved from a state that already
         # includes every journaled mutation.
-        obj._journal = MutationJournal.create(journal_path, archive_uuid, kind)
+        searcher._journal = MutationJournal.create(
+            journal_path, archive_uuid, _JOURNAL_KIND
+        )
         return
     raise JournalError(
         f"journal {journal_path!s} belongs to archive "
@@ -1539,255 +1212,15 @@ def _attach_journal(
     )
 
 
-# --------------------------------------------------------------------- #
-# Sharded searcher archives (directory: manifest + per-shard v6 files)
-# --------------------------------------------------------------------- #
-
-
-def _shard_file_name(shard: int, generation: str) -> str:
-    return f"shard_{shard:04d}-{generation}.rbq"
-
-
-def save_sharded_searcher(sharded: ShardedSearcher, path: PathLike) -> None:
-    """Serialize a fitted :class:`ShardedSearcher` into directory ``path``.
-
-    The directory (created if needed) receives one standard v6 searcher
-    archive per shard and an ``idmap`` npz with the per-shard
-    local→global id arrays — both under *generation-tagged* names derived
-    from the new archive UUID — plus a ``manifest.json`` naming them.
-    The manifest is replaced atomically (temp file + fsync +
-    ``os.replace``) **after** every data file is durable, so a crash at
-    any point leaves either the complete previous archive generation or
-    the complete new one; files of older generations are removed only
-    after the new manifest is committed.  When the sharded searcher has a
-    mutation journal attached, the journal is rotated after the commit.
-
-    Raises
-    ------
-    NotFittedError
-        If the sharded searcher has not been fitted.
-    InvalidParameterError
-        If any shard cannot be serialized (custom re-ranker, ...).
-    """
-    if not sharded.is_fitted:
-        raise NotFittedError("cannot save an unfitted ShardedSearcher")
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    archive_uuid = _new_archive_uuid()
-    parent_uuid = getattr(sharded, "_archive_uuid", None)
-    generation = archive_uuid[:8]
-    shard_files = []
-    for s, shard in enumerate(sharded.shards):
-        name = _shard_file_name(s, generation)
-        _save_searcher_v6(shard, directory / name)
-        shard_files.append(name)
-    idmap_file = f"idmap-{generation}.npz"
-    _savez_atomic(
-        directory / idmap_file,
-        **{f"l2g_{s}": arr for s, arr in enumerate(sharded._l2g)},
-    )
-    manifest = {
-        "magic": MAGIC_SHARDED,
-        "format_version": SHARDED_FORMAT_VERSION,
-        "archive_uuid": archive_uuid,
-        "parent_uuid": parent_uuid,
-        "n_shards": sharded.n_shards,
-        "metric": sharded.metric,
-        "bits": sharded.bits,
-        "assignment": sharded.assignment,
-        "next_gid": sharded._next_gid,
-        "rr_next": sharded._rr_next,
-        "shard_files": shard_files,
-        "idmap_file": idmap_file,
-        "journal_file": _SHARDED_JOURNAL,
-    }
-    manifest_bytes = (
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
-    manifest_tmp = directory / (_SHARDED_MANIFEST + ".tmp")
-    f = _fsio.open_write(manifest_tmp)
-    try:
-        _write_all(f, manifest_bytes)
-        _fsio.fsync_file(f)
-    finally:
-        f.close()
-    _commit_temp(manifest_tmp, directory / _SHARDED_MANIFEST)
-    # The manifest rename above is the commit point.  Only now is it safe
-    # to drop files of older generations (and pre-v2 fixed-name files):
-    # before the commit they *were* the archive.
-    keep = set(shard_files) | {idmap_file}
-    for pattern in ("shard_*.rbq", "shard_*.npz", "idmap*.npz", "*.tmp"):
-        for leftover in directory.glob(pattern):
-            if leftover.name not in keep:
-                leftover.unlink(missing_ok=True)
-    sharded._archive_uuid = archive_uuid
-    _rotate_attached_journal(sharded, directory, archive_uuid)
-
-
-def load_sharded_searcher(
-    path: PathLike,
-    *,
-    n_threads: int | None = None,
-    mmap: bool = False,
-    journal: bool = False,
-) -> ShardedSearcher:
-    """Load a sharded searcher stored with :func:`save_sharded_searcher`.
-
-    The returned searcher is fully fitted and mutable; its ``search`` /
-    ``search_batch`` answers are element-wise identical to what the saved
-    searcher would have returned from the moment it was saved (the
-    per-shard archives restore every rounding stream bit-identically).
-    ``n_threads`` sets the fan-out pool of the loaded instance — pass ``0``
-    for the serial "flattened" execution used in equivalence testing.
-    ``mmap`` memory-maps every shard's large sections; ``journal``
-    replays and re-attaches the directory's mutation journal (both
-    require a format-v2 directory archive with v6 shard files).
-
-    Raises
-    ------
-    PersistenceError
-        If the directory, manifest, id map or any shard archive is
-        missing, corrupt, of the wrong kind, or of an unsupported version
-        — or the journal belongs to a different archive generation.
-    """
-    directory = Path(path)
-    manifest_path = directory / _SHARDED_MANIFEST
-    if not manifest_path.is_file():
-        raise PersistenceError(
-            f"{directory!s} is not a sharded searcher archive "
-            f"(missing {_SHARDED_MANIFEST})"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except _READ_ERRORS as exc:
-        raise PersistenceError(
-            f"cannot read sharded manifest {manifest_path!s}: corrupt or "
-            f"truncated file ({exc})"
-        ) from exc
-    if not isinstance(manifest, dict) or manifest.get("magic") != MAGIC_SHARDED:
-        raise PersistenceError(
-            f"{manifest_path!s} is not a sharded searcher manifest "
-            f"(magic {manifest.get('magic') if isinstance(manifest, dict) else None!r}, "
-            f"expected {MAGIC_SHARDED!r})"
-        )
-    format_version = manifest.get("format_version")
-    if format_version not in (SHARDED_FORMAT_VERSION,) + _SHARDED_LEGACY_VERSIONS:
-        raise PersistenceError(
-            f"unsupported sharded archive format version "
-            f"{format_version}; this build reads version(s) "
-            f"{SHARDED_FORMAT_VERSION}, "
-            f"{', '.join(map(str, _SHARDED_LEGACY_VERSIONS))}"
-        )
-    try:
-        n_shards = int(manifest["n_shards"])
-        shard_files = list(manifest["shard_files"])
-        assignment = str(manifest["assignment"])
-        next_gid = int(manifest["next_gid"])
-        rr_next = int(manifest["rr_next"])
-        idmap_file = str(manifest["idmap_file"])
-        if n_shards <= 0 or len(shard_files) != n_shards:
-            raise PersistenceError(
-                f"sharded manifest lists {len(shard_files)} shard files "
-                f"for n_shards={n_shards}"
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"sharded manifest {manifest_path!s} is malformed ({exc})"
-        ) from exc
-    archive_uuid = manifest.get("archive_uuid")
-    if (mmap or journal) and archive_uuid is None:
-        raise PersistenceError(
-            f"{'memory-mapped loading' if mmap else 'mutation journaling'} "
-            f"requires a format v{SHARDED_FORMAT_VERSION} sharded archive; "
-            f"{directory!s} is a legacy v1 directory (re-save it with "
-            f"save_sharded_searcher to upgrade)"
-        )
-    shard_paths = []
-    for name in shard_files:
-        shard_path = directory / name
-        if not shard_path.is_file():
-            raise PersistenceError(
-                f"sharded archive {directory!s} is missing shard file "
-                f"{name!r}"
-            )
-        shard_paths.append(shard_path)
-    shards = [
-        load_searcher(shard_path, mmap=mmap) for shard_path in shard_paths
-    ]
-    # Manifests written before the metric layer carry no "metric" key; the
-    # per-shard archives then load as l2, which is what those builds served.
-    manifest_metric = manifest.get("metric")
-    if manifest_metric is not None and any(
-        shard.metric != manifest_metric for shard in shards
-    ):
-        raise PersistenceError(
-            f"sharded manifest declares metric {manifest_metric!r} but the "
-            f"shard archives serve {sorted({s.metric for s in shards})}"
-        )
-    # Older manifests' "estimation_mode" / "probe_strategy" keys are
-    # ignored, like the per-shard metadata of the same name.
-    # Manifests written before multi-bit codes carry no "bits" key; their
-    # shard archives load as binary (bits=1).
-    manifest_bits = manifest.get("bits")
-    if manifest_bits is not None and any(
-        shard.bits != int(manifest_bits) for shard in shards
-    ):
-        raise PersistenceError(
-            f"sharded manifest declares bits={manifest_bits} but the "
-            f"shard archives use {sorted({s.bits for s in shards})}"
-        )
-    try:
-        with np.load(directory / idmap_file) as idmap:
-            l2g = [
-                np.asarray(idmap[f"l2g_{s}"], dtype=np.int64)
-                for s in range(n_shards)
-            ]
-    except _READ_ERRORS as exc:
-        raise PersistenceError(
-            f"cannot read sharded id map {directory / idmap_file!s}: "
-            f"corrupt or truncated archive ({exc})"
-        ) from exc
-    try:
-        sharded = ShardedSearcher._from_state(
-            shards,
-            l2g,
-            assignment=assignment,
-            next_gid=next_gid,
-            rr_next=rr_next,
-            n_threads=n_threads,
-        )
-    except InvalidParameterError as exc:
-        raise PersistenceError(
-            f"sharded archive {directory!s} is internally inconsistent "
-            f"({exc})"
-        ) from exc
-    if archive_uuid is not None:
-        sharded._archive_uuid = str(archive_uuid)
-    if journal:
-        _attach_journal(
-            sharded,
-            directory / str(manifest.get("journal_file", _SHARDED_JOURNAL)),
-            kind="sharded",
-            archive_uuid=str(archive_uuid),
-            parent_uuid=manifest.get("parent_uuid"),
-        )
-    return sharded
-
-
 __all__ = [
     "save_rabitq",
     "load_rabitq",
     "save_searcher",
     "load_searcher",
-    "save_sharded_searcher",
-    "load_sharded_searcher",
     "default_journal_path",
     "FORMAT_VERSION",
     "SEARCHER_FORMAT_VERSION",
-    "SEARCHER_NPZ_FORMAT_VERSION",
-    "SHARDED_FORMAT_VERSION",
     "MAGIC_RABITQ",
     "MAGIC_SEARCHER",
-    "MAGIC_SHARDED",
     "V6_MAGIC",
 ]

@@ -183,10 +183,9 @@ class ServingEngine:
     Parameters
     ----------
     searcher:
-        A fitted :class:`~repro.index.searcher.IVFQuantizedSearcher` or
-        :class:`~repro.index.sharded.ShardedSearcher`.  The engine owns a
-        reference, not the lifecycle — closing the engine does not close
-        the searcher.
+        A fitted :class:`~repro.index.searcher.IVFQuantizedSearcher`.
+        The engine owns a reference, not the lifecycle — closing the
+        engine does not close the searcher.
     max_batch:
         Largest micro-batch dispatched in one ``search_batch`` call.
     max_delay_us:

@@ -273,45 +273,6 @@ class TestReferenceEquivalenceDeterministic:
         )
 
 
-class TestLegacyArchiveLoads:
-    def test_v1_archive_loads_bit_identically(self, base_data, tmp_path):
-        # A v3 archive carries a superset of the v1 content; stripping it
-        # down to the v1 key set must load through the legacy path and
-        # answer bit-identically.
-        rng = np.random.default_rng(4)
-        searcher = IVFQuantizedSearcher(
-            "rabitq", n_clusters=8, rabitq_config=RaBitQConfig(seed=0), rng=0
-        ).fit(base_data)
-        searcher.insert(rng.standard_normal((20, 12)))
-        searcher.delete([1, 5, 9])
-        v3_path = tmp_path / "v3.npz"
-        save_searcher(searcher, v3_path, layout="npz")
-        with np.load(v3_path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        consts = contents.pop("code_consts")
-        contents.pop("n_consts")
-        contents["format_version"] = np.int64(1)
-        contents["code_popcounts"] = consts[CONST_POPCOUNT].astype(np.int64)
-        contents["alignments"] = consts[CONST_ALIGN]
-        contents["norms"] = consts[CONST_NORM]
-        v1_path = tmp_path / "v1.npz"
-        np.savez_compressed(v1_path, **contents)
-
-        from_v3 = load_searcher(v3_path)
-        from_v1 = load_searcher(v1_path)
-        queries = rng.standard_normal((5, 12))
-        got = from_v1.search_batch(queries, 6, nprobe=6)
-        want = from_v3.search_batch(queries, 6, nprobe=6)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.distances, b.distances)
-            assert a.n_exact == b.n_exact
-        # ... and the legacy load supports the full further lifecycle.
-        from_v1.insert(rng.standard_normal((5, 12)))
-        from_v1.delete([2])
-        from_v1.compact()
-
-
 _OPS = st.lists(
     st.sampled_from(["insert", "delete", "compact", "roundtrip", "check"]),
     min_size=1,

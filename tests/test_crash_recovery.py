@@ -21,9 +21,7 @@ For **every** crash point the suite asserts, element-wise:
   (which journal writes/fsyncs completed before the crash), never from
   the recovery machinery being tested.
 
-The same sweep runs for the sharded directory archive (per-shard v6
-files, idmap, atomic manifest commit, one directory-level journal) and,
-in curated form, across every metric.
+The same sweep runs, in curated form, across every metric.
 """
 
 from __future__ import annotations
@@ -42,14 +40,9 @@ from fault_injection import (
     trace,
 )
 from repro.core.config import RaBitQConfig
+from repro.core.quantizer import RaBitQ
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
-from repro.io import (
-    load_searcher,
-    load_sharded_searcher,
-    save_searcher,
-    save_sharded_searcher,
-)
+from repro.io import load_rabitq, load_searcher, save_rabitq, save_searcher
 
 # Scenario constants: small enough that a full crash-point sweep stays
 # fast, large enough that every cluster is populated and deletes span
@@ -65,9 +58,6 @@ N_MUTATIONS = 3
 ARCHIVE = "arch.rbq"
 JOURNAL_LABEL = f"{ARCHIVE}.journal"
 COMMIT_LABEL = f"replace:{ARCHIVE}.tmp->{ARCHIVE}"
-
-SHARDED_COMMIT_LABEL = "replace:manifest.json.tmp->manifest.json"
-SHARDED_JOURNAL_LABEL = "mutations.journal"
 
 
 def _dataset():
@@ -302,151 +292,36 @@ def test_curated_crash_points_recover_for_each_metric(
 
 
 def test_npz_resave_crash_never_corrupts_previous_archive(tmp_path):
-    """Satellite pin: the legacy npz layout is written atomically too."""
-    searcher = IVFQuantizedSearcher(
-        "rabitq",
-        n_clusters=N_CLUSTERS,
-        rabitq_config=RaBitQConfig(seed=5),
-        rng=9,
-    )
-    searcher.fit(_DATA)
-    pristine = tmp_path / "arch.npz"
-    save_searcher(searcher, pristine, layout="npz")
-    base_stream = _stream(load_searcher(pristine))
-    mutated = load_searcher(pristine)
-    _apply_mutations(mutated, _EXTRA, N_MUTATIONS)
-    full_stream = _stream(mutated)
+    """Satellite pin: the quantizer npz (``save_rabitq``) is atomic too."""
+    previous = RaBitQ(RaBitQConfig(seed=5)).fit(_DATA)
+    resaved = RaBitQ(RaBitQConfig(seed=6)).fit(_DATA[::2])
 
-    def protocol_for(archive):
-        def run():
-            s = load_searcher(archive)
-            _apply_mutations(s, _EXTRA, N_MUTATIONS)
-            save_searcher(s, archive, layout="npz")
+    def answers(archive):
+        quantizer = load_rabitq(archive)
+        return (
+            quantizer.dataset.packed_codes,
+            quantizer.estimate_distances(_QUERIES[0]).distances,
+        )
 
-        return run
+    pristine = tmp_path / "quant.npz"
+    save_rabitq(previous, pristine)
+    save_rabitq(resaved, tmp_path / "resaved.npz")
+    want = {False: answers(pristine), True: answers(tmp_path / "resaved.npz")}
 
     probe = tmp_path / "probe.npz"
     shutil.copyfile(pristine, probe)
-    events = trace(protocol_for(probe))
+    events = trace(lambda: save_rabitq(resaved, probe))
     assert events, "npz save goes through no crash-safe seam"
     for event in range(len(events)):
         work = tmp_path / f"k{event}"
         work.mkdir()
-        archive = work / "arch.npz"
+        archive = work / "quant.npz"
         shutil.copyfile(pristine, archive)
-        fs = crash_at(protocol_for(archive), event, lose_unsynced=True)
-        committed = "replace:arch.npz.tmp.npz->arch.npz" in fs.events[:-1]
-        reloaded = load_searcher(archive)
-        assert_stream_equal(
-            _stream(reloaded),
-            full_stream if committed else base_stream,
-            f"npz event {event} ({fs.events[-1]})",
+        fs = crash_at(
+            lambda: save_rabitq(resaved, archive), event, lose_unsynced=True
         )
-
-
-# --------------------------------------------------------------------- #
-# Sharded directory archives
-# --------------------------------------------------------------------- #
-
-N_SHARDS = 2
-
-
-@pytest.fixture(scope="module")
-def sharded_env(tmp_path_factory):
-    root = tmp_path_factory.mktemp("crash_sharded")
-    pristine = root / "pristine"
-    sharded = ShardedSearcher(
-        N_SHARDS,
-        n_clusters=N_CLUSTERS,
-        rabitq_config=RaBitQConfig(seed=5),
-        rng=9,
-        n_threads=0,
-    )
-    sharded.fit(_DATA)
-    save_sharded_searcher(sharded, pristine)
-    twins = []
-    for upto in range(N_MUTATIONS + 1):
-        twin = load_sharded_searcher(pristine, n_threads=0)
-        _apply_mutations(twin, _EXTRA, upto)
-        twins.append(_stream(twin))
-    return pristine, twins
-
-
-def _sharded_protocol(directory: Path):
-    def run():
-        sharded = load_sharded_searcher(directory, n_threads=0, journal=True)
-        _apply_mutations(sharded, _EXTRA, N_MUTATIONS)
-        save_sharded_searcher(sharded, directory)
-
-    return run
-
-
-def test_every_sharded_crash_point_recovers_bit_identically(
-    sharded_env, tmp_path
-):
-    pristine, twins = sharded_env
-    probe = tmp_path / "probe"
-    shutil.copytree(pristine, probe)
-    events = trace(_sharded_protocol(probe))
-    assert len(events) >= 8
-    for event in range(len(events)):
-        work = tmp_path / f"k{event}"
-        shutil.copytree(pristine, work)
-        fs = crash_at(_sharded_protocol(work), event)
-        context = f"sharded event {event} ({fs.events[-1]})"
-
-        committed = SHARDED_COMMIT_LABEL in fs.events[:-1]
-        plain = load_sharded_searcher(work, n_threads=0)
-        assert_stream_equal(
-            _stream(plain),
-            twins[N_MUTATIONS] if committed else twins[0],
-            f"{context}: plain load",
-        )
-
-        surviving = _surviving_mutations(
-            fs, SHARDED_JOURNAL_LABEL, SHARDED_COMMIT_LABEL
-        )
-        recovered = load_sharded_searcher(work, n_threads=0, journal=True)
-        assert_stream_equal(
-            _stream(recovered),
-            twins[surviving],
-            f"{context}: recovery expected {surviving} mutations",
-        )
-
-
-def test_sharded_power_loss_at_curated_points(sharded_env, tmp_path):
-    """Power-loss model at each distinct phase of the directory commit."""
-    pristine, twins = sharded_env
-    probe = tmp_path / "probe"
-    shutil.copytree(pristine, probe)
-    events = trace(_sharded_protocol(probe))
-    patterns = [
-        r"^write:shard_0000-<gen>\.rbq\.tmp:",  # mid first shard body
-        r"^write:shard_0001-<gen>\.rbq\.tmp:",  # mid second shard body
-        r"^replace:idmap-<gen>\.npz\.tmp\.npz->",  # before idmap commit
-        r"^write:manifest\.json\.tmp:",  # mid manifest body
-        rf"^{SHARDED_COMMIT_LABEL}$",  # before the commit rename
-        rf"^fsync:{SHARDED_JOURNAL_LABEL}$",  # before a record is durable
-        rf"^replace:{SHARDED_JOURNAL_LABEL}\.tmp->",  # mid rotation
-    ]
-    picked: list[int] = []
-    for pattern in patterns:
-        matches = [i for i, e in enumerate(events) if re.search(pattern, e)]
-        assert matches, f"no event matches {pattern}: {events}"
-        for index in {matches[0], matches[-1]}:
-            if index not in picked:
-                picked.append(index)
-    for event in sorted(picked):
-        work = tmp_path / f"k{event}"
-        shutil.copytree(pristine, work)
-        fs = crash_at(_sharded_protocol(work), event, lose_unsynced=True)
-        surviving = _surviving_mutations(
-            fs, SHARDED_JOURNAL_LABEL, SHARDED_COMMIT_LABEL
-        )
-        recovered = load_sharded_searcher(work, n_threads=0, journal=True)
-        assert_stream_equal(
-            _stream(recovered),
-            twins[surviving],
-            f"sharded power-loss event {event} ({fs.events[-1]}): "
-            f"expected {surviving} mutations",
-        )
+        committed = "replace:quant.npz.tmp.npz->quant.npz" in fs.events[:-1]
+        for got, expected in zip(answers(archive), want[committed]):
+            np.testing.assert_array_equal(
+                got, expected, f"npz event {event} ({fs.events[-1]})"
+            )

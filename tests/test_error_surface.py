@@ -38,8 +38,7 @@ from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.rerank import ErrorBoundReranker, TopCandidateReranker
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
-from repro.io.persistence import load_searcher, load_sharded_searcher
+from repro.io.persistence import load_searcher
 from repro.metrics.timing import LatencyRecorder
 from repro.serving import BudgetController, ServingEngine
 from repro.substrates import linalg, rng as rng_utils
@@ -82,15 +81,6 @@ def _fitted_searcher() -> IVFQuantizedSearcher:
     data = np.random.default_rng(31).standard_normal((60, 6))
     return IVFQuantizedSearcher(
         "rabitq", n_clusters=3, rabitq_config=RaBitQConfig(seed=1), rng=4
-    ).fit(data)
-
-
-@functools.lru_cache(maxsize=1)
-def _fitted_sharded() -> ShardedSearcher:
-    """One cached tiny sharded searcher (serial mode: nothing to close)."""
-    data = np.random.default_rng(32).standard_normal((80, 6))
-    return ShardedSearcher(
-        2, n_threads=0, n_clusters=3, rabitq_config=RaBitQConfig(seed=2), rng=5
     ).fit(data)
 
 
@@ -206,32 +196,6 @@ _CASES = [
         lambda: _fitted_searcher().search_batch(np.ones((2, 9)), 1),
         InvalidParameterError,
     ),
-    ("sharded bad shards", lambda: ShardedSearcher(0), InvalidParameterError),
-    (
-        "sharded unfitted",
-        lambda: ShardedSearcher(2).search(np.ones(4), 1),
-        NotFittedError,
-    ),
-    (
-        "sharded bad nprobe",
-        lambda: _fitted_sharded().search(np.ones(6), 1, nprobe=0),
-        InvalidParameterError,
-    ),
-    (
-        "sharded dim mismatch",
-        lambda: _fitted_sharded().search(np.ones(9), 1),
-        InvalidParameterError,
-    ),
-    (
-        "sharded batch bad nprobe",
-        lambda: _fitted_sharded().search_batch(np.ones((2, 6)), 1, nprobe=0),
-        InvalidParameterError,
-    ),
-    (
-        "sharded batch dim mismatch",
-        lambda: _fitted_sharded().search_batch(np.ones((2, 9)), 1),
-        InvalidParameterError,
-    ),
     # serving/
     (
         "submit bad k",
@@ -274,11 +238,6 @@ _CASES = [
     ("latency empty percentile", _empty_percentile, EmptyDatasetError),
     # io/
     ("load missing", lambda: load_searcher("/nonexistent/x.npz"), PersistenceError),
-    (
-        "load sharded missing",
-        lambda: load_sharded_searcher("/nonexistent/dir"),
-        PersistenceError,
-    ),
     # substrates/ (previously raw ValueError)
     ("spawn negative", lambda: rng_utils.spawn_rngs(0, -1), InvalidParameterError),
     (
@@ -318,46 +277,7 @@ def test_ensure_rng_type_error_is_intentional():
 
 
 class TestDurableArchiveErrors:
-    """The new directory layout and journal attach fail as ReproErrors."""
-
-    @pytest.fixture()
-    def sharded_archive(self, tmp_path):
-        import json
-
-        from repro.core.config import RaBitQConfig
-        from repro.io import save_sharded_searcher
-
-        data = np.random.default_rng(21).standard_normal((120, 10))
-        sharded = ShardedSearcher(
-            2,
-            n_threads=0,
-            n_clusters=3,
-            rabitq_config=RaBitQConfig(seed=1),
-            rng=5,
-        ).fit(data)
-        directory = tmp_path / "idx"
-        save_sharded_searcher(sharded, directory)
-        sharded.close()
-        manifest = json.loads((directory / "manifest.json").read_text())
-        return directory, manifest
-
-    def test_missing_shard_file_is_persistence_error(self, sharded_archive):
-        directory, manifest = sharded_archive
-        (directory / manifest["shard_files"][0]).unlink()
-        with pytest.raises(PersistenceError) as excinfo:
-            load_sharded_searcher(directory)
-        assert isinstance(excinfo.value, ReproError)
-
-    def test_manifest_shard_count_mismatch_is_persistence_error(
-        self, sharded_archive
-    ):
-        import json
-
-        directory, manifest = sharded_archive
-        manifest["shard_files"] = manifest["shard_files"][:1]
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError, match="shard files"):
-            load_sharded_searcher(directory)
+    """Journal attach fails as a ReproError."""
 
     def test_foreign_journal_uuid_is_journal_error(self, tmp_path):
         from repro.core.config import RaBitQConfig

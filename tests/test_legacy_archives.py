@@ -10,11 +10,12 @@ sections.  The contract pinned here:
   materialized and memory-mapped, with a journal attached, and answers
   bit-identically (ids, distances, cost counters) to a same-seed twin
   built by this build, through further journaled mutations;
-* the same for a v2 sharded directory whose manifest carries both keys;
-* this build writes v9 without any of them, the ``layout="npz"`` writer
-  emits the constants ``"gemm"`` / ``"exact"``, and npz archives carrying
-  other values (or no keys at all) load onto the same single code path;
-* the removed constructor arguments are gone, not silently accepted.
+* this build writes v9 without any of them;
+* the removed constructor arguments are gone, not silently accepted;
+* the retired layouts — npz searcher archives (v1–v5) and the sharded
+  directory — are refused by ``load_searcher`` with a ``PersistenceError``
+  naming what it found, with and without ``mmap`` / ``journal``, and
+  their writer, loader and class are gone, not silently accepted.
 """
 
 from __future__ import annotations
@@ -27,19 +28,21 @@ import pytest
 
 from repro.core.config import RaBitQConfig
 from repro.core.lut import split_into_segments
+from repro.core.quantizer import RaBitQ
+from repro.exceptions import JournalError, PersistenceError
 from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
+from repro.io.journal import MutationJournal
 from repro.io.persistence import (
     SEARCHER_FORMAT_VERSION,
     _read_v6_header,
     _save_searcher_v6,
     _V6Sections,
     _write_v6_archive,
+    default_journal_path,
     load_searcher,
-    load_sharded_searcher,
+    save_rabitq,
     save_searcher,
-    save_sharded_searcher,
 )
 
 N, DIM, N_CLUSTERS = 400, 64, 6
@@ -73,19 +76,6 @@ def _build(metric: str = "l2") -> IVFQuantizedSearcher:
     return searcher
 
 
-def _build_sharded() -> ShardedSearcher:
-    sharded = ShardedSearcher(
-        2,
-        n_threads=0,
-        n_clusters=4,
-        rabitq_config=RaBitQConfig(seed=3),
-        rng=17,
-    ).fit(_DATA)
-    sharded.insert(_EXTRA)
-    sharded.delete(np.arange(0, 60, 7))
-    return sharded
-
-
 def _mutate(searcher) -> None:
     searcher.insert(_LATER)
     searcher.delete(searcher.live_ids[::11])
@@ -108,14 +98,11 @@ def _stream(searcher) -> list[tuple]:
     stream depends on every bit of the kernel output and on the state of
     every rounding stream, not only on which candidates win the re-rank.
     """
-    engines = getattr(searcher, "shards", [searcher])
-    originals = [engine.reranker for engine in engines]
+    original = searcher.reranker
     out = _answers(searcher)
-    for engine in engines:
-        engine.reranker = NoReranker()
+    searcher.reranker = NoReranker()
     out += _answers(searcher)
-    for engine, original in zip(engines, originals):
-        engine.reranker = original
+    searcher.reranker = original
     return out
 
 
@@ -228,77 +215,77 @@ class TestV9:
             assert _stream(load_searcher(path, mmap=mmap)) == _stream(_build())
 
 
-class TestParentFormatShardedDirectory:
-    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
-    def test_manifest_keys_and_legacy_shards_are_ignored(self, tmp_path, mmap):
+_LOAD_MODES = (
+    {},
+    {"mmap": True},
+    {"journal": True},
+    {"mmap": True, "journal": True},
+)
+
+
+class TestRetiredLayouts:
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
+    def test_npz_searcher_archive_is_refused_by_name(self, tmp_path, kwargs):
+        path = tmp_path / "v5.npz"
+        np.savez(
+            path,
+            magic=np.str_("rabitq/searcher"),
+            format_version=np.int64(5),
+        )
+        with pytest.raises(PersistenceError, match="npz searcher archive") as e:
+            load_searcher(path, **kwargs)
+        assert "format v5" in str(e.value) and "422ac16" in str(e.value)
+        assert not default_journal_path(path).exists()
+
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
+    def test_quantizer_npz_is_refused_by_name(self, tmp_path, kwargs):
+        path = tmp_path / "quantizer.npz"
+        save_rabitq(RaBitQ(RaBitQConfig(seed=0)).fit(_DATA), path)
+        with pytest.raises(PersistenceError, match="rabitq/quantizer"):
+            load_searcher(path, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
+    def test_sharded_directory_is_refused_by_name(self, tmp_path, kwargs):
         root = tmp_path / "sharded"
-        save_sharded_searcher(_build_sharded(), root)
-        manifest_path = root / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["format_version"] == 2
-        assert not {"estimation_mode", "probe_strategy"} & set(manifest)
-        manifest["estimation_mode"] = "lut"
-        manifest["probe_strategy"] = "graph"
-        manifest_path.write_text(json.dumps(manifest))
-        for name in manifest["shard_files"]:
-            _assert_v9_clean(root / name)
-            _as_parent_format(root / name)
-
-        loaded = load_sharded_searcher(root, mmap=mmap, journal=True)
-        twin = _build_sharded()
-        assert _stream(loaded) == _stream(twin)
-        _mutate(loaded)
-        _mutate(twin)
-        assert _stream(loaded) == _stream(twin)
-        recovered = load_sharded_searcher(root, mmap=mmap, journal=True)
-        replayed = _build_sharded()
-        _mutate(replayed)
-        assert _stream(recovered) == _stream(replayed)
-
-
-class TestNpzLayout:
-    @staticmethod
-    def _rewrite(src: Path, dst: Path, **changes) -> None:
-        with np.load(src, allow_pickle=False) as archive:
-            entries = {name: archive[name] for name in archive.files}
-        for name, value in changes.items():
-            if value is None:
-                entries.pop(name)
-            else:
-                entries[name] = value
-        np.savez_compressed(dst, **entries)
-
-    def test_writer_emits_the_constants_older_builds_read(self, tmp_path):
-        path = tmp_path / "head.npz"
-        save_searcher(_build(), path, layout="npz")
-        with np.load(path, allow_pickle=False) as archive:
-            assert int(archive["format_version"]) == 5
-            assert str(archive["estimation_mode"]) == "gemm"
-            assert str(archive["probe_strategy"]) == "exact"
-        assert _stream(load_searcher(path)) == _stream(_build())
-
-    def test_other_values_and_missing_keys_load_the_same(self, tmp_path):
-        path = tmp_path / "head.npz"
-        save_searcher(_build(), path, layout="npz")
-        lut_graph = tmp_path / "lut_graph.npz"
-        self._rewrite(
-            path,
-            lut_graph,
-            estimation_mode=np.str_("lut8"),
-            probe_strategy=np.str_("graph"),
+        root.mkdir()
+        (root / "manifest.json").write_text(
+            json.dumps({"magic": "rabitq/sharded", "format_version": 2})
         )
-        # A v5 archive minus the two keys *is* a v4 archive.
-        v4 = tmp_path / "v4.npz"
-        self._rewrite(
-            path,
-            v4,
-            estimation_mode=None,
-            probe_strategy=None,
-            format_version=np.int64(4),
-        )
-        want = _stream(_build())
-        assert _stream(load_searcher(lut_graph)) == want
-        assert _stream(load_searcher(v4)) == want
+        # Each shard file of an old directory is a plain searcher archive.
+        save_searcher(_build(), root / "shard_0000-deadbeef.rbq")
+        with pytest.raises(PersistenceError, match="sharded searcher") as e:
+            load_searcher(root, **kwargs)
+        assert "422ac16" in str(e.value)
+        shard = load_searcher(root / "shard_0000-deadbeef.rbq", **kwargs)
+        assert _answers(shard) == _answers(_build())
+
+    @pytest.mark.parametrize(
+        "content", (b"", b"RBQ", b"not an archive at all", b"PK\x03\x04 torn")
+    )
+    def test_garbage_is_refused(self, tmp_path, content):
+        path = tmp_path / "garbage.rbq"
+        path.write_bytes(content)
+        for kwargs in _LOAD_MODES:
+            with pytest.raises(PersistenceError, match="not a searcher"):
+                load_searcher(path, **kwargs)
+
+    def test_sharded_journal_kind_is_refused(self, tmp_path):
+        path = tmp_path / "idx.rbq"
+        save_searcher(_build(), path)
+        header, _ = _read(path)
+        MutationJournal.create(
+            default_journal_path(path), header["archive_uuid"], "sharded"
+        ).close()
+        with pytest.raises(JournalError, match="'sharded'"):
+            load_searcher(path, journal=True)
+
+    def test_writer_loader_and_class_are_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_searcher(_build(), tmp_path / "x.npz", layout="npz")
+        with pytest.raises(ImportError):
+            from repro.index import ShardedSearcher  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.io import load_sharded_searcher  # noqa: F401
 
 
 @pytest.mark.parametrize(
@@ -313,5 +300,3 @@ class TestNpzLayout:
 def test_removed_constructor_arguments_raise(removed):
     with pytest.raises(TypeError):
         IVFQuantizedSearcher("rabitq", **removed)
-    with pytest.raises(TypeError):
-        ShardedSearcher(2, **removed)

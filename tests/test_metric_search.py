@@ -2,10 +2,9 @@
 
 Pins the acceptance contract of the metric refactor: ``metric="ip"`` and
 ``metric="cosine"`` searches agree with brute-force ground truth on
-rerank-exact results, batch ≡ sequential ≡ sharded equivalence holds for
-every metric across the index lifecycle, archives record the metric
-(format v4) while v1/v3 archives still load as ``l2``, and degenerate
-shapes behave.
+rerank-exact results, batch ≡ sequential equivalence holds for every
+metric across the index lifecycle, archives record the metric, and
+degenerate shapes behave.
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.exceptions import InvalidParameterError, PersistenceError
 from repro.index.rerank import TopCandidateReranker
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
-from repro.io.persistence import (
-    SEARCHER_NPZ_FORMAT_VERSION,
-    load_searcher,
-    load_sharded_searcher,
-    save_searcher,
-    save_sharded_searcher,
-)
+from repro.io.persistence import load_searcher, save_searcher
+from test_searcher_persistence import _tamper
 
 SIM_METRICS = ("ip", "cosine")
 N, DIM, N_CLUSTERS = 600, 40, 8
@@ -91,24 +84,6 @@ class TestGroundTruthAgreement:
             hits += len(set(result.ids.tolist()) & set(gt[i].tolist()))
         assert hits / (queries.shape[0] * 10) >= 0.9
 
-    @pytest.mark.parametrize("metric", SIM_METRICS)
-    def test_sharded_exhaustive_equals_brute_force(self, corpus, metric):
-        data, _, queries = corpus
-        sharded = ShardedSearcher(
-            3,
-            n_threads=0,
-            n_clusters=4,
-            rabitq_config=RaBitQConfig(seed=5),
-            reranker=TopCandidateReranker(N),
-            rng=13,
-            metric=metric,
-        ).fit(data)
-        gt = brute_force_ground_truth(data, queries, 10, metric=metric)
-        batch = sharded.search_batch(queries, 10, nprobe=4)
-        for i in range(queries.shape[0]):
-            np.testing.assert_array_equal(batch.ids[i], gt[i])
-            assert np.all(np.diff(batch.distances[i]) <= 0.0)
-
 
 class TestGroundTruthTieBreaking:
     @pytest.mark.parametrize("metric", ("l2",) + SIM_METRICS)
@@ -150,69 +125,6 @@ class TestBatchSequentialShardedEquivalence:
             for a, b in zip(seq_stage, batch_stage):
                 _assert_result_equal(a, b)
 
-    @pytest.mark.parametrize("metric", SIM_METRICS)
-    def test_sharded_matches_hand_merged_standalone(self, corpus, metric):
-        # The sharded engine must equal standalone searchers queried one by
-        # one and merged by the stable metric-aware top-k rule.
-        data, _, queries = corpus
-        resolved = resolve_metric(metric)
-        sharded = ShardedSearcher(
-            2,
-            n_threads=0,
-            n_clusters=4,
-            rabitq_config=RaBitQConfig(seed=5),
-            rng=13,
-            metric=metric,
-        ).fit(data)
-        # Standalone twins with identical states (same spawned rngs).
-        from repro.substrates.rng import spawn_rngs
-
-        shard_rngs = spawn_rngs(13, 2)
-        rows = [np.arange(0, N, 2), np.arange(1, N, 2)]  # round-robin
-        twins = [
-            IVFQuantizedSearcher(
-                "rabitq",
-                n_clusters=4,
-                rabitq_config=RaBitQConfig(seed=5),
-                rng=shard_rngs[s],
-                metric=metric,
-            ).fit(data[rows[s]])
-            for s in range(2)
-        ]
-        for query in queries:
-            got = sharded.search(query, 9, nprobe=3)
-            per_shard = [t.search(query, 9, nprobe=3) for t in twins]
-            gids = np.concatenate(
-                [rows[s][r.ids] for s, r in enumerate(per_shard)]
-            )
-            vals = np.concatenate([r.distances for r in per_shard])
-            keep = min(9, gids.shape[0])
-            order = np.argsort(resolved.sort_key(vals), kind="stable")[:keep]
-            np.testing.assert_array_equal(got.ids, gids[order])
-            np.testing.assert_array_equal(got.distances, vals[order])
-
-    @pytest.mark.parametrize("metric", SIM_METRICS)
-    def test_sharded_parallel_equals_serial(self, corpus, metric, tmp_path):
-        data, _, queries = corpus
-        sharded = ShardedSearcher(
-            3,
-            n_threads=1,
-            n_clusters=4,
-            rabitq_config=RaBitQConfig(seed=5),
-            rng=13,
-            metric=metric,
-        ).fit(data)
-        archive = tmp_path / f"sharded_{metric}"
-        save_sharded_searcher(sharded, archive)
-        serial = load_sharded_searcher(archive, n_threads=0)
-        parallel = load_sharded_searcher(archive, n_threads=3)
-        a = serial.search_batch(queries, 8, nprobe=3)
-        b = parallel.search_batch(queries, 8, nprobe=3)
-        for i in range(queries.shape[0]):
-            _assert_result_equal(a[i], b[i])
-        serial.close()
-        parallel.close()
-
 
 class TestMetricPersistence:
     @pytest.mark.parametrize("metric", SIM_METRICS)
@@ -236,76 +148,18 @@ class TestMetricPersistence:
         loaded.insert(np.random.default_rng(1).standard_normal((4, DIM)))
         loaded.compact()
 
-    def test_v3_archive_loads_as_l2(self, corpus, tmp_path):
-        # A current l2/gemm archive minus the "metric" and
-        # "estimation_mode" keys *is* a v3 archive; loading it through the
-        # legacy path must produce the same searcher.
-        data, _, queries = corpus
-        searcher = _build("l2", data)
-        v5_path = tmp_path / "v5.npz"
-        save_searcher(searcher, v5_path, layout="npz")
-        with np.load(v5_path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        assert (
-            int(contents["format_version"]) == SEARCHER_NPZ_FORMAT_VERSION == 5
-        )
-        contents.pop("metric")
-        contents.pop("estimation_mode")
-        contents["format_version"] = np.int64(3)
-        v3_path = tmp_path / "v3.npz"
-        np.savez_compressed(v3_path, **contents)
-        from_v3 = load_searcher(v3_path)
-        from_v5 = load_searcher(v5_path)
-        assert from_v3.metric == from_v5.metric == "l2"
-        for query in queries[:4]:
-            _assert_result_equal(
-                from_v3.search(query, 5, nprobe=4),
-                from_v5.search(query, 5, nprobe=4),
-            )
-
-    def test_similarity_archive_under_v3_version_rejected(
+    def test_similarity_archive_mislabelled_as_l2_rejected(
         self, corpus, tmp_path
     ):
-        # A 9-row constants matrix can only be a v4+ similarity archive;
-        # mislabelling it as v3 (implicitly l2) must fail loudly.
+        # A 9-row constants matrix can only be a similarity archive;
+        # mislabelling it as l2 must fail loudly.
         data, _, _ = corpus
-        searcher = _build("ip", data)
-        path = tmp_path / "ip.npz"
-        save_searcher(searcher, path, layout="npz")
-        with np.load(path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        contents.pop("metric")
-        contents.pop("estimation_mode")
-        contents["format_version"] = np.int64(3)
-        bad = tmp_path / "mislabelled.npz"
-        np.savez_compressed(bad, **contents)
+        path = tmp_path / "ip.rbq"
+        save_searcher(_build("ip", data), path)
+        bad = tmp_path / "mislabelled.rbq"
+        _tamper(path, bad, meta={"metric": "l2"})
         with pytest.raises(PersistenceError, match="fused"):
             load_searcher(bad)
-
-    def test_sharded_manifest_records_metric(self, corpus, tmp_path):
-        data, _, _ = corpus
-        sharded = ShardedSearcher(
-            2,
-            n_threads=0,
-            n_clusters=4,
-            rabitq_config=RaBitQConfig(seed=5),
-            rng=13,
-            metric="cosine",
-        ).fit(data)
-        archive = tmp_path / "sharded_cosine"
-        save_sharded_searcher(sharded, archive)
-        import json
-
-        manifest = json.loads((archive / "manifest.json").read_text())
-        assert manifest["metric"] == "cosine"
-        loaded = load_sharded_searcher(archive, n_threads=0)
-        assert loaded.metric == "cosine"
-        assert all(shard.metric == "cosine" for shard in loaded.shards)
-        # A manifest that disagrees with its shard archives is rejected.
-        manifest["metric"] = "l2"
-        (archive / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError, match="metric"):
-            load_sharded_searcher(archive, n_threads=0)
 
 
 class TestMetricValidationAndDegenerate:
@@ -322,8 +176,6 @@ class TestMetricValidationAndDegenerate:
     def test_unknown_metric_rejected(self):
         with pytest.raises(InvalidParameterError):
             IVFQuantizedSearcher("rabitq", metric="dot")
-        with pytest.raises(InvalidParameterError):
-            ShardedSearcher(2, metric="dot")
 
     @pytest.mark.parametrize("metric", SIM_METRICS)
     def test_k_larger_than_live_set(self, corpus, metric):

@@ -14,22 +14,28 @@ test:
 * **Rejection** — a truncated, misaligned or internally-inconsistent v6
   section table raises :class:`PersistenceError` at load time.  Corrupt
   archives must never produce garbage results.
+* **Typed failure** — whatever truncation or bit-flip hits the archive or
+  its journal, the one remaining reader either serves or raises
+  :class:`PersistenceError`; no other exception type escapes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fault_injection import assert_stream_equal, result_stream
 from repro.core.config import RaBitQConfig
 from repro.exceptions import PersistenceError
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.io import load_searcher, save_searcher
+from repro.io import default_journal_path, load_searcher, save_searcher
 from repro.io.persistence import V6_MAGIC
 
 METRICS = ("l2", "ip", "cosine")
@@ -38,6 +44,7 @@ N, DIM, N_CLUSTERS = 220, 16, 5
 K, NPROBE = 5, 3
 
 _V6_PREFIX = struct.Struct("<8sQ")
+_JOURNAL_PREFIX = struct.Struct("<8sI")
 
 _DATA = np.random.default_rng(55).standard_normal((N, DIM))
 _EXTRA = np.random.default_rng(56).standard_normal((12, DIM))
@@ -257,27 +264,77 @@ class TestV6Rejection:
             load_searcher(bad, mmap=mmap)
 
 
-class TestLegacyNpzRejection:
-    @pytest.fixture()
-    def npz_path(self, tmp_path):
-        searcher = IVFQuantizedSearcher(
-            "rabitq",
-            n_clusters=N_CLUSTERS,
-            rabitq_config=RaBitQConfig(seed=9),
-            rng=11,
-        ).fit(_DATA)
-        path = tmp_path / "legacy.npz"
-        save_searcher(searcher, path, layout="npz")
-        return path
+# --------------------------------------------------------------------- #
+# Typed failure: damage anywhere surfaces as PersistenceError or not at all
+# --------------------------------------------------------------------- #
 
-    def test_mmap_requires_v6(self, npz_path):
-        with pytest.raises(PersistenceError, match="format v6"):
-            load_searcher(npz_path, mmap=True)
 
-    def test_journal_requires_v6(self, npz_path):
-        with pytest.raises(PersistenceError, match="format v6"):
-            load_searcher(npz_path, journal=True)
+@pytest.fixture(scope="module")
+def journaled_bytes(tmp_path_factory):
+    """A small v9 archive and its journal of three mutations, as bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "idx.rbq"
+    searcher = IVFQuantizedSearcher(
+        "rabitq", n_clusters=3, rabitq_config=RaBitQConfig(seed=9), rng=11
+    ).fit(_DATA[:60])
+    save_searcher(searcher, path)
+    live = load_searcher(path, journal=True)
+    live.insert(_EXTRA)
+    live.delete(np.arange(0, 30, 4))
+    live.compact()
+    live._journal.close()
+    return path.read_bytes(), default_journal_path(path).read_bytes()
 
-    def test_plain_npz_load_still_works(self, npz_path):
-        loaded = load_searcher(npz_path)
-        assert loaded.n_live == N
+
+#: (file, kind, position): the position is reduced modulo the length of the
+#: region the damage applies to (whole file, or prefix + JSON header).
+_DAMAGE = st.tuples(
+    st.sampled_from(("archive", "journal")),
+    st.sampled_from(("truncate", "flip_header", "flip_anywhere")),
+    st.integers(0, 2**40),
+)
+
+
+def _header_end(raw: bytes, prefix: struct.Struct) -> int:
+    return prefix.size + prefix.unpack_from(raw)[1]
+
+
+@given(damage=_DAMAGE)
+# Two header flips that used to escape untyped: an RNG state word too wide
+# for PCG64 (OverflowError) and a section dtype "<f8" -> ",f8" (SyntaxError).
+@example(damage=("archive", "flip_header", 9626))
+@example(damage=("archive", "flip_header", 10612))
+@settings(max_examples=60, deadline=None)
+def test_damaged_archive_or_journal_fails_typed(journaled_bytes, damage):
+    target, kind, position = damage
+    files = dict(zip(("archive", "journal"), journaled_bytes))
+    raw = bytearray(files[target])
+    if kind == "truncate":
+        del raw[position % len(raw) :]
+    else:
+        prefix = _V6_PREFIX if target == "archive" else _JOURNAL_PREFIX
+        region = _header_end(raw, prefix) if kind == "flip_header" else len(raw)
+        bit = position % (8 * region)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    files[target] = bytes(raw)
+
+    for mmap in (False, True):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "idx.rbq"
+            path.write_bytes(files["archive"])
+            default_journal_path(path).write_bytes(files["journal"])
+            raised = False
+            try:
+                loaded = load_searcher(path, mmap=mmap, journal=True)
+            except PersistenceError:
+                raised = True
+            else:
+                try:
+                    loaded.search(_QUERIES[0], K, nprobe=NPROBE)
+                    loaded.search_batch(_QUERIES, K, nprobe=NPROBE)
+                except PersistenceError:
+                    raised = True
+                finally:
+                    loaded._journal.close()
+                    del loaded  # drop the mapping before the directory goes
+            if (target, kind) == ("archive", "truncate"):
+                assert raised, f"truncation to {len(raw)} bytes went unnoticed"

@@ -12,8 +12,7 @@ suite pins the contracts the width parameter introduces:
 * the batched search path stays bit-identical to the sequential one at
   every width;
 * the fast-scan LUT modes (binary by design) refuse multi-bit codes with a
-  typed error at construction and at property-assignment time, on both the
-  single searcher and the sharded fan-out;
+  typed error at construction and at property-assignment time;
 * memory accounting (``memory_bytes`` / ``compression_ratio`` /
   ``code_bytes_per_vector``) scales with the width.
 """
@@ -27,7 +26,6 @@ from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
 
 ALL_BITS = (1, 2, 4, 8)
 
@@ -198,14 +196,3 @@ class TestSearcher:
         # re-ranker escalates no more (in practice: fewer) candidates.
         assert n_exact(4) <= n_exact(1)
 
-
-class TestSharded:
-    def test_bits_forwarded_to_every_shard(self, corpus):
-        data, queries = corpus
-        sharded = ShardedSearcher(
-            n_shards=2, n_clusters=4, rng=2, bits=4
-        ).fit(data)
-        assert sharded.bits == 4
-        assert all(shard.bits == 4 for shard in sharded.shards)
-        result = sharded.search(queries[0], 5, nprobe=4)
-        assert result.ids.shape == (5,)

@@ -8,11 +8,10 @@ meta.  This suite pins the contract from the multi-bit refactor:
   mutating (insert) correctly;
 * archives written by the v6/v7 test-only writer hooks (no ``bits`` key)
   load as ``bits = 1``;
-* the legacy v6/v7 layouts and the npz layout *refuse* to save multi-bit
-  searchers instead of silently dropping the width;
+* the legacy v6/v7 layouts *refuse* to save multi-bit searchers instead
+  of silently dropping the width;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded;
-* sharded manifests record ``bits`` and cross-check it against the shards;
 * quantizer npz archives stay at version 2 (byte-compatible with previous
   builds) for ``bits = 1`` and write version 3 (with ``bits`` and
   ``rescales`` entries) for ``bits > 1``.
@@ -30,15 +29,12 @@ from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError, PersistenceError
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
 from repro.io.persistence import (
     _save_searcher_v6,
     load_rabitq,
     load_searcher,
-    load_sharded_searcher,
     save_rabitq,
     save_searcher,
-    save_sharded_searcher,
 )
 
 ALL_BITS = (1, 2, 4, 8)
@@ -125,23 +121,6 @@ class TestLegacyLayouts:
                 searcher, tmp_path / "bad.rbq", _format_version=format_version
             )
 
-    def test_npz_layout_refuses_multibit(self, corpus, tmp_path):
-        data, _ = corpus
-        searcher = _build(data, 4)
-        with pytest.raises(InvalidParameterError, match="bits"):
-            save_searcher(searcher, tmp_path / "bad.npz", layout="npz")
-
-    def test_npz_layout_still_serves_one_bit(self, corpus, tmp_path):
-        data, queries = corpus
-        searcher = _build(data, 1)
-        path = tmp_path / "one.npz"
-        save_searcher(searcher, path, layout="npz")
-        loaded = load_searcher(path)
-        assert loaded.bits == 1
-        ref = searcher.search(queries[0], k=5, nprobe=4)
-        got = loaded.search(queries[0], k=5, nprobe=4)
-        np.testing.assert_array_equal(ref.ids, got.ids)
-
 
 class TestCorruption:
     def test_unsupported_bits_value_rejected(self, corpus, tmp_path):
@@ -163,31 +142,6 @@ class TestCorruption:
         _rewrite_header_bits(path, 2)
         with pytest.raises(PersistenceError):
             load_searcher(path)
-
-
-class TestSharded:
-    def test_manifest_records_and_checks_bits(self, corpus, tmp_path):
-        data, queries = corpus
-        sharded = ShardedSearcher(
-            n_shards=2, n_clusters=4, rng=np.random.default_rng(2), bits=4
-        ).fit(data)
-        reference = [sharded.search(q, k=5, nprobe=4) for q in queries]
-        root = tmp_path / "sharded4"
-        save_sharded_searcher(sharded, root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["bits"] == 4
-        loaded = load_sharded_searcher(root)
-        assert loaded.bits == 4
-        for ref, got in zip(
-            reference, (loaded.search(q, k=5, nprobe=4) for q in queries)
-        ):
-            np.testing.assert_array_equal(ref.ids, got.ids)
-            np.testing.assert_array_equal(ref.distances, got.distances)
-        # Tamper: manifest declares a different width than the shards carry.
-        manifest["bits"] = 1
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError, match="bits"):
-            load_sharded_searcher(root)
 
 
 class TestQuantizerArchives:

@@ -42,6 +42,23 @@ class TestTopLevelExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_one_index_class_and_one_archive_surface(self):
+        import repro.index
+        import repro.io
+
+        assert set(repro.io.__all__) == {
+            "save_rabitq",
+            "load_rabitq",
+            "save_searcher",
+            "load_searcher",
+            "default_journal_path",
+            "MutationJournal",
+            "read_journal",
+            "replay_records",
+        }
+        for module in (repro, repro.index, repro.io):
+            assert not [n for n in dir(module) if "sharded" in n.lower()]
+
     def test_version_string(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3

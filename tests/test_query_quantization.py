@@ -8,6 +8,7 @@ import pytest
 from repro.core.query import (
     QuantizedQueryVector,
     dequantization_error,
+    quantize_query_matrix,
     quantize_query_vector,
 )
 from repro.core.theory import scalar_quantization_error_scale
@@ -113,3 +114,61 @@ class TestQuantizeQueryVector:
             "sum_codes",
             "bitplanes",
         }
+
+
+class TestSubnormalRange:
+    """A range whose step ``(max - min) / levels`` underflows to zero.
+
+    The division used to yield inf/NaN coordinates whose ``uint64`` cast is
+    garbage (``2**63``): a misattributed ``InvalidParameterError`` with
+    bit-planes, silent garbage codes without.  It now takes the
+    constant-query branch — in both quantizers, so they keep consuming a
+    shared generator in lockstep.
+    """
+
+    QUERY = np.array([5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    @pytest.mark.parametrize("with_bitplanes", [True, False])
+    def test_vector_takes_the_constant_branch(self, bits, with_bitplanes):
+        quantized = quantize_query_vector(
+            self.QUERY, bits, rng=0, with_bitplanes=with_bitplanes
+        )
+        np.testing.assert_array_equal(quantized.codes, 0)
+        assert quantized.delta == 1.0
+        assert quantized.sum_codes == 0
+        assert (quantized.bitplanes is not None) == with_bitplanes
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    @pytest.mark.parametrize("with_bitplanes", [True, False])
+    def test_matrix_takes_the_constant_branch(self, bits, with_bitplanes):
+        quantized = quantize_query_matrix(
+            self.QUERY[None, :], bits, rng=0, with_bitplanes=with_bitplanes
+        )
+        np.testing.assert_array_equal(quantized.codes, 0)
+        np.testing.assert_array_equal(quantized.delta, [1.0])
+        np.testing.assert_array_equal(quantized.sum_codes, [0])
+        assert (quantized.bitplanes is not None) == with_bitplanes
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_matrix_rows_match_vector_calls_on_a_mixed_batch(self, bits, rng):
+        ordinary = rng.standard_normal((3, self.QUERY.shape[0]))
+        batch = np.vstack(
+            [ordinary[0], self.QUERY, ordinary[1], np.full(8, 2.5), ordinary[2]]
+        )
+        matrix = quantize_query_matrix(
+            batch, bits, rng=np.random.default_rng(7)
+        )
+        # One shared generator: a degenerate row that drew (or a live row
+        # that did not) would shift every later row's rounding offsets.
+        shared = np.random.default_rng(7)
+        for i, query in enumerate(batch):
+            single = quantize_query_vector(query, bits, rng=shared)
+            row = matrix.row(i)
+            np.testing.assert_array_equal(row.codes, single.codes)
+            np.testing.assert_array_equal(row.bitplanes, single.bitplanes)
+            assert (row.lower, row.delta, row.sum_codes) == (
+                single.lower,
+                single.delta,
+                single.sum_codes,
+            )

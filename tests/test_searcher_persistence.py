@@ -23,7 +23,8 @@ from repro.exceptions import (
 from repro.index.rerank import TopCandidateReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import load_searcher, save_searcher
-from repro.io.persistence import SEARCHER_NPZ_FORMAT_VERSION
+from repro.io.persistence import SEARCHER_FORMAT_VERSION, _write_v6_archive
+from test_legacy_archives import _read
 
 
 def _build(data, *, rotation="qr", reranker=None, compact_threshold=0.25):
@@ -52,6 +53,16 @@ def _assert_identical_answers(original, loaded, queries, k, nprobe):
         np.testing.assert_array_equal(got.distances, want.distances)
         assert got.n_candidates == want.n_candidates
         assert got.n_exact == want.n_exact
+
+
+def _tamper(path, bad, *, meta=None, sections=None, **header_fields):
+    """Re-emit the archive at ``path`` as ``bad`` with the given edits."""
+    header, arrays = _read(path)
+    header.pop("sections")
+    header.update(header_fields)
+    header["meta"].update(meta or {})
+    arrays.update(sections or {})
+    _write_v6_archive(bad, header, arrays)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +172,7 @@ class TestRoundTrip:
         data, _, queries = lifecycle_data
         searcher = _build(data)
         bare = tmp_path / "searcher_without_ext"
-        save_searcher(searcher, bare)  # numpy appends .npz
+        save_searcher(searcher, bare)
         loaded = load_searcher(bare)
         _assert_identical_answers(searcher, loaded, queries[:2], k=3, nprobe=4)
 
@@ -213,13 +224,10 @@ class TestSearcherArchiveErrors:
 
     def test_version_mismatch_rejected(self, lifecycle_data, tmp_path):
         data, _, _ = lifecycle_data
-        path = tmp_path / "versioned.npz"
-        save_searcher(_build(data), path, layout="npz")
-        with np.load(path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        contents["format_version"] = np.int64(SEARCHER_NPZ_FORMAT_VERSION + 99)
-        bad = tmp_path / "future.npz"
-        np.savez_compressed(bad, **contents)
+        path = tmp_path / "versioned.rbq"
+        save_searcher(_build(data), path)
+        bad = tmp_path / "future.rbq"
+        _tamper(path, bad, format_version=SEARCHER_FORMAT_VERSION + 99)
         with pytest.raises(PersistenceError, match="format version"):
             load_searcher(bad)
 
@@ -230,32 +238,36 @@ class TestSearcherArchiveErrors:
         # problems, so they surface as PersistenceError, not as the internal
         # validation errors they trigger.
         data, _, _ = lifecycle_data
-        path = tmp_path / "fields.npz"
-        save_searcher(_build(data), path, layout="npz")
-        with np.load(path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        for key, value in (
-            ("rotation_kind", np.str_("qrx")),
-            ("epsilon0", np.float64(-1.0)),
-            ("packed_codes", contents["packed_codes"][:, :0]),
+        path = tmp_path / "fields.rbq"
+        save_searcher(_build(data), path)
+        _, arrays = _read(path)
+        for name, edit in (
+            ("rotation_kind", {"meta": {"rotation_kind": "qrx"}}),
+            ("epsilon0", {"meta": {"epsilon0": -1.0}}),
+            (
+                "arena_codes",
+                {"sections": {"arena_codes": arrays["arena_codes"][:, :0]}},
+            ),
         ):
-            bad = tmp_path / f"bad_{key}.npz"
-            np.savez_compressed(bad, **{**contents, key: value})
-            with pytest.raises(PersistenceError):
-                load_searcher(bad)
+            bad = tmp_path / f"bad_{name}.rbq"
+            _tamper(path, bad, **edit)
+            for mmap in (False, True):
+                with pytest.raises(PersistenceError):
+                    load_searcher(bad, mmap=mmap)
 
     def test_inconsistent_slot_arrays_rejected(self, lifecycle_data, tmp_path):
         # An archive whose per-slot arrays disagree in length must fail as a
         # PersistenceError, not leak a raw IndexError mid-reconstruction.
         data, _, _ = lifecycle_data
-        path = tmp_path / "consistent.npz"
-        save_searcher(_build(data), path, layout="npz")
-        with np.load(path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        contents["packed_codes"] = contents["packed_codes"][:10]
-        bad = tmp_path / "inconsistent.npz"
-        np.savez_compressed(bad, **contents)
+        path = tmp_path / "consistent.rbq"
+        save_searcher(_build(data), path)
+        _, arrays = _read(path)
+        bad = tmp_path / "inconsistent.rbq"
+        _tamper(path, bad, sections={"ids": arrays["ids"][:10]})
         with pytest.raises(PersistenceError, match="inconsistent"):
+            load_searcher(bad)
+        _tamper(path, bad, sections={"arena_codes": arrays["arena_codes"][:10]})
+        with pytest.raises(PersistenceError):
             load_searcher(bad)
 
     def test_quantizer_archive_rejected_by_searcher_loader(

@@ -35,7 +35,6 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.index.sharded import ShardedSearcher
 from repro.serving import (
     BudgetController,
     ServingEngine,
@@ -182,29 +181,6 @@ class TestCoalescing:
         finally:
             engine.close()
         assert gated.batch_sizes == [1, 4, 4, 2]
-
-    def test_sharded_backend(self, small_data, small_queries):
-        def make():
-            return ShardedSearcher(
-                2,
-                n_threads=0,
-                n_clusters=4,
-                rabitq_config=RaBitQConfig(seed=9),
-                rng=21,
-            ).fit(small_data)
-
-        backend, twin = make(), make()
-        with ServingEngine(
-            backend, max_batch=8, max_delay_us=500, record_requests=True
-        ) as engine:
-            pending = [
-                engine.submit_async(query, 6, nprobe=3)
-                for query in small_queries
-            ]
-            for p in pending:
-                p.result(timeout=30.0)
-            engine.drain(timeout=30.0)
-            assert execution_log_matches(twin, engine.execution_log()) == []
 
 
 class TestAdmissionControl:
