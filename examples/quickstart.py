@@ -14,8 +14,8 @@ This example mirrors the paper's Algorithm 1 (index phase) and Algorithm 2
    ``insert`` new vectors (encoded incrementally against the fitted
    rotation and centroids), ``delete`` vectors by id (tombstones +
    automatic compaction), and ``save_searcher`` / ``load_searcher`` the
-   whole thing — a reloaded searcher answers queries *bit-identically*,
-   including the randomized-rounding streams.
+   whole thing — a reloaded searcher answers queries *bit-identically*
+   (the randomized-rounding vector is part of the index, like the rotation).
 
 The searcher stores its codes in a contiguous *code arena* — one
 cluster-grouped packed code matrix plus one fused matrix of per-code
@@ -144,10 +144,9 @@ def main() -> None:
           f"tombstoned={searcher.n_deleted}")
 
     # Persistence: the archive captures codes, centroids, raw vectors,
-    # tombstones, the id mapping and the query-time RNG streams, so the
-    # reloaded searcher continues *bit-identically* from the saved moment
-    # (note the save happens before the query: querying advances the
-    # randomized-rounding streams, and identity means identical streams).
+    # tombstones, the id mapping, the rotation and the rounding vector, so
+    # the reloaded searcher answers *bit-identically* — whenever the save
+    # happened: querying draws no randomness and changes no index state.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "searcher.rbq"
         save_searcher(searcher, path)

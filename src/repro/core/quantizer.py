@@ -60,6 +60,7 @@ from repro.core.query import (
     QuantizedQueryVector,
     quantize_query_matrix,
     quantize_query_vector,
+    sample_rounding_offsets,
 )
 from repro.core.rotation import Rotation, make_rotation
 from repro.exceptions import (
@@ -319,10 +320,10 @@ class RaBitQ:
     def __init__(self, config: Optional[RaBitQConfig] = None) -> None:
         self.config = config if config is not None else RaBitQConfig()
         self._rotation: Rotation | None = None
+        # Eq. 18's uniforms: like the rotation, sampled at fit, then only read.
+        self._rounding_offsets: np.ndarray | None = None
         self._dataset: QuantizedDataset | None = None
-        rotation_rng, query_rng = spawn_rngs(self.config.seed, 2)
-        self._rotation_rng = rotation_rng
-        self._query_rng = query_rng
+        self._rotation_rng = spawn_rngs(self.config.seed, 2)[0]
 
     # ------------------------------------------------------------------ #
     # Index phase (Algorithm 1)
@@ -396,6 +397,9 @@ class RaBitQ:
             self._rotation = make_rotation(
                 self.config.rotation, code_length, self._rotation_rng
             )
+        self._rounding_offsets = sample_rounding_offsets(
+            self.config.seed, code_length
+        )
 
         if centroid is None:
             centroid = compute_centroid(raw)
@@ -538,7 +542,7 @@ class RaBitQ:
             rotated,
             self.config.query_bits,
             randomized=self.config.randomized_rounding,
-            rng=self._query_rng,
+            offsets=self._rounding_offsets,
         )
         luts = lut.build_query_luts(quantized.codes)
         luts_uint8, scale, offset = lut.quantize_luts_to_uint8(luts)
@@ -557,11 +561,11 @@ class RaBitQ:
 
         The batched twin of :meth:`prepare_query`: one call prepares every
         row of ``queries`` for :meth:`estimate_distances_batch`.  The result
-        is bit-identical to preparing the rows one by one from the same
-        generator state — normalization and rotation are applied per row
-        (BLAS reduces 1-D and 2-D operands in different orders, which would
-        break the exact batch ≡ sequential guarantee), while the scalar
-        quantization and bit-plane packing are fully vectorized.
+        is bit-identical to preparing the rows one by one — normalization
+        and rotation are applied per row (BLAS reduces 1-D and 2-D operands
+        in different orders, which would break the exact batch ≡ sequential
+        guarantee), while the scalar quantization and bit-plane packing are
+        fully vectorized.
         """
         dataset = self.dataset
         mat = as_float_matrix(queries, "queries")
@@ -585,7 +589,7 @@ class RaBitQ:
             rotated,
             self.config.query_bits,
             randomized=self.config.randomized_rounding,
-            rng=self._query_rng,
+            offsets=self._rounding_offsets,
         )
         return QuantizedQueryBatch(
             quantized=quantized, rotated=rotated, query_norms=norms

@@ -7,16 +7,23 @@ value ``v = v_l + m * delta + t`` is rounded up with probability ``t /
 delta`` and down otherwise (Eq. 18), which makes the expected quantized
 value equal to the true value.
 
-Two granularities are provided:
+The uniforms ``u_i ~ U[0, 1)`` of that rule only have to be independent of
+the query and the data, not fresh per call: the paper's guarantees are
+about one fixed (query, vector) pair over the randomness of the index,
+whose rotation ``P`` is also sampled once.  An index therefore draws *one*
+vector at ``fit`` (:func:`sample_rounding_offsets`), keeps it beside ``P``
+and passes it as ``offsets=`` to every quantization, which makes search a
+pure function of (index, query).  Without ``offsets`` fresh uniforms are
+drawn from ``rng`` (Algorithm 2 as written in the paper).
 
-* :func:`quantize_query_vector` — one query at a time (Algorithm 2 as
-  written in the paper),
+Two granularities share one rounding rule:
+
+* :func:`quantize_query_vector` — one query at a time,
 * :func:`quantize_query_matrix` — a whole matrix of rotated queries at once,
-  for the batch search engine.  It consumes the randomized-rounding stream
-  in exactly the same order as row-by-row calls of
-  :func:`quantize_query_vector` (degenerate constant rows draw nothing,
-  mirroring the scalar path), so batch and sequential quantization produce
-  bit-identical codes from the same generator state.
+  for the batch search engine.  Row ``i`` equals the scalar call on row
+  ``i`` bit for bit: every row is rounded against the same ``offsets``, or
+  ``rng`` is consumed in row order (degenerate constant rows draw nothing,
+  mirroring the scalar path).
 """
 
 from __future__ import annotations
@@ -28,7 +35,39 @@ import numpy as np
 from repro.core.bitops import bitplanes_from_uint, bitplanes_from_uint_batch
 from repro.core.lut import build_query_luts, build_query_luts_batch
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
-from repro.substrates.rng import RngLike, ensure_rng
+from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
+
+
+def sample_rounding_offsets(seed: RngLike, code_length: int) -> np.ndarray:
+    """An index's rounding vector ``u ~ U[0, 1)^L`` (Eq. 18) for ``seed``.
+
+    Drawn from the second generator spawned from the configuration seed
+    (the first samples the rotation), by ``fit`` and by the loaders of
+    archives that predate storing it.
+    """
+    return spawn_rngs(seed, 2)[1].random(int(code_length))
+
+
+def _round_to_levels(
+    scaled: np.ndarray,
+    levels: int,
+    randomized: bool,
+    rng: RngLike,
+    offsets: np.ndarray | None,
+) -> np.ndarray:
+    """Round ``scaled`` coordinates (in units of ``Δ``) to ``[0, levels]``.
+
+    ``scaled`` is one query ``(L,)`` or a matrix of them ``(n, L)``;
+    ``offsets`` (shape ``(L,)``, shared by all rows) are the uniforms of the
+    randomized rule, drawn from ``rng`` per coordinate when not supplied.
+    """
+    if not randomized:
+        return np.clip(np.round(scaled), 0, levels)
+    if offsets is None:
+        offsets = ensure_rng(rng).random(scaled.shape)
+    elif np.shape(offsets) != scaled.shape[-1:]:
+        raise DimensionMismatchError("offsets must have shape (code_length,)")
+    return np.clip(np.floor(scaled + offsets), 0, levels)
 
 
 @dataclass(frozen=True)
@@ -86,6 +125,7 @@ def quantize_query_vector(
     *,
     randomized: bool = True,
     rng: RngLike = None,
+    offsets: np.ndarray | None = None,
     with_bitplanes: bool = True,
 ) -> QuantizedQueryVector:
     """Quantize the rotated query ``q'`` into ``B_q``-bit unsigned integers.
@@ -101,7 +141,11 @@ def quantize_query_vector(
         unbiasedness of the computation).  When ``False`` the conventional
         round-to-nearest rule is applied (exposed for the ablation study).
     rng:
-        Seed or generator for the randomized rounding.
+        Seed or generator the rounding offsets are drawn from when
+        ``offsets`` is not given.
+    offsets:
+        The rounding uniforms as data, shape ``(code_length,)`` (an index
+        passes its fit-time vector); ``rng`` is then unused.
     with_bitplanes:
         Also pack the bit-planes for the popcount kernel (the default).
         Callers on the GEMM/arena path never touch them; skipping the
@@ -125,14 +169,9 @@ def quantize_query_vector(
         codes = np.zeros(query.shape[0], dtype=np.uint64)
         delta = 1.0
     else:
-        scaled = (query - lower) / delta
-        if randomized:
-            generator = ensure_rng(rng)
-            offsets = generator.random(query.shape[0])
-            codes = np.floor(scaled + offsets)
-        else:
-            codes = np.round(scaled)
-        codes = np.clip(codes, 0, levels).astype(np.uint64)
+        codes = _round_to_levels(
+            (query - lower) / delta, levels, randomized, rng, offsets
+        ).astype(np.uint64)
 
     planes = bitplanes_from_uint(codes, bits) if with_bitplanes else None
     return QuantizedQueryVector(
@@ -215,22 +254,25 @@ def quantize_query_matrix(
     *,
     randomized: bool = True,
     rng: RngLike = None,
+    offsets: np.ndarray | None = None,
     with_bitplanes: bool = True,
 ) -> QuantizedQueryMatrix:
     """Quantize a matrix of rotated queries into ``B_q``-bit integers.
 
     Exactly equivalent to calling :func:`quantize_query_vector` on each row
-    with the same generator: per-row minima/maxima, step sizes and rounding
-    offsets match the scalar path bit for bit, and degenerate (constant) rows
-    consume no randomness, just as the scalar path skips its draw.
+    with the same ``offsets`` (or the same generator): per-row
+    minima/maxima, step sizes and rounding offsets match the scalar path
+    bit for bit, and degenerate (constant) rows consume no randomness, just
+    as the scalar path skips its draw.
 
     Parameters
     ----------
     rotated_queries:
         The rotated queries ``q' = P^-1 q``, shape ``(n_queries,
         code_length)``.  An empty batch (0 rows) is allowed.
-    bits / randomized / rng / with_bitplanes:
-        As in :func:`quantize_query_vector`.
+    bits / randomized / rng / offsets / with_bitplanes:
+        As in :func:`quantize_query_vector`; ``offsets`` is one
+        ``(code_length,)`` vector shared by every row.
     """
     mat = np.asarray(rotated_queries, dtype=np.float64)
     if mat.ndim != 2:
@@ -272,13 +314,7 @@ def quantize_query_matrix(
     if live.any():
         delta[live] = step[live]
         scaled = (mat[live] - lower[live, None]) / delta[live, None]
-        if randomized:
-            generator = ensure_rng(rng)
-            offsets = generator.random((int(live.sum()), code_length))
-            codes[live] = np.floor(scaled + offsets)
-        else:
-            codes[live] = np.round(scaled)
-        codes[live] = np.clip(codes[live], 0, levels)
+        codes[live] = _round_to_levels(scaled, levels, randomized, rng, offsets)
     codes = codes.astype(np.uint64)
 
     return QuantizedQueryMatrix(
@@ -312,5 +348,6 @@ __all__ = [
     "QuantizedQueryMatrix",
     "quantize_query_vector",
     "quantize_query_matrix",
+    "sample_rounding_offsets",
     "dequantization_error",
 ]

@@ -247,7 +247,6 @@ class IVFIndex:
         assignments: np.ndarray,
         *,
         kmeans_iters: int = 15,
-        rng: RngLike = None,
     ) -> "IVFIndex":
         """Rebuild a fitted index from its centroids and assignment array.
 
@@ -263,7 +262,7 @@ class IVFIndex:
             raise InvalidParameterError(
                 "assignments reference clusters outside the centroid matrix"
             )
-        index = cls(centre.shape[0], kmeans_iters=kmeans_iters, rng=rng)
+        index = cls(centre.shape[0], kmeans_iters=kmeans_iters)
         index._install_centroids(centre)
         index._assignments = assigned
         index._dim = int(centre.shape[1])

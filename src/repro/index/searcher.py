@@ -55,25 +55,24 @@ in 16 bits, so every partial sum is an integer far below 2^53), hence
 bit-identical to the packed popcount kernel.
 
 Per-cluster query preparation (normalize to the cluster centroid, rotate,
-randomized-rounding quantization against the cluster's private rounding
-stream) keeps the exact arithmetic of the pre-arena implementation, so
-search results are bit-identical to the former per-cluster-quantizer code —
-the equivalence suite in ``tests/test_arena_equivalence.py`` checks this
+randomized-rounding quantization) keeps the exact arithmetic of the
+pre-arena implementation, so search results are bit-identical to
+per-cluster quantizers sharing the index's rounding vector — the
+equivalence suite in ``tests/test_arena_equivalence.py`` checks this
 against a literal port of that implementation.
 
-**Thread safety.**  ``search`` and ``search_batch`` may be called
-concurrently from several threads on one fitted searcher: scratch buffers
-and the rotation pad are thread-local, probing reads an eagerly computed
-centroid-norm cache, and mutation methods are the only writers of index
-state (mutations must not run concurrently with queries or each other).
-Concurrent queries are additionally *bit-identical to any serial execution
-order* when ``randomized_rounding=False``: preparation then consumes no
-per-cluster rounding stream, making every query a pure read.  With
-randomized rounding (the paper's default) concurrent calls remain
-memory-safe (NumPy generators serialize their draws internally) but the
-per-cluster stream consumption order depends on scheduling, so results are
-valid estimates yet not reproducible run-to-run; wrap queries in an
-external lock when determinism matters.
+**Purity and thread safety.**  Search is a pure function of
+(index, query): the uniforms of the randomized rounding (Eq. 18) are one
+vector ``u ∈ [0, 1)^L`` drawn at :meth:`IVFQuantizedSearcher.fit` and kept
+beside the rotation (see :mod:`repro.core.query` for why that is what the
+paper's guarantees need), so a query draws nothing and writes no index
+state.  The same query always gets the same answer, whatever was asked
+before it and whatever it is batched with, and ``search`` /
+``search_batch`` may be called concurrently from several threads on one
+fitted searcher with answers *bit-identical to any serial order* (scratch
+buffers and the rotation pad are thread-local).  Mutation methods are the
+only writers of index state; they must not run concurrently with queries
+or each other.
 
 The index is *mutable* after :meth:`IVFQuantizedSearcher.fit` (the index
 lifecycle required by a serving deployment):
@@ -99,7 +98,7 @@ Tombstone filtering is applied identically on the sequential and batch
 paths (the full per-cluster estimate is always computed, then dead rows are
 masked out), so the batch ≡ sequential guarantee holds at every point of the
 lifecycle.  A fitted searcher — including tombstones, id mapping and the
-per-cluster query-rounding streams — can be serialized with
+rounding vector — can be serialized with
 :func:`repro.io.persistence.save_searcher` and reloaded bit-identically with
 :func:`repro.io.persistence.load_searcher`.
 """
@@ -125,7 +124,11 @@ from repro.core.estimator import (
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows, encode_rows_multibit
-from repro.core.query import quantize_query_matrix, quantize_query_vector
+from repro.core.query import (
+    quantize_query_matrix,
+    quantize_query_vector,
+    sample_rounding_offsets,
+)
 from repro.core.rotation import QRRotation, make_rotation
 from repro.exceptions import (
     DimensionMismatchError,
@@ -136,8 +139,8 @@ from repro.index.arena import CodeArena
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.rerank import ErrorBoundReranker, Reranker
-from repro.substrates.linalg import as_float_matrix
-from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
+from repro.substrates.linalg import as_float_matrix, require_finite
+from repro.substrates.rng import RngLike, ensure_rng
 
 
 #: Cap on the number of live (query, candidate) estimate pairs per
@@ -329,8 +332,8 @@ class IVFQuantizedSearcher:
         self._ivf: IVFIndex | None = None
         self._flat: FlatIndex | None = None
         self._arena: CodeArena | None = None
-        self._query_rngs: list[np.random.Generator | None] | None = None
         self._shared_rotation = None
+        self._rounding_offsets: np.ndarray | None = None
         self._rotation_matrix: np.ndarray | None = None
         # Lifecycle state: slot -> external id, external id -> slot, and the
         # per-slot tombstone mask (True = live).
@@ -474,17 +477,6 @@ class IVFQuantizedSearcher:
         )
         return packed, bit_mat, consts
 
-    def _fresh_query_rng(self) -> np.random.Generator:
-        """A cluster rounding stream in its initial state.
-
-        Matches the stream a freshly constructed per-cluster ``RaBitQ``
-        would have owned (the second of the two generators spawned from the
-        config seed), so lifecycle behaviour — including the stream reset
-        when an emptied cluster is later repopulated — is unchanged from
-        the pre-arena implementation.
-        """
-        return spawn_rngs(self.rabitq_config.seed, 2)[1]
-
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
     ) -> "IVFQuantizedSearcher":
@@ -497,6 +489,7 @@ class IVFQuantizedSearcher:
         assignment, encoding and re-ranking always cover every row.
         """
         mat = as_float_matrix(data, "data")
+        require_finite(mat, "data")
         self._flat = FlatIndex(mat)
         self._ivf = IVFIndex(self.n_clusters, rng=self._rng).fit(
             mat, kmeans_sample_size=kmeans_sample_size
@@ -510,8 +503,10 @@ class IVFQuantizedSearcher:
                 self.rabitq_config.rotation, code_length, self._rng
             )
             self._shared_rotation = shared_rotation
+            self._rounding_offsets = sample_rounding_offsets(
+                self.rabitq_config.seed, code_length
+            )
             n_clusters = len(self._ivf.buckets)
-            self._query_rngs = [None] * n_clusters
             blocks: dict[int, tuple] = {}
             for bucket in self._ivf.buckets:
                 if len(bucket) == 0:
@@ -522,7 +517,6 @@ class IVFQuantizedSearcher:
                     rows, cid, code_length
                 )
                 blocks[cid] = (packed, unpacked, consts, bucket.vector_ids)
-                self._query_rngs[cid] = self._fresh_query_rng()
             code_bits = self.bits
             self._arena = CodeArena.from_blocks(
                 n_clusters,
@@ -625,6 +619,7 @@ class IVFQuantizedSearcher:
                 f"vectors have dimension {mat.shape[1]}, index expects "
                 f"{self._flat.dim}"
             )
+        require_finite(mat, "vectors")
         if ids is None:
             new_ids = np.arange(self._next_id, self._next_id + n_new, dtype=np.int64)
         else:
@@ -645,7 +640,7 @@ class IVFQuantizedSearcher:
         slots = self._flat.add(mat)
         self._ivf.append(slots, cluster_ids)
         arena = self._arena
-        assert arena is not None and self._query_rngs is not None
+        assert arena is not None
         code_length = arena.code_length
         for cid in np.unique(cluster_ids):
             cid = int(cid)
@@ -654,11 +649,6 @@ class IVFQuantizedSearcher:
             packed, unpacked, consts = self._encode_cluster_rows(
                 row_mat, cid, code_length
             )
-            if self._query_rngs[cid] is None:
-                # The cluster was empty at fit time (or emptied by a
-                # compact): its rounding stream starts fresh now, exactly as
-                # a newly built per-cluster quantizer's would have.
-                self._query_rngs[cid] = self._fresh_query_rng()
             arena.append(cid, packed, unpacked, consts, slots[rows])
 
         assert self._ids is not None and self._live is not None
@@ -734,14 +724,8 @@ class IVFQuantizedSearcher:
             return 0
         keep = self._live.copy()
         arena = self._arena
-        assert arena is not None and self._query_rngs is not None
-        assert self._ids is not None
+        assert arena is not None and self._ids is not None
         arena.compact(keep)
-        for cid in range(arena.n_clusters):
-            if arena.sizes[cid] == 0:
-                # An emptied cluster drops its rounding stream; a later
-                # insert starts a fresh one (pre-arena lifecycle semantics).
-                self._query_rngs[cid] = None
         self._ivf.keep_rows(keep)
         self._flat.keep_rows(keep)
         self._ids = self._ids[keep]
@@ -799,19 +783,17 @@ class IVFQuantizedSearcher:
             return (pad @ matrix)[0]
         return self._shared_rotation.apply_inverse(pad)[0]
 
-    def _prepare_cluster_query(self, residual: np.ndarray, cid: int) -> tuple:
-        """Prepare the query residual ``vec - centroid`` against cluster ``cid``.
+    def _prepare_cluster_query(self, residual: np.ndarray) -> tuple:
+        """Prepare the query residual ``vec - centroid`` of one probed cluster.
 
         Returns ``(quantized, query_norm)``.  The arithmetic is exactly the
         pre-arena per-cluster preparation (normalize to the cluster
         centroid, pad, rotate the single row, randomized-rounding
-        quantization from the cluster's stream), minus the look-up-table
-        construction and bit-plane packing the fused GEMV kernel never
-        touches — skipping those consumes no randomness.  The caller
-        batches the residual subtraction across probed clusters
-        (elementwise, so the values are unchanged).
+        quantization against the index's rounding vector), minus the
+        look-up-table construction and bit-plane packing the fused GEMV
+        kernel never touches.  The caller batches the residual subtraction
+        across probed clusters (elementwise, so the values are unchanged).
         """
-        assert self._query_rngs is not None
         config = self.rabitq_config
         # Inline normalize_query on the precomputed residual; the 1-D norm
         # is sqrt(dot) — exactly what np.linalg.norm computes on a vector.
@@ -825,7 +807,7 @@ class IVFQuantizedSearcher:
             rotated,
             config.query_bits,
             randomized=config.randomized_rounding,
-            rng=self._query_rngs[cid],
+            offsets=self._rounding_offsets,
             with_bitplanes=False,
         )
         return quantized, query_norm
@@ -835,13 +817,11 @@ class IVFQuantizedSearcher:
     ) -> tuple:
         """Vectorized cluster preparation of several queries at once.
 
-        Bit-identical to calling :meth:`_prepare_cluster_query` row by row
-        from the same stream state: normalization and rotation are applied
-        per row, the scalar quantization consumes the rounding stream in
-        ascending row order (degenerate rows draw nothing, as the scalar
-        path skips its draw).
+        Bit-identical to calling :meth:`_prepare_cluster_query` row by
+        row: normalization and rotation are applied per row, and the scalar
+        quantization rounds every row against the same rounding vector.
         """
-        assert self._ivf is not None and self._query_rngs is not None
+        assert self._ivf is not None
         config = self.rabitq_config
         assert self._arena is not None
         n_rows = sub_mat.shape[0]
@@ -864,7 +844,7 @@ class IVFQuantizedSearcher:
             rotated,
             config.query_bits,
             randomized=config.randomized_rounding,
-            rng=self._query_rngs[cid],
+            offsets=self._rounding_offsets,
             with_bitplanes=False,
         )
         return quantized, query_norms
@@ -877,10 +857,8 @@ class IVFQuantizedSearcher:
         One integer GEMV per probed cluster on its contiguous arena slice,
         coefficients and constants gathered into the scratch pool, then a
         single fused affine/estimator pass over the whole candidate set.
-        Tombstoned rows are masked out *after* the full per-cluster estimate
-        (never skipped before it): this keeps the per-cluster randomized
-        query-rounding streams — and with them the batch ≡ sequential
-        guarantee — independent of the deletion pattern.
+        Tombstoned rows are masked out *after* the full per-cluster
+        estimate, so every cluster is scanned as one contiguous slice.
         """
         arena = self._arena
         assert arena is not None and self._live is not None
@@ -941,9 +919,7 @@ class IVFQuantizedSearcher:
             size = int(sizes[cid])
             if size == 0:
                 continue
-            quantized, query_norm = self._prepare_cluster_query(
-                residuals[j], cid
-            )
+            quantized, query_norm = self._prepare_cluster_query(residuals[j])
             start = int(arena.starts[cid])
             end = start + size
             # Integer inner products <x_b, q_u>: float64 GEMV on the
@@ -1067,18 +1043,8 @@ class IVFQuantizedSearcher:
         nprobe:
             Number of IVF clusters to scan.
         """
-        if self._ivf is None or self._flat is None:
-            raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        if k <= 0:
-            raise InvalidParameterError("k must be positive")
-        if nprobe < 1:
-            raise InvalidParameterError("nprobe must be >= 1")
-        vec = np.asarray(query, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != self._flat.dim:
-            raise InvalidParameterError(
-                f"query has {vec.shape[0]} dimensions, searcher expects "
-                f"{self._flat.dim}"
-            )
+        row = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        vec = self._checked_queries(row, k, nprobe)[0]
         cluster_ids = self._ivf.probe(vec, nprobe, metric=self._metric)
         if self.quantizer_kind == "rabitq":
             candidate_ids, estimate = self._estimate_rabitq(vec, cluster_ids)
@@ -1093,6 +1059,26 @@ class IVFQuantizedSearcher:
             n_candidates=int(candidate_ids.shape[0]),
             n_exact=n_exact,
         )
+
+    def _checked_queries(
+        self, queries: np.ndarray, k: int, nprobe: int
+    ) -> np.ndarray:
+        """The validated ``(n, dim)`` float64 query matrix of a search call."""
+        if self._ivf is None or self._flat is None:
+            raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
+        for name, value in (("k", k), ("nprobe", nprobe)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidParameterError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        mat = as_float_matrix(queries, "queries")
+        if mat.shape[0] and mat.shape[1] != self._flat.dim:
+            raise InvalidParameterError(
+                f"queries have {mat.shape[1]} dimensions, searcher expects "
+                f"{self._flat.dim}"
+            )
+        require_finite(mat, "queries")
+        return mat
 
     def _to_external_ids(self, slots: np.ndarray) -> np.ndarray:
         """Map internal slot positions to the stable external ids."""
@@ -1110,10 +1096,10 @@ class IVFQuantizedSearcher:
         are scattered directly into flat per-query candidate buffers at
         precomputed offsets — the query's probed-cluster order, exactly the
         concatenation order of the sequential path, with no intermediate
-        stacking or per-query concatenation.  Per-cluster query groups are
-        processed in ascending query order so each cluster's
-        randomized-rounding stream is consumed in the same order as
-        sequential calls, keeping batch output bit-identical.
+        stacking or per-query concatenation.  Every row of a group is
+        prepared and estimated independently of the others, so each query's
+        output is bit-identical to the sequential path's whatever it is
+        batched with.
         """
         arena = self._arena
         assert arena is not None and self._live is not None
@@ -1158,8 +1144,7 @@ class IVFQuantizedSearcher:
 
         # Group (query, probe position) pairs by cluster: a single stable
         # argsort of the flattened probe matrix (stable => ascending query
-        # order inside every cluster group, preserving per-cluster stream
-        # consumption order).
+        # order inside every cluster group).
         width = probes.shape[1]
         flat_cids = probes.ravel()
         order = np.argsort(flat_cids, kind="stable")
@@ -1319,19 +1304,8 @@ class IVFQuantizedSearcher:
         nprobe:
             Number of IVF clusters to scan per query.
         """
-        if self._ivf is None or self._flat is None:
-            raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        if k <= 0:
-            raise InvalidParameterError("k must be positive")
-        if nprobe < 1:
-            raise InvalidParameterError("nprobe must be >= 1")
-        query_mat = as_float_matrix(queries, "queries")
+        query_mat = self._checked_queries(queries, k, nprobe)
         n_queries = query_mat.shape[0]
-        if n_queries > 0 and query_mat.shape[1] != self._flat.dim:
-            raise InvalidParameterError(
-                f"queries have {query_mat.shape[1]} dimensions, searcher "
-                f"expects {self._flat.dim}"
-            )
         if n_queries == 0:
             return BatchSearchResult(
                 ids=(),
@@ -1345,10 +1319,8 @@ class IVFQuantizedSearcher:
         # Bound the live (query, candidate) estimate tensors by processing
         # very large batches in query chunks, sized from the *actual* probed
         # bucket sizes (an average would under-estimate on skewed data, where
-        # queries gravitate to the largest clusters).  Chunks run in
-        # ascending query order, so per-cluster RNG consumption — and
-        # therefore every result — is unchanged: this is purely a peak-memory
-        # cap.
+        # queries gravitate to the largest clusters).  No query's answer
+        # depends on its chunk: this is purely a peak-memory cap.
         bucket_sizes = (
             self._arena.sizes
             if self._arena is not None

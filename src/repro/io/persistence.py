@@ -4,20 +4,21 @@ Two archive flavours are provided:
 
 * :func:`save_rabitq` / :func:`load_rabitq` — a single fitted
   :class:`repro.core.quantizer.RaBitQ`: configuration, rotation matrix,
-  packed codes, per-vector metadata, centroid and the query-rounding RNG
-  state.  Enough for a query-serving process that does estimation only (no
-  raw vectors, so no exact re-ranking).  NumPy ``.npz``, format v2/v3.
+  rounding vector, packed codes, per-vector metadata and centroid.  Enough
+  for a query-serving process that does estimation only (no raw vectors,
+  so no exact re-ranking).  NumPy ``.npz``, format v4 (reads v2–v4).
 * :func:`save_searcher` / :func:`load_searcher` — a complete
   :class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
   assignments, the per-cluster packed code matrices, the raw vectors of the
   flat re-ranking index, the tombstone mask and external-id mapping of the
-  mutable lifecycle, the re-ranker, and every random stream consumed at
-  query time.  A reloaded searcher answers ``search`` / ``search_batch``
+  mutable lifecycle, the re-ranker, the rotation and the rounding vector
+  (queries draw no randomness, so there is no generator state to store).
+  A reloaded searcher answers ``search`` / ``search_batch``
   *bit-identically* (ids, distances and cost counters) to the saved one,
   and supports further ``insert`` / ``delete`` / ``compact`` calls.
 
   The searcher has exactly one on-disk container (``RBQARCH6``, written
-  as format **v9**, read as v6–v9): a binary file holding a JSON header
+  as format **v10**, read as v6–v10): a binary file holding a JSON header
   plus 64-byte-aligned raw sections for every large array — the arena's
   packed codes, the uint8 GEMM operand, the fused constants, the slot
   map, and the raw re-rank vectors.  Sections can be read zero-copy via
@@ -56,6 +57,7 @@ from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
 from repro.core.lut import split_into_segments
 from repro.core.metric import resolve_metric
 from repro.core.quantizer import QuantizedDataset, RaBitQ
+from repro.core.query import sample_rounding_offsets
 from repro.core.rotation import FastHadamardRotation, QRRotation, Rotation
 from repro.exceptions import (
     DimensionMismatchError,
@@ -88,18 +90,18 @@ MAGIC_RABITQ = "rabitq/quantizer"
 MAGIC_SEARCHER = "rabitq/searcher"
 
 #: Quantizer-archive format, bumped on incompatible changes.  Version 2
-#: added the magic header and the query-RNG state.  Version 3 adds the
-#: code width and per-code rescale factors of multi-bit codes; binary
-#: (``bits=1``) quantizers keep writing version 2 byte-identically, so
-#: older builds read them unchanged.
-FORMAT_VERSION = 3
+#: added the magic header, version 3 the code width and per-code rescale
+#: factors of multi-bit codes (binary quantizers kept writing v2).
+#: Version 4, written for every width, stores the rounding vector as
+#: ``rounding_offsets`` in place of v2/v3's query-generator state.
+FORMAT_VERSION = 4
 
 #: Quantizer-archive versions this build can read (v2 loads as binary).
-_RABITQ_VERSIONS = (2, 3)
+_RABITQ_VERSIONS = (2, 3, 4)
 
 #: Searcher-archive format, bumped on incompatible changes.  Version 6 is
 #: the memmap-able binary container described in the module docstring: a
-#: JSON header carrying the small metadata (configuration, RNG states,
+#: JSON header carrying the small metadata (configuration,
 #: lifecycle counters, archive UUID chain) plus 64-byte-aligned raw
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
@@ -117,10 +119,14 @@ _RABITQ_VERSIONS = (2, 3)
 #: loader never reads those keys and sections, so an archive saved under
 #: a LUT kernel or graph probing serves through the GEMM kernel and the
 #: exhaustive centroid scan (which were their bit-identity oracles).
-SEARCHER_FORMAT_VERSION = 9
+#: Version 10 stores the rounding vector as the ``rounding_offsets``
+#: section in place of the header's generator states; a v6–v9 archive
+#: derives it from the stored seed as ``fit`` does, so it answers like a
+#: current build from the same seeds, not like the build that wrote it.
+SEARCHER_FORMAT_VERSION = 10
 
 #: Binary-container (v6-layout) format versions this build can read.
-_SEARCHER_BINARY_VERSIONS = (6, 7, 8, 9)
+_SEARCHER_BINARY_VERSIONS = (6, 7, 8, 9, 10)
 
 #: Last commit whose ``load_searcher`` reads the retired layouts: the npz
 #: searcher archives (v1–v5) and the sharded directory archive.
@@ -152,14 +158,12 @@ _V6_ALWAYS_MATERIALIZED = frozenset({"ids", "live"})
 _READ_ERRORS = (OSError, ValueError, zipfile.BadZipFile, EOFError, KeyError)
 
 #: Additionally, errors that internally-inconsistent archive contents raise
-#: while the loaders re-assemble objects (mis-sized arrays, malformed RNG
-#: state dicts, out-of-range config values, ...).  All are converted to
-#: :class:`PersistenceError`.
+#: while the loaders re-assemble objects (mis-sized arrays, out-of-range
+#: config values, ...).  All are converted to :class:`PersistenceError`.
 _PARSE_ERRORS = _READ_ERRORS + (
     IndexError,
     TypeError,
     AttributeError,
-    OverflowError,  # an RNG state word wider than its bit generator holds
     InvalidParameterError,
     DimensionMismatchError,
 )
@@ -245,29 +249,25 @@ def _open_archive(
     return archive
 
 
-def _json_default(obj):
-    """JSON fallback for bit-generator states (MT19937 keeps an ndarray key)."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _rounding_offsets(
+    stored: np.ndarray | None, seed: int | None, code_length: int
+) -> np.ndarray:
+    """An archive's rounding vector: ``code_length`` floats in [0, 1).
 
-
-def _rng_state_json(rng: np.random.Generator) -> str:
-    """Serialize a generator's bit-generator state to JSON."""
-    return json.dumps(rng.bit_generator.state, default=_json_default)
-
-
-def _rng_from_state(state: dict) -> np.random.Generator:
-    """Rebuild a generator from a serialized bit-generator state."""
-    name = state.get("bit_generator", "PCG64")
-    bitgen_cls = getattr(np.random, name, None)
-    if bitgen_cls is None:
-        raise PersistenceError(f"unknown bit generator in archive: {name!r}")
-    bitgen = bitgen_cls()
-    bitgen.state = state
-    return np.random.Generator(bitgen)
+    ``stored`` is ``None`` for an archive that predates storing it: the
+    vector is then derived from the seed as ``fit`` derives it (a seedless
+    archive counts as seed 0, so that two loads of one file agree).
+    """
+    if stored is None:
+        return sample_rounding_offsets(seed or 0, code_length)
+    offsets = np.array(stored, dtype=np.float64)
+    in_range = (offsets >= 0.0) & (offsets < 1.0)  # False for NaN too
+    if offsets.shape != (code_length,) or not in_range.all():
+        raise PersistenceError(
+            f"archive stores a malformed rounding vector: shape "
+            f"{offsets.shape}, need {code_length} floats in [0, 1)"
+        )
+    return offsets
 
 
 def _save_rotation(rotation: Rotation) -> dict:
@@ -361,8 +361,9 @@ def _v6_header_bytes(
                 }
             )
             cursor = offset + int(array.nbytes)
+        # default=int: a seed or cluster count given as a NumPy integer.
         payload = json.dumps(
-            {**header, "sections": table}, sort_keys=True
+            {**header, "sections": table}, sort_keys=True, default=int
         ).encode("utf-8")
         needed = _v6_align(_V6_PREFIX.size + len(payload))
         if needed == data_start:
@@ -534,9 +535,6 @@ class _V6Sections:
                 "nbytes": nbytes,
             }
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
     def load(self, name: str, *, mmap: bool) -> np.ndarray:
         """One section, as a read-only memmap or a fresh private array."""
         entry = self._table.get(name)
@@ -590,21 +588,14 @@ def save_rabitq(quantizer: RaBitQ, path: PathLike) -> None:
     final = Path(path)
     if not final.name.endswith(".npz"):
         final = final.with_name(final.name + ".npz")
-    # Binary quantizers keep writing the byte-identical v2 archive older
-    # builds read; multi-bit codes need the v3 entries (width + rescales).
-    multibit_entries = {}
-    version = 2
-    if dataset.bits > 1:
-        version = FORMAT_VERSION
-        multibit_entries = {
-            "bits": np.int64(dataset.bits),
-            "rescales": dataset.rescales,
-        }
+    # Only multi-bit codes carry per-code rescale factors.
+    rescales = {"rescales": dataset.rescales} if dataset.bits > 1 else {}
     _savez_atomic(
         final,
         magic=np.str_(MAGIC_RABITQ),
-        format_version=np.int64(version),
-        **multibit_entries,
+        format_version=np.int64(FORMAT_VERSION),
+        bits=np.int64(dataset.bits),
+        **rescales,
         packed_codes=dataset.packed_codes,
         code_popcounts=dataset.code_popcounts,
         alignments=dataset.alignments,
@@ -617,7 +608,7 @@ def save_rabitq(quantizer: RaBitQ, path: PathLike) -> None:
         randomized_rounding=np.bool_(config.randomized_rounding),
         rotation_kind=np.str_(config.rotation),
         seed=np.int64(-1 if config.seed is None else config.seed),
-        query_rng_state=np.str_(_rng_state_json(quantizer._query_rng)),
+        rounding_offsets=quantizer._rounding_offsets,
         **_save_rotation(quantizer.rotation),
     )
 
@@ -626,9 +617,9 @@ def load_rabitq(path: PathLike) -> RaBitQ:
     """Load a RaBitQ quantizer previously stored with :func:`save_rabitq`.
 
     The returned quantizer answers queries exactly as the saved one would
-    have (identical codes, rotation, configuration and randomized-rounding
-    stream).  The ``.npz`` extension is appended by NumPy when saving, so
-    both ``index`` and ``index.npz`` are accepted here.
+    have (identical codes, rotation, configuration and rounding vector).
+    The ``.npz`` extension is appended by NumPy when saving, so both
+    ``index`` and ``index.npz`` are accepted here.
 
     Raises
     ------
@@ -641,6 +632,7 @@ def load_rabitq(path: PathLike) -> RaBitQ:
     ) as archive:
         try:
             seed = int(archive["seed"])
+            code_length = int(archive["code_length"])
             # v2 archives predate multi-bit codes: they are always binary.
             bits = int(archive["bits"]) if "bits" in archive.files else 1
             if bits not in SUPPORTED_CODE_BITS:
@@ -660,29 +652,30 @@ def load_rabitq(path: PathLike) -> RaBitQ:
             config = RaBitQConfig(
                 epsilon0=float(archive["epsilon0"]),
                 query_bits=int(archive["query_bits"]),
-                code_length=int(archive["code_length"]),
+                code_length=code_length,
                 randomized_rounding=bool(archive["randomized_rounding"]),
                 rotation=str(archive["rotation_kind"]),
                 seed=None if seed < 0 else seed,
                 bits=bits,
             )
             quantizer = RaBitQ(config)
-            quantizer._rotation = _load_rotation(
-                archive, int(archive["code_length"])
-            )
+            quantizer._rotation = _load_rotation(archive, code_length)
             quantizer._dataset = QuantizedDataset(
                 packed_codes=archive["packed_codes"],
                 code_popcounts=archive["code_popcounts"],
                 alignments=archive["alignments"],
                 norms=archive["norms"],
                 centroid=archive["centroid"],
-                code_length=int(archive["code_length"]),
+                code_length=code_length,
                 dim=int(archive["dim"]),
                 bits=bits,
                 rescales=rescales,
             )
-            quantizer._query_rng = _rng_from_state(
-                json.loads(str(archive["query_rng_state"]))
+            stored = int(archive["format_version"]) >= 4
+            quantizer._rounding_offsets = _rounding_offsets(
+                archive["rounding_offsets"] if stored else None,
+                config.seed,
+                code_length,
             )
         except _PARSE_ERRORS as exc:
             raise PersistenceError(
@@ -736,30 +729,14 @@ def _check_saveable(searcher: IVFQuantizedSearcher) -> tuple[str, int]:
     return _save_reranker(searcher.reranker)
 
 
-def _cluster_rng_states(searcher: IVFQuantizedSearcher) -> list[dict | None]:
-    arena = searcher._arena
-    query_rngs = searcher._query_rngs
-    assert arena is not None and query_rngs is not None
-    states: list[dict | None] = []
-    for cid in range(arena.n_clusters):
-        start, end = arena.cluster_range(cid)
-        rng = query_rngs[cid]
-        if start == end:
-            states.append(None)
-            continue
-        assert rng is not None
-        states.append(rng.bit_generator.state)
-    return states
-
-
 def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
     packed codes, the GEMM operand, the fused estimator-constants matrix,
     IVF centroids/assignments, raw vectors, tombstones, external-id
-    mapping and RNG streams — so that :func:`load_searcher` reproduces
-    search results bit-identically and supports further mutation.
+    mapping, rotation and rounding vector — so that :func:`load_searcher`
+    reproduces search results bit-identically and supports further mutation.
 
     The memmap-able binary container is written crash-safely (temp file +
     fsync + atomic rename).  The save also records the archive UUID chain
@@ -783,16 +760,17 @@ def _save_searcher_v6(
     *,
     _format_version: int = SEARCHER_FORMAT_VERSION,
 ) -> str:
-    """Write the binary container (v9 layout); returns the new archive UUID.
+    """Write the binary container (v10 layout); returns the new archive UUID.
 
-    ``_format_version=6`` / ``7`` / ``8`` are test-only hooks that write
-    faithful legacy archives (the ``arena_segs`` section and default
-    ``estimation_mode`` / ``probe_strategy`` metadata those builds wrote;
-    v7: no code-width metadata; v6: no probe-strategy metadata either) so
-    the backward-compatibility suites can exercise real legacy input
-    without keeping binary fixtures in the tree.  v6 and v7 cannot
-    represent multi-bit codes, so saving a ``bits > 1`` searcher at those
-    versions is refused.
+    ``_format_version=6`` … ``9`` are test-only hooks that write
+    faithful legacy archives (header generator states, which nothing reads
+    any more, in place of the ``rounding_offsets`` section; below v9 also
+    the ``arena_segs`` section and default ``estimation_mode`` /
+    ``probe_strategy`` metadata; v7: no code-width metadata; v6: no
+    probe-strategy metadata either) so the backward-compatibility suites
+    can exercise real legacy input without keeping binary fixtures in the
+    tree.  v6 and v7 cannot represent multi-bit codes, so saving a
+    ``bits > 1`` searcher at those versions is refused.
     """
     if _format_version not in _SEARCHER_BINARY_VERSIONS:
         raise InvalidParameterError(
@@ -846,10 +824,8 @@ def _save_searcher_v6(
         "n_consts": int(arena.n_consts),
         "arena_sizes": dump["sizes"].tolist(),
         "rotation": rotation_entry[0],
-        # Lifecycle counters and random streams
+        # Lifecycle counter
         "next_id": int(searcher._next_id),
-        "quantizer_rng_states": _cluster_rng_states(searcher),
-        "searcher_rng_state": searcher._rng.bit_generator.state,
     }
     sections = {
         "arena_codes": dump["codes"],
@@ -863,6 +839,12 @@ def _save_searcher_v6(
         "live": np.ascontiguousarray(searcher._live, dtype=np.bool_),
         "rotation": np.ascontiguousarray(rotation_entry[1], dtype=np.float64),
     }
+    if _format_version >= 10:
+        sections["rounding_offsets"] = searcher._rounding_offsets
+    else:
+        state = np.random.default_rng(0).bit_generator.state
+        meta["quantizer_rng_states"] = [state] * int(arena.n_clusters)
+        meta["searcher_rng_state"] = state
     if _format_version >= 8:
         meta["bits"] = int(arena.bits_per_dim)
     if _format_version < 9:
@@ -880,7 +862,7 @@ def _save_searcher_v6(
         "format_version": int(_format_version),
         "archive_uuid": archive_uuid,
         "parent_uuid": parent_uuid,
-        "meta": json.loads(json.dumps(meta, default=_json_default)),
+        "meta": meta,
     }
     _write_v6_archive(path, header, sections)
     searcher._archive_uuid = archive_uuid
@@ -1006,7 +988,6 @@ def _load_searcher_v6(
             reranker=_load_reranker(
                 str(meta["reranker_kind"]), int(meta["reranker_param"])
             ),
-            rng=_rng_from_state(meta["searcher_rng_state"]),
             compact_threshold=None if threshold is None else float(threshold),
             metric=metric,
         )
@@ -1055,10 +1036,7 @@ def _load_searcher_v6(
                 f"{centroids.shape[0]} centroids for {n_clusters} clusters"
             )
         searcher._ivf = IVFIndex.from_state(
-            centroids,
-            assignments,
-            kmeans_iters=int(meta["kmeans_iters"]),
-            rng=searcher._rng,
+            centroids, assignments, kmeans_iters=int(meta["kmeans_iters"])
         )
 
         sizes = np.asarray(meta["arena_sizes"], dtype=np.int64).reshape(-1)
@@ -1114,23 +1092,12 @@ def _load_searcher_v6(
             rotation.as_matrix() if isinstance(rotation, QRRotation) else None
         )
 
-        rng_states = meta["quantizer_rng_states"]
-        if len(rng_states) != n_clusters:
-            raise PersistenceError(
-                f"archive has inconsistent cluster metadata: "
-                f"{len(rng_states)} RNG states for {n_clusters} clusters"
-            )
-        query_rngs: list[np.random.Generator | None] = []
-        for cid, state in enumerate(rng_states):
-            if sizes[cid] == 0:
-                query_rngs.append(None)
-                continue
-            if state is None:
-                raise PersistenceError(
-                    f"archive has no RNG state for non-empty cluster {cid}"
-                )
-            query_rngs.append(_rng_from_state(state))
-        searcher._query_rngs = query_rngs
+        stored = header["format_version"] >= 10
+        searcher._rounding_offsets = _rounding_offsets(
+            sections.load("rounding_offsets", mmap=False) if stored else None,
+            config.seed,
+            code_length,
+        )
 
         ids = sections.load("ids", mmap=mmap)
         live = sections.load("live", mmap=mmap)

@@ -2,8 +2,9 @@
 
 * :mod:`repro.serving.engine` — :class:`ServingEngine`, a thread-safe
   queue + worker that coalesces concurrent ``submit`` calls into
-  ``search_batch`` micro-batches, with bounded-queue admission control
-  and an execution log for bit-identity replay.
+  ``search_batch`` micro-batches, with bounded-queue admission control.
+  Every response equals a direct ``search`` call on the same searcher at
+  the handle's ``nprobe_effective``, bit for bit.
 * :mod:`repro.serving.budget` — :class:`BudgetController`, deadline-aware
   per-request ``nprobe`` degradation from an EWMA service-time model.
 
@@ -12,17 +13,6 @@ knob semantics and the single-CPU measurement caveats.
 """
 
 from repro.serving.budget import BudgetController
-from repro.serving.engine import (
-    ExecutedRequest,
-    PendingRequest,
-    ServingEngine,
-    execution_log_matches,
-)
+from repro.serving.engine import PendingRequest, ServingEngine
 
-__all__ = [
-    "ServingEngine",
-    "PendingRequest",
-    "ExecutedRequest",
-    "BudgetController",
-    "execution_log_matches",
-]
+__all__ = ["ServingEngine", "PendingRequest", "BudgetController"]

@@ -3,7 +3,7 @@
 Production ANN traffic arrives as concurrent *single* queries, while this
 repo's efficiency win lives in ``search_batch`` (the fused per-cluster GEMM
 engine does measurably less work per query than the sequential path — see
-the ``serving`` section of ``benchmarks/run_bench.py``).
+the ``serve_open`` and ``query_batch`` workloads of ``perf/``).
 :class:`ServingEngine` converts one into the other: callers submit single
 queries from any thread, a dedicated worker thread groups compatible
 requests (same ``k`` and requested ``nprobe`` against the same searcher)
@@ -14,17 +14,12 @@ waiting callers.
 
 Correctness story
 -----------------
-Batch execution is *bit-identical* to sequential execution in this repo
-(``search_batch`` ≡ ``[search(q) ...]`` from the same stream state), but
-with randomized rounding enabled the results do depend on the **order** in
-which queries consume each cluster's rounding stream.  The engine
-therefore keeps an optional execution log (``record_requests=True``):
-every answered request is appended in the exact order it was executed,
-with the query, its parameters and the returned ids/distances.  Replaying
-that order through plain ``search`` calls on a *twin* searcher loaded from
-the same archive must reproduce every response bit-for-bit —
-:func:`execution_log_matches` does exactly that, and both the test suite
-and the benchmark harness hard-gate on it.
+Search is a pure function of (index, query) in this repo: a query's
+answer does not depend on what was asked before it, what it is batched
+with, or its row in the batch.  Every response therefore equals, bit for
+bit, ``searcher.search(handle.query, handle.k,
+nprobe=handle.nprobe_effective)`` on the *same* searcher — the handle
+carries everything needed to check it, so the engine keeps no log.
 
 Admission control and deadlines
 -------------------------------
@@ -53,8 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
@@ -65,59 +59,9 @@ from repro.exceptions import (
 )
 from repro.metrics.timing import LatencyRecorder
 from repro.serving.budget import BudgetController
+from repro.substrates.linalg import require_finite
 
-__all__ = [
-    "ServingEngine",
-    "PendingRequest",
-    "ExecutedRequest",
-    "execution_log_matches",
-]
-
-
-@dataclass(frozen=True)
-class ExecutedRequest:
-    """One answered request, in the order the engine executed it.
-
-    ``nprobe_effective`` is the probe budget actually spent (equal to
-    ``nprobe_requested`` unless the budget controller degraded it); ``ids``
-    and ``distances`` are the arrays returned to the caller.  The sequence
-    of these records *is* the engine's execution order — replaying them
-    through sequential ``search`` calls on a twin searcher must reproduce
-    ``ids``/``distances`` exactly (see :func:`execution_log_matches`).
-    """
-
-    query: np.ndarray
-    k: int
-    nprobe_requested: int
-    nprobe_effective: int
-    ids: np.ndarray
-    distances: np.ndarray
-
-
-def execution_log_matches(
-    searcher, log: Sequence[ExecutedRequest]
-) -> list[int]:
-    """Replay an execution log sequentially; return indices that mismatch.
-
-    ``searcher`` must be a *twin* of the engine's searcher with identical
-    stream state — in practice a fresh ``load_searcher`` of the same
-    archive the engine's searcher was loaded from (randomized-rounding
-    streams are consumed in execution order, so replay requires starting
-    from the same state, not sharing the live instance).  An empty return
-    value is the coalescing-equivalence guarantee: every coalesced
-    response is bit-identical to the sequential ``search`` answer.
-    """
-    mismatched: list[int] = []
-    for i, entry in enumerate(log):
-        expected = searcher.search(
-            entry.query, entry.k, nprobe=entry.nprobe_effective
-        )
-        if not (
-            np.array_equal(expected.ids, entry.ids)
-            and np.array_equal(expected.distances, entry.distances)
-        ):
-            mismatched.append(i)
-    return mismatched
+__all__ = ["ServingEngine", "PendingRequest"]
 
 
 class PendingRequest:
@@ -203,10 +147,6 @@ class ServingEngine:
     clock:
         Monotonic time source (seconds).  Injectable for deterministic
         tests; defaults to :func:`time.monotonic`.
-    record_requests:
-        Keep the full execution log (one :class:`ExecutedRequest` per
-        answered request, in execution order) for equivalence replay.
-        Off by default — the log holds every query and result.
     """
 
     def __init__(
@@ -218,7 +158,6 @@ class ServingEngine:
         max_queue_depth: int = 1024,
         budget: BudgetController | None = None,
         clock: Callable[[], float] | None = None,
-        record_requests: bool = False,
     ) -> None:
         if max_batch < 1:
             raise InvalidParameterError("max_batch must be >= 1")
@@ -238,7 +177,6 @@ class ServingEngine:
         self.max_queue_depth = int(max_queue_depth)
         self._budget = budget
         self._clock = clock if clock is not None else time.monotonic
-        self._record = bool(record_requests)
 
         self._cv = threading.Condition()
         self._queue: list[PendingRequest] = []
@@ -246,7 +184,6 @@ class ServingEngine:
         self._closed = False
 
         self._latency = LatencyRecorder()
-        self._log: list[ExecutedRequest] = []
         self._n_submitted = 0
         self._n_completed = 0
         self._n_failed = 0
@@ -282,11 +219,6 @@ class ServingEngine:
         """The attached budget controller, if any."""
         return self._budget
 
-    def execution_log(self) -> tuple[ExecutedRequest, ...]:
-        """Snapshot of the execution log (``record_requests=True`` only)."""
-        with self._cv:
-            return tuple(self._log)
-
     def submit_async(
         self,
         query: np.ndarray,
@@ -312,6 +244,7 @@ class ServingEngine:
                 f"query has {vec.shape[0]} dimensions, searcher expects "
                 f"{self._dim}"
             )
+        require_finite(vec, "query")
         if deadline is not None:
             deadline = float(deadline)
             if not np.isfinite(deadline):
@@ -519,18 +452,6 @@ class ServingEngine:
             if self._budget is not None:
                 self._budget.observe(effective, len(requests), t1 - t0)
             for request, result in zip(requests, results):
-                if self._record:
-                    with self._cv:
-                        self._log.append(
-                            ExecutedRequest(
-                                query=request.query,
-                                k=request.k,
-                                nprobe_requested=request.nprobe,
-                                nprobe_effective=effective,
-                                ids=result.ids,
-                                distances=result.distances,
-                            )
-                        )
                 self._finish(request, result=result, finished_at=t1)
 
     def _finish(

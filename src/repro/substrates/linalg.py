@@ -28,6 +28,12 @@ def as_float_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
     return arr
 
 
+def require_finite(array: np.ndarray, name: str) -> None:
+    """Reject NaN / infinite entries with :class:`InvalidParameterError`."""
+    if not np.isfinite(array).all():
+        raise InvalidParameterError(f"{name} must be finite (found NaN or inf)")
+
+
 def squared_norms(matrix: np.ndarray) -> np.ndarray:
     """Row-wise squared Euclidean norms of ``matrix``."""
     mat = as_float_matrix(matrix, "matrix")
@@ -191,6 +197,7 @@ def gram_schmidt(matrix: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "as_float_matrix",
+    "require_finite",
     "squared_norms",
     "normalize_rows",
     "pairwise_squared_distances",

@@ -20,8 +20,8 @@ those seams so a test can
 The result-stream gate at the bottom generalizes the archived L2 stream
 gate (``tests/test_l2_stream_gate.py``): a searcher's *full* answer
 stream — ids, distances and ``n_exact`` cost counters for a fixed query
-batch — is captured as plain data and compared element-wise, so
-"recovered bit-identically" means exactly that.
+batch, re-ranked and raw — is captured as plain data and compared
+element-wise, so "recovered bit-identically" means exactly that.
 
 This module is a test helper, not a test file (no ``test_`` prefix); the
 crash-recovery and property suites import it directly.
@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.io._fsio as _fsio
+from repro.index.rerank import NoReranker
 
 #: The _fsio functions the harness replaces.
 _SEAMS = ("open_write", "open_append", "fsync_file", "replace", "fsync_dir")
@@ -272,15 +273,24 @@ def result_stream(searcher, queries, *, k: int, nprobe: int) -> dict:
     """A searcher's full sequential answer stream as plain data.
 
     Ids, distances and the ``n_exact`` cost counter for every query, in
-    order — queries are answered sequentially so the randomized-rounding
-    streams advance exactly as they would in serving.
+    order, under the searcher's own re-ranker and then *raw* (the same
+    queries under ``NoReranker``, re-ranker restored).  Re-ranked
+    distances are exact distances of the winners; the raw pass reports
+    the estimates themselves, so the comparison covers the estimator.
     """
+    queries = np.asarray(queries, dtype=np.float64)
     out = {"ids": [], "distances": [], "n_exact": []}
-    for query in np.asarray(queries, dtype=np.float64):
-        result = searcher.search(query, k, nprobe=nprobe)
-        out["ids"].append([int(i) for i in result.ids])
-        out["distances"].append([float(d) for d in result.distances])
-        out["n_exact"].append(int(result.n_exact))
+    original = searcher.reranker
+    try:
+        for reranker in (original, NoReranker()):
+            searcher.reranker = reranker
+            for query in queries:
+                result = searcher.search(query, k, nprobe=nprobe)
+                out["ids"].append([int(i) for i in result.ids])
+                out["distances"].append([float(d) for d in result.distances])
+                out["n_exact"].append(int(result.n_exact))
+    finally:
+        searcher.reranker = original
     return out
 
 

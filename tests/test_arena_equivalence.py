@@ -7,12 +7,13 @@ per-cluster-quantizer implementation at every point of the index lifecycle.
 
 ``PreArenaReference`` below is a literal port of that former implementation:
 one :class:`repro.core.quantizer.RaBitQ` object per cluster (rebuilt from
-the arena state, with cloned rounding streams), the per-cluster
+the arena state, sharing the searcher's rounding vector), the per-cluster
 ``estimate_distances`` + concatenation estimation loop, and the original
 heap-based error-bound re-ranker.  The hypothesis suite drives a searcher
 through random ``fit -> insert -> delete -> compact -> save/load``
-interleavings and checks both entry points against the reference at every
-checkpoint.
+interleavings and checks both entry points — and the raw estimates under
+them, which the re-ranked answers alone would not pin — against the
+reference at every checkpoint.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import load_searcher, save_searcher
 from repro.substrates.linalg import stable_topk_indices
-
-
-def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
-    bitgen = type(rng.bit_generator)()
-    bitgen.state = rng.bit_generator.state
-    return np.random.Generator(bitgen)
 
 
 def _heap_error_bound_rerank(query, candidate_ids, estimate, flat_index, k):
@@ -102,11 +97,9 @@ class PreArenaReference:
     """Snapshot of a searcher as the pre-arena implementation stored it.
 
     Rebuilds one ``RaBitQ`` object per non-empty cluster from the arena
-    regions (codes, popcounts, alignments, norms) with *cloned* rounding
-    streams, then answers queries with the former per-cluster estimation
-    loop and heap re-ranker.  Because the streams are cloned, querying the
-    reference consumes randomness in exactly the same order the snapshotted
-    searcher will when asked the same queries.
+    regions (codes, popcounts, alignments, norms) and gives each the
+    searcher's rounding vector, then answers queries with the former
+    per-cluster estimation loop and heap re-ranker.
     """
 
     def __init__(self, searcher: IVFQuantizedSearcher) -> None:
@@ -135,7 +128,7 @@ class PreArenaReference:
                 code_length=arena.code_length,
                 dim=dim,
             )
-            quantizer._query_rng = _clone_rng(searcher._query_rngs[cid])
+            quantizer._rounding_offsets = searcher._rounding_offsets
             self._quantizers.append(quantizer)
 
     def _estimate(self, query, cluster_ids):
@@ -195,25 +188,30 @@ class PreArenaReference:
 
 
 def _assert_matches_reference(searcher, queries, k, nprobe):
-    """Sequential and batch answers both equal the reference's answers."""
+    """Sequential and batch answers, and the estimates, equal the reference's."""
     reference = PreArenaReference(searcher)
     expected = [reference.search(q, k, nprobe=nprobe) for q in queries]
     batch = searcher.search_batch(queries, k, nprobe=nprobe)
-    for got, (ids, dists, n_cand, n_exact) in zip(batch, expected):
-        np.testing.assert_array_equal(got.ids, ids)
-        np.testing.assert_array_equal(got.distances, dists)
-        assert got.n_candidates == n_cand
-        assert got.n_exact == n_exact
-    # The batch above consumed the same randomness a sequential loop would
-    # have, so a fresh reference snapshot drives the sequential check.
-    reference = PreArenaReference(searcher)
-    expected = [reference.search(q, k, nprobe=nprobe) for q in queries]
-    for query, (ids, dists, n_cand, n_exact) in zip(queries, expected):
-        got = searcher.search(query, k, nprobe=nprobe)
-        np.testing.assert_array_equal(got.ids, ids)
-        np.testing.assert_array_equal(got.distances, dists)
-        assert got.n_candidates == n_cand
-        assert got.n_exact == n_exact
+    sequential = [searcher.search(q, k, nprobe=nprobe) for q in queries]
+    for answers in (batch, sequential):
+        for got, (ids, dists, n_cand, n_exact) in zip(answers, expected):
+            np.testing.assert_array_equal(got.ids, ids)
+            np.testing.assert_array_equal(got.distances, dists)
+            assert got.n_candidates == n_cand
+            assert got.n_exact == n_exact
+    # The re-ranked answers above are exact distances of the winners; the
+    # estimates themselves are compared here, field by field.
+    for query in queries:
+        cluster_ids = searcher.ivf.probe(query, nprobe)
+        got_ids, got = searcher._estimate_rabitq(query, cluster_ids)
+        want_ids, want = reference._estimate(query, cluster_ids)
+        np.testing.assert_array_equal(got_ids, want_ids)
+        for field in (
+            "distances", "lower_bounds", "upper_bounds", "inner_products"
+        ):
+            np.testing.assert_array_equal(
+                getattr(got, field), getattr(want, field), err_msg=field
+            )
 
 
 @pytest.fixture(scope="module")

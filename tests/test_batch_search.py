@@ -8,11 +8,12 @@ and ``k > n_candidates`` edge cases, and pin the exactness of every batched
 layer (popcount kernel, query quantization, distance estimation) against
 its single-query twin.
 
-Two independently built searchers with identical seeds are compared (rather
-than one searcher queried twice) because querying consumes the cluster
-quantizers' randomized-rounding streams: the guarantee is that batch and
-sequential execution draw the same stream, not that repeated searches are
-idempotent.
+Search is a pure function of (index, query) — randomized rounding reads one
+per-index vector and draws nothing — so a query's answer does not depend on
+what it is batched with, its row, or what was asked before
+(``test_pure_under_permutation_and_splitting``).  Most tests here still
+compare two independently built same-seed searchers, which additionally
+pins that building is deterministic.
 """
 
 from __future__ import annotations
@@ -74,6 +75,38 @@ class TestBatchSearchEquivalence:
         batch = batch_searcher.search_batch(queries, k, nprobe=nprobe)
         sequential = [seq_searcher.search(q, k, nprobe=nprobe) for q in queries]
         _assert_batch_equals_sequential(batch, sequential)
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(**_SETTINGS)
+    def test_pure_under_permutation_and_splitting(self, seed):
+        # Default config, raw estimates (NoReranker): a batch, a permutation
+        # of its rows and an arbitrary split into sub-batches all give each
+        # query the answer ``search`` gives it alone — asked twice.
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((int(rng.integers(60, 200)), 10))
+        queries = rng.standard_normal((int(rng.integers(2, 9)), 10))
+        k, nprobe = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+        searcher = IVFQuantizedSearcher(
+            "rabitq", n_clusters=8, reranker=NoReranker(), rng=7
+        ).fit(data)
+        alone = [searcher.search(q, k, nprobe=nprobe) for q in queries]
+        again = [searcher.search(q, k, nprobe=nprobe) for q in queries]
+        _assert_batch_equals_sequential(again, alone)
+        _assert_batch_equals_sequential(
+            searcher.search_batch(queries, k, nprobe=nprobe), alone
+        )
+        order = rng.permutation(len(queries))
+        _assert_batch_equals_sequential(
+            searcher.search_batch(queries[order], k, nprobe=nprobe),
+            [alone[i] for i in order],
+        )
+        cuts = np.flatnonzero(rng.integers(0, 2, size=len(queries) - 1)) + 1
+        pieces = [
+            result
+            for part in np.split(queries, cuts)
+            for result in searcher.search_batch(part, k, nprobe=nprobe)
+        ]
+        _assert_batch_equals_sequential(pieces, alone)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(**_SETTINGS)
@@ -146,8 +179,7 @@ class TestBatchSearchEquivalence:
         full = _build_rabitq_searcher(data, n_clusters=8).search_batch(
             queries, 5, nprobe=4
         )
-        # Force several query chunks; results must be unchanged because
-        # chunks run in ascending query order.
+        # Force several query chunks; no answer depends on its chunk.
         monkeypatch.setattr(searcher_module, "_SEARCH_BATCH_MAX_PAIRS", 1)
         chunked = _build_rabitq_searcher(data, n_clusters=8).search_batch(
             queries, 5, nprobe=4
@@ -155,8 +187,7 @@ class TestBatchSearchEquivalence:
         _assert_batch_equals_sequential(chunked, list(full))
 
     def test_duplicate_query_rows(self):
-        # Identical queries do not share randomized-rounding draws; each row
-        # consumes its own, exactly as in the sequential loop.
+        # Identical rows get identical answers, as in the sequential loop.
         rng = np.random.default_rng(19)
         data = rng.standard_normal((120, 8))
         query = rng.standard_normal(8)

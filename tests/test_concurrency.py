@@ -6,13 +6,11 @@ Contract under test (documented in ``repro/index/searcher.py``):
   threads on one fitted searcher — scratch buffers and the rotation pad
   are thread-local, and probing reads an eagerly computed centroid-norm
   cache, so concurrent queries never share a mutable work area;
-* with *deterministic query preparation* (``randomized_rounding=False``)
-  every query is a pure read, so concurrent results are additionally
-  bit-identical to serial execution in any interleaving;
-* with randomized rounding (the default), concurrent calls interleave
-  stream consumption and are intentionally not reproducible, so this
-  suite pins only their memory-safety (no exceptions, well-formed
-  results).
+* every query is a pure read — the randomized rounding (on, as by
+  default) reads one per-index vector and draws nothing — so concurrent
+  results are bit-identical to serial execution in any interleaving.
+  Each test runs under the error-bound re-ranker and under
+  ``NoReranker``, where the answers are the estimates themselves.
 
 Mutations (``insert`` / ``delete`` / ``compact``) are *not* read-safe and
 must be externally synchronized with queries; that is out of scope here.
@@ -25,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.config import RaBitQConfig
+from repro.index.rerank import ErrorBoundReranker, NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
 
 N_THREADS = 8
@@ -40,10 +38,12 @@ def concurrency_setup():
     return data, queries
 
 
-def _deterministic_config():
-    # Deterministic rounding: query preparation consumes no randomness, so
-    # searches are pure reads and any execution order gives identical bits.
-    return RaBitQConfig(seed=0, randomized_rounding=False)
+def _searchers(data):
+    """Default-config searchers: re-ranked answers, then raw estimates."""
+    for reranker in (ErrorBoundReranker(), NoReranker()):
+        yield IVFQuantizedSearcher(
+            "rabitq", n_clusters=8, reranker=reranker, rng=0
+        ).fit(data)
 
 
 def _run_threads(n_threads, fn, args_list):
@@ -62,71 +62,49 @@ def _assert_result_equal(got, want):
 class TestSingleSearcherConcurrency:
     def test_concurrent_search_bit_identical_to_serial(self, concurrency_setup):
         data, queries = concurrency_setup
-        searcher = IVFQuantizedSearcher(
-            "rabitq", n_clusters=8, rabitq_config=_deterministic_config(), rng=0
-        ).fit(data)
-        serial = [searcher.search(q, 7, nprobe=4) for q in queries]
         # Every thread answers every query, several rounds, in shuffled
         # per-thread orders — all results must equal the serial pass.
         orders = [
             np.random.default_rng(t).permutation(len(queries))
             for t in range(N_THREADS)
         ]
+        for searcher in _searchers(data):
+            serial = [searcher.search(q, 7, nprobe=4) for q in queries]
 
-        def worker(order):
-            out = {}
-            for _ in range(N_ROUNDS):
-                for qi in order:
-                    out[qi] = searcher.search(queries[qi], 7, nprobe=4)
-            return out
+            def worker(order):
+                out = {}
+                for _ in range(N_ROUNDS):
+                    for qi in order:
+                        out[qi] = searcher.search(queries[qi], 7, nprobe=4)
+                return out
 
-        for result_map in _run_threads(N_THREADS, worker, [(o,) for o in orders]):
-            for qi, result in result_map.items():
-                _assert_result_equal(result, serial[qi])
+            for result_map in _run_threads(
+                N_THREADS, worker, [(o,) for o in orders]
+            ):
+                for qi, result in result_map.items():
+                    _assert_result_equal(result, serial[qi])
 
     def test_concurrent_mixed_search_and_batch(self, concurrency_setup):
         data, queries = concurrency_setup
-        searcher = IVFQuantizedSearcher(
-            "rabitq", n_clusters=8, rabitq_config=_deterministic_config(), rng=0
-        ).fit(data)
-        serial = searcher.search_batch(queries, 5, nprobe=4)
+        for searcher in _searchers(data):
+            serial = searcher.search_batch(queries, 5, nprobe=4)
 
-        def batch_worker():
-            return [searcher.search_batch(queries, 5, nprobe=4) for _ in range(N_ROUNDS)]
+            def batch_worker():
+                return [
+                    searcher.search_batch(queries, 5, nprobe=4)
+                    for _ in range(N_ROUNDS)
+                ]
 
-        def single_worker():
-            return [
-                [searcher.search(q, 5, nprobe=4) for q in queries]
-                for _ in range(N_ROUNDS)
-            ]
+            def single_worker():
+                return [
+                    [searcher.search(q, 5, nprobe=4) for q in queries]
+                    for _ in range(N_ROUNDS)
+                ]
 
-        workers = [(batch_worker,), (single_worker,)] * (N_THREADS // 2)
-        outputs = _run_threads(N_THREADS, lambda fn: fn(), workers)
-        for rounds in outputs:
-            for round_result in rounds:
-                for got, want in zip(round_result, serial):
-                    _assert_result_equal(got, want)
-
-    def test_concurrent_randomized_searcher_is_memory_safe(self, concurrency_setup):
-        # Default config: results are valid but order-dependent; the pinned
-        # property is the absence of crashes/races and well-formed output.
-        data, queries = concurrency_setup
-        searcher = IVFQuantizedSearcher(
-            "rabitq", n_clusters=8, rabitq_config=RaBitQConfig(seed=0), rng=0
-        ).fit(data)
-
-        def worker(offset):
-            out = []
-            for round_idx in range(N_ROUNDS):
-                qi = (offset + round_idx) % len(queries)
-                out.append(searcher.search(queries[qi], 5, nprobe=4))
-            return out
-
-        outputs = _run_threads(N_THREADS, worker, [(t,) for t in range(N_THREADS)])
-        live = set(searcher.live_ids.tolist())
-        for rounds in outputs:
-            for result in rounds:
-                assert result.ids.shape == (5,)
-                assert np.all(np.diff(result.distances) >= 0)
-                assert set(result.ids.tolist()) <= live
+            workers = [(batch_worker,), (single_worker,)] * (N_THREADS // 2)
+            outputs = _run_threads(N_THREADS, lambda fn: fn(), workers)
+            for rounds in outputs:
+                for round_result in rounds:
+                    for got, want in zip(round_result, serial):
+                        _assert_result_equal(got, want)
 

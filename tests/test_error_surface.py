@@ -8,10 +8,16 @@ parameter-validation errors — previously raw ``ValueError`` — now raise
 ``InvalidParameterError`` also derives from ``ValueError``, so pre-existing
 ``except ValueError`` call sites keep working.
 
-Two intentional non-ReproError raises remain and are pinned here:
+One intentional non-ReproError raise remains and is pinned here:
 ``ensure_rng`` raises ``TypeError`` for non-seed *types* (a genuine type
-error, covered by ``tests/test_rng.py``), and the persistence layer's JSON
-``default=`` hook raises ``TypeError`` as the ``json`` protocol requires.
+error, covered by ``tests/test_rng.py``).
+
+Hostile *values* fail typed and early too: a NaN or infinite coordinate is
+an ``InvalidParameterError`` at ``fit``, ``insert`` (before the index or
+the journal is touched), ``search``, ``search_batch`` and ``submit``, and so
+is a non-integral ``k`` / ``nprobe``.  What must keep working is pinned
+next to them: an all-zero query, and a dimension that is not a multiple
+of 64.
 """
 
 from __future__ import annotations
@@ -97,6 +103,17 @@ def _submit_after_close():
     engine = ServingEngine(_fitted_searcher())
     engine.close()
     return engine.submit(np.ones(6), 1)
+
+
+def _poisoned(value: float, rows: int | None = None) -> np.ndarray:
+    """A 6-d query (or ``rows`` of them) with one hostile coordinate."""
+    out = np.ones(6) if rows is None else np.ones((rows, 6))
+    out[..., 2] = value
+    return out
+
+
+def _fit_on(data):
+    return IVFQuantizedSearcher("rabitq", n_clusters=2, rng=0).fit(data)
 
 
 def _empty_percentile():
@@ -196,6 +213,40 @@ _CASES = [
         lambda: _fitted_searcher().search_batch(np.ones((2, 9)), 1),
         InvalidParameterError,
     ),
+    # Hostile values: non-finite coordinates, non-integral k / nprobe.
+    (
+        "searcher fractional k",
+        lambda: _fitted_searcher().search(np.ones(6), 2.5),
+        InvalidParameterError,
+    ),
+    (
+        "searcher fractional nprobe",
+        lambda: _fitted_searcher().search(np.ones(6), 2, nprobe=1.5),
+        InvalidParameterError,
+    ),
+    (
+        "searcher batch fractional k",
+        lambda: _fitted_searcher().search_batch(np.ones((2, 6)), 2.5),
+        InvalidParameterError,
+    ),
+    *(
+        (f"{entry} {label}", call, InvalidParameterError)
+        for label, value in (
+            ("nan", float("nan")),
+            ("inf", float("inf")),
+            ("-inf", float("-inf")),
+        )
+        for entry, call in (
+            ("fit", lambda v=value: _fit_on(_poisoned(v, rows=8))),
+            ("insert", lambda v=value: _fitted_searcher().insert(_poisoned(v, 2))),
+            ("search", lambda v=value: _fitted_searcher().search(_poisoned(v), 1)),
+            (
+                "search_batch",
+                lambda v=value: _fitted_searcher().search_batch(_poisoned(v, 3), 1),
+            ),
+            ("submit", lambda v=value: _engine_submit(_poisoned(v), 1)),
+        )
+    ),
     # serving/
     (
         "submit bad k",
@@ -268,6 +319,59 @@ def test_public_surface_raises_repro_errors(name, call, expected):
     with pytest.raises(expected) as excinfo:
         call()
     assert isinstance(excinfo.value, ReproError)
+
+
+def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
+    from repro.io import default_journal_path, load_searcher, save_searcher
+
+    path = tmp_path / "idx.rbq"
+    save_searcher(_fit_on(np.random.default_rng(5).standard_normal((40, 6))), path)
+    searcher = load_searcher(path, journal=True)
+    journal = default_journal_path(path)
+    searcher.insert(np.ones((2, 6)))  # a good insert first: journal non-empty
+    before = (
+        journal.stat().st_size,
+        searcher.live_ids.tolist(),
+        searcher.n_total,
+        len(searcher.flat),
+        int(searcher.arena.n_rows),
+    )
+    good_query = searcher.search(np.ones(6), 3, nprobe=2)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            searcher.insert(_poisoned(value, rows=3))
+        assert before == (
+            journal.stat().st_size,
+            searcher.live_ids.tolist(),
+            searcher.n_total,
+            len(searcher.flat),
+            int(searcher.arena.n_rows),
+        )
+    again = searcher.search(np.ones(6), 3, nprobe=2)
+    np.testing.assert_array_equal(again.ids, good_query.ids)
+    np.testing.assert_array_equal(again.distances, good_query.distances)
+    # Recovery replays exactly the acknowledged insert.
+    recovered = load_searcher(path, journal=True)
+    assert recovered.live_ids.tolist() == searcher.live_ids.tolist()
+
+
+def test_zero_query_and_odd_dimension_are_served():
+    # All-zero query: a zero residual norm is a legitimate input.
+    searcher = _fitted_searcher()
+    for result in (
+        searcher.search(np.zeros(6), 3, nprobe=2),
+        searcher.search_batch(np.zeros((2, 6)), 3, nprobe=2)[1],
+        _engine_submit(np.zeros(6), 3, nprobe=2),
+    ):
+        assert result.ids.shape == (3,)
+        assert np.isfinite(result.distances).all()
+    # A dimension that is not a multiple of 64 is padded, not refused.
+    data = np.random.default_rng(8).standard_normal((80, 20))
+    odd = _fit_on(data)
+    assert odd.dim == 20 and odd.arena.code_length == 64
+    assert odd.search(data[3], 1, nprobe=2).ids.tolist() == [3]
+    odd.insert(np.random.default_rng(9).standard_normal((4, 20)))
+    assert odd.search_batch(data[:5], 2, nprobe=2)[4].ids[0] == 4
 
 
 def test_ensure_rng_type_error_is_intentional():

@@ -3,11 +3,12 @@
 ``tests/data/l2_stream_gate.json`` pins the exact answers — ids, distances
 and ``n_exact`` cost counters — that the pre-metric-refactor implementation
 produced for a fixed ``fit -> insert -> delete -> compact -> save -> load``
-lifecycle (the fixture was generated by the PR 4 build; see
-``tests/data/gen_l2_stream_gate.py``).  Replaying the identical scenario
-here and comparing element-wise proves that the metric-generic refactor —
-and any later change — left the ``metric="l2"`` arithmetic untouched, not
-just "approximately equal".
+lifecycle (those entries were generated by the PR 4 build), and, per
+checkpoint, the raw estimates of the same queries under ``NoReranker`` (see
+``tests/data/gen_l2_stream_gate.py`` for which build pinned which layer).
+Replaying the identical scenario here and comparing element-wise proves
+that the metric-generic refactor — and any later change — left the
+``metric="l2"`` arithmetic untouched, not just "approximately equal".
 """
 
 from __future__ import annotations
@@ -48,17 +49,11 @@ def test_l2_results_unchanged_across_lifecycle():
     for checkpoint, want in expected.items():
         have = got[checkpoint]
         assert have["n_exact"] == want["n_exact"], checkpoint
-        for qi, (want_ids, want_dists) in enumerate(
-            zip(want["ids"], want["distances"])
-        ):
-            np.testing.assert_array_equal(
-                np.asarray(have["ids"][qi]),
-                np.asarray(want_ids),
-                err_msg=f"{checkpoint}: ids diverged for query {qi}",
-            )
-            # JSON floats round-trip float64 exactly, so equality is exact.
-            np.testing.assert_array_equal(
-                np.asarray(have["distances"][qi]),
-                np.asarray(want_dists),
-                err_msg=f"{checkpoint}: distances diverged for query {qi}",
-            )
+        # JSON floats round-trip float64 exactly, so equality is exact.
+        for field in ("ids", "distances", "raw_ids", "raw_distances"):
+            for qi, want_row in enumerate(want[field]):
+                np.testing.assert_array_equal(
+                    np.asarray(have[field][qi]),
+                    np.asarray(want_row),
+                    err_msg=f"{checkpoint}: {field} diverged for query {qi}",
+                )

@@ -1,16 +1,27 @@
-"""Archives written before the v9 format still load — minus the removed knobs.
+"""Archives written before the current format still load — minus what was removed.
 
 Format v9 dropped what the deleted serving knobs stored: the ``arena_segs``
 section (LUT segment ids), the ``estimation_mode`` / ``probe_strategy``
 metadata and the ``centroid_graph`` block with its three ``graph_*``
-sections.  The contract pinned here:
+sections.  Format v10 stores the index's rounding vector as the
+``rounding_offsets`` section and dropped the generator states
+(``quantizer_rng_states`` / ``searcher_rng_state``) that stateful rounding
+needed.  The contract pinned here:
 
-* a parent-format (v6–v8) archive carrying all of those — saved under
+* a v6–v8 archive carrying all of those — saved under
   ``estimation_mode="lut"`` and ``probe_strategy="graph"`` — loads
   materialized and memory-mapped, with a journal attached, and answers
   bit-identically (ids, distances, cost counters) to a same-seed twin
   built by this build, through further journaled mutations;
-* this build writes v9 without any of them;
+* so does a parent-format (v9) archive: it derives the rounding vector
+  from its stored seed exactly as ``fit`` does (a seedless one from seed
+  0, so two loads agree) and never reads the retired generator states —
+  it answers like *this* build from the same seeds, not like the build
+  that wrote it, whose rounding was stateful;
+* this build writes v10 without any of them, and a v10 archive of a
+  seedless index reloads bit-identically to the live one;
+* a stored rounding vector that is missing, mis-sized, non-finite or
+  outside ``[0, 1)`` is a ``PersistenceError``;
 * the removed constructor arguments are gone, not silently accepted;
 * the retired layouts — npz searcher archives (v1–v5) and the sharded
   directory — are refused by ``load_searcher`` with a ``PersistenceError``
@@ -54,6 +65,8 @@ _LATER = np.random.default_rng(73).standard_normal((9, DIM))
 _QUERIES = np.random.default_rng(74).standard_normal((6, DIM))
 
 REMOVED_META = ("estimation_mode", "probe_strategy", "centroid_graph")
+#: v6–v9 header keys: the generator states of stateful rounding.
+RETIRED_RNG_META = {"quantizer_rng_states", "searcher_rng_state"}
 REMOVED_SECTIONS = (
     "arena_segs",
     "graph_nodes",
@@ -62,11 +75,11 @@ REMOVED_SECTIONS = (
 )
 
 
-def _build(metric: str = "l2") -> IVFQuantizedSearcher:
+def _build(metric: str = "l2", seed: int | None = 3) -> IVFQuantizedSearcher:
     searcher = IVFQuantizedSearcher(
         "rabitq",
         n_clusters=N_CLUSTERS,
-        rabitq_config=RaBitQConfig(seed=3),
+        rabitq_config=RaBitQConfig(seed=seed),
         rng=17,
         metric=metric,
     ).fit(_DATA)
@@ -95,8 +108,8 @@ def _stream(searcher) -> list[tuple]:
     """Sequential then batch answers with both cost counters, re-ranked and raw.
 
     The raw pass (``NoReranker``) reports the estimates themselves, so the
-    stream depends on every bit of the kernel output and on the state of
-    every rounding stream, not only on which candidates win the re-rank.
+    stream depends on every bit of the kernel output and on the rounding
+    vector, not only on which candidates win the re-rank.
     """
     original = searcher.reranker
     out = _answers(searcher)
@@ -117,17 +130,21 @@ def _read(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _as_parent_format(path: Path, version: int = 8) -> None:
-    """Rewrite the v9 archive at ``path`` as a ``lut`` + ``graph`` v6–v8 one.
+    """Rewrite the current archive at ``path`` as a ``lut`` + ``graph`` v6–v8 one.
 
-    Same archive UUID (so journals still bind to it), same sections, plus
-    everything the removed knobs stored.  The graph block and sections hold
-    arbitrary contents: the loader must skip them, never parse them.
+    Same archive UUID (so journals still bind to it), same sections minus
+    the rounding vector, plus everything the removed knobs stored.  The
+    graph block and sections and the generator states hold arbitrary
+    contents: the loader must skip them, never parse them.
     """
     header, arrays = _read(path)
     assert header["format_version"] == SEARCHER_FORMAT_VERSION
     header.pop("sections")
     header["format_version"] = version
     meta = header["meta"]
+    del arrays["rounding_offsets"]
+    meta["quantizer_rng_states"] = "not a list of states"
+    meta["searcher_rng_state"] = {"bit_generator": "NoSuchGenerator"}
     meta["estimation_mode"] = "lut"
     arrays["arena_segs"] = split_into_segments(arrays["arena_bits"])
     if version < 8:
@@ -140,11 +157,17 @@ def _as_parent_format(path: Path, version: int = 8) -> None:
     _write_v6_archive(path, header, arrays)
 
 
-def _assert_v9_clean(path: Path) -> None:
+def _assert_clean(path: Path, version: int = SEARCHER_FORMAT_VERSION) -> None:
+    """No removed knob state; the rounding vector xor the generator states."""
     header, arrays = _read(path)
-    assert header["format_version"] == SEARCHER_FORMAT_VERSION == 9
+    assert header["format_version"] == version
     assert not set(REMOVED_META) & set(header["meta"])
     assert not set(REMOVED_SECTIONS) & set(arrays)
+    stores_vector = version >= 10
+    assert ("rounding_offsets" in arrays) == stores_vector
+    assert RETIRED_RNG_META & set(header["meta"]) == (
+        set() if stores_vector else RETIRED_RNG_META
+    )
 
 
 class TestParentFormatSearcherArchive:
@@ -181,13 +204,14 @@ class TestParentFormatSearcherArchive:
         _as_parent_format(path)
         assert _stream(load_searcher(path, mmap=True)) == _stream(_build(metric))
 
-    def test_resave_upgrades_to_v9(self, tmp_path):
+    def test_resave_upgrades_to_current_format(self, tmp_path):
+        assert SEARCHER_FORMAT_VERSION == 10
         path = tmp_path / "parent.rbq"
         save_searcher(_build(), path)
         _as_parent_format(path)
         upgraded = tmp_path / "upgraded.rbq"
         save_searcher(load_searcher(path), upgraded)
-        _assert_v9_clean(upgraded)
+        _assert_clean(upgraded)
         assert upgraded.stat().st_size < path.stat().st_size
         assert _stream(load_searcher(upgraded)) == _stream(_build())
 
@@ -200,6 +224,8 @@ class TestParentFormatSearcherArchive:
         assert header["meta"]["estimation_mode"] == "gemm"
         assert ("probe_strategy" in header["meta"]) == (version >= 7)
         assert ("bits" in header["meta"]) == (version >= 8)
+        assert "rounding_offsets" not in arrays
+        assert len(header["meta"]["quantizer_rng_states"]) == N_CLUSTERS
         np.testing.assert_array_equal(
             arrays["arena_segs"], split_into_segments(arrays["arena_bits"])
         )
@@ -207,12 +233,102 @@ class TestParentFormatSearcherArchive:
 
 
 class TestV9:
+    """The parent format: generator states in the header, no rounding vector."""
+
     def test_round_trip_bit_identical_without_removed_state(self, tmp_path):
         path = tmp_path / "v9.rbq"
-        save_searcher(_build(), path)
-        _assert_v9_clean(path)
+        _save_searcher_v6(_build(), path, _format_version=9)
+        _assert_clean(path, version=9)
         for mmap in (False, True):
             assert _stream(load_searcher(path, mmap=mmap)) == _stream(_build())
+
+    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
+    def test_recovers_journaled_mutations_like_head_twin(self, tmp_path, mmap):
+        path = tmp_path / "v9.rbq"
+        _save_searcher_v6(_build(), path, _format_version=9)
+        loaded = load_searcher(path, mmap=mmap, journal=True)
+        _mutate(loaded)
+        recovered = load_searcher(path, mmap=mmap, journal=True)
+        twin = _build()
+        _mutate(twin)
+        assert _stream(recovered) == _stream(loaded) == _stream(twin)
+
+    def test_seedless_archive_loads_twice_identically(self, tmp_path):
+        path = tmp_path / "seedless.rbq"
+        _save_searcher_v6(_build(seed=None), path, _format_version=9)
+        assert _read(path)[0]["meta"]["seed"] is None
+        first, second = load_searcher(path), load_searcher(path, mmap=True)
+        np.testing.assert_array_equal(
+            first._rounding_offsets, second._rounding_offsets
+        )
+        assert _stream(first) == _stream(second)
+
+    def test_retired_generator_states_are_never_read(self, tmp_path):
+        path = tmp_path / "v9.rbq"
+        _save_searcher_v6(_build(), path, _format_version=9)
+        header, arrays = _read(path)
+        header.pop("sections")
+        header["meta"]["quantizer_rng_states"] = [{"state": 2**200}, "garbage"]
+        header["meta"]["searcher_rng_state"] = None
+        _write_v6_archive(path, header, arrays)
+        assert _stream(load_searcher(path)) == _stream(_build())
+
+
+class TestV10:
+    def test_round_trip_bit_identical_without_removed_state(self, tmp_path):
+        path = tmp_path / "v10.rbq"
+        save_searcher(_build(), path)
+        _assert_clean(path)
+        for mmap in (False, True):
+            assert _stream(load_searcher(path, mmap=mmap)) == _stream(_build())
+
+    def test_seedless_index_reloads_like_the_live_one(self, tmp_path):
+        # seed=None: the vector exists nowhere but in the live index and
+        # its archive; the live side has also answered reads meanwhile.
+        live = _build(seed=None)
+        path = tmp_path / "seedless.rbq"
+        save_searcher(live, path)
+        want = _stream(live)
+        for mmap in (False, True):
+            assert _stream(load_searcher(path, mmap=mmap)) == want
+        assert _stream(live) == want
+
+    def test_comma_dtype_in_section_table_fails_typed(self, tmp_path):
+        # ``np.dtype(",f8")`` raises SyntaxError, not ValueError.  The bit
+        # flip that found it is pinned in tests/test_mmap_persistence.py by
+        # header position, which moved when the header shrank in v10.
+        path = tmp_path / "v10.rbq"
+        save_searcher(_build(), path)
+        raw = path.read_bytes()
+        assert raw.count(b'"dtype": "<f8"') > 1
+        path.write_bytes(raw.replace(b'"dtype": "<f8"', b'"dtype": ",f8"', 1))
+        for mmap in (False, True):
+            with pytest.raises(PersistenceError, match="section table"):
+                load_searcher(path, mmap=mmap)
+
+    def test_malformed_rounding_offsets_rejected(self, tmp_path):
+        path = tmp_path / "v10.rbq"
+        save_searcher(_build(), path)
+        header, arrays = _read(path)
+        header.pop("sections")
+        good = arrays["rounding_offsets"]
+        third = np.arange(good.size) == 3
+        for bad in (
+            None,  # section missing
+            good[:-1],
+            good[None, :],
+            np.where(third, np.nan, good),
+            np.where(third, np.inf, good),
+            np.where(third, 1.0, good),
+            np.where(third, -1e-9, good),
+        ):
+            broken = {k: v for k, v in arrays.items() if k != "rounding_offsets"}
+            if bad is not None:
+                broken["rounding_offsets"] = bad
+            _write_v6_archive(path, header, broken)
+            for mmap in (False, True):
+                with pytest.raises(PersistenceError, match="rounding"):
+                    load_searcher(path, mmap=mmap)
 
 
 _LOAD_MODES = (

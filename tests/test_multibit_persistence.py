@@ -12,9 +12,11 @@ meta.  This suite pins the contract from the multi-bit refactor:
   of silently dropping the width;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded;
-* quantizer npz archives stay at version 2 (byte-compatible with previous
-  builds) for ``bits = 1`` and write version 3 (with ``bits`` and
-  ``rescales`` entries) for ``bits > 1``.
+* quantizer npz archives are written as version 4 for every width (a
+  ``bits`` entry always, ``rescales`` only for ``bits > 1``, the rounding
+  vector in place of v2/v3's generator state) and round-trip
+  bit-identically; ``tests/test_persistence.py`` pins that v2/v3 files
+  still load.
 """
 
 from __future__ import annotations
@@ -145,28 +147,29 @@ class TestCorruption:
 
 
 class TestQuantizerArchives:
-    def test_one_bit_archive_stays_version_two(self, corpus, tmp_path):
+    def test_one_bit_archive_round_trips_as_v4(self, corpus, tmp_path):
         data, queries = corpus
         quantizer = RaBitQ(RaBitQConfig(seed=3, bits=1)).fit(data)
         path = tmp_path / "q1"
         save_rabitq(quantizer, path)
         with np.load(str(path) + ".npz") as archive:
-            assert int(archive["format_version"]) == 2
-            assert "bits" not in archive.files
+            assert int(archive["format_version"]) == 4
+            assert int(archive["bits"]) == 1
             assert "rescales" not in archive.files
+            assert "query_rng_state" not in archive.files
         reference = quantizer.estimate_distances(queries[0])
         loaded = load_rabitq(path)
         assert loaded.config.bits == 1
         estimate = loaded.estimate_distances(queries[0])
         np.testing.assert_array_equal(reference.distances, estimate.distances)
 
-    def test_multibit_archive_writes_version_three(self, corpus, tmp_path):
+    def test_multibit_archive_round_trips_as_v4(self, corpus, tmp_path):
         data, queries = corpus
         quantizer = RaBitQ(RaBitQConfig(seed=3, bits=4)).fit(data)
         path = tmp_path / "q4"
         save_rabitq(quantizer, path)
         with np.load(str(path) + ".npz") as archive:
-            assert int(archive["format_version"]) == 3
+            assert int(archive["format_version"]) == 4
             assert int(archive["bits"]) == 4
             assert archive["rescales"].shape == (len(data),)
         reference = quantizer.estimate_distances(queries[0])

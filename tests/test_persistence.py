@@ -107,12 +107,13 @@ class TestLoad:
         np.testing.assert_array_equal(reloaded.distances, original.distances)
 
     def test_rng_stream_resumes_after_load(self, saved_index, tmp_path):
-        # Randomized query rounding must continue from the saved stream, so
-        # the loaded quantizer's bitwise estimates match the original's.
+        # The rounding vector is part of the archive and querying draws
+        # nothing, so the loaded quantizer's bitwise estimates match the
+        # original's whatever either was asked before.
         data, _, _ = saved_index
         quantizer = RaBitQ(RaBitQConfig(seed=9)).fit(data)
         query = np.random.default_rng(21).standard_normal(72)
-        quantizer.estimate_distances(query)  # advance the rounding stream
+        quantizer.estimate_distances(query)
         path = tmp_path / "advanced.npz"
         save_rabitq(quantizer, path)
         loaded = load_rabitq(path)
@@ -123,24 +124,26 @@ class TestLoad:
         np.testing.assert_array_equal(reloaded.lower_bounds, original.lower_bounds)
 
 
+def _clone_with(path, tmp_path, **overrides):
+    """Copy the archive with entries replaced (``None`` removes one)."""
+    with np.load(path) as archive:
+        contents = {key: archive[key] for key in archive.files}
+    for key, value in overrides.items():
+        if value is None:
+            contents.pop(key, None)
+        else:
+            contents[key] = value
+    bad_path = tmp_path / "modified_index.npz"
+    np.savez_compressed(bad_path, **contents)
+    return bad_path
+
+
 class TestCorruptArchives:
     """The versioned magic header rejects anything that is not a valid index."""
 
-    def _clone_with(self, path, tmp_path, **overrides):
-        with np.load(path) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        for key, value in overrides.items():
-            if value is None:
-                contents.pop(key, None)
-            else:
-                contents[key] = value
-        bad_path = tmp_path / "modified_index.npz"
-        np.savez_compressed(bad_path, **contents)
-        return bad_path
-
     def test_version_mismatch_rejected(self, saved_index, tmp_path):
         _, _, path = saved_index
-        bad = self._clone_with(
+        bad = _clone_with(
             path, tmp_path, format_version=np.int64(FORMAT_VERSION + 1)
         )
         with pytest.raises(PersistenceError, match="format version"):
@@ -148,13 +151,13 @@ class TestCorruptArchives:
 
     def test_missing_header_rejected(self, saved_index, tmp_path):
         _, _, path = saved_index
-        bad = self._clone_with(path, tmp_path, magic=None)
+        bad = _clone_with(path, tmp_path, magic=None)
         with pytest.raises(PersistenceError, match="magic"):
             load_rabitq(bad)
 
     def test_wrong_magic_rejected(self, saved_index, tmp_path):
         _, _, path = saved_index
-        bad = self._clone_with(path, tmp_path, magic=np.str_("something/else"))
+        bad = _clone_with(path, tmp_path, magic=np.str_("something/else"))
         with pytest.raises(PersistenceError, match="magic"):
             load_rabitq(bad)
         assert MAGIC_RABITQ != "something/else"
@@ -174,10 +177,59 @@ class TestCorruptArchives:
         with pytest.raises(PersistenceError):
             load_rabitq(garbage)
 
-    def test_malformed_rng_state_rejected(self, saved_index, tmp_path):
-        _, _, path = saved_index
-        bad = self._clone_with(
-            path, tmp_path, query_rng_state=np.str_('"not a state dict"')
+    def test_malformed_rounding_offsets_rejected(self, saved_index, tmp_path):
+        _, original, path = saved_index
+        good = original._rounding_offsets
+        assert good.shape == (original.code_length,)
+        third = np.arange(good.size) == 3
+        for bad_offsets in (
+            None,  # entry missing
+            good[:-1],
+            good[None, :],
+            np.where(third, np.nan, good),
+            np.where(third, np.inf, good),
+            np.where(third, 1.0, good),
+            np.where(third, -1e-9, good),
+        ):
+            bad = _clone_with(path, tmp_path, rounding_offsets=bad_offsets)
+            with pytest.raises(PersistenceError, match="rounding"):
+                load_rabitq(bad)
+
+
+class TestLegacyQuantizerArchives:
+    """v2 / v3 archives (a generator state, no rounding vector) still load."""
+
+    @pytest.mark.parametrize("bits, version", [(1, 2), (4, 3)])
+    @pytest.mark.parametrize("seed", (5, None))
+    def test_legacy_versions_derive_offsets_from_seed(
+        self, tmp_path, bits, version, seed
+    ):
+        rng = np.random.default_rng(40)
+        data, query = rng.standard_normal((90, 20)), rng.standard_normal(20)
+        quantizer = RaBitQ(RaBitQConfig(seed=seed, bits=bits)).fit(data)
+        path = tmp_path / "current.npz"
+        save_rabitq(quantizer, path)
+        with np.load(path) as archive:
+            assert int(archive["format_version"]) == FORMAT_VERSION == 4
+        legacy = _clone_with(
+            path,
+            tmp_path,
+            format_version=np.int64(version),
+            rounding_offsets=None,
+            bits=None if version == 2 else np.int64(bits),
+            query_rng_state=np.str_("never read"),
         )
-        with pytest.raises(PersistenceError):
-            load_rabitq(bad)
+        first, second = load_rabitq(legacy), load_rabitq(legacy)
+        np.testing.assert_array_equal(
+            first.estimate_distances(query).distances,
+            second.estimate_distances(query).distances,
+        )
+        if seed is not None:
+            # As a current build from the same seed derives it at fit.
+            np.testing.assert_array_equal(
+                first._rounding_offsets, quantizer._rounding_offsets
+            )
+            np.testing.assert_array_equal(
+                first.estimate_distances(query).distances,
+                quantizer.estimate_distances(query).distances,
+            )

@@ -5,9 +5,11 @@ The core property: for *any* interleaving of ``insert`` / ``delete`` /
 the archive with ``journal=True`` after **every prefix** of the sequence
 recovers a searcher that is indistinguishable from the in-memory one —
 same live external ids, same tombstone count, bit-identical result
-stream.  ``save`` checkpoints the archive and rotates the journal
-mid-sequence, so the property also covers recovery spanning checkpoint
-boundaries.
+stream (re-ranked and raw estimates) — although the in-memory one has
+answered reads between its mutations and the recovered one has not:
+search is a pure function of (index, query).  ``save`` checkpoints the
+archive and rotates the journal mid-sequence, so the property also covers
+recovery spanning checkpoint boundaries.
 
 Also pinned: the empty journal (attach, no mutations) is a no-op, and
 replay is idempotent — reopening the same on-disk state repeatedly
@@ -90,6 +92,9 @@ def test_replay_after_every_prefix_matches_in_memory(ops, data):
                 live.compact()
             else:
                 save_searcher(live, path)
+            # Reads interleave with the mutations on the live side only.
+            for query in rng.standard_normal((2, DIM)):
+                live.search(query, K, nprobe=NPROBE)
             # The crash-recovery contract, checked at every prefix: a
             # fresh process opening the archive + journal sees exactly
             # the in-memory searcher.

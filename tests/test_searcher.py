@@ -106,8 +106,7 @@ class TestRecallRegression:
     Every component is seeded, so these operating points are deterministic;
     the thresholds sit just below the measured values (0.733 at nprobe=8,
     0.933 at nprobe=16) so that future performance work cannot silently
-    degrade accuracy.  A fresh searcher is built per point because querying
-    consumes the cluster quantizers' randomized-rounding streams.
+    degrade accuracy.
     """
 
     @pytest.mark.parametrize(

@@ -1,13 +1,12 @@
 """Serving engine suite: coalescing, admission control, deadlines, lifecycle.
 
-The engine's correctness contract is *replayability*: every answered
-request appears in the execution log in the order it was executed, and
-replaying that order through plain sequential ``search`` calls on a twin
-searcher (same construction seeds, same data ⇒ same rounding-stream state)
-reproduces every response bit-for-bit.  That reduction to the established
-batch ≡ sequential contract is what every equivalence test here leans on —
-the engine is free to group requests however its knobs dictate, because
-the log records whatever order actually happened.
+The engine's correctness contract is per response: search is a pure
+function of (index, query), so whatever a request was batched with, its
+answer equals ``searcher.search(handle.query, handle.k,
+nprobe=handle.nprobe_effective)`` on the *same* searcher, bit for bit.
+Every equivalence test here checks exactly that on the handles, after
+``drain()`` — the engine is free to group requests however its knobs
+dictate.
 
 Deterministic scheduling tricks used below:
 
@@ -35,30 +34,29 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.serving import (
-    BudgetController,
-    ServingEngine,
-    execution_log_matches,
-)
+from repro.serving import BudgetController, ServingEngine
 
 DIM = 32
 
 
-def _make_searcher(data: np.ndarray) -> IVFQuantizedSearcher:
-    """A fitted searcher; calling twice yields bit-identical twins."""
-    return IVFQuantizedSearcher(
-        "rabitq", n_clusters=8, rabitq_config=RaBitQConfig(seed=3), rng=17
-    ).fit(data)
-
-
 @pytest.fixture()
 def searcher(small_data):
-    return _make_searcher(small_data)
+    return IVFQuantizedSearcher(
+        "rabitq", n_clusters=8, rabitq_config=RaBitQConfig(seed=3), rng=17
+    ).fit(small_data)
 
 
-@pytest.fixture()
-def twin(small_data):
-    return _make_searcher(small_data)
+def _assert_matches_direct(searcher, handles) -> None:
+    """Each response ≡ the direct call at the budget it actually got."""
+    for handle in handles:
+        served = handle.result(timeout=0)
+        direct = searcher.search(
+            handle.query, handle.k, nprobe=handle.nprobe_effective
+        )
+        np.testing.assert_array_equal(served.ids, direct.ids)
+        np.testing.assert_array_equal(served.distances, direct.distances)
+        assert served.n_candidates == direct.n_candidates
+        assert served.n_exact == direct.n_exact
 
 
 class _FrozenClock:
@@ -100,41 +98,29 @@ class _GateSearcher:
 
 class TestCoalescing:
     def test_single_submit_matches_direct_search(
-        self, searcher, twin, small_queries
+        self, searcher, small_queries
     ):
         with ServingEngine(searcher, max_delay_us=0) as engine:
-            for qi, query in enumerate(small_queries[:6]):
+            for query in small_queries[:6]:
                 served = engine.submit(query, 5, nprobe=3, timeout=30.0)
-                direct = twin.search(query, 5, nprobe=3)
+                direct = searcher.search(query, 5, nprobe=3)
                 np.testing.assert_array_equal(served.ids, direct.ids)
                 np.testing.assert_array_equal(served.distances, direct.distances)
                 assert served.n_candidates == direct.n_candidates
                 assert served.n_exact == direct.n_exact
 
     def test_concurrent_submits_replay_bit_identical(
-        self, searcher, twin, small_queries
+        self, searcher, small_queries
     ):
-        engine = ServingEngine(
-            searcher, max_batch=8, max_delay_us=500, record_requests=True
-        )
+        engine = ServingEngine(searcher, max_batch=8, max_delay_us=500)
         try:
             pending = [
                 engine.submit_async(query, 7, nprobe=4)
                 for query in small_queries
             ]
-            results = [p.result(timeout=30.0) for p in pending]
             engine.drain(timeout=30.0)
-            log = engine.execution_log()
-            assert len(log) == len(small_queries)
-            assert execution_log_matches(twin, log) == []
-            # The handles returned to callers carry the logged arrays.
-            by_query = {entry.query.tobytes(): entry for entry in log}
-            for query, result in zip(small_queries, results):
-                entry = by_query[
-                    np.asarray(query, dtype=np.float64).tobytes()
-                ]
-                np.testing.assert_array_equal(result.ids, entry.ids)
-                np.testing.assert_array_equal(result.distances, entry.distances)
+            assert engine.stats()["completed"] == len(small_queries)
+            _assert_matches_direct(searcher, pending)
         finally:
             engine.close()
 
@@ -240,7 +226,7 @@ class TestAdmissionControl:
 
 
 class TestDeadlineDegradation:
-    def test_frozen_clock_degradation_is_deterministic(self, searcher, twin):
+    def test_frozen_clock_degradation_is_deterministic(self, searcher):
         # seconds_per_probe pinned at 1 ms: a request with r seconds left
         # affords exactly int(r / 0.001) probes.  The frozen clock never
         # advances, so "remaining" equals the submitted deadline and the
@@ -261,22 +247,24 @@ class TestDeadlineDegradation:
                 min_nprobe=1, initial_seconds_per_probe=1e-3
             ),
             clock=clock,
-            record_requests=True,
         )
         try:
+            handles = []
             for query, (deadline, _) in zip(queries, cases):
-                engine.submit(query, 5, nprobe=8, deadline=deadline, timeout=30.0)
+                handles.append(
+                    engine.submit_async(query, 5, nprobe=8, deadline=deadline)
+                )
+                handles[-1].result(timeout=30.0)
             engine.drain(timeout=30.0)
-            log = engine.execution_log()
         finally:
             engine.close()
-        assert [entry.nprobe_effective for entry in log] == [
+        assert [handle.nprobe_effective for handle in handles] == [
             expected for _, expected in cases
         ]
-        assert all(entry.nprobe_requested == 8 for entry in log)
-        # Degraded answers are still bit-identical to sequential searches
-        # at the *effective* budget.
-        assert execution_log_matches(twin, log) == []
+        assert all(handle.nprobe == 8 for handle in handles)
+        # Degraded answers are still bit-identical to direct searches at
+        # the *effective* budget.
+        _assert_matches_direct(searcher, handles)
         stats = engine.stats()
         assert stats["degraded_requests"] == 2
         assert stats["deadline_misses"] == 0  # clock never advanced
@@ -294,7 +282,6 @@ class TestDeadlineDegradation:
                 min_nprobe=2, initial_seconds_per_probe=1e-3
             ),
             clock=clock,
-            record_requests=True,
         )
         try:
             decoy = engine.submit_async(rng.standard_normal(DIM), 3)

@@ -3,26 +3,23 @@
 Hypothesis drives randomized serving schedules — waves of concurrent
 ``submit`` calls with mixed ``(k, nprobe)`` parameters, optional
 insert/delete mutations between waves, varying engine knobs — and the
-invariant checked after every wave is always the same reduction:
+invariant checked after every wave is always the same:
 
-    replaying the engine's execution log (the order it actually ran the
-    requests, at the budgets it actually spent) through plain sequential
-    ``search`` calls on a twin searcher reproduces every response
-    bit-for-bit.
+    every response equals ``search(handle.query, handle.k,
+    nprobe=handle.nprobe_effective)`` asked directly of the serving
+    searcher after ``drain()``, bit for bit.
 
-The twin mirrors the serving searcher exactly: built from the same seeds
-and data, and fed the identical mutations at the identical points in the
-request stream — so both sides' per-cluster rounding streams stay in
-lock-step and bit-equality is the *expected* outcome, not a coincidence.
-A second property pins the deadline-degradation path: under a frozen
-clock the engine's effective ``nprobe`` choices must equal the budget
-controller's pure-function forecast, and an identical schedule re-run
-from scratch must produce an identical execution log.
+Search is a pure function of (index, query), so this holds whatever each
+request was batched with and whatever ran before it; no twin and no log of
+the execution order are needed.  A second property pins the
+deadline-degradation path: under a frozen clock the engine's effective
+``nprobe`` choices must equal the budget controller's pure-function
+forecast, and an identical schedule re-run from scratch must give every
+handle the identical ``(nprobe_effective, ids, distances)``.
 
 A final non-Hypothesis test drives genuinely concurrent submitters
-through a thread barrier: the interleaving is nondeterministic, but the
-execution log records whichever order happened, so the replay check
-holds regardless.
+through a thread barrier: the interleaving is nondeterministic, and the
+per-response check holds regardless.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RaBitQConfig
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.serving import BudgetController, ServingEngine, execution_log_matches
+from repro.serving import BudgetController, ServingEngine
 
 DIM = 16
 N_BASE = 200
@@ -45,10 +42,22 @@ _QUERY_POOL = np.random.default_rng(43).standard_normal((32, DIM))
 
 
 def _make_searcher() -> IVFQuantizedSearcher:
-    """Twin factory: identical seeds + data ⇒ identical stream state."""
     return IVFQuantizedSearcher(
         "rabitq", n_clusters=6, rabitq_config=RaBitQConfig(seed=11), rng=23
     ).fit(_BASE_DATA)
+
+
+def _assert_matches_direct(searcher, handles) -> None:
+    """Each response ≡ the direct call at the budget it actually got."""
+    for handle in handles:
+        served = handle.result(timeout=0)
+        direct = searcher.search(
+            handle.query, handle.k, nprobe=handle.nprobe_effective
+        )
+        np.testing.assert_array_equal(served.ids, direct.ids)
+        np.testing.assert_array_equal(served.distances, direct.distances)
+        assert served.n_candidates == direct.n_candidates
+        assert served.n_exact == direct.n_exact
 
 
 # One request: (query pool index, k, nprobe).
@@ -59,8 +68,8 @@ _request = st.tuples(
 )
 
 # One wave: up to a dozen requests plus an optional mutation applied to
-# both searchers after the wave drains ("insert" adds seeded fresh
-# vectors, "delete" removes a base id that is still live).
+# the searcher after the wave drains ("insert" adds seeded fresh vectors,
+# "delete" removes a base id that is still live).
 _wave = st.tuples(
     st.lists(_request, min_size=1, max_size=12),
     st.sampled_from(["none", "insert", "delete"]),
@@ -77,56 +86,35 @@ _wave = st.tuples(
 def test_interleaved_submits_replay_bit_identical(
     waves, max_batch, max_delay_us, data
 ):
-    serving, twin = _make_searcher(), _make_searcher()
+    serving = _make_searcher()
     engine = ServingEngine(
-        serving,
-        max_batch=max_batch,
-        max_delay_us=max_delay_us,
-        record_requests=True,
+        serving, max_batch=max_batch, max_delay_us=max_delay_us
     )
     mutation_rng = np.random.default_rng(7)
-    replayed = 0
+    completed = 0
     try:
         for requests, mutation in waves:
             pending = [
-                (
-                    engine.submit_async(_QUERY_POOL[qi], k, nprobe=nprobe),
-                    qi,
-                )
+                engine.submit_async(_QUERY_POOL[qi], k, nprobe=nprobe)
                 for qi, k, nprobe in requests
             ]
-            for handle, _ in pending:
-                handle.result(timeout=30.0)
             engine.drain(timeout=30.0)
+            completed += len(requests)
+            assert engine.stats()["completed"] == completed
+            # The core invariant: each of the wave's responses equals the
+            # direct call on the serving searcher, bit for bit.
+            _assert_matches_direct(serving, pending)
 
-            log = engine.execution_log()
-            fresh = log[replayed:]
-            assert len(log) == replayed + len(requests)
-            # The core invariant: the wave's entries, replayed in
-            # execution order on the twin, match bit-for-bit.
-            assert execution_log_matches(twin, fresh) == []
-            replayed = len(log)
-            # Every caller got a well-formed answer (handle ↔ log entry
-            # correspondence is pinned deterministically in
-            # tests/test_serving.py; parameters may repeat within a wave,
-            # which makes a by-parameters lookup ambiguous here).
-            for handle, _ in pending:
-                assert handle.result(timeout=0).ids.shape[0] <= handle.k
-
-            # Mutate both sides identically before the next wave (the
-            # engine is idle after drain, so the searcher is safe to
-            # mutate; the twin has already replayed everything).
+            # Mutate before the next wave (the engine is idle after
+            # drain, so the searcher is safe to mutate).
             if mutation == "insert":
-                new_vectors = mutation_rng.standard_normal((3, DIM))
-                serving.insert(new_vectors)
-                twin.insert(new_vectors)
+                serving.insert(mutation_rng.standard_normal((3, DIM)))
             elif mutation == "delete":
                 live = serving.live_ids
                 victim = int(live[data.draw(
                     st.integers(min_value=0, max_value=live.shape[0] - 1)
                 )])
                 serving.delete([victim])
-                twin.delete([victim])
     finally:
         engine.close()
 
@@ -172,19 +160,19 @@ def test_frozen_clock_degradation_matches_pure_forecast(schedule, min_nprobe):
                 min_nprobe=min_nprobe, initial_seconds_per_probe=spp
             ),
             clock=lambda: clock_value,
-            record_requests=True,
         )
         try:
+            handles = []
             for qi, nprobe, deadline in schedule:
-                engine.submit(
-                    _QUERY_POOL[qi],
-                    3,
-                    nprobe=nprobe,
-                    deadline=deadline,
-                    timeout=30.0,
+                handles.append(
+                    engine.submit_async(
+                        _QUERY_POOL[qi], 3, nprobe=nprobe, deadline=deadline
+                    )
                 )
+                handles[-1].result(timeout=30.0)
             engine.drain(timeout=30.0)
-            return engine.execution_log()
+            _assert_matches_direct(engine.searcher, handles)
+            return handles
         finally:
             engine.close()
 
@@ -192,7 +180,7 @@ def test_frozen_clock_degradation_matches_pure_forecast(schedule, min_nprobe):
         min_nprobe=min_nprobe, initial_seconds_per_probe=spp
     )
     first = run_once()
-    assert [entry.nprobe_effective for entry in first] == [
+    assert [handle.nprobe_effective for handle in first] == [
         oracle.effective_nprobe(nprobe, deadline)
         for _, nprobe, deadline in schedule
     ]
@@ -200,20 +188,20 @@ def test_frozen_clock_degradation_matches_pure_forecast(schedule, min_nprobe):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert a.nprobe_effective == b.nprobe_effective
-        np.testing.assert_array_equal(a.ids, b.ids)
-        np.testing.assert_array_equal(a.distances, b.distances)
+        np.testing.assert_array_equal(a.result().ids, b.result().ids)
+        np.testing.assert_array_equal(
+            a.result().distances, b.result().distances
+        )
 
 
 def test_barrier_concurrent_submitters_replay_bit_identical():
     # Real concurrency: 8 threads released together, each submitting a
-    # burst.  Whatever interleaving the scheduler produces, the execution
-    # log captures it and the twin replay must still be bit-identical.
-    serving, twin = _make_searcher(), _make_searcher()
+    # burst.  Whatever interleaving the scheduler produces, every response
+    # must still equal the direct call, bit for bit.
+    serving = _make_searcher()
     n_threads, per_thread = 8, 6
     barrier = threading.Barrier(n_threads)
-    engine = ServingEngine(
-        serving, max_batch=8, max_delay_us=300, record_requests=True
-    )
+    engine = ServingEngine(serving, max_batch=8, max_delay_us=300)
     try:
         def submitter(tid):
             barrier.wait()
@@ -225,17 +213,17 @@ def test_barrier_concurrent_submitters_replay_bit_identical():
                         _QUERY_POOL[qi], 4 + (tid % 3), nprobe=2 + (i % 3)
                     )
                 )
-            return [h.result(timeout=30.0) for h in handles]
+            for handle in handles:
+                handle.result(timeout=30.0)
+            return handles
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(submitter, range(n_threads)))
+            handles = list(pool.map(submitter, range(n_threads)))
         engine.drain(timeout=30.0)
-        log = engine.execution_log()
-        assert len(log) == n_threads * per_thread
-        assert execution_log_matches(twin, log) == []
         stats = engine.stats()
         assert stats["completed"] == n_threads * per_thread
         assert stats["failed"] == 0
-        assert all(len(r) == per_thread for r in results)
+        assert all(len(h) == per_thread for h in handles)
+        _assert_matches_direct(serving, [h for hs in handles for h in hs])
     finally:
         engine.close()
