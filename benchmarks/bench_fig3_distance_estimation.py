@@ -31,7 +31,7 @@ def test_fig3_distance_estimation(benchmark, dataset_name):
         run_distance_estimation_experiment,
         kwargs={
             "dataset": dataset,
-            "methods": ("rabitq", "rabitq-lut", "pq", "opq"),
+            "methods": ("rabitq", "pq", "opq"),
             "n_queries": 4,
             "code_length_factors": (1.0, 2.0),
             "seed": 0,

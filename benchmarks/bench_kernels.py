@@ -1,11 +1,13 @@
 """Micro-benchmarks of the distance-estimation kernels (supporting Table 1).
 
 These are not tied to a single paper figure; they quantify the relative cost
-of the three computation paths exposed by :class:`repro.core.quantizer.RaBitQ`
-(float reference, bitwise single-code, 4-bit LUT batch) and of the two
-rotation implementations (dense QR vs structured fast-Hadamard), mirroring
-the qualitative comparison of Table 1 and the "hardware-aware" discussion of
-the paper's related-work section.
+of the two computation paths of :class:`repro.core.quantizer.RaBitQ` (float
+reference, integer dot of the quantized query), of the two Sec. 3.3.2 kernels
+for ``<x_b, q_u>`` on explicit operands (bit-plane popcount, 4-bit LUT
+accumulation — identical integers) and of the two rotation implementations
+(dense QR vs structured fast-Hadamard), mirroring the qualitative comparison
+of Table 1 and the "hardware-aware" discussion of the paper's related-work
+section.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import bitops, lut
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.core.rotation import FastHadamardRotation, QRRotation
@@ -28,7 +31,7 @@ def kernel_setup():
     return quantizer, prepared
 
 
-@pytest.mark.parametrize("compute", ("float", "bitwise", "lut"))
+@pytest.mark.parametrize("compute", ("float", "bitwise"))
 def test_estimation_kernel(benchmark, kernel_setup, compute):
     """Distance estimation for 4000 codes with each computation path."""
     quantizer, prepared = kernel_setup
@@ -38,8 +41,27 @@ def test_estimation_kernel(benchmark, kernel_setup, compute):
     assert len(result) == 4000
 
 
+@pytest.mark.parametrize("kernel", ("popcount", "lut"))
+def test_integer_dot_kernel(benchmark, kernel_setup, kernel):
+    """``<x_b, q_u>`` for 4000 codes: bit-plane popcount vs 4-bit LUTs."""
+    quantizer, prepared = kernel_setup
+    codes = quantizer.dataset.packed_codes
+    query = prepared.quantized
+    if kernel == "popcount":
+        result = benchmark(bitops.binary_dot_uint, codes, query.bitplanes)
+    else:
+        segments = lut.split_into_segments(
+            bitops.unpack_bits(codes, quantizer.code_length)
+        )
+        luts = lut.build_query_luts(query.codes)
+        result = benchmark(lut.lut_accumulate, segments, luts)
+    np.testing.assert_array_equal(
+        result, bitops.binary_dot_uint(codes, query.bitplanes)
+    )
+
+
 def test_query_preparation(benchmark, kernel_setup):
-    """Per-query preparation cost (normalize + rotate + quantize + LUTs)."""
+    """Per-query preparation cost (normalize + rotate + quantize)."""
     quantizer, _ = kernel_setup
     query = np.random.default_rng(1).standard_normal(128)
     prepared = benchmark(quantizer.prepare_query, query)

@@ -1,8 +1,8 @@
 """Compare all implemented quantizers on one dataset.
 
-Prints, for every quantization method in the library (RaBitQ with its three
-computation paths, PQ, OPQ, LSQ-style additive quantization, SQ8 and signed
-random projections), the code size, the index-phase time and the average /
+Prints, for every quantization method in the library (RaBitQ, PQ, OPQ,
+LSQ-style additive quantization, SQ8 and signed random projections), the
+code size, the index-phase time and the average /
 maximum relative error of its distance estimates — a compact, quantitative
 version of the paper's Table 1 plus the Fig. 3 accuracy comparison.
 
@@ -48,17 +48,14 @@ def main() -> None:
             segments -= 1
         return segments
 
-    rabitq = RaBitQ(RaBitQConfig(seed=0))
     methods = [
-        ("RaBitQ (bitwise)", rabitq, "rabitq"),
-        ("RaBitQ (LUT batch)", rabitq, "rabitq-lut"),
-        ("PQ x4 (2D bits)", ProductQuantizer(pq_segments(2 * dim, 4), 4, rng=0), None),
+        ("RaBitQ (D bits)", RaBitQ(RaBitQConfig(seed=0))),
+        ("PQ x4 (2D bits)", ProductQuantizer(pq_segments(2 * dim, 4), 4, rng=0)),
         ("OPQ x4 (2D bits)",
-         OptimizedProductQuantizer(pq_segments(2 * dim, 4), 4, n_iterations=2, rng=0),
-         None),
-        ("LSQ-style AQ", AdditiveQuantizer(8, 8, rng=0), None),
-        ("SQ8", ScalarQuantizer(8), None),
-        ("SRP (D bits)", SignedRandomProjection(dim, rng=0), None),
+         OptimizedProductQuantizer(pq_segments(2 * dim, 4), 4, n_iterations=2, rng=0)),
+        ("LSQ-style AQ", AdditiveQuantizer(8, 8, rng=0)),
+        ("SQ8", ScalarQuantizer(8)),
+        ("SRP (D bits)", SignedRandomProjection(dim, rng=0)),
     ]
 
     header = (f"{'method':<20} {'code bits':>9} {'fit time':>9} "
@@ -66,22 +63,14 @@ def main() -> None:
     print("\n" + header)
     print("-" * len(header))
 
-    fitted_rabitq = None
-    for label, quantizer, mode in methods:
+    for label, quantizer in methods:
         start = time.perf_counter()
-        if mode in ("rabitq", "rabitq-lut"):
-            if fitted_rabitq is None:
-                fitted_rabitq = quantizer.fit(dataset.data)
-            fit_time = time.perf_counter() - start
-            compute = "lut" if mode == "rabitq-lut" else "bitwise"
-            estimates = np.vstack(
-                [fitted_rabitq.estimate_distances(q, compute=compute).distances
-                 for q in queries]
-            )
-            code_bits = fitted_rabitq.code_length
+        quantizer.fit(dataset.data)
+        fit_time = time.perf_counter() - start
+        if isinstance(quantizer, RaBitQ):
+            estimates = quantizer.estimate_distances_batch(queries).distances
+            code_bits = quantizer.code_length
         else:
-            quantizer.fit(dataset.data)
-            fit_time = time.perf_counter() - start
             estimates = np.vstack(
                 [quantizer.estimate_distances(q) for q in queries]
             )

@@ -8,13 +8,18 @@ The sub-modules map directly onto the sections of the paper:
 * :mod:`repro.core.bitops` — packed bit-string kernels (popcount inner
   products, Sec. 3.3.2 single-code path).
 * :mod:`repro.core.lut` — 4-bit look-up-table accumulation mirroring the
-  SIMD fast-scan layout (Sec. 3.3.2 batch path).
+  SIMD fast-scan layout (Sec. 3.3.2 batch path), kept as a benchmarked
+  reproduction; no estimator calls it.
 * :mod:`repro.core.query` — randomized scalar quantization of the rotated
   query vector (Sec. 3.3.1).
 * :mod:`repro.core.estimator` — the unbiased estimator and its error bound
-  (Sec. 3.2).
+  (Sec. 3.2), as the textbook reference and as the fused kernels every
+  query path runs.
 * :mod:`repro.core.quantizer` — the user-facing :class:`RaBitQ` quantizer
-  tying everything together (Algorithm 1 and 2).
+  tying everything together (Algorithm 1 and 2): the fused pipeline on one
+  centroid.
+* :mod:`repro.core.similarity` — inner-product and cosine estimation over a
+  fitted :class:`RaBitQ`, through the same pipeline.
 * :mod:`repro.core.theory` — closed-form theoretical quantities used in the
   verification experiments (Appendix B).
 """

@@ -21,6 +21,12 @@ Theorem 3.2 term dominates and empirically absorbs it — and the ``B = 1``
 arithmetic is a bit-identity contract — so the query-rounding term
 (``query_rounding = eps0 * Δ/2``, combined in quadrature by
 :func:`combined_halfwidth`) is applied to multi-bit codes only.
+
+Every query path — :class:`repro.core.quantizer.RaBitQ`,
+:class:`repro.core.similarity.SimilarityEstimator` and the IVF searcher —
+estimates through the fused kernels below (:func:`build_code_consts`, the
+affine undo, :func:`fused_estimate`); :func:`estimate_distances` is the
+textbook form they are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.metric import resolve_metric
-from repro.core.theory import error_bound_epsilon
 from repro.exceptions import InvalidParameterError
 
 
@@ -123,9 +128,9 @@ def combined_halfwidth(
     scaled by ``1 / |alignment|`` before the quadrature combine; degenerate
     codes (alignment 0) keep their infinite half-width.
 
-    Every caller — the reference estimators, the fused arena kernel and the
-    flat similarity estimator — combines through this one function so
-    multi-bit bounds stay bit-identical across the serving paths.
+    The reference :func:`estimate_distances` and the fused kernel both
+    combine through this one function, so multi-bit bounds stay
+    bit-identical across them.
     """
     extra = query_rounding / np.abs(safe_alignment)
     return np.sqrt(halfwidth * halfwidth + extra * extra)
@@ -152,7 +157,7 @@ def inner_product_to_squared_distance(
         raise InvalidParameterError("query_to_centroid must be non-negative")
     # Squares are spelled as multiplications, not ``**``: Python's float pow
     # goes through libm and can differ from an IEEE multiply by 1 ULP, which
-    # would break the bit-identity between this path and the batched one.
+    # would break the bit-identity between this path and fused_estimate.
     return (
         data_norms * data_norms
         + query_norm * query_norm
@@ -172,7 +177,7 @@ def estimate_distances(
 ) -> DistanceEstimate:
     """Full estimation pipeline: inner products, distances and bounds.
 
-    This is the vectorized core of Algorithm 2 (lines 3-5): every input is a
+    This is the textbook form of Algorithm 2 (lines 3-5): every input is a
     per-data-vector array and the output carries the distance estimates plus
     the confidence intervals needed by the re-ranking rule.
 
@@ -220,85 +225,6 @@ def estimate_distances(
     )
 
 
-def estimate_distances_batch(
-    quantized_dot: np.ndarray,
-    alignment: np.ndarray,
-    data_to_centroid: np.ndarray,
-    query_to_centroid: np.ndarray,
-    code_length: int,
-    epsilon0: float,
-    *,
-    query_rounding: np.ndarray | None = None,
-) -> DistanceEstimate:
-    """Batched variant of :func:`estimate_distances` for a query *matrix*.
-
-    Parameters
-    ----------
-    quantized_dot:
-        ``<o_bar, q>`` per (query, data vector), shape
-        ``(n_queries, n_codes)``.
-    alignment / data_to_centroid:
-        Per-data-vector arrays of shape ``(n_codes,)``, shared by all
-        queries.
-    query_to_centroid:
-        Per-query norms ``||q_r - c||``, shape ``(n_queries,)``.
-    code_length / epsilon0:
-        As in :func:`estimate_distances`.
-    query_rounding:
-        Per-query ``eps0 * Δ/2`` column of shape ``(n_queries, 1)``
-        (multi-bit codes only), or ``None`` for the historical half-width.
-
-    Returns
-    -------
-    DistanceEstimate
-        All four fields have shape ``(n_queries, n_codes)``; row ``i``
-        is bit-identical to ``estimate_distances(quantized_dot[i], ...,
-        float(query_to_centroid[i]), ...)`` because every operation is the
-        same elementwise arithmetic, merely broadcast across queries.
-    """
-    dots = np.asarray(quantized_dot, dtype=np.float64)
-    align = np.asarray(alignment, dtype=np.float64)
-    data_norms = np.asarray(data_to_centroid, dtype=np.float64)
-    query_norms = np.asarray(query_to_centroid, dtype=np.float64)
-    if dots.ndim != 2:
-        raise InvalidParameterError("quantized_dot must be 2-D (queries x codes)")
-    if align.shape != (dots.shape[1],) or data_norms.shape != (dots.shape[1],):
-        raise InvalidParameterError(
-            "alignment and data_to_centroid must have shape (n_codes,)"
-        )
-    if query_norms.shape != (dots.shape[0],):
-        raise InvalidParameterError("query_to_centroid must have shape (n_queries,)")
-    if (query_norms < 0.0).any():
-        raise InvalidParameterError("query_to_centroid must be non-negative")
-
-    safe = np.where(align != 0.0, align, 1.0)
-    ips = np.where(align != 0.0, dots / safe, 0.0)
-    halfwidth = confidence_interval_halfwidth(align, code_length, epsilon0)
-    if query_rounding is not None:
-        halfwidth = combined_halfwidth(halfwidth, safe, query_rounding)
-
-    dn = data_norms[None, :]
-    qn = query_norms[:, None]
-    # Multiplication (not ``**``) mirrors inner_product_to_squared_distance
-    # exactly — see the note there about libm pow vs IEEE multiply.
-    dn_sq = dn * dn
-    qn_sq = qn * qn
-    distances = dn_sq + qn_sq - 2.0 * dn * qn * ips
-    ip_upper = np.minimum(ips + halfwidth, np.maximum(1.0, ips))
-    ip_lower = np.maximum(ips - halfwidth, np.minimum(-1.0, ips))
-    lower_bounds = dn_sq + qn_sq - 2.0 * dn * qn * ip_upper
-    upper_bounds = dn_sq + qn_sq - 2.0 * dn * qn * ip_lower
-    np.maximum(distances, 0.0, out=distances)
-    np.maximum(lower_bounds, 0.0, out=lower_bounds)
-    np.maximum(upper_bounds, 0.0, out=upper_bounds)
-    return DistanceEstimate(
-        distances=distances,
-        lower_bounds=lower_bounds,
-        upper_bounds=upper_bounds,
-        inner_products=ips,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Fused estimation kernels (code-arena hot path)
 # --------------------------------------------------------------------- #
@@ -308,8 +234,7 @@ def estimate_distances_batch(
 # one integer inner-product pass plus one vectorized affine transform.  Each
 # constant is pre-computed with the *same elementwise operation* the
 # reference functions above would apply at query time, so fused results are
-# bit-identical to :func:`estimate_distances` /
-# :func:`estimate_distances_batch`.
+# bit-identical to :func:`estimate_distances` (row by row, for a batch).
 
 #: Row indices of the fused per-code constants matrix (``N_CONSTS`` rows,
 #: one column per code).  Stored constants-major so each constant's slice
@@ -412,14 +337,13 @@ def undo_query_quantization(
 
     ``<x_bar, q_bar> = 2Δ/√D <x_b, q_u> + 2 v_l/√D popcount(x_b)
     - Δ/√D Σ q_u - √D v_l``, with the exact operation order of the
-    single-query path in :class:`repro.core.quantizer.RaBitQ`.  Scalars give
-    the sequential form; per-query ``(n_queries, 1)`` arrays (with a 2-D
-    ``integer_dot`` and ``popcounts[None, :]``) give the batched form — the
-    broadcasting changes nothing elementwise.
+    searcher's single-query path.  Scalars give the sequential form;
+    per-query ``(n_queries, 1)`` arrays (with a 2-D ``integer_dot``) give the
+    batched form — the broadcasting changes nothing elementwise.
 
-    Every estimation kernel feeds this transform the same way: the GEMM,
-    popcount and 4-bit LUT paths produce the identical exact integer
-    ``<x_b, q_u>``, so their outputs here are bit-identical.
+    The GEMM, popcount and 4-bit LUT kernels produce the identical exact
+    integer ``<x_b, q_u>``, so whichever computed it, the output here is
+    the same.
     """
     sqrt_d = np.sqrt(float(code_length))
     dot_f = np.asarray(integer_dot, dtype=np.float64)
@@ -511,8 +435,8 @@ def fused_estimate(
     Returns
     -------
     DistanceEstimate
-        For L2: bit-identical to :func:`estimate_distances` (respectively
-        :func:`estimate_distances_batch`) on the same inputs — every step
+        For L2: bit-identical to :func:`estimate_distances` on the same
+        inputs (row by row for the batch form) — every step
         is the same elementwise arithmetic, with the query-independent
         factors read from ``consts`` instead of recomputed.  For ``ip`` /
         ``cosine`` the ``distances`` field carries similarity *scores*
@@ -602,32 +526,6 @@ def fused_estimate(
     )
 
 
-def naive_inner_product_estimate(quantized_dot: np.ndarray) -> np.ndarray:
-    """The biased "treat the quantized vector as the data vector" estimator.
-
-    This is the ``<o_bar, q>`` estimator ablated in Appendix F.2; it is kept
-    here so that the ablation experiment and tests can compare both.
-    """
-    return np.asarray(quantized_dot, dtype=np.float64).copy()
-
-
-def per_vector_error_bound(
-    alignment: np.ndarray, code_length: int, epsilon0: float
-) -> np.ndarray:
-    """Alias of :func:`confidence_interval_halfwidth` with a scalar fallback."""
-    result = confidence_interval_halfwidth(
-        np.atleast_1d(alignment), code_length, epsilon0
-    )
-    return result
-
-
-def theoretical_halfwidth_scalar(
-    alignment: float, code_length: int, epsilon0: float
-) -> float:
-    """Scalar convenience wrapper mirroring :func:`error_bound_epsilon`."""
-    return error_bound_epsilon(alignment, code_length, epsilon0)
-
-
 __all__ = [
     "DistanceEstimate",
     "CONST_NORM",
@@ -650,8 +548,4 @@ __all__ = [
     "confidence_interval_halfwidth",
     "inner_product_to_squared_distance",
     "estimate_distances",
-    "estimate_distances_batch",
-    "naive_inner_product_estimate",
-    "per_vector_error_bound",
-    "theoretical_halfwidth_scalar",
 ]

@@ -7,7 +7,10 @@ every possible 4-bit pattern.  ``<x_b, q_u>`` is then the sum of ``D/4`` table
 lookups.  On real hardware the tables live in SIMD registers and the lookups
 use shuffle instructions (the PQ fast-scan layout); here the same structure is
 emulated with vectorized NumPy gathers, which preserves the algorithm and the
-operation counts while running at NumPy speed.
+operation counts while running at NumPy speed.  No estimator calls these
+kernels (a gather loop cannot beat the BLAS integer dot the estimators use);
+they are the Sec. 3.3.2 reproduction ``benchmarks/bench_kernels.py`` times
+on explicit operands.
 
 Exactness contract: the query codes are small unsigned integers, so every LUT
 entry (a sum of at most 4 of them) and every accumulated total (a sum of at
@@ -115,35 +118,6 @@ def build_query_luts(query_codes: np.ndarray) -> np.ndarray:
     return segments @ _PATTERN_BITS.T
 
 
-def build_query_luts_batch(query_codes: np.ndarray) -> np.ndarray:
-    """Pre-compute LUTs for a batch of quantized queries at once.
-
-    Parameters
-    ----------
-    query_codes:
-        Unsigned-integer query coordinates, shape ``(n_queries, code_length)``
-        with ``code_length`` a multiple of 4.
-
-    Returns
-    -------
-    numpy.ndarray
-        Float array of shape ``(n_queries, code_length / 4, 16)``; slice
-        ``[i]`` equals ``build_query_luts(query_codes[i])``.
-    """
-    queries = np.asarray(query_codes, dtype=np.float64)
-    if queries.ndim != 2:
-        raise InvalidParameterError(
-            f"query batch must be 2-D, got ndim={queries.ndim}"
-        )
-    if queries.shape[1] % SEGMENT_BITS != 0:
-        raise InvalidParameterError(
-            f"query length {queries.shape[1]} is not a multiple of {SEGMENT_BITS}"
-        )
-    n_segments = queries.shape[1] // SEGMENT_BITS
-    segments = queries.reshape(queries.shape[0], n_segments, SEGMENT_BITS)
-    return segments @ _PATTERN_BITS.T
-
-
 def lut_accumulate(segment_ids: np.ndarray, luts: np.ndarray) -> np.ndarray:
     """Accumulate look-up-table values for a batch of codes.
 
@@ -237,7 +211,6 @@ __all__ = [
     "SEGMENT_PATTERNS",
     "split_into_segments",
     "build_query_luts",
-    "build_query_luts_batch",
     "lut_accumulate",
     "quantize_luts_to_uint8",
     "lut_accumulate_uint8",

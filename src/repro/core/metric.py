@@ -43,30 +43,6 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 
-def raw_inner_product_from_unit(
-    unit_inner_products: np.ndarray,
-    data_to_centroid: np.ndarray,
-    query_to_centroid,
-    data_dot_centroid: np.ndarray,
-    query_dot_centroid,
-    centroid_sq_norm,
-) -> np.ndarray:
-    """Raw inner products from unit-vector inner products (the IP identity).
-
-    ``<o_r, q_r> = ||o_r - c|| ||q_r - c|| <o, q> + <o_r, c> + <q_r, c>
-    - ||c||^2`` — the centroid decomposition shared by the flat
-    :class:`repro.core.similarity.SimilarityEstimator` and the fused
-    arena path in :func:`repro.core.estimator.fused_estimate`.
-    """
-    scale = np.asarray(data_to_centroid, dtype=np.float64) * query_to_centroid
-    offset = (
-        np.asarray(data_dot_centroid, dtype=np.float64)
-        + query_dot_centroid
-        - centroid_sq_norm
-    )
-    return scale * np.asarray(unit_inner_products, dtype=np.float64) + offset
-
-
 class Metric(abc.ABC):
     """Strategy describing how one similarity/distance metric is served.
 
@@ -210,5 +186,4 @@ __all__ = [
     "COSINE",
     "METRICS",
     "resolve_metric",
-    "raw_inner_product_from_unit",
 ]

@@ -6,52 +6,49 @@
   a centroid, pad them to the code length, inversely rotate them, store the
   sign patterns as packed bit strings, and pre-compute the residual norms
   ``||o_r - c||`` and the alignments ``<o_bar, o>``.
-* **Query phase** (:meth:`RaBitQ.prepare_query` then
-  :meth:`RaBitQ.estimate_distances`): normalize and inversely rotate the raw
-  query, scalar-quantize it, and estimate the squared distance to every
-  stored vector together with confidence bounds.
-* **Batch query phase** (:meth:`RaBitQ.prepare_queries` then
-  :meth:`RaBitQ.estimate_distances_batch`): the same pipeline for a whole
-  query *matrix* at once — one preparation pass per batch and a vectorized
-  multi-query popcount kernel producing an ``(n_queries, n_codes)`` estimate
-  matrix.  The batch path returns bit-identical estimates to looping the
-  single-query path, so callers can batch freely without changing results.
+* **Query phase** (:meth:`RaBitQ.prepare_queries` then
+  :meth:`RaBitQ.estimate_distances_batch`): normalize and inversely rotate
+  the raw queries, scalar-quantize them, and estimate the squared distance
+  to every stored vector together with confidence bounds, as an
+  ``(n_queries, n_codes)`` matrix.  :meth:`RaBitQ.prepare_query` and
+  :meth:`RaBitQ.estimate_distances` are the same calls on one row, so a
+  batch returns bit-identical estimates to looping over its queries.
 * **Mutation** (:meth:`RaBitQ.add` and :meth:`RaBitQ.keep_rows`): new rows
   can be encoded incrementally against the fitted centroid/rotation and
   appended, and stored rows can be dropped (tombstone compaction).  Both
-  operations leave the estimates of the untouched rows bit-identical, which
-  is what the mutable index lifecycle of
-  :class:`repro.index.searcher.IVFQuantizedSearcher` builds on.
+  operations leave the estimates of the untouched rows bit-identical.
 
-Three execution paths for ``<x_b, q_u>`` are provided and give identical
-results up to the documented quantization error:
-
-* ``"float"``     — exact float inner products with the reconstructed
-  bi-valued vectors (reference path, used in tests),
-* ``"bitwise"``   — bit-plane AND + popcount (the paper's single-code path),
-* ``"lut"``       — 4-bit look-up-table accumulation (the paper's batch /
-  fast-scan path).
+Estimation is the searcher's fused pipeline on one centroid: the integer
+dot ``<x_b, q_u>`` (the plane-weighted popcount of Eq. 21-22, one plane for
+``B = 1``), the affine undo of the query quantization (Eq. 19-20), then
+:func:`repro.core.estimator.fused_estimate` on the constants
+:func:`repro.core.estimator.build_code_consts` derives from the stored
+dataset.  A one-cluster searcher with the same centroid, rotation and
+rounding vector returns the same estimates bit for bit.  ``compute="float"``
+replaces the first two steps by the exact inner product with the
+unquantized rotated query — the reference the unbiasedness tests use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.core import bitops, codebook, lut
+from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
+    CONST_POPCOUNT,
     DistanceEstimate,
-    estimate_distances,
-    estimate_distances_batch,
+    build_code_consts,
+    fused_estimate,
+    undo_query_quantization,
     undo_query_quantization_multibit,
 )
 from repro.core.normalization import (
     compute_centroid,
     normalize_queries,
-    normalize_query,
     normalize_to_centroid,
     pad_vectors,
 )
@@ -59,7 +56,6 @@ from repro.core.query import (
     QuantizedQueryMatrix,
     QuantizedQueryVector,
     quantize_query_matrix,
-    quantize_query_vector,
     sample_rounding_offsets,
 )
 from repro.core.rotation import Rotation, make_rotation
@@ -72,8 +68,8 @@ from repro.exceptions import (
 from repro.substrates.linalg import as_float_matrix
 from repro.substrates.rng import spawn_rngs
 
-#: Supported computation paths for the quantized inner product.
-COMPUTE_MODES = ("float", "bitwise", "lut")
+#: Supported computation paths for ``<o_bar, q>``.
+COMPUTE_MODES = ("float", "bitwise")
 
 
 def encode_rows(
@@ -236,37 +232,6 @@ class QuantizedDataset:
 
 
 @dataclass(frozen=True)
-class QuantizedQuery:
-    """A query prepared for distance estimation against a fitted RaBitQ index.
-
-    Attributes
-    ----------
-    quantized:
-        The scalar-quantized rotated query ``q̄_u`` with its metadata.
-    rotated:
-        The (unquantized) rotated unit query ``q' = P^-1 q``.
-    query_norm:
-        ``||q_r - c||`` — the distance from the raw query to the centroid.
-    luts / luts_uint8:
-        Pre-built 4-bit look-up tables for the batch path (``luts_uint8``
-        additionally 8-bit quantized as the fast-scan layout does).
-    """
-
-    quantized: QuantizedQueryVector
-    rotated: np.ndarray
-    query_norm: float
-    luts: np.ndarray
-    luts_uint8: np.ndarray
-    lut_scale: float
-    lut_offset: float
-
-    @property
-    def code_length(self) -> int:
-        """Code length the query was prepared for."""
-        return int(self.rotated.shape[0])
-
-
-@dataclass(frozen=True)
 class QuantizedQueryBatch:
     """A batch of queries prepared for batched distance estimation.
 
@@ -292,6 +257,35 @@ class QuantizedQueryBatch:
     def code_length(self) -> int:
         """Code length the queries were prepared for."""
         return int(self.rotated.shape[1])
+
+
+@dataclass(frozen=True)
+class QuantizedQuery:
+    """One query prepared for estimation: a :class:`QuantizedQueryBatch` row.
+
+    Its views are the scalar-quantized rotated query ``q̄_u`` with its
+    metadata (``quantized``), the unquantized rotated unit query
+    ``q' = P^-1 q`` (``rotated``) and ``||q_r - c||`` (``query_norm``).
+    """
+
+    batch: QuantizedQueryBatch
+
+    @property
+    def quantized(self) -> QuantizedQueryVector:
+        return self.batch.quantized.row(0)
+
+    @property
+    def rotated(self) -> np.ndarray:
+        return self.batch.rotated[0]
+
+    @property
+    def query_norm(self) -> float:
+        return float(self.batch.query_norms[0])
+
+    @property
+    def code_length(self) -> int:
+        """Code length the query was prepared for."""
+        return self.batch.code_length
 
 
 class RaBitQ:
@@ -403,50 +397,41 @@ class RaBitQ:
 
         if centroid is None:
             centroid = compute_centroid(raw)
-        packed, popcounts, alignments, norms, centre, rescales = (
-            self._encode_rows(raw, centroid, code_length)
-        )
-        self._dataset = QuantizedDataset(
+        self._dataset = self._encode(raw, centroid, code_length)
+        return self
+
+    def _encode(
+        self, raw: np.ndarray, centroid: np.ndarray, code_length: int
+    ) -> QuantizedDataset:
+        """Encode raw rows against ``centroid`` with the current rotation.
+
+        The one encoding pipeline behind :meth:`fit` and the incremental
+        :meth:`add`, so newly inserted rows are encoded exactly like
+        fit-time rows.
+        """
+        assert self._rotation is not None
+        centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
+        bits = int(self.config.bits)
+        rescales = None
+        if bits > 1:
+            packed, _, popcounts, alignments, norms, rescales = (
+                encode_rows_multibit(raw, centre, self._rotation, code_length, bits)
+            )
+        else:
+            packed, _, popcounts, alignments, norms = encode_rows(
+                raw, centre, self._rotation, code_length
+            )
+        return QuantizedDataset(
             packed_codes=packed,
             code_popcounts=popcounts,
             alignments=alignments,
             norms=norms,
             centroid=centre,
             code_length=code_length,
-            dim=dim,
-            bits=int(self.config.bits),
+            dim=raw.shape[1],
+            bits=bits,
             rescales=rescales,
         )
-        return self
-
-    def _encode_rows(
-        self, raw: np.ndarray, centroid: np.ndarray, code_length: int
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-        np.ndarray | None,
-    ]:
-        """Encode raw rows against ``centroid`` with the current rotation.
-
-        Returns ``(packed_codes, code_popcounts, alignments, norms,
-        centroid, rescales)`` — the per-row fields of
-        :class:`QuantizedDataset` (``rescales`` is ``None`` for binary
-        codes).  Used both by :meth:`fit` and by the incremental
-        :meth:`add` path, so newly inserted rows go through exactly the
-        fit-time encoding pipeline.
-        """
-        assert self._rotation is not None
-        centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
-        if self.config.bits > 1:
-            packed, _, level_sums, alignments, norms, rescales = (
-                encode_rows_multibit(
-                    raw, centre, self._rotation, code_length, self.config.bits
-                )
-            )
-            return packed, level_sums, alignments, norms, centre, rescales
-        packed, _, popcounts, alignments, norms = encode_rows(
-            raw, centre, self._rotation, code_length
-        )
-        return packed, popcounts, alignments, norms, centre, None
 
     def add(self, data: np.ndarray) -> "RaBitQ":
         """Incrementally encode new rows against the fitted centroid/rotation.
@@ -454,8 +439,7 @@ class RaBitQ:
         The new rows are appended to the stored dataset: they are normalized
         to the *existing* centroid, inversely rotated with the *existing*
         rotation and packed exactly like fit-time rows, so distance estimates
-        for previously stored vectors are completely unaffected.  Used by the
-        mutable index lifecycle (``IVFQuantizedSearcher.insert``).
+        for previously stored vectors are completely unaffected.
         """
         dataset = self.dataset
         raw = as_float_matrix(data, "data")
@@ -466,23 +450,9 @@ class RaBitQ:
                 f"new rows have dimension {raw.shape[1]}, index expects "
                 f"{dataset.dim}"
             )
-        packed, popcounts, alignments, norms, _, rescales = self._encode_rows(
-            raw, dataset.centroid, dataset.code_length
-        )
-        self._dataset = QuantizedDataset(
-            packed_codes=np.concatenate([dataset.packed_codes, packed]),
-            code_popcounts=np.concatenate([dataset.code_popcounts, popcounts]),
-            alignments=np.concatenate([dataset.alignments, alignments]),
-            norms=np.concatenate([dataset.norms, norms]),
-            centroid=dataset.centroid,
-            code_length=dataset.code_length,
-            dim=dataset.dim,
-            bits=dataset.bits,
-            rescales=(
-                None
-                if dataset.rescales is None
-                else np.concatenate([dataset.rescales, rescales])
-            ),
+        new = self._encode(raw, dataset.centroid, dataset.code_length)
+        self._dataset = _map_rows(
+            dataset, lambda name, rows: np.concatenate([rows, getattr(new, name)])
         )
         return self
 
@@ -491,8 +461,7 @@ class RaBitQ:
 
         ``keep`` is a boolean mask over the stored rows.  Row-local metadata
         (codes, popcounts, alignments, norms) is sliced, so estimates for the
-        surviving rows are bit-identical to the pre-compaction values.  Used
-        by tombstone compaction (``IVFQuantizedSearcher.compact``).
+        surviving rows are bit-identical to the pre-compaction values.
         """
         dataset = self.dataset
         mask = np.asarray(keep, dtype=bool).reshape(-1)
@@ -503,19 +472,7 @@ class RaBitQ:
             )
         if mask.all():
             return self
-        self._dataset = QuantizedDataset(
-            packed_codes=dataset.packed_codes[mask],
-            code_popcounts=dataset.code_popcounts[mask],
-            alignments=dataset.alignments[mask],
-            norms=dataset.norms[mask],
-            centroid=dataset.centroid,
-            code_length=dataset.code_length,
-            dim=dataset.dim,
-            bits=dataset.bits,
-            rescales=(
-                None if dataset.rescales is None else dataset.rescales[mask]
-            ),
-        )
+        self._dataset = _map_rows(dataset, lambda name, rows: rows[mask])
         return self
 
     # ------------------------------------------------------------------ #
@@ -525,47 +482,20 @@ class RaBitQ:
     def prepare_query(self, query: np.ndarray) -> QuantizedQuery:
         """Normalize, rotate and quantize a raw query vector (Alg. 2, lines 1-2).
 
-        The returned object is reusable across all data vectors (and, inside
-        an IVF index, across all probed clusters that share the rotation and
-        centroid).
+        :meth:`prepare_queries` on one row.  The returned object is reusable
+        across all stored vectors and every :meth:`estimate_distances` call.
         """
-        dataset = self.dataset
-        vec = np.asarray(query, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != dataset.dim:
-            raise DimensionMismatchError(
-                f"query has dimension {vec.shape[0]}, index expects {dataset.dim}"
-            )
-        unit_query, query_norm = normalize_query(vec, dataset.centroid)
-        padded = pad_vectors(unit_query.reshape(1, -1), dataset.code_length)
-        rotated = self.rotation.apply_inverse(padded).reshape(-1)
-        quantized = quantize_query_vector(
-            rotated,
-            self.config.query_bits,
-            randomized=self.config.randomized_rounding,
-            offsets=self._rounding_offsets,
-        )
-        luts = lut.build_query_luts(quantized.codes)
-        luts_uint8, scale, offset = lut.quantize_luts_to_uint8(luts)
-        return QuantizedQuery(
-            quantized=quantized,
-            rotated=rotated,
-            query_norm=query_norm,
-            luts=luts,
-            luts_uint8=luts_uint8,
-            lut_scale=scale,
-            lut_offset=offset,
-        )
+        vec = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return QuantizedQuery(self.prepare_queries(vec))
 
     def prepare_queries(self, queries: np.ndarray) -> QuantizedQueryBatch:
         """Normalize, rotate and quantize a matrix of raw queries at once.
 
-        The batched twin of :meth:`prepare_query`: one call prepares every
-        row of ``queries`` for :meth:`estimate_distances_batch`.  The result
-        is bit-identical to preparing the rows one by one — normalization
-        and rotation are applied per row (BLAS reduces 1-D and 2-D operands
-        in different orders, which would break the exact batch ≡ sequential
-        guarantee), while the scalar quantization and bit-plane packing are
-        fully vectorized.
+        One call prepares every row of ``queries`` for
+        :meth:`estimate_distances_batch`.  Each row's result depends on that
+        row alone — normalization and rotation are applied per row (BLAS
+        reduces 1-D and 2-D operands in different orders), while the scalar
+        quantization and bit-plane packing are vectorized.
         """
         dataset = self.dataset
         mat = as_float_matrix(queries, "queries")
@@ -595,6 +525,49 @@ class RaBitQ:
             quantized=quantized, rotated=rotated, query_norms=norms
         )
 
+    def estimate_distances(
+        self,
+        query: np.ndarray | QuantizedQuery,
+        *,
+        subset: np.ndarray | None = None,
+        compute: str = "bitwise",
+        epsilon0: float | None = None,
+    ) -> DistanceEstimate:
+        """Estimate squared distances from a raw query to the stored vectors.
+
+        :meth:`estimate_distances_batch` on one row.
+
+        Parameters
+        ----------
+        query:
+            Either a raw query vector or an already-prepared
+            :class:`QuantizedQuery` (so the preparation cost can be shared).
+        subset:
+            Optional array of data-vector indices to estimate.
+        compute:
+            ``"bitwise"`` (default) or ``"float"`` (see
+            :meth:`estimate_distances_batch`).
+        epsilon0:
+            Override of the confidence parameter (used by the Fig. 5 sweep).
+
+        Returns
+        -------
+        DistanceEstimate
+            Unbiased squared-distance estimates with confidence bounds.
+        """
+        prepared = (
+            query if isinstance(query, QuantizedQuery) else self.prepare_query(query)
+        )
+        batch = self.estimate_distances_batch(
+            prepared.batch, subset=subset, compute=compute, epsilon0=epsilon0
+        )
+        return DistanceEstimate(
+            distances=batch.distances[0],
+            lower_bounds=batch.lower_bounds[0],
+            upper_bounds=batch.upper_bounds[0],
+            inner_products=batch.inner_products[0],
+        )
+
     def estimate_distances_batch(
         self,
         queries: np.ndarray | QuantizedQueryBatch,
@@ -613,274 +586,117 @@ class RaBitQ:
         subset / epsilon0:
             As in :meth:`estimate_distances`.
         compute:
-            ``"bitwise"`` (the vectorized multi-query popcount kernel,
-            default) or ``"float"`` (exact reference path).  The LUT path is
-            single-query only.
+            ``"bitwise"`` (the integer dot of the quantized query, default)
+            or ``"float"`` (the unquantized rotated query, reference path).
 
         Returns
         -------
         DistanceEstimate
-            All fields have shape ``(n_queries, n_codes)``.  Row ``i``
-            equals the per-query ``estimate_distances`` output exactly
-            (same integers from the popcount kernel, same elementwise float
-            arithmetic).
+            All fields have shape ``(n_queries, n_codes)``; row ``i``
+            depends on query ``i`` alone.
         """
-        if compute not in ("bitwise", "float"):
-            raise InvalidParameterError(
-                f"compute must be 'bitwise' or 'float' for batches, got {compute!r}"
-            )
         prepared = (
             queries
             if isinstance(queries, QuantizedQueryBatch)
             else self.prepare_queries(queries)
         )
-        dataset = self.dataset
-        packed, popcounts, alignments, norms, rescales = (
-            self._select_dataset_rows(subset)
-        )
-        code_length = dataset.code_length
-        quantized = prepared.quantized
-
-        if dataset.bits > 1:
-            assert rescales is not None
-            if compute == "float":
-                levels = bitops.unpack_level_planes(
-                    packed, code_length, dataset.bits
-                )
-                v = 2.0 * levels.astype(np.float64) - float(
-                    (1 << dataset.bits) - 1
-                )
-                signed = v * rescales[:, None]
-                quantized_dot = np.empty(
-                    (len(prepared), packed.shape[0]), dtype=np.float64
-                )
-                for i in range(len(prepared)):
-                    quantized_dot[i] = signed @ prepared.rotated[i]
-            else:
-                n_words = packed.shape[1] // dataset.bits
-                integer_dot = np.zeros(
-                    (len(prepared), packed.shape[0]), dtype=np.int64
-                )
-                for p in range(dataset.bits):
-                    plane = packed[:, p * n_words : (p + 1) * n_words]
-                    integer_dot += (
-                        bitops.binary_dot_uint_batch(
-                            plane,
-                            quantized.bitplanes,
-                            query_values=quantized.codes,
-                        )
-                        << p
-                    )
-                # Same elementwise op order as the sequential multi-bit
-                # undo, broadcast per query — bit-identical rows.
-                quantized_dot = undo_query_quantization_multibit(
-                    integer_dot,
-                    popcounts.astype(np.float64)[None, :],
-                    rescales[None, :],
-                    quantized.delta[:, None],
-                    quantized.lower[:, None],
-                    quantized.sum_codes.astype(np.float64)[:, None],
-                    code_length,
-                    dataset.bits,
-                )
-        elif compute == "float":
-            # Reference path; per-query GEMV keeps rows bit-identical to
-            # the scalar path (a single GEMM would not).
-            signed = codebook.decode_codes(packed, code_length)
-            quantized_dot = np.empty(
-                (len(prepared), packed.shape[0]), dtype=np.float64
-            )
-            for i in range(len(prepared)):
-                quantized_dot[i] = signed @ prepared.rotated[i]
-        else:
-            integer_dot = bitops.binary_dot_uint_batch(
-                packed, quantized.bitplanes, query_values=quantized.codes
-            )
-            # Per-query affine undo of the scalar quantization (Eq. 19-20);
-            # identical elementwise arithmetic to the single-query path.
-            sqrt_d = np.sqrt(float(code_length))
-            scale = 2.0 * quantized.delta / sqrt_d
-            pop_scale = 2.0 * quantized.lower / sqrt_d
-            sum_term = quantized.delta / sqrt_d * quantized.sum_codes.astype(
-                np.float64
-            )
-            quantized_dot = (
-                scale[:, None] * integer_dot.astype(np.float64)
-                + pop_scale[:, None] * popcounts.astype(np.float64)[None, :]
-                - sum_term[:, None]
-                - (sqrt_d * quantized.lower)[:, None]
-            )
+        rows = _rows(subset)
         eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
-        return estimate_distances_batch(
-            quantized_dot,
-            alignments,
-            norms,
-            prepared.query_norms,
-            code_length,
-            eps,
-            query_rounding=(
-                (0.5 * eps * quantized.delta)[:, None]
-                if dataset.bits > 1
-                else None
-            ),
+        return self._estimate(
+            prepared, rows, self._code_consts(rows, eps), compute, eps
         )
 
-    def _select_dataset_rows(
-        self, subset: np.ndarray | None
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None
-    ]:
-        """``(packed_codes, code_popcounts, alignments, norms, rescales)``
-        for ``subset`` (``rescales`` is ``None`` for binary codes)."""
+    def _code_consts(self, rows, epsilon0: float, **metric_terms) -> np.ndarray:
+        """Fused estimator constants of the selected codes, in the arena's
+        layout: the metric's rows, then the rescale row when ``B > 1``."""
         dataset = self.dataset
-        if subset is None:
-            return (
-                dataset.packed_codes,
-                dataset.code_popcounts,
-                dataset.alignments,
-                dataset.norms,
-                dataset.rescales,
-            )
-        idx = np.asarray(subset, dtype=np.intp)
-        return (
-            dataset.packed_codes[idx],
-            dataset.code_popcounts[idx],
-            dataset.alignments[idx],
-            dataset.norms[idx],
-            None if dataset.rescales is None else dataset.rescales[idx],
+        consts = build_code_consts(
+            dataset.alignments[rows],
+            dataset.norms[rows],
+            dataset.code_popcounts[rows],
+            dataset.code_length,
+            epsilon0,
+            **metric_terms,
         )
+        if dataset.rescales is None:
+            return consts
+        return np.vstack([consts, dataset.rescales[rows]])
 
-    def _quantized_inner_products(
+    def _estimate(
         self,
-        prepared: QuantizedQuery,
-        subset: np.ndarray | None,
+        prepared: QuantizedQueryBatch,
+        rows,
+        consts: np.ndarray,
         compute: str,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(<o_bar, q>, alignments, norms)`` for the selected vectors."""
-        dataset = self.dataset
-        packed, popcounts, alignments, norms, rescales = (
-            self._select_dataset_rows(subset)
-        )
-        code_length = dataset.code_length
-        quantized = prepared.quantized
-
-        if dataset.bits > 1:
-            assert rescales is not None
-            if compute == "lut":
-                raise InvalidParameterError(
-                    "compute='lut' supports only 1-bit codes; multi-bit "
-                    "codes use 'bitwise' (weighted plane popcounts) or "
-                    "'float'"
-                )
-            if compute == "float":
-                levels = bitops.unpack_level_planes(
-                    packed, code_length, dataset.bits
-                )
-                v = 2.0 * levels.astype(np.float64) - float(
-                    (1 << dataset.bits) - 1
-                )
-                signed = v * rescales[:, None]
-                return signed @ prepared.rotated, alignments, norms
-            integer_dot = bitops.multibit_dot_uint(
-                packed, quantized.bitplanes, dataset.bits
-            )
-            quantized_dot = undo_query_quantization_multibit(
-                integer_dot,
-                popcounts.astype(np.float64),
-                rescales,
-                quantized.delta,
-                quantized.lower,
-                float(quantized.sum_codes),
-                code_length,
-                dataset.bits,
-            )
-            return quantized_dot, alignments, norms
-
-        if compute == "float":
-            # Reference path: exact inner product with the unquantized
-            # rotated query (no scalar-quantization error at all).
-            signed = codebook.decode_codes(packed, code_length)
-            quantized_dot = signed @ prepared.rotated
-            return quantized_dot, alignments, norms
-
-        if compute == "bitwise":
-            integer_dot = bitops.binary_dot_uint(packed, quantized.bitplanes)
-        elif compute == "lut":
-            bits = bitops.unpack_bits(packed, code_length)
-            segments = lut.split_into_segments(bits)
-            integer_dot = lut.lut_accumulate(segments, prepared.luts)
-        else:
-            raise InvalidParameterError(
-                f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
-            )
-
-        # Undo the affine query quantization (Eq. 19-20):
-        # <x_bar, q_bar> = 2 Delta / sqrt(D) <x_b, q_u>
-        #                  + 2 v_l / sqrt(D) * popcount(x_b)
-        #                  - Delta / sqrt(D) * sum(q_u) - sqrt(D) v_l
-        sqrt_d = np.sqrt(float(code_length))
-        delta = quantized.delta
-        lower = quantized.lower
-        quantized_dot = (
-            2.0 * delta / sqrt_d * integer_dot.astype(np.float64)
-            + 2.0 * lower / sqrt_d * popcounts.astype(np.float64)
-            - delta / sqrt_d * float(quantized.sum_codes)
-            - sqrt_d * lower
-        )
-        return quantized_dot, alignments, norms
-
-    def estimate_distances(
-        self,
-        query: np.ndarray | QuantizedQuery,
-        *,
-        subset: np.ndarray | None = None,
-        compute: str = "bitwise",
-        epsilon0: float | None = None,
+        epsilon0: float,
+        **metric_terms,
     ) -> DistanceEstimate:
-        """Estimate squared distances from a raw query to the stored vectors.
+        """``<o_bar, q>`` for the selected codes, then :func:`fused_estimate`.
 
-        Parameters
-        ----------
-        query:
-            Either a raw query vector or an already-prepared
-            :class:`QuantizedQuery` (so the preparation cost can be shared).
-        subset:
-            Optional array of data-vector indices to estimate (used by the
-            IVF index to restrict the computation to probed clusters).
-        compute:
-            ``"bitwise"`` (default), ``"lut"`` or ``"float"``.
-        epsilon0:
-            Override of the confidence parameter (used by the Fig. 5 sweep).
-
-        Returns
-        -------
-        DistanceEstimate
-            Unbiased squared-distance estimates with confidence bounds.
+        On the ``"bitwise"`` path the arithmetic is the searcher's, operation
+        for operation; similarity metrics pass their query terms through
+        ``metric_terms``.
         """
         if compute not in COMPUTE_MODES:
             raise InvalidParameterError(
                 f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
             )
-        prepared = (
-            query if isinstance(query, QuantizedQuery) else self.prepare_query(query)
-        )
-        quantized_dot, alignments, norms = self._quantized_inner_products(
-            prepared, subset, compute
-        )
-        eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
-        return estimate_distances(
+        dataset = self.dataset
+        code_length, bits = dataset.code_length, dataset.bits
+        quantized = prepared.quantized
+        if compute == "float":
+            # One GEMV per query, as a one-query call would run it (a single
+            # GEMM would round differently).
+            decoded = self._decoded(rows)
+            quantized_dot = np.empty((len(prepared), decoded.shape[0]))
+            for i in range(len(prepared)):
+                quantized_dot[i] = decoded @ prepared.rotated[i]
+        else:
+            # <x_b, q_u> as the plane-weighted popcount (Eq. 21-22 per code
+            # plane; one plane for B = 1), then the affine undo (Eq. 19-20).
+            packed = dataset.packed_codes[rows]
+            n_words = packed.shape[1] // bits
+            integer_dot = np.zeros((len(prepared), packed.shape[0]), np.int64)
+            for p in range(bits):
+                integer_dot += bitops.binary_dot_uint_batch(
+                    packed[:, p * n_words : (p + 1) * n_words],
+                    quantized.bitplanes,
+                    query_values=quantized.codes,
+                ) << p
+            delta = quantized.delta[:, None]
+            lower = quantized.lower[:, None]
+            sums = quantized.sum_codes.astype(np.float64)[:, None]
+            pops = consts[CONST_POPCOUNT]
+            if bits > 1:
+                quantized_dot = undo_query_quantization_multibit(
+                    integer_dot, pops, consts[-1], delta, lower, sums,
+                    code_length, bits,
+                )
+            else:
+                quantized_dot = undo_query_quantization(
+                    integer_dot, pops, delta, lower, sums, code_length
+                )
+        return fused_estimate(
             quantized_dot,
-            alignments,
-            norms,
-            prepared.query_norm,
-            self.dataset.code_length,
-            eps,
+            consts,
+            prepared.query_norms[:, None],
             query_rounding=(
-                0.5 * eps * prepared.quantized.delta
-                if self.dataset.bits > 1
-                else None
+                0.5 * epsilon0 * quantized.delta[:, None] if bits > 1 else None
             ),
+            **metric_terms,
         )
+
+    def _decoded(self, rows) -> np.ndarray:
+        """The reconstructed unit codes ``x_bar`` (rotated frame) of ``rows``."""
+        dataset = self.dataset
+        packed = dataset.packed_codes[rows]
+        if dataset.bits == 1:
+            return codebook.decode_codes(packed, dataset.code_length)
+        levels = bitops.unpack_level_planes(
+            packed, dataset.code_length, dataset.bits
+        )
+        v = 2.0 * levels.astype(np.float64) - float((1 << dataset.bits) - 1)
+        return v * dataset.rescales[rows][:, None]
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -892,28 +708,7 @@ class RaBitQ:
         Mainly useful for tests and for the concentration experiments; the
         reconstruction lives in the padded ``code_length``-dimensional space.
         """
-        dataset = self.dataset
-        packed = (
-            dataset.packed_codes
-            if indices is None
-            else dataset.packed_codes[np.asarray(indices, dtype=np.intp)]
-        )
-        if dataset.bits > 1:
-            assert dataset.rescales is not None
-            rescales = (
-                dataset.rescales
-                if indices is None
-                else dataset.rescales[np.asarray(indices, dtype=np.intp)]
-            )
-            levels = bitops.unpack_level_planes(
-                packed, dataset.code_length, dataset.bits
-            )
-            v = 2.0 * levels.astype(np.float64) - float(
-                (1 << dataset.bits) - 1
-            )
-            signed = v * rescales[:, None]
-            return self.rotation.apply(signed)
-        return codebook.codes_to_matrix(packed, dataset.code_length, self.rotation)
+        return self.rotation.apply(self._decoded(_rows(indices)))
 
     def code_bits(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Return codes as unpacked per-dimension integers.
@@ -922,16 +717,9 @@ class RaBitQ:
         for multi-bit codes.
         """
         dataset = self.dataset
-        packed = (
-            dataset.packed_codes
-            if indices is None
-            else dataset.packed_codes[np.asarray(indices, dtype=np.intp)]
+        return bitops.unpack_level_planes(
+            dataset.packed_codes[_rows(indices)], dataset.code_length, dataset.bits
         )
-        if dataset.bits > 1:
-            return bitops.unpack_level_planes(
-                packed, dataset.code_length, dataset.bits
-            )
-        return bitops.unpack_bits(packed, dataset.code_length)
 
     def compression_ratio(self) -> float:
         """Raw-vector bytes divided by quantization-code bytes."""
@@ -939,6 +727,22 @@ class RaBitQ:
         raw_bits = 32 * dataset.dim
         code_bits = dataset.code_length * dataset.bits
         return raw_bits / code_bits
+
+
+def _map_rows(dataset: QuantizedDataset, fn) -> QuantizedDataset:
+    """``dataset`` with every per-row field replaced by ``fn(name, rows)``
+    (``rescales`` only when present)."""
+    names = ("packed_codes", "code_popcounts", "alignments", "norms")
+    if dataset.rescales is not None:
+        names += ("rescales",)
+    return replace(
+        dataset, **{name: fn(name, getattr(dataset, name)) for name in names}
+    )
+
+
+def _rows(indices: np.ndarray | None):
+    """Row selector for ``indices`` (``None`` selects every row)."""
+    return slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
 
 
 __all__ = [

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bitops import bitplanes_from_uint, bitplanes_from_uint_batch
-from repro.core.lut import build_query_luts, build_query_luts_batch
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -108,15 +107,6 @@ class QuantizedQueryVector:
     def dequantize(self) -> np.ndarray:
         """Reconstruct ``q̄ = Δ * q̄_u + v_l``."""
         return self.delta * self.codes.astype(np.float64) + self.lower
-
-    def build_luts(self) -> np.ndarray:
-        """Fast-scan look-up tables of the quantized coordinates.
-
-        Shape ``(code_length / 4, 16)`` — see
-        :func:`repro.core.lut.build_query_luts`.  Requires ``code_length``
-        to be a multiple of 4 (always true for padded RaBitQ codes).
-        """
-        return build_query_luts(self.codes)
 
 
 def quantize_query_vector(
@@ -237,15 +227,6 @@ class QuantizedQueryMatrix:
         return (
             self.delta[:, None] * self.codes.astype(np.float64) + self.lower[:, None]
         )
-
-    def build_luts(self) -> np.ndarray:
-        """Stacked fast-scan look-up tables, one per query.
-
-        Shape ``(n_queries, code_length / 4, 16)``; slice ``[i]`` equals
-        ``self.row(i).build_luts()`` bit for bit (the entries are exact
-        integers) — see :func:`repro.core.lut.build_query_luts_batch`.
-        """
-        return build_query_luts_batch(self.codes)
 
 
 def quantize_query_matrix(

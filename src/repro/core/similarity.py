@@ -8,9 +8,12 @@ of their unit vectors, and the raw inner product decomposes around a centroid
     <o_r, q_r> = ||o_r - c|| * ||q_r - c|| * <o, q> + <o_r, c> + <q_r, c> - ||c||^2
 
 so both reduce to the same unit-vector inner product ``<o, q>`` the RaBitQ
-estimator already targets.  This module builds the two estimators on top of a
-fitted :class:`repro.core.quantizer.RaBitQ`, giving the library maximum
-inner-product-search (MIPS) and cosine-similarity support.
+estimator already targets.  :class:`SimilarityEstimator` serves both from a
+fitted :class:`repro.core.quantizer.RaBitQ` through the searcher's fused
+pipeline with ``metric="ip"`` / ``"cosine"`` (see
+:func:`repro.core.estimator.fused_estimate`): on one centroid it returns what
+a one-cluster :class:`repro.index.searcher.IVFQuantizedSearcher` of that
+metric returns, bounds included.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.estimator import combined_halfwidth, confidence_interval_halfwidth
-from repro.core.metric import raw_inner_product_from_unit
 from repro.core.quantizer import QuantizedQuery, RaBitQ
 from repro.exceptions import InvalidParameterError, NotFittedError
 
@@ -77,18 +78,13 @@ class SimilarityEstimator:
                 "SimilarityEstimator requires an already fitted RaBitQ quantizer"
             )
         self._quantizer = quantizer
-        dataset = quantizer.dataset
-        self._centroid = dataset.centroid
-        self._centroid_sq_norm = float(self._centroid @ self._centroid)
-        # <o_r, c> per data vector: recovered from the stored residual norms
-        # and unit vectors is not possible without the raw vectors, so it is
-        # cached at construction time from the identity
-        # o_r = ||o_r - c|| * o + c  =>  <o_r, c> = ||o_r-c|| <o, c> + ||c||^2.
-        # <o, c> is not stored either, so the constructor asks the quantizer
-        # for the reconstruction-free quantities it *does* store and keeps the
-        # raw-data-dependent term as an explicit input of fit_raw_terms().
-        self._data_dot_centroid: np.ndarray | None = None
-        self._data_raw_norms: np.ndarray | None = None
+        centre = quantizer.dataset.centroid[None, :]
+        # ||c||^2 as the searcher's IVF layer computes it (an einsum over
+        # centroid rows; a BLAS dot can round differently).
+        self._centroid_sq_norm = float(np.einsum("ij,ij->i", centre, centre)[0])
+        # The fused constants need <o_r, c> and ||o_r|| per stored vector,
+        # which the codes do not determine: fit_raw_terms() supplies them.
+        self._consts: np.ndarray | None = None
 
     @property
     def quantizer(self) -> RaBitQ:
@@ -96,13 +92,13 @@ class SimilarityEstimator:
         return self._quantizer
 
     def fit_raw_terms(self, data: np.ndarray) -> "SimilarityEstimator":
-        """Cache the query-independent raw-vector terms.
+        """Build the fused constants from the raw vectors.
 
         Parameters
         ----------
         data:
             The same raw vectors the quantizer was fitted on (in the same
-            order).  Only two scalars per vector are retained: ``<o_r, c>``
+            order).  Two scalars per vector enter the constants: ``<o_r, c>``
             (needed for inner products) and ``||o_r||`` (needed for cosine).
         """
         raw = np.asarray(data, dtype=np.float64)
@@ -115,98 +111,65 @@ class SimilarityEstimator:
                 f"data has dimension {raw.shape[1]}, quantizer expects "
                 f"{self._quantizer.dim}"
             )
-        self._data_dot_centroid = raw @ self._centroid
-        self._data_raw_norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+        # ip and cosine share one layout, so one matrix serves both.
+        self._consts = self._quantizer._code_consts(
+            slice(None),
+            self._quantizer.config.epsilon0,
+            metric="ip",
+            dot_centroid=raw @ self._quantizer.dataset.centroid,
+            raw_norms=np.sqrt(np.einsum("ij,ij->i", raw, raw)),
+        )
         return self
 
-    def _require_raw_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._data_dot_centroid is None or self._data_raw_norms is None:
+    def _estimate(self, query, compute: str, metric: str) -> SimilarityEstimate:
+        """Scores and bounds under ``metric`` for every stored vector."""
+        if self._consts is None:
             raise NotFittedError(
                 "call fit_raw_terms(data) before estimating similarities"
             )
-        return self._data_dot_centroid, self._data_raw_norms
-
-    def _unit_inner_products(
-        self, query: np.ndarray | QuantizedQuery, compute: str
-    ):
-        """Unit-vector inner-product estimates plus bounds and the query norm."""
-        prepared = (
-            query
-            if isinstance(query, QuantizedQuery)
-            else self._quantizer.prepare_query(np.asarray(query, dtype=np.float64))
-        )
-        estimate = self._quantizer.estimate_distances(prepared, compute=compute)
-        dataset = self._quantizer.dataset
-        eps0 = self._quantizer.config.epsilon0
-        halfwidth = confidence_interval_halfwidth(
-            dataset.alignments, dataset.code_length, eps0
-        )
-        if dataset.bits > 1:
-            # Multi-bit bounds add the query-rounding term, exactly as the
-            # distance estimators do (see repro.core.estimator).
-            safe = np.where(
-                dataset.alignments != 0.0, dataset.alignments, 1.0
-            )
-            halfwidth = combined_halfwidth(
-                halfwidth, safe, 0.5 * eps0 * prepared.quantized.delta
-            )
-        return estimate.inner_products, halfwidth, prepared
-
-    def estimate_inner_products(
-        self, query: np.ndarray | QuantizedQuery, *, compute: str = "bitwise"
-    ) -> SimilarityEstimate:
-        """Unbiased estimates of ``<o_r, q_r>`` for every stored vector."""
-        data_dot_centroid, _ = self._require_raw_terms()
-        ips, halfwidth, prepared = self._unit_inner_products(query, compute)
-        dataset = self._quantizer.dataset
-        query_vec = (
-            None if isinstance(query, QuantizedQuery) else np.asarray(query, dtype=np.float64)
-        )
-        if query_vec is None:
+        if isinstance(query, QuantizedQuery):
             raise InvalidParameterError(
-                "estimate_inner_products requires the raw query vector, not a "
+                "similarity estimation requires the raw query vector, not a "
                 "prepared QuantizedQuery (the centroid term depends on it)"
             )
-        query_dot_centroid = float(query_vec @ self._centroid)
-        # The same centroid decomposition the metric-generic serving stack
-        # uses (see repro.core.metric / repro.core.estimator.fused_estimate).
-        values = raw_inner_product_from_unit(
-            ips,
-            dataset.norms,
-            prepared.query_norm,
-            data_dot_centroid,
-            query_dot_centroid,
-            self._centroid_sq_norm,
+        quantizer = self._quantizer
+        vec = np.asarray(query, dtype=np.float64).reshape(-1)
+        prepared = quantizer.prepare_queries(vec[None, :])
+        # The per-query scalars, expression for expression as the searcher
+        # computes them for a probed cluster.
+        estimate = quantizer._estimate(
+            prepared,
+            slice(None),
+            self._consts,
+            compute,
+            quantizer.config.epsilon0,
+            metric=metric,
+            query_offset=float(np.dot(vec, quantizer.dataset.centroid))
+            - self._centroid_sq_norm,
+            query_raw_norm=float(np.sqrt(np.dot(vec, vec))),
         )
-        spread = dataset.norms * prepared.query_norm * halfwidth
         return SimilarityEstimate(
-            values=values,
-            lower_bounds=values - spread,
-            upper_bounds=values + spread,
+            values=estimate.distances[0],
+            lower_bounds=estimate.lower_bounds[0],
+            upper_bounds=estimate.upper_bounds[0],
         )
+
+    def estimate_inner_products(
+        self, query: np.ndarray, *, compute: str = "bitwise"
+    ) -> SimilarityEstimate:
+        """Unbiased estimates of ``<o_r, q_r>`` for every stored vector."""
+        return self._estimate(query, compute, "ip")
 
     def estimate_cosine(
         self, query: np.ndarray, *, compute: str = "bitwise"
     ) -> SimilarityEstimate:
         """Unbiased estimates of the cosine similarity for every stored vector.
 
-        The cosine of the *raw* vectors is obtained by dividing the estimated
-        raw inner product by the stored raw norms; vectors with zero norm (or
-        a zero-norm query) get a cosine of 0.
+        The estimated raw inner product divided by the raw norms, clipped to
+        ``[-1, 1]``; vectors with zero norm (or a zero-norm query) get a
+        cosine of 0.
         """
-        _, data_raw_norms = self._require_raw_terms()
-        query_vec = np.asarray(query, dtype=np.float64).reshape(-1)
-        query_norm = float(np.linalg.norm(query_vec))
-        inner = self.estimate_inner_products(query_vec, compute=compute)
-        denom = data_raw_norms * query_norm
-        safe = np.where(denom > 0.0, denom, 1.0)
-        values = np.where(denom > 0.0, inner.values / safe, 0.0)
-        lower = np.where(denom > 0.0, inner.lower_bounds / safe, 0.0)
-        upper = np.where(denom > 0.0, inner.upper_bounds / safe, 0.0)
-        np.clip(values, -1.0, 1.0, out=values)
-        np.clip(lower, -1.0, 1.0, out=lower)
-        np.clip(upper, -1.0, 1.0, out=upper)
-        return SimilarityEstimate(values=values, lower_bounds=lower, upper_bounds=upper)
+        return self._estimate(query, compute, "cosine")
 
     def top_k_inner_product(
         self, query: np.ndarray, k: int, *, compute: str = "bitwise"

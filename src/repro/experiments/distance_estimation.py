@@ -1,6 +1,6 @@
 """Fig. 3 — time/accuracy trade-off of distance estimation.
 
-For each dataset and each method (RaBitQ single/batch, PQ, OPQ, LSQ, with
+For each dataset and each method (RaBitQ, PQ, OPQ, LSQ, with
 varying code lengths) the experiment measures:
 
 * the average relative error of the estimated squared distances,
@@ -69,7 +69,7 @@ def _evaluate_estimates(
 def run_distance_estimation_experiment(
     dataset: Dataset,
     *,
-    methods: tuple[str, ...] = ("rabitq", "rabitq-lut", "pq", "opq"),
+    methods: tuple[str, ...] = ("rabitq", "pq", "opq"),
     n_queries: int = 10,
     code_length_factors: tuple[float, ...] = (0.5, 1.0, 2.0),
     seed: int = 0,
@@ -81,8 +81,7 @@ def run_distance_estimation_experiment(
     dataset:
         The dataset to evaluate on.
     methods:
-        Any of ``"rabitq"`` (bitwise single-code path), ``"rabitq-lut"``
-        (batch LUT path), ``"pq"``, ``"pq-x8"``, ``"opq"``, ``"lsq"``.
+        Any of ``"rabitq"``, ``"pq"``, ``"pq-x8"``, ``"opq"``, ``"lsq"``.
     n_queries:
         Number of query vectors to evaluate (each against all data vectors).
     code_length_factors:
@@ -106,15 +105,14 @@ def run_distance_estimation_experiment(
     for method in methods:
         for factor in code_length_factors:
             target_bits = int(round(factor * dim))
-            if method in ("rabitq", "rabitq-lut"):
+            if method == "rabitq":
                 if target_bits < dim:
                     continue  # RaBitQ supports padding only, not truncation.
                 config = RaBitQConfig(code_length=target_bits, seed=seed)
                 quantizer = RaBitQ(config).fit(dataset.data)
-                compute = "lut" if method == "rabitq-lut" else "bitwise"
 
-                def estimate(query, _q=quantizer, _c=compute):
-                    return _q.estimate_distances(query, compute=_c).distances
+                def estimate(query, _q=quantizer):
+                    return _q.estimate_distances(query).distances
 
                 code_bits = quantizer.code_length
             elif method in ("pq", "opq", "pq-x8", "lsq"):

@@ -234,10 +234,12 @@ class ServingEngine:
         controller degrades ``nprobe`` to chase it) except at admission,
         where a non-positive deadline fast-fails.
         """
-        if k < 1:
-            raise InvalidParameterError("k must be positive")
-        if nprobe < 1:
-            raise InvalidParameterError("nprobe must be >= 1")
+        # The searcher's rule, so a request it would refuse is never served.
+        for name, value in (("k", k), ("nprobe", nprobe)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidParameterError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
         vec = np.asarray(query, dtype=np.float64).reshape(-1)
         if vec.shape[0] != self._dim:
             raise InvalidParameterError(

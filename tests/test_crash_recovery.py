@@ -129,10 +129,12 @@ def single_env(tmp_path_factory):
             searcher.fit(_DATA)
             pristine = d / ARCHIVE
             save_searcher(searcher, pristine)
-            # Twin streams for every surviving-prefix length: a fresh
-            # materialized load plus the same mutations through the
-            # normal API.  Replay determinism (identical RNG streams on
-            # identical loads) is what makes these the ground truth.
+            # Twin streams for every surviving-prefix length — a crash may
+            # leave any prefix of the mutations durable: a fresh
+            # materialized load plus that prefix through the normal API.
+            # A load plus the same mutations gives the same index, and
+            # search is a pure function of index and query, which is what
+            # makes these the ground truth.
             twins = []
             for upto in range(N_MUTATIONS + 1):
                 twin = load_searcher(pristine)

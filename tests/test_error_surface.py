@@ -259,6 +259,16 @@ _CASES = [
         InvalidParameterError,
     ),
     (
+        "submit fractional k",
+        lambda: _engine_submit(np.ones(6), 2.5),
+        InvalidParameterError,
+    ),
+    (
+        "submit fractional nprobe",
+        lambda: _engine_submit(np.ones(6), 2, nprobe=2.7),
+        InvalidParameterError,
+    ),
+    (
         "submit dim mismatch",
         lambda: _engine_submit(np.ones(9), 1),
         InvalidParameterError,

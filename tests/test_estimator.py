@@ -11,9 +11,8 @@ from repro.core.estimator import (
     estimate_distances,
     estimate_inner_product,
     inner_product_to_squared_distance,
-    naive_inner_product_estimate,
-    theoretical_halfwidth_scalar,
 )
+from repro.core.theory import error_bound_epsilon
 from repro.exceptions import InvalidParameterError
 
 
@@ -30,20 +29,13 @@ class TestEstimateInnerProduct:
         with pytest.raises(InvalidParameterError):
             estimate_inner_product(np.zeros(2), np.zeros(3))
 
-    def test_naive_estimator_copies(self):
-        dots = np.array([0.1, 0.2])
-        naive = naive_inner_product_estimate(dots)
-        np.testing.assert_array_equal(naive, dots)
-        naive[0] = 9.0
-        assert dots[0] == 0.1
-
 
 class TestConfidenceInterval:
     def test_matches_scalar_formula(self):
         alignment = np.array([0.8, 0.9])
         widths = confidence_interval_halfwidth(alignment, 128, 1.9)
         for value, width in zip(alignment, widths):
-            assert width == pytest.approx(theoretical_halfwidth_scalar(value, 128, 1.9))
+            assert width == pytest.approx(error_bound_epsilon(value, 128, 1.9))
 
     def test_zero_alignment_infinite(self):
         widths = confidence_interval_halfwidth(np.array([0.0]), 128, 1.9)

@@ -94,19 +94,6 @@ class TestDistanceEstimationExperiment:
         )
         assert results[1].avg_relative_error < results[0].avg_relative_error
 
-    def test_lut_and_bitwise_paths_similar_accuracy(self, tiny_dataset):
-        results = run_distance_estimation_experiment(
-            tiny_dataset,
-            methods=("rabitq", "rabitq-lut"),
-            n_queries=3,
-            code_length_factors=(1.0,),
-            seed=0,
-        )
-        by_method = {r.method: r for r in results}
-        assert by_method["rabitq"].avg_relative_error == pytest.approx(
-            by_method["rabitq-lut"].avg_relative_error, rel=0.3
-        )
-
     def test_unknown_method_rejected(self, tiny_dataset):
         with pytest.raises(InvalidParameterError):
             run_distance_estimation_experiment(

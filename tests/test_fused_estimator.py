@@ -1,9 +1,11 @@
 """Unit tests for the fused estimation kernels (code-arena hot path).
 
 The fused kernels trade recomputation for pre-computed per-code constants;
-the contract is *bit-identity* with the reference block functions
-(:func:`repro.core.estimator.estimate_distances` and its batch variant) and
-with the affine undo arithmetic of the single-query quantizer path.
+the contract is *bit-identity* with the textbook
+:func:`repro.core.estimator.estimate_distances` (row by row for a batch).
+Every query path estimates through them, so ``RaBitQ`` and
+``SimilarityEstimator`` must equal a one-cluster ``IVFQuantizedSearcher``'s
+raw estimates bit for bit (:class:`TestOneCentroidViews`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import bitops
+from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     CONST_ALIGN,
@@ -19,15 +21,17 @@ from repro.core.estimator import (
     CONST_NORM,
     CONST_POPCOUNT,
     N_CONSTS,
+    DistanceEstimate,
     build_code_consts,
     confidence_interval_halfwidth,
     estimate_distances,
-    estimate_distances_batch,
     fused_estimate,
     undo_query_quantization,
 )
 from repro.core.quantizer import RaBitQ, encode_rows
+from repro.core.similarity import SimilarityEstimator
 from repro.exceptions import InvalidParameterError
+from repro.index.searcher import IVFQuantizedSearcher
 
 
 @pytest.fixture()
@@ -106,13 +110,16 @@ class TestFusedEstimate:
         query_norms = rng.uniform(0.1, 2.0, n_queries)
         consts = build_code_consts(alignments, norms, popcounts, code_length, 1.9)
         got = fused_estimate(dots, consts, query_norms[:, None])
-        want = estimate_distances_batch(
-            dots, alignments, norms, query_norms, code_length, 1.9
-        )
-        np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(got.lower_bounds, want.lower_bounds)
-        np.testing.assert_array_equal(got.upper_bounds, want.upper_bounds)
-        np.testing.assert_array_equal(got.inner_products, want.inner_products)
+        for i in range(n_queries):
+            want = estimate_distances(
+                dots[i], alignments, norms, float(query_norms[i]), code_length, 1.9
+            )
+            np.testing.assert_array_equal(got.distances[i], want.distances)
+            np.testing.assert_array_equal(got.lower_bounds[i], want.lower_bounds)
+            np.testing.assert_array_equal(got.upper_bounds[i], want.upper_bounds)
+            np.testing.assert_array_equal(
+                got.inner_products[i], want.inner_products
+            )
 
     def test_shape_validation(self, random_codes):
         alignments, norms, popcounts, code_length = random_codes
@@ -125,9 +132,10 @@ class TestFusedEstimate:
 
 class TestUndoQueryQuantization:
     def test_matches_quantizer_affine_path(self):
-        # End to end against RaBitQ's own bitwise path: undoing the affine
-        # on the raw popcount integers must reproduce the quantizer's
-        # <x_bar, q_bar> used inside estimate_distances.
+        # Undoing the affine on the raw popcount integers must give
+        # <x_bar, q_bar> as Eq. 19 defines it (decoded codes against the
+        # dequantized query), and it is exactly what RaBitQ divides by the
+        # alignments.
         rng = np.random.default_rng(3)
         data = rng.standard_normal((80, 32))
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
@@ -144,10 +152,14 @@ class TestUndoQueryQuantization:
             float(prepared.quantized.sum_codes),
             dataset.code_length,
         )
-        want, _, _ = quantizer._quantized_inner_products(
-            prepared, None, "bitwise"
+        decoded = codebook.decode_codes(dataset.packed_codes, dataset.code_length)
+        np.testing.assert_allclose(
+            got, decoded @ prepared.quantized.dequantize(), rtol=0, atol=1e-12
         )
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            quantizer.estimate_distances(prepared).inner_products,
+            got / dataset.alignments,
+        )
 
 
 class TestGemvDotExactness:
@@ -183,3 +195,78 @@ class TestEncodeRows:
         np.testing.assert_array_equal(
             bits, bitops.unpack_bits(packed, dataset.code_length)
         )
+
+
+def _one_cluster(bits, rotation, metric="l2"):
+    """A one-cluster searcher and a RaBitQ sharing its centroid, rotation
+    and seed (hence its rounding vector), fitted on the same data."""
+    rng = np.random.default_rng(100 + bits)
+    data = rng.standard_normal((90, 100)) + 0.3
+    queries = rng.standard_normal((3, 100)) + 0.3
+    config = RaBitQConfig(seed=7, bits=bits, rotation=rotation)
+    searcher = IVFQuantizedSearcher(
+        "rabitq", n_clusters=1, rabitq_config=config, rng=3, metric=metric
+    ).fit(data)
+    quantizer = RaBitQ(config).fit(
+        data,
+        centroid=searcher.ivf.centroids[0],
+        rotation=searcher._shared_rotation,
+    )
+    return data, queries, searcher, quantizer
+
+
+def _assert_same(got, want, fields, order=slice(None)):
+    """``got``'s fields, taken at ``order``, equal ``want``'s bit for bit."""
+    for got_field, want_field in fields:
+        np.testing.assert_array_equal(
+            getattr(got, got_field)[..., order], getattr(want, want_field)
+        )
+
+
+_DISTANCE_FIELDS = [
+    (name, name)
+    for name in ("distances", "lower_bounds", "upper_bounds", "inner_products")
+]
+_SIMILARITY_FIELDS = [
+    ("values", "distances"),
+    ("lower_bounds", "lower_bounds"),
+    ("upper_bounds", "upper_bounds"),
+]
+
+
+class TestOneCentroidViews:
+    """RaBitQ and SimilarityEstimator are one-centroid views of the
+    searcher's fused pipeline: equal to its raw pass bit for bit."""
+
+    @pytest.mark.parametrize("rotation", ["qr", "hadamard"])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_rabitq_equals_raw_pass(self, bits, rotation):
+        _, queries, searcher, quantizer = _one_cluster(bits, rotation)
+        batch = quantizer.estimate_distances_batch(queries)
+        for i, query in enumerate(queries):
+            # The raw pass lists the codes in arena order, as slots.
+            slots, want = searcher._estimate_rabitq(query, np.array([0]))
+            np.testing.assert_array_equal(np.sort(slots), np.arange(90))
+            single = quantizer.estimate_distances(query)
+            _assert_same(single, want, _DISTANCE_FIELDS, slots)
+            row = DistanceEstimate(
+                *(getattr(batch, name)[i] for name, _ in _DISTANCE_FIELDS)
+            )
+            _assert_same(row, want, _DISTANCE_FIELDS, slots)
+            subset = quantizer.estimate_distances(query, subset=slots)
+            _assert_same(subset, want, _DISTANCE_FIELDS)
+
+    @pytest.mark.parametrize("rotation", ["qr", "hadamard"])
+    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("metric", ["ip", "cosine"])
+    def test_similarity_equals_raw_pass(self, metric, bits, rotation):
+        data, queries, searcher, quantizer = _one_cluster(bits, rotation, metric)
+        estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
+        estimate = (
+            estimator.estimate_inner_products
+            if metric == "ip"
+            else estimator.estimate_cosine
+        )
+        for query in queries:
+            slots, want = searcher._estimate_rabitq(query, np.array([0]))
+            _assert_same(estimate(query), want, _SIMILARITY_FIELDS, slots)

@@ -17,8 +17,10 @@ enforce with hypothesis-generated data and mutation patterns:
 
 As in ``test_batch_search.py``, equivalence checks compare two
 independently built searchers with identical seeds and identical mutation
-histories, because querying consumes the cluster quantizers'
-randomized-rounding streams.
+histories.  Search is pure, so one searcher would do for batch ≡
+sequential; the twins also pin that ``fit`` and every insert / delete /
+compact are deterministic — the same seeds and history must give the same
+answers bit for bit.
 
 Unlike the other property suites, these tests set no inline ``@settings``:
 the example budget and deadline come from the active hypothesis profile

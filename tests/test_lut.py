@@ -9,7 +9,6 @@ from repro.core.lut import (
     SEGMENT_BITS,
     SEGMENT_PATTERNS,
     build_query_luts,
-    build_query_luts_batch,
     lut_accumulate,
     lut_accumulate_uint8,
     quantize_luts_to_uint8,
@@ -59,28 +58,6 @@ class TestBuildQueryLuts:
         # must produce the well-shaped empty table, not an error.
         luts = build_query_luts(np.zeros(0))
         assert luts.shape == (0, SEGMENT_PATTERNS)
-
-
-class TestBatchHelpers:
-    """The batched LUT builder must equal its per-row scalar twin."""
-
-    def test_build_batch_equals_per_row(self, rng):
-        queries = rng.integers(0, 16, size=(5, 64)).astype(np.float64)
-        stacked = build_query_luts_batch(queries)
-        assert stacked.shape == (5, 16, SEGMENT_PATTERNS)
-        for i in range(queries.shape[0]):
-            np.testing.assert_array_equal(stacked[i], build_query_luts(queries[i]))
-
-    def test_build_batch_empty(self):
-        assert build_query_luts_batch(np.zeros((0, 64))).shape == (
-            0,
-            16,
-            SEGMENT_PATTERNS,
-        )
-
-    def test_build_batch_requires_2d(self):
-        with pytest.raises(InvalidParameterError):
-            build_query_luts_batch(np.zeros(64))
 
 
 class TestDegenerateShapes:

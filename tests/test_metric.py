@@ -23,7 +23,6 @@ from repro.core.metric import (
     L2,
     METRICS,
     Metric,
-    raw_inner_product_from_unit,
     resolve_metric,
 )
 from repro.exceptions import InvalidParameterError
@@ -97,16 +96,6 @@ class TestExactScores:
         np.testing.assert_allclose(
             COSINE.exact_scores(data, data[4])[4], 1.0, atol=1e-12
         )
-
-
-class TestDecompositionHelper:
-    def test_matches_direct_formula(self, rng):
-        n = 25
-        ips = rng.uniform(-1, 1, n)
-        dn = rng.uniform(0, 3, n)
-        dot_c = rng.standard_normal(n)
-        got = raw_inner_product_from_unit(ips, dn, 1.5, dot_c, 0.75, 2.0)
-        np.testing.assert_allclose(got, dn * 1.5 * ips + dot_c + 0.75 - 2.0)
 
 
 def _synthetic_consts(rng, n, metric):

@@ -119,14 +119,6 @@ class TestEstimateDistances:
         rel = np.abs(estimate.distances - true) / true
         assert rel.mean() < 0.15
 
-    def test_bitwise_and_lut_agree(self, data_and_query):
-        data, query = data_and_query
-        quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        prepared = quantizer.prepare_query(query)
-        bitwise = quantizer.estimate_distances(prepared, compute="bitwise")
-        lut = quantizer.estimate_distances(prepared, compute="lut")
-        np.testing.assert_allclose(bitwise.distances, lut.distances, rtol=1e-9)
-
     def test_bounds_cover_true_distance_mostly(self, data_and_query):
         data, query = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
