@@ -529,8 +529,9 @@ def bench_kernels(args) -> dict:
         "unpack_bits_seconds": _timeit(
             lambda: bitops.unpack_bits(packed, n_bits)
         ),
-        "binary_dot_uint_seconds": _timeit(
-            lambda: bitops.binary_dot_uint(packed, planes)
+        # One query; the kernel picks popcount or GEMM by size.
+        "binary_dot_uint_batch_seconds": _timeit(
+            lambda: bitops.binary_dot_uint_batch(packed, planes)
         ),
     }
 

@@ -30,7 +30,6 @@ from repro.core.quantizer import (
     QuantizedQueryBatch,
     RaBitQ,
 )
-from repro.core.similarity import SimilarityEstimate, SimilarityEstimator
 from repro.exceptions import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -55,8 +54,6 @@ __all__ = [
     "QuantizedDataset",
     "QuantizedQuery",
     "QuantizedQueryBatch",
-    "SimilarityEstimator",
-    "SimilarityEstimate",
     "Metric",
     "resolve_metric",
     "METRICS",

@@ -5,8 +5,9 @@ The sub-modules map directly onto the sections of the paper:
 * :mod:`repro.core.rotation` — random orthogonal transformations (Sec. 3.1.2).
 * :mod:`repro.core.codebook` — the conceptual bi-valued codebook and the
   bit-string representation of codes (Sec. 3.1.2–3.1.3).
-* :mod:`repro.core.bitops` — packed bit-string kernels (popcount inner
-  products, Sec. 3.3.2 single-code path).
+* :mod:`repro.core.bitops` — packed bit-string kernels: pack / unpack and
+  the one integer-dot kernel ``binary_dot_uint_batch`` (bit-plane popcount
+  for small workloads, unpack + GEMM for large ones; Sec. 3.3.2).
 * :mod:`repro.core.lut` — 4-bit look-up-table accumulation mirroring the
   SIMD fast-scan layout (Sec. 3.3.2 batch path), kept as a benchmarked
   reproduction; no estimator calls it.
@@ -15,11 +16,11 @@ The sub-modules map directly onto the sections of the paper:
 * :mod:`repro.core.estimator` — the unbiased estimator and its error bound
   (Sec. 3.2), as the textbook reference and as the fused kernels every
   query path runs.
+* :mod:`repro.core.metric` — the served metrics (squared L2, inner
+  product, cosine) and their centroid decomposition.
 * :mod:`repro.core.quantizer` — the user-facing :class:`RaBitQ` quantizer
   tying everything together (Algorithm 1 and 2): the fused pipeline on one
-  centroid.
-* :mod:`repro.core.similarity` — inner-product and cosine estimation over a
-  fitted :class:`RaBitQ`, through the same pipeline.
+  centroid, for every metric (``RaBitQ(config, metric=...)``).
 * :mod:`repro.core.theory` — closed-form theoretical quantities used in the
   verification experiments (Appendix B).
 """

@@ -1,22 +1,19 @@
 """Packed bit-string kernels (the single-code computation path of Sec. 3.3.2).
 
 RaBitQ quantization codes are ``D``-bit strings.  This module stores them as
-packed ``uint64`` words and provides the popcount-based inner products that
-the paper uses for estimating distances for a single data vector:
+packed ``uint64`` words (:func:`pack_bits` / :func:`unpack_bits`, and the
+plane-major multi-bit layout of :func:`pack_level_planes`) and provides the
+one integer-dot kernel, :func:`binary_dot_uint_batch`, for any number of
+queries (one included):
 
     <x_b, q_u> = sum_j 2^j * <x_b, q_u^(j)>            (Eq. 21-22)
 
-where ``q_u^(j)`` is the ``j``-th bit-plane of the quantized query.  Each
-``<x_b, q_u^(j)>`` is a bitwise AND followed by a popcount.
-
-For multi-query (batch) workloads the same decomposition is evaluated for a
-whole *matrix* of quantized queries at once: :func:`bitplanes_from_uint_batch`
-packs the bit-planes of every query and :func:`binary_dot_uint_batch` produces
-the full ``(n_queries, n_codes)`` integer inner-product matrix with one
-broadcasted AND + popcount per bit-plane.  The batch kernels are exact — they
-return the same integers as looping :func:`binary_dot_uint` over queries —
-which is what lets the batch search engine guarantee results identical to the
-per-query path.
+where ``q_u^(j)`` is the ``j``-th bit-plane of the quantized query.  Small
+workloads evaluate each ``<x_b, q_u^(j)>`` as a bitwise AND followed by a
+popcount, the paper's single-code path; large ones unpack the codes and run
+one GEMM.  Both are integer-exact, and each wins its own regime (a single
+query over thousands of codes favours popcount, a hundred queries favour
+GEMM), so the kernel picks by size and returns the same integers either way.
 """
 
 from __future__ import annotations
@@ -112,62 +109,6 @@ def popcount_total(words: np.ndarray, axis: int = -1) -> np.ndarray:
     return popcount(words).sum(axis=axis, dtype=np.int64)
 
 
-def binary_and_popcount(codes: np.ndarray, query_plane: np.ndarray) -> np.ndarray:
-    """Inner product of packed binary codes with one packed binary bit-plane.
-
-    Parameters
-    ----------
-    codes:
-        Packed codes, shape ``(n_codes, n_words)`` or ``(n_words,)``.
-    query_plane:
-        One packed bit-plane of the quantized query, shape ``(n_words,)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``<x_b, plane>`` per code as ``int64``.
-    """
-    codes_arr = np.asarray(codes, dtype=np.uint64)
-    plane = np.asarray(query_plane, dtype=np.uint64)
-    if plane.ndim != 1:
-        raise DimensionMismatchError("query_plane must be one-dimensional")
-    if codes_arr.shape[-1] != plane.shape[0]:
-        raise DimensionMismatchError(
-            f"word-count mismatch: codes have {codes_arr.shape[-1]}, "
-            f"plane has {plane.shape[0]}"
-        )
-    return popcount(codes_arr & plane).sum(axis=-1, dtype=np.int64)
-
-
-def binary_dot_uint(codes: np.ndarray, query_planes: np.ndarray) -> np.ndarray:
-    """Compute ``<x_b, q_u>`` via bit-plane decomposition (Eq. 21-22).
-
-    Parameters
-    ----------
-    codes:
-        Packed binary codes, shape ``(n_codes, n_words)``.
-    query_planes:
-        Packed bit-planes of the quantized query, shape
-        ``(n_planes, n_words)``; plane ``j`` holds bit ``j`` of every query
-        coordinate.
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer inner products ``<x_b, q_u>`` per code (``int64``).
-    """
-    codes_arr = np.atleast_2d(np.asarray(codes, dtype=np.uint64))
-    planes = np.atleast_2d(np.asarray(query_planes, dtype=np.uint64))
-    if codes_arr.shape[-1] != planes.shape[-1]:
-        raise DimensionMismatchError(
-            "codes and query_planes must have the same number of words"
-        )
-    total = np.zeros(codes_arr.shape[0], dtype=np.int64)
-    for j in range(planes.shape[0]):
-        total += binary_and_popcount(codes_arr, planes[j]) << j
-    return total
-
-
 #: Below this many ``n_queries * n_codes * n_words`` cells the broadcasted
 #: popcount path wins (no unpacking); above it the kernel unpacks and hands
 #: the work to BLAS GEMM, which is exact for these integer magnitudes
@@ -202,7 +143,8 @@ def binary_dot_uint_batch(
     query_planes:
         Packed bit-planes of the quantized queries, shape
         ``(n_queries, n_planes, n_words)`` (one :func:`bitplanes_from_uint`
-        stack per query, see :func:`bitplanes_from_uint_batch`).
+        stack per query, see :func:`bitplanes_from_uint_batch`); one
+        query's ``(n_planes, n_words)`` stack is promoted to a batch of one.
     query_values:
         Optional unpacked quantized query coordinates of shape
         ``(n_queries, n_dims)`` with ``n_dims <= n_words * 64`` — the array
@@ -215,8 +157,8 @@ def binary_dot_uint_batch(
     -------
     numpy.ndarray
         Integer inner products of shape ``(n_queries, n_codes)`` as
-        ``int64``.  Row ``i`` equals ``binary_dot_uint(codes,
-        query_planes[i])`` exactly (both strategies are integer-exact).
+        ``int64``.  Row ``i`` equals the call on ``query_planes[i]`` alone
+        exactly (both strategies are integer-exact).
     """
     codes_arr = np.atleast_2d(np.asarray(codes, dtype=np.uint64))
     planes = np.asarray(query_planes, dtype=np.uint64)
@@ -423,50 +365,6 @@ def unpack_level_planes(
     return out
 
 
-def multibit_dot_uint(
-    packed_codes: np.ndarray, query_planes: np.ndarray, bits: int
-) -> np.ndarray:
-    """Compute ``<u, q_u>`` for plane-major multi-bit codes (Eq. 21-22 per plane).
-
-    Each of the ``bits`` code planes contributes its binary-kernel dot,
-    weighted by its power of two:
-
-        <u, q_u> = sum_p 2^p * <plane_p, q_u>
-
-    For ``bits == 1`` this reduces to :func:`binary_dot_uint` on the code
-    words, so the binary path is the degenerate single-plane case.
-
-    Parameters
-    ----------
-    packed_codes:
-        Plane-major packed codes, shape ``(n_codes, bits * n_words)``.
-    query_planes:
-        Packed bit-planes of the quantized query, shape
-        ``(n_planes, n_words)``.
-    bits:
-        Bits per dimension ``B`` of the data codes.
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer inner products per code (``int64``).
-    """
-    codes_arr = np.atleast_2d(np.asarray(packed_codes, dtype=np.uint64))
-    if bits < 1:
-        raise InvalidParameterError("bits must be at least 1")
-    if codes_arr.shape[-1] % bits != 0:
-        raise DimensionMismatchError(
-            f"packed codes have {codes_arr.shape[-1]} words, not a multiple "
-            f"of bits={bits}"
-        )
-    n_words = codes_arr.shape[-1] // bits
-    total = np.zeros(codes_arr.shape[0], dtype=np.int64)
-    for p in range(bits):
-        plane = codes_arr[:, p * n_words : (p + 1) * n_words]
-        total += binary_dot_uint(plane, query_planes) << p
-    return total
-
-
 def hamming_distance(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     """Hamming distance between packed codes (broadcasting on the first axis)."""
     a = np.asarray(codes_a, dtype=np.uint64)
@@ -482,13 +380,10 @@ __all__ = [
     "unpack_bits",
     "popcount",
     "popcount_total",
-    "binary_and_popcount",
-    "binary_dot_uint",
     "binary_dot_uint_batch",
     "bitplanes_from_uint",
     "bitplanes_from_uint_batch",
     "pack_level_planes",
     "unpack_level_planes",
-    "multibit_dot_uint",
     "hamming_distance",
 ]

@@ -22,11 +22,10 @@ arithmetic is a bit-identity contract — so the query-rounding term
 (``query_rounding = eps0 * Δ/2``, combined in quadrature by
 :func:`combined_halfwidth`) is applied to multi-bit codes only.
 
-Every query path — :class:`repro.core.quantizer.RaBitQ`,
-:class:`repro.core.similarity.SimilarityEstimator` and the IVF searcher —
-estimates through the fused kernels below (:func:`build_code_consts`, the
-affine undo, :func:`fused_estimate`); :func:`estimate_distances` is the
-textbook form they are tested against.
+Both query paths — :class:`repro.core.quantizer.RaBitQ` and the IVF
+searcher, under every metric — estimate through the fused kernels below
+(:func:`build_code_consts`, the affine undo, :func:`fused_estimate`);
+:func:`estimate_distances` is the textbook form they are tested against.
 """
 
 from __future__ import annotations
@@ -443,8 +442,8 @@ def fused_estimate(
         (larger is better) derived through the centroid decomposition of
         :mod:`repro.core.metric`, with ``lower_bounds`` / ``upper_bounds``
         bracketing them; cosine scores and bounds are clipped to
-        ``[-1, 1]`` and degenerate (zero-norm) pairs score 0, matching
-        :class:`repro.core.similarity.SimilarityEstimator`.
+        ``[-1, 1]`` and degenerate (zero-norm) pairs score 0, as the
+        exact scores of :data:`repro.core.metric.COSINE` do.
     """
     resolved = resolve_metric(metric)
     dots = np.asarray(quantized_dot, dtype=np.float64)

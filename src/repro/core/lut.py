@@ -16,10 +16,7 @@ Exactness contract: the query codes are small unsigned integers, so every LUT
 entry (a sum of at most 4 of them) and every accumulated total (a sum of at
 most ``code_length/4`` entries) is an integer far below 2**53.  Float64
 accumulation is therefore *exact*, and the ``lut_accumulate`` path produces
-bit-identical integer dots to the packed popcount / GEMM kernels.  The
-``uint8`` variants trade that exactness for the reduced-precision table
-layout real fast-scan uses; their error is bounded by
-``n_segments * scale / 2``.
+bit-identical integer dots to :func:`repro.core.bitops.binary_dot_uint_batch`.
 """
 
 from __future__ import annotations
@@ -146,72 +143,10 @@ def lut_accumulate(segment_ids: np.ndarray, luts: np.ndarray) -> np.ndarray:
     return values.sum(axis=1)
 
 
-def quantize_luts_to_uint8(
-    luts: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
-    """Quantize LUT entries to ``uint8`` as the AVX2 fast-scan layout does.
-
-    The hardware implementation stores each LUT entry as an 8-bit unsigned
-    integer to fit two tables per 256-bit register.  This helper performs
-    the same quantization (affine map of the value range onto 0..255) and
-    returns the scale and offset needed to undo it after accumulation.
-
-    Returns
-    -------
-    (quantized, scale, offset):
-        ``quantized`` has dtype ``uint8`` and the same shape as ``luts``;
-        a LUT value ``v`` is recovered approximately as
-        ``offset + scale * quantized``.  A constant table quantizes to
-        all-zero codes with ``scale == 0.0``, making the recovery exact.
-
-    Raises
-    ------
-    InvalidParameterError
-        If any LUT entry is NaN or infinite: a non-finite value would
-        poison the min/max range and silently produce garbage codes.
-    """
-    tables = np.asarray(luts, dtype=np.float64)
-    if not np.isfinite(tables).all():
-        raise InvalidParameterError("LUT entries must be finite")
-    if tables.size == 0:
-        return np.zeros_like(tables, dtype=np.uint8), 0.0, 0.0
-    low = float(tables.min())
-    high = float(tables.max())
-    if high <= low:
-        return np.zeros_like(tables, dtype=np.uint8), 0.0, low
-    scale = (high - low) / 255.0
-    quantized = np.round((tables - low) / scale).astype(np.uint8)
-    return quantized, scale, low
-
-
-def lut_accumulate_uint8(
-    segment_ids: np.ndarray,
-    quantized_luts: np.ndarray,
-    scale: float,
-    offset: float,
-) -> np.ndarray:
-    """Accumulate ``uint8``-quantized LUTs and map back to float values.
-
-    Mirrors the reduced-precision accumulation of the SIMD fast-scan: the
-    result is ``offset * n_segments + scale * sum(lookups)`` and therefore
-    carries the (small) extra error the paper's batch implementation incurs.
-    An empty code batch yields the well-shaped empty result ``(0,)``.
-    """
-    tables = np.asarray(quantized_luts)
-    if tables.dtype != np.uint8:
-        raise InvalidParameterError("quantized_luts must have dtype uint8")
-    ids = _as_segment_matrix(segment_ids, tables.shape[0])
-    segment_index = np.arange(ids.shape[1])[None, :]
-    values = tables[segment_index, ids].astype(np.int64)
-    return offset * ids.shape[1] + scale * values.sum(axis=1)
-
-
 __all__ = [
     "SEGMENT_BITS",
     "SEGMENT_PATTERNS",
     "split_into_segments",
     "build_query_luts",
     "lut_accumulate",
-    "quantize_luts_to_uint8",
-    "lut_accumulate_uint8",
 ]

@@ -1,9 +1,9 @@
 """Metric strategy layer: squared-L2, inner-product and cosine serving.
 
-The paper's conclusion (quoted in :mod:`repro.core.similarity`) observes
-that the RaBitQ estimator targets one quantity — the inner product of
-*unit* vectors — from which squared Euclidean distance, raw inner product
-and cosine similarity all derive.  Around a normalization centroid ``c``::
+The paper's conclusion observes that the RaBitQ estimator targets one
+quantity — the inner product of *unit* vectors — from which squared
+Euclidean distance, raw inner product and cosine similarity all derive.
+Around a normalization centroid ``c``::
 
     ||o_r - q_r||^2 = ||o_r - c||^2 + ||q_r - c||^2
                       - 2 ||o_r - c|| ||q_r - c|| <o, q>          (L2)
@@ -13,7 +13,8 @@ and cosine similarity all derive.  Around a normalization centroid ``c``::
 
 This module makes the choice of metric a first-class *strategy* consumed by
 every layer of the serving stack: the fused estimation kernels
-(:mod:`repro.core.estimator`), IVF probing (:mod:`repro.index.ivf`),
+(:mod:`repro.core.estimator`), the flat quantizer
+(``RaBitQ(metric=...)``), IVF probing (:mod:`repro.index.ivf`),
 re-ranking (:mod:`repro.index.rerank`), the searcher
 (:mod:`repro.index.searcher`) and persistence (the archive records the
 metric).
@@ -29,9 +30,7 @@ Two conventions keep the layers metric-generic:
 * **Score fields.**  Result containers keep their historical field names
   (``distances``, ``lower_bounds``, ``upper_bounds``); under a similarity
   metric they carry similarity scores and their confidence bounds, with
-  results ordered by *descending* score.  The optimistic end of the
-  confidence interval is the lower bound for L2 and the upper bound for
-  similarities (:meth:`Metric.optimistic_bounds`).
+  results ordered by *descending* score.
 """
 
 from __future__ import annotations
@@ -72,14 +71,6 @@ class Metric(abc.ABC):
         ``-values``.
         """
         return -np.asarray(values) if self.higher_is_better else values
-
-    def optimistic_bounds(self, estimate) -> np.ndarray:
-        """The confidence-interval end a candidate could *at best* achieve."""
-        return (
-            estimate.upper_bounds
-            if self.higher_is_better
-            else estimate.lower_bounds
-        )
 
     @abc.abstractmethod
     def exact_scores(self, data_rows: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -133,8 +124,8 @@ class _IPMetric(Metric):
 class _CosineMetric(Metric):
     """Cosine similarity of the raw vectors.
 
-    Zero-norm vectors (data or query) get a cosine of 0, matching
-    :meth:`repro.core.similarity.SimilarityEstimator.estimate_cosine`.
+    Zero-norm vectors (data or query) get a cosine of 0, as the estimates
+    of :func:`repro.core.estimator.fused_estimate` do.
     """
 
     name = "cosine"

@@ -18,6 +18,12 @@
   appended, and stored rows can be dropped (tombstone compaction).  Both
   operations leave the estimates of the untouched rows bit-identical.
 
+``RaBitQ(config, metric=)`` serves every metric of :mod:`repro.core.metric`
+through the one estimator, via the centroid decomposition there.  Under
+``"ip"`` / ``"cosine"`` the dataset keeps ``<o_r, c>`` and ``||o_r||`` per
+row, prepared queries carry ``<q_r, c> - ||c||^2`` and ``||q_r||``, and the
+``distances`` field holds similarity scores (larger is better).
+
 Estimation is the searcher's fused pipeline on one centroid: the integer
 dot ``<x_b, q_u>`` (the plane-weighted popcount of Eq. 21-22, one plane for
 ``B = 1``), the affine undo of the query quantization (Eq. 19-20), then
@@ -46,6 +52,7 @@ from repro.core.estimator import (
     undo_query_quantization,
     undo_query_quantization_multibit,
 )
+from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import (
     compute_centroid,
     normalize_queries,
@@ -198,6 +205,10 @@ class QuantizedDataset:
     rescales:
         Per-code rescale factors ``1 / ||v||`` (``bits > 1`` only; ``None``
         for binary codes, whose rescale ``1/sqrt(D)`` is a constant).
+    dot_centroid / raw_norms:
+        ``<o_r, c>`` and ``||o_r||`` per vector, the raw terms of the
+        ``"ip"`` / ``"cosine"`` centroid decomposition (``None`` under
+        ``"l2"``).
     """
 
     packed_codes: np.ndarray
@@ -209,6 +220,8 @@ class QuantizedDataset:
     dim: int
     bits: int = 1
     rescales: np.ndarray | None = None
+    dot_centroid: np.ndarray | None = None
+    raw_norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.packed_codes.shape[0])
@@ -224,11 +237,7 @@ class QuantizedDataset:
 
     def memory_bytes(self) -> int:
         """Approximate index memory footprint in bytes (codes + per-vector floats)."""
-        code_bytes = self.packed_codes.nbytes
-        float_bytes = self.alignments.nbytes + self.norms.nbytes
-        popcount_bytes = self.code_popcounts.nbytes
-        rescale_bytes = 0 if self.rescales is None else self.rescales.nbytes
-        return int(code_bytes + float_bytes + popcount_bytes + rescale_bytes)
+        return int(sum(rows.nbytes for _, rows in _row_fields(self)))
 
 
 @dataclass(frozen=True)
@@ -244,11 +253,17 @@ class QuantizedQueryBatch:
         ``(n_queries, code_length)``.
     query_norms:
         ``||q_r - c||`` per query, shape ``(n_queries,)``.
+    query_offsets / query_raw_norms:
+        ``<q_r, c> - ||c||^2`` and ``||q_r||`` per query, the query terms
+        of the ``"ip"`` / ``"cosine"`` decomposition (``None`` under
+        ``"l2"``).
     """
 
     quantized: QuantizedQueryMatrix
     rotated: np.ndarray
     query_norms: np.ndarray
+    query_offsets: np.ndarray | None = None
+    query_raw_norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.rotated.shape[0])
@@ -297,6 +312,10 @@ class RaBitQ:
         A :class:`repro.core.config.RaBitQConfig`; ``None`` uses the paper's
         defaults (``epsilon_0 = 1.9``, ``B_q = 4``, code length = D rounded
         up to a multiple of 64, QR rotation).
+    metric:
+        ``"l2"`` (default: squared distances), ``"ip"`` (raw inner
+        products) or ``"cosine"``, or a :class:`repro.core.metric.Metric`.
+        Similarity metrics return scores, larger is better.
 
     Examples
     --------
@@ -309,10 +328,15 @@ class RaBitQ:
     >>> estimate = quantizer.estimate_distances(query)
     >>> len(estimate.distances)
     500
+    >>> mips = RaBitQ(metric="ip").fit(data)
+    >>> top = np.argsort(-mips.estimate_distances(query).scores)[:10]
     """
 
-    def __init__(self, config: Optional[RaBitQConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[RaBitQConfig] = None, metric: str | Metric = "l2"
+    ) -> None:
         self.config = config if config is not None else RaBitQConfig()
+        self._metric = resolve_metric(metric)
         self._rotation: Rotation | None = None
         # Eq. 18's uniforms: like the rotation, sampled at fit, then only read.
         self._rounding_offsets: np.ndarray | None = None
@@ -322,6 +346,11 @@ class RaBitQ:
     # ------------------------------------------------------------------ #
     # Index phase (Algorithm 1)
     # ------------------------------------------------------------------ #
+
+    @property
+    def metric(self) -> str:
+        """Name of the served metric (``"l2"``, ``"ip"`` or ``"cosine"``)."""
+        return self._metric.name
 
     @property
     def is_fitted(self) -> bool:
@@ -407,11 +436,18 @@ class RaBitQ:
 
         The one encoding pipeline behind :meth:`fit` and the incremental
         :meth:`add`, so newly inserted rows are encoded exactly like
-        fit-time rows.
+        fit-time rows.  Similarity metrics also keep each row's raw terms,
+        with the expressions the searcher uses per cluster.
         """
         assert self._rotation is not None
         centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
         bits = int(self.config.bits)
+        raw_terms = {}
+        if self._metric.higher_is_better:
+            raw_terms = {
+                "dot_centroid": raw @ centre,
+                "raw_norms": np.sqrt(np.einsum("ij,ij->i", raw, raw)),
+            }
         rescales = None
         if bits > 1:
             packed, _, popcounts, alignments, norms, rescales = (
@@ -431,6 +467,7 @@ class RaBitQ:
             dim=raw.shape[1],
             bits=bits,
             rescales=rescales,
+            **raw_terms,
         )
 
     def add(self, data: np.ndarray) -> "RaBitQ":
@@ -439,7 +476,10 @@ class RaBitQ:
         The new rows are appended to the stored dataset: they are normalized
         to the *existing* centroid, inversely rotated with the *existing*
         rotation and packed exactly like fit-time rows, so distance estimates
-        for previously stored vectors are completely unaffected.
+        for previously stored vectors are completely unaffected.  A new
+        row's ``<o_r, c>`` is a GEMV over the added rows, which BLAS may
+        round 1 ULP apart from a fit over all rows (as the searcher's
+        ``insert`` may).
         """
         dataset = self.dataset
         raw = as_float_matrix(data, "data")
@@ -495,7 +535,9 @@ class RaBitQ:
         :meth:`estimate_distances_batch`.  Each row's result depends on that
         row alone — normalization and rotation are applied per row (BLAS
         reduces 1-D and 2-D operands in different orders), while the scalar
-        quantization and bit-plane packing are vectorized.
+        quantization and bit-plane packing are vectorized.  Similarity
+        metrics add each row's ``<q_r, c> - ||c||^2`` and ``||q_r||``,
+        scalar for scalar as the searcher computes them.
         """
         dataset = self.dataset
         mat = as_float_matrix(queries, "queries")
@@ -521,8 +563,22 @@ class RaBitQ:
             randomized=self.config.randomized_rounding,
             offsets=self._rounding_offsets,
         )
+        query_terms = {}
+        if self._metric.higher_is_better:
+            # ||c||^2 as the IVF layer computes it: an einsum over centroid
+            # rows (a BLAS dot can round differently).
+            centre = dataset.centroid
+            centre_sq = float(np.einsum("ij,ij->i", centre[None], centre[None])[0])
+            query_terms = {
+                "query_offsets": np.array(
+                    [float(np.dot(row, centre)) - centre_sq for row in mat]
+                ),
+                "query_raw_norms": np.array(
+                    [float(np.sqrt(np.dot(row, row))) for row in mat]
+                ),
+            }
         return QuantizedQueryBatch(
-            quantized=quantized, rotated=rotated, query_norms=norms
+            quantized=quantized, rotated=rotated, query_norms=norms, **query_terms
         )
 
     def estimate_distances(
@@ -553,7 +609,9 @@ class RaBitQ:
         Returns
         -------
         DistanceEstimate
-            Unbiased squared-distance estimates with confidence bounds.
+            Unbiased squared-distance estimates with confidence bounds
+            (similarity scores and their bounds under ``"ip"`` /
+            ``"cosine"``).
         """
         prepared = (
             query if isinstance(query, QuantizedQuery) else self.prepare_query(query)
@@ -602,45 +660,43 @@ class RaBitQ:
         )
         rows = _rows(subset)
         eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
-        return self._estimate(
-            prepared, rows, self._code_consts(rows, eps), compute, eps
-        )
+        return self._estimate(prepared, rows, compute, eps)
 
-    def _code_consts(self, rows, epsilon0: float, **metric_terms) -> np.ndarray:
+    def _code_consts(self, rows, epsilon0: float) -> np.ndarray:
         """Fused estimator constants of the selected codes, in the arena's
         layout: the metric's rows, then the rescale row when ``B > 1``."""
-        dataset = self.dataset
+        selected = _map_rows(self.dataset, lambda name, values: values[rows])
         consts = build_code_consts(
-            dataset.alignments[rows],
-            dataset.norms[rows],
-            dataset.code_popcounts[rows],
-            dataset.code_length,
+            selected.alignments,
+            selected.norms,
+            selected.code_popcounts,
+            selected.code_length,
             epsilon0,
-            **metric_terms,
+            metric=self._metric,
+            dot_centroid=selected.dot_centroid,
+            raw_norms=selected.raw_norms,
         )
-        if dataset.rescales is None:
+        if selected.rescales is None:
             return consts
-        return np.vstack([consts, dataset.rescales[rows]])
+        return np.vstack([consts, selected.rescales])
 
     def _estimate(
         self,
         prepared: QuantizedQueryBatch,
         rows,
-        consts: np.ndarray,
         compute: str,
         epsilon0: float,
-        **metric_terms,
     ) -> DistanceEstimate:
         """``<o_bar, q>`` for the selected codes, then :func:`fused_estimate`.
 
         On the ``"bitwise"`` path the arithmetic is the searcher's, operation
-        for operation; similarity metrics pass their query terms through
-        ``metric_terms``.
+        for operation, for every metric.
         """
         if compute not in COMPUTE_MODES:
             raise InvalidParameterError(
                 f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
             )
+        consts = self._code_consts(rows, epsilon0)
         dataset = self.dataset
         code_length, bits = dataset.code_length, dataset.bits
         quantized = prepared.quantized
@@ -676,14 +732,21 @@ class RaBitQ:
                 quantized_dot = undo_query_quantization(
                     integer_dot, pops, delta, lower, sums, code_length
                 )
+        query_terms = {}
+        if self._metric.higher_is_better:
+            query_terms = {
+                "query_offset": prepared.query_offsets[:, None],
+                "query_raw_norm": prepared.query_raw_norms[:, None],
+            }
         return fused_estimate(
             quantized_dot,
             consts,
             prepared.query_norms[:, None],
+            metric=self._metric,
             query_rounding=(
                 0.5 * epsilon0 * quantized.delta[:, None] if bits > 1 else None
             ),
-            **metric_terms,
+            **query_terms,
         )
 
     def _decoded(self, rows) -> np.ndarray:
@@ -729,14 +792,25 @@ class RaBitQ:
         return raw_bits / code_bits
 
 
+#: The per-row fields of a :class:`QuantizedDataset`.
+_ROW_FIELDS = (
+    "packed_codes", "code_popcounts", "alignments", "norms",  # always set
+    "rescales", "dot_centroid", "raw_norms",  # None when absent
+)
+
+
+def _row_fields(dataset: QuantizedDataset):
+    """``(name, rows)`` for every per-row field ``dataset`` carries."""
+    for name in _ROW_FIELDS:
+        rows = getattr(dataset, name)
+        if rows is not None:
+            yield name, rows
+
+
 def _map_rows(dataset: QuantizedDataset, fn) -> QuantizedDataset:
-    """``dataset`` with every per-row field replaced by ``fn(name, rows)``
-    (``rescales`` only when present)."""
-    names = ("packed_codes", "code_popcounts", "alignments", "norms")
-    if dataset.rescales is not None:
-        names += ("rescales",)
+    """``dataset`` with every per-row field replaced by ``fn(name, rows)``."""
     return replace(
-        dataset, **{name: fn(name, getattr(dataset, name)) for name in names}
+        dataset, **{name: fn(name, rows) for name, rows in _row_fields(dataset)}
     )
 
 

@@ -2,16 +2,18 @@
 
 Two on-disk formats:
 
-* a bare RaBitQ quantizer (:func:`save_rabitq` / :func:`load_rabitq`) —
-  a single ``.npz`` archive (format v4, reads v2–v4) with packed codes,
-  per-vector metadata, rotation, rounding vector and configuration;
-  everything Algorithm 2 needs at query time, without the raw vectors;
+* a bare ``metric="l2"`` RaBitQ quantizer (:func:`save_rabitq` /
+  :func:`load_rabitq`) — a single ``.npz`` archive (format v4, reads v2–v4)
+  with packed codes, per-vector metadata, rotation, rounding vector and
+  configuration; everything Algorithm 2 needs at query time, without the
+  raw vectors;
 * a full IVF searcher (:func:`save_searcher` / :func:`load_searcher`) —
   additionally the IVF centroids/assignments, the raw vectors for exact
   re-ranking and the tombstone/external-id lifecycle state, so a restarted
   server resumes with bit-identical results (queries draw no randomness:
   there is no generator state to carry).
-  The one container (``RBQARCH6``, written as format v10, read as v6–v10)
+  The one container (``RBQARCH6``, written as format v10, read as v9–v10;
+  v6–v8 are refused, naming ``aaf8be8``, the last commit that reads them)
   is a memmap-able binary file: ``load_searcher(path, mmap=True)`` opens
   in near-constant time with the large sections mapped zero-copy.
 

@@ -306,11 +306,6 @@ class MutationJournal:
     # Appending
     # ------------------------------------------------------------------ #
 
-    @property
-    def suspended(self) -> bool:
-        """Whether :meth:`record` is currently a no-op (see :meth:`suspend`)."""
-        return self._suspended > 0
-
     def suspend(self) -> "_SuspendScope":
         """Context manager silencing :meth:`record` inside the block.
 

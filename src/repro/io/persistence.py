@@ -2,7 +2,7 @@
 
 Two archive flavours are provided:
 
-* :func:`save_rabitq` / :func:`load_rabitq` — a single fitted
+* :func:`save_rabitq` / :func:`load_rabitq` — a single fitted ``"l2"``
   :class:`repro.core.quantizer.RaBitQ`: configuration, rotation matrix,
   rounding vector, packed codes, per-vector metadata and centroid.  Enough
   for a query-serving process that does estimation only (no raw vectors,
@@ -18,15 +18,15 @@ Two archive flavours are provided:
   and supports further ``insert`` / ``delete`` / ``compact`` calls.
 
   The searcher has exactly one on-disk container (``RBQARCH6``, written
-  as format **v10**, read as v6–v10): a binary file holding a JSON header
+  as format **v10**, read as v9–v10): a binary file holding a JSON header
   plus 64-byte-aligned raw sections for every large array — the arena's
   packed codes, the uint8 GEMM operand, the fused constants, the slot
   map, and the raw re-rank vectors.  Sections can be read zero-copy via
   ``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm restart
   skips decompression and bit-unpacking entirely and supports datasets
-  larger than RAM.  The npz searcher layouts (v1–v5) and the sharded
-  directory archive are retired: :func:`load_searcher` refuses them by
-  name, and the last commit that reads them is ``422ac16``.
+  larger than RAM.  Retired layouts are refused by name, with the last
+  commit that reads them: container formats v6–v8 (``aaf8be8``), the npz
+  searcher layouts v1–v5 and the sharded directory archive (``422ac16``).
 
 Every save is **crash-safe**: archives are written to a temporary file,
 fsynced, and atomically renamed over the destination, so a crash mid-save
@@ -54,7 +54,6 @@ from typing import Union
 import numpy as np
 
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
-from repro.core.lut import split_into_segments
 from repro.core.metric import resolve_metric
 from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.core.query import sample_rounding_offsets
@@ -99,34 +98,29 @@ FORMAT_VERSION = 4
 #: Quantizer-archive versions this build can read (v2 loads as binary).
 _RABITQ_VERSIONS = (2, 3, 4)
 
-#: Searcher-archive format, bumped on incompatible changes.  Version 6 is
-#: the memmap-able binary container described in the module docstring: a
-#: JSON header carrying the small metadata (configuration,
+#: Searcher-archive format, bumped on incompatible changes.  Version 6
+#: introduced the memmap-able binary container described in the module
+#: docstring: a JSON header carrying the small metadata (configuration,
 #: lifecycle counters, archive UUID chain) plus 64-byte-aligned raw
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
 #: in particular a ``mmap=True`` load — adopts them without re-deriving
-#: anything.  The uint8 GEMM operand is stored, not recomputed.
-#: Versions 7–9 keep the identical container (same magic, prefix,
-#: alignment and section rules).  Version 7 added ``probe_strategy``
-#: metadata and, for graph probing, a ``centroid_graph`` metadata block
-#: with three ``graph_*`` integer sections; version 8 added the code
-#: width ``bits`` (v6/v7 archives carry no key and load as ``bits=1``,
-#: which is exactly what those builds wrote).  Version 9 drops what the
-#: removed serving knobs stored: the ``arena_segs`` section (4-bit LUT
-#: segment ids), the ``estimation_mode`` / ``probe_strategy`` metadata and
-#: the centroid-graph block and sections.  v6–v8 archives still load; the
-#: loader never reads those keys and sections, so an archive saved under
-#: a LUT kernel or graph probing serves through the GEMM kernel and the
-#: exhaustive centroid scan (which were their bit-identity oracles).
-#: Version 10 stores the rounding vector as the ``rounding_offsets``
-#: section in place of the header's generator states; a v6–v9 archive
-#: derives it from the stored seed as ``fit`` does, so it answers like a
-#: current build from the same seeds, not like the build that wrote it.
+#: anything.  The uint8 GEMM operand is stored, not recomputed.  Later
+#: versions keep the container (magic, prefix, alignment, section rules).
+#: Version 9, the oldest this build reads, stores the code width ``bits``
+#: and the query generator states in the header.  Version 10 stores the
+#: rounding vector as the ``rounding_offsets`` section in place of the
+#: generator states; a v9 archive derives it from the stored seed as
+#: ``fit`` does, so it answers like a current build from the same seeds,
+#: not like the build that wrote it.  ``tests/data`` holds v9 archives
+#: written by ``aaf8be8``.
 SEARCHER_FORMAT_VERSION = 10
 
-#: Binary-container (v6-layout) format versions this build can read.
-_SEARCHER_BINARY_VERSIONS = (6, 7, 8, 9, 10)
+#: Binary-container format versions this build can read.
+_SEARCHER_BINARY_VERSIONS = (9, 10)
+
+#: Last commit whose ``load_searcher`` reads container formats v6–v8.
+_PRE_V9_COMMIT = "aaf8be8"
 
 #: Last commit whose ``load_searcher`` reads the retired layouts: the npz
 #: searcher archives (v1–v5) and the sharded directory archive.
@@ -476,6 +470,13 @@ def _read_v6_header(path: Path) -> tuple[dict, int]:
             f"{path!s} is not a searcher archive "
             f"(magic {header.get('magic')!r}, expected {MAGIC_SEARCHER!r})"
         )
+    if header.get("format_version") in (6, 7, 8):
+        raise PersistenceError(
+            f"{path!s} is a format v{header['format_version']} searcher "
+            f"archive; formats v6-v8 are retired and the last commit that "
+            f"reads them is {_PRE_V9_COMMIT} (load it there and re-save to "
+            f"upgrade)"
+        )
     if header.get("format_version") not in _SEARCHER_BINARY_VERSIONS:
         raise PersistenceError(
             f"unsupported searcher index format version "
@@ -580,9 +581,17 @@ def save_rabitq(quantizer: RaBitQ, path: PathLike) -> None:
     ------
     NotFittedError
         If the quantizer has not been fitted.
+    InvalidParameterError
+        If the quantizer serves ``"ip"`` or ``"cosine"``: the format has no
+        place for the metric or the per-row raw terms.  Nothing is written.
     """
     if not quantizer.is_fitted:
         raise NotFittedError("cannot save an unfitted RaBitQ quantizer")
+    if quantizer.metric != "l2":
+        raise InvalidParameterError(
+            f"save_rabitq stores metric='l2' quantizers only, not "
+            f"metric={quantizer.metric!r}"
+        )
     dataset = quantizer.dataset
     config = quantizer.config
     final = Path(path)
@@ -751,37 +760,7 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
         If the searcher uses an external (non-RaBitQ) quantizer or a
         custom re-ranker that the archive format cannot represent.
     """
-    _save_searcher_v6(searcher, Path(path))
-
-
-def _save_searcher_v6(
-    searcher: IVFQuantizedSearcher,
-    path: Path,
-    *,
-    _format_version: int = SEARCHER_FORMAT_VERSION,
-) -> str:
-    """Write the binary container (v10 layout); returns the new archive UUID.
-
-    ``_format_version=6`` … ``9`` are test-only hooks that write
-    faithful legacy archives (header generator states, which nothing reads
-    any more, in place of the ``rounding_offsets`` section; below v9 also
-    the ``arena_segs`` section and default ``estimation_mode`` /
-    ``probe_strategy`` metadata; v7: no code-width metadata; v6: no
-    probe-strategy metadata either) so the backward-compatibility suites
-    can exercise real legacy input without keeping binary fixtures in the
-    tree.  v6 and v7 cannot represent multi-bit codes, so saving a
-    ``bits > 1`` searcher at those versions is refused.
-    """
-    if _format_version not in _SEARCHER_BINARY_VERSIONS:
-        raise InvalidParameterError(
-            f"_format_version must be one of {_SEARCHER_BINARY_VERSIONS}"
-        )
-    if searcher.bits > 1 and _format_version < 8:
-        raise InvalidParameterError(
-            f"format v{_format_version} archives cannot represent "
-            f"bits={searcher.bits} codes; multi-bit searchers need "
-            f"format v8"
-        )
+    path = Path(path)
     reranker_kind, reranker_param = _check_saveable(searcher)
     ivf = searcher.ivf
     flat = searcher.flat
@@ -824,6 +803,7 @@ def _save_searcher_v6(
         "n_consts": int(arena.n_consts),
         "arena_sizes": dump["sizes"].tolist(),
         "rotation": rotation_entry[0],
+        "bits": int(arena.bits_per_dim),
         # Lifecycle counter
         "next_id": int(searcher._next_id),
     }
@@ -838,28 +818,11 @@ def _save_searcher_v6(
         "ids": np.ascontiguousarray(searcher._ids, dtype=np.int64),
         "live": np.ascontiguousarray(searcher._live, dtype=np.bool_),
         "rotation": np.ascontiguousarray(rotation_entry[1], dtype=np.float64),
+        "rounding_offsets": searcher._rounding_offsets,
     }
-    if _format_version >= 10:
-        sections["rounding_offsets"] = searcher._rounding_offsets
-    else:
-        state = np.random.default_rng(0).bit_generator.state
-        meta["quantizer_rng_states"] = [state] * int(arena.n_clusters)
-        meta["searcher_rng_state"] = state
-    if _format_version >= 8:
-        meta["bits"] = int(arena.bits_per_dim)
-    if _format_version < 9:
-        meta["estimation_mode"] = "gemm"
-        if _format_version >= 7:
-            meta["probe_strategy"] = "exact"
-        # Multi-bit arenas stored an empty (rows, 0) segment matrix.
-        sections["arena_segs"] = (
-            split_into_segments(dump["bits"])
-            if arena.bits_per_dim == 1
-            else np.empty((dump["bits"].shape[0], 0), dtype=np.uint8)
-        )
     header = {
         "magic": MAGIC_SEARCHER,
-        "format_version": int(_format_version),
+        "format_version": SEARCHER_FORMAT_VERSION,
         "archive_uuid": archive_uuid,
         "parent_uuid": parent_uuid,
         "meta": meta,
@@ -869,7 +832,6 @@ def _save_searcher_v6(
     # The new archive subsumes every journaled mutation: restart the journal.
     if searcher._journal is not None:
         searcher._journal.rotate(default_journal_path(path), archive_uuid)
-    return archive_uuid
 
 
 def load_searcher(
@@ -955,8 +917,7 @@ def _load_searcher_v6(
     sections = _V6Sections(path, header, file_size)
     try:
         meta = header["meta"]
-        # v6/v7 archives predate multi-bit codes: they are always binary.
-        bits = int(meta.get("bits", 1))
+        bits = int(meta["bits"])
         if bits not in SUPPORTED_CODE_BITS:
             raise PersistenceError(
                 f"archive declares an unsupported code width bits={bits}; "

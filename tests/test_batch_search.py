@@ -287,7 +287,7 @@ class TestBatchedLayers:
         assert batch.shape == (n_queries, n_codes)
         for i in range(n_queries):
             np.testing.assert_array_equal(
-                batch[i], bitops.binary_dot_uint(codes, planes[i])
+                batch[i], bitops.binary_dot_uint_batch(codes, planes[i])[0]
             )
 
     @given(

@@ -7,8 +7,6 @@ import pytest
 
 from repro.core.bitops import (
     WORD_BITS,
-    binary_and_popcount,
-    binary_dot_uint,
     binary_dot_uint_batch,
     bitplanes_from_uint,
     bitplanes_from_uint_batch,
@@ -96,16 +94,21 @@ class TestPopcount:
 
 
 class TestBinaryDotProducts:
+    """One query through the batch kernel: the single-code path."""
+
     def test_and_popcount_matches_naive(self, rng):
+        # One binary plane: the AND + popcount of Eq. 22.
         a = rng.integers(0, 2, size=(8, 96)).astype(np.uint8)
         b = rng.integers(0, 2, size=96).astype(np.uint8)
         expected = (a * b).sum(axis=1)
-        result = binary_and_popcount(pack_bits(a), pack_bits(b))
-        np.testing.assert_array_equal(result, expected)
+        result = binary_dot_uint_batch(pack_bits(a), pack_bits(b)[None, :])
+        np.testing.assert_array_equal(result, expected[None, :])
 
     def test_and_popcount_word_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            binary_and_popcount(np.zeros((2, 2), dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+            binary_dot_uint_batch(
+                np.zeros((2, 2), dtype=np.uint64), np.zeros((1, 3), dtype=np.uint64)
+            )
 
     def test_binary_dot_uint_matches_naive(self, rng):
         n_bits = 4
@@ -113,12 +116,12 @@ class TestBinaryDotProducts:
         values = rng.integers(0, 2**n_bits, size=70).astype(np.uint64)
         expected = (codes * values[None, :]).sum(axis=1)
         planes = bitplanes_from_uint(values, n_bits)
-        result = binary_dot_uint(pack_bits(codes), planes)
-        np.testing.assert_array_equal(result, expected)
+        result = binary_dot_uint_batch(pack_bits(codes), planes)
+        np.testing.assert_array_equal(result, expected[None, :])
 
     def test_binary_dot_uint_word_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            binary_dot_uint(
+            binary_dot_uint_batch(
                 np.zeros((2, 1), dtype=np.uint64), np.zeros((4, 2), dtype=np.uint64)
             )
 
@@ -143,7 +146,10 @@ class TestBinaryDotUintBatch:
         packed = pack_bits(codes)
         result = binary_dot_uint_batch(packed, planes)
         for i in (0, 31, 63):
-            np.testing.assert_array_equal(result[i], binary_dot_uint(packed, planes[i]))
+            # One query alone stays below the GEMM threshold: popcount path.
+            np.testing.assert_array_equal(
+                result[i], binary_dot_uint_batch(packed, planes[i])[0]
+            )
 
     def test_query_values_fast_path_matches(self, rng):
         n_bits = 4
@@ -182,8 +188,9 @@ class TestBinaryDotUintBatch:
         planes = bitplanes_from_uint_batch(values, n_bits)
         packed = pack_bits(codes)
         result = binary_dot_uint_batch(packed, planes)
+        expected = values.astype(np.int64) @ codes.T.astype(np.int64)
         for i in (0, 63):
-            np.testing.assert_array_equal(result[i], binary_dot_uint(packed, planes[i]))
+            np.testing.assert_array_equal(result[i], expected[i])
 
     def test_gemm_code_chunking_matches(self, rng, monkeypatch):
         import repro.core.bitops as bitops_module
@@ -205,7 +212,9 @@ class TestBinaryDotUintBatch:
         packed = pack_bits(codes)
         result = binary_dot_uint_batch(packed, planes)
         assert result.shape == (1, 6)
-        np.testing.assert_array_equal(result[0], binary_dot_uint(packed, planes))
+        np.testing.assert_array_equal(
+            result[0], codes.astype(np.int64) @ values.astype(np.int64)
+        )
 
     def test_empty_inputs(self):
         codes = np.zeros((0, 1), dtype=np.uint64)

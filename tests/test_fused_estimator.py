@@ -3,9 +3,9 @@
 The fused kernels trade recomputation for pre-computed per-code constants;
 the contract is *bit-identity* with the textbook
 :func:`repro.core.estimator.estimate_distances` (row by row for a batch).
-Every query path estimates through them, so ``RaBitQ`` and
-``SimilarityEstimator`` must equal a one-cluster ``IVFQuantizedSearcher``'s
-raw estimates bit for bit (:class:`TestOneCentroidViews`).
+Every query path estimates through them, so ``RaBitQ`` under every metric
+must equal a one-cluster ``IVFQuantizedSearcher``'s raw estimates bit for
+bit (:class:`TestOneCentroidViews`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.estimator import (
     undo_query_quantization,
 )
 from repro.core.quantizer import RaBitQ, encode_rows
-from repro.core.similarity import SimilarityEstimator
 from repro.exceptions import InvalidParameterError
 from repro.index.searcher import IVFQuantizedSearcher
 
@@ -141,9 +140,9 @@ class TestUndoQueryQuantization:
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
         prepared = quantizer.prepare_query(rng.standard_normal(32))
         dataset = quantizer.dataset
-        integer_dot = bitops.binary_dot_uint(
+        integer_dot = bitops.binary_dot_uint_batch(
             dataset.packed_codes, prepared.quantized.bitplanes
-        )
+        )[0]
         got = undo_query_quantization(
             integer_dot,
             dataset.code_popcounts.astype(np.float64),
@@ -173,7 +172,7 @@ class TestGemvDotExactness:
         packed = bitops.pack_bits(bits)
         qvals = rng.integers(0, 1 << bq, size=code_length).astype(np.uint64)
         planes = bitops.bitplanes_from_uint(qvals, bq)
-        want = bitops.binary_dot_uint(packed, planes)
+        want = bitops.binary_dot_uint_batch(packed, planes)[0]
         got = np.rint(bits.astype(np.float64) @ qvals.astype(np.float64))
         np.testing.assert_array_equal(got.astype(np.int64), want)
 
@@ -207,7 +206,7 @@ def _one_cluster(bits, rotation, metric="l2"):
     searcher = IVFQuantizedSearcher(
         "rabitq", n_clusters=1, rabitq_config=config, rng=3, metric=metric
     ).fit(data)
-    quantizer = RaBitQ(config).fit(
+    quantizer = RaBitQ(config, metric=metric).fit(
         data,
         centroid=searcher.ivf.centroids[0],
         rotation=searcher._shared_rotation,
@@ -215,58 +214,47 @@ def _one_cluster(bits, rotation, metric="l2"):
     return data, queries, searcher, quantizer
 
 
-def _assert_same(got, want, fields, order=slice(None)):
+_FIELDS = ("distances", "lower_bounds", "upper_bounds", "inner_products")
+
+
+def _assert_same(got, want, order=slice(None)):
     """``got``'s fields, taken at ``order``, equal ``want``'s bit for bit."""
-    for got_field, want_field in fields:
+    for name in _FIELDS:
         np.testing.assert_array_equal(
-            getattr(got, got_field)[..., order], getattr(want, want_field)
+            getattr(got, name)[..., order], getattr(want, name)
         )
 
 
-_DISTANCE_FIELDS = [
-    (name, name)
-    for name in ("distances", "lower_bounds", "upper_bounds", "inner_products")
-]
-_SIMILARITY_FIELDS = [
-    ("values", "distances"),
-    ("lower_bounds", "lower_bounds"),
-    ("upper_bounds", "upper_bounds"),
-]
+def _assert_raw_pass_views(searcher, quantizer, queries):
+    """Single, prepared, batch-row and ``subset=`` estimates of every query
+    equal the one-cluster searcher's raw pass bit for bit."""
+    batch = quantizer.estimate_distances_batch(queries)
+    for i, query in enumerate(queries):
+        # The raw pass lists the codes in arena order, as slots.
+        slots, want = searcher._estimate_rabitq(query, np.array([0]))
+        np.testing.assert_array_equal(np.sort(slots), np.arange(90))
+        _assert_same(quantizer.estimate_distances(query), want, slots)
+        prepared = quantizer.prepare_query(query)
+        _assert_same(quantizer.estimate_distances(prepared), want, slots)
+        row = DistanceEstimate(*(getattr(batch, name)[i] for name in _FIELDS))
+        _assert_same(row, want, slots)
+        subset = quantizer.estimate_distances(query, subset=slots)
+        _assert_same(subset, want)
 
 
 class TestOneCentroidViews:
-    """RaBitQ and SimilarityEstimator are one-centroid views of the
+    """RaBitQ, under every metric, is a one-centroid view of the
     searcher's fused pipeline: equal to its raw pass bit for bit."""
 
     @pytest.mark.parametrize("rotation", ["qr", "hadamard"])
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])
     def test_rabitq_equals_raw_pass(self, bits, rotation):
         _, queries, searcher, quantizer = _one_cluster(bits, rotation)
-        batch = quantizer.estimate_distances_batch(queries)
-        for i, query in enumerate(queries):
-            # The raw pass lists the codes in arena order, as slots.
-            slots, want = searcher._estimate_rabitq(query, np.array([0]))
-            np.testing.assert_array_equal(np.sort(slots), np.arange(90))
-            single = quantizer.estimate_distances(query)
-            _assert_same(single, want, _DISTANCE_FIELDS, slots)
-            row = DistanceEstimate(
-                *(getattr(batch, name)[i] for name, _ in _DISTANCE_FIELDS)
-            )
-            _assert_same(row, want, _DISTANCE_FIELDS, slots)
-            subset = quantizer.estimate_distances(query, subset=slots)
-            _assert_same(subset, want, _DISTANCE_FIELDS)
+        _assert_raw_pass_views(searcher, quantizer, queries)
 
     @pytest.mark.parametrize("rotation", ["qr", "hadamard"])
-    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
     @pytest.mark.parametrize("metric", ["ip", "cosine"])
     def test_similarity_equals_raw_pass(self, metric, bits, rotation):
-        data, queries, searcher, quantizer = _one_cluster(bits, rotation, metric)
-        estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-        estimate = (
-            estimator.estimate_inner_products
-            if metric == "ip"
-            else estimator.estimate_cosine
-        )
-        for query in queries:
-            slots, want = searcher._estimate_rabitq(query, np.array([0]))
-            _assert_same(estimate(query), want, _SIMILARITY_FIELDS, slots)
+        _, queries, searcher, quantizer = _one_cluster(bits, rotation, metric)
+        _assert_raw_pass_views(searcher, quantizer, queries)

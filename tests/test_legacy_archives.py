@@ -1,25 +1,24 @@
-"""Archives written before the current format still load — minus what was removed.
+"""Archives written before the current format: v9 loads, v6–v8 are refused.
 
-Format v9 dropped what the deleted serving knobs stored: the ``arena_segs``
-section (LUT segment ids), the ``estimation_mode`` / ``probe_strategy``
-metadata and the ``centroid_graph`` block with its three ``graph_*``
-sections.  Format v10 stores the index's rounding vector as the
-``rounding_offsets`` section and dropped the generator states
-(``quantizer_rng_states`` / ``searcher_rng_state``) that stateful rounding
-needed.  The contract pinned here:
+Format v10 stores the index's rounding vector as the ``rounding_offsets``
+section and dropped the generator states (``quantizer_rng_states`` /
+``searcher_rng_state``) that stateful rounding needed.  ``tests/data``
+holds two v9 archives written by the parent build, ``aaf8be8`` (see
+``tests/data/gen_legacy_v9.py``): an ``l2`` ``B = 1`` archive with a
+3-record journal and an ``ip`` ``B = 4`` one, both Hadamard-rotated, with
+tombstones and a non-trivial id map.  The contract pinned here:
 
-* a v6–v8 archive carrying all of those — saved under
-  ``estimation_mode="lut"`` and ``probe_strategy="graph"`` — loads
-  materialized and memory-mapped, with a journal attached, and answers
-  bit-identically (ids, distances, cost counters) to a same-seed twin
-  built by this build, through further journaled mutations;
-* so does a parent-format (v9) archive: it derives the rounding vector
+* a v9 archive loads materialized, memory-mapped, with its journal and
+  with both, and answers — ``search`` and ``search_batch``, re-ranked and
+  raw: ids, distance bits, ``n_candidates``, ``n_exact`` — bit-identically
+  to a twin this build makes from the same seeds, through further
+  journaled mutations and crash recovery.  It derives the rounding vector
   from its stored seed exactly as ``fit`` does (a seedless one from seed
-  0, so two loads agree) and never reads the retired generator states —
-  it answers like *this* build from the same seeds, not like the build
-  that wrote it, whose rounding was stateful;
-* this build writes v10 without any of them, and a v10 archive of a
-  seedless index reloads bit-identically to the live one;
+  0, so two loads agree) and never reads the retired generator states;
+* a v6, v7 or v8 header is refused with a ``PersistenceError`` naming the
+  version and ``aaf8be8``, the last commit that reads it;
+* this build writes v10 without any of the retired state, and a v10
+  archive of a seedless index reloads bit-identically to the live one;
 * a stored rounding vector that is missing, mis-sized, non-finite or
   outside ``[0, 1)`` is a ``PersistenceError``;
 * the removed constructor arguments are gone, not silently accepted;
@@ -31,23 +30,24 @@ needed.  The contract pinned here:
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
-from repro.core.lut import split_into_segments
 from repro.core.quantizer import RaBitQ
+from repro.core.query import sample_rounding_offsets
 from repro.exceptions import JournalError, PersistenceError
 from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.io.journal import MutationJournal
+from repro.io.journal import MutationJournal, read_journal
 from repro.io.persistence import (
     SEARCHER_FORMAT_VERSION,
     _read_v6_header,
-    _save_searcher_v6,
     _V6Sections,
     _write_v6_archive,
     default_journal_path,
@@ -56,22 +56,43 @@ from repro.io.persistence import (
     save_searcher,
 )
 
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
+# The generator owns the fixture scenario (data, seeds, mutations); the twins
+# below are built by exactly the functions that built the archived indexes.
+_spec = importlib.util.spec_from_file_location(
+    "gen_legacy_v9", _DATA_DIR / "gen_legacy_v9.py"
+)
+_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_gen)
+
+L2_V9, IP_V9 = "v9_l2_b1.rbq", "v9_ip_b4.rbq"
+V6_V8_COMMIT = "aaf8be8"
+
 N, DIM, N_CLUSTERS = 400, 64, 6
 K, NPROBE = 5, 3
 
 _DATA = np.random.default_rng(71).standard_normal((N, DIM))
 _EXTRA = np.random.default_rng(72).standard_normal((14, DIM))
-_LATER = np.random.default_rng(73).standard_normal((9, DIM))
 _QUERIES = np.random.default_rng(74).standard_normal((6, DIM))
+#: Rows inserted after a v9 archive's own journal has been replayed.
+_MORE = np.random.default_rng(75).standard_normal((7, _gen.DIM)) + 0.2
 
 REMOVED_META = ("estimation_mode", "probe_strategy", "centroid_graph")
-#: v6–v9 header keys: the generator states of stateful rounding.
+#: v9 header keys: the generator states of stateful rounding.
 RETIRED_RNG_META = {"quantizer_rng_states", "searcher_rng_state"}
 REMOVED_SECTIONS = (
     "arena_segs",
     "graph_nodes",
     "graph_degrees",
     "graph_neighbours",
+)
+
+_LOAD_MODES = (
+    {},
+    {"mmap": True},
+    {"journal": True},
+    {"mmap": True, "journal": True},
 )
 
 
@@ -89,22 +110,40 @@ def _build(metric: str = "l2", seed: int | None = 3) -> IVFQuantizedSearcher:
     return searcher
 
 
-def _mutate(searcher) -> None:
-    searcher.insert(_LATER)
-    searcher.delete(searcher.live_ids[::11])
-    searcher.compact()
+def _fixture(tmp_path: Path, name: str = L2_V9) -> Path:
+    """A private copy of a committed v9 archive and its journal (loads that
+    attach a journal append to it, and the fixture must never change)."""
+    for source in _DATA_DIR.glob(name + "*"):
+        shutil.copyfile(source, tmp_path / source.name)
+    return tmp_path / name
 
 
-def _answers(searcher) -> list[tuple]:
-    results = [searcher.search(q, K, nprobe=NPROBE) for q in _QUERIES]
-    results += list(searcher.search_batch(_QUERIES, K, nprobe=NPROBE))
+def _twin(name: str = L2_V9, *, journaled: bool = False, metric=None):
+    """What this build makes of the fixture's scenario: the archived state,
+    plus the journaled mutations when ``journaled``."""
+    archived_metric, bits = _gen.ARCHIVES[name]
+    searcher = _gen.build(metric or archived_metric, bits)
+    if journaled:
+        _gen.mutate(searcher)
+    return searcher
+
+
+def _mutate_more(searcher) -> None:
+    searcher.insert(_MORE)
+    searcher.delete(searcher.live_ids[::5])
+
+
+def _answers(searcher, queries=_QUERIES, k=K, nprobe=NPROBE) -> list[tuple]:
+    results = [searcher.search(q, k, nprobe=nprobe) for q in queries]
+    results += list(searcher.search_batch(queries, k, nprobe=nprobe))
+    # Distances as raw bytes: equal means equal bits (0.0 vs -0.0 too).
     return [
-        (r.ids.tolist(), r.distances.tolist(), r.n_candidates, r.n_exact)
+        (r.ids.tolist(), r.distances.tobytes(), r.n_candidates, r.n_exact)
         for r in results
     ]
 
 
-def _stream(searcher) -> list[tuple]:
+def _stream(searcher, *scenario) -> list[tuple]:
     """Sequential then batch answers with both cost counters, re-ranked and raw.
 
     The raw pass (``NoReranker``) reports the estimates themselves, so the
@@ -112,11 +151,15 @@ def _stream(searcher) -> list[tuple]:
     vector, not only on which candidates win the re-rank.
     """
     original = searcher.reranker
-    out = _answers(searcher)
+    out = _answers(searcher, *scenario)
     searcher.reranker = NoReranker()
-    out += _answers(searcher)
+    out += _answers(searcher, *scenario)
     searcher.reranker = original
     return out
+
+
+def _v9_stream(searcher) -> list[tuple]:
+    return _stream(searcher, _gen.QUERIES, _gen.K, _gen.NPROBE)
 
 
 def _read(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -129,31 +172,12 @@ def _read(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _as_parent_format(path: Path, version: int = 8) -> None:
-    """Rewrite the current archive at ``path`` as a ``lut`` + ``graph`` v6–v8 one.
-
-    Same archive UUID (so journals still bind to it), same sections minus
-    the rounding vector, plus everything the removed knobs stored.  The
-    graph block and sections and the generator states hold arbitrary
-    contents: the loader must skip them, never parse them.
-    """
+def _rewrite(path: Path, edit) -> None:
+    """Rewrite the archive at ``path`` after ``edit(header, arrays)``; the
+    archive UUID stays, so a journal still binds to it."""
     header, arrays = _read(path)
-    assert header["format_version"] == SEARCHER_FORMAT_VERSION
     header.pop("sections")
-    header["format_version"] = version
-    meta = header["meta"]
-    del arrays["rounding_offsets"]
-    meta["quantizer_rng_states"] = "not a list of states"
-    meta["searcher_rng_state"] = {"bit_generator": "NoSuchGenerator"}
-    meta["estimation_mode"] = "lut"
-    arrays["arena_segs"] = split_into_segments(arrays["arena_bits"])
-    if version < 8:
-        meta.pop("bits")
-    if version >= 7:
-        meta["probe_strategy"] = "graph"
-        meta["centroid_graph"] = {"m": -1, "layer_sizes": "not a list"}
-        for name in REMOVED_SECTIONS[1:]:
-            arrays[name] = np.arange(5, dtype=np.int64)
+    edit(header, arrays)
     _write_v6_archive(path, header, arrays)
 
 
@@ -171,107 +195,116 @@ def _assert_clean(path: Path, version: int = SEARCHER_FORMAT_VERSION) -> None:
 
 
 class TestParentFormatSearcherArchive:
-    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
-    @pytest.mark.parametrize("version", (6, 7, 8))
-    def test_loads_and_answers_like_head_twin(self, tmp_path, version, mmap):
-        path = tmp_path / "parent.rbq"
-        save_searcher(_build(), path)
-        _as_parent_format(path, version)
-        header, arrays = _read(path)
-        assert header["format_version"] == version
-        assert header["meta"]["estimation_mode"] == "lut"
-        assert "arena_segs" in arrays
-        if version >= 7:
-            assert header["meta"]["probe_strategy"] == "graph"
-            assert set(REMOVED_SECTIONS) <= set(arrays)
+    def test_fixture_is_a_faithful_v9_archive(self):
+        paths = [_DATA_DIR / name for name in _gen.ARCHIVES]
+        assert sum(path.stat().st_size for path in paths) <= 64 * 1024
+        for path, (metric, bits) in zip(paths, _gen.ARCHIVES.values()):
+            _assert_clean(path, version=9)
+            meta = _read(path)[0]["meta"]
+            assert (meta["metric"], meta["bits"]) == (metric, bits)
+            assert (meta["rotation"], meta["rotation_kind"]) == (
+                "signs",
+                "hadamard",
+            )
+            assert len(meta["quantizer_rng_states"]) == _gen.N_CLUSTERS
+        journal = read_journal(default_journal_path(_DATA_DIR / L2_V9))
+        assert journal.archive_uuid == _read(_DATA_DIR / L2_V9)[0]["archive_uuid"]
+        assert [r.op for r in journal.records] == ["insert", "delete", "compact"]
+        assert not journal.truncated
+        assert not default_journal_path(_DATA_DIR / IP_V9).exists()
 
-        loaded = load_searcher(path, mmap=mmap, journal=True)
-        twin = _build()
-        assert _stream(loaded) == _stream(twin)
-        # Journaled mutations on the legacy load, then crash-recover them.
-        _mutate(loaded)
-        _mutate(twin)
-        assert _stream(loaded) == _stream(twin)
-        recovered = load_searcher(path, mmap=mmap, journal=True)
-        replayed = _build()
-        _mutate(replayed)
-        assert _stream(recovered) == _stream(replayed)
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
+    def test_loads_and_answers_like_head_twin(self, tmp_path, kwargs):
+        path = _fixture(tmp_path)
+        journaled = kwargs.get("journal", False)
+        loaded = load_searcher(path, **kwargs)
+        twin = _twin(journaled=journaled)
+        assert _v9_stream(loaded) == _v9_stream(twin)
+        # Further mutations on the legacy load (journaled when attached),
+        # then crash-recover them.
+        _mutate_more(loaded)
+        _mutate_more(twin)
+        assert _v9_stream(loaded) == _v9_stream(twin)
+        if journaled:
+            recovered = load_searcher(path, **kwargs)
+            assert _v9_stream(recovered) == _v9_stream(twin)
 
     @pytest.mark.parametrize("metric", ("ip", "cosine"))
     def test_similarity_metrics_survive_too(self, tmp_path, metric):
-        path = tmp_path / "parent.rbq"
-        save_searcher(_build(metric), path)
-        _as_parent_format(path)
-        assert _stream(load_searcher(path, mmap=True)) == _stream(_build(metric))
+        # ip and cosine archives differ only in the header's metric (same
+        # k-means, same constants), so the cosine archive is the ip one
+        # relabelled.
+        path = _fixture(tmp_path, IP_V9)
+        _rewrite(path, lambda header, _: header["meta"].update(metric=metric))
+        loaded = load_searcher(path, mmap=True)
+        assert (loaded.metric, loaded.bits) == (metric, 4)
+        assert _v9_stream(loaded) == _v9_stream(_twin(IP_V9, metric=metric))
 
     def test_resave_upgrades_to_current_format(self, tmp_path):
         assert SEARCHER_FORMAT_VERSION == 10
-        path = tmp_path / "parent.rbq"
-        save_searcher(_build(), path)
-        _as_parent_format(path)
         upgraded = tmp_path / "upgraded.rbq"
-        save_searcher(load_searcher(path), upgraded)
+        save_searcher(load_searcher(_fixture(tmp_path)), upgraded)
         _assert_clean(upgraded)
-        assert upgraded.stat().st_size < path.stat().st_size
-        assert _stream(load_searcher(upgraded)) == _stream(_build())
+        assert _v9_stream(load_searcher(upgraded)) == _v9_stream(_twin())
 
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
     @pytest.mark.parametrize("version", (6, 7, 8))
-    def test_legacy_writer_hook_is_faithful(self, tmp_path, version):
-        path = tmp_path / "hook.rbq"
-        _save_searcher_v6(_build(), path, _format_version=version)
-        header, arrays = _read(path)
-        assert header["format_version"] == version
-        assert header["meta"]["estimation_mode"] == "gemm"
-        assert ("probe_strategy" in header["meta"]) == (version >= 7)
-        assert ("bits" in header["meta"]) == (version >= 8)
-        assert "rounding_offsets" not in arrays
-        assert len(header["meta"]["quantizer_rng_states"]) == N_CLUSTERS
-        np.testing.assert_array_equal(
-            arrays["arena_segs"], split_into_segments(arrays["arena_bits"])
+    def test_pre_v9_header_is_refused_naming_the_commit(
+        self, tmp_path, version, kwargs
+    ):
+        path = _fixture(tmp_path, IP_V9)
+        _rewrite(
+            path, lambda header, _: header.update(format_version=version)
         )
-        assert _stream(load_searcher(path)) == _stream(_build())
+        with pytest.raises(PersistenceError, match=f"format v{version}") as e:
+            load_searcher(path, **kwargs)
+        assert V6_V8_COMMIT in str(e.value)
+        assert not default_journal_path(path).exists()
 
 
 class TestV9:
     """The parent format: generator states in the header, no rounding vector."""
 
     def test_round_trip_bit_identical_without_removed_state(self, tmp_path):
-        path = tmp_path / "v9.rbq"
-        _save_searcher_v6(_build(), path, _format_version=9)
+        path = _fixture(tmp_path)
         _assert_clean(path, version=9)
         for mmap in (False, True):
-            assert _stream(load_searcher(path, mmap=mmap)) == _stream(_build())
+            assert _v9_stream(load_searcher(path, mmap=mmap)) == _v9_stream(
+                _twin()
+            )
 
     @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
     def test_recovers_journaled_mutations_like_head_twin(self, tmp_path, mmap):
-        path = tmp_path / "v9.rbq"
-        _save_searcher_v6(_build(), path, _format_version=9)
+        path = _fixture(tmp_path)
         loaded = load_searcher(path, mmap=mmap, journal=True)
-        _mutate(loaded)
+        _mutate_more(loaded)
         recovered = load_searcher(path, mmap=mmap, journal=True)
-        twin = _build()
-        _mutate(twin)
-        assert _stream(recovered) == _stream(loaded) == _stream(twin)
+        twin = _twin(journaled=True)
+        _mutate_more(twin)
+        assert _v9_stream(recovered) == _v9_stream(loaded) == _v9_stream(twin)
+        assert len(read_journal(default_journal_path(path)).records) == 5
 
     def test_seedless_archive_loads_twice_identically(self, tmp_path):
-        path = tmp_path / "seedless.rbq"
-        _save_searcher_v6(_build(seed=None), path, _format_version=9)
-        assert _read(path)[0]["meta"]["seed"] is None
+        path = _fixture(tmp_path)
+        _rewrite(path, lambda header, _: header["meta"].update(seed=None))
         first, second = load_searcher(path), load_searcher(path, mmap=True)
         np.testing.assert_array_equal(
             first._rounding_offsets, second._rounding_offsets
         )
-        assert _stream(first) == _stream(second)
+        np.testing.assert_array_equal(
+            first._rounding_offsets, sample_rounding_offsets(0, 64)
+        )
+        assert _v9_stream(first) == _v9_stream(second)
 
     def test_retired_generator_states_are_never_read(self, tmp_path):
-        path = tmp_path / "v9.rbq"
-        _save_searcher_v6(_build(), path, _format_version=9)
-        header, arrays = _read(path)
-        header.pop("sections")
-        header["meta"]["quantizer_rng_states"] = [{"state": 2**200}, "garbage"]
-        header["meta"]["searcher_rng_state"] = None
-        _write_v6_archive(path, header, arrays)
-        assert _stream(load_searcher(path)) == _stream(_build())
+        path = _fixture(tmp_path)
+
+        def garble(header, _):
+            header["meta"]["quantizer_rng_states"] = [{"state": 2**200}, "x"]
+            header["meta"]["searcher_rng_state"] = None
+
+        _rewrite(path, garble)
+        assert _v9_stream(load_searcher(path)) == _v9_stream(_twin())
 
 
 class TestV10:
@@ -329,14 +362,6 @@ class TestV10:
             for mmap in (False, True):
                 with pytest.raises(PersistenceError, match="rounding"):
                     load_searcher(path, mmap=mmap)
-
-
-_LOAD_MODES = (
-    {},
-    {"mmap": True},
-    {"journal": True},
-    {"mmap": True, "journal": True},
-)
 
 
 class TestRetiredLayouts:
@@ -402,6 +427,8 @@ class TestRetiredLayouts:
             from repro.index import ShardedSearcher  # noqa: F401
         with pytest.raises(ImportError):
             from repro.io import load_sharded_searcher  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.io.persistence import _save_searcher_v6  # noqa: F401
 
 
 @pytest.mark.parametrize(

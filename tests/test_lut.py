@@ -10,8 +10,6 @@ from repro.core.lut import (
     SEGMENT_PATTERNS,
     build_query_luts,
     lut_accumulate,
-    lut_accumulate_uint8,
-    quantize_luts_to_uint8,
     split_into_segments,
 )
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
@@ -82,11 +80,6 @@ class TestDegenerateShapes:
         with pytest.raises(InvalidParameterError):
             lut_accumulate(np.zeros((1, 1, 4), dtype=np.uint8), luts)
 
-    def test_accumulate_uint8_empty(self):
-        tables = np.zeros((4, SEGMENT_PATTERNS), dtype=np.uint8)
-        out = lut_accumulate_uint8(np.zeros((0, 4), dtype=np.uint8), tables, 1.0, 0.0)
-        assert out.shape == (0,)
-
 
 class TestLutAccumulate:
     def test_matches_naive_inner_product(self, rng):
@@ -109,72 +102,3 @@ class TestLutAccumulate:
         with pytest.raises(DimensionMismatchError):
             lut_accumulate(segments, np.zeros((4, 8)))
 
-
-class TestUint8Luts:
-    def test_quantize_roundtrip_accuracy(self, rng):
-        query = rng.integers(0, 16, size=64).astype(np.float64)
-        luts = build_query_luts(query)
-        quantized, scale, offset = quantize_luts_to_uint8(luts)
-        assert quantized.dtype == np.uint8
-        recovered = offset + scale * quantized.astype(np.float64)
-        assert np.max(np.abs(recovered - luts)) <= scale / 2 + 1e-9
-
-    def test_constant_luts(self):
-        # Regression: a constant table must report scale == 0.0 (not a
-        # fabricated 1.0), so ``offset + scale * 0`` recovers it exactly
-        # and the accumulated error bound ``n_segments * scale / 2`` is 0.
-        luts = np.full((4, SEGMENT_PATTERNS), 3.0)
-        quantized, scale, offset = quantize_luts_to_uint8(luts)
-        np.testing.assert_array_equal(quantized, 0)
-        assert scale == 0.0
-        assert offset == 3.0
-        recovered = offset + scale * quantized.astype(np.float64)
-        np.testing.assert_array_equal(recovered, luts)
-
-    def test_constant_luts_accumulate_exactly(self):
-        luts = np.full((4, SEGMENT_PATTERNS), -2.5)
-        quantized, scale, offset = quantize_luts_to_uint8(luts)
-        segments = np.array([[0, 7, 15, 3]], dtype=np.uint8)
-        out = lut_accumulate_uint8(segments, quantized, scale, offset)
-        np.testing.assert_array_equal(out, [-10.0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        # Regression: a NaN/inf entry used to poison the min/max range and
-        # silently produce garbage codes (scale == nan).
-        luts = np.zeros((4, SEGMENT_PATTERNS))
-        luts[2, 5] = bad
-        with pytest.raises(InvalidParameterError, match="finite"):
-            quantize_luts_to_uint8(luts)
-
-    def test_empty_tables(self):
-        quantized, scale, offset = quantize_luts_to_uint8(
-            np.zeros((0, SEGMENT_PATTERNS))
-        )
-        assert quantized.shape == (0, SEGMENT_PATTERNS)
-        assert quantized.dtype == np.uint8
-        assert scale == 0.0
-        assert offset == 0.0
-
-    def test_accumulate_uint8_close_to_exact(self, rng):
-        n_codes, length = 30, 128
-        bits = rng.integers(0, 2, size=(n_codes, length))
-        query = rng.integers(0, 16, size=length).astype(np.float64)
-        segments = split_into_segments(bits)
-        luts = build_query_luts(query)
-        exact = lut_accumulate(segments, luts)
-        quantized, scale, offset = quantize_luts_to_uint8(luts)
-        approx = lut_accumulate_uint8(segments, quantized, scale, offset)
-        # The accumulated 8-bit error stays within n_segments * scale / 2.
-        assert np.max(np.abs(approx - exact)) <= segments.shape[1] * scale / 2 + 1e-9
-
-    def test_accumulate_uint8_requires_uint8(self, rng):
-        segments = np.zeros((2, 4), dtype=np.uint8)
-        with pytest.raises(InvalidParameterError):
-            lut_accumulate_uint8(segments, np.zeros((4, 16)), 1.0, 0.0)
-
-    def test_accumulate_uint8_segment_mismatch(self):
-        segments = np.zeros((2, 4), dtype=np.uint8)
-        luts = np.zeros((5, SEGMENT_PATTERNS), dtype=np.uint8)
-        with pytest.raises(DimensionMismatchError):
-            lut_accumulate_uint8(segments, luts, 1.0, 0.0)

@@ -1,15 +1,13 @@
-"""Persistence tests for multi-bit (``bits`` > 1) codes — archive format v8.
+"""Persistence tests for multi-bit (``bits`` > 1) codes.
 
-Format v8 records the code width ``B`` (bits per dimension) in the archive
-meta.  This suite pins the contract from the multi-bit refactor:
+Since format v8 the archive meta records the code width ``B`` (bits per
+dimension).  This suite pins the contract from the multi-bit refactor:
 
-* v8 round-trips are bit-identical for every supported width, through both
+* round-trips are bit-identical for every supported width, through both
   materialized and memory-mapped loads, and a reloaded searcher keeps
   mutating (insert) correctly;
-* archives written by the v6/v7 test-only writer hooks (no ``bits`` key)
-  load as ``bits = 1``;
-* the legacy v6/v7 layouts *refuse* to save multi-bit searchers instead
-  of silently dropping the width;
+* the committed format-v9 fixture of ``tests/test_legacy_archives.py``
+  pins a parent-written ``bits = 4`` archive;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded;
 * quantizer npz archives are written as version 4 for every width (a
@@ -29,10 +27,9 @@ import pytest
 
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
-from repro.exceptions import InvalidParameterError, PersistenceError
+from repro.exceptions import PersistenceError
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io.persistence import (
-    _save_searcher_v6,
     load_rabitq,
     load_searcher,
     save_rabitq,
@@ -99,29 +96,6 @@ class TestV8RoundTrip:
         assert loaded.n_live == len(data) + 5
         result = loaded.search(queries[0], k=5, nprobe=8)
         assert result.ids.shape == (5,)
-
-
-class TestLegacyLayouts:
-    @pytest.mark.parametrize("format_version", [6, 7])
-    def test_pre_v8_archives_load_as_one_bit(
-        self, corpus, tmp_path, format_version
-    ):
-        data, _ = corpus
-        searcher = _build(data, 1)
-        path = tmp_path / f"legacy{format_version}.rbq"
-        _save_searcher_v6(searcher, path, _format_version=format_version)
-        assert load_searcher(path).bits == 1
-
-    @pytest.mark.parametrize("format_version", [6, 7])
-    def test_pre_v8_layouts_refuse_multibit(
-        self, corpus, tmp_path, format_version
-    ):
-        data, _ = corpus
-        searcher = _build(data, 4)
-        with pytest.raises(InvalidParameterError, match="bits"):
-            _save_searcher_v6(
-                searcher, tmp_path / "bad.rbq", _format_version=format_version
-            )
 
 
 class TestCorruption:

@@ -14,20 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.bitops import (
-    binary_dot_uint,
+    binary_dot_uint_batch,
     bitplanes_from_uint,
     hamming_distance,
     pack_bits,
     popcount_total,
     unpack_bits,
 )
-from repro.core.lut import (
-    build_query_luts,
-    lut_accumulate,
-    lut_accumulate_uint8,
-    quantize_luts_to_uint8,
-    split_into_segments,
-)
+from repro.core.lut import build_query_luts, lut_accumulate, split_into_segments
 
 # Keep the generated sizes modest so the whole property suite stays fast.
 _SETTINGS = dict(max_examples=60, deadline=None)
@@ -83,7 +77,8 @@ class TestBinaryDotProperties:
             hnp.arrays(np.int64, length, elements=st.integers(0, 2**bits - 1))
         ).astype(np.uint64)
         expected = (codes.astype(np.int64) * values.astype(np.int64)).sum(axis=1)
-        result = binary_dot_uint(pack_bits(codes), bitplanes_from_uint(values, bits))
+        planes = bitplanes_from_uint(values, bits)
+        result = binary_dot_uint_batch(pack_bits(codes), planes)[0]
         np.testing.assert_array_equal(result, expected)
 
     @given(data=st.data(), n=st.integers(1, 5), length=st.integers(1, 120))
@@ -135,33 +130,9 @@ class TestLutProperties:
         values = data.draw(
             hnp.arrays(np.int64, length, elements=st.integers(0, 2**bits - 1))
         ).astype(np.uint64)
-        bitwise = binary_dot_uint(pack_bits(codes), bitplanes_from_uint(values, bits))
+        planes = bitplanes_from_uint(values, bits)
+        bitwise = binary_dot_uint_batch(pack_bits(codes), planes)[0]
         lut_result = lut_accumulate(
             split_into_segments(codes), build_query_luts(values.astype(np.float64))
         )
         np.testing.assert_array_equal(lut_result, bitwise.astype(np.float64))
-
-    @given(
-        data=st.data(),
-        n_codes=st.integers(1, 5),
-        n_segments=st.integers(1, 25),
-        bits=st.integers(1, 16),
-    )
-    @settings(**_SETTINGS)
-    def test_uint8_lut_error_within_bound(self, data, n_codes, n_segments, bits):
-        # The reduced-precision path may diverge, but never by more than
-        # half a quantization step per segment lookup.
-        length = 4 * n_segments
-        codes = data.draw(
-            hnp.arrays(np.uint8, (n_codes, length), elements=st.integers(0, 1))
-        )
-        values = data.draw(
-            hnp.arrays(np.int64, length, elements=st.integers(0, 2**bits - 1))
-        ).astype(np.float64)
-        segments = split_into_segments(codes)
-        luts = build_query_luts(values)
-        exact = lut_accumulate(segments, luts)
-        quantized, scale, offset = quantize_luts_to_uint8(luts)
-        approx = lut_accumulate_uint8(segments, quantized, scale, offset)
-        bound = n_segments * scale / 2
-        assert np.max(np.abs(approx - exact)) <= bound + 1e-9 * max(1.0, bound)

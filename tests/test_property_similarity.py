@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for the flat similarity estimators.
 
-``repro.core.similarity`` builds unbiased inner-product and cosine
-estimators on top of a fitted RaBitQ quantizer; this suite pins their
-load-bearing properties across randomly drawn datasets, queries and seeds:
+``RaBitQ(metric="ip")`` / ``RaBitQ(metric="cosine")`` estimate inner
+products and cosine similarities with the one unbiased estimator; this
+suite pins their load-bearing properties across randomly drawn datasets,
+queries and seeds:
 
 * IP estimates track the brute-force inner products (bounded relative
   error on average) and their confidence intervals bracket the point
@@ -30,18 +31,16 @@ from hypothesis import strategies as st
 
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
-from repro.core.similarity import SimilarityEstimator
 
 _SETTINGS = dict(max_examples=10, deadline=None)
 
 
-def _make_estimator(seed: int, n: int, dim: int, offset: float):
+def _make_estimator(seed: int, n: int, dim: int, offset: float, metric: str):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, dim)) + offset
     query = rng.standard_normal(dim) + offset
-    quantizer = RaBitQ(RaBitQConfig(seed=seed % 17)).fit(data)
-    estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-    return data, query, estimator
+    quantizer = RaBitQ(RaBitQConfig(seed=seed % 17), metric=metric).fit(data)
+    return data, query, quantizer
 
 
 def _coverage_floor(n: int, level: float = 0.85) -> float:
@@ -64,17 +63,17 @@ def _coverage_floor(n: int, level: float = 0.85) -> float:
 )
 @settings(**_SETTINGS)
 def test_ip_estimates_track_brute_force(seed, n, dim, offset):
-    data, query, estimator = _make_estimator(seed, n, dim, offset)
-    estimate = estimator.estimate_inner_products(query)
+    data, query, estimator = _make_estimator(seed, n, dim, offset, "ip")
+    estimate = estimator.estimate_distances(query)
     true_ip = data @ query
     # Bounds bracket the point estimates by construction.
-    assert np.all(estimate.lower_bounds <= estimate.values + 1e-12)
-    assert np.all(estimate.values <= estimate.upper_bounds + 1e-12)
+    assert np.all(estimate.lower_bounds <= estimate.scores + 1e-12)
+    assert np.all(estimate.scores <= estimate.upper_bounds + 1e-12)
     # The estimator targets the unit inner product with O(1/sqrt(D)) error;
     # scaled back up, the mean absolute error stays well below the spread
     # of the true values.
     scale = np.abs(true_ip).mean() + np.abs(true_ip).std() + 1e-9
-    assert np.abs(estimate.values - true_ip).mean() <= 0.5 * scale
+    assert np.abs(estimate.scores - true_ip).mean() <= 0.5 * scale
 
 
 @given(
@@ -85,8 +84,8 @@ def test_ip_estimates_track_brute_force(seed, n, dim, offset):
 @example(seed=153, n=99, dim=32)  # 0.838 coverage: falsified the flat 0.85
 @settings(**_SETTINGS)
 def test_ip_bound_coverage(seed, n, dim):
-    data, query, estimator = _make_estimator(seed, n, dim, 0.2)
-    estimate = estimator.estimate_inner_products(query)
+    data, query, estimator = _make_estimator(seed, n, dim, 0.2, "ip")
+    estimate = estimator.estimate_distances(query)
     true_ip = data @ query
     covered = (
         (true_ip >= estimate.lower_bounds) & (true_ip <= estimate.upper_bounds)
@@ -102,11 +101,11 @@ def test_ip_bound_coverage(seed, n, dim):
 @example(seed=33766, n=50, dim=24)  # 0.82 coverage: the flake PR 13 recorded
 @settings(**_SETTINGS)
 def test_cosine_estimates_valid_and_accurate(seed, n, dim):
-    data, query, estimator = _make_estimator(seed, n, dim, 0.3)
-    estimate = estimator.estimate_cosine(query)
-    assert np.all(estimate.values >= -1.0) and np.all(estimate.values <= 1.0)
-    assert np.all(estimate.lower_bounds <= estimate.values + 1e-12)
-    assert np.all(estimate.values <= estimate.upper_bounds + 1e-12)
+    data, query, estimator = _make_estimator(seed, n, dim, 0.3, "cosine")
+    estimate = estimator.estimate_distances(query)
+    assert np.all(estimate.scores >= -1.0) and np.all(estimate.scores <= 1.0)
+    assert np.all(estimate.lower_bounds <= estimate.scores + 1e-12)
+    assert np.all(estimate.scores <= estimate.upper_bounds + 1e-12)
     true_cos = (data @ query) / (
         np.linalg.norm(data, axis=1) * np.linalg.norm(query)
     )
@@ -118,7 +117,7 @@ def test_cosine_estimates_valid_and_accurate(seed, n, dim):
     # Ranking quality: the true top-10 lands in the estimated top-20 (the
     # same window the deterministic suite pins in tests/test_similarity.py).
     want = set(np.argsort(-true_cos)[:10].tolist())
-    got = set(np.argsort(-estimate.values)[:20].tolist())
+    got = set(np.argsort(-estimate.scores)[:20].tolist())
     assert len(want & got) >= 5
 
 
@@ -128,12 +127,11 @@ def test_cosine_zero_norm_vectors_score_zero(seed, dim):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((60, dim))
     data[7] = 0.0
-    quantizer = RaBitQ(RaBitQConfig(seed=seed % 13)).fit(data)
-    estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-    estimate = estimator.estimate_cosine(rng.standard_normal(dim))
-    assert estimate.values[7] == 0.0
-    zero_query = estimator.estimate_cosine(np.zeros(dim))
-    assert np.all(zero_query.values == 0.0)
+    estimator = RaBitQ(RaBitQConfig(seed=seed % 13), metric="cosine").fit(data)
+    estimate = estimator.estimate_distances(rng.standard_normal(dim))
+    assert estimate.scores[7] == 0.0
+    zero_query = estimator.estimate_distances(np.zeros(dim))
+    assert np.all(zero_query.scores == 0.0)
 
 
 @given(
@@ -169,12 +167,11 @@ def test_multibit_ip_bound_coverage(seed, n, dim, bits):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, dim)) + 0.2
     query = rng.standard_normal(dim) + 0.2
-    quantizer = RaBitQ(RaBitQConfig(seed=seed % 13, bits=bits)).fit(data)
-    estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-    estimate = estimator.estimate_inner_products(query)
+    config = RaBitQConfig(seed=seed % 13, bits=bits)
+    estimate = RaBitQ(config, metric="ip").fit(data).estimate_distances(query)
     true_ip = data @ query
-    assert np.all(estimate.lower_bounds <= estimate.values + 1e-12)
-    assert np.all(estimate.values <= estimate.upper_bounds + 1e-12)
+    assert np.all(estimate.lower_bounds <= estimate.scores + 1e-12)
+    assert np.all(estimate.scores <= estimate.upper_bounds + 1e-12)
     covered = (
         (true_ip >= estimate.lower_bounds) & (true_ip <= estimate.upper_bounds)
     ).mean()
@@ -237,11 +234,10 @@ def test_ip_estimator_unbiased_over_rotations():
     errors = []
     magnitudes = []
     for seed in range(24):
-        quantizer = RaBitQ(RaBitQConfig(seed=seed)).fit(data)
-        estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-        estimate = estimator.estimate_inner_products(query)
-        errors.append(estimate.values - true_ip)
-        magnitudes.append(np.abs(estimate.values - true_ip).mean())
+        estimator = RaBitQ(RaBitQConfig(seed=seed), metric="ip").fit(data)
+        estimate = estimator.estimate_distances(query)
+        errors.append(estimate.scores - true_ip)
+        magnitudes.append(np.abs(estimate.scores - true_ip).mean())
     mean_signed = np.abs(np.mean(errors, axis=0)).mean()
     mean_abs = float(np.mean(magnitudes))
     assert mean_signed <= 0.35 * mean_abs

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,18 @@ class TestEndToEndViaPublicApi:
         )
 
     def test_similarity_estimator_via_top_level(self):
+        # Similarity estimation is RaBitQ(metric=...); the separate
+        # estimator class is gone from the package.
         rng = np.random.default_rng(1)
         data = rng.standard_normal((80, 24)) + 1.0
-        quantizer = repro.RaBitQ(repro.RaBitQConfig(seed=0)).fit(data)
-        estimator = repro.SimilarityEstimator(quantizer).fit_raw_terms(data)
-        estimate = estimator.estimate_cosine(rng.standard_normal(24) + 1.0)
-        assert isinstance(estimate, repro.SimilarityEstimate)
+        estimator = repro.RaBitQ(repro.RaBitQConfig(seed=0), metric="cosine")
+        estimate = estimator.fit(data).estimate_distances(
+            rng.standard_normal(24) + 1.0
+        )
+        assert isinstance(estimate, repro.DistanceEstimate)
         assert len(estimate) == 80
+        assert estimator.metric == "cosine"
+        with pytest.raises(ImportError):
+            from repro import SimilarityEstimator  # noqa: F401
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.similarity")

@@ -1,14 +1,20 @@
-"""Tests for repro.core.similarity (inner-product / cosine estimation)."""
+"""Tests for inner-product / cosine estimation: ``RaBitQ(metric="ip"|"cosine")``."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
-from repro.core.similarity import SimilarityEstimator
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.index.rerank import NoReranker
+from repro.index.searcher import IVFQuantizedSearcher
+from repro.io import save_rabitq
+
+FIELDS = ("distances", "lower_bounds", "upper_bounds", "inner_products")
 
 
 @pytest.fixture(scope="module")
@@ -18,40 +24,57 @@ def similarity_setup():
     query = rng.standard_normal(96) + 0.5
     # Pad the codes to 256 bits so the estimation error is small enough for
     # the accuracy assertions to be meaningful rather than noise-dominated.
-    quantizer = RaBitQ(RaBitQConfig(seed=0, code_length=256)).fit(data)
-    estimator = SimilarityEstimator(quantizer).fit_raw_terms(data)
-    return data, query, estimator
+    config = RaBitQConfig(seed=0, code_length=256)
+    ip = RaBitQ(config, metric="ip").fit(data)
+    cosine = RaBitQ(config, metric="cosine").fit(data)
+    return data, query, ip, cosine
 
 
 class TestConstruction:
     def test_requires_fitted_quantizer(self):
         with pytest.raises(NotFittedError):
-            SimilarityEstimator(RaBitQ())
+            RaBitQ(metric="ip").estimate_distances(np.ones(8))
 
     def test_requires_raw_terms_before_estimation(self, similarity_setup):
-        data, query, _ = similarity_setup
-        quantizer = RaBitQ(RaBitQConfig(seed=1)).fit(data)
-        estimator = SimilarityEstimator(quantizer)
-        with pytest.raises(NotFittedError):
-            estimator.estimate_inner_products(query)
+        data, query, ip, _ = similarity_setup
+        np.testing.assert_array_equal(
+            ip.dataset.dot_centroid, data @ ip.dataset.centroid
+        )
+        np.testing.assert_array_equal(
+            ip.dataset.raw_norms, np.sqrt(np.einsum("ij,ij->i", data, data))
+        )
+        assert RaBitQ(RaBitQConfig(seed=1)).fit(data).dataset.raw_norms is None
+        stripped = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
+        stripped._dataset = replace(
+            stripped.dataset, dot_centroid=None, raw_norms=None
+        )
+        with pytest.raises(InvalidParameterError, match="dot_centroid"):
+            stripped.estimate_distances(query)
 
     def test_raw_terms_shape_validation(self, similarity_setup):
-        data, _, _ = similarity_setup
-        quantizer = RaBitQ(RaBitQConfig(seed=1)).fit(data)
-        estimator = SimilarityEstimator(quantizer)
-        with pytest.raises(InvalidParameterError):
-            estimator.fit_raw_terms(data[:10])
-        with pytest.raises(InvalidParameterError):
-            estimator.fit_raw_terms(np.zeros((data.shape[0], data.shape[1] + 1)))
+        data, query, _, _ = similarity_setup
+        quantizer = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
+        dataset = quantizer.dataset
+        for bad in (
+            {"dot_centroid": dataset.dot_centroid[:10]},
+            {"raw_norms": np.zeros(data.shape[0] + 1)},
+        ):
+            quantizer._dataset = replace(dataset, **bad)
+            with pytest.raises(InvalidParameterError, match="one entry per code"):
+                quantizer.estimate_distances(query)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(InvalidParameterError, match="hamming"):
+            RaBitQ(metric="hamming")
 
 
 class TestInnerProductEstimation:
     def test_accuracy(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        estimate = estimator.estimate_inner_products(query)
+        data, query, ip, _ = similarity_setup
+        estimate = ip.estimate_distances(query)
         true = data @ query
         scale = np.abs(true).mean()
-        errors = np.abs(estimate.values - true) / scale
+        errors = np.abs(estimate.scores - true) / scale
         # The additive error of the raw inner product scales with
         # ||o_r - c|| * ||q_r - c||, so the error relative to the typical
         # inner-product magnitude is sizeable at D=96 (padded to 256 bits);
@@ -67,9 +90,9 @@ class TestInnerProductEstimation:
         acc = np.zeros(60)
         repeats = 25
         for seed in range(repeats):
-            quantizer = RaBitQ(RaBitQConfig(seed=seed, code_length=128)).fit(data)
-            est = SimilarityEstimator(quantizer).fit_raw_terms(data)
-            acc += est.estimate_inner_products(query, compute="float").values
+            config = RaBitQConfig(seed=seed, code_length=128)
+            est = RaBitQ(config, metric="ip").fit(data)
+            acc += est.estimate_distances(query, compute="float").scores
         mean_estimate = acc / repeats
         residual = np.abs(mean_estimate - true) / np.abs(true).mean()
         # Averaging over 25 independent rotations shrinks the error by 5x
@@ -77,67 +100,154 @@ class TestInnerProductEstimation:
         assert residual.mean() < 0.08
 
     def test_bounds_bracket_values(self, similarity_setup):
-        _, query, estimator = similarity_setup
-        estimate = estimator.estimate_inner_products(query)
-        assert (estimate.lower_bounds <= estimate.values + 1e-9).all()
-        assert (estimate.values <= estimate.upper_bounds + 1e-9).all()
+        _, query, ip, _ = similarity_setup
+        estimate = ip.estimate_distances(query)
+        assert (estimate.lower_bounds <= estimate.scores + 1e-9).all()
+        assert (estimate.scores <= estimate.upper_bounds + 1e-9).all()
 
     def test_bounds_cover_true_values_mostly(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        estimate = estimator.estimate_inner_products(query)
+        data, query, ip, _ = similarity_setup
+        estimate = ip.estimate_distances(query)
         true = data @ query
         covered = (true >= estimate.lower_bounds) & (true <= estimate.upper_bounds)
         assert covered.mean() > 0.85
 
-    def test_rejects_prepared_query(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        prepared = estimator.quantizer.prepare_query(query)
-        with pytest.raises(InvalidParameterError):
-            estimator.estimate_inner_products(prepared)
+    def test_prepared_query_matches_raw(self, similarity_setup):
+        # The query terms ride on the prepared query, so preparing once
+        # and estimating later is the same computation.
+        _, query, ip, cosine = similarity_setup
+        for quantizer in (ip, cosine):
+            prepared = quantizer.prepare_query(query)
+            got = quantizer.estimate_distances(prepared)
+            want = quantizer.estimate_distances(query)
+            for name in FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
 
 
 class TestCosineEstimation:
     def test_values_in_valid_range(self, similarity_setup):
-        _, query, estimator = similarity_setup
-        estimate = estimator.estimate_cosine(query)
-        assert (estimate.values >= -1.0).all() and (estimate.values <= 1.0).all()
+        _, query, _, cosine = similarity_setup
+        estimate = cosine.estimate_distances(query)
+        assert (estimate.scores >= -1.0).all() and (estimate.scores <= 1.0).all()
 
     def test_accuracy(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        estimate = estimator.estimate_cosine(query)
+        data, query, _, cosine = similarity_setup
+        estimate = cosine.estimate_distances(query)
         true = (data @ query) / (
             np.linalg.norm(data, axis=1) * np.linalg.norm(query)
         )
-        assert np.mean(np.abs(estimate.values - true)) < 0.1
+        assert np.mean(np.abs(estimate.scores - true)) < 0.1
 
     def test_ranking_quality(self, similarity_setup):
         # The estimated cosines should rank the truly most-similar vectors
         # near the top.
-        data, query, estimator = similarity_setup
-        estimate = estimator.estimate_cosine(query)
+        data, query, _, cosine = similarity_setup
+        estimate = cosine.estimate_distances(query)
         true = (data @ query) / (
             np.linalg.norm(data, axis=1) * np.linalg.norm(query)
         )
         top_true = set(np.argsort(-true)[:10].tolist())
-        top_est = set(np.argsort(-estimate.values)[:20].tolist())
+        top_est = set(np.argsort(-estimate.scores)[:20].tolist())
         assert len(top_true & top_est) >= 7
 
 
 class TestTopKInnerProduct:
+    """MIPS top-k: an argsort of the flat scores, or an ``"ip"`` searcher,
+    which validates and clips ``k``."""
+
+    @pytest.fixture(scope="class")
+    def mips_searcher(self, similarity_setup):
+        data = similarity_setup[0]
+        searcher = IVFQuantizedSearcher(
+            "rabitq",
+            n_clusters=1,
+            rabitq_config=RaBitQConfig(seed=0, code_length=256),
+            rng=0,
+            metric="ip",
+        ).fit(data)
+        searcher.reranker = NoReranker()
+        return searcher
+
     def test_returns_high_inner_product_items(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        ids, values = estimator.top_k_inner_product(query, 10)
+        data, query, ip, _ = similarity_setup
+        scores = ip.estimate_distances(query).scores
+        ids = np.argsort(-scores, kind="stable")[:10]
+        values = scores[ids]
         true = data @ query
         top_true = set(np.argsort(-true)[:20].tolist())
         assert len(set(ids.tolist()) & top_true) >= 6
         assert (np.diff(values) <= 1e-9).all()
 
-    def test_k_clipped(self, similarity_setup):
-        data, query, estimator = similarity_setup
-        ids, _ = estimator.top_k_inner_product(query, 10_000)
-        assert ids.shape[0] == data.shape[0]
+    def test_k_clipped(self, similarity_setup, mips_searcher):
+        data, query, _, _ = similarity_setup
+        result = mips_searcher.search(query, 10_000, nprobe=1)
+        assert result.ids.shape[0] == data.shape[0]
+        assert (np.diff(result.distances) <= 0).all()
 
-    def test_invalid_k(self, similarity_setup):
-        _, query, estimator = similarity_setup
+    def test_invalid_k(self, similarity_setup, mips_searcher):
+        _, query, _, _ = similarity_setup
         with pytest.raises(InvalidParameterError):
-            estimator.top_k_inner_product(query, 0)
+            mips_searcher.search(query, 0, nprobe=1)
+
+
+def _estimates(quantizer, query, subset=None):
+    estimate = quantizer.estimate_distances(query, subset=subset)
+    return [getattr(estimate, name) for name in FIELDS]
+
+
+class TestMutation:
+    """``add`` / ``keep_rows`` carry the per-row raw terms with the codes,
+    so similarity estimates stay whole after every mutation."""
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("metric", ["ip", "cosine"])
+    def test_add_equals_a_fit_over_all_rows(self, metric, bits):
+        rng = np.random.default_rng(bits)
+        data = rng.standard_normal((55, 40)) + 0.4
+        query = rng.standard_normal(40) + 0.4
+        config = RaBitQConfig(seed=2, bits=bits)
+        grown = RaBitQ(config, metric=metric).fit(data[:50])
+        before = _estimates(grown, query)
+        grown.add(data[50:])
+        fresh = RaBitQ(config, metric=metric).fit(
+            data, centroid=grown.dataset.centroid, rotation=grown.rotation
+        )
+        got, want = _estimates(grown, query), _estimates(fresh, query)
+        for name in ("packed_codes", "alignments", "norms", "raw_norms"):
+            np.testing.assert_array_equal(
+                getattr(grown.dataset, name), getattr(fresh.dataset, name)
+            )
+        # <o_r, c> of the added rows is a GEMV over those rows alone: BLAS
+        # may round it 1 ULP apart from the fit's GEMV over all 55 rows.
+        np.testing.assert_allclose(
+            grown.dataset.dot_centroid, fresh.dataset.dot_centroid, rtol=1e-14
+        )
+        for got_field, want_field, old_field in zip(got, want, before):
+            np.testing.assert_allclose(got_field, want_field, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(got_field[:50], old_field)
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("metric", ["ip", "cosine"])
+    def test_keep_rows_equals_the_subset_estimate(self, metric, bits):
+        rng = np.random.default_rng(10 + bits)
+        data = rng.standard_normal((55, 40)) + 0.4
+        query = rng.standard_normal(40) + 0.4
+        quantizer = RaBitQ(RaBitQConfig(seed=2, bits=bits), metric=metric)
+        quantizer.fit(data)
+        keep = np.ones(55, dtype=bool)
+        keep[::3] = False
+        want = _estimates(quantizer, query, subset=np.flatnonzero(keep))
+        got = _estimates(quantizer.keep_rows(keep), query)
+        for got_field, want_field in zip(got, want):
+            np.testing.assert_array_equal(got_field, want_field)
+
+
+@pytest.mark.parametrize("metric", ["ip", "cosine"])
+def test_save_rabitq_refuses_similarity_and_writes_nothing(tmp_path, metric):
+    data = np.random.default_rng(3).standard_normal((30, 16))
+    quantizer = RaBitQ(RaBitQConfig(seed=0), metric=metric).fit(data)
+    with pytest.raises(InvalidParameterError, match=metric):
+        save_rabitq(quantizer, tmp_path / "similarity")
+    assert list(tmp_path.iterdir()) == []
