@@ -134,7 +134,10 @@ def test_fig4_batch_throughput():
             f"(K={k}, nprobe={nprobe})",
         )
     )
-    # The fused arena hot path sped the sequential loop up by ~4x, so the
-    # batch engine's *relative* headroom shrank; 1.5x here corresponds to a
-    # far higher absolute QPS than the old 3x did (see BENCH_ann.json).
+    # The batch engine's edge is scanning each probed cluster once per
+    # query group and amortising probing and per-call overhead over the
+    # batch; both paths share query preparation and the per-cluster
+    # estimate step, so the gap is that and nothing else -- about 2x on a
+    # laptop-class CPU.  1.5x leaves room for timing noise while still
+    # failing if the batch engine stops grouping by cluster.
     assert speedup >= 1.5

@@ -58,7 +58,7 @@ def test_integer_dot_kernel(benchmark, kernel_setup, kernel):
         segments = lut.split_into_segments(
             bitops.unpack_bits(codes, quantizer.code_length)
         )
-        luts = lut.build_query_luts(query.codes)
+        luts = lut.build_query_luts(query.codes[0])
         result = benchmark(lut.lut_accumulate, segments, luts)
     np.testing.assert_array_equal(result, popcount)
 

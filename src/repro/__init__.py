@@ -26,7 +26,6 @@ from repro.core.estimator import DistanceEstimate
 from repro.core.metric import COSINE, IP, L2, METRICS, Metric, resolve_metric
 from repro.core.quantizer import (
     QuantizedDataset,
-    QuantizedQuery,
     QuantizedQueryBatch,
     RaBitQ,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "RaBitQConfig",
     "DistanceEstimate",
     "QuantizedDataset",
-    "QuantizedQuery",
     "QuantizedQueryBatch",
     "Metric",
     "resolve_metric",

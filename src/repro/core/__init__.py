@@ -36,8 +36,7 @@ from repro.core.estimator import (
     confidence_interval_halfwidth,
     estimate_inner_product,
 )
-from repro.core.quantizer import QuantizedDataset, QuantizedQuery, RaBitQ
-from repro.core.query import QuantizedQueryVector, quantize_query_vector
+from repro.core.quantizer import QuantizedDataset, QuantizedQueryBatch, RaBitQ
 from repro.core.rotation import (
     FastHadamardRotation,
     QRRotation,
@@ -54,9 +53,7 @@ __all__ = [
     "RaBitQ",
     "RaBitQConfig",
     "QuantizedDataset",
-    "QuantizedQuery",
-    "QuantizedQueryVector",
-    "quantize_query_vector",
+    "QuantizedQueryBatch",
     "DistanceEstimate",
     "estimate_inner_product",
     "confidence_interval_halfwidth",

@@ -148,10 +148,10 @@ def binary_dot_uint_batch(
     query_values:
         Optional unpacked quantized query coordinates of shape
         ``(n_queries, n_dims)`` with ``n_dims <= n_words * 64`` — the array
-        ``query_planes`` was packed from.  Callers that still hold the raw
-        codes (e.g. :class:`~repro.core.query.QuantizedQueryMatrix`) pass
-        them here so the GEMM path skips reconstructing them from the
-        bit-planes; the result is identical either way.
+        ``query_planes`` was packed from, e.g. the ``codes`` of a
+        :class:`~repro.core.query.QuantizedQueryMatrix`.  Passing them lets
+        the GEMM path skip reconstructing them from the bit-planes; the
+        result is identical either way.
 
     Returns
     -------

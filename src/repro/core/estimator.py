@@ -335,10 +335,9 @@ def undo_query_quantization(
     """Affine undo of the scalar query quantization (Eq. 19-20).
 
     ``<x_bar, q_bar> = 2Δ/√D <x_b, q_u> + 2 v_l/√D popcount(x_b)
-    - Δ/√D Σ q_u - √D v_l``, with the exact operation order of the
-    searcher's single-query path.  Scalars give the sequential form;
-    per-query ``(n_queries, 1)`` arrays (with a 2-D ``integer_dot``) give the
-    batched form — the broadcasting changes nothing elementwise.
+    - Δ/√D Σ q_u - √D v_l``.  The searcher and :class:`RaBitQ` call it
+    with per-query ``(n_queries, 1)`` columns and a 2-D ``integer_dot``;
+    scalars with a 1-D ``integer_dot`` give the same values elementwise.
 
     The GEMM, popcount and 4-bit LUT kernels produce the identical exact
     integer ``<x_b, q_u>``, so whichever computed it, the output here is

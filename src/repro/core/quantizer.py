@@ -11,8 +11,9 @@
   the raw queries, scalar-quantize them, and estimate the squared distance
   to every stored vector together with confidence bounds, as an
   ``(n_queries, n_codes)`` matrix.  :meth:`RaBitQ.prepare_query` and
-  :meth:`RaBitQ.estimate_distances` are the same calls on one row, so a
-  batch returns bit-identical estimates to looping over its queries.
+  :meth:`RaBitQ.estimate_distances` are the same calls on one row — a
+  prepared query is a one-row :class:`QuantizedQueryBatch` — so a batch
+  returns bit-identical estimates to looping over its queries.
 * **Mutation** (:meth:`RaBitQ.add` and :meth:`RaBitQ.keep_rows`): new rows
   can be encoded incrementally against the fitted centroid/rotation and
   appended, and stored rows can be dropped (tombstone compaction).  Both
@@ -61,7 +62,6 @@ from repro.core.normalization import (
 )
 from repro.core.query import (
     QuantizedQueryMatrix,
-    QuantizedQueryVector,
     quantize_query_matrix,
     sample_rounding_offsets,
 )
@@ -272,35 +272,6 @@ class QuantizedQueryBatch:
     def code_length(self) -> int:
         """Code length the queries were prepared for."""
         return int(self.rotated.shape[1])
-
-
-@dataclass(frozen=True)
-class QuantizedQuery:
-    """One query prepared for estimation: a :class:`QuantizedQueryBatch` row.
-
-    Its views are the scalar-quantized rotated query ``q̄_u`` with its
-    metadata (``quantized``), the unquantized rotated unit query
-    ``q' = P^-1 q`` (``rotated``) and ``||q_r - c||`` (``query_norm``).
-    """
-
-    batch: QuantizedQueryBatch
-
-    @property
-    def quantized(self) -> QuantizedQueryVector:
-        return self.batch.quantized.row(0)
-
-    @property
-    def rotated(self) -> np.ndarray:
-        return self.batch.rotated[0]
-
-    @property
-    def query_norm(self) -> float:
-        return float(self.batch.query_norms[0])
-
-    @property
-    def code_length(self) -> int:
-        """Code length the query was prepared for."""
-        return self.batch.code_length
 
 
 class RaBitQ:
@@ -519,14 +490,14 @@ class RaBitQ:
     # Query phase (Algorithm 2)
     # ------------------------------------------------------------------ #
 
-    def prepare_query(self, query: np.ndarray) -> QuantizedQuery:
+    def prepare_query(self, query: np.ndarray) -> QuantizedQueryBatch:
         """Normalize, rotate and quantize a raw query vector (Alg. 2, lines 1-2).
 
-        :meth:`prepare_queries` on one row.  The returned object is reusable
-        across all stored vectors and every :meth:`estimate_distances` call.
+        :meth:`prepare_queries` on one row: the result is a one-row
+        :class:`QuantizedQueryBatch`, reusable across all stored vectors and
+        every :meth:`estimate_distances` call.
         """
-        vec = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        return QuantizedQuery(self.prepare_queries(vec))
+        return self.prepare_queries(np.asarray(query, dtype=np.float64).reshape(1, -1))
 
     def prepare_queries(self, queries: np.ndarray) -> QuantizedQueryBatch:
         """Normalize, rotate and quantize a matrix of raw queries at once.
@@ -583,7 +554,7 @@ class RaBitQ:
 
     def estimate_distances(
         self,
-        query: np.ndarray | QuantizedQuery,
+        query: np.ndarray | QuantizedQueryBatch,
         *,
         subset: np.ndarray | None = None,
         compute: str = "bitwise",
@@ -596,8 +567,9 @@ class RaBitQ:
         Parameters
         ----------
         query:
-            Either a raw query vector or an already-prepared
-            :class:`QuantizedQuery` (so the preparation cost can be shared).
+            Either a raw query vector or the one-row
+            :class:`QuantizedQueryBatch` of :meth:`prepare_query` (so the
+            preparation cost can be shared).
         subset:
             Optional array of data-vector indices to estimate.
         compute:
@@ -613,11 +585,16 @@ class RaBitQ:
             (similarity scores and their bounds under ``"ip"`` /
             ``"cosine"``).
         """
-        prepared = (
-            query if isinstance(query, QuantizedQuery) else self.prepare_query(query)
-        )
+        if isinstance(query, QuantizedQueryBatch):
+            if len(query) != 1:
+                raise InvalidParameterError(
+                    "estimate_distances takes one prepared query; use "
+                    "estimate_distances_batch for a batch"
+                )
+        else:
+            query = self.prepare_query(query)
         batch = self.estimate_distances_batch(
-            prepared.batch, subset=subset, compute=compute, epsilon0=epsilon0
+            query, subset=subset, compute=compute, epsilon0=epsilon0
         )
         return DistanceEstimate(
             distances=batch.distances[0],
@@ -824,7 +801,6 @@ __all__ = [
     "encode_rows",
     "encode_rows_multibit",
     "QuantizedDataset",
-    "QuantizedQuery",
     "QuantizedQueryBatch",
     "COMPUTE_MODES",
 ]

@@ -16,14 +16,13 @@ and passes it as ``offsets=`` to every quantization, which makes search a
 pure function of (index, query).  Without ``offsets`` fresh uniforms are
 drawn from ``rng`` (Algorithm 2 as written in the paper).
 
-Two granularities share one rounding rule:
-
-* :func:`quantize_query_vector` — one query at a time,
-* :func:`quantize_query_matrix` — a whole matrix of rotated queries at once,
-  for the batch search engine.  Row ``i`` equals the scalar call on row
-  ``i`` bit for bit: every row is rounded against the same ``offsets``, or
-  ``rng`` is consumed in row order (degenerate constant rows draw nothing,
-  mirroring the scalar path).
+:func:`quantize_query_matrix` is the one quantizer, for a single query as
+a one-row matrix as for many.  Each row is quantized on its own range, and
+every row is rounded against the same ``offsets`` (or ``rng`` is consumed
+in row order, degenerate constant rows drawing nothing), so a row's codes
+do not depend on the rows beside it.  The searcher prepares one matrix per
+query (its probed residuals) or per cluster group of a batch, and
+:class:`repro.core.quantizer.RaBitQ` one per ``prepare_queries`` call.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitops import bitplanes_from_uint, bitplanes_from_uint_batch
+from repro.core.bitops import bitplanes_from_uint_batch
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -56,9 +55,9 @@ def _round_to_levels(
 ) -> np.ndarray:
     """Round ``scaled`` coordinates (in units of ``Δ``) to ``[0, levels]``.
 
-    ``scaled`` is one query ``(L,)`` or a matrix of them ``(n, L)``;
-    ``offsets`` (shape ``(L,)``, shared by all rows) are the uniforms of the
-    randomized rule, drawn from ``rng`` per coordinate when not supplied.
+    ``scaled`` is a matrix of queries ``(n, L)``; ``offsets`` (shape
+    ``(L,)``, shared by all rows) are the uniforms of the randomized rule,
+    drawn from ``rng`` per coordinate in row order when not supplied.
     """
     if not randomized:
         return np.clip(np.round(scaled), 0, levels)
@@ -67,111 +66,6 @@ def _round_to_levels(
     elif np.shape(offsets) != scaled.shape[-1:]:
         raise DimensionMismatchError("offsets must have shape (code_length,)")
     return np.clip(np.floor(scaled + offsets), 0, levels)
-
-
-@dataclass(frozen=True)
-class QuantizedQueryVector:
-    """A scalar-quantized rotated query vector.
-
-    Attributes
-    ----------
-    codes:
-        Unsigned integer representation ``q̄_u`` of each coordinate,
-        shape ``(code_length,)``.
-    lower:
-        The range minimum ``v_l`` used by the quantizer.
-    delta:
-        The step size ``Δ = (v_r - v_l) / (2^{B_q} - 1)``.
-    bits:
-        Bit width ``B_q``.
-    sum_codes:
-        Pre-computed ``sum_i q̄_u[i]`` (shared across all data vectors in
-        Eq. 20).
-    bitplanes:
-        Packed bit-planes of ``codes`` for the popcount kernel, shape
-        ``(bits, n_words)``.
-    """
-
-    codes: np.ndarray
-    lower: float
-    delta: float
-    bits: int
-    sum_codes: int
-    bitplanes: np.ndarray | None
-
-    @property
-    def code_length(self) -> int:
-        """Number of quantized coordinates."""
-        return int(self.codes.shape[0])
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct ``q̄ = Δ * q̄_u + v_l``."""
-        return self.delta * self.codes.astype(np.float64) + self.lower
-
-
-def quantize_query_vector(
-    rotated_query: np.ndarray,
-    bits: int,
-    *,
-    randomized: bool = True,
-    rng: RngLike = None,
-    offsets: np.ndarray | None = None,
-    with_bitplanes: bool = True,
-) -> QuantizedQueryVector:
-    """Quantize the rotated query ``q'`` into ``B_q``-bit unsigned integers.
-
-    Parameters
-    ----------
-    rotated_query:
-        The vector ``q' = P^-1 q``, shape ``(code_length,)``.
-    bits:
-        Bit width ``B_q`` (1 to 16).
-    randomized:
-        Use randomized rounding (the paper's default, required for the
-        unbiasedness of the computation).  When ``False`` the conventional
-        round-to-nearest rule is applied (exposed for the ablation study).
-    rng:
-        Seed or generator the rounding offsets are drawn from when
-        ``offsets`` is not given.
-    offsets:
-        The rounding uniforms as data, shape ``(code_length,)`` (an index
-        passes its fit-time vector); ``rng`` is then unused.
-    with_bitplanes:
-        Also pack the bit-planes for the popcount kernel (the default).
-        Callers on the GEMM/arena path never touch them; skipping the
-        packing there removes the most expensive step of query preparation
-        without consuming any randomness (``bitplanes`` is then ``None``).
-    """
-    query = np.asarray(rotated_query, dtype=np.float64).reshape(-1)
-    if query.size == 0:
-        raise DimensionMismatchError("rotated_query must be non-empty")
-    if not 1 <= int(bits) <= 16:
-        raise InvalidParameterError("bits must lie in [1, 16]")
-    bits = int(bits)
-
-    lower = float(query.min())
-    upper = float(query.max())
-    levels = (1 << bits) - 1
-    delta = (upper - lower) / levels
-    if delta <= 0.0:
-        # Degenerate query — constant, or a subnormal range whose step
-        # underflows to zero: every coordinate quantizes to level 0.
-        codes = np.zeros(query.shape[0], dtype=np.uint64)
-        delta = 1.0
-    else:
-        codes = _round_to_levels(
-            (query - lower) / delta, levels, randomized, rng, offsets
-        ).astype(np.uint64)
-
-    planes = bitplanes_from_uint(codes, bits) if with_bitplanes else None
-    return QuantizedQueryVector(
-        codes=codes,
-        lower=lower,
-        delta=float(delta),
-        bits=bits,
-        sum_codes=int(codes.sum()),
-        bitplanes=planes,
-    )
 
 
 @dataclass(frozen=True)
@@ -211,17 +105,6 @@ class QuantizedQueryMatrix:
         """Number of quantized coordinates per query."""
         return int(self.codes.shape[1])
 
-    def row(self, i: int) -> QuantizedQueryVector:
-        """The ``i``-th query as a single :class:`QuantizedQueryVector`."""
-        return QuantizedQueryVector(
-            codes=self.codes[i],
-            lower=float(self.lower[i]),
-            delta=float(self.delta[i]),
-            bits=self.bits,
-            sum_codes=int(self.sum_codes[i]),
-            bitplanes=None if self.bitplanes is None else self.bitplanes[i],
-        )
-
     def dequantize(self) -> np.ndarray:
         """Reconstruct ``q̄ = Δ * q̄_u + v_l`` row-wise."""
         return (
@@ -238,22 +121,36 @@ def quantize_query_matrix(
     offsets: np.ndarray | None = None,
     with_bitplanes: bool = True,
 ) -> QuantizedQueryMatrix:
-    """Quantize a matrix of rotated queries into ``B_q``-bit integers.
+    """Quantize a matrix of rotated queries into ``B_q``-bit unsigned integers.
 
-    Exactly equivalent to calling :func:`quantize_query_vector` on each row
-    with the same ``offsets`` (or the same generator): per-row
-    minima/maxima, step sizes and rounding offsets match the scalar path
-    bit for bit, and degenerate (constant) rows consume no randomness, just
-    as the scalar path skips its draw.
+    Row ``i`` gets its own range ``[v_l, v_r]`` and step ``Δ = (v_r - v_l) /
+    (2^{B_q} - 1)``; a degenerate row (constant, or a range whose step
+    underflows to zero) quantizes to level 0 with ``Δ = 1`` and consumes no
+    randomness.
 
     Parameters
     ----------
     rotated_queries:
         The rotated queries ``q' = P^-1 q``, shape ``(n_queries,
         code_length)``.  An empty batch (0 rows) is allowed.
-    bits / randomized / rng / offsets / with_bitplanes:
-        As in :func:`quantize_query_vector`; ``offsets`` is one
-        ``(code_length,)`` vector shared by every row.
+    bits:
+        Bit width ``B_q`` (1 to 16).
+    randomized:
+        Use randomized rounding (the paper's default, required for the
+        unbiasedness of the computation).  When ``False`` the conventional
+        round-to-nearest rule is applied (exposed for the ablation study).
+    rng:
+        Seed or generator the rounding offsets are drawn from when
+        ``offsets`` is not given (consumed in row order).
+    offsets:
+        The rounding uniforms as data, one ``(code_length,)`` vector shared
+        by every row (an index passes its fit-time vector); ``rng`` is then
+        unused.
+    with_bitplanes:
+        Also pack the bit-planes for the popcount kernel (the default).
+        Callers on the GEMM/arena path never touch them; skipping the
+        packing there removes the most expensive step of query preparation
+        without consuming any randomness (``bitplanes`` is then ``None``).
     """
     mat = np.asarray(rotated_queries, dtype=np.float64)
     if mat.ndim != 2:
@@ -284,10 +181,8 @@ def quantize_query_matrix(
     lower = mat.min(axis=1)
     upper = mat.max(axis=1)
     step = (upper - lower) / levels
-    # Mirror the scalar branch condition (``if delta <= 0.0``) exactly: a
-    # NaN range must land in the live branch (and consume a rounding draw)
-    # just as it does in quantize_query_vector, or the RNG streams of the two
-    # paths would desynchronize for every later row.
+    # A NaN range lands in the live branch (``~(step <= 0)``) and consumes
+    # its rounding draw like any other live row.
     live = ~(step <= 0.0)
 
     codes = np.zeros((n_queries, code_length), dtype=np.float64)
@@ -311,23 +206,21 @@ def quantize_query_matrix(
 
 
 def dequantization_error(
-    rotated_query: np.ndarray, quantized: QuantizedQueryVector
-) -> float:
-    """Maximum absolute per-coordinate error of a quantized query.
+    rotated_queries: np.ndarray, quantized: QuantizedQueryMatrix
+) -> np.ndarray:
+    """Maximum absolute per-coordinate error of each quantized query row.
 
-    Used in tests and in the B_q verification experiment; the randomized
-    rounding guarantees this never exceeds ``Δ``.
+    The randomized rounding guarantees this never exceeds the row's ``Δ``;
+    the tests check it.
     """
-    query = np.asarray(rotated_query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != quantized.code_length:
-        raise DimensionMismatchError("query and quantized query lengths differ")
-    return float(np.max(np.abs(query - quantized.dequantize())))
+    mat = np.asarray(rotated_queries, dtype=np.float64)
+    if mat.shape != quantized.codes.shape:
+        raise DimensionMismatchError("query and quantized query shapes differ")
+    return np.max(np.abs(mat - quantized.dequantize()), axis=1)
 
 
 __all__ = [
-    "QuantizedQueryVector",
     "QuantizedQueryMatrix",
-    "quantize_query_vector",
     "quantize_query_matrix",
     "sample_rounding_offsets",
     "dequantization_error",

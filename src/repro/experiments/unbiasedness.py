@@ -112,7 +112,7 @@ def run_unbiasedness_experiment(
         # Naive estimator: use <o_bar, q> directly as the inner product.
         naive_ip = estimate.inner_products * ds.alignments
         naive[i] = inner_product_to_squared_distance(
-            naive_ip, ds.norms, prepared.query_norm
+            naive_ip, ds.norms, prepared.query_norms[0]
         )
 
     scale = float(true.max()) if normalize else 1.0

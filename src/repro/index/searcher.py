@@ -38,6 +38,15 @@ Two query entry points are provided:
   (ids *and* distances) to running :meth:`search` in a loop — batching
   changes throughput, never answers.
 
+Both entry points wrap the same two steps of Algorithm 2.
+``_prepare`` turns a matrix of residuals ``q - c`` into quantized queries
+(normalize, rotate, Eq. 18 rounding against the index's rounding vector);
+``search`` calls it once for its ``nprobe`` residuals, ``search_batch``
+once per cluster group.  ``_cluster_dots`` takes prepared rows against one
+cluster's codes: the exact integer dot, then the affine undo of Eq. 19-20.
+The entry points differ only in how they lay out candidates — flat in probe
+order for one query, grouped by cluster and scattered for a batch.
+
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
 code arena: one packed ``uint64`` code matrix, one unpacked 0/1 ``uint8``
 matrix (the operand of the integer-exact GEMM estimation kernel), and one
@@ -54,12 +63,11 @@ codes, which is *exact* (bits are 0/1 and quantized query coordinates fit
 in 16 bits, so every partial sum is an integer far below 2^53), hence
 bit-identical to the packed popcount kernel.
 
-Per-cluster query preparation (normalize to the cluster centroid, rotate,
-randomized-rounding quantization) keeps the exact arithmetic of the
-pre-arena implementation, so search results are bit-identical to
-per-cluster quantizers sharing the index's rounding vector — the
-equivalence suite in ``tests/test_arena_equivalence.py`` checks this
-against a literal port of that implementation.
+``_prepare`` normalizes and rotates row by row, so a row's quantized
+query does not depend on the rows prepared beside it and search results
+are bit-identical to per-cluster quantizers sharing the index's rounding
+vector — the equivalence suite in ``tests/test_arena_equivalence.py``
+checks this against a literal port of the pre-arena implementation.
 
 **Purity and thread safety.**  Search is a pure function of
 (index, query): the uniforms of the randomized rounding (Eq. 18) are one
@@ -124,11 +132,7 @@ from repro.core.estimator import (
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows, encode_rows_multibit
-from repro.core.query import (
-    quantize_query_matrix,
-    quantize_query_vector,
-    sample_rounding_offsets,
-)
+from repro.core.query import quantize_query_matrix, sample_rounding_offsets
 from repro.core.rotation import QRRotation, make_rotation
 from repro.exceptions import (
     DimensionMismatchError,
@@ -139,7 +143,11 @@ from repro.index.arena import CodeArena
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.rerank import ErrorBoundReranker, Reranker
-from repro.substrates.linalg import as_float_matrix, require_finite
+from repro.substrates.linalg import (
+    as_float_matrix,
+    require_finite,
+    require_positive_int,
+)
 from repro.substrates.rng import RngLike, ensure_rng
 
 
@@ -186,9 +194,14 @@ class BatchSearchResult:
     Attributes
     ----------
     ids:
-        Per-query retrieved ids (ascending reported distance).
+        Per-query retrieved ids, best first (ascending reported distance
+        for ``metric="l2"``, descending similarity score for ``"ip"`` /
+        ``"cosine"``).
     distances:
-        Per-query squared distances of the retrieved vectors.
+        Per-query metric values of the retrieved vectors — squared
+        distances under ``metric="l2"``, similarity scores under ``"ip"`` /
+        ``"cosine"`` (exact when re-ranking computed them, estimated
+        otherwise).
     n_candidates:
         Per-query number of estimated candidates, shape ``(n_queries,)``.
     n_exact:
@@ -225,6 +238,25 @@ class BatchSearchResult:
     def total_exact(self) -> int:
         """Total number of exact re-ranking computations across the batch."""
         return int(self.n_exact.sum())
+
+
+def _as_ids(ids) -> np.ndarray:
+    """``ids`` as a flat ``int64`` array; only integer values are ids.
+
+    A float, string or bool id would otherwise be cast silently (``1.7``
+    and ``"1"`` to ``1``), so anything but Python ints and signed or
+    unsigned integer arrays raises :class:`InvalidParameterError`.
+    """
+    arr = np.asarray(ids).reshape(-1)
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu" or (
+        arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max
+    ):
+        raise InvalidParameterError(
+            f"ids must be integers, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64)
 
 
 def _empty_estimate() -> tuple[np.ndarray, DistanceEstimate]:
@@ -623,7 +655,7 @@ class IVFQuantizedSearcher:
         if ids is None:
             new_ids = np.arange(self._next_id, self._next_id + n_new, dtype=np.int64)
         else:
-            new_ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+            new_ids = _as_ids(ids)
             if new_ids.shape[0] != n_new:
                 raise InvalidParameterError(
                     "need exactly one external id per inserted vector"
@@ -676,7 +708,7 @@ class IVFQuantizedSearcher:
         """
         if self._ivf is None or self._live is None:
             raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        requested = np.unique(np.asarray(ids, dtype=np.int64).reshape(-1))
+        requested = np.unique(_as_ids(ids))
         slots = []
         missing = []
         for ext in requested.tolist():
@@ -783,60 +815,27 @@ class IVFQuantizedSearcher:
             return (pad @ matrix)[0]
         return self._shared_rotation.apply_inverse(pad)[0]
 
-    def _prepare_cluster_query(self, residual: np.ndarray) -> tuple:
-        """Prepare the query residual ``vec - centroid`` of one probed cluster.
+    def _prepare(self, residuals: np.ndarray) -> tuple:
+        """Prepare query residuals ``q - c`` for estimation (Alg. 2, lines 1-2).
 
-        Returns ``(quantized, query_norm)``.  The arithmetic is exactly the
-        pre-arena per-cluster preparation (normalize to the cluster
-        centroid, pad, rotate the single row, randomized-rounding
-        quantization against the index's rounding vector), minus the
-        look-up-table construction and bit-plane packing the fused GEMV
-        kernel never touches.  The caller batches the residual subtraction
-        across probed clusters (elementwise, so the values are unchanged).
+        One row per (query, probed cluster) pair.  Returns ``(quantized,
+        query_norms)``: the :class:`repro.core.query.QuantizedQueryMatrix`
+        of the normalized, rotated rows, quantized against the index's
+        rounding vector, and ``||q - c||`` per row.  Normalization and
+        rotation run row by row (1-D ``sqrt(dot)`` and a ``(1, L)`` GEMV),
+        so a row's result does not depend on the rows beside it; a zero
+        residual becomes the zero row, which quantizes to ``Δ = 1`` and
+        codes 0.
         """
-        config = self.rabitq_config
-        # Inline normalize_query on the precomputed residual; the 1-D norm
-        # is sqrt(dot) — exactly what np.linalg.norm computes on a vector.
-        norm = float(np.sqrt(np.dot(residual, residual)))
-        if norm == 0.0:
-            unit, query_norm = np.zeros_like(residual), 0.0
-        else:
-            unit, query_norm = residual / norm, norm
-        rotated = self._rotate_row(unit)
-        quantized = quantize_query_vector(
-            rotated,
-            config.query_bits,
-            randomized=config.randomized_rounding,
-            offsets=self._rounding_offsets,
-            with_bitplanes=False,
-        )
-        return quantized, query_norm
-
-    def _prepare_cluster_queries(
-        self, sub_mat: np.ndarray, cid: int
-    ) -> tuple:
-        """Vectorized cluster preparation of several queries at once.
-
-        Bit-identical to calling :meth:`_prepare_cluster_query` row by
-        row: normalization and rotation are applied per row, and the scalar
-        quantization rounds every row against the same rounding vector.
-        """
-        assert self._ivf is not None
-        config = self.rabitq_config
         assert self._arena is not None
-        n_rows = sub_mat.shape[0]
-        residuals = sub_mat - self._ivf.centroids[cid][None, :]
-        units = np.empty_like(residuals)
-        query_norms = np.empty(n_rows, dtype=np.float64)
+        config = self.rabitq_config
+        n_rows = residuals.shape[0]
+        units = np.zeros_like(residuals)
+        query_norms = np.zeros(n_rows, dtype=np.float64)
         rotated = np.empty((n_rows, self._arena.code_length), dtype=np.float64)
         for i in range(n_rows):
-            # Per-row normalization (1-D sqrt(dot)) and rotation, exactly as
-            # the sequential path — axis reductions would round differently.
             norm = float(np.sqrt(np.dot(residuals[i], residuals[i])))
-            if norm == 0.0:
-                units[i] = 0.0
-                query_norms[i] = 0.0
-            else:
+            if norm != 0.0:
                 np.divide(residuals[i], norm, out=units[i])
                 query_norms[i] = norm
             rotated[i] = self._rotate_row(units[i])
@@ -849,157 +848,146 @@ class IVFQuantizedSearcher:
         )
         return quantized, query_norms
 
+    def _cluster_dots(
+        self,
+        codes: np.ndarray,
+        delta: np.ndarray,
+        lower: np.ndarray,
+        sums: np.ndarray,
+        cid: int,
+    ) -> np.ndarray:
+        """``<o_bar, q_bar>`` of cluster ``cid``'s codes for prepared rows.
+
+        ``codes`` / ``delta`` / ``lower`` / ``sums`` are rows of a
+        :meth:`_prepare` result; the output has shape ``(n_rows, size)``.
+        The integer dot ``<x_b, q_u>`` is a float64 GEMM on the unpacked
+        codes, which is exact (every partial sum is an integer far below
+        2^53) and so equal to the popcount kernel; the affine undo of the
+        query quantization (Eq. 19-20) follows, with level sums and
+        rescales for multi-bit codes.
+        """
+        arena = self._arena
+        assert arena is not None
+        start, end = arena.cluster_range(cid)
+        size = end - start
+        code_length = arena.code_length
+        bits_f = self._scratch_get(
+            "bits_f", size * code_length, np.float64
+        )[: size * code_length].reshape(size, code_length)
+        np.copyto(bits_f, arena.bits[start:end], casting="unsafe")
+        integer_dot = codes.astype(np.float64) @ bits_f.T
+        pop = arena.consts[CONST_POPCOUNT, start:end]
+        delta, lower = delta[:, None], lower[:, None]
+        sums = sums.astype(np.float64)[:, None]
+        if arena.bits_per_dim > 1:
+            return undo_query_quantization_multibit(
+                integer_dot,
+                pop,
+                arena.consts[-1, start:end],
+                delta,
+                lower,
+                sums,
+                code_length,
+                arena.bits_per_dim,
+            )
+        return undo_query_quantization(
+            integer_dot, pop, delta, lower, sums, code_length
+        )
+
+    def _live_only(
+        self, cand: np.ndarray, estimate: DistanceEstimate
+    ) -> tuple[np.ndarray, DistanceEstimate]:
+        """Drop tombstoned candidates from an already-computed estimate."""
+        if self._n_dead:
+            mask = self._live[cand]
+            if not mask.all():
+                return cand[mask], DistanceEstimate(
+                    distances=estimate.distances[mask],
+                    lower_bounds=estimate.lower_bounds[mask],
+                    upper_bounds=estimate.upper_bounds[mask],
+                    inner_products=estimate.inner_products[mask],
+                )
+        return cand, estimate
+
+    def _query_offset(self, query: np.ndarray, cid: int) -> float:
+        """``<q, c> - ||c||^2``, the similarity metrics' per-cluster offset."""
+        return float(np.dot(query, self._ivf.centroids[cid])) - float(
+            self._ivf.centroid_sq_norms[cid]
+        )
+
     def _estimate_rabitq(
         self, query: np.ndarray, cluster_ids: np.ndarray
     ) -> tuple[np.ndarray, DistanceEstimate]:
         """Fused estimation for all live vectors in the probed clusters.
 
-        One integer GEMV per probed cluster on its contiguous arena slice,
-        coefficients and constants gathered into the scratch pool, then a
-        single fused affine/estimator pass over the whole candidate set.
-        Tombstoned rows are masked out *after* the full per-cluster
-        estimate, so every cluster is scanned as one contiguous slice.
+        The probed residuals are prepared in one :meth:`_prepare` call,
+        each cluster's contiguous arena slice goes through
+        :meth:`_cluster_dots`, and one fused affine/estimator pass covers
+        the whole candidate set, laid out flat in probe order.  Tombstoned
+        rows are masked out *after* the full per-cluster estimate.
         """
         arena = self._arena
-        assert arena is not None and self._live is not None
-        sizes = arena.sizes
-        total = int(sizes[cluster_ids].sum())
+        assert arena is not None
+        cluster_ids = cluster_ids[arena.sizes[cluster_ids] > 0]
+        counts = arena.sizes[cluster_ids]
+        total = int(counts.sum())
         if total == 0:
             return _empty_estimate()
-        code_length = arena.code_length
-        code_bits = arena.bits_per_dim
-        sqrt_d = np.sqrt(float(code_length))
-        max_size = int(sizes[cluster_ids].max())
         n_consts = arena.n_consts
-
-        qdot = self._scratch_get("qdot", total, np.float64)[:total]
-        qn = self._scratch_get("qn", total, np.float64)[:total]
         cand = self._scratch_get("cand", total, np.int64)[:total]
+        qdot = self._scratch_get("qdot", total, np.float64)[:total]
         consts_buf = self._scratch_get(
             "consts", n_consts * total, np.float64
         )[: n_consts * total].reshape(n_consts, total)
-        bits_f = self._scratch_get(
-            "bits_f", max_size * code_length, np.float64
-        )[: max_size * code_length].reshape(max_size, code_length)
-        dot = self._scratch_get("dot", max_size, np.float64)
-        tmp = self._scratch_get("tmp", max_size, np.float64)
 
-        # Similarity metrics need the per-cluster centroid-decomposition
-        # offset ``<q_r, c> - ||c||^2`` (and, for cosine, the raw query
-        # norm).  Each scalar is computed with the exact operations the
-        # batch path applies per (query, cluster) pair, keeping batch ≡
-        # sequential bit-identical for every metric.
-        similarity = self._metric.higher_is_better
-        qoff = (
-            self._scratch_get("qoff", total, np.float64)[:total]
-            if similarity
-            else None
+        quantized, query_norms = self._prepare(
+            query[None, :] - self._ivf.centroids[cluster_ids]
         )
-        # Multi-bit bounds carry the per-cluster query-rounding term
-        # (eps0 * Δ/2, Δ from that cluster's residual quantization); binary
-        # codes pass None and keep the historical half-width bit-identically.
-        eps0 = float(self.rabitq_config.epsilon0)
-        qround = (
-            self._scratch_get("qround", total, np.float64)[:total]
-            if code_bits > 1
-            else None
-        )
-        query_raw_norm = (
-            float(np.sqrt(np.dot(query, query)))
-            if self._metric.name == "cosine"
-            else None
-        )
-
-        # One batched subtraction for all probed centroids (elementwise, so
-        # each row equals the per-cluster ``vec - centroid``).
-        residuals = query[None, :] - self._ivf.centroids[cluster_ids]
+        codes, delta = quantized.codes, quantized.delta
+        lower, sums = quantized.lower, quantized.sum_codes
         offset = 0
-        for j, cid in enumerate(cluster_ids):
-            cid = int(cid)
-            size = int(sizes[cid])
-            if size == 0:
-                continue
-            quantized, query_norm = self._prepare_cluster_query(residuals[j])
-            start = int(arena.starts[cid])
-            end = start + size
-            # Integer inner products <x_b, q_u>: float64 GEMV on the
-            # unpacked codes — exact (all partial sums are integers far
-            # below 2^53), hence identical to the popcount kernel.
-            np.copyto(bits_f[:size], arena.bits[start:end], casting="unsafe")
-            acc = dot[:size]
-            np.matmul(
-                bits_f[:size], quantized.codes.astype(np.float64), out=acc
-            )
-            # Affine undo of the query quantization (Eq. 19-20) — the
-            # out=-buffer form of estimator.undo_query_quantization, written
-            # straight into this cluster's slice of the flat buffer with
-            # the sequential path's exact scalar-coefficient arithmetic.
-            # Multi-bit codes go through the shared multi-bit undo (level
-            # sums in the popcount row, rescales in the trailing row).
-            sl = slice(offset, offset + size)
-            delta = quantized.delta
-            lower = quantized.lower
-            sum_codes = float(quantized.sum_codes)
-            if code_bits > 1:
-                qdot[sl] = undo_query_quantization_multibit(
-                    acc,
-                    arena.consts[CONST_POPCOUNT, start:end],
-                    arena.consts[-1, start:end],
-                    delta,
-                    lower,
-                    sum_codes,
-                    code_length,
-                    code_bits,
-                )
-            else:
-                out = qdot[sl]
-                np.multiply(acc, 2.0 * delta / sqrt_d, out=out)
-                np.multiply(
-                    arena.consts[CONST_POPCOUNT, start:end],
-                    2.0 * lower / sqrt_d,
-                    out=tmp[:size],
-                )
-                out += tmp[:size]
-                out -= delta / sqrt_d * sum_codes
-                out -= sqrt_d * lower
+        for j, cid in enumerate(cluster_ids.tolist()):
+            start, end = arena.cluster_range(cid)
+            sl = slice(offset, offset + end - start)
+            row = slice(j, j + 1)
+            qdot[sl] = self._cluster_dots(
+                codes[row], delta[row], lower[row], sums[row], cid
+            )[0]
             consts_buf[:, sl] = arena.consts[:, start:end]
-            qn[sl] = query_norm
-            if qround is not None:
-                qround[sl] = 0.5 * eps0 * delta
             cand[sl] = arena.slots[start:end]
-            if qoff is not None:
-                qoff[sl] = float(
-                    np.dot(query, self._ivf.centroids[cid])
-                ) - float(self._ivf.centroid_sq_norms[cid])
-            offset += size
+            offset = sl.stop
 
-        if not similarity:
-            estimate = fused_estimate(
-                qdot, consts_buf, qn, query_rounding=qround
-            )
+        # Per-pair query terms, one value per probed cluster repeated over
+        # its candidates: ||q - c||, the multi-bit query-rounding term
+        # eps0 * Δ/2 (binary codes pass None) and, for similarity metrics,
+        # the centroid offset and raw query norm.
+        qn = np.repeat(query_norms, counts)
+        qround = (
+            np.repeat(0.5 * float(self.rabitq_config.epsilon0) * delta, counts)
+            if arena.bits_per_dim > 1
+            else None
+        )
+        if not self._metric.higher_is_better:
+            estimate = fused_estimate(qdot, consts_buf, qn, query_rounding=qround)
         else:
+            qoff = np.repeat(
+                [self._query_offset(query, cid) for cid in cluster_ids.tolist()],
+                counts,
+            )
             estimate = fused_estimate(
                 qdot,
                 consts_buf,
                 qn,
                 metric=self._metric,
                 query_offset=qoff,
-                query_raw_norm=query_raw_norm,
+                query_raw_norm=(
+                    float(np.sqrt(np.dot(query, query)))
+                    if self._metric.name == "cosine"
+                    else None
+                ),
                 query_rounding=qround,
             )
-        if self._n_dead == 0:
-            return cand, estimate
-        mask = self._live[cand]
-        if mask.all():
-            return cand, estimate
-        if not mask.any():
-            return _empty_estimate()
-        return cand[mask], DistanceEstimate(
-            distances=estimate.distances[mask],
-            lower_bounds=estimate.lower_bounds[mask],
-            upper_bounds=estimate.upper_bounds[mask],
-            inner_products=estimate.inner_products[mask],
-        )
+        return self._live_only(cand, estimate)
 
     def _estimate_external(
         self, query: np.ndarray, cluster_ids: np.ndarray
@@ -1066,11 +1054,8 @@ class IVFQuantizedSearcher:
         """The validated ``(n, dim)`` float64 query matrix of a search call."""
         if self._ivf is None or self._flat is None:
             raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        for name, value in (("k", k), ("nprobe", nprobe)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidParameterError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+        require_positive_int(k, "k")
+        require_positive_int(nprobe, "nprobe")
         mat = as_float_matrix(queries, "queries")
         if mat.shape[0] and mat.shape[1] != self._flat.dim:
             raise InvalidParameterError(
@@ -1090,25 +1075,22 @@ class IVFQuantizedSearcher:
     ) -> list[tuple[np.ndarray, DistanceEstimate]]:
         """Grouped-by-cluster fused batch estimation for all queries at once.
 
-        Each probed cluster's contiguous code block is scanned once for the
-        whole group of queries probing it (one integer GEMM + one fused
-        estimator transform per cluster), and the per-cluster result rows
-        are scattered directly into flat per-query candidate buffers at
-        precomputed offsets — the query's probed-cluster order, exactly the
-        concatenation order of the sequential path, with no intermediate
-        stacking or per-query concatenation.  Every row of a group is
-        prepared and estimated independently of the others, so each query's
-        output is bit-identical to the sequential path's whatever it is
-        batched with.
+        The (query, probed cluster) pairs are grouped by cluster: each
+        group is prepared by one :meth:`_prepare` call, its cluster's
+        contiguous code block is scanned once for the whole group by
+        :meth:`_cluster_dots`, and one fused estimator transform runs per
+        group.  The result rows are scattered into flat per-query
+        candidate buffers at precomputed offsets — the query's
+        probed-cluster order, exactly the layout of :meth:`_estimate_rabitq`.
+        Every row of a group is prepared and estimated independently of the
+        others, so each query's output is bit-identical to the sequential
+        path's whatever it is batched with.
         """
         arena = self._arena
-        assert arena is not None and self._live is not None
+        assert arena is not None
         n_queries = query_mat.shape[0]
         sizes = arena.sizes
-        code_length = arena.code_length
-        code_bits = arena.bits_per_dim
         eps0 = float(self.rabitq_config.epsilon0)
-        sqrt_d = np.sqrt(float(code_length))
 
         size_mat = sizes[probes]
         query_totals = size_mat.sum(axis=1)
@@ -1125,22 +1107,11 @@ class IVFQuantizedSearcher:
         ip_flat = np.empty(total, dtype=np.float64)
         cand_flat = np.empty(total, dtype=np.int64)
 
-        max_size = int(size_mat.max()) if size_mat.size else 0
-        bits_f = self._scratch_get(
-            "bits_f", max_size * code_length, np.float64
-        )[: max_size * code_length].reshape(max_size, code_length)
-
-        # Similarity metrics: per-query raw norms (cosine) and, inside the
-        # group loop, per-(query, cluster) centroid offsets — each scalar
-        # computed with the very operations of the sequential path, so
-        # batch ≡ sequential holds bit for bit under every metric.
-        similarity = self._metric.higher_is_better
         qraw_all: np.ndarray | None = None
         if self._metric.name == "cosine":
-            qraw_all = np.empty(n_queries, dtype=np.float64)
-            for qi in range(n_queries):
-                row = query_mat[qi]
-                qraw_all[qi] = float(np.sqrt(np.dot(row, row)))
+            qraw_all = np.array(
+                [float(np.sqrt(np.dot(row, row))) for row in query_mat]
+            )
 
         # Group (query, probe position) pairs by cluster: a single stable
         # argsort of the flattened probe matrix (stable => ascending query
@@ -1160,54 +1131,22 @@ class IVFQuantizedSearcher:
             pair_idx = order[seg_start:seg_end]
             qis, js = pair_idx // width, pair_idx % width
             start, end = arena.cluster_range(cid)
-            size = end - start
-            n_group = qis.shape[0]
-            quantized, query_norms = self._prepare_cluster_queries(
-                query_mat[qis], cid
+            quantized, query_norms = self._prepare(
+                query_mat[qis] - self._ivf.centroids[cid][None, :]
             )
-            delta = quantized.delta
-            lower = quantized.lower
-            sums = quantized.sum_codes.astype(np.float64)
-
-            # Integer inner-product matrix for the whole query group on the
-            # cluster's contiguous slice: one exact float64 GEMM on the
-            # unpacked codes — each row bit-identical to the sequential
-            # single-query GEMV.
-            np.copyto(bits_f[:size], arena.bits[start:end], casting="unsafe")
-            integer_dot = quantized.codes.astype(np.float64) @ bits_f[:size].T
-
-            # Per-query affine undo of the scalar quantization (Eq. 19-20);
-            # identical elementwise arithmetic to the single-query path
-            # (multi-bit codes use the shared multi-bit undo, broadcast
-            # per query — still the sequential path's elementwise order).
-            pop = arena.consts[CONST_POPCOUNT, start:end]
-            if code_bits > 1:
-                quantized_dot = undo_query_quantization_multibit(
-                    integer_dot,
-                    pop[None, :],
-                    arena.consts[-1, start:end][None, :],
-                    delta[:, None],
-                    lower[:, None],
-                    sums[:, None],
-                    code_length,
-                    code_bits,
-                )
-            else:
-                quantized_dot = undo_query_quantization(
-                    integer_dot,
-                    pop[None, :],
-                    delta[:, None],
-                    lower[:, None],
-                    sums[:, None],
-                    code_length,
-                )
-            # Per-(query, cluster) rounding term for multi-bit bounds —
-            # the same 0.5 * eps0 * Δ scalars the sequential path fills
-            # per candidate, broadcast as a column.
+            quantized_dot = self._cluster_dots(
+                quantized.codes,
+                quantized.delta,
+                quantized.lower,
+                quantized.sum_codes,
+                cid,
+            )
             query_rounding = (
-                0.5 * eps0 * delta[:, None] if code_bits > 1 else None
+                0.5 * eps0 * quantized.delta[:, None]
+                if arena.bits_per_dim > 1
+                else None
             )
-            if not similarity:
+            if not self._metric.higher_is_better:
                 estimate = fused_estimate(
                     quantized_dot,
                     arena.cluster_consts(cid),
@@ -1215,11 +1154,9 @@ class IVFQuantizedSearcher:
                     query_rounding=query_rounding,
                 )
             else:
-                centroid = self._ivf.centroids[cid]
-                csq = float(self._ivf.centroid_sq_norms[cid])
-                offs = np.empty((n_group, 1), dtype=np.float64)
-                for row, qi in enumerate(qis.tolist()):
-                    offs[row, 0] = float(np.dot(query_mat[qi], centroid)) - csq
+                offs = np.array(
+                    [[self._query_offset(query_mat[qi], cid)] for qi in qis.tolist()]
+                )
                 estimate = fused_estimate(
                     quantized_dot,
                     arena.cluster_consts(cid),
@@ -1234,53 +1171,27 @@ class IVFQuantizedSearcher:
 
             # Scatter each group row into its query's flat candidate range
             # (probe order == the sequential concatenation order).
-            dest = (qoff[qis] + within[qis, js])[:, None] + np.arange(size)
+            dest = (qoff[qis] + within[qis, js])[:, None] + np.arange(end - start)
             dist_flat[dest] = estimate.distances
             lb_flat[dest] = estimate.lower_bounds
             ub_flat[dest] = estimate.upper_bounds
             ip_flat[dest] = estimate.inner_products
             cand_flat[dest] = arena.slots[start:end][None, :]
 
-        # Per-query assembly: zero-copy views into the flat buffers, with
-        # tombstones masked out of the already-computed estimates exactly as
-        # on the sequential path (skipped wholesale when nothing is dead).
-        live = self._live
-        any_dead = self._n_dead > 0
-        per_query: list[tuple[np.ndarray, DistanceEstimate]] = []
-        for qi in range(n_queries):
-            lo, hi = int(qoff[qi]), int(qoff[qi + 1])
-            if lo == hi:
-                per_query.append(_empty_estimate())
-                continue
-            cand = cand_flat[lo:hi]
-            mask = live[cand] if any_dead else None
-            if mask is None or mask.all():
-                per_query.append(
-                    (
-                        cand,
-                        DistanceEstimate(
-                            distances=dist_flat[lo:hi],
-                            lower_bounds=lb_flat[lo:hi],
-                            upper_bounds=ub_flat[lo:hi],
-                            inner_products=ip_flat[lo:hi],
-                        ),
-                    )
-                )
-            elif not mask.any():
-                per_query.append(_empty_estimate())
-            else:
-                per_query.append(
-                    (
-                        cand[mask],
-                        DistanceEstimate(
-                            distances=dist_flat[lo:hi][mask],
-                            lower_bounds=lb_flat[lo:hi][mask],
-                            upper_bounds=ub_flat[lo:hi][mask],
-                            inner_products=ip_flat[lo:hi][mask],
-                        ),
-                    )
-                )
-        return per_query
+        # Per-query views into the flat buffers, tombstones masked out of
+        # the already-computed estimates exactly as on the sequential path.
+        return [
+            self._live_only(
+                cand_flat[lo:hi],
+                DistanceEstimate(
+                    distances=dist_flat[lo:hi],
+                    lower_bounds=lb_flat[lo:hi],
+                    upper_bounds=ub_flat[lo:hi],
+                    inner_products=ip_flat[lo:hi],
+                ),
+            )
+            for lo, hi in zip(qoff[:-1].tolist(), qoff[1:].tolist())
+        ]
 
     def search_batch(
         self, queries: np.ndarray, k: int, *, nprobe: int = 8

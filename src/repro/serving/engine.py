@@ -59,7 +59,7 @@ from repro.exceptions import (
 )
 from repro.metrics.timing import LatencyRecorder
 from repro.serving.budget import BudgetController
-from repro.substrates.linalg import require_finite
+from repro.substrates.linalg import require_finite, require_positive_int
 
 __all__ = ["ServingEngine", "PendingRequest"]
 
@@ -235,11 +235,8 @@ class ServingEngine:
         where a non-positive deadline fast-fails.
         """
         # The searcher's rule, so a request it would refuse is never served.
-        for name, value in (("k", k), ("nprobe", nprobe)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidParameterError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+        require_positive_int(k, "k")
+        require_positive_int(nprobe, "nprobe")
         vec = np.asarray(query, dtype=np.float64).reshape(-1)
         if vec.shape[0] != self._dim:
             raise InvalidParameterError(

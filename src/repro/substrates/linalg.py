@@ -34,6 +34,18 @@ def require_finite(array: np.ndarray, name: str) -> None:
         raise InvalidParameterError(f"{name} must be finite (found NaN or inf)")
 
 
+def require_positive_int(value, name: str) -> None:
+    """Reject anything but a positive integer (``bool`` included)."""
+    if (
+        not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or value < 1
+    ):
+        raise InvalidParameterError(
+            f"{name} must be a positive integer, got {value!r}"
+        )
+
+
 def squared_norms(matrix: np.ndarray) -> np.ndarray:
     """Row-wise squared Euclidean norms of ``matrix``."""
     mat = as_float_matrix(matrix, "matrix")

@@ -5,8 +5,8 @@ kernels underneath it) is advertised as *element-wise identical* to the
 per-query loop — not merely close.  These tests enforce that guarantee with
 hypothesis-generated data/queries/parameters, including the empty-cluster
 and ``k > n_candidates`` edge cases, and pin the exactness of every batched
-layer (popcount kernel, query quantization, distance estimation) against
-its single-query twin.
+layer (popcount kernel, distance estimation, probing) against its per-query
+calls.
 
 Search is a pure function of (index, query) — randomized rounding reads one
 per-index vector and draws nothing — so a query's answer does not depend on
@@ -27,7 +27,6 @@ from repro.baselines.pq import ProductQuantizer
 from repro.core import bitops
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
-from repro.core.query import quantize_query_matrix, quantize_query_vector
 from repro.index.rerank import NoReranker, TopCandidateReranker
 from repro.index.searcher import BatchSearchResult, IVFQuantizedSearcher, SearchResult
 
@@ -235,37 +234,7 @@ class TestBatchSearchResult:
 
 
 class TestBatchedLayers:
-    """Exactness of each batched layer against its single-query twin."""
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n_queries=st.integers(0, 6),
-        dim=st.integers(1, 80),
-        bits=st.integers(1, 6),
-        randomized=st.booleans(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_quantize_query_matrix_matches_rows(
-        self, seed, n_queries, dim, bits, randomized
-    ):
-        rng = np.random.default_rng(seed)
-        mat = rng.standard_normal((n_queries, dim))
-        if n_queries > 1:
-            mat[1] = mat[1, 0]  # a degenerate constant row draws no randomness
-        batch = quantize_query_matrix(
-            mat, bits, randomized=randomized, rng=np.random.default_rng(99)
-        )
-        scalar_rng = np.random.default_rng(99)
-        for i in range(n_queries):
-            single = quantize_query_vector(
-                mat[i], bits, randomized=randomized, rng=scalar_rng
-            )
-            row = batch.row(i)
-            np.testing.assert_array_equal(row.codes, single.codes)
-            assert row.lower == single.lower
-            assert row.delta == single.delta
-            assert row.sum_codes == single.sum_codes
-            np.testing.assert_array_equal(row.bitplanes, single.bitplanes)
+    """Exactness of each batched layer against its per-query calls."""
 
     @given(
         seed=st.integers(0, 2**31 - 1),

@@ -229,6 +229,32 @@ _CASES = [
         lambda: _fitted_searcher().search_batch(np.ones((2, 6)), 2.5),
         InvalidParameterError,
     ),
+    (
+        "searcher bool k",
+        lambda: _fitted_searcher().search(np.ones(6), True),
+        InvalidParameterError,
+    ),
+    (
+        "searcher batch bool nprobe",
+        lambda: _fitted_searcher().search_batch(np.ones((2, 6)), 1, nprobe=True),
+        InvalidParameterError,
+    ),
+    # Ids are integers: a float or string id is refused, never truncated.
+    (
+        "delete float id",
+        lambda: _fitted_searcher().delete(1.7),
+        InvalidParameterError,
+    ),
+    (
+        "delete string ids",
+        lambda: _fitted_searcher().delete(np.array(["5"])),
+        InvalidParameterError,
+    ),
+    (
+        "insert float ids",
+        lambda: _fitted_searcher().insert(np.ones((1, 6)), ids=[300.9]),
+        InvalidParameterError,
+    ),
     *(
         (f"{entry} {label}", call, InvalidParameterError)
         for label, value in (
@@ -266,6 +292,11 @@ _CASES = [
     (
         "submit fractional nprobe",
         lambda: _engine_submit(np.ones(6), 2, nprobe=2.7),
+        InvalidParameterError,
+    ),
+    (
+        "submit bool k",
+        lambda: _engine_submit(np.ones(6), True),
         InvalidParameterError,
     ),
     (
@@ -339,6 +370,7 @@ def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
     searcher = load_searcher(path, journal=True)
     journal = default_journal_path(path)
     searcher.insert(np.ones((2, 6)))  # a good insert first: journal non-empty
+    searcher.delete(np.array([0], dtype=np.uint32))  # unsigned ids are ids
     before = (
         journal.stat().st_size,
         searcher.live_ids.tolist(),
@@ -347,9 +379,19 @@ def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
         int(searcher.arena.n_rows),
     )
     good_query = searcher.search(np.ones(6), 3, nprobe=2)
-    for value in (float("nan"), float("inf")):
+    # Non-finite vectors, and ids or sizes that are not integers (a float
+    # or string id would otherwise be truncated to a live one).
+    for call in (
+        lambda: searcher.insert(_poisoned(float("nan"), rows=3)),
+        lambda: searcher.insert(_poisoned(float("inf"), rows=3)),
+        lambda: searcher.insert(np.ones((1, 6)), ids=[300.9]),
+        lambda: searcher.delete(1.7),
+        lambda: searcher.delete(np.array(["5"])),
+        lambda: searcher.delete(True),
+        lambda: searcher.search(np.ones(6), k=True),
+    ):
         with pytest.raises(InvalidParameterError):
-            searcher.insert(_poisoned(value, rows=3))
+            call()
         assert before == (
             journal.stat().st_size,
             searcher.live_ids.tolist(),
@@ -360,7 +402,7 @@ def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
     again = searcher.search(np.ones(6), 3, nprobe=2)
     np.testing.assert_array_equal(again.ids, good_query.ids)
     np.testing.assert_array_equal(again.distances, good_query.distances)
-    # Recovery replays exactly the acknowledged insert.
+    # Recovery replays exactly the acknowledged insert and delete.
     recovered = load_searcher(path, journal=True)
     assert recovered.live_ids.tolist() == searcher.live_ids.tolist()
 

@@ -140,20 +140,21 @@ class TestUndoQueryQuantization:
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
         prepared = quantizer.prepare_query(rng.standard_normal(32))
         dataset = quantizer.dataset
+        quantized = prepared.quantized
         integer_dot = bitops.binary_dot_uint_batch(
-            dataset.packed_codes, prepared.quantized.bitplanes
+            dataset.packed_codes, quantized.bitplanes
         )[0]
         got = undo_query_quantization(
             integer_dot,
             dataset.code_popcounts.astype(np.float64),
-            prepared.quantized.delta,
-            prepared.quantized.lower,
-            float(prepared.quantized.sum_codes),
+            float(quantized.delta[0]),
+            float(quantized.lower[0]),
+            float(quantized.sum_codes[0]),
             dataset.code_length,
         )
         decoded = codebook.decode_codes(dataset.packed_codes, dataset.code_length)
         np.testing.assert_allclose(
-            got, decoded @ prepared.quantized.dequantize(), rtol=0, atol=1e-12
+            got, decoded @ quantized.dequantize()[0], rtol=0, atol=1e-12
         )
         np.testing.assert_array_equal(
             quantizer.estimate_distances(prepared).inner_products,

@@ -21,7 +21,7 @@ from repro.core.config import RaBitQConfig, padded_code_length
 from repro.core.estimator import estimate_distances, inner_product_to_squared_distance
 from repro.core.normalization import normalize_query, normalize_to_centroid
 from repro.core.quantizer import RaBitQ
-from repro.core.query import quantize_query_vector
+from repro.core.query import quantize_query_matrix
 from repro.core.rotation import QRRotation
 
 _SETTINGS = dict(max_examples=40, deadline=None)
@@ -91,8 +91,8 @@ class TestQueryQuantizationProperties:
     @settings(**_SETTINGS)
     def test_error_never_exceeds_step(self, data, dim, bits, seed):
         query = data.draw(hnp.arrays(np.float64, dim, elements=finite_floats))
-        quantized = quantize_query_vector(query, bits, rng=seed)
-        errors = np.abs(quantized.dequantize() - query)
+        quantized = quantize_query_matrix(query[None, :], bits, rng=seed)
+        errors = np.abs(quantized.dequantize()[0] - query)
         assert (errors <= quantized.delta * (1 + 1e-9)).all()
         assert int(quantized.codes.max(initial=0)) <= 2**bits - 1
 

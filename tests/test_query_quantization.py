@@ -6,46 +6,52 @@ import numpy as np
 import pytest
 
 from repro.core.query import (
-    QuantizedQueryVector,
+    QuantizedQueryMatrix,
     dequantization_error,
     quantize_query_matrix,
-    quantize_query_vector,
 )
 from repro.core.theory import scalar_quantization_error_scale
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
 
+def quantize_one(query, bits, **kwargs):
+    """One query quantized as a one-row matrix."""
+    return quantize_query_matrix(np.asarray(query)[None, :], bits, **kwargs)
+
+
 class TestQuantizeQueryVector:
+    """One query at a time: a one-row :func:`quantize_query_matrix`."""
+
     def test_codes_within_range(self, rng):
         query = rng.standard_normal(128)
         for bits in (1, 2, 4, 8):
-            quantized = quantize_query_vector(query, bits, rng=0)
+            quantized = quantize_one(query, bits, rng=0)
             assert int(quantized.codes.max()) <= (1 << bits) - 1
             assert int(quantized.codes.min()) >= 0
 
     def test_metadata_consistency(self, rng):
         query = rng.standard_normal(64)
-        quantized = quantize_query_vector(query, 4, rng=0)
+        quantized = quantize_one(query, 4, rng=0)
         assert quantized.code_length == 64
-        assert quantized.sum_codes == int(quantized.codes.sum())
+        assert quantized.sum_codes[0] == int(quantized.codes.sum())
         assert quantized.bits == 4
-        assert quantized.bitplanes.shape == (4, 1)
+        assert quantized.bitplanes.shape == (1, 4, 1)
 
     def test_dequantize_close_to_original(self, rng):
         query = rng.standard_normal(256)
-        quantized = quantize_query_vector(query, 8, rng=0)
-        assert dequantization_error(query, quantized) <= quantized.delta + 1e-12
+        quantized = quantize_one(query, 8, rng=0)
+        assert dequantization_error(query[None, :], quantized) <= quantized.delta + 1e-12
 
     def test_randomized_rounding_error_bounded_by_delta(self, rng):
         query = rng.standard_normal(100)
-        quantized = quantize_query_vector(query, 4, randomized=True, rng=0)
-        errors = np.abs(quantized.dequantize() - query)
+        quantized = quantize_one(query, 4, randomized=True, rng=0)
+        errors = np.abs(quantized.dequantize()[0] - query)
         assert (errors <= quantized.delta + 1e-12).all()
 
     def test_deterministic_rounding_error_bounded_by_half_delta(self, rng):
         query = rng.standard_normal(100)
-        quantized = quantize_query_vector(query, 4, randomized=False)
-        errors = np.abs(quantized.dequantize() - query)
+        quantized = quantize_one(query, 4, randomized=False)
+        errors = np.abs(quantized.dequantize()[0] - query)
         assert (errors <= quantized.delta / 2 + 1e-12).all()
 
     def test_randomized_rounding_is_unbiased(self):
@@ -56,30 +62,30 @@ class TestQuantizeQueryVector:
         repeats = 400
         acc = np.zeros_like(query)
         for i in range(repeats):
-            quantized = quantize_query_vector(query, 3, randomized=True, rng=i)
-            acc += quantized.dequantize()
+            quantized = quantize_one(query, 3, randomized=True, rng=i)
+            acc += quantized.dequantize()[0]
         mean = acc / repeats
-        quantized = quantize_query_vector(query, 3, randomized=True, rng=0)
+        quantized = quantize_one(query, 3, randomized=True, rng=0)
         # The bias should be far below the quantization step.
         assert np.max(np.abs(mean - query)) < 0.15 * quantized.delta
 
     def test_constant_query(self):
-        quantized = quantize_query_vector(np.full(16, 2.5), 4, rng=0)
+        quantized = quantize_one(np.full(16, 2.5), 4, rng=0)
         np.testing.assert_array_equal(quantized.codes, 0)
         np.testing.assert_allclose(quantized.dequantize(), 2.5)
 
     def test_extremes_map_to_extreme_levels(self):
         query = np.array([0.0, 1.0, 0.5])
-        quantized = quantize_query_vector(query, 2, randomized=False)
-        assert int(quantized.codes[0]) == 0
-        assert int(quantized.codes[1]) == 3
+        quantized = quantize_one(query, 2, randomized=False)
+        assert int(quantized.codes[0, 0]) == 0
+        assert int(quantized.codes[0, 1]) == 3
 
     def test_error_decreases_with_bits(self, rng):
         query = rng.standard_normal(512)
         errors = []
         for bits in (1, 2, 4, 8):
-            quantized = quantize_query_vector(query, bits, randomized=False)
-            errors.append(np.mean(np.abs(quantized.dequantize() - query)))
+            quantized = quantize_one(query, bits, randomized=False)
+            errors.append(np.mean(np.abs(quantized.dequantize()[0] - query)))
         assert errors == sorted(errors, reverse=True)
 
     def test_theoretical_scale_is_consistent(self):
@@ -91,21 +97,21 @@ class TestQuantizeQueryVector:
 
     def test_empty_query_raises(self):
         with pytest.raises(DimensionMismatchError):
-            quantize_query_vector(np.empty(0), 4)
+            quantize_one(np.empty(0), 4)
 
     @pytest.mark.parametrize("bits", [0, 17])
     def test_invalid_bits(self, bits, rng):
         with pytest.raises(InvalidParameterError):
-            quantize_query_vector(rng.standard_normal(8), bits)
+            quantize_one(rng.standard_normal(8), bits)
 
     def test_dequantization_error_length_mismatch(self, rng):
-        quantized = quantize_query_vector(rng.standard_normal(8), 4, rng=0)
+        quantized = quantize_one(rng.standard_normal(8), 4, rng=0)
         with pytest.raises(DimensionMismatchError):
-            dequantization_error(rng.standard_normal(9), quantized)
+            dequantization_error(rng.standard_normal((1, 9)), quantized)
 
     def test_result_is_dataclass_with_expected_fields(self, rng):
-        quantized = quantize_query_vector(rng.standard_normal(8), 4, rng=0)
-        assert isinstance(quantized, QuantizedQueryVector)
+        quantized = quantize_one(rng.standard_normal(8), 4, rng=0)
+        assert isinstance(quantized, QuantizedQueryMatrix)
         assert set(quantized.__dataclass_fields__) == {
             "codes",
             "lower",
@@ -122,8 +128,8 @@ class TestSubnormalRange:
     The division used to yield inf/NaN coordinates whose ``uint64`` cast is
     garbage (``2**63``): a misattributed ``InvalidParameterError`` with
     bit-planes, silent garbage codes without.  It now takes the
-    constant-query branch — in both quantizers, so they keep consuming a
-    shared generator in lockstep.
+    constant-query branch and draws nothing, so a row's rounding offsets
+    do not depend on the degenerate rows before it.
     """
 
     QUERY = np.array([5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -131,12 +137,17 @@ class TestSubnormalRange:
     @pytest.mark.parametrize("bits", [2, 4])
     @pytest.mark.parametrize("with_bitplanes", [True, False])
     def test_vector_takes_the_constant_branch(self, bits, with_bitplanes):
-        quantized = quantize_query_vector(
-            self.QUERY, bits, rng=0, with_bitplanes=with_bitplanes
+        # One query rounded against an index's rounding vector, as the
+        # searcher prepares it.
+        quantized = quantize_one(
+            self.QUERY,
+            bits,
+            offsets=np.full(self.QUERY.shape[0], 0.5),
+            with_bitplanes=with_bitplanes,
         )
         np.testing.assert_array_equal(quantized.codes, 0)
-        assert quantized.delta == 1.0
-        assert quantized.sum_codes == 0
+        assert quantized.delta[0] == 1.0
+        assert quantized.sum_codes[0] == 0
         assert (quantized.bitplanes is not None) == with_bitplanes
 
     @pytest.mark.parametrize("bits", [2, 4])
@@ -163,12 +174,8 @@ class TestSubnormalRange:
         # that did not) would shift every later row's rounding offsets.
         shared = np.random.default_rng(7)
         for i, query in enumerate(batch):
-            single = quantize_query_vector(query, bits, rng=shared)
-            row = matrix.row(i)
-            np.testing.assert_array_equal(row.codes, single.codes)
-            np.testing.assert_array_equal(row.bitplanes, single.bitplanes)
-            assert (row.lower, row.delta, row.sum_codes) == (
-                single.lower,
-                single.delta,
-                single.sum_codes,
-            )
+            single = quantize_one(query, bits, rng=shared)
+            np.testing.assert_array_equal(matrix.codes[i], single.codes[0])
+            np.testing.assert_array_equal(matrix.bitplanes[i], single.bitplanes[0])
+            for name in ("lower", "delta", "sum_codes"):
+                assert getattr(matrix, name)[i] == getattr(single, name)[0]

@@ -202,17 +202,31 @@ class TestDegenerateQueryShapes:
     every case (k > n_live, fully tombstoned probed clusters, nprobe
     beyond the cluster count, an emptied index)."""
 
-    def _twins(self, data, **kwargs):
+    def _twins(self, data, bits=1, **kwargs):
         build = lambda: IVFQuantizedSearcher(
             "rabitq",
             n_clusters=6,
-            rabitq_config=RaBitQConfig(seed=0),
+            rabitq_config=RaBitQConfig(seed=0, bits=bits),
             rng=0,
             **kwargs,
         ).fit(data)
         return build(), build()
 
     def _assert_batch_equals_sequential(self, seq, bat, queries, k, nprobe):
+        n_asked = len(queries)
+        live_slots = np.flatnonzero(seq._live)
+        if live_slots.size:
+            # One more query sits on a live cluster's centroid: its residual
+            # there is a zero row inside the prepared matrix, which must
+            # quantize to delta 1 and codes 0 beside the ordinary rows.
+            cid = int(seq.ivf.assignments[live_slots[0]])
+            centroid = seq.ivf.centroids[cid]
+            quantized, norms = seq._prepare(centroid - seq.ivf.centroids)
+            assert norms[cid] == 0.0 and np.count_nonzero(norms) == len(norms) - 1
+            assert quantized.delta[cid] == 1.0
+            assert quantized.lower[cid] == 0.0
+            assert not quantized.codes[cid].any()
+            queries = np.vstack([queries, centroid])
         expected = [seq.search(q, k, nprobe=nprobe) for q in queries]
         got = bat.search_batch(queries, k, nprobe=nprobe)
         assert len(got) == len(expected)
@@ -221,7 +235,7 @@ class TestDegenerateQueryShapes:
             np.testing.assert_array_equal(a.distances, b.distances)
             assert a.n_candidates == b.n_candidates
             assert a.n_exact == b.n_exact
-        return got
+        return [got[i] for i in range(n_asked)]
 
     def test_k_exceeds_n_live(self):
         rng = np.random.default_rng(5)
@@ -274,8 +288,11 @@ class TestDegenerateQueryShapes:
         rng = np.random.default_rng(8)
         data = rng.standard_normal((70, 10))
         queries = rng.standard_normal((4, 10))
-        seq, bat = self._twins(data)
-        self._assert_batch_equals_sequential(seq, bat, queries, k=5, nprobe=1000)
+        for bits in (1, 4):
+            seq, bat = self._twins(data, bits=bits)
+            self._assert_batch_equals_sequential(
+                seq, bat, queries, k=5, nprobe=1000
+            )
 
     def test_everything_deleted_returns_empty(self):
         rng = np.random.default_rng(9)
