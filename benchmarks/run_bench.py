@@ -105,7 +105,7 @@ def _load_bench_dataset(args):
 
 def _code_bytes_per_vector(searcher) -> int:
     """Bytes of packed code per stored vector (all bit-planes included)."""
-    return int(searcher._arena.n_words) * 8
+    return searcher.bits * searcher.arena.code_length // 8
 
 
 def bench_ann(args, dataset) -> dict:
@@ -520,7 +520,7 @@ def bench_kernels(args) -> dict:
     bits = rng.integers(0, 2, size=(n_codes, n_bits)).astype(np.uint8)
     packed = bitops.pack_bits(bits)
     plane_values = rng.integers(0, 16, size=n_bits).astype(np.uint64)
-    planes = bitops.bitplanes_from_uint(plane_values, 4)
+    planes = bitops.bitplanes_from_uint_batch(plane_values[None, :], 4)
 
     out = {
         "n_codes": n_codes,

@@ -179,8 +179,8 @@ def main() -> None:
     narrow_result = narrow.search(query, 5, nprobe=16)
     wide_result = wide.search(query, 5, nprobe=16)
     print(f"Code bytes per vector    : "
-          f"{narrow.arena.n_words * 8} (bits=1) vs "
-          f"{wide.arena.n_words * 8} (bits=4)")
+          f"{narrow.bits * narrow.arena.code_length // 8} (bits=1) vs "
+          f"{wide.bits * wide.arena.code_length // 8} (bits=4)")
     print(f"Exact re-ranks this query: {narrow_result.n_exact} (bits=1) vs "
           f"{wide_result.n_exact} (bits=4)")
     print(f"bits=4 top-5 ids         : {wide_result.ids.tolist()} "

@@ -26,11 +26,7 @@ The sub-modules map directly onto the sections of the paper:
 """
 
 from repro.core.config import RaBitQConfig
-from repro.core.codebook import (
-    bits_to_signed,
-    codes_to_matrix,
-    signed_to_bits,
-)
+from repro.core.codebook import bits_to_signed, signed_to_bits
 from repro.core.estimator import (
     DistanceEstimate,
     confidence_interval_halfwidth,
@@ -63,7 +59,6 @@ __all__ = [
     "sample_orthogonal_matrix",
     "signed_to_bits",
     "bits_to_signed",
-    "codes_to_matrix",
     "expected_alignment",
     "error_bound_epsilon",
     "failure_probability_bound",

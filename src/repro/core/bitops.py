@@ -142,9 +142,9 @@ def binary_dot_uint_batch(
         Packed binary codes, shape ``(n_codes, n_words)``.
     query_planes:
         Packed bit-planes of the quantized queries, shape
-        ``(n_queries, n_planes, n_words)`` (one :func:`bitplanes_from_uint`
-        stack per query, see :func:`bitplanes_from_uint_batch`); one
-        query's ``(n_planes, n_words)`` stack is promoted to a batch of one.
+        ``(n_queries, n_planes, n_words)`` (see
+        :func:`bitplanes_from_uint_batch`); one query's
+        ``(n_planes, n_words)`` stack is promoted to a batch of one.
     query_values:
         Optional unpacked quantized query coordinates of shape
         ``(n_queries, n_dims)`` with ``n_dims <= n_words * 64`` — the array
@@ -220,37 +220,6 @@ def binary_dot_uint_batch(
     return total
 
 
-def bitplanes_from_uint(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """Decompose unsigned integers into packed bit-planes.
-
-    Parameters
-    ----------
-    values:
-        Unsigned integers (the quantized query coordinates), shape
-        ``(n_dims,)``.
-    n_bits:
-        Number of bit-planes to extract (``B_q``).
-
-    Returns
-    -------
-    numpy.ndarray
-        Packed planes of shape ``(n_bits, ceil(n_dims / 64))``; plane ``j``
-        contains bit ``j`` of every value.
-    """
-    vals = np.asarray(values, dtype=np.uint64)
-    if vals.ndim != 1:
-        raise DimensionMismatchError("values must be one-dimensional")
-    if n_bits < 1:
-        raise InvalidParameterError("n_bits must be at least 1")
-    max_allowed = (1 << n_bits) - 1
-    if vals.size and int(vals.max()) > max_allowed:
-        raise InvalidParameterError(
-            f"values contain {int(vals.max())} which does not fit in {n_bits} bits"
-        )
-    planes = [(vals >> np.uint64(j)) & np.uint64(1) for j in range(n_bits)]
-    return np.stack([pack_bits(p.astype(np.uint8)) for p in planes], axis=0)
-
-
 def bitplanes_from_uint_batch(values: np.ndarray, n_bits: int) -> np.ndarray:
     """Decompose a matrix of unsigned integers into packed bit-planes.
 
@@ -266,7 +235,8 @@ def bitplanes_from_uint_batch(values: np.ndarray, n_bits: int) -> np.ndarray:
     -------
     numpy.ndarray
         Packed planes of shape ``(n_queries, n_bits, ceil(n_dims / 64))``;
-        entry ``[i, j]`` equals ``bitplanes_from_uint(values[i], n_bits)[j]``.
+        entry ``[i, j]`` packs bit ``j`` of every value in row ``i``, and
+        depends on that row alone.
     """
     vals = np.asarray(values, dtype=np.uint64)
     if vals.ndim != 2:
@@ -292,8 +262,10 @@ def pack_level_planes(levels: np.ndarray, bits: int) -> np.ndarray:
     ``u_j in [0, 2^bits - 1]`` per dimension.  Levels are stored as ``bits``
     packed bit-planes laid out plane-major: plane ``p`` (holding bit ``p``
     of every level) occupies words ``[p * n_words, (p+1) * n_words)`` of
-    each row.  For ``bits == 1`` this is exactly :func:`pack_bits`, so the
-    binary kernels keep operating on the first (and only) plane unchanged.
+    each row.  For ``bits == 1`` this is exactly :func:`pack_bits` of the
+    0/1 code, so the binary kernels operate on the one plane unchanged.
+    The planes are packed from ``uint8`` bytes directly, with no wider
+    temporaries.
 
     Parameters
     ----------
@@ -309,21 +281,23 @@ def pack_level_planes(levels: np.ndarray, bits: int) -> np.ndarray:
         ``uint64`` array of shape ``(n_rows, bits * ceil(code_length/64))``.
     """
     arr = np.atleast_2d(np.asarray(levels))
-    if bits < 1:
-        raise InvalidParameterError("bits must be at least 1")
+    if not 1 <= bits <= 8:
+        raise InvalidParameterError("bits must lie in [1, 8]")
     max_allowed = (1 << bits) - 1
-    if arr.size and (
-        (arr < 0).any() or (arr.astype(np.int64) > max_allowed).any()
-    ):
+    if arr.size and (arr.min() < 0 or arr.max() > max_allowed):
         raise InvalidParameterError(
             f"levels must lie in [0, {max_allowed}] for bits={bits}"
         )
-    vals = arr.astype(np.uint64)
-    planes = [
-        pack_bits(((vals >> np.uint64(p)) & np.uint64(1)).astype(np.uint8))
-        for p in range(bits)
-    ]
-    return np.concatenate(planes, axis=-1)
+    levels8 = arr.astype(np.uint8, copy=False)
+    n_bytes = (arr.shape[-1] + WORD_BITS - 1) // WORD_BITS * (WORD_BITS // 8)
+    # One zero-padded byte row per plane; ``np.packbits`` sets the bit of
+    # every non-zero input, i.e. of every level with bit ``p`` set.
+    planes = np.zeros(arr.shape[:-1] + (bits, n_bytes), dtype=np.uint8)
+    for p in range(bits):
+        packed = np.packbits(levels8 & np.uint8(1 << p), axis=-1, bitorder="little")
+        planes[..., p, : packed.shape[-1]] = packed
+    words = planes.view(_WORD_VIEW_DTYPE).astype(np.uint64, copy=False)
+    return words.reshape(arr.shape[:-1] + (bits * n_bytes // 8,))
 
 
 def unpack_level_planes(
@@ -381,7 +355,6 @@ __all__ = [
     "popcount",
     "popcount_total",
     "binary_dot_uint_batch",
-    "bitplanes_from_uint",
     "bitplanes_from_uint_batch",
     "pack_level_planes",
     "unpack_level_planes",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitops import pack_bits, unpack_bits
+from repro.core.bitops import unpack_bits
 from repro.exceptions import InvalidParameterError
 
 
@@ -48,39 +48,15 @@ def bits_to_signed(bits: np.ndarray, code_length: int | None = None) -> np.ndarr
     return (2.0 * arr - 1.0) / np.sqrt(float(code_length))
 
 
-def encode_signs(rotated_vectors: np.ndarray) -> np.ndarray:
-    """Quantization codes (packed) for already inversely-rotated vectors.
-
-    Given ``P^-1 o`` for each (unit, padded) data vector ``o``, the nearest
-    codebook vector is the one whose signs match (Eq. 8), so the code is
-    simply the packed sign pattern.
-    """
-    bits = signed_to_bits(rotated_vectors)
-    return pack_bits(bits)
-
-
 def decode_codes(packed_codes: np.ndarray, code_length: int) -> np.ndarray:
     """Reconstruct bi-valued vectors ``x̄`` from packed codes."""
     bits = unpack_bits(packed_codes, code_length)
     return bits_to_signed(bits, code_length)
 
 
-def codes_to_matrix(
-    packed_codes: np.ndarray, code_length: int, rotation=None
-) -> np.ndarray:
-    """Reconstruct quantized vectors, optionally rotated back to data space.
-
-    Without ``rotation`` this returns ``x̄`` (codebook frame); with a
-    :class:`repro.core.rotation.Rotation` it returns ``ō = P x̄``.
-    """
-    signed = decode_codes(packed_codes, code_length)
-    if rotation is None:
-        return signed
-    return rotation.apply(signed)
-
-
 def code_popcounts(bits: np.ndarray) -> np.ndarray:
-    """Number of 1s per code (the pre-computed ``sum_i x̄_b[i]`` of Eq. 20)."""
+    """Sum of each code's entries: the pre-computed ``sum_i x̄_b[i]`` of
+    Eq. 20 (the popcount of a 0/1 code, the level sum of a multi-bit one)."""
     arr = np.asarray(bits)
     return arr.astype(np.int64).sum(axis=-1)
 
@@ -88,8 +64,6 @@ def code_popcounts(bits: np.ndarray) -> np.ndarray:
 __all__ = [
     "signed_to_bits",
     "bits_to_signed",
-    "encode_signs",
     "decode_codes",
-    "codes_to_matrix",
     "code_popcounts",
 ]

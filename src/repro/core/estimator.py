@@ -257,12 +257,13 @@ N_CONSTS_SIM = 9
 # the per-code rescale factor ``1 / ||v||`` of the level vector
 # ``v = 2u - (2^B - 1)``.  It is always the last row of the matrix
 # (``consts[-1]``), for any metric; B = 1 matrices never carry it, keeping
-# the historical layout bit-identical.
+# the historical layout bit-identical.  ``CONST_POPCOUNT`` holds the level
+# sum ``sum_j u_j``, which is the popcount at B = 1.
 
 
-def n_consts_for(metric) -> int:
-    """Fused-constants rows required by ``metric`` (name or instance)."""
-    return resolve_metric(metric).n_consts
+def n_consts_for(metric, bits: int = 1) -> int:
+    """Fused-constants rows for ``metric`` (name or instance) at width ``bits``."""
+    return resolve_metric(metric).n_consts + (1 if bits > 1 else 0)
 
 
 def build_code_consts(
@@ -275,6 +276,7 @@ def build_code_consts(
     metric="l2",
     dot_centroid: np.ndarray | None = None,
     raw_norms: np.ndarray | None = None,
+    rescales: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused per-code estimator constants, shape ``(n_consts, n_codes)``.
 
@@ -288,6 +290,8 @@ def build_code_consts(
     Similarity metrics append the centroid-decomposition rows
     (``CONST_DOT_C`` = ``<o_r, c>``, ``CONST_RAW_NORM`` = ``||o_r||``),
     which must then be supplied via ``dot_centroid`` / ``raw_norms``.
+    Multi-bit codes pass their level sums as ``code_popcounts`` and their
+    ``rescales``, which become the trailing row.
     """
     resolved = resolve_metric(metric)
     align = np.asarray(alignments, dtype=np.float64).reshape(-1)
@@ -297,7 +301,8 @@ def build_code_consts(
         raise InvalidParameterError(
             "alignments, norms and code_popcounts must have the same length"
         )
-    consts = np.empty((resolved.n_consts, align.shape[0]), dtype=np.float64)
+    n_rows = resolved.n_consts + (0 if rescales is None else 1)
+    consts = np.empty((n_rows, align.shape[0]), dtype=np.float64)
     consts[CONST_NORM] = data_norms
     consts[CONST_NORM_SQ] = data_norms * data_norms
     consts[CONST_TWO_NORM] = 2.0 * data_norms
@@ -321,71 +326,53 @@ def build_code_consts(
             )
         consts[CONST_DOT_C] = dot_c
         consts[CONST_RAW_NORM] = raw
+    if rescales is not None:
+        consts[-1] = rescales
     return consts
 
 
 def undo_query_quantization(
     integer_dot: np.ndarray,
-    popcounts: np.ndarray,
-    delta,
-    lower,
-    sum_codes,
-    code_length: int,
-) -> np.ndarray:
-    """Affine undo of the scalar query quantization (Eq. 19-20).
-
-    ``<x_bar, q_bar> = 2Δ/√D <x_b, q_u> + 2 v_l/√D popcount(x_b)
-    - Δ/√D Σ q_u - √D v_l``.  The searcher and :class:`RaBitQ` call it
-    with per-query ``(n_queries, 1)`` columns and a 2-D ``integer_dot``;
-    scalars with a 1-D ``integer_dot`` give the same values elementwise.
-
-    The GEMM, popcount and 4-bit LUT kernels produce the identical exact
-    integer ``<x_b, q_u>``, so whichever computed it, the output here is
-    the same.
-    """
-    sqrt_d = np.sqrt(float(code_length))
-    dot_f = np.asarray(integer_dot, dtype=np.float64)
-    return (
-        2.0 * delta / sqrt_d * dot_f
-        + 2.0 * lower / sqrt_d * popcounts
-        - delta / sqrt_d * sum_codes
-        - sqrt_d * lower
-    )
-
-
-def undo_query_quantization_multibit(
-    integer_dot: np.ndarray,
-    level_sums: np.ndarray,
-    rescales: np.ndarray,
+    consts: np.ndarray,
     delta,
     lower,
     sum_codes,
     code_length: int,
     bits: int,
 ) -> np.ndarray:
-    """Affine undo of the query quantization for multi-bit (B > 1) codes.
+    """Affine undo of the scalar query quantization (Eq. 19-20).
 
-    The multi-bit code of a vector is the level vector ``u`` with ``u_j in
-    [0, 2^B - 1]``; the reconstructed unit vector is ``x_bar = r * v`` with
-    ``v = 2u - (2^B - 1) * 1`` and ``r = 1 / ||v||``.  With the quantized
-    query ``q_bar = Δ q_u + v_l * 1`` this gives::
+    ``integer_dot`` is the exact ``<u, q_u>`` of the codes whose constants
+    are ``consts`` (:func:`build_code_consts`, one column per code); it
+    reads their level sums ``Σu`` and, for ``bits > 1``, their rescales.
+    ``delta`` (Δ), ``lower`` (``v_l``) and ``sum_codes`` (``Σq_u``) are
+    per-query ``(n_queries, 1)`` columns against a 2-D ``integer_dot``, or
+    scalars against a 1-D one — the same values elementwise.
 
-        <x_bar, q_bar> = r * (2Δ <u, q_u> + 2 v_l Σu
-                              - (2^B - 1) (Δ Σq_u + v_l D))
+    At ``bits = 1`` the code is the 0/1 vector ``x_b`` and ``x_bar =
+    (2 x_b - 1)/√D``, so ``<x_bar, q_bar> = 2Δ/√D <x_b, q_u> + 2 v_l/√D
+    Σx_b - Δ/√D Σq_u - √D v_l``.  A ``bits``-wide code is the level vector
+    ``u`` with ``x_bar = r v``, ``v = 2u - (2^B - 1)`` and ``r = 1/||v||``,
+    so ``<x_bar, q_bar> = r (2Δ <u, q_u> + 2 v_l Σu - (2^B - 1)(Δ Σq_u +
+    v_l D))``.  Each width keeps its own literal arithmetic.
 
-    where ``<u, q_u>`` is the exact integer dot the GEMM / plane-popcount
-    kernels produce, ``Σu`` (``level_sums``) and ``r`` (``rescales``) are
-    per-code constants, and ``Σq_u`` / ``Δ`` / ``v_l`` are per-query.
-    Scalars give the sequential form; per-query ``(n_queries, 1)`` columns
-    (with 2-D ``integer_dot`` and ``level_sums[None, :]`` /
-    ``rescales[None, :]``) give the batched form — broadcasting changes
-    nothing elementwise, so batch and sequential results are bit-identical.
+    The GEMM, popcount and 4-bit LUT kernels produce the identical exact
+    integer, so whichever computed it, the output here is the same.
     """
-    levels = float((1 << bits) - 1)
     dot_f = np.asarray(integer_dot, dtype=np.float64)
-    return np.asarray(rescales, dtype=np.float64) * (
+    sums = consts[CONST_POPCOUNT]
+    if bits == 1:
+        sqrt_d = np.sqrt(float(code_length))
+        return (
+            2.0 * delta / sqrt_d * dot_f
+            + 2.0 * lower / sqrt_d * sums
+            - delta / sqrt_d * sum_codes
+            - sqrt_d * lower
+        )
+    levels = float((1 << bits) - 1)
+    return np.asarray(consts[-1], dtype=np.float64) * (
         2.0 * delta * dot_f
-        + 2.0 * lower * level_sums
+        + 2.0 * lower * sums
         - levels * (delta * sum_codes + lower * float(code_length))
     )
 
@@ -540,7 +527,6 @@ __all__ = [
     "n_consts_for",
     "build_code_consts",
     "undo_query_quantization",
-    "undo_query_quantization_multibit",
     "fused_estimate",
     "estimate_inner_product",
     "confidence_interval_halfwidth",

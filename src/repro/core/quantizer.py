@@ -3,9 +3,11 @@
 :class:`RaBitQ` ties together the components of :mod:`repro.core`:
 
 * **Index phase** (:meth:`RaBitQ.fit`): normalize the raw vectors relative to
-  a centroid, pad them to the code length, inversely rotate them, store the
-  sign patterns as packed bit strings, and pre-compute the residual norms
-  ``||o_r - c||`` and the alignments ``<o_bar, o>``.
+  a centroid, pad them to the code length, inversely rotate them, encode
+  each coordinate as a ``B``-bit level (the sign bit at ``B = 1``; one
+  encoder, :func:`encode_rows`, for every width), store the levels as
+  packed bit-planes, and pre-compute the residual norms ``||o_r - c||`` and
+  the alignments ``<o_bar, o>``.
 * **Query phase** (:meth:`RaBitQ.prepare_queries` then
   :meth:`RaBitQ.estimate_distances_batch`): normalize and inversely rotate
   the raw queries, scalar-quantize them, and estimate the squared distance
@@ -46,12 +48,10 @@ import numpy as np
 from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
-    CONST_POPCOUNT,
     DistanceEstimate,
     build_code_consts,
     fused_estimate,
     undo_query_quantization,
-    undo_query_quantization_multibit,
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import (
@@ -72,7 +72,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.substrates.linalg import as_float_matrix
+from repro.substrates.linalg import as_float_matrix, as_int_ids
 from repro.substrates.rng import spawn_rngs
 
 #: Supported computation paths for ``<o_bar, q>``.
@@ -84,96 +84,62 @@ def encode_rows(
     centroid: np.ndarray,
     rotation: Rotation,
     code_length: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    bits: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Encode raw rows against ``centroid`` with ``rotation`` (Algorithm 1).
 
-    The stateless core of the index phase, shared by :meth:`RaBitQ.fit`,
-    the incremental :meth:`RaBitQ.add` path and the arena-backed
-    :class:`repro.index.searcher.IVFQuantizedSearcher` (which stores codes
-    in a contiguous arena instead of per-cluster quantizer objects).
+    The one encoder for every code width ``bits``, shared by
+    :meth:`RaBitQ.fit`, the incremental :meth:`RaBitQ.add` path and the
+    arena-backed :class:`repro.index.searcher.IVFQuantizedSearcher`.  Rows
+    are normalized, padded to ``code_length`` and inversely rotated; each
+    rotated coordinate then becomes a level ``u_j in [0, 2^bits - 1]``.
 
-    Returns ``(packed_codes, bits, code_popcounts, alignments, norms)`` —
-    ``bits`` is the unpacked 0/1 ``uint8`` code matrix the packed codes were
-    built from (the arena keeps it as the operand of its integer-exact GEMM
-    kernel).
-    """
-    normalized = normalize_to_centroid(raw, centroid)
-    padded_units = pad_vectors(normalized.unit_vectors, code_length)
+    * ``bits = 1`` is the paper's sign code (Sec. 3.1.3): ``u = x_b``, the
+      0/1 sign pattern, and ``x_bar = (2u - 1)/sqrt(D)``.
+    * ``bits > 1`` quantizes each coordinate uniformly over the row's range
+      ``[-t, t]`` (``t = max_j |rotated_j|``); ``x_bar = v / ||v||`` with
+      ``v = 2u - (2^bits - 1)``.  For ``bits = 1`` this map is the sign
+      code, but that width keeps its literal sign arithmetic, bit for bit.
 
-    # Inversely rotate the unit vectors and store their sign patterns.
-    rotated = rotation.apply_inverse(padded_units)
-    bits = codebook.signed_to_bits(rotated)
-    packed = bitops.pack_bits(bits)
-    popcounts = codebook.code_popcounts(bits)
+    Returns ``(levels, level_sums, alignments, norms, rescales)``:
 
-    # <o_bar, o> = <P x_bar, o> = <x_bar, P^-1 o>; computed exactly here.
-    signed = codebook.bits_to_signed(bits, code_length)
-    alignments = np.einsum("ij,ij->i", signed, rotated)
-    return packed, bits, popcounts, alignments, normalized.norms
-
-
-def encode_rows_multibit(
-    raw: np.ndarray,
-    centroid: np.ndarray,
-    rotation: Rotation,
-    code_length: int,
-    bits: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Encode raw rows with ``bits`` (> 1) levels per dimension.
-
-    The multi-bit (extended RaBitQ) construction layers scalar-quantized
-    magnitudes over the sign bits: each rotated coordinate is uniformly
-    quantized to a level ``u_j in [0, 2^bits - 1]`` over the row's value
-    range ``[-t, t]`` (``t = max_j |rotated_j|``), the code vector is
-    ``v = 2u - (2^bits - 1) * 1`` and the reconstructed unit vector is
-    ``x_bar = v / ||v||``.  For ``bits = 1`` this degenerates to the sign
-    construction of :func:`encode_rows` (``v in {-1, +1}^D``,
-    ``||v|| = sqrt(D)``), but the 1-bit path keeps its own literal
-    arithmetic for bit-identity — this encoder is only used for B > 1.
-
-    Returns ``(packed_planes, levels, level_sums, alignments, norms,
-    rescales)``:
-
-    * ``packed_planes`` — plane-major packed planes of ``u``
-      (:func:`repro.core.bitops.pack_level_planes`), shape
-      ``(n, bits * n_words)``;
-    * ``levels`` — the unpacked ``uint8`` level matrix (the arena keeps it
-      as its integer-exact GEMM operand);
-    * ``level_sums`` — ``sum_j u_j`` per row (``int64``; the multi-bit
-      analogue of the popcount term of Eq. 20);
+    * ``levels`` — the ``uint8`` level matrix ``u`` (0/1 at ``bits = 1``;
+      the arena's GEMM operand, packed by
+      :func:`repro.core.bitops.pack_level_planes` for storage);
+    * ``level_sums`` — ``sum_j u_j`` per row (``int64``; the popcount term
+      of Eq. 20 at ``bits = 1``);
     * ``alignments`` — ``<x_bar, P^-1 o>`` per row, computed exactly;
     * ``norms`` — residual norms ``||o_r - c||``;
-    * ``rescales`` — ``1 / ||v||`` per row (every ``v_j`` is odd, so
-      ``||v|| >= sqrt(D) > 0`` always).
+    * ``rescales`` — ``1 / ||v||`` per row for ``bits > 1`` (every ``v_j``
+      is odd, so ``||v|| >= sqrt(D) > 0``); ``None`` at ``bits = 1``, whose
+      rescale ``1/sqrt(D)`` is a constant.
     """
-    if bits <= 1:
-        raise InvalidParameterError(
-            "encode_rows_multibit requires bits > 1; use encode_rows for "
-            "the binary construction"
-        )
     normalized = normalize_to_centroid(raw, centroid)
     padded_units = pad_vectors(normalized.unit_vectors, code_length)
     rotated = rotation.apply_inverse(padded_units)
-
-    n_levels = (1 << bits) - 1
-    t = np.abs(rotated).max(axis=1)
-    # Degenerate all-zero rows quantize every coordinate to the midpoint
-    # level 2^(bits-1) (v = all-ones), whose alignment is exactly 0 — the
-    # estimator's zero-alignment guard then treats them as degenerate,
-    # matching the 1-bit path's behaviour for zero rows.
-    safe_t = np.where(t > 0.0, t, 1.0)
-    scaled = (rotated + safe_t[:, None]) / (2.0 * safe_t[:, None])
-    levels = np.clip(
-        np.floor(scaled * float(1 << bits)), 0, n_levels
-    ).astype(np.uint8)
-
-    v = 2.0 * levels.astype(np.float64) - float(n_levels)
-    v_norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-    rescales = 1.0 / v_norms
-    alignments = np.einsum("ij,ij->i", v, rotated) * rescales
-    level_sums = levels.astype(np.int64).sum(axis=1)
-    packed = bitops.pack_level_planes(levels, bits)
-    return packed, levels, level_sums, alignments, normalized.norms, rescales
+    if bits == 1:
+        levels = codebook.signed_to_bits(rotated)
+        # <o_bar, o> = <P x_bar, o> = <x_bar, P^-1 o>; computed exactly here.
+        signed = codebook.bits_to_signed(levels, code_length)
+        alignments = np.einsum("ij,ij->i", signed, rotated)
+        rescales = None
+    else:
+        n_levels = (1 << bits) - 1
+        t = np.abs(rotated).max(axis=1)
+        # Degenerate all-zero rows quantize every coordinate to the midpoint
+        # level 2^(bits-1) (v = all-ones), whose alignment is exactly 0 —
+        # the estimator's zero-alignment guard then treats them as
+        # degenerate, as it does zero rows at bits = 1.
+        safe_t = np.where(t > 0.0, t, 1.0)
+        scaled = (rotated + safe_t[:, None]) / (2.0 * safe_t[:, None])
+        levels = np.clip(
+            np.floor(scaled * float(1 << bits)), 0, n_levels
+        ).astype(np.uint8)
+        v = 2.0 * levels.astype(np.float64) - float(n_levels)
+        rescales = 1.0 / np.sqrt(np.einsum("ij,ij->i", v, v))
+        alignments = np.einsum("ij,ij->i", v, rotated) * rescales
+    level_sums = codebook.code_popcounts(levels)
+    return levels, level_sums, alignments, normalized.norms, rescales
 
 
 @dataclass(frozen=True)
@@ -419,18 +385,12 @@ class RaBitQ:
                 "dot_centroid": raw @ centre,
                 "raw_norms": np.sqrt(np.einsum("ij,ij->i", raw, raw)),
             }
-        rescales = None
-        if bits > 1:
-            packed, _, popcounts, alignments, norms, rescales = (
-                encode_rows_multibit(raw, centre, self._rotation, code_length, bits)
-            )
-        else:
-            packed, _, popcounts, alignments, norms = encode_rows(
-                raw, centre, self._rotation, code_length
-            )
+        levels, level_sums, alignments, norms, rescales = encode_rows(
+            raw, centre, self._rotation, code_length, bits
+        )
         return QuantizedDataset(
-            packed_codes=packed,
-            code_popcounts=popcounts,
+            packed_codes=bitops.pack_level_planes(levels, bits),
+            code_popcounts=level_sums,
             alignments=alignments,
             norms=norms,
             centroid=centre,
@@ -635,15 +595,33 @@ class RaBitQ:
             if isinstance(queries, QuantizedQueryBatch)
             else self.prepare_queries(queries)
         )
-        rows = _rows(subset)
+        rows = self._rows(subset)
         eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
         return self._estimate(prepared, rows, compute, eps)
+
+    def _rows(self, indices) -> slice | np.ndarray:
+        """Row selector for ``indices`` (``None`` selects every row).
+
+        Only integer indices in ``[0, n)`` select rows; a float (which
+        would truncate), a negative (which would wrap) or an out-of-range
+        index raises :class:`InvalidParameterError`.
+        """
+        if indices is None:
+            return slice(None)
+        rows = as_int_ids(indices, "row indices")
+        n_rows = len(self.dataset)
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise InvalidParameterError(
+                f"row indices must lie in [0, {n_rows}), got "
+                f"[{rows.min()}, {rows.max()}]"
+            )
+        return rows
 
     def _code_consts(self, rows, epsilon0: float) -> np.ndarray:
         """Fused estimator constants of the selected codes, in the arena's
         layout: the metric's rows, then the rescale row when ``B > 1``."""
         selected = _map_rows(self.dataset, lambda name, values: values[rows])
-        consts = build_code_consts(
+        return build_code_consts(
             selected.alignments,
             selected.norms,
             selected.code_popcounts,
@@ -652,10 +630,8 @@ class RaBitQ:
             metric=self._metric,
             dot_centroid=selected.dot_centroid,
             raw_norms=selected.raw_norms,
+            rescales=selected.rescales,
         )
-        if selected.rescales is None:
-            return consts
-        return np.vstack([consts, selected.rescales])
 
     def _estimate(
         self,
@@ -696,19 +672,15 @@ class RaBitQ:
                     quantized.bitplanes,
                     query_values=quantized.codes,
                 ) << p
-            delta = quantized.delta[:, None]
-            lower = quantized.lower[:, None]
-            sums = quantized.sum_codes.astype(np.float64)[:, None]
-            pops = consts[CONST_POPCOUNT]
-            if bits > 1:
-                quantized_dot = undo_query_quantization_multibit(
-                    integer_dot, pops, consts[-1], delta, lower, sums,
-                    code_length, bits,
-                )
-            else:
-                quantized_dot = undo_query_quantization(
-                    integer_dot, pops, delta, lower, sums, code_length
-                )
+            quantized_dot = undo_query_quantization(
+                integer_dot,
+                consts,
+                quantized.delta[:, None],
+                quantized.lower[:, None],
+                quantized.sum_codes.astype(np.float64)[:, None],
+                code_length,
+                bits,
+            )
         query_terms = {}
         if self._metric.higher_is_better:
             query_terms = {
@@ -748,7 +720,7 @@ class RaBitQ:
         Mainly useful for tests and for the concentration experiments; the
         reconstruction lives in the padded ``code_length``-dimensional space.
         """
-        return self.rotation.apply(self._decoded(_rows(indices)))
+        return self.rotation.apply(self._decoded(self._rows(indices)))
 
     def code_bits(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Return codes as unpacked per-dimension integers.
@@ -757,9 +729,8 @@ class RaBitQ:
         for multi-bit codes.
         """
         dataset = self.dataset
-        return bitops.unpack_level_planes(
-            dataset.packed_codes[_rows(indices)], dataset.code_length, dataset.bits
-        )
+        packed = dataset.packed_codes[self._rows(indices)]
+        return bitops.unpack_level_planes(packed, dataset.code_length, dataset.bits)
 
     def compression_ratio(self) -> float:
         """Raw-vector bytes divided by quantization-code bytes."""
@@ -791,15 +762,9 @@ def _map_rows(dataset: QuantizedDataset, fn) -> QuantizedDataset:
     )
 
 
-def _rows(indices: np.ndarray | None):
-    """Row selector for ``indices`` (``None`` selects every row)."""
-    return slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
-
-
 __all__ = [
     "RaBitQ",
     "encode_rows",
-    "encode_rows_multibit",
     "QuantizedDataset",
     "QuantizedQueryBatch",
     "COMPUTE_MODES",

@@ -4,12 +4,16 @@ The pre-arena searcher kept one :class:`repro.core.quantizer.RaBitQ` object
 per IVF cluster, each owning its own small code matrix and per-vector float
 arrays.  Scanning ``nprobe`` clusters then meant iterating Python objects and
 concatenating dozens of small arrays per query.  The :class:`CodeArena`
-replaces that object soup with one contiguous, cluster-grouped layout:
+replaces that object soup with one contiguous, cluster-grouped layout that
+stores every code once:
 
-* ``codes`` — one ``(capacity, n_words)`` ``uint64`` matrix of packed codes;
-* ``bits`` — the same codes unpacked to 0/1 ``uint8`` (the operand of the
-  integer-exact GEMM/GEMV estimation kernel; 1 byte per code bit);
-* ``consts`` — one ``(N_CONSTS, capacity)`` float64 matrix of fused
+* ``bits`` — one ``(capacity, code_length)`` ``uint8`` matrix of code
+  levels (0/1 at ``B = 1``, ``[0, 2^B - 1]`` above it; 1 byte per
+  dimension), the operand of the integer-exact GEMM/GEMV estimation
+  kernel.  Archives store the packed form as well
+  (:func:`repro.core.bitops.pack_level_planes` of this matrix), but no
+  query reads it, so the arena does not keep it;
+* ``consts`` — one ``(n_consts, capacity)`` float64 matrix of fused
   estimator constants (see :func:`repro.core.estimator.build_code_consts`),
   stored constants-major so each constant's slice over a cluster is
   contiguous;
@@ -18,11 +22,12 @@ replaces that object soup with one contiguous, cluster-grouped layout:
   cluster to its contiguous row range.
 
 Probing a cluster therefore yields *views* — zero-copy contiguous slices of
-``codes`` / ``bits`` / ``consts`` / ``slots`` — instead of per-object Python
-iteration.  Row order inside a cluster region always equals the IVF bucket's
-id order (ascending slot id), which is exactly the row order the per-cluster
+``bits`` / ``consts`` / ``slots`` — instead of per-object Python iteration.
+Row order inside a cluster region always equals the IVF bucket's id order
+(ascending slot id), which is exactly the row order the per-cluster
 quantizers used to store, so estimates read from the arena are bit-identical
-to the pre-arena layout.
+to the pre-arena layout.  The arena does not know the code width: the
+searcher passes it where the arithmetic needs it.
 
 The arena is maintained incrementally across the index lifecycle: cluster
 regions carry geometric capacity slack, so :meth:`CodeArena.append` writes
@@ -43,33 +48,23 @@ _GROWTH_FACTOR = 2.0
 
 
 class CodeArena:
-    """Contiguous cluster-grouped storage of packed codes + fused constants.
+    """Contiguous cluster-grouped storage of code levels + fused constants.
 
     Parameters
     ----------
     n_clusters:
         Number of cluster regions.
     code_length:
-        Code length in bits (the ``bits`` matrix has this many columns).
-    n_words:
-        Words per packed code (``ceil(code_length / 64)``).
+        Code length in dimensions (the ``bits`` matrix has this many
+        columns).
     n_consts:
-        Rows of the fused estimator-constants matrix — ``N_CONSTS`` for
-        squared-L2 serving (the default) or
-        :data:`repro.core.estimator.N_CONSTS_SIM` when the searcher serves
-        a similarity metric (the extra rows carry the
-        centroid-decomposition terms).  Multi-bit arenas carry one extra
-        trailing row (the per-code rescale factor).
-    bits_per_dim:
-        Code width ``B``.  ``1`` (default) is the binary layout; for
-        ``B > 1`` the ``codes`` matrix holds ``B`` plane-major packed
-        bit-planes per row (``n_words`` is ``B`` times the base word
-        count), the ``bits`` matrix holds per-dimension *levels* in
-        ``[0, 2^B - 1]`` instead of 0/1.
+        Rows of the fused estimator-constants matrix —
+        :func:`repro.core.estimator.n_consts_for` of the served metric and
+        code width (``N_CONSTS`` for binary squared-L2 serving, the
+        default).
     """
 
     __slots__ = (
-        "codes",
         "bits",
         "consts",
         "slots",
@@ -77,18 +72,11 @@ class CodeArena:
         "sizes",
         "caps",
         "code_length",
-        "n_words",
         "n_consts",
-        "bits_per_dim",
     )
 
     def __init__(
-        self,
-        n_clusters: int,
-        code_length: int,
-        n_words: int,
-        n_consts: int = N_CONSTS,
-        bits_per_dim: int = 1,
+        self, n_clusters: int, code_length: int, n_consts: int = N_CONSTS
     ) -> None:
         if n_clusters <= 0:
             raise InvalidParameterError("n_clusters must be positive")
@@ -96,15 +84,8 @@ class CodeArena:
             raise InvalidParameterError(
                 f"n_consts must be at least {N_CONSTS}"
             )
-        if not 1 <= int(bits_per_dim) <= 8:
-            raise InvalidParameterError(
-                "bits_per_dim must lie in [1, 8]"
-            )
         self.code_length = int(code_length)
-        self.n_words = int(n_words)
         self.n_consts = int(n_consts)
-        self.bits_per_dim = int(bits_per_dim)
-        self.codes = np.empty((0, self.n_words), dtype=np.uint64)
         self.bits = np.empty((0, self.code_length), dtype=np.uint8)
         self.consts = np.empty((self.n_consts, 0), dtype=np.float64)
         self.slots = np.empty(0, dtype=np.int64)
@@ -127,38 +108,23 @@ class CodeArena:
         return int(self.sizes.sum())
 
     def memory_bytes(self) -> int:
-        """Approximate arena footprint (codes + bits + constants + ids)."""
-        return int(
-            self.codes.nbytes
-            + self.bits.nbytes
-            + self.consts.nbytes
-            + self.slots.nbytes
-        )
+        """Approximate arena footprint (levels + constants + ids)."""
+        return int(self.bits.nbytes + self.consts.nbytes + self.slots.nbytes)
 
     def cluster_range(self, cid: int) -> tuple[int, int]:
         """``(start, end)`` row range of cluster ``cid``'s live rows."""
         start = int(self.starts[cid])
         return start, start + int(self.sizes[cid])
 
-    def cluster_codes(self, cid: int) -> np.ndarray:
-        """Packed codes of cluster ``cid`` (a contiguous view)."""
-        start, end = self.cluster_range(cid)
-        return self.codes[start:end]
-
     def cluster_bits(self, cid: int) -> np.ndarray:
-        """Unpacked 0/1 codes of cluster ``cid`` (a contiguous view)."""
+        """Code levels of cluster ``cid`` (a contiguous view)."""
         start, end = self.cluster_range(cid)
         return self.bits[start:end]
 
     def cluster_consts(self, cid: int) -> np.ndarray:
-        """Fused constants of cluster ``cid``, shape ``(N_CONSTS, size)``."""
+        """Fused constants of cluster ``cid``, shape ``(n_consts, size)``."""
         start, end = self.cluster_range(cid)
         return self.consts[:, start:end]
-
-    def cluster_slots(self, cid: int) -> np.ndarray:
-        """Searcher slot ids of cluster ``cid``'s rows (a view)."""
-        start, end = self.cluster_range(cid)
-        return self.slots[start:end]
 
     # ------------------------------------------------------------------ #
     # Construction and mutation
@@ -169,41 +135,35 @@ class CodeArena:
         cls,
         n_clusters: int,
         code_length: int,
-        n_words: int,
-        blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
         n_consts: int = N_CONSTS,
-        bits_per_dim: int = 1,
     ) -> "CodeArena":
-        """Build an arena from per-cluster ``(codes, bits, consts, slots)``.
+        """Build an arena from per-cluster ``(levels, consts, slots)``.
 
-        Used at fit and load time; regions are laid out tightly (no slack —
-        slack appears on the first overflowing append).
+        Used at fit time; regions are laid out tightly (no slack — slack
+        appears on the first overflowing append).
         """
-        arena = cls(n_clusters, code_length, n_words, n_consts, bits_per_dim)
+        arena = cls(n_clusters, code_length, n_consts)
         sizes = np.zeros(n_clusters, dtype=np.int64)
-        for cid, (codes, _, _, _) in blocks.items():
-            sizes[cid] = codes.shape[0]
+        for cid, (levels, _, _) in blocks.items():
+            sizes[cid] = levels.shape[0]
         arena._allocate(sizes, sizes)
-        for cid, (codes, bits, consts, slots) in blocks.items():
-            arena._write_block(cid, 0, codes, bits, consts, slots)
-            arena.sizes[cid] = codes.shape[0]
+        for cid, block in blocks.items():
+            arena._write_block(cid, 0, *block)
         return arena
 
     @classmethod
     def from_sections(
         cls,
         code_length: int,
-        n_words: int,
         n_consts: int,
         *,
-        codes: np.ndarray,
         bits: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
         sizes: np.ndarray,
-        bits_per_dim: int = 1,
     ) -> "CodeArena":
-        """Adopt pre-laid-out tight backing arrays (the format-v6 layout).
+        """Adopt pre-laid-out tight backing arrays (the archive layout).
 
         The arrays must already be in cluster-grouped row order with no
         capacity slack: ``sizes[cid]`` rows per cluster, concatenated in
@@ -219,27 +179,18 @@ class CodeArena:
             raise InvalidParameterError("n_clusters must be positive")
         if sizes.min(initial=0) < 0:
             raise InvalidParameterError("cluster sizes must be non-negative")
-        arena = cls(sizes.shape[0], code_length, n_words, n_consts, bits_per_dim)
+        arena = cls(sizes.shape[0], code_length, n_consts)
         total = int(sizes.sum())
-        expected = {
-            "codes": (total, arena.n_words),
-            "bits": (total, arena.code_length),
-            "consts": (arena.n_consts, total),
-            "slots": (total,),
-        }
-        arrays = {
-            "codes": codes,
-            "bits": bits,
-            "consts": consts,
-            "slots": slots,
-        }
-        for name, array in arrays.items():
-            if tuple(array.shape) != expected[name]:
+        for name, array, expected in (
+            ("bits", bits, (total, arena.code_length)),
+            ("consts", consts, (arena.n_consts, total)),
+            ("slots", slots, (total,)),
+        ):
+            if tuple(array.shape) != expected:
                 raise DimensionMismatchError(
                     f"arena section {name!r} has shape {tuple(array.shape)}, "
-                    f"expected {expected[name]}"
+                    f"expected {expected}"
                 )
-        arena.codes = codes
         arena.bits = bits
         arena.consts = consts
         arena.slots = slots
@@ -253,11 +204,10 @@ class CodeArena:
     def dump_tight(self) -> dict[str, np.ndarray]:
         """Slack-free copies of the backing arrays, in cluster-grouped order.
 
-        Returns ``codes`` / ``bits`` / ``consts`` / ``slots`` plus the
-        per-cluster ``sizes`` — exactly the layout
-        :meth:`from_sections` adopts, so a dump → load round trip
-        reproduces the arena's live rows bit-identically (capacity slack is
-        the only thing dropped).
+        Returns ``bits`` / ``consts`` / ``slots`` plus the per-cluster
+        ``sizes`` — exactly the layout :meth:`from_sections` adopts, so a
+        dump → load round trip reproduces the arena's live rows
+        bit-identically (capacity slack is the only thing dropped).
         """
         parts = [
             np.arange(start, start + size, dtype=np.int64)
@@ -268,7 +218,6 @@ class CodeArena:
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         )
         return {
-            "codes": np.ascontiguousarray(self.codes[rows]),
             "bits": np.ascontiguousarray(self.bits[rows]),
             "consts": np.ascontiguousarray(self.consts[:, rows]),
             "slots": np.ascontiguousarray(self.slots[rows]),
@@ -278,7 +227,6 @@ class CodeArena:
     def _allocate(self, sizes: np.ndarray, caps: np.ndarray) -> None:
         """(Re)allocate the backing arrays for the given region capacities."""
         total = int(caps.sum())
-        self.codes = np.zeros((total, self.n_words), dtype=np.uint64)
         self.bits = np.zeros((total, self.code_length), dtype=np.uint8)
         self.consts = np.zeros((self.n_consts, total), dtype=np.float64)
         self.slots = np.full(total, -1, dtype=np.int64)
@@ -288,19 +236,17 @@ class CodeArena:
         )
         self.sizes = sizes.astype(np.int64, copy=True)
 
-    def _write_block(self, cid, offset, codes, bits, consts, slots) -> None:
+    def _write_block(self, cid, offset, levels, consts, slots) -> None:
         pos = int(self.starts[cid]) + int(offset)
-        end = pos + codes.shape[0]
-        self.codes[pos:end] = codes
-        self.bits[pos:end] = bits
+        end = pos + levels.shape[0]
+        self.bits[pos:end] = levels
         self.consts[:, pos:end] = consts
         self.slots[pos:end] = slots
 
     def append(
         self,
         cid: int,
-        codes: np.ndarray,
-        bits: np.ndarray,
+        levels: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
     ) -> None:
@@ -311,10 +257,10 @@ class CodeArena:
         grown capacity for the overflowing cluster, keeping a long sequence
         of inserts amortized O(1) copies per row.
         """
-        n_new = codes.shape[0]
+        n_new = levels.shape[0]
         if n_new == 0:
             return
-        if codes.shape[1] != self.n_words or bits.shape[1] != self.code_length:
+        if levels.shape[1] != self.code_length:
             raise DimensionMismatchError(
                 "appended codes do not match the arena's code length"
             )
@@ -325,13 +271,12 @@ class CodeArena:
                 size + n_new, int(_GROWTH_FACTOR * (size + n_new)), 8
             )
             self._rebuild(new_caps)
-        self._write_block(cid, size, codes, bits, consts, slots)
+        self._write_block(cid, size, levels, consts, slots)
         self.sizes[cid] = size + n_new
 
     def _rebuild(self, new_caps: np.ndarray) -> None:
         """Re-lay-out every region with the given capacities (data preserved)."""
-        old_codes, old_bits = self.codes, self.bits
-        old_consts, old_slots = self.consts, self.slots
+        old_bits, old_consts, old_slots = self.bits, self.consts, self.slots
         old_starts, sizes = self.starts.copy(), self.sizes.copy()
         self._allocate(sizes, new_caps)
         for cid in range(self.n_clusters):
@@ -340,12 +285,7 @@ class CodeArena:
                 continue
             src = slice(int(old_starts[cid]), int(old_starts[cid]) + size)
             self._write_block(
-                cid,
-                0,
-                old_codes[src],
-                old_bits[src],
-                old_consts[:, src],
-                old_slots[src],
+                cid, 0, old_bits[src], old_consts[:, src], old_slots[src]
             )
 
     def compact(self, keep_slot: np.ndarray) -> None:
@@ -359,8 +299,7 @@ class CodeArena:
         """
         mask = np.asarray(keep_slot, dtype=bool).reshape(-1)
         remap = np.cumsum(mask, dtype=np.int64) - 1
-        old_codes, old_bits = self.codes, self.bits
-        old_consts, old_slots = self.consts, self.slots
+        old_bits, old_consts, old_slots = self.bits, self.consts, self.slots
         old_starts, old_sizes = self.starts.copy(), self.sizes.copy()
 
         new_sizes = np.zeros_like(old_sizes)
@@ -382,7 +321,6 @@ class CodeArena:
             self._write_block(
                 cid,
                 0,
-                old_codes[kept],
                 old_bits[kept],
                 old_consts[:, kept],
                 remap[old_slots[kept]],

@@ -35,6 +35,7 @@ from repro.exceptions import (
 from repro.substrates.kmeans import kmeans_fit
 from repro.substrates.linalg import (
     as_float_matrix,
+    require_positive_int,
     squared_distances_to_points,
     topk_indices,
 )
@@ -92,8 +93,8 @@ class IVFIndex:
         kmeans_iters: int = 15,
         rng: RngLike = None,
     ) -> None:
-        if n_clusters is not None and n_clusters <= 0:
-            raise InvalidParameterError("n_clusters must be positive when given")
+        if n_clusters is not None:
+            require_positive_int(n_clusters, "n_clusters")
         self.n_clusters = n_clusters
         self.kmeans_iters = int(kmeans_iters)
         self._rng = ensure_rng(rng)

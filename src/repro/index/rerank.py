@@ -49,7 +49,7 @@ from repro.core.estimator import DistanceEstimate
 from repro.core.metric import Metric, resolve_metric
 from repro.exceptions import InvalidParameterError
 from repro.index.flat import FlatIndex
-from repro.substrates.linalg import stable_topk_indices
+from repro.substrates.linalg import require_positive_int, stable_topk_indices
 
 
 class Reranker(abc.ABC):
@@ -149,8 +149,7 @@ class TopCandidateReranker(Reranker):
     """
 
     def __init__(self, n_candidates: int) -> None:
-        if n_candidates <= 0:
-            raise InvalidParameterError("n_candidates must be positive")
+        require_positive_int(n_candidates, "n_candidates")
         self.n_candidates = int(n_candidates)
 
     def rerank(

@@ -48,20 +48,24 @@ The entry points differ only in how they lay out candidates — flat in probe
 order for one query, grouped by cluster and scattered for a batch.
 
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
-code arena: one packed ``uint64`` code matrix, one unpacked 0/1 ``uint8``
-matrix (the operand of the integer-exact GEMM estimation kernel), and one
-fused matrix of per-code estimator constants (norms, ``<o_bar, o>``
-correction terms, error-bound half-widths, popcounts — see
-:func:`repro.core.estimator.build_code_consts`).  Probing ``nprobe``
-clusters yields contiguous array slices; distances and bounds for the whole
+code arena that stores each code once: one ``uint8`` matrix of code levels
+(0/1 at ``B = 1``; the operand of the integer-exact GEMM estimation kernel)
+and one fused matrix of per-code estimator constants (norms, ``<o_bar, o>``
+correction terms, error-bound half-widths, level sums, and the rescales of
+``B > 1`` codes — see :func:`repro.core.estimator.build_code_consts`).
+Every width runs the same code: one encoder
+(:func:`repro.core.quantizer.encode_rows`), one constants builder and one
+affine undo, each told the width ``B``; the query-rounding term of the
+``B > 1`` bound is the only width test here.  Probing ``nprobe`` clusters
+yields contiguous array slices; distances and bounds for the whole
 candidate set are produced by one integer inner-product pass plus one fused
 affine transform (:func:`repro.core.estimator.fused_estimate`), written
 straight into a preallocated per-searcher scratch-buffer pool — no
 per-cluster ``DistanceEstimate`` blocks and no per-query concatenation or
-temporaries.  The integer pass is a float64 GEMM/GEMV on the unpacked
-codes, which is *exact* (bits are 0/1 and quantized query coordinates fit
-in 16 bits, so every partial sum is an integer far below 2^53), hence
-bit-identical to the packed popcount kernel.
+temporaries.  The integer pass is a float64 GEMM/GEMV on the levels, which
+is *exact* (levels fit in 8 bits and quantized query coordinates in 16, so
+every partial sum is an integer far below 2^53), hence bit-identical to
+the packed popcount kernel.
 
 ``_prepare`` normalizes and rotates row by row, so a row's quantized
 query does not depend on the rows prepared beside it and search results
@@ -122,16 +126,14 @@ import numpy as np
 
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
-    CONST_POPCOUNT,
-    N_CONSTS,
     DistanceEstimate,
     build_code_consts,
     fused_estimate,
+    n_consts_for,
     undo_query_quantization,
-    undo_query_quantization_multibit,
 )
 from repro.core.metric import Metric, resolve_metric
-from repro.core.quantizer import encode_rows, encode_rows_multibit
+from repro.core.quantizer import encode_rows
 from repro.core.query import quantize_query_matrix, sample_rounding_offsets
 from repro.core.rotation import QRRotation, make_rotation
 from repro.exceptions import (
@@ -145,6 +147,7 @@ from repro.index.ivf import IVFIndex
 from repro.index.rerank import ErrorBoundReranker, Reranker
 from repro.substrates.linalg import (
     as_float_matrix,
+    as_int_ids,
     require_finite,
     require_positive_int,
 )
@@ -240,25 +243,6 @@ class BatchSearchResult:
         return int(self.n_exact.sum())
 
 
-def _as_ids(ids) -> np.ndarray:
-    """``ids`` as a flat ``int64`` array; only integer values are ids.
-
-    A float, string or bool id would otherwise be cast silently (``1.7``
-    and ``"1"`` to ``1``), so anything but Python ints and signed or
-    unsigned integer arrays raises :class:`InvalidParameterError`.
-    """
-    arr = np.asarray(ids).reshape(-1)
-    if arr.size == 0:
-        return arr.astype(np.int64)
-    if arr.dtype.kind not in "iu" or (
-        arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max
-    ):
-        raise InvalidParameterError(
-            f"ids must be integers, got dtype {arr.dtype}"
-        )
-    return arr.astype(np.int64)
-
-
 def _empty_estimate() -> tuple[np.ndarray, DistanceEstimate]:
     empty = np.empty(0, dtype=np.float64)
     return np.empty(0, dtype=np.int64), DistanceEstimate(
@@ -335,6 +319,8 @@ class IVFQuantizedSearcher:
             raise InvalidParameterError(
                 "external_quantizer must be provided when quantizer_kind='external'"
             )
+        if n_clusters is not None:
+            require_positive_int(n_clusters, "n_clusters")
         if compact_threshold is not None and not 0.0 < compact_threshold <= 1.0:
             raise InvalidParameterError(
                 "compact_threshold must lie in (0, 1] or be None"
@@ -428,86 +414,43 @@ class IVFQuantizedSearcher:
             )
         return self._arena
 
-    def _build_cluster_consts(
-        self,
-        rows: np.ndarray,
-        cid: int,
-        popcounts: np.ndarray,
-        alignments: np.ndarray,
-        norms: np.ndarray,
-        code_length: int,
-    ) -> np.ndarray:
-        """Fused estimator constants for ``rows`` encoded against ``cid``.
-
-        For ``metric="l2"`` this is the historical 7-row matrix; similarity
-        metrics append the centroid-decomposition rows (``<o_r, c>`` against
-        the cluster centroid and the raw norms ``||o_r||``) that
-        :func:`repro.core.estimator.fused_estimate` consumes at query time.
-        """
-        epsilon0 = self.rabitq_config.epsilon0
-        if self._metric.n_consts == N_CONSTS:
-            return build_code_consts(
-                alignments, norms, popcounts, code_length, epsilon0
-            )
-        return build_code_consts(
-            alignments,
-            norms,
-            popcounts,
-            code_length,
-            epsilon0,
-            metric=self._metric,
-            dot_centroid=rows @ self._ivf.centroids[cid],
-            raw_norms=np.sqrt(np.einsum("ij,ij->i", rows, rows)),
-        )
-
     @property
     def bits(self) -> int:
         """Code width ``B`` in bits per dimension (1 for binary RaBitQ)."""
         return int(self.rabitq_config.bits)
 
-    def _encode_cluster_rows(
-        self, rows: np.ndarray, cid: int, code_length: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _encode_cluster(
+        self, rows: np.ndarray, cid: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Encode ``rows`` against cluster ``cid``'s centroid.
 
-        Returns ``(packed, unpacked, consts)`` in the arena's layout: for
-        ``B = 1`` exactly the historical binary encoding; for ``B > 1``
-        plane-major packed levels, the per-dimension level matrix (the
-        GEMM operand), and the metric's constants with the level sums in
-        the popcount row plus the per-code rescale factor appended as the
-        trailing row.
+        Returns ``(levels, consts)`` in the arena's layout: the ``uint8``
+        code levels (the GEMM operand) and the fused constants — the
+        metric's rows (for similarity metrics with ``<o_r, c>`` and
+        ``||o_r||``), plus the rescale row for ``B > 1``.
         """
-        assert self._ivf is not None
-        bits = self.bits
-        if bits > 1:
-            (
-                packed,
-                levels,
-                level_sums,
-                alignments,
-                norms,
-                rescales,
-            ) = encode_rows_multibit(
-                rows,
-                self._ivf.centroids[cid],
-                self._shared_rotation,
-                code_length,
-                bits,
-            )
-            consts = self._build_cluster_consts(
-                rows, cid, level_sums, alignments, norms, code_length
-            )
-            return packed, levels, np.vstack([consts, rescales[None, :]])
-        packed, bit_mat, popcounts, alignments, norms = encode_rows(
-            rows,
-            self._ivf.centroids[cid],
-            self._shared_rotation,
+        centroid = self._ivf.centroids[cid]
+        code_length = self._shared_rotation.dim
+        levels, level_sums, alignments, norms, rescales = encode_rows(
+            rows, centroid, self._shared_rotation, code_length, self.bits
+        )
+        raw_terms = {}
+        if self._metric.higher_is_better:
+            raw_terms = {
+                "dot_centroid": rows @ centroid,
+                "raw_norms": np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+            }
+        consts = build_code_consts(
+            alignments,
+            norms,
+            level_sums,
             code_length,
+            self.rabitq_config.epsilon0,
+            metric=self._metric,
+            rescales=rescales,
+            **raw_terms,
         )
-        consts = self._build_cluster_consts(
-            rows, cid, popcounts, alignments, norms, code_length
-        )
-        return packed, bit_mat, consts
+        return levels, consts
 
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
@@ -538,25 +481,17 @@ class IVFQuantizedSearcher:
             self._rounding_offsets = sample_rounding_offsets(
                 self.rabitq_config.seed, code_length
             )
-            n_clusters = len(self._ivf.buckets)
-            blocks: dict[int, tuple] = {}
+            blocks = {}
             for bucket in self._ivf.buckets:
-                if len(bucket) == 0:
-                    continue
-                cid = bucket.centroid_id
-                rows = mat[bucket.vector_ids]
-                packed, unpacked, consts = self._encode_cluster_rows(
-                    rows, cid, code_length
-                )
-                blocks[cid] = (packed, unpacked, consts, bucket.vector_ids)
-            code_bits = self.bits
+                if len(bucket):
+                    ids = bucket.vector_ids
+                    cid = bucket.centroid_id
+                    blocks[cid] = (*self._encode_cluster(mat[ids], cid), ids)
             self._arena = CodeArena.from_blocks(
-                n_clusters,
+                len(self._ivf.buckets),
                 code_length,
-                ((code_length + 63) // 64) * code_bits,
                 blocks,
-                self._metric.n_consts + (1 if code_bits > 1 else 0),
-                code_bits,
+                n_consts_for(self._metric, self.bits),
             )
             self._pad_len = code_length
             self._rotation_matrix = (
@@ -655,7 +590,7 @@ class IVFQuantizedSearcher:
         if ids is None:
             new_ids = np.arange(self._next_id, self._next_id + n_new, dtype=np.int64)
         else:
-            new_ids = _as_ids(ids)
+            new_ids = as_int_ids(ids)
             if new_ids.shape[0] != n_new:
                 raise InvalidParameterError(
                     "need exactly one external id per inserted vector"
@@ -673,15 +608,9 @@ class IVFQuantizedSearcher:
         self._ivf.append(slots, cluster_ids)
         arena = self._arena
         assert arena is not None
-        code_length = arena.code_length
-        for cid in np.unique(cluster_ids):
-            cid = int(cid)
+        for cid in np.unique(cluster_ids).tolist():
             rows = np.flatnonzero(cluster_ids == cid)
-            row_mat = mat[rows]
-            packed, unpacked, consts = self._encode_cluster_rows(
-                row_mat, cid, code_length
-            )
-            arena.append(cid, packed, unpacked, consts, slots[rows])
+            arena.append(cid, *self._encode_cluster(mat[rows], cid), slots[rows])
 
         assert self._ids is not None and self._live is not None
         self._ids = np.concatenate([self._ids, new_ids])
@@ -708,7 +637,7 @@ class IVFQuantizedSearcher:
         """
         if self._ivf is None or self._live is None:
             raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        requested = np.unique(_as_ids(ids))
+        requested = np.unique(as_int_ids(ids))
         slots = []
         missing = []
         for ext in requested.tolist():
@@ -860,11 +789,10 @@ class IVFQuantizedSearcher:
 
         ``codes`` / ``delta`` / ``lower`` / ``sums`` are rows of a
         :meth:`_prepare` result; the output has shape ``(n_rows, size)``.
-        The integer dot ``<x_b, q_u>`` is a float64 GEMM on the unpacked
-        codes, which is exact (every partial sum is an integer far below
-        2^53) and so equal to the popcount kernel; the affine undo of the
-        query quantization (Eq. 19-20) follows, with level sums and
-        rescales for multi-bit codes.
+        The integer dot ``<u, q_u>`` is a float64 GEMM on the code levels,
+        which is exact (every partial sum is an integer far below 2^53) and
+        so equal to the popcount kernel; the affine undo of the query
+        quantization (Eq. 19-20) at the searcher's width follows.
         """
         arena = self._arena
         assert arena is not None
@@ -876,22 +804,14 @@ class IVFQuantizedSearcher:
         )[: size * code_length].reshape(size, code_length)
         np.copyto(bits_f, arena.bits[start:end], casting="unsafe")
         integer_dot = codes.astype(np.float64) @ bits_f.T
-        pop = arena.consts[CONST_POPCOUNT, start:end]
-        delta, lower = delta[:, None], lower[:, None]
-        sums = sums.astype(np.float64)[:, None]
-        if arena.bits_per_dim > 1:
-            return undo_query_quantization_multibit(
-                integer_dot,
-                pop,
-                arena.consts[-1, start:end],
-                delta,
-                lower,
-                sums,
-                code_length,
-                arena.bits_per_dim,
-            )
         return undo_query_quantization(
-            integer_dot, pop, delta, lower, sums, code_length
+            integer_dot,
+            arena.consts[:, start:end],
+            delta[:, None],
+            lower[:, None],
+            sums.astype(np.float64)[:, None],
+            code_length,
+            self.bits,
         )
 
     def _live_only(
@@ -964,7 +884,7 @@ class IVFQuantizedSearcher:
         qn = np.repeat(query_norms, counts)
         qround = (
             np.repeat(0.5 * float(self.rabitq_config.epsilon0) * delta, counts)
-            if arena.bits_per_dim > 1
+            if self.bits > 1
             else None
         )
         if not self._metric.higher_is_better:
@@ -1142,9 +1062,7 @@ class IVFQuantizedSearcher:
                 cid,
             )
             query_rounding = (
-                0.5 * eps0 * quantized.delta[:, None]
-                if arena.bits_per_dim > 1
-                else None
+                0.5 * eps0 * quantized.delta[:, None] if self.bits > 1 else None
             )
             if not self._metric.higher_is_better:
                 estimate = fused_estimate(

@@ -170,10 +170,8 @@ def read_journal(path: PathLike) -> JournalContents | None:
             f"cannot read journal {journal_path!s}: {exc}"
         ) from exc
     if len(raw) < _HEADER_PREFIX.size:
-        if raw[: len(raw)] == JOURNAL_MAGIC[: len(raw)]:
-            return None  # torn creation: a prefix of the magic, no header
-        if not raw:
-            return None
+        if raw[: len(JOURNAL_MAGIC)] == JOURNAL_MAGIC[: len(raw)]:
+            return None  # torn creation: no complete header prefix
         raise JournalError(
             f"{journal_path!s} is not a mutation journal (bad magic)"
         )

@@ -9,7 +9,7 @@ Two archive flavours are provided:
   so no exact re-ranking).  NumPy ``.npz``, format v4 (reads v2–v4).
 * :func:`save_searcher` / :func:`load_searcher` — a complete
   :class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
-  assignments, the per-cluster packed code matrices, the raw vectors of the
+  assignments, the cluster-grouped code levels, the raw vectors of the
   flat re-ranking index, the tombstone mask and external-id mapping of the
   mutable lifecycle, the re-ranker, the rotation and the rounding vector
   (queries draw no randomness, so there is no generator state to store).
@@ -20,11 +20,14 @@ Two archive flavours are provided:
   The searcher has exactly one on-disk container (``RBQARCH6``, written
   as format **v10**, read as v9–v10): a binary file holding a JSON header
   plus 64-byte-aligned raw sections for every large array — the arena's
-  packed codes, the uint8 GEMM operand, the fused constants, the slot
-  map, and the raw re-rank vectors.  Sections can be read zero-copy via
-  ``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm restart
-  skips decompression and bit-unpacking entirely and supports datasets
-  larger than RAM.  Retired layouts are refused by name, with the last
+  ``uint8`` code levels (the GEMM operand), the fused constants, the slot
+  map, and the raw re-rank vectors.  The ``arena_codes`` section (the
+  levels packed as plane-major bit-planes) is written, so older readers
+  keep loading current archives, but not read: the levels section is
+  what queries use.  Sections can be read zero-copy via ``np.memmap``
+  (``load_searcher(path, mmap=True)``), so a warm restart skips
+  decompression and bit-unpacking entirely and supports datasets larger
+  than RAM.  Retired layouts are refused by name, with the last
   commit that reads them: container formats v6–v8 (``aaf8be8``), the npz
   searcher layouts v1–v5 and the sharded directory archive (``422ac16``).
 
@@ -53,7 +56,9 @@ from typing import Union
 
 import numpy as np
 
+from repro.core.bitops import pack_level_planes
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
+from repro.core.estimator import n_consts_for
 from repro.core.metric import resolve_metric
 from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.core.query import sample_rounding_offsets
@@ -105,7 +110,8 @@ _RABITQ_VERSIONS = (2, 3, 4)
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
 #: in particular a ``mmap=True`` load — adopts them without re-deriving
-#: anything.  The uint8 GEMM operand is stored, not recomputed.  Later
+#: anything.  The uint8 GEMM operand is stored, not recomputed; the packed
+#: ``arena_codes`` section beside it is written but not read.  Later
 #: versions keep the container (magic, prefix, alignment, section rules).
 #: Version 9, the oldest this build reads, stores the code width ``bits``
 #: and the query generator states in the header.  Version 10 stores the
@@ -742,7 +748,8 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
-    packed codes, the GEMM operand, the fused estimator-constants matrix,
+    the code levels (the GEMM operand, plus their packed form for older
+    readers), the fused estimator-constants matrix,
     IVF centroids/assignments, raw vectors, tombstones, external-id
     mapping, rotation and rounding vector — so that :func:`load_searcher`
     reproduces search results bit-identically and supports further mutation.
@@ -799,16 +806,18 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
         "dim": int(flat.dim),
         "n_slots": int(len(flat)),
         "n_clusters": int(arena.n_clusters),
-        "n_words": int(arena.n_words),
+        "n_words": (arena.code_length + 63) // 64 * searcher.bits,
         "n_consts": int(arena.n_consts),
         "arena_sizes": dump["sizes"].tolist(),
         "rotation": rotation_entry[0],
-        "bits": int(arena.bits_per_dim),
+        "bits": searcher.bits,
         # Lifecycle counter
         "next_id": int(searcher._next_id),
     }
     sections = {
-        "arena_codes": dump["codes"],
+        # Written for readers that still adopt the packed codes; this
+        # build derives nothing from them.
+        "arena_codes": pack_level_planes(dump["bits"], searcher.bits),
         "arena_bits": dump["bits"],
         "arena_consts": dump["consts"],
         "arena_slots": dump["slots"],
@@ -847,8 +856,8 @@ def load_searcher(
     Parameters
     ----------
     mmap:
-        Memory-map the archive's large sections (packed codes, the GEMM
-        operand, fused constants, raw vectors) instead of reading
+        Memory-map the archive's large sections (the code levels,
+        fused constants, raw vectors) instead of reading
         them into RAM: the load is near-constant-time and the dataset may
         exceed physical memory.  Results are bit-identical to a
         materialized load; the first mutation reallocates the affected
@@ -959,13 +968,15 @@ def _load_searcher_v6(
         n_slots = int(meta["n_slots"])
         n_clusters = int(meta["n_clusters"])
         dim = int(meta["dim"])
-        expected_consts = metric.n_consts + (1 if bits > 1 else 0)
+        expected_consts = n_consts_for(metric, bits)
         if n_consts != expected_consts:
             raise PersistenceError(
                 f"archive stores {n_consts} fused constants per code; "
                 f"metric {metric.name!r} at bits={bits} expects "
                 f"{expected_consts}"
             )
+        # The levels section cannot tell B = 2 from B = 4; the declared
+        # packed width can.
         if n_words != (code_length + 63) // 64 * bits:
             raise PersistenceError(
                 f"archive has inconsistent code matrices: {n_words} words "
@@ -1013,14 +1024,11 @@ def _load_searcher_v6(
             )
         arena = CodeArena.from_sections(
             code_length,
-            n_words,
             n_consts,
-            codes=sections.load("arena_codes", mmap=mmap),
             bits=sections.load("arena_bits", mmap=mmap),
             consts=sections.load("arena_consts", mmap=mmap),
             slots=sections.load("arena_slots", mmap=mmap),
             sizes=sizes,
-            bits_per_dim=bits,
         )
         # The arena's cluster-grouped row order must equal the bucket id
         # lists rebuilt from the assignment array — the invariant every

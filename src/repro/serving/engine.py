@@ -137,6 +137,7 @@ class ServingEngine:
         the worker waits at most this long for compatible requests to
         coalesce before dispatching a partial batch.  ``0`` dispatches
         whatever is queued immediately (required under a frozen clock).
+        Must be finite and at most ``threading.TIMEOUT_MAX`` seconds.
     max_queue_depth:
         Admission bound on *queued* (not yet dispatched) requests; submits
         beyond it raise :class:`AdmissionRejectedError`.
@@ -159,12 +160,19 @@ class ServingEngine:
         budget: BudgetController | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise InvalidParameterError("max_batch must be >= 1")
-        if max_delay_us < 0:
-            raise InvalidParameterError("max_delay_us must be >= 0")
-        if max_queue_depth < 1:
-            raise InvalidParameterError("max_queue_depth must be >= 1")
+        require_positive_int(max_batch, "max_batch")
+        require_positive_int(max_queue_depth, "max_queue_depth")
+        try:
+            max_delay_s = float(max_delay_us) * 1e-6
+        except (TypeError, ValueError):
+            max_delay_s = float("nan")
+        # The window becomes a Condition.wait timeout, which must be finite
+        # and at most TIMEOUT_MAX (NaN fails both comparisons).
+        if not 0.0 <= max_delay_s <= threading.TIMEOUT_MAX:
+            raise InvalidParameterError(
+                f"max_delay_us must be a finite number of microseconds in "
+                f"[0, {threading.TIMEOUT_MAX * 1e6:.0f}], got {max_delay_us!r}"
+            )
         dim = getattr(searcher, "dim", None)
         if dim is None:
             raise InvalidParameterError(
@@ -173,7 +181,7 @@ class ServingEngine:
         self._searcher = searcher
         self._dim = int(dim)
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_us) * 1e-6
+        self.max_delay_s = max_delay_s
         self.max_queue_depth = int(max_queue_depth)
         self._budget = budget
         self._clock = clock if clock is not None else time.monotonic

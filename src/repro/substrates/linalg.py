@@ -28,6 +28,25 @@ def as_float_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
     return arr
 
 
+def as_int_ids(values, name: str = "ids") -> np.ndarray:
+    """``values`` as a flat ``int64`` array; only integer values are ids.
+
+    A float, string or bool id would otherwise be cast silently (``1.7``
+    and ``"1"`` to ``1``), so anything but Python ints and signed or
+    unsigned integer arrays raises :class:`InvalidParameterError`.
+    """
+    arr = np.asarray(values).reshape(-1)
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu" or (
+        arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max
+    ):
+        raise InvalidParameterError(
+            f"{name} must be integers, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64)
+
+
 def require_finite(array: np.ndarray, name: str) -> None:
     """Reject NaN / infinite entries with :class:`InvalidParameterError`."""
     if not np.isfinite(array).all():

@@ -10,23 +10,27 @@ from repro.exceptions import DimensionMismatchError
 from repro.index.arena import CodeArena
 
 
-def _block(rng, n, code_length, n_words, slot_start):
-    codes = rng.integers(0, 2**63, size=(n, n_words), dtype=np.uint64)
-    bits = rng.integers(0, 2, size=(n, code_length)).astype(np.uint8)
+def _block(rng, n, code_length, slot_start):
+    levels = rng.integers(0, 16, size=(n, code_length)).astype(np.uint8)
     consts = rng.normal(size=(N_CONSTS, n))
     slots = np.arange(slot_start, slot_start + n, dtype=np.int64)
-    return codes, bits, consts, slots
+    return levels, consts, slots
+
+
+def _slots(arena, cid):
+    start, end = arena.cluster_range(cid)
+    return arena.slots[start:end]
 
 
 @pytest.fixture()
 def arena_and_blocks():
     rng = np.random.default_rng(0)
-    code_length, n_words = 128, 2
+    code_length = 128
     blocks = {
-        0: _block(rng, 5, code_length, n_words, 0),
-        2: _block(rng, 3, code_length, n_words, 5),
+        0: _block(rng, 5, code_length, 0),
+        2: _block(rng, 3, code_length, 5),
     }
-    arena = CodeArena.from_blocks(4, code_length, n_words, blocks)
+    arena = CodeArena.from_blocks(4, code_length, blocks)
     return arena, blocks
 
 
@@ -36,84 +40,81 @@ class TestBuildAndViews:
         assert arena.n_clusters == 4
         assert arena.n_rows == 8
         assert list(arena.sizes) == [5, 0, 3, 0]
-        for cid, (codes, bits, consts, slots) in blocks.items():
-            np.testing.assert_array_equal(arena.cluster_codes(cid), codes)
-            np.testing.assert_array_equal(arena.cluster_bits(cid), bits)
+        for cid, (levels, consts, slots) in blocks.items():
+            np.testing.assert_array_equal(arena.cluster_bits(cid), levels)
             np.testing.assert_array_equal(arena.cluster_consts(cid), consts)
-            np.testing.assert_array_equal(arena.cluster_slots(cid), slots)
+            np.testing.assert_array_equal(_slots(arena, cid), slots)
 
     def test_views_are_contiguous(self, arena_and_blocks):
         arena, _ = arena_and_blocks
-        assert arena.cluster_codes(0).flags.c_contiguous
         assert arena.cluster_bits(0).flags.c_contiguous
         # Each constant row of a cluster slice is itself contiguous.
         assert arena.cluster_consts(0)[0].flags.c_contiguous
 
     def test_empty_cluster_views(self, arena_and_blocks):
         arena, _ = arena_and_blocks
-        assert arena.cluster_codes(1).shape == (0, arena.n_words)
-        assert arena.cluster_slots(3).shape == (0,)
+        assert arena.cluster_bits(1).shape == (0, arena.code_length)
+        assert arena.cluster_consts(3).shape == (arena.n_consts, 0)
 
     def test_memory_bytes_positive(self, arena_and_blocks):
+        # Each code is stored once: its levels, constants and slot id.
         arena, _ = arena_and_blocks
-        assert arena.memory_bytes() > 0
+        assert arena.memory_bytes() == 8 * (arena.code_length + 8 * N_CONSTS + 8)
 
 
 class TestAppend:
     def test_append_into_new_and_existing_regions(self, arena_and_blocks):
         arena, blocks = arena_and_blocks
         rng = np.random.default_rng(1)
-        extra = _block(rng, 4, arena.code_length, arena.n_words, 8)
+        extra = _block(rng, 4, arena.code_length, 8)
         arena.append(1, *extra)
-        np.testing.assert_array_equal(arena.cluster_codes(1), extra[0])
+        np.testing.assert_array_equal(arena.cluster_bits(1), extra[0])
         # Existing regions are untouched by the rebuild.
-        np.testing.assert_array_equal(arena.cluster_codes(0), blocks[0][0])
-        np.testing.assert_array_equal(arena.cluster_consts(2), blocks[2][2])
+        np.testing.assert_array_equal(arena.cluster_bits(0), blocks[0][0])
+        np.testing.assert_array_equal(arena.cluster_consts(2), blocks[2][1])
         assert arena.n_rows == 12
 
     def test_append_order_is_preserved(self, arena_and_blocks):
         arena, blocks = arena_and_blocks
         rng = np.random.default_rng(2)
-        first = _block(rng, 2, arena.code_length, arena.n_words, 8)
-        second = _block(rng, 2, arena.code_length, arena.n_words, 10)
+        first = _block(rng, 2, arena.code_length, 8)
+        second = _block(rng, 2, arena.code_length, 10)
         arena.append(0, *first)
         arena.append(0, *second)
         np.testing.assert_array_equal(
-            arena.cluster_codes(0),
+            arena.cluster_bits(0),
             np.concatenate([blocks[0][0], first[0], second[0]]),
         )
         np.testing.assert_array_equal(
-            arena.cluster_slots(0),
-            np.concatenate([blocks[0][3], first[3], second[3]]),
+            _slots(arena, 0),
+            np.concatenate([blocks[0][2], first[2], second[2]]),
         )
 
     def test_append_grows_capacity_with_slack(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         rng = np.random.default_rng(3)
-        arena.append(0, *_block(rng, 1, arena.code_length, arena.n_words, 8))
+        arena.append(0, *_block(rng, 1, arena.code_length, 8))
         assert arena.caps[0] > arena.sizes[0]  # geometric slack
         cap_after_grow = int(arena.caps[0])
         # Appends that fit in the slack leave the layout alone.
         start_before = int(arena.starts[2])
-        arena.append(0, *_block(rng, 1, arena.code_length, arena.n_words, 9))
+        arena.append(0, *_block(rng, 1, arena.code_length, 9))
         assert int(arena.caps[0]) == cap_after_grow
         assert int(arena.starts[2]) == start_before
 
     def test_append_empty_block_is_noop(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         rng = np.random.default_rng(4)
-        codes, bits, consts, slots = _block(
-            rng, 0, arena.code_length, arena.n_words, 0
-        )
-        arena.append(0, codes, bits, consts, slots)
+        levels, consts, slots = _block(rng, 0, arena.code_length, 0)
+        arena.append(0, levels, consts, slots)
         assert arena.n_rows == 8
 
     def test_append_wrong_width_rejected(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         rng = np.random.default_rng(5)
-        codes, bits, consts, slots = _block(rng, 2, 64, 1, 0)
+        levels, consts, slots = _block(rng, 2, 64, 0)
         with pytest.raises(DimensionMismatchError):
-            arena.append(0, codes, bits, consts, slots)
+            arena.append(0, levels, consts, slots)
 
 
 class TestCompact:
@@ -125,13 +126,13 @@ class TestCompact:
         assert list(arena.sizes) == [4, 0, 1, 0]
         remap = np.cumsum(keep) - 1
         np.testing.assert_array_equal(
-            arena.cluster_slots(0), remap[blocks[0][3][keep[blocks[0][3]]]]
+            _slots(arena, 0), remap[blocks[0][2][keep[blocks[0][2]]]]
         )
         np.testing.assert_array_equal(
-            arena.cluster_codes(0), blocks[0][0][keep[blocks[0][3]]]
+            arena.cluster_bits(0), blocks[0][0][keep[blocks[0][2]]]
         )
         np.testing.assert_array_equal(
-            arena.cluster_consts(2), blocks[2][2][:, keep[blocks[2][3]]]
+            arena.cluster_consts(2), blocks[2][1][:, keep[blocks[2][2]]]
         )
 
     def test_compact_can_empty_a_cluster(self, arena_and_blocks):
@@ -140,10 +141,10 @@ class TestCompact:
         keep[5:8] = False  # all of cluster 2
         arena.compact(keep)
         assert list(arena.sizes) == [5, 0, 0, 0]
-        assert arena.cluster_codes(2).shape[0] == 0
+        assert arena.cluster_bits(2).shape[0] == 0
 
     def test_compact_all_kept_preserves_contents(self, arena_and_blocks):
         arena, blocks = arena_and_blocks
         arena.compact(np.ones(8, dtype=bool))
-        np.testing.assert_array_equal(arena.cluster_codes(0), blocks[0][0])
-        np.testing.assert_array_equal(arena.cluster_slots(2), blocks[2][3])
+        np.testing.assert_array_equal(arena.cluster_bits(0), blocks[0][0])
+        np.testing.assert_array_equal(_slots(arena, 2), blocks[2][2])

@@ -8,13 +8,14 @@ import pytest
 from repro.core.bitops import (
     WORD_BITS,
     binary_dot_uint_batch,
-    bitplanes_from_uint,
     bitplanes_from_uint_batch,
     hamming_distance,
     pack_bits,
+    pack_level_planes,
     popcount,
     popcount_total,
     unpack_bits,
+    unpack_level_planes,
 )
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
@@ -115,7 +116,7 @@ class TestBinaryDotProducts:
         codes = rng.integers(0, 2, size=(10, 70)).astype(np.uint8)
         values = rng.integers(0, 2**n_bits, size=70).astype(np.uint64)
         expected = (codes * values[None, :]).sum(axis=1)
-        planes = bitplanes_from_uint(values, n_bits)
+        planes = bitplanes_from_uint_batch(values[None, :], n_bits)
         result = binary_dot_uint_batch(pack_bits(codes), planes)
         np.testing.assert_array_equal(result, expected[None, :])
 
@@ -208,7 +209,7 @@ class TestBinaryDotUintBatch:
         n_bits = 3
         codes = rng.integers(0, 2, size=(6, 64)).astype(np.uint8)
         values = rng.integers(0, 2**n_bits, size=64).astype(np.uint64)
-        planes = bitplanes_from_uint(values, n_bits)
+        planes = bitplanes_from_uint_batch(values[None, :], n_bits)[0]
         packed = pack_bits(codes)
         result = binary_dot_uint_batch(packed, planes)
         assert result.shape == (1, 6)
@@ -240,32 +241,28 @@ class TestBinaryDotUintBatch:
 
 class TestBitplanes:
     def test_roundtrip_values(self, rng):
-        values = rng.integers(0, 16, size=100).astype(np.uint64)
-        planes = bitplanes_from_uint(values, 4)
-        assert planes.shape == (4, 2)
-        rebuilt = np.zeros(100, dtype=np.uint64)
+        values = rng.integers(0, 16, size=(3, 100)).astype(np.uint64)
+        planes = bitplanes_from_uint_batch(values, 4)
+        assert planes.shape == (3, 4, 2)
+        rebuilt = np.zeros((3, 100), dtype=np.uint64)
         for j in range(4):
-            rebuilt += unpack_bits(planes[j], 100).astype(np.uint64) << np.uint64(j)
+            plane = unpack_bits(planes[:, j], 100).astype(np.uint64)
+            rebuilt += plane << np.uint64(j)
         np.testing.assert_array_equal(rebuilt, values)
-
-    def test_value_overflow_raises(self):
-        with pytest.raises(InvalidParameterError):
-            bitplanes_from_uint(np.array([16], dtype=np.uint64), 4)
-
-    def test_requires_1d(self):
-        with pytest.raises(DimensionMismatchError):
-            bitplanes_from_uint(np.zeros((2, 2), dtype=np.uint64), 2)
 
     def test_invalid_bit_count(self):
         with pytest.raises(InvalidParameterError):
-            bitplanes_from_uint(np.zeros(4, dtype=np.uint64), 0)
+            bitplanes_from_uint_batch(np.zeros((1, 4), dtype=np.uint64), 0)
 
     def test_batch_matches_per_row(self, rng):
+        # A row's planes depend on that row alone.
         values = rng.integers(0, 16, size=(5, 100)).astype(np.uint64)
         planes = bitplanes_from_uint_batch(values, 4)
         assert planes.shape == (5, 4, 2)
         for i in range(5):
-            np.testing.assert_array_equal(planes[i], bitplanes_from_uint(values[i], 4))
+            np.testing.assert_array_equal(
+                planes[i], bitplanes_from_uint_batch(values[i : i + 1], 4)[0]
+            )
 
     def test_batch_requires_2d(self):
         with pytest.raises(DimensionMismatchError):
@@ -278,6 +275,34 @@ class TestBitplanes:
     def test_batch_empty(self):
         planes = bitplanes_from_uint_batch(np.zeros((0, 70), dtype=np.uint64), 3)
         assert planes.shape == (0, 3, 2)
+
+
+class TestLevelPlanes:
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_plane_major_layout_and_roundtrip(self, rng, bits):
+        levels = rng.integers(0, 1 << bits, size=(7, 130)).astype(np.uint8)
+        packed = pack_level_planes(levels, bits)
+        assert packed.shape == (7, bits * 3) and packed.dtype == np.uint64
+        # Plane p holds bit p of every level, in words [3p, 3p + 3).
+        for p in range(bits):
+            np.testing.assert_array_equal(
+                packed[:, 3 * p : 3 * p + 3], pack_bits((levels >> p) & 1)
+            )
+        np.testing.assert_array_equal(
+            unpack_level_planes(packed, 130, bits), levels
+        )
+
+    def test_empty_rows(self):
+        packed = pack_level_planes(np.zeros((0, 64), dtype=np.uint8), 4)
+        assert packed.shape == (0, 4)
+
+    def test_out_of_range_levels_raise(self):
+        with pytest.raises(InvalidParameterError):
+            pack_level_planes(np.array([[0, 4]]), 2)
+        with pytest.raises(InvalidParameterError):
+            pack_level_planes(np.array([[0, -1]]), 2)
+        with pytest.raises(InvalidParameterError):
+            pack_level_planes(np.zeros((1, 4), dtype=np.uint8), 9)
 
 
 class TestHammingDistance:

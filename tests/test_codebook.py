@@ -9,11 +9,11 @@ from repro.core.bitops import pack_bits
 from repro.core.codebook import (
     bits_to_signed,
     code_popcounts,
-    codes_to_matrix,
     decode_codes,
-    encode_signs,
     signed_to_bits,
 )
+from repro.core.config import RaBitQConfig
+from repro.core.quantizer import RaBitQ, encode_rows
 from repro.core.rotation import QRRotation
 from repro.exceptions import InvalidParameterError
 
@@ -58,32 +58,45 @@ class TestBitsToSigned:
 
 
 class TestEncodeDecode:
-    def test_encode_signs_matches_manual(self, rng):
-        rotated = rng.standard_normal((4, 70))
-        packed = encode_signs(rotated)
-        expected = pack_bits((rotated >= 0).astype(np.uint8))
-        np.testing.assert_array_equal(packed, expected)
+    def test_one_bit_levels_are_sign_bits(self, rng):
+        # At B = 1 the encoder's levels are the sign pattern of P^-1 o.
+        rotation = QRRotation(70, 0)
+        data = rng.standard_normal((4, 70))
+        levels, sums, _, _, rescales = encode_rows(
+            data, np.zeros(70), rotation, 70, 1
+        )
+        units = data / np.linalg.norm(data, axis=1)[:, None]
+        rotated = rotation.apply_inverse(units)
+        np.testing.assert_array_equal(levels, (rotated >= 0).astype(np.uint8))
+        np.testing.assert_array_equal(sums, code_popcounts(levels))
+        assert rescales is None
 
     def test_decode_produces_unit_vectors(self, rng):
         rotated = rng.standard_normal((4, 64))
-        packed = encode_signs(rotated)
+        packed = pack_bits(signed_to_bits(rotated))
         decoded = decode_codes(packed, 64)
         np.testing.assert_allclose(np.linalg.norm(decoded, axis=1), 1.0)
 
     def test_decode_signs_match_input(self, rng):
         rotated = rng.standard_normal((4, 64))
-        decoded = decode_codes(encode_signs(rotated), 64)
+        decoded = decode_codes(pack_bits(signed_to_bits(rotated)), 64)
         np.testing.assert_array_equal(np.sign(decoded), np.sign(np.where(rotated >= 0, 1.0, -1.0)))
 
-    def test_codes_to_matrix_with_rotation(self, rng):
-        rotation = QRRotation(32, 0)
-        rotated = rng.standard_normal((3, 32))
-        packed = encode_signs(rotated)
-        with_rotation = codes_to_matrix(packed, 32, rotation)
-        without = codes_to_matrix(packed, 32)
-        np.testing.assert_allclose(with_rotation, rotation.apply(without), atol=1e-12)
+    def test_reconstruct_rotates_decoded_codes(self, rng):
+        # RaBitQ.reconstruct is o_bar = P x_bar of the stored codes.
+        quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(rng.standard_normal((3, 32)))
+        decoded = decode_codes(
+            quantizer.dataset.packed_codes, quantizer.code_length
+        )
+        reconstructed = quantizer.reconstruct()
+        np.testing.assert_array_equal(
+            reconstructed, quantizer.rotation.apply(decoded)
+        )
+        np.testing.assert_allclose(
+            quantizer.reconstruct([2, 0]), reconstructed[[2, 0]], atol=1e-12
+        )
         # Rotation preserves unit norms.
-        np.testing.assert_allclose(np.linalg.norm(with_rotation, axis=1), 1.0)
+        np.testing.assert_allclose(np.linalg.norm(reconstructed, axis=1), 1.0)
 
 
 class TestCodePopcounts:

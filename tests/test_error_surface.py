@@ -15,7 +15,10 @@ error, covered by ``tests/test_rng.py``).
 Hostile *values* fail typed and early too: a NaN or infinite coordinate is
 an ``InvalidParameterError`` at ``fit``, ``insert`` (before the index or
 the journal is touched), ``search``, ``search_batch`` and ``submit``, and so
-is a non-integral ``k`` / ``nprobe``.  What must keep working is pinned
+is a non-integral ``k`` / ``nprobe``, and so are fractional, bool or
+non-finite sizes at construction (``n_clusters``, a re-rank count, the
+serving engine's batch, queue and window) and row indices that are not
+integers in range.  What must keep working is pinned
 next to them: an all-zero query, and a dimension that is not a multiple
 of 64.
 """
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
+from repro.core.quantizer import RaBitQ
 from repro.exceptions import (
     AdmissionRejectedError,
     DimensionMismatchError,
@@ -116,6 +120,20 @@ def _fit_on(data):
     return IVFQuantizedSearcher("rabitq", n_clusters=2, rng=0).fit(data)
 
 
+@functools.lru_cache(maxsize=1)
+def _fitted_quantizer() -> RaBitQ:
+    return RaBitQ(RaBitQConfig(seed=1)).fit(
+        np.random.default_rng(32).standard_normal((20, 6))
+    )
+
+
+def _estimate(call, subset):
+    quantizer = _fitted_quantizer()
+    if call == "single":
+        return quantizer.estimate_distances(np.ones(6), subset=subset)
+    return quantizer.estimate_distances_batch(np.ones((2, 6)), subset=subset)
+
+
 def _empty_percentile():
     return LatencyRecorder().percentile(50.0)
 
@@ -152,8 +170,8 @@ _CASES = [
         ),
         InvalidParameterError,
     ),
-    ("arena bad clusters", lambda: CodeArena(0, 64, 1), InvalidParameterError),
-    ("arena bad consts", lambda: CodeArena(1, 64, 1, 2), InvalidParameterError),
+    ("arena bad clusters", lambda: CodeArena(0, 64), InvalidParameterError),
+    ("arena bad consts", lambda: CodeArena(1, 64, 2), InvalidParameterError),
     (
         "reranker bad k",
         lambda: ErrorBoundReranker().rerank(
@@ -164,6 +182,34 @@ _CASES = [
     (
         "top candidate bad count",
         lambda: TopCandidateReranker(0),
+        InvalidParameterError,
+    ),
+    # Sizes are positive integers, checked at construction: a fraction
+    # would be truncated and a bool read as 1.
+    (
+        "top candidate fractional count",
+        lambda: TopCandidateReranker(2.5),
+        InvalidParameterError,
+    ),
+    (
+        "top candidate bool count",
+        lambda: TopCandidateReranker(True),
+        InvalidParameterError,
+    ),
+    (
+        "ivf fractional clusters",
+        lambda: IVFIndex(7.5),
+        InvalidParameterError,
+    ),
+    ("ivf bool clusters", lambda: IVFIndex(True), InvalidParameterError),
+    (
+        "searcher fractional clusters",
+        lambda: IVFQuantizedSearcher("rabitq", n_clusters=7.5),
+        InvalidParameterError,
+    ),
+    (
+        "searcher bool clusters",
+        lambda: IVFQuantizedSearcher("rabitq", n_clusters=True),
         InvalidParameterError,
     ),
     (
@@ -315,6 +361,23 @@ _CASES = [
         lambda: ServingEngine(_fitted_searcher(), max_batch=0),
         InvalidParameterError,
     ),
+    *(
+        (
+            f"engine {label}",
+            lambda kw=kwargs: ServingEngine(_fitted_searcher(), **kw),
+            InvalidParameterError,
+        )
+        for label, kwargs in (
+            # An infinite or huge window used to kill the worker at its
+            # first wait; NaN silently disabled the window.
+            ("infinite delay", {"max_delay_us": float("inf")}),
+            ("huge delay", {"max_delay_us": 1e30}),
+            ("nan delay", {"max_delay_us": float("nan")}),
+            ("fractional max_batch", {"max_batch": 2.5}),
+            ("nan max_batch", {"max_batch": float("nan")}),
+            ("fractional queue depth", {"max_queue_depth": 1.5}),
+        )
+    ),
     (
         "budget bad alpha",
         lambda: BudgetController(alpha=0.0),
@@ -324,6 +387,21 @@ _CASES = [
         "budget bad request",
         lambda: BudgetController().effective_nprobe(0, None),
         InvalidParameterError,
+    ),
+    # core/: row indices are integers in [0, n) — a fraction would be
+    # truncated, a negative would wrap to the last row.
+    *(
+        (
+            f"rabitq {call} {label}",
+            functools.partial(_estimate, call, subset),
+            InvalidParameterError,
+        )
+        for call in ("single", "batch")
+        for label, subset in (
+            ("fractional subset", [1.5]),
+            ("negative subset", [-1]),
+            ("out-of-range subset", [10**6]),
+        )
     ),
     # metrics/
     ("latency bad sample", _bad_sample, InvalidParameterError),

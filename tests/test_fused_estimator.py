@@ -144,15 +144,55 @@ class TestUndoQueryQuantization:
         integer_dot = bitops.binary_dot_uint_batch(
             dataset.packed_codes, quantized.bitplanes
         )[0]
+        consts = build_code_consts(
+            dataset.alignments,
+            dataset.norms,
+            dataset.code_popcounts,
+            dataset.code_length,
+            1.9,
+        )
         got = undo_query_quantization(
             integer_dot,
-            dataset.code_popcounts.astype(np.float64),
+            consts,
             float(quantized.delta[0]),
             float(quantized.lower[0]),
             float(quantized.sum_codes[0]),
             dataset.code_length,
+            1,
         )
         decoded = codebook.decode_codes(dataset.packed_codes, dataset.code_length)
+        np.testing.assert_allclose(
+            got, decoded @ quantized.dequantize()[0], rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(
+            quantizer.estimate_distances(prepared).inner_products,
+            got / dataset.alignments,
+        )
+
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_multibit_undo_reads_level_sums_and_rescales(self, bits):
+        # Above B = 1 the same undo reads the level sums and the trailing
+        # rescale row of the constants: again Eq. 19's <x_bar, q_bar>.
+        rng = np.random.default_rng(bits)
+        data = rng.standard_normal((80, 32))
+        quantizer = RaBitQ(RaBitQConfig(seed=0, bits=bits)).fit(data)
+        prepared = quantizer.prepare_query(rng.standard_normal(32))
+        dataset, quantized = quantizer.dataset, prepared.quantized
+        levels = quantizer.code_bits()
+        integer_dot = levels.astype(np.int64) @ quantized.codes[0].astype(np.int64)
+        consts = quantizer._code_consts(slice(None), 1.9)
+        np.testing.assert_array_equal(consts[-1], dataset.rescales)
+        got = undo_query_quantization(
+            integer_dot,
+            consts,
+            float(quantized.delta[0]),
+            float(quantized.lower[0]),
+            float(quantized.sum_codes[0]),
+            dataset.code_length,
+            bits,
+        )
+        decoded = (2.0 * levels - ((1 << bits) - 1)) * dataset.rescales[:, None]
         np.testing.assert_allclose(
             got, decoded @ quantized.dequantize()[0], rtol=0, atol=1e-12
         )
@@ -172,7 +212,7 @@ class TestGemvDotExactness:
         bits = rng.integers(0, 2, size=(n, code_length)).astype(np.uint8)
         packed = bitops.pack_bits(bits)
         qvals = rng.integers(0, 1 << bq, size=code_length).astype(np.uint64)
-        planes = bitops.bitplanes_from_uint(qvals, bq)
+        planes = bitops.bitplanes_from_uint_batch(qvals[None, :], bq)
         want = bitops.binary_dot_uint_batch(packed, planes)[0]
         got = np.rint(bits.astype(np.float64) @ qvals.astype(np.float64))
         np.testing.assert_array_equal(got.astype(np.int64), want)
@@ -180,21 +220,28 @@ class TestGemvDotExactness:
 
 class TestEncodeRows:
     def test_matches_rabitq_fit(self):
+        # One encoder for every width; RaBitQ stores its levels packed.
         rng = np.random.default_rng(21)
         data = rng.standard_normal((60, 24))
         centroid = data.mean(axis=0)
-        quantizer = RaBitQ(RaBitQConfig(seed=4)).fit(data, centroid=centroid)
-        dataset = quantizer.dataset
-        packed, bits, popcounts, alignments, norms = encode_rows(
-            data, centroid, quantizer.rotation, dataset.code_length
-        )
-        np.testing.assert_array_equal(packed, dataset.packed_codes)
-        np.testing.assert_array_equal(popcounts, dataset.code_popcounts)
-        np.testing.assert_array_equal(alignments, dataset.alignments)
-        np.testing.assert_array_equal(norms, dataset.norms)
-        np.testing.assert_array_equal(
-            bits, bitops.unpack_bits(packed, dataset.code_length)
-        )
+        for bits in (1, 2, 4, 8):
+            config = RaBitQConfig(seed=4, bits=bits)
+            quantizer = RaBitQ(config).fit(data, centroid=centroid)
+            dataset = quantizer.dataset
+            levels, level_sums, alignments, norms, rescales = encode_rows(
+                data, centroid, quantizer.rotation, dataset.code_length, bits
+            )
+            assert levels.dtype == np.uint8 and int(levels.max()) < 1 << bits
+            np.testing.assert_array_equal(
+                bitops.pack_level_planes(levels, bits), dataset.packed_codes
+            )
+            np.testing.assert_array_equal(level_sums, dataset.code_popcounts)
+            np.testing.assert_array_equal(alignments, dataset.alignments)
+            np.testing.assert_array_equal(norms, dataset.norms)
+            if bits == 1:
+                assert rescales is None and dataset.rescales is None
+            else:
+                np.testing.assert_array_equal(rescales, dataset.rescales)
 
 
 def _one_cluster(bits, rotation, metric="l2"):

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
+from repro.core.estimator import n_consts_for
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError
 from repro.index.searcher import IVFQuantizedSearcher
@@ -174,7 +175,10 @@ class TestSearcher:
             "rabitq", n_clusters=8, bits=4, rng=1
         ).fit(data)
         assert searcher.bits == 4
-        assert searcher.arena.bits_per_dim == 4
+        # One uint8 level per dimension, plus the trailing rescale row.
+        levels = searcher.arena.bits
+        assert levels.dtype == np.uint8 and 1 < int(levels.max()) <= 15
+        assert searcher.arena.n_consts == n_consts_for("l2", 4)
         default = IVFQuantizedSearcher("rabitq", n_clusters=8, rng=1)
         assert default.bits == 1
 

@@ -8,6 +8,9 @@ dimension).  This suite pins the contract from the multi-bit refactor:
   mutating (insert) correctly;
 * the committed format-v9 fixture of ``tests/test_legacy_archives.py``
   pins a parent-written ``bits = 4`` archive;
+* the ``arena_codes`` section older readers adopt is exactly the saved
+  levels packed as plane-major bit-planes, at every width and metric,
+  and this build answers without reading it;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded;
 * quantizer npz archives are written as version 4 for every width (a
@@ -25,16 +28,19 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.bitops import pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import PersistenceError
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io.persistence import (
+    _write_v6_archive,
     load_rabitq,
     load_searcher,
     save_rabitq,
     save_searcher,
 )
+from test_legacy_archives import _read
 
 ALL_BITS = (1, 2, 4, 8)
 
@@ -96,6 +102,49 @@ class TestV8RoundTrip:
         assert loaded.n_live == len(data) + 5
         result = loaded.search(queries[0], k=5, nprobe=8)
         assert result.ids.shape == (5,)
+
+
+class TestPackedCodesSection:
+    """Readers of earlier builds adopt ``arena_codes``; this one writes it
+    from the levels and never reads it back."""
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    @pytest.mark.parametrize("bits", ALL_BITS)
+    def test_arena_codes_are_the_packed_levels(
+        self, corpus, tmp_path, bits, metric
+    ):
+        data, _ = corpus
+        searcher = IVFQuantizedSearcher(
+            "rabitq", n_clusters=8, rng=1, bits=bits, metric=metric
+        ).fit(data[:500])
+        searcher.insert(data[500:])  # regions now carry capacity slack
+        searcher.delete(np.arange(0, 600, 7))
+        path = tmp_path / "codes.rbq"
+        save_searcher(searcher, path)
+        header, arrays = _read(path)
+        codes = arrays["arena_codes"]
+        assert codes.dtype == np.dtype("<u8")
+        assert header["meta"]["n_words"] == codes.shape[1]
+        np.testing.assert_array_equal(
+            codes, pack_level_planes(arrays["arena_bits"], bits)
+        )
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_load_ignores_packed_codes(self, corpus, tmp_path, bits):
+        data, queries = corpus
+        path = tmp_path / "zeroed.rbq"
+        save_searcher(_build(data, bits), path)
+        expected = [load_searcher(path).search(q, 5, nprobe=4) for q in queries]
+        header, arrays = _read(path)
+        header.pop("sections")
+        arrays["arena_codes"] = np.zeros_like(arrays["arena_codes"])
+        _write_v6_archive(path, header, arrays)
+        for mmap in (False, True):
+            loaded = load_searcher(path, mmap=mmap)
+            for query, want in zip(queries, expected):
+                got = loaded.search(query, 5, nprobe=4)
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(got.distances, want.distances)
 
 
 class TestCorruption:

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.bitops import (
     binary_dot_uint_batch,
-    bitplanes_from_uint,
+    bitplanes_from_uint_batch,
     hamming_distance,
     pack_bits,
     popcount_total,
@@ -77,7 +77,7 @@ class TestBinaryDotProperties:
             hnp.arrays(np.int64, length, elements=st.integers(0, 2**bits - 1))
         ).astype(np.uint64)
         expected = (codes.astype(np.int64) * values.astype(np.int64)).sum(axis=1)
-        planes = bitplanes_from_uint(values, bits)
+        planes = bitplanes_from_uint_batch(values[None, :], bits)
         result = binary_dot_uint_batch(pack_bits(codes), planes)[0]
         np.testing.assert_array_equal(result, expected)
 
@@ -130,7 +130,7 @@ class TestLutProperties:
         values = data.draw(
             hnp.arrays(np.int64, length, elements=st.integers(0, 2**bits - 1))
         ).astype(np.uint64)
-        planes = bitplanes_from_uint(values, bits)
+        planes = bitplanes_from_uint_batch(values[None, :], bits)
         bitwise = binary_dot_uint_batch(pack_bits(codes), planes)[0]
         lut_result = lut_accumulate(
             split_into_segments(codes), build_query_luts(values.astype(np.float64))

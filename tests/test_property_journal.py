@@ -11,10 +11,10 @@ search is a pure function of (index, query).  ``save`` checkpoints the
 archive and rotates the journal mid-sequence, so the property also covers
 recovery spanning checkpoint boundaries.
 
-Also pinned: the empty journal (attach, no mutations) is a no-op, and
+Also pinned: the empty journal (attach, no mutations) is a no-op,
 replay is idempotent — reopening the same on-disk state repeatedly
 yields identical searchers, because replay never consumes or rewrites
-the journal.
+the journal — and a torn journal header reads as no journal.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fault_injection import assert_stream_equal, result_stream
 from repro.core.config import RaBitQConfig
+from repro.exceptions import JournalError
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import default_journal_path, load_searcher, read_journal, save_searcher
 
@@ -133,3 +135,25 @@ def test_replay_is_idempotent(tmp_path):
     assert_stream_equal(streams[1], streams[0], "second replay")
     assert_stream_equal(streams[2], streams[0], "third replay")
     _assert_equivalent(load_searcher(path, journal=True), live, "vs live")
+
+
+def test_torn_journal_header_reads_as_no_journal(tmp_path):
+    """A crash while creating the journal leaves a prefix of its header:
+    the magic cut anywhere, or the magic plus part of the length field
+    (9, 10 or 11 bytes).  Every such prefix reads as no journal, and the
+    archive loads with a fresh one; a foreign file of the same sizes is
+    still refused."""
+    path = _build_archive(tmp_path)
+    journal_path = default_journal_path(path)
+    load_searcher(path, journal=True)  # creates the journal header
+    header = journal_path.read_bytes()
+    for n_bytes in (0, 3, 8, 9, 10, 11):
+        journal_path.write_bytes(header[:n_bytes])
+        assert read_journal(journal_path) is None, n_bytes
+        attached = load_searcher(path, journal=True)
+        assert attached.n_live == N
+        assert read_journal(journal_path).records == []
+        foreign = b"NOTAJRNL"[: max(n_bytes, 1)] + header[8:n_bytes]
+        journal_path.write_bytes(foreign)
+        with pytest.raises(JournalError, match="not a mutation journal"):
+            read_journal(journal_path)
