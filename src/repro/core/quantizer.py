@@ -57,7 +57,6 @@ from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import (
     compute_centroid,
     normalize_queries,
-    normalize_to_centroid,
     pad_vectors,
 )
 from repro.core.query import (
@@ -72,7 +71,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.substrates.linalg import as_float_matrix, as_int_ids
+from repro.substrates.linalg import as_float_matrix, as_int_ids, normalize_rows
 from repro.substrates.rng import spawn_rngs
 
 #: Supported computation paths for ``<o_bar, q>``.
@@ -81,18 +80,21 @@ COMPUTE_MODES = ("float", "bitwise")
 
 def encode_rows(
     raw: np.ndarray,
-    centroid: np.ndarray,
+    centroids: np.ndarray,
     rotation: Rotation,
     code_length: int,
     bits: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Encode raw rows against ``centroid`` with ``rotation`` (Algorithm 1).
+    """Encode raw rows against their centroids with ``rotation`` (Algorithm 1).
 
     The one encoder for every code width ``bits``, shared by
     :meth:`RaBitQ.fit`, the incremental :meth:`RaBitQ.add` path and the
-    arena-backed :class:`repro.index.searcher.IVFQuantizedSearcher`.  Rows
-    are normalized, padded to ``code_length`` and inversely rotated; each
-    rotated coordinate then becomes a level ``u_j in [0, 2^bits - 1]``.
+    arena-backed :class:`repro.index.searcher.IVFQuantizedSearcher`.
+    ``centroids`` is one centroid for all rows or an ``(n, dim)`` matrix of
+    per-row centroids, so rows of many IVF clusters encode in one pass.
+    Rows are normalized, padded to ``code_length`` and inversely rotated
+    (one GEMM; a one-row GEMV may round an ULP apart); each rotated
+    coordinate then becomes a level ``u_j in [0, 2^bits - 1]``.
 
     * ``bits = 1`` is the paper's sign code (Sec. 3.1.3): ``u = x_b``, the
       0/1 sign pattern, and ``x_bar = (2u - 1)/sqrt(D)``.
@@ -114,9 +116,13 @@ def encode_rows(
       is odd, so ``||v|| >= sqrt(D) > 0``); ``None`` at ``bits = 1``, whose
       rescale ``1/sqrt(D)`` is a constant.
     """
-    normalized = normalize_to_centroid(raw, centroid)
-    padded_units = pad_vectors(normalized.unit_vectors, code_length)
-    rotated = rotation.apply_inverse(padded_units)
+    centres = np.asarray(centroids, dtype=np.float64)
+    if centres.shape[-1] != raw.shape[1]:
+        raise DimensionMismatchError(
+            f"centroid has dimension {centres.shape[-1]}, data has {raw.shape[1]}"
+        )
+    units, norms = normalize_rows(raw - centres, return_norms=True)
+    rotated = rotation.apply_inverse(pad_vectors(units, code_length))
     if bits == 1:
         levels = codebook.signed_to_bits(rotated)
         # <o_bar, o> = <P x_bar, o> = <x_bar, P^-1 o>; computed exactly here.
@@ -139,7 +145,7 @@ def encode_rows(
         rescales = 1.0 / np.sqrt(np.einsum("ij,ij->i", v, v))
         alignments = np.einsum("ij,ij->i", v, rotated) * rescales
     level_sums = codebook.code_popcounts(levels)
-    return levels, level_sums, alignments, normalized.norms, rescales
+    return levels, level_sums, alignments, norms, rescales
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,14 @@ quantizers used to store, so estimates read from the arena are bit-identical
 to the pre-arena layout.  The arena does not know the code width: the
 searcher passes it where the arithmetic needs it.
 
-The arena is maintained incrementally across the index lifecycle: cluster
-regions carry geometric capacity slack, so :meth:`CodeArena.append` writes
-in place and only rebuilds the arena (amortized O(1) per appended row) when
-a region overflows; :meth:`CodeArena.compact` drops tombstoned rows and
-renumbers the surviving slots in one pass.
+The arena is built tight (:meth:`CodeArena.from_sections`, both at fit,
+which encodes in row blocks, and at load) and maintained incrementally
+across the index lifecycle.  Cluster regions carry geometric capacity
+slack, and :meth:`CodeArena.append` takes a whole insert batch at once,
+whatever clusters its rows belong to: one scatter, at most one re-layout
+per insert (a single vectorized gather that grows every overflowing region,
+amortized O(1) copies per appended row).  :meth:`CodeArena.compact` drops
+tombstoned rows with the same gather and renumbers the surviving slots.
 """
 
 from __future__ import annotations
@@ -131,28 +134,6 @@ class CodeArena:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_blocks(
-        cls,
-        n_clusters: int,
-        code_length: int,
-        blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
-        n_consts: int = N_CONSTS,
-    ) -> "CodeArena":
-        """Build an arena from per-cluster ``(levels, consts, slots)``.
-
-        Used at fit time; regions are laid out tightly (no slack — slack
-        appears on the first overflowing append).
-        """
-        arena = cls(n_clusters, code_length, n_consts)
-        sizes = np.zeros(n_clusters, dtype=np.int64)
-        for cid, (levels, _, _) in blocks.items():
-            sizes[cid] = levels.shape[0]
-        arena._allocate(sizes, sizes)
-        for cid, block in blocks.items():
-            arena._write_block(cid, 0, *block)
-        return arena
-
-    @classmethod
     def from_sections(
         cls,
         code_length: int,
@@ -196,9 +177,7 @@ class CodeArena:
         arena.slots = slots
         arena.sizes = sizes.copy()
         arena.caps = sizes.copy()
-        arena.starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes)[:-1]]
-        )
+        arena.starts = np.cumsum(sizes) - sizes
         return arena
 
     def dump_tight(self) -> dict[str, np.ndarray]:
@@ -209,14 +188,7 @@ class CodeArena:
         dump → load round trip reproduces the arena's live rows
         bit-identically (capacity slack is the only thing dropped).
         """
-        parts = [
-            np.arange(start, start + size, dtype=np.int64)
-            for start, size in zip(self.starts.tolist(), self.sizes.tolist())
-            if size
-        ]
-        rows = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
+        rows = _region_rows(self.starts, self.sizes)
         return {
             "bits": np.ascontiguousarray(self.bits[rows]),
             "consts": np.ascontiguousarray(self.consts[:, rows]),
@@ -224,69 +196,73 @@ class CodeArena:
             "sizes": self.sizes.copy(),
         }
 
-    def _allocate(self, sizes: np.ndarray, caps: np.ndarray) -> None:
-        """(Re)allocate the backing arrays for the given region capacities."""
-        total = int(caps.sum())
-        self.bits = np.zeros((total, self.code_length), dtype=np.uint8)
-        self.consts = np.zeros((self.n_consts, total), dtype=np.float64)
-        self.slots = np.full(total, -1, dtype=np.int64)
-        self.caps = caps.astype(np.int64, copy=True)
-        self.starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(self.caps)[:-1]]
-        )
-        self.sizes = sizes.astype(np.int64, copy=True)
-
-    def _write_block(self, cid, offset, levels, consts, slots) -> None:
-        pos = int(self.starts[cid]) + int(offset)
-        end = pos + levels.shape[0]
-        self.bits[pos:end] = levels
-        self.consts[:, pos:end] = consts
-        self.slots[pos:end] = slots
-
     def append(
         self,
-        cid: int,
+        cluster_ids: np.ndarray,
         levels: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
     ) -> None:
-        """Append encoded rows to cluster ``cid``'s region.
+        """Append encoded rows, row ``i`` to cluster ``cluster_ids[i]``'s region.
 
-        Fits into the region's capacity slack when possible (pure in-place
-        writes); otherwise the arena is rebuilt once with geometrically
-        grown capacity for the overflowing cluster, keeping a long sequence
-        of inserts amortized O(1) copies per row.
+        Rows keep their given order inside each region.  Every region the
+        call overflows grows under one rule — to ``max(need, 2 * need, 8)``
+        rows — and the arena re-lays out at most once per call (one gather
+        into fresh arrays, amortized O(1) copies per appended row); all
+        rows then land with one scatter.
         """
-        n_new = levels.shape[0]
+        clusters = np.asarray(cluster_ids, dtype=np.int64).reshape(-1)
+        n_new = clusters.shape[0]
+        if levels.shape != (n_new, self.code_length) or consts.shape != (
+            self.n_consts,
+            n_new,
+        ):
+            raise DimensionMismatchError(
+                "appended codes do not match the arena's code length and "
+                "constants, one row per cluster id"
+            )
         if n_new == 0:
             return
-        if levels.shape[1] != self.code_length:
-            raise DimensionMismatchError(
-                "appended codes do not match the arena's code length"
-            )
-        size = int(self.sizes[cid])
-        if size + n_new > int(self.caps[cid]):
-            new_caps = self.caps.copy()
-            new_caps[cid] = max(
-                size + n_new, int(_GROWTH_FACTOR * (size + n_new)), 8
-            )
-            self._rebuild(new_caps)
-        self._write_block(cid, size, levels, consts, slots)
-        self.sizes[cid] = size + n_new
+        if clusters.min() < 0 or clusters.max() >= self.n_clusters:
+            raise InvalidParameterError("cluster_ids reference unknown clusters")
+        counts = np.bincount(clusters, minlength=self.n_clusters)
+        need = self.sizes + counts
+        over = need > self.caps
+        if over.any():
+            grown = np.maximum(need, (_GROWTH_FACTOR * need).astype(np.int64))
+            caps = np.where(over, np.maximum(grown, 8), self.caps)
+            self._relayout(_region_rows(self.starts, self.sizes), self.sizes, caps)
+        # Row i's rank among the new rows of its cluster, in call order.
+        order = np.argsort(clusters, kind="stable")
+        ranks = np.empty(n_new, dtype=np.int64)
+        ranks[order] = np.arange(n_new) - np.repeat(np.cumsum(counts) - counts, counts)
+        dst = self.starts[clusters] + self.sizes[clusters] + ranks
+        self.bits[dst] = levels
+        self.consts[:, dst] = consts
+        self.slots[dst] = slots
+        self.sizes = need
 
-    def _rebuild(self, new_caps: np.ndarray) -> None:
-        """Re-lay-out every region with the given capacities (data preserved)."""
-        old_bits, old_consts, old_slots = self.bits, self.consts, self.slots
-        old_starts, sizes = self.starts.copy(), self.sizes.copy()
-        self._allocate(sizes, new_caps)
-        for cid in range(self.n_clusters):
-            size = int(sizes[cid])
-            if size == 0:
-                continue
-            src = slice(int(old_starts[cid]), int(old_starts[cid]) + size)
-            self._write_block(
-                cid, 0, old_bits[src], old_consts[:, src], old_slots[src]
-            )
+    def _relayout(self, rows: np.ndarray, sizes: np.ndarray, caps: np.ndarray) -> None:
+        """Move the stored ``rows`` into fresh arrays with capacities ``caps``.
+
+        ``rows`` lists arena rows in cluster order, ``sizes[cid]`` of them
+        per cluster; one gather reads them and one scatter writes them to
+        the heads of the new regions.  Slack rows hold zeros and slot -1.
+        The new arrays are complete before any attribute changes.
+        """
+        caps = caps.astype(np.int64, copy=True)
+        starts = np.cumsum(caps) - caps
+        total = int(caps.sum())
+        bits = np.zeros((total, self.code_length), dtype=np.uint8)
+        consts = np.zeros((self.n_consts, total), dtype=np.float64)
+        slots = np.full(total, -1, dtype=np.int64)
+        dst = _region_rows(starts, sizes)
+        bits[dst] = self.bits[rows]
+        consts[:, dst] = self.consts[:, rows]
+        slots[dst] = self.slots[rows]
+        self.bits, self.consts, self.slots = bits, consts, slots
+        self.starts, self.caps = starts, caps
+        self.sizes = sizes.astype(np.int64, copy=True)
 
     def compact(self, keep_slot: np.ndarray) -> None:
         """Drop rows whose slot is marked dead and renumber surviving slots.
@@ -295,36 +271,24 @@ class CodeArena:
         live).  Surviving rows keep their relative order inside each cluster
         region, and their slot ids are remapped to the slot's position among
         the survivors — the same renumbering the flat and IVF indexes apply
-        during tombstone compaction.
+        during tombstone compaction.  The survivors move with the same
+        one-gather re-layout as :meth:`append`, into tight regions.
         """
         mask = np.asarray(keep_slot, dtype=bool).reshape(-1)
-        remap = np.cumsum(mask, dtype=np.int64) - 1
-        old_bits, old_consts, old_slots = self.bits, self.consts, self.slots
-        old_starts, old_sizes = self.starts.copy(), self.sizes.copy()
+        rows = _region_rows(self.starts, self.sizes)
+        kept = mask[self.slots[rows]]
+        owners = np.repeat(np.arange(self.n_clusters), self.sizes)
+        sizes = np.bincount(owners[kept], minlength=self.n_clusters)
+        self._relayout(rows[kept], sizes, sizes)
+        self.slots = np.cumsum(mask, dtype=np.int64)[self.slots] - 1
 
-        new_sizes = np.zeros_like(old_sizes)
-        kept_rows: list[tuple[int, np.ndarray]] = []
-        for cid in range(self.n_clusters):
-            size = int(old_sizes[cid])
-            if size == 0:
-                continue
-            start = int(old_starts[cid])
-            rows = slice(start, start + size)
-            row_mask = mask[old_slots[rows]]
-            kept = np.flatnonzero(row_mask) + start
-            new_sizes[cid] = kept.shape[0]
-            if kept.shape[0]:
-                kept_rows.append((cid, kept))
 
-        self._allocate(new_sizes, new_sizes)
-        for cid, kept in kept_rows:
-            self._write_block(
-                cid,
-                0,
-                old_bits[kept],
-                old_consts[:, kept],
-                remap[old_slots[kept]],
-            )
+def _region_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Arena row of every stored code, region by region, in cluster order."""
+    ends = np.cumsum(sizes)
+    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+        starts - (ends - sizes), sizes
+    )
 
 
 __all__ = ["CodeArena"]

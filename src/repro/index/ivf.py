@@ -36,7 +36,6 @@ from repro.substrates.kmeans import kmeans_fit
 from repro.substrates.linalg import (
     as_float_matrix,
     require_positive_int,
-    squared_distances_to_points,
     topk_indices,
 )
 from repro.substrates.rng import RngLike, ensure_rng
@@ -187,7 +186,7 @@ class IVFIndex:
                 mat[sample], n_clusters, max_iter=self.kmeans_iters, rng=self._rng
             )
             self._install_centroids(result.centroids)
-            self._assignments = self._assign_chunked(mat)
+            self._assignments = self.assign(mat)
         else:
             result = kmeans_fit(
                 mat, n_clusters, max_iter=self.kmeans_iters, rng=self._rng
@@ -199,24 +198,10 @@ class IVFIndex:
         )
         return self
 
-    #: Row-chunk cap for :meth:`_assign_chunked`, sized so one chunk's
-    #: ``(rows, n_clusters)`` float64 distance block — and the expansion
-    #: temporaries behind it — stays around half a GiB even at the
-    #: 4096-cluster ceiling.
-    _ASSIGN_CHUNK_ROWS = 16_384
-
-    def _assign_chunked(self, mat: np.ndarray) -> np.ndarray:
-        """Nearest-centroid assignment of ``mat`` in bounded row chunks.
-
-        Chunking changes memory use only: each row's distance ranking —
-        and the ``argmin`` low-id tie-break — is computed exactly as
-        :meth:`assign` would on the full matrix.
-        """
-        out = np.empty(mat.shape[0], dtype=np.int64)
-        for lo in range(0, mat.shape[0], self._ASSIGN_CHUNK_ROWS):
-            hi = min(lo + self._ASSIGN_CHUNK_ROWS, mat.shape[0])
-            out[lo:hi] = self.assign(mat[lo:hi])
-        return out
+    #: Cap on the float64 cells of one :meth:`assign` row chunk's
+    #: ``(rows, n_clusters, dim)`` difference block (about 256 MiB), reached
+    #: only when every centroid needs an exact key.
+    _ASSIGN_CHUNK_CELLS = 32_000_000
 
     @staticmethod
     def _buckets_from_assignments(
@@ -277,8 +262,11 @@ class IVFIndex:
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid cluster id for every row of ``vectors``.
 
-        Ties break toward the lowest cluster id (``argmin``), so assignment
-        is deterministic.
+        Exactly ``argmin(squared_distances_to_points(centroids, vectors))``,
+        ties to the lowest id, at the cost of a GEMM: the norm-expansion keys
+        of :meth:`_probe_distances` rank the centroids, and a row recomputes
+        the exact (broadcast-difference) key only for centroids within a
+        proven rounding bound of its best key.
         """
         mat = as_float_matrix(vectors, "vectors")
         if self._dim is None:
@@ -289,8 +277,29 @@ class IVFIndex:
             )
         if mat.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        dists = squared_distances_to_points(self.centroids, mat)
-        return np.argmin(dists, axis=1).astype(np.int64)
+        centroids, centroid_sq = self.centroids, self.centroid_sq_norms
+        dim = mat.shape[1]
+        # Expansion keys lie within (D + 2) u (|c| + |x|)^2 of the true
+        # distance d and exact keys within (D + 2) u d (u = eps / 2; gamma
+        # doubles both, the absolute term covers underflow), so the exact
+        # minimum and its ties have key - err <= min(key + err) (1 + 3 gamma).
+        gamma = (dim + 4) * np.finfo(np.float64).eps
+        out = np.empty(mat.shape[0], dtype=np.int64)
+        step = max(1, self._ASSIGN_CHUNK_CELLS // (centroids.shape[0] * dim))
+        for lo in range(0, mat.shape[0], step):
+            block = mat[lo : lo + step]
+            row_sq = np.einsum("ij,ij->i", block, block)
+            keys = centroid_sq - 2.0 * (block @ centroids.T) + row_sq[:, None]
+            err = np.add.outer(np.sqrt(row_sq), np.sqrt(centroid_sq))
+            err = gamma * err * err + (4 * dim + 16) * np.nextafter(0.0, 1.0)
+            ceiling = (keys + err).min(axis=1) * (1.0 + 3.0 * gamma)
+            # NaN / inf keys (overflowing rows) compare False: they stay in.
+            rows, cols = np.nonzero(~(keys - err > ceiling[:, None]))
+            diff = centroids[cols] - block[rows]
+            exact = np.full(keys.shape, np.inf)
+            exact[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+            out[lo : lo + step] = np.argmin(exact, axis=1)
+        return out
 
     def append(self, vector_ids: np.ndarray, cluster_ids: np.ndarray) -> None:
         """Add ``vector_ids[i]`` to bucket ``cluster_ids[i]`` for all ``i``.
@@ -372,12 +381,7 @@ class IVFIndex:
         :meth:`probe` and :meth:`probe_batch` both run exactly this kernel
         per query, so the two paths stay bit-identical.
         """
-        centroids = self.centroids
-        if self._centroid_sq is None:
-            # Defensive only: unreachable via fit/from_state, which install
-            # the cache eagerly alongside the centroids.
-            self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
-        return self._centroid_sq - 2.0 * (centroids @ vec) + vec @ vec
+        return self.centroid_sq_norms - 2.0 * (self.centroids @ vec) + vec @ vec
 
     def _probe_keys(self, vec: np.ndarray, metric) -> np.ndarray:
         """Per-centroid minimization key ranking clusters for probing.

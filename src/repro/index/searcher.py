@@ -92,9 +92,9 @@ lifecycle required by a serving deployment):
 * :meth:`IVFQuantizedSearcher.insert` encodes new vectors incrementally —
   nearest-centroid assignment against the existing IVF centroids, RaBitQ
   encoding against the fitted rotation and per-cluster centroids — without
-  re-clustering or re-encoding anything already stored.  New codes are
-  appended to their cluster's arena region in place (regions keep geometric
-  capacity slack).
+  re-clustering or re-encoding anything already stored.  A batch is one
+  encode and one arena scatter, with at most one re-layout per insert
+  (regions keep geometric capacity slack); ``fit`` encodes in row blocks.
 * :meth:`IVFQuantizedSearcher.delete` removes vectors by id using
   tombstones; deleted vectors stop appearing in results immediately, and
   :meth:`IVFQuantizedSearcher.compact` (triggered automatically once the
@@ -158,6 +158,10 @@ from repro.substrates.rng import RngLike, ensure_rng
 #: processed query chunk in :meth:`IVFQuantizedSearcher.search_batch`
 #: (4 float64 fields => roughly 256 MiB at this setting).
 _SEARCH_BATCH_MAX_PAIRS = 8_000_000
+
+#: Cap on the float64 cells (rows x code length) of one encoding block in
+#: ``IVFQuantizedSearcher._encode``: 4 MiB per temporary, 4096 rows at L=128.
+_ENCODE_BLOCK_CELLS = 1 << 19
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -419,37 +423,55 @@ class IVFQuantizedSearcher:
         """Code width ``B`` in bits per dimension (1 for binary RaBitQ)."""
         return int(self.rabitq_config.bits)
 
-    def _encode_cluster(
-        self, rows: np.ndarray, cid: int
+    def _encode(
+        self, data: np.ndarray, order: np.ndarray, cluster_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Encode ``rows`` against cluster ``cid``'s centroid.
+        """Encode ``data[order]``, row ``i`` against cluster ``cluster_ids[i]``.
 
-        Returns ``(levels, consts)`` in the arena's layout: the ``uint8``
-        code levels (the GEMM operand) and the fused constants — the
-        metric's rows (for similarity metrics with ``<o_r, c>`` and
-        ``||o_r||``), plus the rescale row for ``B > 1``.
+        ``cluster_ids`` must be grouped, as a stable sort by cluster leaves
+        them.  Returns ``(levels, consts)`` in the arena's layout: ``uint8``
+        code levels and the fused constants (with ``<o_r, c>`` and
+        ``||o_r||`` under similarity metrics, and the rescale row for
+        ``B > 1``).  One :func:`encode_rows` call covers a block of rows of
+        any clusters, so memory stays bounded; blocks are cut at cluster
+        boundaries because ``<o_r, c>`` stays one GEMV per cluster, whose
+        BLAS rounding depends on its rows and which archives pin.
         """
-        centroid = self._ivf.centroids[cid]
+        centroids = self._ivf.centroids
         code_length = self._shared_rotation.dim
-        levels, level_sums, alignments, norms, rescales = encode_rows(
-            rows, centroid, self._shared_rotation, code_length, self.bits
-        )
-        raw_terms = {}
-        if self._metric.higher_is_better:
-            raw_terms = {
-                "dot_centroid": rows @ centroid,
-                "raw_norms": np.sqrt(np.einsum("ij,ij->i", rows, rows)),
-            }
-        consts = build_code_consts(
-            alignments,
-            norms,
-            level_sums,
-            code_length,
-            self.rabitq_config.epsilon0,
-            metric=self._metric,
-            rescales=rescales,
-            **raw_terms,
-        )
+        n = order.shape[0]
+        levels = np.empty((n, code_length), dtype=np.uint8)
+        consts = np.empty((n_consts_for(self._metric, self.bits), n))
+        runs = np.flatnonzero(np.diff(cluster_ids)) + 1
+        heads = np.concatenate([[0], runs, [n]])
+        step = max(1, _ENCODE_BLOCK_CELLS // code_length)
+        cuts = np.union1d(heads[np.searchsorted(heads, np.arange(0, n, step))], n)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            rows, cids = data[order[lo:hi]], cluster_ids[lo:hi]
+            block_levels, level_sums, alignments, norms, rescales = encode_rows(
+                rows, centroids[cids], self._shared_rotation, code_length, self.bits
+            )
+            levels[lo:hi] = block_levels
+            raw_terms = {}
+            if self._metric.higher_is_better:
+                dots = np.empty(hi - lo)
+                bounds = heads[(heads >= lo) & (heads <= hi)] - lo
+                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                    dots[a:b] = rows[a:b] @ centroids[cids[a]]
+                raw_terms = {
+                    "dot_centroid": dots,
+                    "raw_norms": np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+                }
+            consts[:, lo:hi] = build_code_consts(
+                alignments,
+                norms,
+                level_sums,
+                code_length,
+                self.rabitq_config.epsilon0,
+                metric=self._metric,
+                rescales=rescales,
+                **raw_terms,
+            )
         return levels, consts
 
     def fit(
@@ -481,17 +503,16 @@ class IVFQuantizedSearcher:
             self._rounding_offsets = sample_rounding_offsets(
                 self.rabitq_config.seed, code_length
             )
-            blocks = {}
-            for bucket in self._ivf.buckets:
-                if len(bucket):
-                    ids = bucket.vector_ids
-                    cid = bucket.centroid_id
-                    blocks[cid] = (*self._encode_cluster(mat[ids], cid), ids)
-            self._arena = CodeArena.from_blocks(
-                len(self._ivf.buckets),
+            assignments = self._ivf.assignments
+            order = np.argsort(assignments, kind="stable")
+            levels, consts = self._encode(mat, order, assignments[order])
+            self._arena = CodeArena.from_sections(
                 code_length,
-                blocks,
-                n_consts_for(self._metric, self.bits),
+                consts.shape[0],
+                bits=levels,
+                consts=consts,
+                slots=order.astype(np.int64),
+                sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
             )
             self._pad_len = code_length
             self._rotation_matrix = (
@@ -559,9 +580,12 @@ class IVFQuantizedSearcher:
         Each vector is assigned to the nearest existing IVF centroid and
         RaBitQ-encoded against the fitted rotation and that cluster's
         centroid — no re-clustering and no re-encoding of existing vectors.
-        The new codes are appended to their cluster's arena region;
-        estimates for previously stored vectors are bit-identical before and
-        after the insert.
+        The batch is one vectorized pass whatever clusters its rows land
+        in: one assignment GEMM, one encode of the cluster-sorted rows, then
+        one scatter into the arena, with at most one re-layout per insert.
+        Assignment and encoding run before any state changes, so an insert
+        that raises leaves the index as it was.  Estimates for previously
+        stored vectors are bit-identical before and after the insert.
 
         Parameters
         ----------
@@ -604,13 +628,12 @@ class IVFQuantizedSearcher:
                 )
 
         cluster_ids = self._ivf.assign(mat)
+        order = np.argsort(cluster_ids, kind="stable")
+        levels, consts = self._encode(mat, order, cluster_ids[order])
         slots = self._flat.add(mat)
         self._ivf.append(slots, cluster_ids)
-        arena = self._arena
-        assert arena is not None
-        for cid in np.unique(cluster_ids).tolist():
-            rows = np.flatnonzero(cluster_ids == cid)
-            arena.append(cid, *self._encode_cluster(mat[rows], cid), slots[rows])
+        assert self._arena is not None
+        self._arena.append(cluster_ids[order], levels, consts, slots[order])
 
         assert self._ids is not None and self._live is not None
         self._ids = np.concatenate([self._ids, new_ids])

@@ -22,6 +22,11 @@ def _slots(arena, cid):
     return arena.slots[start:end]
 
 
+def _append(arena, cid, levels, consts, slots):
+    """Append one block to one cluster."""
+    arena.append(np.full(levels.shape[0], cid), levels, consts, slots)
+
+
 @pytest.fixture()
 def arena_and_blocks():
     rng = np.random.default_rng(0)
@@ -30,12 +35,19 @@ def arena_and_blocks():
         0: _block(rng, 5, code_length, 0),
         2: _block(rng, 3, code_length, 5),
     }
-    arena = CodeArena.from_blocks(4, code_length, blocks)
+    arena = CodeArena.from_sections(
+        code_length,
+        N_CONSTS,
+        bits=np.concatenate([blocks[0][0], blocks[2][0]]),
+        consts=np.hstack([blocks[0][1], blocks[2][1]]),
+        slots=np.concatenate([blocks[0][2], blocks[2][2]]),
+        sizes=np.array([5, 0, 3, 0]),
+    )
     return arena, blocks
 
 
 class TestBuildAndViews:
-    def test_from_blocks_layout(self, arena_and_blocks):
+    def test_from_sections_layout(self, arena_and_blocks):
         arena, blocks = arena_and_blocks
         assert arena.n_clusters == 4
         assert arena.n_rows == 8
@@ -67,7 +79,7 @@ class TestAppend:
         arena, blocks = arena_and_blocks
         rng = np.random.default_rng(1)
         extra = _block(rng, 4, arena.code_length, 8)
-        arena.append(1, *extra)
+        _append(arena, 1, *extra)
         np.testing.assert_array_equal(arena.cluster_bits(1), extra[0])
         # Existing regions are untouched by the rebuild.
         np.testing.assert_array_equal(arena.cluster_bits(0), blocks[0][0])
@@ -79,8 +91,8 @@ class TestAppend:
         rng = np.random.default_rng(2)
         first = _block(rng, 2, arena.code_length, 8)
         second = _block(rng, 2, arena.code_length, 10)
-        arena.append(0, *first)
-        arena.append(0, *second)
+        _append(arena, 0, *first)
+        _append(arena, 0, *second)
         np.testing.assert_array_equal(
             arena.cluster_bits(0),
             np.concatenate([blocks[0][0], first[0], second[0]]),
@@ -93,20 +105,53 @@ class TestAppend:
     def test_append_grows_capacity_with_slack(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         rng = np.random.default_rng(3)
-        arena.append(0, *_block(rng, 1, arena.code_length, 8))
+        _append(arena, 0, *_block(rng, 1, arena.code_length, 8))
         assert arena.caps[0] > arena.sizes[0]  # geometric slack
         cap_after_grow = int(arena.caps[0])
         # Appends that fit in the slack leave the layout alone.
         start_before = int(arena.starts[2])
-        arena.append(0, *_block(rng, 1, arena.code_length, 9))
+        _append(arena, 0, *_block(rng, 1, arena.code_length, 9))
         assert int(arena.caps[0]) == cap_after_grow
         assert int(arena.starts[2]) == start_before
+
+    def test_one_call_overflows_several_regions(self, arena_and_blocks):
+        # Rows of four clusters, interleaved: every region overflows and
+        # grows by the one rule, and each keeps the call's row order.
+        arena, blocks = arena_and_blocks
+        twin = CodeArena.from_sections(
+            arena.code_length, arena.n_consts, **arena.dump_tight()
+        )
+        rng = np.random.default_rng(6)
+        levels, consts, slots = _block(rng, 7, arena.code_length, 8)
+        clusters = np.array([2, 0, 1, 2, 0, 2, 3])
+        arena.append(clusters, levels, consts, slots)
+        assert list(arena.sizes) == [7, 1, 6, 1]
+        assert list(arena.caps) == [14, 8, 12, 8]
+        for cid in range(4):
+            mine = clusters == cid
+            old = blocks.get(cid, _block(rng, 0, arena.code_length, 0))
+            np.testing.assert_array_equal(
+                arena.cluster_bits(cid), np.concatenate([old[0], levels[mine]])
+            )
+            np.testing.assert_array_equal(
+                arena.cluster_consts(cid), np.hstack([old[1], consts[:, mine]])
+            )
+            np.testing.assert_array_equal(
+                _slots(arena, cid), np.concatenate([old[2], slots[mine]])
+            )
+        # The same layout as one call per cluster.
+        for cid in range(4):
+            mine = clusters == cid
+            _append(twin, cid, levels[mine], consts[:, mine], slots[mine])
+        np.testing.assert_array_equal(twin.caps, arena.caps)
+        for name, array in arena.dump_tight().items():
+            np.testing.assert_array_equal(twin.dump_tight()[name], array)
 
     def test_append_empty_block_is_noop(self, arena_and_blocks):
         arena, _ = arena_and_blocks
         rng = np.random.default_rng(4)
         levels, consts, slots = _block(rng, 0, arena.code_length, 0)
-        arena.append(0, levels, consts, slots)
+        _append(arena, 0, levels, consts, slots)
         assert arena.n_rows == 8
 
     def test_append_wrong_width_rejected(self, arena_and_blocks):
@@ -114,7 +159,7 @@ class TestAppend:
         rng = np.random.default_rng(5)
         levels, consts, slots = _block(rng, 2, 64, 0)
         with pytest.raises(DimensionMismatchError):
-            arena.append(0, levels, consts, slots)
+            _append(arena, 0, levels, consts, slots)
 
 
 class TestCompact:

@@ -485,6 +485,43 @@ def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
     assert recovered.live_ids.tolist() == searcher.live_ids.tolist()
 
 
+def test_insert_failing_in_the_encoder_changes_nothing(tmp_path, monkeypatch):
+    # An insert is all or nothing: an encoder failure (here a MemoryError)
+    # must not leave rows in the flat index or buckets without codes.
+    from repro.index import searcher as searcher_module
+    from repro.io import default_journal_path, load_searcher, save_searcher
+
+    path = tmp_path / "idx.rbq"
+    save_searcher(_fit_on(np.random.default_rng(6).standard_normal((40, 6))), path)
+    searcher = load_searcher(path, journal=True)
+    journal = default_journal_path(path)
+    searcher.insert(np.random.default_rng(7).standard_normal((2, 6)))
+
+    def state():
+        return (
+            searcher.n_total,
+            searcher.live_ids.tolist(),
+            searcher.ivf.assignments.tolist(),
+            {k: v.tobytes() for k, v in searcher.arena.dump_tight().items()},
+            journal.stat().st_size,
+        )
+
+    def encoder_out_of_memory(*args, **kwargs):
+        raise MemoryError("encoder out of memory")
+
+    before = state()
+    with monkeypatch.context() as patch:
+        patch.setattr(searcher_module, "encode_rows", encoder_out_of_memory)
+        with pytest.raises(MemoryError):
+            searcher.insert(np.random.default_rng(8).standard_normal((5, 6)))
+    assert state() == before
+    rows = np.random.default_rng(9).standard_normal((3, 6))
+    assert searcher.insert(rows).tolist() == [42, 43, 44]
+    assert searcher.search(rows[1], 1, nprobe=2).ids.tolist() == [43]
+    recovered = load_searcher(path, journal=True)
+    assert recovered.live_ids.tolist() == searcher.live_ids.tolist()
+
+
 def test_zero_query_and_odd_dimension_are_served():
     # All-zero query: a zero residual norm is a legitimate input.
     searcher = _fitted_searcher()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     DimensionMismatchError,
@@ -14,6 +16,7 @@ from repro.exceptions import (
 from repro.index.flat import FlatIndex
 from repro.index.ivf import STAT_KEY_EVALS, IVFIndex, default_n_clusters
 from repro.index.searcher import IVFQuantizedSearcher
+from repro.substrates.linalg import squared_distances_to_points
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +283,37 @@ class TestIVFIndexMutation:
         # Re-assigning the training data reproduces the kmeans assignment
         # (Lloyd terminates with points attached to their nearest centroid).
         np.testing.assert_array_equal(index.assign(data), index.assignments)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clusters=st.integers(1, 40),
+        dim=st.integers(1, 40),
+        integral=st.booleans(),
+    )
+    def test_assign_is_the_exact_argmin(self, seed, n_clusters, dim, integral):
+        """``assign`` ≡ ``argmin`` of the broadcast-difference keys, bit for bit."""
+        rng = np.random.default_rng(seed)
+        if integral:  # midpoints are then exact, and so are their ties
+            centroids = rng.integers(-3, 4, size=(n_clusters, dim)).astype(float)
+        else:
+            centroids = rng.standard_normal((n_clusters, dim)) * rng.uniform(0.1, 100)
+        index = IVFIndex.from_state(centroids, np.empty(0, dtype=np.int64))
+        i, j = rng.integers(0, n_clusters, size=(2, 30))
+        midpoints = (centroids[i] + centroids[j]) / 2
+        rows = np.concatenate(
+            [
+                rng.standard_normal((30, dim)) * 3,
+                midpoints,
+                midpoints + rng.standard_normal(midpoints.shape) * 1e-13,
+                centroids[rng.integers(0, n_clusters, size=1)],
+                rng.standard_normal((10, dim)) * 1e6,
+            ]
+        )
+        for block in (rows, rows[:1], rows[:0]):
+            want = np.argmin(squared_distances_to_points(centroids, block), axis=1)
+            got = index.assign(block)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_append_extends_buckets_in_order(self, flat_data):
         data, _ = flat_data

@@ -6,7 +6,9 @@ enforce with hypothesis-generated data and mutation patterns:
 
 1. **Incremental build quality** — ``fit(A)`` followed by ``insert(B)``
    reaches the same recall ballpark as ``fit(A ∪ B)``: inserted vectors are
-   first-class citizens of the index, not an afterthought side table.
+   first-class citizens of the index, not an afterthought side table.  And
+   how a batch is split does not matter: under a row-independent rotation,
+   ``insert(X)`` equals inserting ``X`` in any parts, bit for bit.
 2. **Deletion correctness** — tombstoned ids never appear in results, for
    any interleaving of deletes and compactions, including deleting every
    member of a cluster and asking for more neighbours than remain alive.
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 from repro.core.config import RaBitQConfig
 from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.metrics.recall import recall_at_k
 
@@ -115,6 +118,54 @@ class TestInsert:
         for got, want in zip(after, before):
             np.testing.assert_array_equal(got.ids, want.ids)
             np.testing.assert_array_equal(got.distances, want.distances)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        bits=st.sampled_from([1, 4]),
+        n_new=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_one_insert_equals_any_split(self, seed, bits, n_new, data):
+        """``insert(X)`` ≡ inserting X in random parts, 1-row parts included.
+
+        The Hadamard rotation is row-independent, so every row encodes to
+        the same bits whatever batch it arrives in; the arena's live rows,
+        the assignments and every answer must then agree bit for bit.
+        """
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((120, 12))
+        extra = rng.standard_normal((n_new, 12)) * 1.5
+        queries = rng.standard_normal((4, 12))
+        cut_after = data.draw(
+            st.lists(st.booleans(), min_size=n_new - 1, max_size=n_new - 1)
+        )
+        cuts = [i + 1 for i, cut in enumerate(cut_after) if cut]
+
+        def build():
+            return IVFQuantizedSearcher(
+                "rabitq",
+                n_clusters=6,
+                rabitq_config=RaBitQConfig(seed=3, rotation="hadamard"),
+                rng=7,
+                bits=bits,
+                metric="l2",
+                compact_threshold=None,
+            ).fit(base)
+
+        whole, split = build(), build()
+        whole.insert(extra)
+        for part in np.split(extra, cuts):
+            split.insert(part)
+        np.testing.assert_array_equal(split.ivf.assignments, whole.ivf.assignments)
+        for name, array in whole.arena.dump_tight().items():
+            np.testing.assert_array_equal(split.arena.dump_tight()[name], array)
+        for reranker in (None, NoReranker()):
+            if reranker is not None:
+                whole.reranker = split.reranker = reranker
+            _assert_batch_equals_sequential(
+                split.search_batch(queries, 5, nprobe=3),
+                list(whole.search_batch(queries, 5, nprobe=3)),
+            )
 
     def test_insert_with_explicit_ids(self):
         rng = np.random.default_rng(0)
