@@ -130,7 +130,7 @@ def main() -> None:
     print(f"Code arena: {arena.n_rows} codes in {arena.n_clusters} "
           f"contiguous cluster regions, "
           f"{arena.memory_bytes() / 1024:.1f} KiB "
-          "(packed codes + unpacked GEMM operand + fused constants)")
+          "(packed D-bit codes + fused constants + slot ids)")
 
     # Insert: nearest-centroid assignment + incremental RaBitQ encoding
     # against the fitted rotation; nothing already stored is re-encoded.
@@ -165,7 +165,7 @@ def main() -> None:
     # Multi-bit codes: bits=4 spends 4 bits per dimension (extended RaBitQ)
     # instead of 1, trading 4x the code bytes for much tighter estimates —
     # fewer exact re-rank evaluations per query at the same probe budget.
-    # Archives record the width (format v8); bits=1 stays the paper's
+    # Archives record the width; bits=1 stays the paper's
     # binary construction, bit-identical to what previous builds produced.
     print("\n--- Multi-bit codes (bits=4 per dimension) ---")
     narrow = IVFQuantizedSearcher(
@@ -179,8 +179,8 @@ def main() -> None:
     narrow_result = narrow.search(query, 5, nprobe=16)
     wide_result = wide.search(query, 5, nprobe=16)
     print(f"Code bytes per vector    : "
-          f"{narrow.bits * narrow.arena.code_length // 8} (bits=1) vs "
-          f"{wide.bits * wide.arena.code_length // 8} (bits=4)")
+          f"{narrow.arena.codes.itemsize * narrow.arena.n_words} (bits=1) vs "
+          f"{wide.arena.codes.itemsize * wide.arena.n_words} (bits=4)")
     print(f"Exact re-ranks this query: {narrow_result.n_exact} (bits=1) vs "
           f"{wide_result.n_exact} (bits=4)")
     print(f"bits=4 top-5 ids         : {wide_result.ids.tolist()} "

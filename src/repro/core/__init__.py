@@ -6,8 +6,9 @@ The sub-modules map directly onto the sections of the paper:
 * :mod:`repro.core.codebook` — the conceptual bi-valued codebook and the
   bit-string representation of codes (Sec. 3.1.2–3.1.3).
 * :mod:`repro.core.bitops` — packed bit-string kernels: pack / unpack and
-  the one integer-dot kernel ``binary_dot_uint_batch`` (bit-plane popcount
-  for small workloads, unpack + GEMM for large ones; Sec. 3.3.2).
+  the one integer-dot kernel ``binary_dot_uint_batch`` on packed codes of
+  any width (bit-plane popcount for small workloads, unpack + BLAS for
+  large ones; Sec. 3.3.2).
 * :mod:`repro.core.lut` — 4-bit look-up-table accumulation mirroring the
   SIMD fast-scan layout (Sec. 3.3.2 batch path), kept as a benchmarked
   reproduction; no estimator calls it.

@@ -347,7 +347,8 @@ def undo_query_quantization(
     reads their level sums ``Σu`` and, for ``bits > 1``, their rescales.
     ``delta`` (Δ), ``lower`` (``v_l``) and ``sum_codes`` (``Σq_u``) are
     per-query ``(n_queries, 1)`` columns against a 2-D ``integer_dot``, or
-    scalars against a 1-D one — the same values elementwise.
+    scalars or per-code arrays (a query's value repeated over its codes)
+    against a 1-D one — the same values elementwise.
 
     At ``bits = 1`` the code is the 0/1 vector ``x_b`` and ``x_bar =
     (2 x_b - 1)/√D``, so ``<x_bar, q_bar> = 2Δ/√D <x_b, q_u> + 2 v_l/√D

@@ -105,9 +105,8 @@ def encode_rows(
 
     Returns ``(levels, level_sums, alignments, norms, rescales)``:
 
-    * ``levels`` — the ``uint8`` level matrix ``u`` (0/1 at ``bits = 1``;
-      the arena's GEMM operand, packed by
-      :func:`repro.core.bitops.pack_level_planes` for storage);
+    * ``levels`` — the ``uint8`` level matrix ``u`` (0/1 at ``bits = 1``),
+      packed by :func:`repro.core.bitops.pack_level_planes` for storage;
     * ``level_sums`` — ``sum_j u_j`` per row (``int64``; the popcount term
       of Eq. 20 at ``bits = 1``);
     * ``alignments`` — ``<x_bar, P^-1 o>`` per row, computed exactly;
@@ -667,17 +666,15 @@ class RaBitQ:
             for i in range(len(prepared)):
                 quantized_dot[i] = decoded @ prepared.rotated[i]
         else:
-            # <x_b, q_u> as the plane-weighted popcount (Eq. 21-22 per code
-            # plane; one plane for B = 1), then the affine undo (Eq. 19-20).
-            packed = dataset.packed_codes[rows]
-            n_words = packed.shape[1] // bits
-            integer_dot = np.zeros((len(prepared), packed.shape[0]), np.int64)
-            for p in range(bits):
-                integer_dot += bitops.binary_dot_uint_batch(
-                    packed[:, p * n_words : (p + 1) * n_words],
-                    quantized.bitplanes,
-                    query_values=quantized.codes,
-                ) << p
+            # <u, q_u> from the packed code planes (Eq. 21-22; one plane for
+            # B = 1), then the affine undo (Eq. 19-20).
+            integer_dot = bitops.binary_dot_uint_batch(
+                dataset.packed_codes[rows],
+                quantized.bitplanes,
+                query_values=quantized.codes,
+                bits=bits,
+                code_length=code_length,
+            )
             quantized_dot = undo_query_quantization(
                 integer_dot,
                 consts,

@@ -21,7 +21,7 @@ a one-row matrix as for many.  Each row is quantized on its own range, and
 every row is rounded against the same ``offsets`` (or ``rng`` is consumed
 in row order, degenerate constant rows drawing nothing), so a row's codes
 do not depend on the rows beside it.  The searcher prepares one matrix per
-query (its probed residuals) or per cluster group of a batch, and
+query (its probed residuals) or per batch (all its query-cluster pairs), and
 :class:`repro.core.quantizer.RaBitQ` one per ``prepare_queries`` call.
 """
 
@@ -148,9 +148,10 @@ def quantize_query_matrix(
         unused.
     with_bitplanes:
         Also pack the bit-planes for the popcount kernel (the default).
-        Callers on the GEMM/arena path never touch them; skipping the
-        packing there removes the most expensive step of query preparation
-        without consuming any randomness (``bitplanes`` is then ``None``).
+        The searcher skips them (``bitplanes`` is then ``None``; no
+        randomness is consumed either way): it passes the values alone, and
+        :func:`repro.core.bitops.binary_dot_uint_batch` packs planes only
+        when it picks its popcount strategy.
     """
     mat = np.asarray(rotated_queries, dtype=np.float64)
     if mat.ndim != 2:

@@ -7,12 +7,13 @@ concatenating dozens of small arrays per query.  The :class:`CodeArena`
 replaces that object soup with one contiguous, cluster-grouped layout that
 stores every code once:
 
-* ``bits`` — one ``(capacity, code_length)`` ``uint8`` matrix of code
-  levels (0/1 at ``B = 1``, ``[0, 2^B - 1]`` above it; 1 byte per
-  dimension), the operand of the integer-exact GEMM/GEMV estimation
-  kernel.  Archives store the packed form as well
-  (:func:`repro.core.bitops.pack_level_planes` of this matrix), but no
-  query reads it, so the arena does not keep it;
+* ``codes`` — one ``(capacity, bits * n_words)`` ``uint64`` matrix of
+  packed code words, ``n_words = ceil(code_length / 64)``: each row is
+  :func:`repro.core.bitops.pack_level_planes` of the code's levels, ``B``
+  bit-planes laid out plane-major (the paper's ``D``-bit string at
+  ``B = 1``).  This is the one resident form: the integer-dot kernel
+  :func:`repro.core.bitops.binary_dot_uint_batch` reads it directly, and
+  the archive's ``arena_codes`` section is the same matrix;
 * ``consts`` — one ``(n_consts, capacity)`` float64 matrix of fused
   estimator constants (see :func:`repro.core.estimator.build_code_consts`),
   stored constants-major so each constant's slice over a cluster is
@@ -22,12 +23,12 @@ stores every code once:
   cluster to its contiguous row range.
 
 Probing a cluster therefore yields *views* — zero-copy contiguous slices of
-``bits`` / ``consts`` / ``slots`` — instead of per-object Python iteration.
+``codes`` / ``consts`` / ``slots`` — instead of per-object Python iteration.
 Row order inside a cluster region always equals the IVF bucket's id order
 (ascending slot id), which is exactly the row order the per-cluster
 quantizers used to store, so estimates read from the arena are bit-identical
-to the pre-arena layout.  The arena does not know the code width: the
-searcher passes it where the arithmetic needs it.
+to the pre-arena layout.  :meth:`CodeArena.cluster_bits` unpacks a
+cluster's levels on demand; no query needs them.
 
 The arena is built tight (:meth:`CodeArena.from_sections`, both at fit,
 which encodes in row blocks, and at load) and maintained incrementally
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bitops import unpack_level_planes
 from repro.core.estimator import N_CONSTS
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
@@ -51,24 +53,25 @@ _GROWTH_FACTOR = 2.0
 
 
 class CodeArena:
-    """Contiguous cluster-grouped storage of code levels + fused constants.
+    """Contiguous cluster-grouped storage of packed codes + fused constants.
 
     Parameters
     ----------
     n_clusters:
         Number of cluster regions.
     code_length:
-        Code length in dimensions (the ``bits`` matrix has this many
-        columns).
+        Code length in dimensions (bits per code plane).
     n_consts:
         Rows of the fused estimator-constants matrix —
         :func:`repro.core.estimator.n_consts_for` of the served metric and
         code width (``N_CONSTS`` for binary squared-L2 serving, the
         default).
+    bits:
+        Code width ``B``: bit-planes per code.
     """
 
     __slots__ = (
-        "bits",
+        "codes",
         "consts",
         "slots",
         "starts",
@@ -76,10 +79,15 @@ class CodeArena:
         "caps",
         "code_length",
         "n_consts",
+        "bits",
     )
 
     def __init__(
-        self, n_clusters: int, code_length: int, n_consts: int = N_CONSTS
+        self,
+        n_clusters: int,
+        code_length: int,
+        n_consts: int = N_CONSTS,
+        bits: int = 1,
     ) -> None:
         if n_clusters <= 0:
             raise InvalidParameterError("n_clusters must be positive")
@@ -89,7 +97,8 @@ class CodeArena:
             )
         self.code_length = int(code_length)
         self.n_consts = int(n_consts)
-        self.bits = np.empty((0, self.code_length), dtype=np.uint8)
+        self.bits = int(bits)
+        self.codes = np.empty((0, self.n_words), dtype=np.uint64)
         self.consts = np.empty((self.n_consts, 0), dtype=np.float64)
         self.slots = np.empty(0, dtype=np.int64)
         self.starts = np.zeros(n_clusters, dtype=np.int64)
@@ -106,13 +115,18 @@ class CodeArena:
         return int(self.starts.shape[0])
 
     @property
+    def n_words(self) -> int:
+        """Packed ``uint64`` words per code (all planes)."""
+        return self.bits * -(-self.code_length // 64)
+
+    @property
     def n_rows(self) -> int:
         """Number of stored codes (live regions, excluding slack)."""
         return int(self.sizes.sum())
 
     def memory_bytes(self) -> int:
-        """Approximate arena footprint (levels + constants + ids)."""
-        return int(self.bits.nbytes + self.consts.nbytes + self.slots.nbytes)
+        """Approximate arena footprint (codes + constants + ids)."""
+        return int(self.codes.nbytes + self.consts.nbytes + self.slots.nbytes)
 
     def cluster_range(self, cid: int) -> tuple[int, int]:
         """``(start, end)`` row range of cluster ``cid``'s live rows."""
@@ -120,9 +134,16 @@ class CodeArena:
         return start, start + int(self.sizes[cid])
 
     def cluster_bits(self, cid: int) -> np.ndarray:
-        """Code levels of cluster ``cid`` (a contiguous view)."""
+        """Code levels of cluster ``cid``, unpacked: ``(size, code_length)``
+        ``uint8`` (0/1 at ``B = 1``, ``[0, 2^B - 1]`` above it)."""
         start, end = self.cluster_range(cid)
-        return self.bits[start:end]
+        return unpack_level_planes(
+            self.codes[start:end], self.code_length, self.bits
+        )
+
+    def rows_of(self, cluster_ids: np.ndarray) -> np.ndarray:
+        """Arena rows of the given clusters' codes, cluster by cluster."""
+        return _region_rows(self.starts[cluster_ids], self.sizes[cluster_ids])
 
     def cluster_consts(self, cid: int) -> np.ndarray:
         """Fused constants of cluster ``cid``, shape ``(n_consts, size)``."""
@@ -139,10 +160,11 @@ class CodeArena:
         code_length: int,
         n_consts: int,
         *,
-        bits: np.ndarray,
+        codes: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
         sizes: np.ndarray,
+        bits: int = 1,
     ) -> "CodeArena":
         """Adopt pre-laid-out tight backing arrays (the archive layout).
 
@@ -160,10 +182,10 @@ class CodeArena:
             raise InvalidParameterError("n_clusters must be positive")
         if sizes.min(initial=0) < 0:
             raise InvalidParameterError("cluster sizes must be non-negative")
-        arena = cls(sizes.shape[0], code_length, n_consts)
+        arena = cls(sizes.shape[0], code_length, n_consts, bits)
         total = int(sizes.sum())
         for name, array, expected in (
-            ("bits", bits, (total, arena.code_length)),
+            ("codes", codes, (total, arena.n_words)),
             ("consts", consts, (arena.n_consts, total)),
             ("slots", slots, (total,)),
         ):
@@ -172,7 +194,11 @@ class CodeArena:
                     f"arena section {name!r} has shape {tuple(array.shape)}, "
                     f"expected {expected}"
                 )
-        arena.bits = bits
+        if codes.dtype.kind != "u" or codes.dtype.itemsize != 8:
+            raise InvalidParameterError(
+                f"arena codes must be uint64 words, got {codes.dtype}"
+            )
+        arena.codes = codes
         arena.consts = consts
         arena.slots = slots
         arena.sizes = sizes.copy()
@@ -183,14 +209,14 @@ class CodeArena:
     def dump_tight(self) -> dict[str, np.ndarray]:
         """Slack-free copies of the backing arrays, in cluster-grouped order.
 
-        Returns ``bits`` / ``consts`` / ``slots`` plus the per-cluster
+        Returns ``codes`` / ``consts`` / ``slots`` plus the per-cluster
         ``sizes`` — exactly the layout :meth:`from_sections` adopts, so a
         dump → load round trip reproduces the arena's live rows
         bit-identically (capacity slack is the only thing dropped).
         """
         rows = _region_rows(self.starts, self.sizes)
         return {
-            "bits": np.ascontiguousarray(self.bits[rows]),
+            "codes": np.ascontiguousarray(self.codes[rows]),
             "consts": np.ascontiguousarray(self.consts[:, rows]),
             "slots": np.ascontiguousarray(self.slots[rows]),
             "sizes": self.sizes.copy(),
@@ -199,7 +225,7 @@ class CodeArena:
     def append(
         self,
         cluster_ids: np.ndarray,
-        levels: np.ndarray,
+        codes: np.ndarray,
         consts: np.ndarray,
         slots: np.ndarray,
     ) -> None:
@@ -213,12 +239,12 @@ class CodeArena:
         """
         clusters = np.asarray(cluster_ids, dtype=np.int64).reshape(-1)
         n_new = clusters.shape[0]
-        if levels.shape != (n_new, self.code_length) or consts.shape != (
+        if codes.shape != (n_new, self.n_words) or consts.shape != (
             self.n_consts,
             n_new,
         ):
             raise DimensionMismatchError(
-                "appended codes do not match the arena's code length and "
+                "appended codes do not match the arena's code words and "
                 "constants, one row per cluster id"
             )
         if n_new == 0:
@@ -237,7 +263,7 @@ class CodeArena:
         ranks = np.empty(n_new, dtype=np.int64)
         ranks[order] = np.arange(n_new) - np.repeat(np.cumsum(counts) - counts, counts)
         dst = self.starts[clusters] + self.sizes[clusters] + ranks
-        self.bits[dst] = levels
+        self.codes[dst] = codes
         self.consts[:, dst] = consts
         self.slots[dst] = slots
         self.sizes = need
@@ -253,14 +279,14 @@ class CodeArena:
         caps = caps.astype(np.int64, copy=True)
         starts = np.cumsum(caps) - caps
         total = int(caps.sum())
-        bits = np.zeros((total, self.code_length), dtype=np.uint8)
+        codes = np.zeros((total, self.n_words), dtype=np.uint64)
         consts = np.zeros((self.n_consts, total), dtype=np.float64)
         slots = np.full(total, -1, dtype=np.int64)
         dst = _region_rows(starts, sizes)
-        bits[dst] = self.bits[rows]
+        codes[dst] = self.codes[rows]
         consts[:, dst] = self.consts[:, rows]
         slots[dst] = self.slots[rows]
-        self.bits, self.consts, self.slots = bits, consts, slots
+        self.codes, self.consts, self.slots = codes, consts, slots
         self.starts, self.caps = starts, caps
         self.sizes = sizes.astype(np.int64, copy=True)
 
@@ -286,9 +312,8 @@ class CodeArena:
 def _region_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Arena row of every stored code, region by region, in cluster order."""
     ends = np.cumsum(sizes)
-    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
-        starts - (ends - sizes), sizes
-    )
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - sizes), sizes)
 
 
 __all__ = ["CodeArena"]

@@ -42,30 +42,32 @@ Both entry points wrap the same two steps of Algorithm 2.
 ``_prepare`` turns a matrix of residuals ``q - c`` into quantized queries
 (normalize, rotate, Eq. 18 rounding against the index's rounding vector);
 ``search`` calls it once for its ``nprobe`` residuals, ``search_batch``
-once per cluster group.  ``_cluster_dots`` takes prepared rows against one
-cluster's codes: the exact integer dot, then the affine undo of Eq. 19-20.
-The entry points differ only in how they lay out candidates — flat in probe
-order for one query, grouped by cluster and scattered for a batch.
+once for all its (query, probed cluster) pairs, grouped by cluster.
+``_dots`` takes prepared rows against packed
+codes: one call of the integer-dot kernel, then the affine undo of
+Eq. 19-20.  The entry points differ only in how they pair rows with codes:
+``search`` gathers every probed row once and pairs each code with its own
+cluster's query row in one flat pass, ``search_batch`` meets each cluster
+group's rows with that cluster's block and scatters the results.
 
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
-code arena that stores each code once: one ``uint8`` matrix of code levels
-(0/1 at ``B = 1``; the operand of the integer-exact GEMM estimation kernel)
-and one fused matrix of per-code estimator constants (norms, ``<o_bar, o>``
-correction terms, error-bound half-widths, level sums, and the rescales of
-``B > 1`` codes — see :func:`repro.core.estimator.build_code_consts`).
-Every width runs the same code: one encoder
-(:func:`repro.core.quantizer.encode_rows`), one constants builder and one
-affine undo, each told the width ``B``; the query-rounding term of the
-``B > 1`` bound is the only width test here.  Probing ``nprobe`` clusters
-yields contiguous array slices; distances and bounds for the whole
-candidate set are produced by one integer inner-product pass plus one fused
-affine transform (:func:`repro.core.estimator.fused_estimate`), written
-straight into a preallocated per-searcher scratch-buffer pool — no
-per-cluster ``DistanceEstimate`` blocks and no per-query concatenation or
-temporaries.  The integer pass is a float64 GEMM/GEMV on the levels, which
-is *exact* (levels fit in 8 bits and quantized query coordinates in 16, so
-every partial sum is an integer far below 2^53), hence bit-identical to
-the packed popcount kernel.
+code arena that stores each code once: one ``uint64`` matrix of packed
+code words (``B`` bit-planes of ``D`` bits, plane-major — the paper's
+``D``-bit string at ``B = 1``) and one fused matrix of per-code estimator
+constants (norms, ``<o_bar, o>`` correction terms, error-bound
+half-widths, level sums, and the rescales of ``B > 1`` codes — see
+:func:`repro.core.estimator.build_code_consts`).  Every width runs the
+same code: one encoder (:func:`repro.core.quantizer.encode_rows`), one
+constants builder, one integer-dot kernel and one affine undo, each told
+the width ``B``; the query-rounding term of the ``B > 1`` bound is the only
+width test here.  Distances and bounds for a candidate set are produced by
+one integer inner-product pass plus one fused affine transform
+(:func:`repro.core.estimator.fused_estimate`).  The integer pass
+(:func:`repro.core.bitops.binary_dot_uint_batch`) runs AND + popcount on
+the packed words when the work is small and unpacks into a per-thread
+scratch buffer for one BLAS call when it is large; both are *exact* (every
+partial sum is an integer far below 2^53), so the choice never changes an
+answer.
 
 ``_prepare`` normalizes and rotates row by row, so a row's quantized
 query does not depend on the rows prepared beside it and search results
@@ -124,6 +126,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.core.bitops import binary_dot_uint_batch, pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     DistanceEstimate,
@@ -429,10 +432,10 @@ class IVFQuantizedSearcher:
         """Encode ``data[order]``, row ``i`` against cluster ``cluster_ids[i]``.
 
         ``cluster_ids`` must be grouped, as a stable sort by cluster leaves
-        them.  Returns ``(levels, consts)`` in the arena's layout: ``uint8``
-        code levels and the fused constants (with ``<o_r, c>`` and
-        ``||o_r||`` under similarity metrics, and the rescale row for
-        ``B > 1``).  One :func:`encode_rows` call covers a block of rows of
+        them.  Returns ``(codes, consts)`` in the arena's layout: packed
+        code words (:func:`pack_level_planes` of the levels) and the fused
+        constants (with ``<o_r, c>`` and ``||o_r||`` under similarity
+        metrics, and the rescale row for ``B > 1``).  One :func:`encode_rows` call covers a block of rows of
         any clusters, so memory stays bounded; blocks are cut at cluster
         boundaries because ``<o_r, c>`` stays one GEMV per cluster, whose
         BLAS rounding depends on its rows and which archives pin.
@@ -440,7 +443,7 @@ class IVFQuantizedSearcher:
         centroids = self._ivf.centroids
         code_length = self._shared_rotation.dim
         n = order.shape[0]
-        levels = np.empty((n, code_length), dtype=np.uint8)
+        codes = np.empty((n, self.bits * -(-code_length // 64)), np.uint64)
         consts = np.empty((n_consts_for(self._metric, self.bits), n))
         runs = np.flatnonzero(np.diff(cluster_ids)) + 1
         heads = np.concatenate([[0], runs, [n]])
@@ -451,7 +454,7 @@ class IVFQuantizedSearcher:
             block_levels, level_sums, alignments, norms, rescales = encode_rows(
                 rows, centroids[cids], self._shared_rotation, code_length, self.bits
             )
-            levels[lo:hi] = block_levels
+            codes[lo:hi] = pack_level_planes(block_levels, self.bits)
             raw_terms = {}
             if self._metric.higher_is_better:
                 dots = np.empty(hi - lo)
@@ -472,7 +475,7 @@ class IVFQuantizedSearcher:
                 rescales=rescales,
                 **raw_terms,
             )
-        return levels, consts
+        return codes, consts
 
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
@@ -505,14 +508,15 @@ class IVFQuantizedSearcher:
             )
             assignments = self._ivf.assignments
             order = np.argsort(assignments, kind="stable")
-            levels, consts = self._encode(mat, order, assignments[order])
+            codes, consts = self._encode(mat, order, assignments[order])
             self._arena = CodeArena.from_sections(
                 code_length,
                 consts.shape[0],
-                bits=levels,
+                codes=codes,
                 consts=consts,
                 slots=order.astype(np.int64),
                 sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
+                bits=self.bits,
             )
             self._pad_len = code_length
             self._rotation_matrix = (
@@ -629,11 +633,11 @@ class IVFQuantizedSearcher:
 
         cluster_ids = self._ivf.assign(mat)
         order = np.argsort(cluster_ids, kind="stable")
-        levels, consts = self._encode(mat, order, cluster_ids[order])
+        codes, consts = self._encode(mat, order, cluster_ids[order])
         slots = self._flat.add(mat)
         self._ivf.append(slots, cluster_ids)
         assert self._arena is not None
-        self._arena.append(cluster_ids[order], levels, consts, slots[order])
+        self._arena.append(cluster_ids[order], codes, consts, slots[order])
 
         assert self._ids is not None and self._live is not None
         self._ids = np.concatenate([self._ids, new_ids])
@@ -800,41 +804,47 @@ class IVFQuantizedSearcher:
         )
         return quantized, query_norms
 
-    def _cluster_dots(
+    def _dots(
         self,
         codes: np.ndarray,
-        delta: np.ndarray,
-        lower: np.ndarray,
-        sums: np.ndarray,
-        cid: int,
+        consts: np.ndarray,
+        quantized,
+        rows: slice = slice(None),
+        segments: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``<o_bar, q_bar>`` of cluster ``cid``'s codes for prepared rows.
+        """``<o_bar, q_bar>`` of packed arena ``codes`` for prepared rows.
 
-        ``codes`` / ``delta`` / ``lower`` / ``sums`` are rows of a
-        :meth:`_prepare` result; the output has shape ``(n_rows, size)``.
-        The integer dot ``<u, q_u>`` is a float64 GEMM on the code levels,
-        which is exact (every partial sum is an integer far below 2^53) and
-        so equal to the popcount kernel; the affine undo of the query
-        quantization (Eq. 19-20) at the searcher's width follows.
+        ``quantized[rows]`` are rows of a :meth:`_prepare` result and
+        ``consts`` the codes' fused constants.  Without ``segments`` every
+        row meets every code and the output is ``(n_rows, n_codes)``; with
+        them, row ``i`` meets only the next ``segments[i]`` codes and the
+        output is ``(n_codes,)``.  One call of the integer-dot kernel
+        computes the exact ``<u, q_u>`` (popcount or unpack + BLAS,
+        whichever the work size favours; the integers are the same), then
+        one affine undo of the query quantization (Eq. 19-20) at the
+        searcher's width.
         """
-        arena = self._arena
-        assert arena is not None
-        start, end = arena.cluster_range(cid)
-        size = end - start
-        code_length = arena.code_length
-        bits_f = self._scratch_get(
-            "bits_f", size * code_length, np.float64
-        )[: size * code_length].reshape(size, code_length)
-        np.copyto(bits_f, arena.bits[start:end], casting="unsafe")
-        integer_dot = codes.astype(np.float64) @ bits_f.T
+        code_length = self._arena.code_length
+        n_cells = codes.shape[0] * code_length
+        integer_dot = binary_dot_uint_batch(
+            codes,
+            query_values=quantized.codes[rows],
+            bits=self.bits,
+            code_length=code_length,
+            segments=segments,
+            scratch=self._scratch_get("levels", n_cells, np.float64),
+        )
+        row_terms = (
+            quantized.delta[rows],
+            quantized.lower[rows],
+            quantized.sum_codes[rows].astype(np.float64),
+        )
+        if segments is None:
+            delta, lower, sums = (term[:, None] for term in row_terms)
+        else:
+            delta, lower, sums = (np.repeat(term, segments) for term in row_terms)
         return undo_query_quantization(
-            integer_dot,
-            arena.consts[:, start:end],
-            delta[:, None],
-            lower[:, None],
-            sums.astype(np.float64)[:, None],
-            code_length,
-            self.bits,
+            integer_dot, consts, delta, lower, sums, code_length, self.bits
         )
 
     def _live_only(
@@ -863,11 +873,12 @@ class IVFQuantizedSearcher:
     ) -> tuple[np.ndarray, DistanceEstimate]:
         """Fused estimation for all live vectors in the probed clusters.
 
-        The probed residuals are prepared in one :meth:`_prepare` call,
-        each cluster's contiguous arena slice goes through
-        :meth:`_cluster_dots`, and one fused affine/estimator pass covers
-        the whole candidate set, laid out flat in probe order.  Tombstoned
-        rows are masked out *after* the full per-cluster estimate.
+        The candidate set is scored in one flat pass, in probe order: the
+        probed residuals are prepared in one :meth:`_prepare` call, the
+        probed arena rows are gathered once, and one :meth:`_dots` call
+        pairs each code with its own cluster's query row before one fused
+        affine/estimator pass.  Tombstoned rows are masked out *after* the
+        full estimate.
         """
         arena = self._arena
         assert arena is not None
@@ -876,29 +887,15 @@ class IVFQuantizedSearcher:
         total = int(counts.sum())
         if total == 0:
             return _empty_estimate()
-        n_consts = arena.n_consts
-        cand = self._scratch_get("cand", total, np.int64)[:total]
-        qdot = self._scratch_get("qdot", total, np.float64)[:total]
-        consts_buf = self._scratch_get(
-            "consts", n_consts * total, np.float64
-        )[: n_consts * total].reshape(n_consts, total)
-
+        rows = arena.rows_of(cluster_ids)
+        cand = arena.slots[rows]
+        consts_buf = arena.consts[:, rows]
         quantized, query_norms = self._prepare(
             query[None, :] - self._ivf.centroids[cluster_ids]
         )
-        codes, delta = quantized.codes, quantized.delta
-        lower, sums = quantized.lower, quantized.sum_codes
-        offset = 0
-        for j, cid in enumerate(cluster_ids.tolist()):
-            start, end = arena.cluster_range(cid)
-            sl = slice(offset, offset + end - start)
-            row = slice(j, j + 1)
-            qdot[sl] = self._cluster_dots(
-                codes[row], delta[row], lower[row], sums[row], cid
-            )[0]
-            consts_buf[:, sl] = arena.consts[:, start:end]
-            cand[sl] = arena.slots[start:end]
-            offset = sl.stop
+        qdot = self._dots(
+            arena.codes[rows], consts_buf, quantized, segments=counts
+        )
 
         # Per-pair query terms, one value per probed cluster repeated over
         # its candidates: ||q - c||, the multi-bit query-rounding term
@@ -906,7 +903,9 @@ class IVFQuantizedSearcher:
         # the centroid offset and raw query norm.
         qn = np.repeat(query_norms, counts)
         qround = (
-            np.repeat(0.5 * float(self.rabitq_config.epsilon0) * delta, counts)
+            np.repeat(
+                0.5 * float(self.rabitq_config.epsilon0) * quantized.delta, counts
+            )
             if self.bits > 1
             else None
         )
@@ -1018,10 +1017,10 @@ class IVFQuantizedSearcher:
     ) -> list[tuple[np.ndarray, DistanceEstimate]]:
         """Grouped-by-cluster fused batch estimation for all queries at once.
 
-        The (query, probed cluster) pairs are grouped by cluster: each
-        group is prepared by one :meth:`_prepare` call, its cluster's
-        contiguous code block is scanned once for the whole group by
-        :meth:`_cluster_dots`, and one fused estimator transform runs per
+        The (query, probed cluster) pairs are grouped by cluster and
+        prepared by one :meth:`_prepare` call; each cluster's contiguous
+        code block is then scanned once for its group's rows by one
+        :meth:`_dots` call, and one fused estimator transform runs per
         group.  The result rows are scattered into flat per-query
         candidate buffers at precomputed offsets — the query's
         probed-cluster order, exactly the layout of :meth:`_estimate_rabitq`.
@@ -1067,6 +1066,9 @@ class IVFQuantizedSearcher:
             np.diff(sorted_cids, prepend=sorted_cids[:1] - 1)
         )
         ends = np.append(starts[1:], sorted_cids.shape[0])
+        quantized, query_norms = self._prepare(
+            query_mat[order // width] - self._ivf.centroids[sorted_cids]
+        )
         for seg_start, seg_end in zip(starts.tolist(), ends.tolist()):
             cid = int(sorted_cids[seg_start])
             if sizes[cid] == 0:
@@ -1074,24 +1076,18 @@ class IVFQuantizedSearcher:
             pair_idx = order[seg_start:seg_end]
             qis, js = pair_idx // width, pair_idx % width
             start, end = arena.cluster_range(cid)
-            quantized, query_norms = self._prepare(
-                query_mat[qis] - self._ivf.centroids[cid][None, :]
-            )
-            quantized_dot = self._cluster_dots(
-                quantized.codes,
-                quantized.delta,
-                quantized.lower,
-                quantized.sum_codes,
-                cid,
+            rows = slice(seg_start, seg_end)
+            quantized_dot = self._dots(
+                arena.codes[start:end], arena.cluster_consts(cid), quantized, rows
             )
             query_rounding = (
-                0.5 * eps0 * quantized.delta[:, None] if self.bits > 1 else None
+                0.5 * eps0 * quantized.delta[rows, None] if self.bits > 1 else None
             )
             if not self._metric.higher_is_better:
                 estimate = fused_estimate(
                     quantized_dot,
                     arena.cluster_consts(cid),
-                    query_norms[:, None],
+                    query_norms[rows, None],
                     query_rounding=query_rounding,
                 )
             else:
@@ -1101,7 +1097,7 @@ class IVFQuantizedSearcher:
                 estimate = fused_estimate(
                     quantized_dot,
                     arena.cluster_consts(cid),
-                    query_norms[:, None],
+                    query_norms[rows, None],
                     metric=self._metric,
                     query_offset=offs,
                     query_raw_norm=(

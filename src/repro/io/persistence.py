@@ -9,7 +9,7 @@ Two archive flavours are provided:
   so no exact re-ranking).  NumPy ``.npz``, format v4 (reads v2–v4).
 * :func:`save_searcher` / :func:`load_searcher` — a complete
   :class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
-  assignments, the cluster-grouped code levels, the raw vectors of the
+  assignments, the cluster-grouped packed codes, the raw vectors of the
   flat re-ranking index, the tombstone mask and external-id mapping of the
   mutable lifecycle, the re-ranker, the rotation and the rounding vector
   (queries draw no randomness, so there is no generator state to store).
@@ -18,18 +18,17 @@ Two archive flavours are provided:
   and supports further ``insert`` / ``delete`` / ``compact`` calls.
 
   The searcher has exactly one on-disk container (``RBQARCH6``, written
-  as format **v10**, read as v9–v10): a binary file holding a JSON header
+  as format **v11**, read as v9–v11): a binary file holding a JSON header
   plus 64-byte-aligned raw sections for every large array — the arena's
-  ``uint8`` code levels (the GEMM operand), the fused constants, the slot
-  map, and the raw re-rank vectors.  The ``arena_codes`` section (the
-  levels packed as plane-major bit-planes) is written, so older readers
-  keep loading current archives, but not read: the levels section is
-  what queries use.  Sections can be read zero-copy via ``np.memmap``
-  (``load_searcher(path, mmap=True)``), so a warm restart skips
-  decompression and bit-unpacking entirely and supports datasets larger
-  than RAM.  Retired layouts are refused by name, with the last
-  commit that reads them: container formats v6–v8 (``aaf8be8``), the npz
-  searcher layouts v1–v5 and the sharded directory archive (``422ac16``).
+  packed code words (``arena_codes``: plane-major bit-planes, exactly the
+  arena's resident matrix, which queries read), the fused constants, the
+  slot map, and the raw re-rank vectors.  Sections can be read zero-copy
+  via ``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm
+  restart skips decompression and bit-unpacking entirely and supports
+  datasets larger than RAM.  Retired layouts are refused by name, with
+  the last commit that reads them: container formats v6–v8 (``aaf8be8``),
+  the npz searcher layouts v1–v5 and the sharded directory archive
+  (``422ac16``).
 
 Every save is **crash-safe**: archives are written to a temporary file,
 fsynced, and atomically renamed over the destination, so a crash mid-save
@@ -56,7 +55,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.bitops import pack_level_planes
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
 from repro.core.estimator import n_consts_for
 from repro.core.metric import resolve_metric
@@ -110,20 +108,22 @@ _RABITQ_VERSIONS = (2, 3, 4)
 #: sections for the large arrays, laid out exactly as the in-memory
 #: ``CodeArena`` holds them (cluster-grouped, slack-free) so a load — and
 #: in particular a ``mmap=True`` load — adopts them without re-deriving
-#: anything.  The uint8 GEMM operand is stored, not recomputed; the packed
-#: ``arena_codes`` section beside it is written but not read.  Later
-#: versions keep the container (magic, prefix, alignment, section rules).
+#: anything.  Later versions keep the container (magic, prefix, alignment,
+#: section rules).
 #: Version 9, the oldest this build reads, stores the code width ``bits``
 #: and the query generator states in the header.  Version 10 stores the
 #: rounding vector as the ``rounding_offsets`` section in place of the
 #: generator states; a v9 archive derives it from the stored seed as
 #: ``fit`` does, so it answers like a current build from the same seeds,
 #: not like the build that wrote it.  ``tests/data`` holds v9 archives
-#: written by ``aaf8be8``.
-SEARCHER_FORMAT_VERSION = 10
+#: written by ``aaf8be8``.  Version 11 drops the ``arena_bits`` section
+#: (the codes' ``uint8`` levels) that v9 and v10 wrote beside
+#: ``arena_codes``: the packed codes are the arena's one resident form, and
+#: every version this build reads is loaded from them.
+SEARCHER_FORMAT_VERSION = 11
 
 #: Binary-container format versions this build can read.
-_SEARCHER_BINARY_VERSIONS = (9, 10)
+_SEARCHER_BINARY_VERSIONS = (9, 10, 11)
 
 #: Last commit whose ``load_searcher`` reads container formats v6–v8.
 _PRE_V9_COMMIT = "aaf8be8"
@@ -748,8 +748,7 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
-    the code levels (the GEMM operand, plus their packed form for older
-    readers), the fused estimator-constants matrix,
+    the packed code words, the fused estimator-constants matrix,
     IVF centroids/assignments, raw vectors, tombstones, external-id
     mapping, rotation and rounding vector — so that :func:`load_searcher`
     reproduces search results bit-identically and supports further mutation.
@@ -815,10 +814,7 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
         "next_id": int(searcher._next_id),
     }
     sections = {
-        # Written for readers that still adopt the packed codes; this
-        # build derives nothing from them.
-        "arena_codes": pack_level_planes(dump["bits"], searcher.bits),
-        "arena_bits": dump["bits"],
+        "arena_codes": dump["codes"],
         "arena_consts": dump["consts"],
         "arena_slots": dump["slots"],
         "data": np.ascontiguousarray(flat.data, dtype=np.float64),
@@ -856,7 +852,7 @@ def load_searcher(
     Parameters
     ----------
     mmap:
-        Memory-map the archive's large sections (the code levels,
+        Memory-map the archive's large sections (the packed codes,
         fused constants, raw vectors) instead of reading
         them into RAM: the load is near-constant-time and the dataset may
         exceed physical memory.  Results are bit-identical to a
@@ -975,8 +971,6 @@ def _load_searcher_v6(
                 f"metric {metric.name!r} at bits={bits} expects "
                 f"{expected_consts}"
             )
-        # The levels section cannot tell B = 2 from B = 4; the declared
-        # packed width can.
         if n_words != (code_length + 63) // 64 * bits:
             raise PersistenceError(
                 f"archive has inconsistent code matrices: {n_words} words "
@@ -1025,10 +1019,11 @@ def _load_searcher_v6(
         arena = CodeArena.from_sections(
             code_length,
             n_consts,
-            bits=sections.load("arena_bits", mmap=mmap),
+            codes=sections.load("arena_codes", mmap=mmap),
             consts=sections.load("arena_consts", mmap=mmap),
             slots=sections.load("arena_slots", mmap=mmap),
             sizes=sizes,
+            bits=bits,
         )
         # The arena's cluster-grouped row order must equal the bucket id
         # lists rebuilt from the assignment array — the invariant every

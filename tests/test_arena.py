@@ -5,13 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bitops import pack_level_planes
 from repro.core.estimator import N_CONSTS
 from repro.exceptions import DimensionMismatchError
 from repro.index.arena import CodeArena
 
 
+#: Code width of the test arenas: levels in [0, 15], four bit-planes.
+BITS = 4
+
+
 def _block(rng, n, code_length, slot_start):
-    levels = rng.integers(0, 16, size=(n, code_length)).astype(np.uint8)
+    levels = rng.integers(0, 1 << BITS, size=(n, code_length)).astype(np.uint8)
     consts = rng.normal(size=(N_CONSTS, n))
     slots = np.arange(slot_start, slot_start + n, dtype=np.int64)
     return levels, consts, slots
@@ -24,7 +29,9 @@ def _slots(arena, cid):
 
 def _append(arena, cid, levels, consts, slots):
     """Append one block to one cluster."""
-    arena.append(np.full(levels.shape[0], cid), levels, consts, slots)
+    arena.append(
+        np.full(levels.shape[0], cid), pack_level_planes(levels, BITS), consts, slots
+    )
 
 
 @pytest.fixture()
@@ -38,10 +45,11 @@ def arena_and_blocks():
     arena = CodeArena.from_sections(
         code_length,
         N_CONSTS,
-        bits=np.concatenate([blocks[0][0], blocks[2][0]]),
+        codes=pack_level_planes(np.concatenate([blocks[0][0], blocks[2][0]]), BITS),
         consts=np.hstack([blocks[0][1], blocks[2][1]]),
         slots=np.concatenate([blocks[0][2], blocks[2][2]]),
         sizes=np.array([5, 0, 3, 0]),
+        bits=BITS,
     )
     return arena, blocks
 
@@ -59,6 +67,8 @@ class TestBuildAndViews:
 
     def test_views_are_contiguous(self, arena_and_blocks):
         arena, _ = arena_and_blocks
+        start, end = arena.cluster_range(0)
+        assert arena.codes[start:end].flags.c_contiguous
         assert arena.cluster_bits(0).flags.c_contiguous
         # Each constant row of a cluster slice is itself contiguous.
         assert arena.cluster_consts(0)[0].flags.c_contiguous
@@ -69,9 +79,11 @@ class TestBuildAndViews:
         assert arena.cluster_consts(3).shape == (arena.n_consts, 0)
 
     def test_memory_bytes_positive(self, arena_and_blocks):
-        # Each code is stored once: its levels, constants and slot id.
+        # Each code is stored once: its packed words (B bits per dimension),
+        # constants and slot id.
         arena, _ = arena_and_blocks
-        assert arena.memory_bytes() == 8 * (arena.code_length + 8 * N_CONSTS + 8)
+        assert arena.n_words == BITS * 2
+        assert arena.memory_bytes() == 8 * (8 * arena.n_words + 8 * N_CONSTS + 8)
 
 
 class TestAppend:
@@ -119,12 +131,12 @@ class TestAppend:
         # grows by the one rule, and each keeps the call's row order.
         arena, blocks = arena_and_blocks
         twin = CodeArena.from_sections(
-            arena.code_length, arena.n_consts, **arena.dump_tight()
+            arena.code_length, arena.n_consts, **arena.dump_tight(), bits=BITS
         )
         rng = np.random.default_rng(6)
         levels, consts, slots = _block(rng, 7, arena.code_length, 8)
         clusters = np.array([2, 0, 1, 2, 0, 2, 3])
-        arena.append(clusters, levels, consts, slots)
+        arena.append(clusters, pack_level_planes(levels, BITS), consts, slots)
         assert list(arena.sizes) == [7, 1, 6, 1]
         assert list(arena.caps) == [14, 8, 12, 8]
         for cid in range(4):

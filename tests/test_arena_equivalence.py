@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitops import pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     CONST_ALIGN,
@@ -98,7 +97,7 @@ class PreArenaReference:
     """Snapshot of a searcher as the pre-arena implementation stored it.
 
     Rebuilds one ``RaBitQ`` object per non-empty cluster from the arena
-    regions (the codes packed from the arena's 0/1 levels, popcounts,
+    regions (the arena's packed codes, popcounts,
     alignments, norms) and gives each the
     searcher's rounding vector, then answers queries with the former
     per-cluster estimation loop and heap re-ranker.
@@ -122,7 +121,7 @@ class PreArenaReference:
             quantizer = RaBitQ(searcher.rabitq_config)
             quantizer._rotation = searcher._shared_rotation
             quantizer._dataset = QuantizedDataset(
-                packed_codes=pack_level_planes(arena.bits[start:end], 1),
+                packed_codes=arena.codes[start:end].copy(),
                 code_popcounts=consts[CONST_POPCOUNT].astype(np.int64),
                 alignments=consts[CONST_ALIGN].copy(),
                 norms=consts[CONST_NORM].copy(),

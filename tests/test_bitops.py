@@ -231,6 +231,19 @@ class TestBinaryDotUintBatch:
                 np.zeros((2, 1), dtype=np.uint64), np.zeros((3, 4, 2), dtype=np.uint64)
             )
 
+    def test_inconsistent_operands_rejected(self):
+        codes = np.zeros((5, 2), dtype=np.uint64)
+        values = np.zeros((2, 100), dtype=np.uint64)
+        for kwargs in (
+            {},  # no query operand at all
+            {"query_values": values, "segments": [2, 2]},  # runs miss a code
+            {"query_values": values, "segments": [5]},  # one run, two queries
+            {"query_values": values, "code_length": 130},  # a third word
+            {"query_values": values, "bits": 2},  # one word per plane left
+        ):
+            with pytest.raises(DimensionMismatchError):
+                binary_dot_uint_batch(codes, **kwargs)
+
     def test_bad_plane_rank(self):
         with pytest.raises(DimensionMismatchError):
             binary_dot_uint_batch(

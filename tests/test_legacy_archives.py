@@ -241,7 +241,7 @@ class TestParentFormatSearcherArchive:
         assert _v9_stream(loaded) == _v9_stream(_twin(IP_V9, metric=metric))
 
     def test_resave_upgrades_to_current_format(self, tmp_path):
-        assert SEARCHER_FORMAT_VERSION == 10
+        assert SEARCHER_FORMAT_VERSION == 11
         upgraded = tmp_path / "upgraded.rbq"
         save_searcher(load_searcher(_fixture(tmp_path)), upgraded)
         _assert_clean(upgraded)

@@ -1,7 +1,7 @@
 """Memory-mapped (zero-copy) archive loading: equivalence and rejection.
 
 ``load_searcher(path, mmap=True)`` maps a format-v6 archive's large
-sections (packed codes, GEMM operand, fused constants, raw vectors)
+sections (packed codes, fused constants, raw vectors)
 straight from the file instead of materializing them.  The contract under
 test:
 
@@ -108,7 +108,7 @@ class TestMmapEquivalence:
 
         mapped = load_searcher(archives("l2"), mmap=True)
         # The big sections are zero-copy views of the file...
-        assert isinstance(mapped._arena.bits, np.memmap)
+        assert isinstance(mapped._arena.codes, np.memmap)
         assert isinstance(mapped._arena.consts, np.memmap)
         assert file_backed(mapped.flat.data)
         # ...while the arrays that mutations write in place (tombstone
@@ -240,7 +240,7 @@ class TestV6Rejection:
     def test_missing_section_rejected(self, v6_path, tmp_path, mmap):
         def mutate(header):
             header["sections"] = [
-                e for e in header["sections"] if e["name"] != "arena_bits"
+                e for e in header["sections"] if e["name"] != "arena_codes"
             ]
 
         bad = _tampered(v6_path, tmp_path / "missing.rbq", mutate)

@@ -175,10 +175,13 @@ class TestSearcher:
             "rabitq", n_clusters=8, bits=4, rng=1
         ).fit(data)
         assert searcher.bits == 4
-        # One uint8 level per dimension, plus the trailing rescale row.
-        levels = searcher.arena.bits
+        # Four packed bit-planes per code, plus the trailing rescale row.
+        arena = searcher.arena
+        assert arena.codes.dtype == np.uint64
+        assert arena.codes.shape[1] == 4 * -(-arena.code_length // 64)
+        levels = arena.cluster_bits(int(np.argmax(arena.sizes)))
         assert levels.dtype == np.uint8 and 1 < int(levels.max()) <= 15
-        assert searcher.arena.n_consts == n_consts_for("l2", 4)
+        assert arena.n_consts == n_consts_for("l2", 4)
         default = IVFQuantizedSearcher("rabitq", n_clusters=8, rng=1)
         assert default.bits == 1
 

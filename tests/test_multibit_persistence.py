@@ -8,9 +8,10 @@ dimension).  This suite pins the contract from the multi-bit refactor:
   mutating (insert) correctly;
 * the committed format-v9 fixture of ``tests/test_legacy_archives.py``
   pins a parent-written ``bits = 4`` archive;
-* the ``arena_codes`` section older readers adopt is exactly the saved
-  levels packed as plane-major bit-planes, at every width and metric,
-  and this build answers without reading it;
+* the ``arena_codes`` section is exactly the codes' levels packed as
+  plane-major bit-planes, at every width and metric; v11 archives store
+  no other code section, this build answers from it, and the ``uint8``
+  ``arena_bits`` section of v10 archives is ignored;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded;
 * quantizer npz archives are written as version 4 for every width (a
@@ -32,6 +33,7 @@ from repro.core.bitops import pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import PersistenceError
+from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io.persistence import (
     _write_v6_archive,
@@ -105,8 +107,8 @@ class TestV8RoundTrip:
 
 
 class TestPackedCodesSection:
-    """Readers of earlier builds adopt ``arena_codes``; this one writes it
-    from the levels and never reads it back."""
+    """``arena_codes`` is the arena's one resident form: v11 archives store
+    only it, and every version this build reads is loaded from it."""
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     @pytest.mark.parametrize("bits", ALL_BITS)
@@ -122,22 +124,55 @@ class TestPackedCodesSection:
         path = tmp_path / "codes.rbq"
         save_searcher(searcher, path)
         header, arrays = _read(path)
+        assert header["format_version"] == 11
+        assert "arena_bits" not in arrays
         codes = arrays["arena_codes"]
         assert codes.dtype == np.dtype("<u8")
         assert header["meta"]["n_words"] == codes.shape[1]
-        np.testing.assert_array_equal(
-            codes, pack_level_planes(arrays["arena_bits"], bits)
+        arena = searcher.arena
+        levels = np.concatenate(
+            [arena.cluster_bits(cid) for cid in range(arena.n_clusters)]
         )
+        np.testing.assert_array_equal(codes, pack_level_planes(levels, bits))
 
     @pytest.mark.parametrize("bits", [1, 4])
-    def test_load_ignores_packed_codes(self, corpus, tmp_path, bits):
+    def test_load_reads_packed_codes(self, corpus, tmp_path, bits):
         data, queries = corpus
         path = tmp_path / "zeroed.rbq"
+        save_searcher(_build(data, bits), path)
+
+        def raw_answers(searcher):
+            searcher.reranker = NoReranker()  # the estimates themselves
+            return [searcher.search(q, 5, nprobe=4) for q in queries]
+
+        expected = raw_answers(load_searcher(path))
+        header, arrays = _read(path)
+        header.pop("sections")
+        arrays["arena_codes"] = np.zeros_like(arrays["arena_codes"])
+        _write_v6_archive(path, header, arrays)
+        for mmap in (False, True):
+            got = raw_answers(load_searcher(path, mmap=mmap))
+            assert any(
+                not np.array_equal(g.distances, w.distances)
+                for g, w in zip(got, expected)
+            )
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_v10_level_section_is_ignored(self, corpus, tmp_path, bits):
+        # A v10 archive also carries the levels as ``arena_bits``; this
+        # build loads it from ``arena_codes`` alone, so zeroed levels
+        # change no answer.
+        data, queries = corpus
+        path = tmp_path / "v10.rbq"
         save_searcher(_build(data, bits), path)
         expected = [load_searcher(path).search(q, 5, nprobe=4) for q in queries]
         header, arrays = _read(path)
         header.pop("sections")
-        arrays["arena_codes"] = np.zeros_like(arrays["arena_codes"])
+        header["format_version"] = 10
+        n_rows = arrays["arena_codes"].shape[0]
+        arrays["arena_bits"] = np.zeros(
+            (n_rows, header["meta"]["code_length"]), dtype=np.uint8
+        )
         _write_v6_archive(path, header, arrays)
         for mmap in (False, True):
             loaded = load_searcher(path, mmap=mmap)

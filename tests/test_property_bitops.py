@@ -8,16 +8,21 @@ for every possible input.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.core.bitops as bitops
 from repro.core.bitops import (
     binary_dot_uint_batch,
     bitplanes_from_uint_batch,
     hamming_distance,
     pack_bits,
+    pack_level_planes,
     popcount_total,
     unpack_bits,
 )
@@ -136,3 +141,87 @@ class TestLutProperties:
             split_into_segments(codes), build_query_luts(values.astype(np.float64))
         )
         np.testing.assert_array_equal(lut_result, bitwise.astype(np.float64))
+
+
+#: Strategy thresholds that force each of the kernel's two strategies.
+STRATEGIES = {"popcount": float("inf"), "unpack": 0.0}
+
+
+def _with_padding_garbage(words, code_length, rng):
+    """``words`` (``(..., planes * n_words)`` or ``(..., planes, n_words)``
+    packed planes) with random bits set past ``code_length`` in the last
+    word of every plane."""
+    n_words = -(-code_length // 64)
+    tail = code_length % 64
+    out = words.copy()
+    if tail:
+        planes = out.reshape(out.shape[:-1] + (out.shape[-1] // n_words, n_words))
+        garbage = rng.integers(0, 2**63, size=planes.shape[:-1], dtype=np.uint64)
+        planes[..., -1] |= garbage & ~np.uint64((1 << tail) - 1)
+    return out
+
+
+def _kernel(strategy, codes, planes, values, bits, code_length, segments=None):
+    with mock.patch.object(
+        bitops, "_POPCOUNT_CELLS_PER_UNPACKED", STRATEGIES[strategy]
+    ):
+        return binary_dot_uint_batch(
+            codes,
+            planes,
+            query_values=values,
+            bits=bits,
+            code_length=code_length,
+            segments=segments,
+        )
+
+
+class TestIntegerDotKernel:
+    """Both strategies, in cross and paired form, equal the dense integer
+    dot ``levels @ q_u`` at every code width, whatever the padding holds."""
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @given(
+        bits=st.sampled_from([1, 2, 4, 8]),
+        query_bits=st.integers(1, 16),
+        code_length=st.sampled_from([1, 63, 64, 65, 130]),
+        run_lengths=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(**_SETTINGS)
+    def test_strategies_match_dense_dot(
+        self, strategy, bits, query_bits, code_length, run_lengths, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n_queries, n_codes = len(run_lengths), sum(run_lengths)
+        levels = rng.integers(0, 1 << bits, size=(n_codes, code_length))
+        values = rng.integers(0, 1 << query_bits, size=(n_queries, code_length))
+        codes = _with_padding_garbage(
+            pack_level_planes(levels, bits), code_length, rng
+        )
+        planes = _with_padding_garbage(
+            bitplanes_from_uint_batch(values, query_bits), code_length, rng
+        )
+        queries = values.astype(np.uint64)
+        cross = _kernel(strategy, codes, planes, queries, bits, code_length)
+        np.testing.assert_array_equal(cross, values @ levels.T)
+        paired = _kernel(
+            strategy, codes, planes, queries, bits, code_length, run_lengths
+        )
+        owner = np.repeat(np.arange(n_queries), run_lengths)
+        expected = np.einsum("ij,ij->i", levels, values[owner])
+        np.testing.assert_array_equal(paired, expected)
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_padding_garbage_is_ignored(self, strategy):
+        # Every padding bit set in both operands: the result only stays the
+        # dense dot if the kernel clears bits past the code length.
+        code_length, bits = 65, 2
+        levels = np.full((3, code_length), 3)
+        values = np.full((2, code_length), 15)
+        codes = pack_level_planes(levels, bits)
+        codes.reshape(3, bits, 2)[..., -1] = np.iinfo(np.uint64).max
+        planes = bitplanes_from_uint_batch(values, 4)
+        planes[..., -1] = np.iinfo(np.uint64).max
+        queries = values.astype(np.uint64)
+        got = _kernel(strategy, codes, planes, queries, bits, code_length)
+        np.testing.assert_array_equal(got, values @ levels.T)

@@ -230,8 +230,13 @@ class TestSearcherArchiveErrors:
             ("rotation_kind", {"meta": {"rotation_kind": "qrx"}}),
             ("epsilon0", {"meta": {"epsilon0": -1.0}}),
             (
-                "arena_bits",
-                {"sections": {"arena_bits": arrays["arena_bits"][:, :0]}},
+                "arena_codes",
+                {"sections": {"arena_codes": arrays["arena_codes"][:, :0]}},
+            ),
+            (
+                # Same shape and bytes, read as floats: not code words.
+                "arena_codes_dtype",
+                {"sections": {"arena_codes": arrays["arena_codes"].view("<f8")}},
             ),
         ):
             bad = tmp_path / f"bad_{name}.rbq"
@@ -251,7 +256,7 @@ class TestSearcherArchiveErrors:
         _tamper(path, bad, sections={"ids": arrays["ids"][:10]})
         with pytest.raises(PersistenceError, match="inconsistent"):
             load_searcher(bad)
-        _tamper(path, bad, sections={"arena_bits": arrays["arena_bits"][:10]})
+        _tamper(path, bad, sections={"arena_codes": arrays["arena_codes"][:10]})
         with pytest.raises(PersistenceError):
             load_searcher(bad)
 
