@@ -270,32 +270,33 @@ def bench_pareto(args, dataset) -> dict:
     from repro.baselines.opq import OptimizedProductQuantizer
     from repro.baselines.pq import ProductQuantizer
     from repro.baselines.scalar import ScalarQuantizer
-    from repro.index.rerank import TopCandidateReranker
+    from repro.experiments.ann_search import ivf_baseline_search
+    from repro.index.flat import FlatIndex
+    from repro.index.ivf import IVFIndex
 
     data, queries = dataset.data, dataset.queries
     k, nprobe = args.k, args.nprobe
     n, dim = data.shape
     n_clusters = max(16, int(round(n**0.5)))
-    # External quantizers carry no error bound, so their searchers re-rank
+    # Baseline quantizers carry no error bound, so their pipelines re-rank
     # a fixed top-candidate budget comparable to the error-bound
     # re-ranker's typical exact-evaluation count on this workload.
     rerank_budget = max(100, 10 * k)
 
-    def _measure(label, family, make_searcher, code_bytes_fn):
+    def _measure(label, family, fit):
+        """Time ``fit()`` -> ``(search, code_bytes)``, then ``search``."""
         start = time.perf_counter()
-        searcher = make_searcher().fit(data)
+        search, code_bytes = fit()
         fit_seconds = time.perf_counter() - start
-        searcher.search_batch(
-            queries[: min(16, len(queries))], k, nprobe=nprobe
-        )
+        search(queries[: min(16, len(queries))])
         start = time.perf_counter()
-        batch = searcher.search_batch(queries, k, nprobe=nprobe)
+        retrieved = search(queries)
         seconds = time.perf_counter() - start
-        recall = recall_at_k([r.ids for r in batch], dataset.ground_truth, k)
+        recall = recall_at_k(retrieved, dataset.ground_truth, k)
         entry = {
             "label": label,
             "family": family,
-            "code_bytes_per_vector": int(code_bytes_fn(searcher)),
+            "code_bytes_per_vector": int(code_bytes),
             "fit_seconds": round(fit_seconds, 3),
             "batch_qps": round(len(queries) / seconds, 1),
             f"recall_at_{k}": round(float(recall), 4),
@@ -308,19 +309,41 @@ def bench_pareto(args, dataset) -> dict:
         )
         return entry
 
+    def _fit_rabitq(bits):
+        searcher = IVFQuantizedSearcher(
+            "rabitq",
+            n_clusters=n_clusters,
+            rabitq_config=RaBitQConfig(seed=args.seed, bits=bits),
+            rng=args.seed,
+        ).fit(data)
+
+        def search(qs):
+            return [r.ids for r in searcher.search_batch(qs, k, nprobe=nprobe)]
+
+        return search, _code_bytes_per_vector(searcher)
+
+    def _fit_baseline(quantizer):
+        ivf = IVFIndex(n_clusters, rng=args.seed).fit(data)
+        flat = FlatIndex(data)
+        quantizer.fit(data)
+
+        def search(qs):
+            results = ivf_baseline_search(
+                ivf,
+                flat,
+                quantizer,
+                qs,
+                k,
+                nprobe=nprobe,
+                rerank_count=rerank_budget,
+            )
+            return [ids for ids, _, _ in results]
+
+        return search, quantizer.code_size_bits() // 8
+
     sweep = []
     for bits in (1, 2, 4, 8):
-        entry = _measure(
-            f"rabitq_b{bits}",
-            "rabitq",
-            lambda bits=bits: IVFQuantizedSearcher(
-                "rabitq",
-                n_clusters=n_clusters,
-                rabitq_config=RaBitQConfig(seed=args.seed, bits=bits),
-                rng=args.seed,
-            ),
-            _code_bytes_per_vector,
-        )
+        entry = _measure(f"rabitq_b{bits}", "rabitq", lambda: _fit_rabitq(bits))
         entry["bits"] = bits
         sweep.append(entry)
 
@@ -343,20 +366,8 @@ def bench_pareto(args, dataset) -> dict:
         ("sq8", "scalar", lambda: ScalarQuantizer(8)),
     )
     for label, family, make_quantizer in baselines:
-        quantizer = make_quantizer()
         sweep.append(
-            _measure(
-                label,
-                family,
-                lambda q=quantizer: IVFQuantizedSearcher(
-                    "external",
-                    external_quantizer=q,
-                    n_clusters=n_clusters,
-                    reranker=TopCandidateReranker(rerank_budget),
-                    rng=args.seed,
-                ),
-                lambda _s, q=quantizer: q.code_size_bits() // 8,
-            )
+            _measure(label, family, lambda: _fit_baseline(make_quantizer()))
         )
 
     recall_key = f"recall_at_{k}"

@@ -28,22 +28,24 @@ import numpy as np
 from repro import RaBitQConfig
 from repro.baselines import OptimizedProductQuantizer
 from repro.datasets import load_dataset
-from repro.index import IVFQuantizedSearcher, TopCandidateReranker
+from repro.experiments.ann_search import ivf_baseline_search
+from repro.index import FlatIndex, IVFIndex, IVFQuantizedSearcher
 from repro.metrics import average_distance_ratio, recall_at_k
 from _example_scale import scaled as _scaled
 
 
-def evaluate(name, searcher, dataset, k, nprobe):
+def evaluate(name, search, dataset, k, nprobe):
+    """``search(queries, k, nprobe)`` -> one ``(ids, n_exact)`` per query."""
     start = time.perf_counter()
-    results = searcher.search_batch(dataset.queries, k, nprobe=nprobe)
+    results = search(dataset.queries, k, nprobe)
     elapsed = time.perf_counter() - start
-    retrieved = [r.ids for r in results]
+    retrieved = [ids for ids, _ in results]
     recall = recall_at_k(retrieved, dataset.ground_truth, k)
     ratio = average_distance_ratio(
         dataset.data, dataset.queries, retrieved, dataset.ground_truth
     )
     qps = len(results) / elapsed
-    exact = np.mean([r.n_exact for r in results])
+    exact = np.mean([n_exact for _, n_exact in results])
     print(f"{name:<28} nprobe={nprobe:<3} recall@{k}={recall:.3f}  "
           f"dist-ratio={ratio:.4f}  QPS={qps:7.1f}  exact/query={exact:7.1f}")
     return recall
@@ -62,21 +64,28 @@ def main() -> None:
     ).fit(dataset.data)
 
     print("Building IVF-OPQ (fixed re-ranking budget of 200 candidates) ...")
-    opq = OptimizedProductQuantizer(dataset.dim // 2, 4, n_iterations=2, rng=0)
-    opq_searcher = IVFQuantizedSearcher(
-        "external",
-        external_quantizer=opq,
-        n_clusters=64,
-        reranker=TopCandidateReranker(200),
-        rng=0,
+    ivf = IVFIndex(64, rng=0).fit(dataset.data)
+    flat = FlatIndex(dataset.data)
+    opq = OptimizedProductQuantizer(
+        dataset.dim // 2, 4, n_iterations=2, rng=0
     ).fit(dataset.data)
+
+    def rabitq_search(queries, k, nprobe):
+        results = rabitq_searcher.search_batch(queries, k, nprobe=nprobe)
+        return [(r.ids, r.n_exact) for r in results]
+
+    def opq_search(queries, k, nprobe):
+        results = ivf_baseline_search(
+            ivf, flat, opq, queries, k, nprobe=nprobe, rerank_count=200
+        )
+        return [(ids, n_exact) for ids, _, n_exact in results]
 
     print("\nQPS / recall trade-off (sweep of nprobe, batch engine):")
     for nprobe in (2, 4, 8, 16, 32):
-        evaluate("IVF-RaBitQ", rabitq_searcher, dataset, k, nprobe)
+        evaluate("IVF-RaBitQ", rabitq_search, dataset, k, nprobe)
     print()
     for nprobe in (2, 4, 8, 16, 32):
-        evaluate("IVF-OPQ (rerank=200)", opq_searcher, dataset, k, nprobe)
+        evaluate("IVF-OPQ (rerank=200)", opq_search, dataset, k, nprobe)
 
     print("\nBatch engine vs sequential per-query loop (identical results):")
     # One searcher answers both ways: search is a pure function of

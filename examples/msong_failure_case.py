@@ -20,7 +20,8 @@ import numpy as np
 from repro import RaBitQ, RaBitQConfig
 from repro.baselines import OptimizedProductQuantizer, ProductQuantizer
 from repro.datasets import load_dataset
-from repro.index import IVFQuantizedSearcher, TopCandidateReranker
+from repro.experiments.ann_search import ivf_baseline_search
+from repro.index import FlatIndex, IVFIndex, IVFQuantizedSearcher
 from repro.metrics import (
     average_relative_error,
     max_relative_error,
@@ -80,16 +81,15 @@ def main() -> None:
     results = rabitq_searcher.search_batch(dataset.queries, k, nprobe=16)
     rabitq_recall = recall_at_k([r.ids for r in results], dataset.ground_truth, k)
 
-    opq = OptimizedProductQuantizer(dataset.dim // 4, 4, n_iterations=2, rng=0)
-    opq_searcher = IVFQuantizedSearcher(
-        "external",
-        external_quantizer=opq,
-        n_clusters=48,
-        reranker=TopCandidateReranker(100),
-        rng=0,
+    ivf = IVFIndex(48, rng=0).fit(dataset.data)
+    opq = OptimizedProductQuantizer(
+        dataset.dim // 4, 4, n_iterations=2, rng=0
     ).fit(dataset.data)
-    results = opq_searcher.search_batch(dataset.queries, k, nprobe=16)
-    opq_recall = recall_at_k([r.ids for r in results], dataset.ground_truth, k)
+    results = ivf_baseline_search(
+        ivf, FlatIndex(dataset.data), opq, dataset.queries, k,
+        nprobe=16, rerank_count=100,
+    )
+    opq_recall = recall_at_k([ids for ids, _, _ in results], dataset.ground_truth, k)
 
     print(f"IVF-RaBitQ              : recall@{k} = {rabitq_recall:.3f}")
     print(f"IVF-OPQ (rerank=100)    : recall@{k} = {opq_recall:.3f}")

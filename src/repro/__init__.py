@@ -3,11 +3,11 @@
 RaBitQ quantizes ``D``-dimensional vectors into ``D``-bit strings and
 estimates squared Euclidean distances with an unbiased estimator whose error
 is bounded by ``O(1/sqrt(D))`` with high probability.  This package
-implements the quantizer, its baselines (PQ, OPQ, LSQ-style additive
-quantization, scalar quantization, signed random projections), the IVF and
-HNSW index substrates, synthetic datasets, evaluation metrics, and an
-experiment harness that regenerates every table and figure of the paper's
-evaluation.
+implements the quantizer, the IVF-RaBitQ searcher, its baselines (PQ, OPQ,
+LSQ-style additive quantization, scalar quantization, signed random
+projections, the HNSW graph index), synthetic datasets, evaluation metrics,
+and an experiment harness that regenerates every table and figure of the
+paper's evaluation.
 
 Quickstart
 ----------

@@ -1,7 +1,7 @@
-"""Baseline quantization methods compared against RaBitQ in the paper.
+"""Baseline methods compared against RaBitQ in the paper.
 
-All baselines expose the same small interface so that the experiment harness
-can swap them in and out:
+All quantization baselines expose the same small interface so that the
+experiment harness can swap them in and out:
 
 * ``fit(data)``                 — train the codebooks on raw vectors,
 * ``encode(data)``              — produce quantization codes,
@@ -21,8 +21,13 @@ Implemented baselines:
   scalar quantization (SQ8-style).
 * :class:`~repro.baselines.srp.SignedRandomProjection` — sign-random-
   projection sketches for angular similarity (related work, Sec. 6).
+
+The graph-index baseline of Fig. 4:
+
+* :class:`~repro.baselines.hnsw.HNSWIndex` — HNSW (Malkov & Yashunin, 2020).
 """
 
+from repro.baselines.hnsw import HNSWIndex
 from repro.baselines.lsq import AdditiveQuantizer
 from repro.baselines.opq import OptimizedProductQuantizer
 from repro.baselines.pq import ProductQuantizer
@@ -35,4 +40,5 @@ __all__ = [
     "AdditiveQuantizer",
     "ScalarQuantizer",
     "SignedRandomProjection",
+    "HNSWIndex",
 ]

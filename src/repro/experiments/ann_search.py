@@ -7,6 +7,11 @@ records recall@K, average distance ratio and QPS for every setting.
 
 Fig. 10's ablation (RaBitQ with vs. without re-ranking) is obtained by
 passing ``rerank=False`` for an extra IVF-RaBitQ curve.
+
+The IVF-OPQ curves run through :func:`ivf_baseline_search`, the plain
+IVF + baseline-quantizer pipeline the comparison needs; the serving
+searcher, :class:`repro.index.searcher.IVFQuantizedSearcher`, is IVF-RaBitQ
+only.
 """
 
 from __future__ import annotations
@@ -16,17 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines import OptimizedProductQuantizer
+from repro.baselines import HNSWIndex, OptimizedProductQuantizer
 from repro.core.config import RaBitQConfig
+from repro.core.estimator import DistanceEstimate
 from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.datasets.synthetic import Dataset
 from repro.exceptions import InvalidParameterError
-from repro.index.hnsw import HNSWIndex
+from repro.index.flat import FlatIndex
+from repro.index.ivf import IVFIndex
 from repro.index.rerank import NoReranker, TopCandidateReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.metrics.distance_ratio import average_distance_ratio
 from repro.metrics.recall import recall_at_k
 from repro.metrics.timing import queries_per_second
+from repro.substrates.linalg import as_float_matrix
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,40 @@ class AnnSearchResult:
     distance_ratio: float
     qps: float
     avg_exact_per_query: float
+
+
+def ivf_baseline_search(
+    ivf: IVFIndex,
+    flat: FlatIndex,
+    quantizer,
+    queries: np.ndarray,
+    k: int,
+    *,
+    nprobe: int,
+    rerank_count: int,
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """IVF + baseline quantizer + fixed-budget re-ranking (Fig. 4's IVF-OPQ).
+
+    ``ivf``, ``flat`` and ``quantizer`` (PQ, OPQ, SQ, ...) must all be
+    fitted on the same data.  Each query's candidates are the probed
+    buckets' vectors in probe order; the quantizer estimates their squared
+    distances, and the ``rerank_count`` best estimates are re-ranked
+    exactly.  A baseline has no error bound, so its bounds are the estimate
+    itself.  Returns one ``(ids, distances, n_exact)`` per query.
+    """
+    reranker = TopCandidateReranker(rerank_count)
+    results = []
+    for query in as_float_matrix(queries, "queries"):
+        cand = ivf.candidates(query, nprobe)
+        est = quantizer.estimate_distances(query, codes=quantizer.codes[cand])
+        estimate = DistanceEstimate(
+            distances=est,
+            lower_bounds=est,
+            upper_bounds=est,
+            inner_products=np.zeros_like(est),
+        )
+        results.append(reranker.rerank(query, cand, estimate, flat, k))
+    return results
 
 
 def _evaluate_curve(
@@ -176,23 +218,24 @@ def run_ann_search_experiment(
         n_segments = dim // 2
         while dim % n_segments != 0 and n_segments > 1:
             n_segments -= 1
+        ivf = IVFIndex(n_clusters, rng=seed).fit(dataset.data)
+        flat = FlatIndex(dataset.data)
+        opq = OptimizedProductQuantizer(
+            n_segments, 4, n_iterations=2, rng=seed
+        ).fit(dataset.data)
         for rerank_count in opq_rerank_counts:
-            opq = OptimizedProductQuantizer(
-                n_segments, 4, n_iterations=2, rng=seed
-            )
-            opq_searcher = IVFQuantizedSearcher(
-                "external",
-                external_quantizer=opq,
-                n_clusters=n_clusters,
-                reranker=TopCandidateReranker(int(rerank_count)),
-                rng=seed,
-            ).fit(dataset.data)
 
-            def opq_search(nprobe, _searcher=opq_searcher):
-                outputs = _searcher.search_batch(
-                    dataset.queries, k, nprobe=int(nprobe)
+            def opq_search(nprobe, _rerank_count=int(rerank_count)):
+                outputs = ivf_baseline_search(
+                    ivf,
+                    flat,
+                    opq,
+                    dataset.queries,
+                    k,
+                    nprobe=int(nprobe),
+                    rerank_count=_rerank_count,
                 )
-                return [r.ids for r in outputs], [r.n_exact for r in outputs]
+                return [ids for ids, _, _ in outputs], [n for _, _, n in outputs]
 
             results.extend(
                 _evaluate_curve(
@@ -227,4 +270,4 @@ def run_ann_search_experiment(
     return results
 
 
-__all__ = ["AnnSearchResult", "run_ann_search_experiment"]
+__all__ = ["AnnSearchResult", "ivf_baseline_search", "run_ann_search_experiment"]

@@ -1,19 +1,20 @@
-"""Index structures for in-memory ANN search.
+"""Index structures of the IVF-RaBitQ serving path.
 
 * :mod:`repro.index.flat` — exact brute-force index (ground truth / re-ranking).
 * :mod:`repro.index.ivf` — inverted-file (IVF) coarse index (Sec. 4 substrate).
-* :mod:`repro.index.hnsw` — hierarchical navigable small-world graph baseline.
 * :mod:`repro.index.rerank` — re-ranking strategies (error-bound based and
   fixed-candidate-count).
 * :mod:`repro.index.arena` — contiguous cluster-grouped code arena backing
   the searcher's fused estimation hot path.
-* :mod:`repro.index.searcher` — IVF + quantizer ANN pipelines
-  (IVF-RaBitQ and IVF-PQ/OPQ) used by the Fig. 4 experiments.
+* :mod:`repro.index.searcher` — the IVF-RaBitQ ANN searcher.
+
+Fig. 4's comparison baselines live elsewhere: the HNSW graph index in
+:mod:`repro.baselines.hnsw`, the IVF-PQ / IVF-OPQ pipeline in
+:func:`repro.experiments.ann_search.ivf_baseline_search`.
 """
 
 from repro.index.arena import CodeArena
 from repro.index.flat import FlatIndex
-from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFIndex
 from repro.index.rerank import (
     ErrorBoundReranker,
@@ -30,7 +31,6 @@ __all__ = [
     "CodeArena",
     "FlatIndex",
     "IVFIndex",
-    "HNSWIndex",
     "ErrorBoundReranker",
     "TopCandidateReranker",
     "NoReranker",

@@ -1,15 +1,13 @@
-"""IVF + quantizer ANN search pipelines (Section 4 of the paper).
+"""IVF-RaBitQ ANN search (Section 4 of the paper).
 
-:class:`IVFQuantizedSearcher` couples the IVF coarse index with a quantizer
-and a re-ranking strategy:
-
-* **IVF-RaBitQ** — RaBitQ codes encoded per cluster (each cluster's centroid
-  is the normalization centroid, all clusters share one rotation) and stored
-  in a single contiguous :class:`repro.index.arena.CodeArena`; candidates
-  are re-ranked with the error-bound rule (no tuning).
-* **IVF-PQ / IVF-OPQ** — a PQ or OPQ quantizer trained globally; candidates
-  are re-ranked with a fixed candidate count (the paper sweeps 500 / 1000 /
-  2500).
+:class:`IVFQuantizedSearcher` couples the IVF coarse index with RaBitQ codes
+and a re-ranking strategy: the codes are encoded per cluster (each
+cluster's centroid is the normalization centroid, all clusters share one
+rotation) and stored in a single contiguous
+:class:`repro.index.arena.CodeArena`, and candidates are re-ranked with the
+error-bound rule (no tuning).  Fig. 4's IVF-PQ / IVF-OPQ comparison curves
+run through :func:`repro.experiments.ann_search.ivf_baseline_search`
+instead.
 
 **Metric-generic serving.**  The searcher serves squared-L2 (default),
 inner-product (MIPS) or cosine traffic via the ``metric=`` constructor
@@ -101,8 +99,6 @@ lifecycle required by a serving deployment):
   tombstones; deleted vectors stop appearing in results immediately, and
   :meth:`IVFQuantizedSearcher.compact` (triggered automatically once the
   tombstone fraction reaches ``compact_threshold``) reclaims their storage.
-  ``insert`` and ``compact`` require ``quantizer_kind="rabitq"``; searchers
-  wrapping an external baseline quantizer support tombstone deletion only.
 * Results always report *external* ids: a vector keeps its id across any
   interleaving of inserts, deletes and compactions.  After a fresh ``fit``
   the external ids are ``0 .. n-1`` (the row positions), so existing code
@@ -261,25 +257,19 @@ def _empty_estimate() -> tuple[np.ndarray, DistanceEstimate]:
 
 
 class IVFQuantizedSearcher:
-    """ANN search pipeline combining IVF, a quantizer and a re-ranker.
+    """IVF-RaBitQ ANN search: IVF probing, RaBitQ codes and a re-ranker.
 
     Parameters
     ----------
-    quantizer_kind:
-        ``"rabitq"`` for per-cluster-encoded RaBitQ codes in a contiguous
-        arena (the paper's method) or ``"external"`` when an
-        already-constructed baseline quantizer (PQ, OPQ, ...) trained on the
-        full dataset is supplied via ``external_quantizer``.
+    kind:
+        Positional only, and ``"rabitq"`` is its one accepted value (the
+        paper's per-cluster-encoded RaBitQ codes in a contiguous arena).
     n_clusters:
         Number of IVF clusters (``None`` = size-scaled default).
     rabitq_config:
         Configuration of the per-cluster RaBitQ encoding.
-    external_quantizer:
-        A fitted-on-demand baseline quantizer exposing ``fit`` /
-        ``estimate_distances`` (only used when ``quantizer_kind="external"``).
     reranker:
-        Re-ranking strategy; defaults to the error-bound rule for RaBitQ and
-        must be supplied explicitly for baselines.
+        Re-ranking strategy; defaults to the error-bound rule.
     rng:
         Seed or generator for the IVF clustering.
     compact_threshold:
@@ -294,37 +284,35 @@ class IVFQuantizedSearcher:
         probing ranks centroids by it, the fused estimator emits
         metric-appropriate values and bounds, re-ranking flips to
         maximization for similarities, and results report metric values
-        best-first.  Similarity metrics require
-        ``quantizer_kind="rabitq"``.
+        best-first.
     bits:
-        Code width ``B`` in bits per dimension (RaBitQ searchers only).
-        ``None`` (the default) keeps the width of ``rabitq_config``
-        (itself defaulting to 1, the paper's binary construction); an
-        explicit value overrides it.  Multi-bit widths (2 / 4 / 8) store
-        scalar-quantized residual magnitudes as extra bit-planes for a
-        space/accuracy trade-off.
+        Code width ``B`` in bits per dimension.  ``None`` (the default)
+        keeps the width of ``rabitq_config`` (itself defaulting to 1, the
+        paper's binary construction); an explicit value overrides it.
+        Multi-bit widths (2 / 4 / 8) store scalar-quantized residual
+        magnitudes as extra bit-planes for a space/accuracy trade-off.
     """
 
     def __init__(
         self,
-        quantizer_kind: str = "rabitq",
+        # Kept only because callers pass "rabitq" positionally; it can go
+        # once those call sites drop it.
+        kind: str = "rabitq",
+        /,
         *,
         n_clusters: int | None = None,
         rabitq_config: Optional[RaBitQConfig] = None,
-        external_quantizer=None,
         reranker: Optional[Reranker] = None,
         rng: RngLike = None,
         compact_threshold: float | None = 0.25,
         metric: str | Metric = "l2",
         bits: int | None = None,
     ) -> None:
-        if quantizer_kind not in ("rabitq", "external"):
+        if kind != "rabitq":
             raise InvalidParameterError(
-                "quantizer_kind must be 'rabitq' or 'external'"
-            )
-        if quantizer_kind == "external" and external_quantizer is None:
-            raise InvalidParameterError(
-                "external_quantizer must be provided when quantizer_kind='external'"
+                f"IVFQuantizedSearcher serves RaBitQ codes only (kind must be "
+                f"'rabitq', got {kind!r}); baseline quantizers run through "
+                "repro.experiments.ann_search.ivf_baseline_search"
             )
         if n_clusters is not None:
             require_positive_int(n_clusters, "n_clusters")
@@ -333,12 +321,6 @@ class IVFQuantizedSearcher:
                 "compact_threshold must lie in (0, 1] or be None"
             )
         self._metric = resolve_metric(metric)
-        if quantizer_kind != "rabitq" and self._metric.name != "l2":
-            raise InvalidParameterError(
-                "similarity metrics require quantizer_kind='rabitq' "
-                "(external baseline quantizers estimate squared L2 only)"
-            )
-        self.quantizer_kind = quantizer_kind
         self.n_clusters = n_clusters
         self.rabitq_config = (
             rabitq_config if rabitq_config is not None else RaBitQConfig(seed=0)
@@ -348,7 +330,6 @@ class IVFQuantizedSearcher:
             self.rabitq_config = self.rabitq_config.with_overrides(
                 bits=int(bits)
             )
-        self.external_quantizer = external_quantizer
         self.reranker: Reranker = (
             reranker if reranker is not None else ErrorBoundReranker()
         )
@@ -413,12 +394,9 @@ class IVFQuantizedSearcher:
 
     @property
     def arena(self) -> CodeArena:
-        """The contiguous code arena (RaBitQ searchers only)."""
+        """The contiguous code arena."""
         if self._arena is None:
-            raise NotFittedError(
-                "IVFQuantizedSearcher must be fitted before use (and the "
-                "code arena exists only for quantizer_kind='rabitq')"
-            )
+            raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
         return self._arena
 
     @property
@@ -480,7 +458,7 @@ class IVFQuantizedSearcher:
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
     ) -> "IVFQuantizedSearcher":
-        """Build the IVF index and train the quantizer(s) on ``data``.
+        """Build the IVF index and RaBitQ-encode ``data`` into the arena.
 
         External ids are assigned positionally (``0 .. n-1``); they remain
         stable across later :meth:`insert` / :meth:`delete` /
@@ -495,37 +473,34 @@ class IVFQuantizedSearcher:
             mat, kmeans_sample_size=kmeans_sample_size
         )
 
-        if self.quantizer_kind == "rabitq":
-            # All clusters share one rotation so that the query only needs to
-            # be rotated once per cluster-centroid frame.
-            code_length = self.rabitq_config.resolve_code_length(mat.shape[1])
-            shared_rotation = make_rotation(
-                self.rabitq_config.rotation, code_length, self._rng
-            )
-            self._shared_rotation = shared_rotation
-            self._rounding_offsets = sample_rounding_offsets(
-                self.rabitq_config.seed, code_length
-            )
-            assignments = self._ivf.assignments
-            order = np.argsort(assignments, kind="stable")
-            codes, consts = self._encode(mat, order, assignments[order])
-            self._arena = CodeArena.from_sections(
-                code_length,
-                consts.shape[0],
-                codes=codes,
-                consts=consts,
-                slots=order.astype(np.int64),
-                sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
-                bits=self.bits,
-            )
-            self._pad_len = code_length
-            self._rotation_matrix = (
-                shared_rotation.as_matrix()
-                if isinstance(shared_rotation, QRRotation)
-                else None
-            )
-        else:
-            self.external_quantizer.fit(mat)
+        # All clusters share one rotation so that the query only needs to
+        # be rotated once per cluster-centroid frame.
+        code_length = self.rabitq_config.resolve_code_length(mat.shape[1])
+        shared_rotation = make_rotation(
+            self.rabitq_config.rotation, code_length, self._rng
+        )
+        self._shared_rotation = shared_rotation
+        self._rounding_offsets = sample_rounding_offsets(
+            self.rabitq_config.seed, code_length
+        )
+        assignments = self._ivf.assignments
+        order = np.argsort(assignments, kind="stable")
+        codes, consts = self._encode(mat, order, assignments[order])
+        self._arena = CodeArena.from_sections(
+            code_length,
+            consts.shape[0],
+            codes=codes,
+            consts=consts,
+            slots=order.astype(np.int64),
+            sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
+            bits=self.bits,
+        )
+        self._pad_len = code_length
+        self._rotation_matrix = (
+            shared_rotation.as_matrix()
+            if isinstance(shared_rotation, QRRotation)
+            else None
+        )
         n = mat.shape[0]
         self._ids = np.arange(n, dtype=np.int64)
         self._id_to_slot = {i: i for i in range(n)}
@@ -601,10 +576,6 @@ class IVFQuantizedSearcher:
         """
         if self._ivf is None or self._flat is None:
             raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        if self.quantizer_kind != "rabitq":
-            raise InvalidParameterError(
-                "insert is only supported for quantizer_kind='rabitq'"
-            )
         mat = as_float_matrix(vectors, "vectors")
         n_new = mat.shape[0]
         if n_new == 0:
@@ -653,13 +624,10 @@ class IVFQuantizedSearcher:
     def delete(self, ids: np.ndarray | int) -> int:
         """Tombstone the given external ids and return how many were removed.
 
-        Deleted vectors stop appearing in search results immediately.  For
-        RaBitQ searchers their storage is reclaimed by :meth:`compact`,
-        which runs automatically once the tombstone fraction reaches
-        ``compact_threshold``; external-quantizer searchers support
-        tombstoning only (their baseline quantizers cannot re-index codes,
-        so compaction is unavailable and tombstones persist).  Unknown (or
-        already-deleted) ids raise :class:`InvalidParameterError`;
+        Deleted vectors stop appearing in search results immediately; their
+        storage is reclaimed by :meth:`compact`, which runs automatically
+        once the tombstone fraction reaches ``compact_threshold``.  Unknown
+        (or already-deleted) ids raise :class:`InvalidParameterError`;
         duplicate ids in the request are collapsed.
         """
         if self._ivf is None or self._live is None:
@@ -683,7 +651,6 @@ class IVFQuantizedSearcher:
         self._n_dead += len(slots)
         if (
             self.compact_threshold is not None
-            and self.quantizer_kind == "rabitq"
             and self._n_dead >= self.compact_threshold * self._live.shape[0]
         ):
             # Replaying the delete record re-triggers this compaction
@@ -704,10 +671,6 @@ class IVFQuantizedSearcher:
         """
         if self._ivf is None or self._flat is None or self._live is None:
             raise NotFittedError("IVFQuantizedSearcher must be fitted before use")
-        if self.quantizer_kind != "rabitq":
-            raise InvalidParameterError(
-                "compact is only supported for quantizer_kind='rabitq'"
-            )
         if self._n_dead == 0:
             return 0
         keep = self._live.copy()
@@ -931,36 +894,6 @@ class IVFQuantizedSearcher:
             )
         return self._live_only(cand, estimate)
 
-    def _estimate_external(
-        self, query: np.ndarray, cluster_ids: np.ndarray
-    ) -> tuple[np.ndarray, DistanceEstimate]:
-        """Estimate distances with the external (PQ/OPQ-style) quantizer."""
-        assert self._ivf is not None and self._live is not None
-        live = self._live
-        blocks: list[np.ndarray] = []
-        for cid in cluster_ids:
-            ids = self._ivf.buckets[int(cid)].vector_ids
-            if ids.shape[0] == 0:
-                continue
-            mask = live[ids]
-            if not mask.any():
-                continue
-            blocks.append(ids if mask.all() else ids[mask])
-        if not blocks:
-            return _empty_estimate()
-        candidate_ids = np.concatenate(blocks)
-        codes = self.external_quantizer.codes[candidate_ids]
-        distances = self.external_quantizer.estimate_distances(query, codes=codes)
-        # Baselines have no error bound: lower/upper bounds degenerate to the
-        # estimate itself, so only fixed-candidate re-ranking is meaningful.
-        estimate = DistanceEstimate(
-            distances=distances,
-            lower_bounds=distances.copy(),
-            upper_bounds=distances.copy(),
-            inner_products=np.zeros_like(distances),
-        )
-        return candidate_ids, estimate
-
     def search(self, query: np.ndarray, k: int, *, nprobe: int = 8) -> SearchResult:
         """Answer one ANN query.
 
@@ -976,10 +909,7 @@ class IVFQuantizedSearcher:
         row = np.asarray(query, dtype=np.float64).reshape(1, -1)
         vec = self._checked_queries(row, k, nprobe)[0]
         cluster_ids = self._ivf.probe(vec, nprobe, metric=self._metric)
-        if self.quantizer_kind == "rabitq":
-            candidate_ids, estimate = self._estimate_rabitq(vec, cluster_ids)
-        else:
-            candidate_ids, estimate = self._estimate_external(vec, cluster_ids)
+        candidate_ids, estimate = self._estimate_rabitq(vec, cluster_ids)
         ids, dists, n_exact = self.reranker.rerank(
             vec, candidate_ids, estimate, self._flat, k, metric=self._metric
         )
@@ -1169,12 +1099,7 @@ class IVFQuantizedSearcher:
         # bucket sizes (an average would under-estimate on skewed data, where
         # queries gravitate to the largest clusters).  No query's answer
         # depends on its chunk: this is purely a peak-memory cap.
-        bucket_sizes = (
-            self._arena.sizes
-            if self._arena is not None
-            else self._ivf.bucket_sizes()
-        )
-        pair_counts = bucket_sizes[probes].sum(axis=1)
+        pair_counts = self._arena.sizes[probes].sum(axis=1)
         ids_out: list[np.ndarray] = []
         dists_out: list[np.ndarray] = []
         n_candidates: list[int] = []
@@ -1188,13 +1113,7 @@ class IVFQuantizedSearcher:
                 hi += 1
             chunk_queries = query_mat[lo:hi]
             chunk_probes = probes[lo:hi]
-            if self.quantizer_kind == "rabitq":
-                per_query = self._estimate_rabitq_batch(chunk_queries, chunk_probes)
-            else:
-                per_query = [
-                    self._estimate_external(chunk_queries[qi], chunk_probes[qi])
-                    for qi in range(hi - lo)
-                ]
+            per_query = self._estimate_rabitq_batch(chunk_queries, chunk_probes)
             candidate_lists = [candidate_ids for candidate_ids, _ in per_query]
             reranked = self.reranker.rerank_batch(
                 chunk_queries,

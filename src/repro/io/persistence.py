@@ -737,10 +737,6 @@ def _load_reranker(kind: str, param: int) -> Reranker:
 def _check_saveable(searcher: IVFQuantizedSearcher) -> tuple[str, int]:
     if not searcher.is_fitted:
         raise NotFittedError("cannot save an unfitted IVFQuantizedSearcher")
-    if searcher.quantizer_kind != "rabitq":
-        raise InvalidParameterError(
-            "save_searcher only supports quantizer_kind='rabitq'"
-        )
     return _save_reranker(searcher.reranker)
 
 

@@ -23,11 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.pq import ProductQuantizer
 from repro.core import bitops
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
-from repro.index.rerank import NoReranker, TopCandidateReranker
+from repro.index.rerank import NoReranker
 from repro.index.searcher import BatchSearchResult, IVFQuantizedSearcher, SearchResult
 
 _SETTINGS = dict(max_examples=12, deadline=None)
@@ -148,25 +147,6 @@ class TestBatchSearchEquivalence:
         )
         batch = batch_searcher.search_batch(queries, 8, nprobe=4)
         sequential = [seq_searcher.search(q, 8, nprobe=4) for q in queries]
-        _assert_batch_equals_sequential(batch, sequential)
-
-    def test_identical_with_external_quantizer(self):
-        rng = np.random.default_rng(17)
-        data = rng.standard_normal((200, 12))
-        queries = rng.standard_normal((6, 12))
-
-        def build():
-            return IVFQuantizedSearcher(
-                "external",
-                external_quantizer=ProductQuantizer(6, 3, rng=0),
-                n_clusters=8,
-                reranker=TopCandidateReranker(40),
-                rng=7,
-            ).fit(data)
-
-        batch = build().search_batch(queries, 5, nprobe=4)
-        seq_searcher = build()
-        sequential = [seq_searcher.search(q, 5, nprobe=4) for q in queries]
         _assert_batch_equals_sequential(batch, sequential)
 
     def test_query_chunking_preserves_results(self, monkeypatch):

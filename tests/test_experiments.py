@@ -208,6 +208,35 @@ class TestAnnSearchExperiment:
         methods = {r.method for r in results}
         assert "IVF-RaBitQ (no rerank)" in methods
 
+    def test_baseline_curves_are_pinned(self, tiny_dataset):
+        # Fig. 4's IVF-OPQ and HNSW rows, recorded before the baselines
+        # left the searcher: (method, parameter) ->
+        # (recall, distance_ratio, avg_exact_per_query).
+        results = run_ann_search_experiment(
+            tiny_dataset,
+            k=10,
+            nprobe_values=(2, 8),
+            opq_rerank_counts=(50,),
+            ef_search_values=(20, 80),
+            n_clusters=16,
+            seed=0,
+        )
+        got = {
+            (r.method, r.parameter): (
+                r.recall,
+                r.distance_ratio,
+                r.avg_exact_per_query,
+            )
+            for r in results
+            if r.method != "IVF-RaBitQ"
+        }
+        assert got == {
+            ("IVF-OPQ (rerank=50)", 2.0): (1.0, 1.0, 50.0),
+            ("IVF-OPQ (rerank=50)", 8.0): (1.0, 1.0, 50.0),
+            ("HNSW", 20.0): (1.0, 1.0, 0.0),
+            ("HNSW", 80.0): (1.0, 1.0, 0.0),
+        }
+
 
 class TestReport:
     def test_format_table_basic(self):

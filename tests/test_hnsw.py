@@ -1,4 +1,4 @@
-"""Tests for repro.index.hnsw."""
+"""Tests for repro.baselines.hnsw."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.index.hnsw import STAT_KEY_EVALS, HNSWIndex
+from repro.baselines.hnsw import STAT_KEY_EVALS, HNSWIndex
 from repro.metrics.recall import recall_at_k
 
 

@@ -13,11 +13,12 @@ import pytest
 from repro import RaBitQ, RaBitQConfig
 from repro.baselines import OptimizedProductQuantizer, ProductQuantizer
 from repro.datasets import brute_force_ground_truth, load_dataset
+from repro.experiments.ann_search import ivf_baseline_search
 from repro.index import (
     ErrorBoundReranker,
     FlatIndex,
+    IVFIndex,
     IVFQuantizedSearcher,
-    TopCandidateReranker,
 )
 from repro.metrics import (
     average_distance_ratio,
@@ -96,17 +97,18 @@ class TestBaselineComparisonPipeline:
 
     def test_ivf_opq_pipeline_works(self, pipeline_dataset):
         ds = pipeline_dataset
-        opq = OptimizedProductQuantizer(ds.dim // 2, 4, n_iterations=2, rng=0)
-        searcher = IVFQuantizedSearcher(
-            "external",
-            external_quantizer=opq,
-            n_clusters=20,
-            reranker=TopCandidateReranker(200),
-            rng=0,
+        ivf = IVFIndex(20, rng=0).fit(ds.data)
+        opq = OptimizedProductQuantizer(
+            ds.dim // 2, 4, n_iterations=2, rng=0
         ).fit(ds.data)
-        results = searcher.search_batch(ds.queries, 10, nprobe=10)
-        recall = recall_at_k([r.ids for r in results], ds.ground_truth, 10)
+        results = ivf_baseline_search(
+            ivf, FlatIndex(ds.data), opq, ds.queries, 10,
+            nprobe=10, rerank_count=200,
+        )
+        recall = recall_at_k([ids for ids, _, _ in results], ds.ground_truth, 10)
         assert recall >= 0.8
+        for probed, (_, _, n_exact) in zip(ivf.probe_batch(ds.queries, 10), results):
+            assert n_exact == min(200, int(ivf.bucket_sizes()[probed].sum()))
 
 
 class TestMSongFailureScenario:

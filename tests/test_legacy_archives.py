@@ -437,6 +437,7 @@ class TestRetiredLayouts:
         {"estimation_mode": "gemm"},
         {"probe_strategy": "exact"},
         {"query_cache_size": 0},
+        {"external_quantizer": None},
     ),
     ids=lambda kwargs: next(iter(kwargs)),
 )

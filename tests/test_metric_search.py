@@ -163,16 +163,6 @@ class TestMetricPersistence:
 
 
 class TestMetricValidationAndDegenerate:
-    def test_external_quantizer_requires_l2(self):
-        from repro.baselines.pq import ProductQuantizer
-
-        with pytest.raises(InvalidParameterError, match="metric"):
-            IVFQuantizedSearcher(
-                "external",
-                external_quantizer=ProductQuantizer(4, 3, rng=0),
-                metric="ip",
-            )
-
     def test_unknown_metric_rejected(self):
         with pytest.raises(InvalidParameterError):
             IVFQuantizedSearcher("rabitq", metric="dot")

@@ -104,6 +104,15 @@ class TestTopLevelExports:
             item = getattr(index, name)
             assert item.__doc__, f"repro.index.{name} is missing a docstring"
 
+    def test_hnsw_is_a_baseline_not_an_index(self):
+        import repro.baselines
+
+        assert "HNSWIndex" in repro.baselines.__all__
+        with pytest.raises(ImportError):
+            from repro.index import HNSWIndex  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.index.hnsw  # noqa: F401
+
 
 class TestEndToEndViaPublicApi:
     def test_save_load_roundtrip_via_top_level(self, tmp_path):

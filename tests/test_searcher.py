@@ -9,7 +9,10 @@ from repro.baselines.pq import ProductQuantizer
 from repro.core.config import RaBitQConfig
 from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.index.rerank import NoReranker, TopCandidateReranker
+from repro.experiments.ann_search import ivf_baseline_search
+from repro.index.flat import FlatIndex
+from repro.index.ivf import IVFIndex
+from repro.index.rerank import NoReranker
 from repro.index.searcher import (
     BatchSearchResult,
     IVFQuantizedSearcher,
@@ -160,40 +163,42 @@ class TestBatchSearch:
 
 
 class TestExternalQuantizerSearcher:
+    """Baseline quantizers run through ivf_baseline_search; the searcher
+    refuses every kind but RaBitQ."""
+
+    def _pipeline(self, data, n_clusters):
+        ivf = IVFIndex(n_clusters, rng=0).fit(data)
+        pq = ProductQuantizer(20, 4, rng=0).fit(data)
+        return ivf, FlatIndex(data), pq
+
     def test_pq_pipeline_recall(self, ann_setup):
         data, queries, ground_truth = ann_setup
-        pq = ProductQuantizer(20, 4, rng=0)
-        searcher = IVFQuantizedSearcher(
-            "external",
-            external_quantizer=pq,
-            n_clusters=24,
-            reranker=TopCandidateReranker(150),
-            rng=0,
-        ).fit(data)
-        results = searcher.search_batch(queries, 10, nprobe=24)
-        recall = recall_at_k([r.ids for r in results], ground_truth, 10)
+        ivf, flat, pq = self._pipeline(data, 24)
+        results = ivf_baseline_search(
+            ivf, flat, pq, queries, 10, nprobe=24, rerank_count=150
+        )
+        recall = recall_at_k([ids for ids, _, _ in results], ground_truth, 10)
         assert recall >= 0.9
+        assert [n for _, _, n in results] == [150] * len(queries)
 
-    def test_external_requires_quantizer(self):
-        with pytest.raises(InvalidParameterError):
-            IVFQuantizedSearcher("external")
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            IVFQuantizedSearcher("lsh")
+    @pytest.mark.parametrize("kind", ["external", "lsh"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(InvalidParameterError, match="ivf_baseline_search"):
+            IVFQuantizedSearcher(kind)
 
     def test_exact_counts_bounded_by_budget(self, ann_setup):
         data, queries, _ = ann_setup
-        pq = ProductQuantizer(20, 4, rng=0)
-        searcher = IVFQuantizedSearcher(
-            "external",
-            external_quantizer=pq,
-            n_clusters=24,
-            reranker=TopCandidateReranker(50),
-            rng=0,
-        ).fit(data)
-        result = searcher.search(queries[0], 10, nprobe=24)
-        assert result.n_exact <= 50
+        ivf, flat, pq = self._pipeline(data, 24)
+        for nprobe in (1, 24):
+            probes = ivf.probe_batch(queries, nprobe)
+            results = ivf_baseline_search(
+                ivf, flat, pq, queries, 10, nprobe=nprobe, rerank_count=50
+            )
+            for probed, (ids, dists, n_exact) in zip(probes, results):
+                n_candidates = int(ivf.bucket_sizes()[probed].sum())
+                assert n_exact <= 50
+                assert n_exact == min(50, n_candidates)
+                assert ids.shape == dists.shape == (min(10, n_candidates),)
 
 
 class TestDegenerateQueryShapes:

@@ -167,20 +167,6 @@ class TestSearcherArchiveErrors:
         with pytest.raises(NotFittedError):
             save_searcher(IVFQuantizedSearcher("rabitq"), tmp_path / "x.npz")
 
-    def test_external_quantizer_rejected(self, lifecycle_data, tmp_path):
-        from repro.baselines.pq import ProductQuantizer
-
-        data, _, _ = lifecycle_data
-        searcher = IVFQuantizedSearcher(
-            "external",
-            external_quantizer=ProductQuantizer(4, 3, rng=0),
-            n_clusters=6,
-            reranker=TopCandidateReranker(40),
-            rng=7,
-        ).fit(data)
-        with pytest.raises(InvalidParameterError):
-            save_searcher(searcher, tmp_path / "external.npz")
-
     def test_custom_reranker_rejected(self, lifecycle_data, tmp_path):
         from repro.index.rerank import ErrorBoundReranker
 
