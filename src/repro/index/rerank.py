@@ -13,7 +13,10 @@ two strategies:
   candidate only if the *optimistic* end of its confidence interval (lower
   bound for distances, upper bound for similarities) does not already lose
   to that threshold.  No tuning is required because the bound holds with
-  (very) high probability by Theorem 3.2.
+  (very) high probability by Theorem 3.2.  Before the scan, one
+  ``np.partition`` finds the ``k``-th best *pessimistic* bound and drops
+  every candidate whose optimistic bound already loses to it, so the scan
+  orders and visits only the survivors.
 * :class:`NoReranker` — returns the candidates ranked purely by estimated
   value (the "w/o re-ranking" ablation of Appendix F.3).
 
@@ -28,7 +31,7 @@ the scan stops as soon as no unvisited candidate's optimistic bound can
 beat the current ``k``-th best exact value, whichever direction "beat"
 points.
 
-Candidate selection avoids full ``O(n log n)`` stable sorts on the hot path:
+Candidate selection avoids full ``O(n log n)`` stable sorts where it can:
 :func:`repro.substrates.linalg.stable_topk_indices` narrows the selection
 with an ``O(n)`` argpartition and only sorts the survivors, with ties broken
 by ascending index exactly as the stable full sort would.  Every strategy
@@ -185,27 +188,38 @@ class TopCandidateReranker(Reranker):
 class ErrorBoundReranker(Reranker):
     """RaBitQ's tuning-free re-ranking rule based on the error bound.
 
-    Candidates are visited in order of best estimated value.  The ``k``
-    best exact values found so far are maintained; a candidate's exact
-    value is computed only when the optimistic end of its confidence
-    interval could still beat the current ``k``-th best.  Because
-    candidates are visited in estimated order and the bound holds with
-    high probability, the true best neighbours are sent to re-ranking with
-    high probability while hopeless candidates are skipped cheaply.
+    **The cut.**  Let ``cut`` be the ``k``-th best *pessimistic* bound
+    (upper bound for distances, lower bound for similarities).  At least
+    ``k`` candidates are then truly no worse than ``cut``, so a candidate
+    whose *optimistic* bound already loses to ``cut`` cannot be in the
+    top-k and is dropped before anything is sorted.  Every candidate's
+    optimistic bound is at least as good as its pessimistic one, so at
+    least ``k`` candidates survive; only NaN bounds can leave fewer, and
+    then no candidate is dropped.
 
-    The estimated-value ordering is materialized lazily: only a doubling
-    prefix of the stable order is computed (via argpartition-based partial
-    selection), and the scan stops early once no unvisited candidate's
-    optimistic bound can beat the current ``k``-th best exact value — the
-    threshold only ever tightens, so none of the remaining candidates could
-    ever be selected.  For moderate candidate sets a pre-computed
-    suffix-extremum of the bounds along the stable order (suffix *minimum*
-    of lower bounds for distances, suffix *maximum* of upper bounds for
-    similarities — evaluated on the negated keys, so one code path serves
-    both directions) makes that stop check O(1) per chunk.  All of this is
-    output-preserving: ids, values and the exact-computation count match
-    the eager full-sort implementation, and the ``metric="l2"`` path is
-    bit-identical to the historical distance-only code.
+    **The scan.**  The survivors are visited in stable order of best
+    estimated value, in chunks of ``max(64, k)``.  The ``k`` best exact
+    values found so far are maintained; a candidate's exact value is
+    computed only when its optimistic bound could still beat the current
+    ``k``-th best, and the scan stops once no unvisited survivor's
+    optimistic bound can (a suffix-extremum of the bounds along the visit
+    order makes that an O(1) check per chunk).  Distances and similarities
+    share one code path: similarities run on negated keys.
+
+    **The contract.**  When every interval holds, the answer is the answer
+    of the same scan without the cut: a dropped candidate's exact value is
+    no better than its optimistic bound, which loses to ``cut``, which is
+    no better than the true ``k``-th best value.  The cut adds one
+    assumption — the pessimistic bounds of the ``k`` candidates that define
+    ``cut`` must hold.  At the default confidence (``epsilon0=1.9``) they
+    do; with ``epsilon0`` of 1 or less they often fail, and since the cut
+    does not hide such misses the way the scan's unconditional first chunk
+    did, recall falls there (Fig. 5).  What changes at the default is the
+    exact-computation count: the scan without the cut computes every
+    candidate of its first chunk, hopeless or not, and the cut removes
+    those once the bound is tight (B ≥ 4).  Fewer visits move the later
+    chunk boundaries, so the count is lower on typical inputs, not on
+    every input.
     """
 
     def rerank(
@@ -233,34 +247,36 @@ class ErrorBoundReranker(Reranker):
         data = flat_index.data
 
         if not resolved.higher_is_better:
-            # The historical minimization path: keys are the values
-            # themselves, the optimistic bound is the lower bound.
-            est = estimate.distances
-            opt = estimate.lower_bounds
-
+            # Distances: keys are the values themselves, the optimistic
+            # bound is the lower bound and the pessimistic one the upper.
             def exact_key(selected_ids: np.ndarray) -> np.ndarray:
                 diff = data[selected_ids] - vec[None, :]
                 return np.einsum("ij,ij->i", diff, diff)
 
-            final_ids, final_vals, n_exact = self._rerank_by_min_key(
-                ids, est, opt, exact_key, k
+            return self._rerank_by_min_key(
+                ids,
+                estimate.distances,
+                estimate.lower_bounds,
+                estimate.upper_bounds,
+                exact_key,
+                k,
             )
-            return final_ids, final_vals, n_exact
 
-        # Similarity metrics run the same minimization machinery on negated
-        # keys: the optimistic bound is the upper bound, "k-th best" is the
-        # k-th largest exact score, and the suffix minimum of the negated
-        # upper bounds is the suffix maximum of the real ones.  Negation is
-        # exact, so un-negating the pooled values restores the scores bit
-        # for bit.
-        est = -estimate.scores
-        opt = -estimate.upper_bounds
-
+        # Similarity metrics run the same minimization on negated keys: the
+        # optimistic bound is the upper bound, the pessimistic one the lower
+        # bound, and "k-th best" is the k-th largest exact score.  Negation
+        # is exact, so un-negating the pooled values restores the scores
+        # bit for bit.
         def exact_key(selected_ids: np.ndarray) -> np.ndarray:
             return -resolved.exact_scores(data[selected_ids], vec)
 
         final_ids, final_vals, n_exact = self._rerank_by_min_key(
-            ids, est, opt, exact_key, k
+            ids,
+            -estimate.scores,
+            -estimate.upper_bounds,
+            -estimate.lower_bounds,
+            exact_key,
+            k,
         )
         return final_ids, -final_vals, n_exact
 
@@ -269,100 +285,71 @@ class ErrorBoundReranker(Reranker):
         ids: np.ndarray,
         est: np.ndarray,
         opt: np.ndarray,
+        pess: np.ndarray,
         exact_key: Callable[[np.ndarray], np.ndarray],
         k: int,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Error-bound re-ranking over minimization keys.
 
-        ``est`` orders the visit (ascending), ``opt`` is the smallest key a
-        candidate could truly have, and ``exact_key(selected_ids)`` returns
-        the exact keys of the selected rows.  This is the historical L2
-        implementation verbatim; direction-generic callers feed negated
-        arrays.
+        ``est`` orders the visit (ascending), ``opt`` / ``pess`` are the
+        smallest / largest key a candidate could truly have, and
+        ``exact_key(selected_ids)`` returns the exact keys of the selected
+        rows.  Similarity callers feed negated arrays.
         """
+        if ids.shape[0] > k:
+            cut = np.partition(pess, k - 1)[k - 1]
+            keep = np.flatnonzero(opt <= cut)
+            # ``keep`` is in index order, so the stable visit order among
+            # the survivors is unchanged.  Fewer than k survivors only
+            # happens with NaN bounds; then nothing is dropped.
+            if keep.shape[0] >= k:
+                ids, est, opt = ids[keep], est[keep], opt[keep]
         n_candidates = ids.shape[0]
+        order = stable_topk_indices(est, n_candidates)
+        suffix_min = np.minimum.accumulate(opt[order][::-1])[::-1]
 
-        # Batch the exact computations: exact keys are computed for the
-        # visited prefix lazily, but NumPy-vectorized per chunk to keep the
-        # Python overhead bounded.  The evolving k-th-best threshold is
-        # maintained with a small pooled array per chunk instead of a
-        # per-element Python heap; the pool holds every computed
-        # (id, value) pair in visit order, so the final stable selection
-        # reproduces the heap implementation's output — including tie
-        # handling and the exact-computation count — exactly.
+        # Exact keys are computed NumPy-vectorized per chunk.  The evolving
+        # k-th-best threshold is maintained with a small pooled array per
+        # chunk instead of a per-element Python heap; the pool holds every
+        # computed (id, value) pair in visit order, so the final stable
+        # selection reproduces the heap formulation's output — including
+        # tie handling and the exact-computation count — exactly.
         pool_ids: list[np.ndarray] = []
         pool_vals: list[np.ndarray] = []
         kbest = np.empty(0, dtype=np.float64)  # k smallest exact keys so far
-        n_pooled = 0
+        threshold = np.inf  # their max, once there are k of them
         n_exact = 0
         chunk = max(64, k)
+        for idx in range(0, n_candidates, chunk):
+            # The threshold only ever tightens, so once no unvisited
+            # candidate's optimistic bound can beat it, none ever will.
+            if suffix_min[idx] > threshold:
+                break
+            block = order[idx : idx + chunk]
+            selected = ids[block[opt[block] <= threshold]]
+            if selected.shape[0] == 0:
+                continue
+            exact = exact_key(selected)
+            n_exact += int(selected.shape[0])
+            pool_ids.append(selected)
+            pool_vals.append(exact)
+            # Update the k smallest multiset (only its max — the threshold —
+            # is ever read, so boundary ties are immaterial).
+            kbest = np.concatenate([kbest, exact])
+            if kbest.shape[0] >= k:
+                kbest = np.partition(kbest, k - 1)[:k]
+                threshold = kbest.max()
 
-        # For moderate candidate sets, materialize the full stable order once
-        # and pre-compute the suffix minimum of the optimistic bounds along
-        # it: "can any unvisited candidate still beat the threshold?" then
-        # costs O(1) per chunk instead of an O(n) scan per doubling round.
-        # The stop condition is unchanged — the scan ends exactly when every
-        # remaining chunk would select nothing (the threshold only ever
-        # decreases), so ids, values and the exact-computation count all
-        # match the lazily-doubling implementation.
-        suffix_min: np.ndarray | None = None
-        if n_candidates <= 8192:
-            m = n_candidates
-            order = stable_topk_indices(est, n_candidates)
-            suffix_min = np.minimum.accumulate(opt[order][::-1])[::-1]
-        else:
-            m = 0  # length of the materialized stable-order prefix
-            order = np.empty(0, dtype=np.intp)
-        idx = 0
-        while idx < n_candidates:
-            if suffix_min is not None:
-                if n_pooled >= k and suffix_min[idx] > kbest.max():
-                    break
-            elif idx >= m:
-                if n_pooled >= k:
-                    threshold = kbest.max()
-                    unvisited = np.ones(n_candidates, dtype=bool)
-                    unvisited[order[:idx]] = False
-                    if not (opt[unvisited] <= threshold).any():
-                        break
-                m = min(n_candidates, max(chunk, 2 * m))
-                order = stable_topk_indices(est, m)
-            stop = min(idx + chunk, m)
-            block = order[idx:stop]
-            threshold = kbest.max() if n_pooled >= k else np.inf
-            # Candidates whose optimistic bound already loses to the k-th
-            # best exact key can be dropped without an exact computation.
-            selected = block[opt[block] <= threshold]
-            if selected.shape[0] > 0:
-                selected_ids = ids[selected]
-                exact = exact_key(selected_ids)
-                n_exact += int(selected.shape[0])
-                pool_ids.append(selected_ids)
-                pool_vals.append(exact)
-                n_pooled += int(selected.shape[0])
-                # Update the k smallest multiset (only its max — the
-                # threshold — is ever read, so boundary ties are immaterial).
-                merged = np.concatenate([kbest, exact])
-                kbest = (
-                    np.partition(merged, k - 1)[:k]
-                    if merged.shape[0] > k
-                    else merged
-                )
-            idx = stop
-
-        if n_pooled == 0:
+        if n_exact == 0:
             # Fall back to the estimated ranking if every candidate was pruned
             # (can only happen with a pathological, e.g. NaN, bound).
-            fallback = min(k, n_candidates)
-            full_order = stable_topk_indices(est, fallback)
-            return ids[full_order], est[full_order], n_exact
-        all_ids = pool_ids[0] if len(pool_ids) == 1 else np.concatenate(pool_ids)
-        all_vals = (
-            pool_vals[0] if len(pool_vals) == 1 else np.concatenate(pool_vals)
-        )
-        # Stable top-k over the pool in visit order == the heap version's
+            fallback = stable_topk_indices(est, min(k, n_candidates))
+            return ids[fallback], est[fallback], 0
+        all_ids = np.concatenate(pool_ids)
+        all_vals = np.concatenate(pool_vals)
+        # Stable top-k over the pool in visit order == the heap formulation's
         # "sorted by value, ties by first computation" output.
-        final = stable_topk_indices(all_vals, min(k, n_pooled))
+        final = stable_topk_indices(all_vals, min(k, n_exact))
         return all_ids[final], all_vals[final], n_exact
 
 

@@ -7,18 +7,18 @@ per-cluster-quantizer implementation at every point of the index lifecycle.
 
 ``PreArenaReference`` below is a literal port of that former implementation:
 one :class:`repro.core.quantizer.RaBitQ` object per cluster (rebuilt from
-the arena state, sharing the searcher's rounding vector), the per-cluster
-``estimate_distances`` + concatenation estimation loop, and the original
-heap-based error-bound re-ranker.  The hypothesis suite drives a searcher
-through random ``fit -> insert -> delete -> compact -> save/load``
-interleavings and checks both entry points — and the raw estimates under
-them, which the re-ranked answers alone would not pin — against the
-reference at every checkpoint.
+the arena state, sharing the searcher's rounding vector) and the per-cluster
+``estimate_distances`` + concatenation estimation loop.  Its re-ranking is
+the plain reference shared with ``test_rerank.py``
+(``tests/rerank_reference.py``: prefilter, full sort, heap).  The
+hypothesis suite drives a searcher through random
+``fit -> insert -> delete -> compact -> save/load`` interleavings and
+checks both entry points — and the raw estimates under them, which the
+re-ranked answers alone would not pin — against the reference at every
+checkpoint.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 import pytest
@@ -35,62 +35,8 @@ from repro.core.estimator import (
 from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import load_searcher, save_searcher
-from repro.substrates.linalg import stable_topk_indices
 
-
-def _heap_error_bound_rerank(query, candidate_ids, estimate, flat_index, k):
-    """The pre-arena ErrorBoundReranker.rerank, ported verbatim."""
-    ids = np.asarray(candidate_ids, dtype=np.int64)
-    n_candidates = ids.shape[0]
-    if n_candidates == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 0
-
-    est = estimate.distances
-    lower = estimate.lower_bounds
-    heap: list[float] = []
-    results: dict[int, float] = {}
-    n_exact = 0
-    chunk = max(64, k)
-    idx = 0
-    m = 0
-    order = np.empty(0, dtype=np.intp)
-    while idx < n_candidates:
-        if idx >= m:
-            if len(heap) >= k:
-                threshold = -heap[0]
-                unvisited = np.ones(n_candidates, dtype=bool)
-                unvisited[order[:idx]] = False
-                if not (lower[unvisited] <= threshold).any():
-                    break
-            m = min(n_candidates, max(chunk, 2 * m))
-            order = stable_topk_indices(est, m)
-        stop = min(idx + chunk, m)
-        block = order[idx:stop]
-        threshold = -heap[0] if len(heap) >= k else np.inf
-        selected = block[lower[block] <= threshold]
-        if selected.shape[0] > 0:
-            selected_ids = ids[selected]
-            exact = flat_index.distances(query, selected_ids)
-            n_exact += int(selected.shape[0])
-            for vec_id, dist in zip(selected_ids.tolist(), exact.tolist()):
-                if len(heap) < k:
-                    heapq.heappush(heap, -dist)
-                    results[vec_id] = dist
-                elif dist < -heap[0]:
-                    heapq.heapreplace(heap, -dist)
-                    results[vec_id] = dist
-        idx = stop
-
-    if not results:
-        fallback = min(k, n_candidates)
-        full_order = stable_topk_indices(est, fallback)
-        return ids[full_order], est[full_order], n_exact
-    sorted_items = sorted(results.items(), key=lambda item: item[1])[:k]
-    final_ids = np.asarray([item[0] for item in sorted_items], dtype=np.int64)
-    final_dists = np.asarray(
-        [item[1] for item in sorted_items], dtype=np.float64
-    )
-    return final_ids, final_dists, n_exact
+from rerank_reference import reference_rerank_l2
 
 
 class PreArenaReference:
@@ -100,7 +46,7 @@ class PreArenaReference:
     regions (the arena's packed codes, popcounts,
     alignments, norms) and gives each the
     searcher's rounding vector, then answers queries with the former
-    per-cluster estimation loop and heap re-ranker.
+    per-cluster estimation loop and the reference re-ranker.
     """
 
     def __init__(self, searcher: IVFQuantizedSearcher) -> None:
@@ -177,7 +123,7 @@ class PreArenaReference:
         vec = np.asarray(query, dtype=np.float64).reshape(-1)
         cluster_ids = self._ivf.probe(vec, nprobe)
         candidate_ids, estimate = self._estimate(vec, cluster_ids)
-        ids, dists, n_exact = _heap_error_bound_rerank(
+        ids, dists, n_exact = reference_rerank_l2(
             vec, candidate_ids, estimate, self._flat, k
         )
         return (

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import RaBitQConfig
+from repro.core.estimator import DistanceEstimate
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError
 from repro.index.flat import FlatIndex
 from repro.index.rerank import ErrorBoundReranker, NoReranker, TopCandidateReranker
+
+from rerank_reference import reference_rerank, reference_rerank_l2
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +52,6 @@ class TestNoReranker:
 
 def _slice(estimate, n):
     """Helper slicing a DistanceEstimate to its first n entries."""
-    from repro.core.estimator import DistanceEstimate
-
     return DistanceEstimate(
         distances=estimate.distances[:n],
         lower_bounds=estimate.lower_bounds[:n],
@@ -96,8 +99,6 @@ class TestTieOrder:
     """The argpartition-based selection must break ties like a stable sort."""
 
     def _tied_estimate(self):
-        from repro.core.estimator import DistanceEstimate
-
         # Heavy duplication straddling every interesting boundary.
         est = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0])
         return DistanceEstimate(
@@ -132,50 +133,14 @@ class TestTieOrder:
         assert set(out_ids.tolist()) == {1, 3, 4}
 
 
-class TestErrorBoundLazyOrdering:
-    """The lazy-prefix + early-exit scan must reproduce the eager algorithm."""
-
-    @staticmethod
-    def _eager_reference(query, candidate_ids, estimate, flat_index, k):
-        """The original eager implementation: full stable sort, no early exit."""
-        import heapq
-
-        ids = np.asarray(candidate_ids, dtype=np.int64)
-        order = np.argsort(estimate.distances, kind="stable")
-        ordered_ids = ids[order]
-        ordered_lower = estimate.lower_bounds[order]
-        heap, results, n_exact = [], {}, 0
-        chunk = max(64, k)
-        idx = 0
-        while idx < ordered_ids.shape[0]:
-            stop = min(idx + chunk, ordered_ids.shape[0])
-            block_ids = ordered_ids[idx:stop]
-            block_lower = ordered_lower[idx:stop]
-            threshold = -heap[0] if len(heap) >= k else np.inf
-            selected = block_ids[block_lower <= threshold]
-            if selected.shape[0] > 0:
-                exact = flat_index.distances(query, selected)
-                n_exact += int(selected.shape[0])
-                for vec_id, dist in zip(selected.tolist(), exact.tolist()):
-                    if len(heap) < k:
-                        heapq.heappush(heap, -dist)
-                        results[vec_id] = dist
-                    elif dist < -heap[0]:
-                        heapq.heapreplace(heap, -dist)
-                        results[vec_id] = dist
-            idx = stop
-        items = sorted(results.items(), key=lambda item: item[1])[:k]
-        return (
-            np.asarray([i for i, _ in items], dtype=np.int64),
-            np.asarray([d for _, d in items], dtype=np.float64),
-            n_exact,
-        )
+class TestErrorBoundReference:
+    """The reranker reproduces the plain reference: prefilter, sort, heap."""
 
     @pytest.mark.parametrize("k", [1, 7, 64, 130])
     def test_matches_eager_reference(self, rerank_setup, k):
         query, ids, estimate, flat, _ = rerank_setup
         got = ErrorBoundReranker().rerank(query, ids, estimate, flat, k)
-        want = self._eager_reference(query, ids, estimate, flat, k)
+        want = reference_rerank_l2(query, ids, estimate, flat, k)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
@@ -183,8 +148,6 @@ class TestErrorBoundLazyOrdering:
     def test_matches_eager_reference_with_ties(self, rerank_setup):
         query, ids, estimate, flat, _ = rerank_setup
         # Quantize the estimates coarsely to create massive tie blocks.
-        from repro.core.estimator import DistanceEstimate
-
         tied = DistanceEstimate(
             distances=np.round(estimate.distances, 0),
             lower_bounds=np.round(estimate.lower_bounds, 0),
@@ -192,10 +155,196 @@ class TestErrorBoundLazyOrdering:
             inner_products=estimate.inner_products,
         )
         got = ErrorBoundReranker().rerank(query, ids, tied, flat, 10)
-        want = self._eager_reference(query, ids, tied, flat, 10)
+        want = reference_rerank_l2(query, ids, tied, flat, 10)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+
+def _problem(metric, x, est, opt, pess):
+    """A 1-d flat index whose exact keys are known, plus its estimate.
+
+    Keys are minimization keys: ``x * x`` (query 0) under ``"l2"`` and
+    ``-x`` (query 1) under ``"ip"``; the estimate carries ``est`` / ``opt`` /
+    ``pess`` translated back to that metric's values and bounds.
+    """
+    flat = FlatIndex(np.asarray(x, dtype=np.float64)[:, None])
+    if metric == "l2":
+        estimate = DistanceEstimate(
+            distances=est, lower_bounds=opt, upper_bounds=pess,
+            inner_products=np.zeros_like(est),
+        )
+        return flat, np.zeros(1), estimate, x * x
+    estimate = DistanceEstimate(
+        distances=-est, lower_bounds=-pess, upper_bounds=-opt,
+        inner_products=np.zeros_like(est),
+    )
+    return flat, np.ones(1), estimate, -x
+
+
+def _keys(metric, values):
+    """Reranker output values as minimization keys."""
+    return values if metric == "l2" else -values
+
+
+@st.composite
+def _bounded_problems(draw):
+    """Distinct exact keys, each inside its interval, with its estimate.
+
+    Up to 200 candidates (four 64-chunks), estimates drawn partly from a
+    coarse grid (tie blocks), ``k`` from 1 to ``n + 3``.
+    """
+    metric = draw(st.sampled_from(["l2", "ip"]))
+    n = draw(st.integers(1, 200))
+    # Keys span about +-2**20 under either metric, as the estimates do.
+    lo_x, hi_x = (0, 2**10) if metric == "l2" else (-(2**20), 2**20)
+    x = np.array(
+        draw(st.lists(st.integers(lo_x, hi_x), min_size=n, max_size=n, unique=True)),
+        dtype=np.float64,
+    )
+    key = x * x if metric == "l2" else -x
+    value = st.one_of(
+        st.integers(-(2**20), 2**20), st.integers(-8, 8).map(lambda v: v << 17)
+    )
+    width = st.one_of(st.just(0), st.integers(0, 2**19))
+    est = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
+    below = np.array(draw(st.lists(width, min_size=n, max_size=n)), dtype=np.float64)
+    above = np.array(draw(st.lists(width, min_size=n, max_size=n)), dtype=np.float64)
+    # The interval holds both the exact key and the estimate.
+    opt = np.minimum(est, key) - below
+    pess = np.maximum(est, key) + above
+    k = draw(st.integers(1, n + 3))
+    return metric, x, est, opt, pess, k
+
+
+class TestPrefilterContract:
+    """The cut never changes an answer whose intervals hold."""
+
+    @given(_bounded_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_hold_answer_unchanged(self, problem):
+        metric, x, est, opt, pess, k = problem
+        flat, query, estimate, key = _problem(metric, x, est, opt, pess)
+        ids = np.arange(x.shape[0], dtype=np.int64)
+        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
+            query, ids, estimate, flat, k, metric=metric
+        )
+        got_keys = _keys(metric, got_vals)
+        # The stable exact top-k ...
+        top = np.argsort(key, kind="stable")[:k]
+        np.testing.assert_array_equal(got_ids, ids[top])
+        np.testing.assert_array_equal(got_keys, key[top])
+        # ... which the rule without the cut returns too.
+        plain = reference_rerank(ids, est, opt, pess, key.__getitem__, k, prefilter=False)
+        np.testing.assert_array_equal(got_ids, plain[0])
+        np.testing.assert_array_equal(got_keys, plain[1])
+        # The count is the reference's; it cannot exceed the rule without
+        # the cut while everything fits in the first chunk, whose exact
+        # values that rule computes unconditionally.
+        assert n_exact == reference_rerank(ids, est, opt, pess, key.__getitem__, k)[2]
+        if x.shape[0] <= max(64, k):
+            assert n_exact <= plain[2]
+
+    @given(_bounded_problems(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nan_pessimistic_bounds(self, problem, data):
+        metric, x, est, opt, pess, k = problem
+        n = x.shape[0]
+        nan = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            nan[:] = True
+        pess = np.where(nan, np.nan, pess)
+        flat, query, estimate, key = _problem(metric, x, est, opt, pess)
+        ids = np.arange(n, dtype=np.int64)
+        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
+            query, ids, estimate, flat, k, metric=metric
+        )
+        plain = reference_rerank(ids, est, opt, pess, key.__getitem__, k, prefilter=False)
+        np.testing.assert_array_equal(got_ids, plain[0])
+        np.testing.assert_array_equal(_keys(metric, got_vals), plain[1])
+        if np.count_nonzero(~nan) < k:
+            # The cut is NaN, nothing is dropped: the old rule exactly.
+            assert n_exact == plain[2]
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_ten_thousand_candidates(self, metric):
+        rng = np.random.default_rng(34)
+        data = rng.standard_normal((10_000, 32))
+        query = rng.standard_normal(32)
+        estimate = (
+            RaBitQ(RaBitQConfig(seed=2), metric=metric)
+            .fit(data)
+            .estimate_distances(query)
+        )
+        flat = FlatIndex(data)
+        ids = np.arange(10_000, dtype=np.int64)
+        if metric == "l2":
+            est, opt, pess = (
+                estimate.distances, estimate.lower_bounds, estimate.upper_bounds
+            )
+            def exact_key(selected):
+                return flat.distances(query, selected)
+        else:
+            est, opt, pess = (
+                -estimate.scores, -estimate.upper_bounds, -estimate.lower_bounds
+            )
+
+            def exact_key(selected):
+                return -(data[selected] @ query)
+        for k in (1, 10, 100):
+            got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
+                query, ids, estimate, flat, k, metric=metric
+            )
+            want = reference_rerank(ids, est, opt, pess, exact_key, k)
+            np.testing.assert_array_equal(got_ids, want[0])
+            np.testing.assert_array_equal(_keys(metric, got_vals), want[1])
+            assert n_exact == want[2]
+
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_exact_bounds_leave_k_survivors(self, k):
+        # Zero-width intervals: the cut is the k-th exact key, and only the
+        # k candidates on or below it survive to get an exact distance.
+        x = np.random.default_rng(5).permutation(300).astype(np.float64)
+        key = x * x
+        flat, query, estimate, _ = _problem("l2", x, key, key, key)
+        ids = np.arange(300, dtype=np.int64)
+        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
+            query, ids, estimate, flat, k
+        )
+        top = np.argsort(key, kind="stable")[:k]
+        np.testing.assert_array_equal(got_ids, ids[top])
+        np.testing.assert_array_equal(got_vals, key[top])
+        assert n_exact == k
+
+    def test_count_can_rise_across_chunks(self):
+        """Pinned: with several chunks the count is not monotone in the cut.
+
+        The cut pulls later survivors into an earlier chunk, where they
+        meet a looser threshold.  Here (k=1, every interval holds) the rule
+        without the cut spends 63 exact distances on hopeless candidates in
+        its first chunk and then skips the rest; the cut moves 63 survivors
+        into that chunk and the next 63 into a chunk that is scanned before
+        the best candidate tightens the threshold.  The answer is the same.
+        """
+        cand = [(1.0, 0.0, 2.0, 1.9)]  # (est, opt, pess, exact): the cut
+        cand += [(6.0, 5.1, 9.0, 6.0)] * 63  # dropped by the cut
+        cand += [(7.0, 1.95, 12.0, 7.0)] * 63  # lose to 1.9
+        cand += [(7.5, 0.0, 15.0, 0.1)]  # the answer
+        cand += [(8.0, 1.0, 15.0, 8.0)] * 63  # lose to 0.1
+        est, opt, pess, exact = (np.array(c) for c in zip(*cand))
+        flat = FlatIndex(np.sqrt(exact)[:, None])
+        ids = np.arange(est.shape[0], dtype=np.int64)
+        estimate = DistanceEstimate(
+            distances=est, lower_bounds=opt, upper_bounds=pess,
+            inner_products=np.zeros_like(est),
+        )
+        got = ErrorBoundReranker().rerank(np.zeros(1), ids, estimate, flat, 1)
+        plain = reference_rerank(
+            ids, est, opt, pess, exact.__getitem__, 1, prefilter=False
+        )
+        np.testing.assert_array_equal(got[0], plain[0])
+        assert got[0].tolist() == [127]
+        assert (got[2], plain[2]) == (128, 65)
 
 
 class TestRerankBatch:
