@@ -13,10 +13,10 @@ two strategies:
   candidate only if the *optimistic* end of its confidence interval (lower
   bound for distances, upper bound for similarities) does not already lose
   to that threshold.  No tuning is required because the bound holds with
-  (very) high probability by Theorem 3.2.  Before the scan, one
-  ``np.partition`` finds the ``k``-th best *pessimistic* bound and drops
-  every candidate whose optimistic bound already loses to it, so the scan
-  orders and visits only the survivors.
+  (very) high probability by Theorem 3.2.  Only the first chunk of the
+  visit order is sorted up front; the rest of the scan places just the
+  candidates whose optimistic bound can still beat the ``k``-th best exact
+  value of that chunk.
 * :class:`NoReranker` — returns the candidates ranked purely by estimated
   value (the "w/o re-ranking" ablation of Appendix F.3).
 
@@ -31,7 +31,7 @@ the scan stops as soon as no unvisited candidate's optimistic bound can
 beat the current ``k``-th best exact value, whichever direction "beat"
 points.
 
-Candidate selection avoids full ``O(n log n)`` stable sorts where it can:
+Candidate selection avoids full ``O(n log n)`` stable sorts on the hot path:
 :func:`repro.substrates.linalg.stable_topk_indices` narrows the selection
 with an ``O(n)`` argpartition and only sorts the survivors, with ties broken
 by ascending index exactly as the stable full sort would.  Every strategy
@@ -52,7 +52,11 @@ from repro.core.estimator import DistanceEstimate
 from repro.core.metric import Metric, resolve_metric
 from repro.exceptions import InvalidParameterError
 from repro.index.flat import FlatIndex
-from repro.substrates.linalg import require_positive_int, stable_topk_indices
+from repro.substrates.linalg import (
+    require_positive_int,
+    stable_positions,
+    stable_topk_indices,
+)
 
 
 class Reranker(abc.ABC):
@@ -188,38 +192,30 @@ class TopCandidateReranker(Reranker):
 class ErrorBoundReranker(Reranker):
     """RaBitQ's tuning-free re-ranking rule based on the error bound.
 
-    **The cut.**  Let ``cut`` be the ``k``-th best *pessimistic* bound
-    (upper bound for distances, lower bound for similarities).  At least
-    ``k`` candidates are then truly no worse than ``cut``, so a candidate
-    whose *optimistic* bound already loses to ``cut`` cannot be in the
-    top-k and is dropped before anything is sorted.  Every candidate's
-    optimistic bound is at least as good as its pessimistic one, so at
-    least ``k`` candidates survive; only NaN bounds can leave fewer, and
-    then no candidate is dropped.
-
-    **The scan.**  The survivors are visited in stable order of best
+    **The scan.**  Candidates are visited in stable order of best
     estimated value, in chunks of ``max(64, k)``.  The ``k`` best exact
     values found so far are maintained; a candidate's exact value is
-    computed only when its optimistic bound could still beat the current
-    ``k``-th best, and the scan stops once no unvisited survivor's
-    optimistic bound can (a suffix-extremum of the bounds along the visit
-    order makes that an O(1) check per chunk).  Distances and similarities
-    share one code path: similarities run on negated keys.
+    computed only when its optimistic bound (lower bound for distances,
+    upper bound for similarities) could still beat the current ``k``-th
+    best, and the scan stops once no unvisited candidate's optimistic bound
+    can (a suffix-extremum of the bounds along the visit order makes that an
+    O(1) check per chunk).  Distances and similarities share one code path:
+    similarities run on negated keys.
 
-    **The contract.**  When every interval holds, the answer is the answer
-    of the same scan without the cut: a dropped candidate's exact value is
-    no better than its optimistic bound, which loses to ``cut``, which is
-    no better than the true ``k``-th best value.  The cut adds one
-    assumption — the pessimistic bounds of the ``k`` candidates that define
-    ``cut`` must hold.  At the default confidence (``epsilon0=1.9``) they
-    do; with ``epsilon0`` of 1 or less they often fail, and since the cut
-    does not hide such misses the way the scan's unconditional first chunk
-    did, recall falls there (Fig. 5).  What changes at the default is the
-    exact-computation count: the scan without the cut computes every
-    candidate of its first chunk, hopeless or not, and the cut removes
-    those once the bound is tight (B ≥ 4).  Fewer visits move the later
-    chunk boundaries, so the count is lower on typical inputs, not on
-    every input.
+    **The cut.**  The first chunk is computed in full, as the scan always
+    does, and its ``k``-th best exact value is the threshold every later
+    chunk starts from.  The threshold only tightens, so a later candidate
+    whose optimistic bound loses to it is never computed; it is dropped
+    before anything else is sorted.  The survivors are placed at their
+    positions in the full visit order (one value sort and a binary search
+    each, instead of the index-carrying stable sort of every candidate) and
+    grouped into the same chunks.
+
+    **The contract.**  The cut is made of exact values and assumes no
+    bound: the chunks, thresholds and exact computations are those of the
+    full-sort scan, so ids, value bits and the exact-computation count are
+    identical on every input, whether the intervals hold or not.  Only the
+    ordering work falls.
     """
 
     def rerank(
@@ -248,7 +244,7 @@ class ErrorBoundReranker(Reranker):
 
         if not resolved.higher_is_better:
             # Distances: keys are the values themselves, the optimistic
-            # bound is the lower bound and the pessimistic one the upper.
+            # bound is the lower bound.
             def exact_key(selected_ids: np.ndarray) -> np.ndarray:
                 diff = data[selected_ids] - vec[None, :]
                 return np.einsum("ij,ij->i", diff, diff)
@@ -257,16 +253,14 @@ class ErrorBoundReranker(Reranker):
                 ids,
                 estimate.distances,
                 estimate.lower_bounds,
-                estimate.upper_bounds,
                 exact_key,
                 k,
             )
 
         # Similarity metrics run the same minimization on negated keys: the
-        # optimistic bound is the upper bound, the pessimistic one the lower
-        # bound, and "k-th best" is the k-th largest exact score.  Negation
-        # is exact, so un-negating the pooled values restores the scores
-        # bit for bit.
+        # optimistic bound is the upper bound and "k-th best" is the k-th
+        # largest exact score.  Negation is exact, so un-negating the pooled
+        # values restores the scores bit for bit.
         def exact_key(selected_ids: np.ndarray) -> np.ndarray:
             return -resolved.exact_scores(data[selected_ids], vec)
 
@@ -274,7 +268,6 @@ class ErrorBoundReranker(Reranker):
             ids,
             -estimate.scores,
             -estimate.upper_bounds,
-            -estimate.lower_bounds,
             exact_key,
             k,
         )
@@ -285,29 +278,16 @@ class ErrorBoundReranker(Reranker):
         ids: np.ndarray,
         est: np.ndarray,
         opt: np.ndarray,
-        pess: np.ndarray,
         exact_key: Callable[[np.ndarray], np.ndarray],
         k: int,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Error-bound re-ranking over minimization keys.
 
-        ``est`` orders the visit (ascending), ``opt`` / ``pess`` are the
-        smallest / largest key a candidate could truly have, and
+        ``est`` orders the visit (ascending, ties by index), ``opt`` is the
+        smallest key a candidate could truly have, and
         ``exact_key(selected_ids)`` returns the exact keys of the selected
         rows.  Similarity callers feed negated arrays.
         """
-        if ids.shape[0] > k:
-            cut = np.partition(pess, k - 1)[k - 1]
-            keep = np.flatnonzero(opt <= cut)
-            # ``keep`` is in index order, so the stable visit order among
-            # the survivors is unchanged.  Fewer than k survivors only
-            # happens with NaN bounds; then nothing is dropped.
-            if keep.shape[0] >= k:
-                ids, est, opt = ids[keep], est[keep], opt[keep]
-        n_candidates = ids.shape[0]
-        order = stable_topk_indices(est, n_candidates)
-        suffix_min = np.minimum.accumulate(opt[order][::-1])[::-1]
-
         # Exact keys are computed NumPy-vectorized per chunk.  The evolving
         # k-th-best threshold is maintained with a small pooled array per
         # chunk instead of a per-element Python heap; the pool holds every
@@ -318,19 +298,13 @@ class ErrorBoundReranker(Reranker):
         pool_vals: list[np.ndarray] = []
         kbest = np.empty(0, dtype=np.float64)  # k smallest exact keys so far
         threshold = np.inf  # their max, once there are k of them
-        n_exact = 0
-        chunk = max(64, k)
-        for idx in range(0, n_candidates, chunk):
-            # The threshold only ever tightens, so once no unvisited
-            # candidate's optimistic bound can beat it, none ever will.
-            if suffix_min[idx] > threshold:
-                break
-            block = order[idx : idx + chunk]
+
+        def visit(block: np.ndarray) -> None:
+            nonlocal kbest, threshold
             selected = ids[block[opt[block] <= threshold]]
             if selected.shape[0] == 0:
-                continue
+                return
             exact = exact_key(selected)
-            n_exact += int(selected.shape[0])
             pool_ids.append(selected)
             pool_vals.append(exact)
             # Update the k smallest multiset (only its max — the threshold —
@@ -340,17 +314,38 @@ class ErrorBoundReranker(Reranker):
                 kbest = np.partition(kbest, k - 1)[:k]
                 threshold = kbest.max()
 
-        if n_exact == 0:
+        chunk = max(64, k)
+        first = stable_topk_indices(est, chunk)
+        visit(first)
+        # The cut: only candidates whose optimistic bound ties or beats the
+        # first chunk's threshold can be selected later (it only tightens).
+        later = opt <= threshold
+        later[first] = False
+        later = np.flatnonzero(later)
+        if later.shape[0]:
+            position = stable_positions(est, later)
+            by_position = np.argsort(position)
+            later, chunk_of = later[by_position], position[by_position] // chunk
+            suffix_min = np.minimum.accumulate(opt[later][::-1])[::-1]
+            starts = np.flatnonzero(chunk_of[1:] != chunk_of[:-1]) + 1
+            for start, stop in zip([0, *starts], [*starts, later.shape[0]]):
+                # Once no unvisited candidate's optimistic bound can beat
+                # the threshold, none ever will.
+                if suffix_min[start] > threshold:
+                    break
+                visit(later[start:stop])
+
+        if not pool_ids:
             # Fall back to the estimated ranking if every candidate was pruned
             # (can only happen with a pathological, e.g. NaN, bound).
-            fallback = stable_topk_indices(est, min(k, n_candidates))
+            fallback = first[: min(k, first.shape[0])]
             return ids[fallback], est[fallback], 0
         all_ids = np.concatenate(pool_ids)
         all_vals = np.concatenate(pool_vals)
         # Stable top-k over the pool in visit order == the heap formulation's
         # "sorted by value, ties by first computation" output.
-        final = stable_topk_indices(all_vals, min(k, n_exact))
-        return all_ids[final], all_vals[final], n_exact
+        final = stable_topk_indices(all_vals, min(k, all_vals.shape[0]))
+        return all_ids[final], all_vals[final], int(all_vals.shape[0])
 
 
 __all__ = [

@@ -199,6 +199,29 @@ def stable_topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     return chosen[order]
 
 
+def stable_positions(values: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """Positions of ``values[subset]`` in the stable ascending order.
+
+    Returns exactly ``np.argsort(np.argsort(values, kind="stable"))[subset]``
+    but, when no picked value is tied, with one plain value sort and a
+    binary search per entry instead of the index-carrying stable sort.  A
+    tied pick (equal values, or NaN with NaN, which sorts last) is placed
+    by index within its tie; then the stable sort itself is used.
+    """
+    vals = np.asarray(values)
+    if vals.ndim != 1:
+        raise DimensionMismatchError("values must be one-dimensional")
+    sub = np.asarray(subset, dtype=np.intp)
+    ordered = np.sort(vals)
+    picked = vals[sub]
+    position = np.searchsorted(ordered, picked, side="left")
+    if (np.searchsorted(ordered, picked, side="right") - position > 1).any():
+        rank = np.empty(vals.shape[0], dtype=np.intp)
+        rank[np.argsort(vals, kind="stable")] = np.arange(vals.shape[0])
+        return rank[sub]
+    return position
+
+
 def is_orthogonal(matrix: np.ndarray, *, atol: float = 1e-8) -> bool:
     """Return ``True`` if ``matrix`` is (numerically) orthogonal."""
     mat = np.asarray(matrix, dtype=np.float64)

@@ -12,13 +12,9 @@ Two layers are pinned per checkpoint.  ``ids`` / ``distances`` /
 ``n_exact`` are the re-ranked answers, generated by the pre-metric-refactor
 implementation (PR 4 state) and byte-identical since: they are exact
 distances of the winners, so they survive any change that keeps the same
-winners.  The one exception is the cost counter: ``n_exact`` re-based by
-the rerank prefilter, which drops candidates whose lower bound exceeds the
-k-th smallest upper bound before the scan; every id and distance stayed
-as it was and the counts fell (64 everywhere before).  ``raw_ids`` /
-``raw_distances`` are the same queries under ``NoReranker`` — the
-estimates themselves, which depend on every bit of the kernel and on the
-index's rounding vector.  They were
+winners and the same re-rank work.  ``raw_ids`` / ``raw_distances`` are the
+same queries under ``NoReranker`` — the estimates themselves, which depend
+on every bit of the kernel and on the index's rounding vector.  They were
 added in PR 18 (one rounding vector per index) and pin that build's
 estimates; they are the layer the ROADMAP's "Arithmetic v2" (rotate once,
 one search path) will re-base, once, saying so.  Regenerate only when an

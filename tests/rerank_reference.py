@@ -2,10 +2,11 @@
 
 One straightforward formulation of what
 :class:`repro.index.rerank.ErrorBoundReranker` computes, written for
-reading rather than speed: the prefilter, then a full stable sort and a
-Python heap.  The reranker's suites (``test_rerank.py``) and the
-arena-equivalence suite (``test_arena_equivalence.py``) both compare ids,
-value bits and the exact-computation count against it.
+reading rather than speed: a full stable sort of every candidate and a
+Python heap, without the reranker's cut.  The reranker's suites
+(``test_rerank.py``) and the arena-equivalence suite
+(``test_arena_equivalence.py``) both compare ids, value bits and the
+exact-computation count against it.
 
 Everything works on *minimization keys*: distances as they are, similarity
 scores negated (with the bounds swapped), as the reranker does internally.
@@ -18,27 +19,17 @@ import heapq
 import numpy as np
 
 
-def reference_rerank(ids, est, opt, pess, exact_key, k, *, prefilter=True):
+def reference_rerank(ids, est, opt, exact_key, k):
     """Error-bound re-ranking over minimization keys.
 
     ``ids`` are the candidates, ``est`` their estimated keys (the visit
-    order), ``opt`` / ``pess`` the smallest / largest key each could truly
-    have, and ``exact_key(selected_ids)`` the exact keys of the candidates
-    a chunk selects (called once per chunk, as the reranker does, so BLAS
-    sees the same rows).  Returns ``(ids, keys, n_exact)``.
-
-    With ``prefilter=True`` every candidate whose ``opt`` exceeds the
-    ``k``-th smallest ``pess`` is dropped first, unless fewer than ``k``
-    would survive (NaN bounds).  ``prefilter=False`` is the rule without
-    that cut.
+    order), ``opt`` the smallest key each could truly have, and
+    ``exact_key(selected_ids)`` the exact keys of the candidates a chunk
+    selects (called once per chunk, as the reranker does, so BLAS sees the
+    same rows).  Returns ``(ids, keys, n_exact)``.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    est, opt, pess = (np.asarray(a, dtype=np.float64) for a in (est, opt, pess))
-    if prefilter and ids.shape[0] > k:
-        cut = np.sort(pess)[k - 1]
-        keep = np.flatnonzero(opt <= cut)
-        if keep.shape[0] >= k:
-            ids, est, opt = ids[keep], est[keep], opt[keep]
+    est, opt = (np.asarray(a, dtype=np.float64) for a in (est, opt))
     if ids.shape[0] == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 0
 
@@ -86,7 +77,6 @@ def reference_rerank_l2(query, candidate_ids, estimate, flat_index, k):
         ids,
         estimate.distances,
         estimate.lower_bounds,
-        estimate.upper_bounds,
         lambda selected: flat_index.distances(query, selected),
         k,
     )

@@ -10,7 +10,7 @@ one :class:`repro.core.quantizer.RaBitQ` object per cluster (rebuilt from
 the arena state, sharing the searcher's rounding vector) and the per-cluster
 ``estimate_distances`` + concatenation estimation loop.  Its re-ranking is
 the plain reference shared with ``test_rerank.py``
-(``tests/rerank_reference.py``: prefilter, full sort, heap).  The
+(``tests/rerank_reference.py``: full sort, heap).  The
 hypothesis suite drives a searcher through random
 ``fit -> insert -> delete -> compact -> save/load`` interleavings and
 checks both entry points — and the raw estimates under them, which the

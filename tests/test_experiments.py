@@ -117,6 +117,24 @@ class TestEpsilonSweep:
         exacts = [r.avg_exact_computations for r in results]
         assert exacts[-1] >= exacts[0]
 
+    def test_low_epsilon_recall_and_spend_pinned(self, tiny_gaussian):
+        # Where the bounds often fail (small epsilon_0) the re-ranker's
+        # answers depend on exactly which candidates it computes, so any
+        # change to that rule shows here.  Values of the full-sort scan.
+        results = run_epsilon_sweep(
+            tiny_gaussian,
+            epsilon_values=(0.0, 0.5, 1.0, 1.9),
+            k=10,
+            n_queries=10,
+            seed=0,
+        )
+        assert [(r.recall, r.avg_exact_computations) for r in results] == [
+            pytest.approx((0.79, 64.0)),
+            pytest.approx((0.79, 65.5)),
+            pytest.approx((0.85, 86.9)),
+            pytest.approx((0.95, 174.3)),
+        ]
+
 
 class TestBqSweep:
     def test_error_converges_by_four_bits(self, tiny_gaussian):

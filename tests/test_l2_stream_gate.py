@@ -6,8 +6,6 @@ produced for a fixed ``fit -> insert -> delete -> compact -> save -> load``
 lifecycle (those entries were generated by the PR 4 build), and, per
 checkpoint, the raw estimates of the same queries under ``NoReranker`` (see
 ``tests/data/gen_l2_stream_gate.py`` for which build pinned which layer).
-``n_exact`` re-based by the rerank prefilter; ids and distances did not
-move.
 Replaying the identical scenario here and comparing element-wise proves
 that the metric-generic refactor — and any later change — left the
 ``metric="l2"`` arithmetic untouched, not just "approximately equal".

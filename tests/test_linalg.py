@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DimensionMismatchError
 from repro.substrates.linalg import (
@@ -14,6 +16,7 @@ from repro.substrates.linalg import (
     pairwise_squared_distances,
     squared_distances_to_point,
     squared_norms,
+    stable_positions,
     stable_topk_indices,
 )
 
@@ -165,3 +168,32 @@ class TestStableTopkIndices:
         np.testing.assert_array_equal(
             stable_topk_indices(values, 3), np.argsort(values, kind="stable")[:3]
         )
+
+
+class TestStablePositions:
+    @given(
+        st.one_of(
+            # Few distinct values and NaN: tie blocks everywhere.
+            st.lists(st.sampled_from([0.0, 1.0, -2.5, 3.0, np.nan]), max_size=60),
+            # Distinct values, and at most one NaN: the binary-search path.
+            st.lists(st.floats(-1e6, 1e6), max_size=60, unique=True).flatmap(
+                lambda v: st.sampled_from([v, v + [np.nan]])
+            ),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_inverse_stable_argsort(self, values, data):
+        values = np.array(values, dtype=np.float64)
+        n = values.shape[0]
+        subset = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), unique=True)) if n else [],
+            dtype=np.intp,
+        )
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(values, kind="stable")] = np.arange(n)
+        np.testing.assert_array_equal(stable_positions(values, subset), rank[subset])
+
+    def test_requires_1d(self):
+        with pytest.raises(DimensionMismatchError):
+            stable_positions(np.zeros((2, 2)), np.array([0]))

@@ -134,7 +134,7 @@ class TestTieOrder:
 
 
 class TestErrorBoundReference:
-    """The reranker reproduces the plain reference: prefilter, sort, heap."""
+    """The reranker reproduces the plain reference: full sort, heap."""
 
     @pytest.mark.parametrize("k", [1, 7, 64, 130])
     def test_matches_eager_reference(self, rerank_setup, k):
@@ -188,83 +188,99 @@ def _keys(metric, values):
 
 
 @st.composite
-def _bounded_problems(draw):
-    """Distinct exact keys, each inside its interval, with its estimate.
+def _problems(draw, hold=True):
+    """Distinct exact keys with an estimate and an interval for each.
 
-    Up to 200 candidates (four 64-chunks), estimates drawn partly from a
-    coarse grid (tie blocks), ``k`` from 1 to ``n + 3``.
+    Hypothesis draws the shape — the metric, up to 200 candidates (four
+    64-chunks), ``k`` from 1 to ``n + 3``, how far estimates stray, whether
+    they fall into tie blocks, how wide the intervals are, whether bounds
+    sit exactly on exact keys — and a seed from which NumPy draws the
+    arrays, so an example is cheap and shrinks fast.
+    With ``hold`` every interval holds both the exact key and the estimate;
+    without it the interval is centred on the estimate alone and often
+    misses the exact key.
     """
     metric = draw(st.sampled_from(["l2", "ip"]))
     n = draw(st.integers(1, 200))
-    # Keys span about +-2**20 under either metric, as the estimates do.
-    lo_x, hi_x = (0, 2**10) if metric == "l2" else (-(2**20), 2**20)
-    x = np.array(
-        draw(st.lists(st.integers(lo_x, hi_x), min_size=n, max_size=n, unique=True)),
-        dtype=np.float64,
-    )
-    key = x * x if metric == "l2" else -x
-    value = st.one_of(
-        st.integers(-(2**20), 2**20), st.integers(-8, 8).map(lambda v: v << 17)
-    )
-    width = st.one_of(st.just(0), st.integers(0, 2**19))
-    est = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
-    below = np.array(draw(st.lists(width, min_size=n, max_size=n)), dtype=np.float64)
-    above = np.array(draw(st.lists(width, min_size=n, max_size=n)), dtype=np.float64)
-    # The interval holds both the exact key and the estimate.
-    opt = np.minimum(est, key) - below
-    pess = np.maximum(est, key) + above
     k = draw(st.integers(1, n + 3))
+    spread = draw(st.sampled_from([0.0, 2.0**10, 2.0**16, 2.0**20]))
+    grid = draw(st.sampled_from([0.0, 2.0**17]))  # tie blocks when > 0
+    width = draw(st.sampled_from([0.0, 2.0**10, 2.0**16, 2.0**19]))
+    zero_frac = draw(st.sampled_from([0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Keys span about +-2**20 under either metric.
+    rank = rng.permutation(n).astype(np.float64)
+    x = 5.0 * rank if metric == "l2" else 5000.0 * rank - 2.0**19
+    key = x * x if metric == "l2" else -x
+    est = key + spread * rng.standard_normal(n)
+    if grid:
+        est = np.round(est / grid) * grid
+
+    def widths():
+        return np.where(rng.random(n) < zero_frac, 0.0, width * rng.random(n))
+
+    inside = key if hold else est
+    opt = np.minimum(est, inside) - widths()
+    pess = np.maximum(est, inside) + widths()
+    if draw(st.booleans()):
+        # Lower each optimistic bound onto the nearest exact key at or
+        # below it, so bounds tie the threshold exactly.
+        keys = np.sort(key)
+        below = np.searchsorted(keys, opt, side="right") - 1
+        opt = np.where(below >= 0, keys[np.maximum(below, 0)], opt)
     return metric, x, est, opt, pess, k
 
 
-class TestPrefilterContract:
-    """The cut never changes an answer whose intervals hold."""
+def _rerank_problem(problem):
+    """Run the reranker and the reference on one drawn problem."""
+    metric, x, est, opt, pess, k = problem
+    flat, query, estimate, key = _problem(metric, x, est, opt, pess)
+    ids = np.arange(x.shape[0], dtype=np.int64)
+    got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
+        query, ids, estimate, flat, k, metric=metric
+    )
+    want = reference_rerank(ids, est, opt, key.__getitem__, k)
+    np.testing.assert_array_equal(got_ids, want[0])
+    assert _keys(metric, got_vals).tobytes() == want[1].tobytes()
+    assert n_exact == want[2]
+    return got_ids, key
 
-    @given(_bounded_problems())
+
+class TestCutContract:
+    """The cut changes neither the answer nor the count, on any input.
+
+    It is made of exact values (the first chunk's ``k``-th best), so the
+    reranker must equal the full-sort reference — ids, value bits and the
+    exact-computation count — whether the intervals hold or not.
+    """
+
+    @given(_problems())
     @settings(max_examples=60, deadline=None)
-    def test_intervals_hold_answer_unchanged(self, problem):
-        metric, x, est, opt, pess, k = problem
-        flat, query, estimate, key = _problem(metric, x, est, opt, pess)
-        ids = np.arange(x.shape[0], dtype=np.int64)
-        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
-            query, ids, estimate, flat, k, metric=metric
-        )
-        got_keys = _keys(metric, got_vals)
-        # The stable exact top-k ...
+    def test_intervals_hold_exact_top_k(self, problem):
+        got_ids, key = _rerank_problem(problem)
+        k = problem[-1]
         top = np.argsort(key, kind="stable")[:k]
-        np.testing.assert_array_equal(got_ids, ids[top])
-        np.testing.assert_array_equal(got_keys, key[top])
-        # ... which the rule without the cut returns too.
-        plain = reference_rerank(ids, est, opt, pess, key.__getitem__, k, prefilter=False)
-        np.testing.assert_array_equal(got_ids, plain[0])
-        np.testing.assert_array_equal(got_keys, plain[1])
-        # The count is the reference's; it cannot exceed the rule without
-        # the cut while everything fits in the first chunk, whose exact
-        # values that rule computes unconditionally.
-        assert n_exact == reference_rerank(ids, est, opt, pess, key.__getitem__, k)[2]
-        if x.shape[0] <= max(64, k):
-            assert n_exact <= plain[2]
+        np.testing.assert_array_equal(got_ids, top)
 
-    @given(_bounded_problems(), st.data())
+    @given(_problems(hold=False))
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_miss_reference_unchanged(self, problem):
+        _rerank_problem(problem)
+
+    @given(
+        _problems(hold=False),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_nan_pessimistic_bounds(self, problem, data):
+    def test_nan_bounds_and_estimates(self, problem, nan_frac, seed):
         metric, x, est, opt, pess, k = problem
-        n = x.shape[0]
-        nan = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        if data.draw(st.booleans()):
-            nan[:] = True
-        pess = np.where(nan, np.nan, pess)
-        flat, query, estimate, key = _problem(metric, x, est, opt, pess)
-        ids = np.arange(n, dtype=np.int64)
-        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
-            query, ids, estimate, flat, k, metric=metric
-        )
-        plain = reference_rerank(ids, est, opt, pess, key.__getitem__, k, prefilter=False)
-        np.testing.assert_array_equal(got_ids, plain[0])
-        np.testing.assert_array_equal(_keys(metric, got_vals), plain[1])
-        if np.count_nonzero(~nan) < k:
-            # The cut is NaN, nothing is dropped: the old rule exactly.
-            assert n_exact == plain[2]
+        rng = np.random.default_rng(seed)
+
+        def holes(values):
+            return np.where(rng.random(values.shape[0]) < nan_frac, np.nan, values)
+
+        _rerank_problem((metric, x, holes(est), holes(opt), holes(pess), k))
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_ten_thousand_candidates(self, metric):
@@ -279,15 +295,12 @@ class TestPrefilterContract:
         flat = FlatIndex(data)
         ids = np.arange(10_000, dtype=np.int64)
         if metric == "l2":
-            est, opt, pess = (
-                estimate.distances, estimate.lower_bounds, estimate.upper_bounds
-            )
+            est, opt = estimate.distances, estimate.lower_bounds
+
             def exact_key(selected):
                 return flat.distances(query, selected)
         else:
-            est, opt, pess = (
-                -estimate.scores, -estimate.upper_bounds, -estimate.lower_bounds
-            )
+            est, opt = -estimate.scores, -estimate.upper_bounds
 
             def exact_key(selected):
                 return -(data[selected] @ query)
@@ -295,56 +308,10 @@ class TestPrefilterContract:
             got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
                 query, ids, estimate, flat, k, metric=metric
             )
-            want = reference_rerank(ids, est, opt, pess, exact_key, k)
+            want = reference_rerank(ids, est, opt, exact_key, k)
             np.testing.assert_array_equal(got_ids, want[0])
-            np.testing.assert_array_equal(_keys(metric, got_vals), want[1])
+            assert _keys(metric, got_vals).tobytes() == want[1].tobytes()
             assert n_exact == want[2]
-
-    @pytest.mark.parametrize("k", [1, 10, 100])
-    def test_exact_bounds_leave_k_survivors(self, k):
-        # Zero-width intervals: the cut is the k-th exact key, and only the
-        # k candidates on or below it survive to get an exact distance.
-        x = np.random.default_rng(5).permutation(300).astype(np.float64)
-        key = x * x
-        flat, query, estimate, _ = _problem("l2", x, key, key, key)
-        ids = np.arange(300, dtype=np.int64)
-        got_ids, got_vals, n_exact = ErrorBoundReranker().rerank(
-            query, ids, estimate, flat, k
-        )
-        top = np.argsort(key, kind="stable")[:k]
-        np.testing.assert_array_equal(got_ids, ids[top])
-        np.testing.assert_array_equal(got_vals, key[top])
-        assert n_exact == k
-
-    def test_count_can_rise_across_chunks(self):
-        """Pinned: with several chunks the count is not monotone in the cut.
-
-        The cut pulls later survivors into an earlier chunk, where they
-        meet a looser threshold.  Here (k=1, every interval holds) the rule
-        without the cut spends 63 exact distances on hopeless candidates in
-        its first chunk and then skips the rest; the cut moves 63 survivors
-        into that chunk and the next 63 into a chunk that is scanned before
-        the best candidate tightens the threshold.  The answer is the same.
-        """
-        cand = [(1.0, 0.0, 2.0, 1.9)]  # (est, opt, pess, exact): the cut
-        cand += [(6.0, 5.1, 9.0, 6.0)] * 63  # dropped by the cut
-        cand += [(7.0, 1.95, 12.0, 7.0)] * 63  # lose to 1.9
-        cand += [(7.5, 0.0, 15.0, 0.1)]  # the answer
-        cand += [(8.0, 1.0, 15.0, 8.0)] * 63  # lose to 0.1
-        est, opt, pess, exact = (np.array(c) for c in zip(*cand))
-        flat = FlatIndex(np.sqrt(exact)[:, None])
-        ids = np.arange(est.shape[0], dtype=np.int64)
-        estimate = DistanceEstimate(
-            distances=est, lower_bounds=opt, upper_bounds=pess,
-            inner_products=np.zeros_like(est),
-        )
-        got = ErrorBoundReranker().rerank(np.zeros(1), ids, estimate, flat, 1)
-        plain = reference_rerank(
-            ids, est, opt, pess, exact.__getitem__, 1, prefilter=False
-        )
-        np.testing.assert_array_equal(got[0], plain[0])
-        assert got[0].tolist() == [127]
-        assert (got[2], plain[2]) == (128, 65)
 
 
 class TestRerankBatch:
