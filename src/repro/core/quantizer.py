@@ -54,14 +54,12 @@ from repro.core.estimator import (
     undo_query_quantization,
 )
 from repro.core.metric import Metric, resolve_metric
-from repro.core.normalization import (
-    compute_centroid,
-    normalize_queries,
-    pad_vectors,
-)
+from repro.core.normalization import compute_centroid, pad_vectors
 from repro.core.query import (
     QuantizedQueryMatrix,
     quantize_query_matrix,
+    rotate_rows,
+    rotated_unit_residuals,
     sample_rounding_offsets,
 )
 from repro.core.rotation import Rotation, make_rotation
@@ -469,9 +467,10 @@ class RaBitQ:
 
         One call prepares every row of ``queries`` for
         :meth:`estimate_distances_batch`.  Each row's result depends on that
-        row alone — normalization and rotation are applied per row (BLAS
-        reduces 1-D and 2-D operands in different orders), while the scalar
-        quantization and bit-plane packing are vectorized.  Similarity
+        row alone — the searcher's own preparation
+        (:func:`repro.core.query.rotated_unit_residuals`) on one centroid:
+        each query is rotated once and ``P^-1 c`` subtracted, while the
+        scalar quantization and bit-plane packing are vectorized.  Similarity
         metrics add each row's ``<q_r, c> - ||c||^2`` and ``||q_r||``,
         scalar for scalar as the searcher computes them.
         """
@@ -481,18 +480,15 @@ class RaBitQ:
             raise DimensionMismatchError(
                 f"queries have dimension {mat.shape[1]}, index expects {dataset.dim}"
             )
-        n_queries = mat.shape[0]
-        dim = dataset.dim
-        code_length = dataset.code_length
-        rotation = self.rotation
-        units, norms = normalize_queries(mat, dataset.centroid)
-        rotated = np.empty((n_queries, code_length), dtype=np.float64)
-        # The padding buffer is reused across rows (zeros beyond ``dim``
-        # invariant) and the rotation is applied one row at a time.
-        padded = np.zeros((1, code_length), dtype=np.float64)
-        for i in range(n_queries):
-            padded[0, :dim] = units[i]
-            rotated[i] = rotation.apply_inverse(padded)[0]
+        centroid = dataset.centroid[None]
+        rotated, norms = rotated_unit_residuals(
+            self.rotation,
+            mat,
+            centroid,
+            rotate_rows(self.rotation, centroid),
+            np.arange(mat.shape[0]),
+            np.zeros(mat.shape[0], dtype=np.intp),
+        )
         quantized = quantize_query_matrix(
             rotated,
             self.config.query_bits,

@@ -23,6 +23,12 @@ in row order, degenerate constant rows drawing nothing), so a row's codes
 do not depend on the rows beside it.  The searcher prepares one matrix per
 query (its probed residuals) or per batch (all its query-cluster pairs), and
 :class:`repro.core.quantizer.RaBitQ` one per ``prepare_queries`` call.
+
+Both build that matrix with :func:`rotated_unit_residuals`.  ``P^-1`` is
+linear, so the rotated unit residual of a (query, centroid) pair is
+``(P^-1 q - P^-1 c) / ||q - c||``: each query is rotated once, however many
+centroids it is paired with, and the searcher derives ``P^-1 C`` once per
+index (:func:`rotate_rows`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bitops import bitplanes_from_uint_batch
+from repro.core.rotation import Rotation
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -204,6 +211,49 @@ def quantize_query_matrix(
             bitplanes_from_uint_batch(codes, bits) if with_bitplanes else None
         ),
     )
+
+
+def rotate_rows(rotation: Rotation, rows: np.ndarray) -> np.ndarray:
+    """``P^-1`` applied to each row of ``rows``, zero-padded to ``rotation.dim``.
+
+    One ``(1, L)`` call per row (a GEMM may round an ULP apart from a GEMV),
+    so a row's result does not depend on the rows beside it.
+    """
+    out = np.empty((rows.shape[0], rotation.dim), dtype=np.float64)
+    padded = np.zeros((1, rotation.dim), dtype=np.float64)
+    for i in range(rows.shape[0]):
+        padded[0, : rows.shape[1]] = rows[i]
+        out[i] = rotation.apply_inverse(padded)[0]
+    return out
+
+
+def rotated_unit_residuals(
+    rotation: Rotation,
+    queries: np.ndarray,
+    centroids: np.ndarray,
+    rotated_centroids: np.ndarray,
+    query_rows: np.ndarray,
+    centroid_ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``P^-1 (q - c) / ||q - c||`` and ``||q - c||`` per (query, centroid) pair.
+
+    Pair ``i`` is ``queries[query_rows[i]]`` against
+    ``centroids[centroid_ids[i]]``; ``rotated_centroids`` is
+    :func:`rotate_rows` of ``centroids``.  Every row of ``queries`` is
+    rotated once, then the rotated rows are differenced and scaled, so the
+    result is ``P^-1`` of the unit residual up to rounding.  The norm is
+    taken of the residual itself (a row-wise ``einsum``), not of a norm
+    expansion, which cancels when ``||q|| >> ||q - c||``.  A query on its
+    centroid gives norm 0 and the zero row.  Every step is per row or
+    elementwise, so a pair's result does not depend on the pairs beside it.
+    """
+    residuals = queries[query_rows] - centroids[centroid_ids]
+    norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
+    units = rotate_rows(rotation, queries)[query_rows]
+    units -= rotated_centroids[centroid_ids]
+    units /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    units[norms == 0.0] = 0.0
+    return units, norms
 
 
 def dequantization_error(

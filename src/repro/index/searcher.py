@@ -37,10 +37,12 @@ Two query entry points are provided:
   changes throughput, never answers.
 
 Both entry points wrap the same two steps of Algorithm 2.
-``_prepare`` turns a matrix of residuals ``q - c`` into quantized queries
-(normalize, rotate, Eq. 18 rounding against the index's rounding vector);
-``search`` calls it once for its ``nprobe`` residuals, ``search_batch``
-once for all its (query, probed cluster) pairs, grouped by cluster.
+``_prepare`` turns (query, probed cluster) pairs into quantized queries:
+``P^-1`` is linear, so the rotated unit residual is ``(P^-1 q - P^-1 c) /
+||q - c||``, and each query is rotated once while ``P^-1 C`` is derived
+once per index (at ``fit`` and at load); then Eq. 18 rounding against the
+index's rounding vector.  ``search`` calls it once for its ``nprobe``
+pairs, ``search_batch`` once for all its pairs, grouped by cluster.
 ``_dots`` takes prepared rows against packed
 codes: one call of the integer-dot kernel, then the affine undo of
 Eq. 19-20.  The entry points differ only in how they pair rows with codes:
@@ -67,11 +69,15 @@ scratch buffer for one BLAS call when it is large; both are *exact* (every
 partial sum is an integer far below 2^53), so the choice never changes an
 answer.
 
-``_prepare`` normalizes and rotates row by row, so a row's quantized
-query does not depend on the rows prepared beside it and search results
-are bit-identical to per-cluster quantizers sharing the index's rounding
-vector — the equivalence suite in ``tests/test_arena_equivalence.py``
-checks this against a literal port of the pre-arena implementation.
+``_prepare`` rotates each query with its own ``(1, L)`` GEMV and
+otherwise works per row or elementwise, so a row's quantized query does
+not depend on the rows prepared beside it.  :class:`repro.core.quantizer.RaBitQ`
+prepares its queries with the same helper
+(:func:`repro.core.query.rotated_unit_residuals`), so search results are
+bit-identical to per-cluster quantizers sharing the index's rotation and
+rounding vector — the equivalence suite in
+``tests/test_arena_equivalence.py`` checks this against a literal port of
+the pre-arena implementation.
 
 **Purity and thread safety.**  Search is a pure function of
 (index, query): the uniforms of the randomized rounding (Eq. 18) are one
@@ -82,9 +88,8 @@ state.  The same query always gets the same answer, whatever was asked
 before it and whatever it is batched with, and ``search`` /
 ``search_batch`` may be called concurrently from several threads on one
 fitted searcher with answers *bit-identical to any serial order* (scratch
-buffers and the rotation pad are thread-local).  Mutation methods are the
-only writers of index state; they must not run concurrently with queries
-or each other.
+buffers are thread-local).  Mutation methods are the only writers of index
+state; they must not run concurrently with queries or each other.
 
 The index is *mutable* after :meth:`IVFQuantizedSearcher.fit` (the index
 lifecycle required by a serving deployment):
@@ -133,8 +138,13 @@ from repro.core.estimator import (
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows
-from repro.core.query import quantize_query_matrix, sample_rounding_offsets
-from repro.core.rotation import QRRotation, make_rotation
+from repro.core.query import (
+    quantize_query_matrix,
+    rotate_rows,
+    rotated_unit_residuals,
+    sample_rounding_offsets,
+)
+from repro.core.rotation import Rotation, make_rotation
 from repro.exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -340,7 +350,8 @@ class IVFQuantizedSearcher:
         self._arena: CodeArena | None = None
         self._shared_rotation = None
         self._rounding_offsets: np.ndarray | None = None
-        self._rotation_matrix: np.ndarray | None = None
+        # P^-1 C, one rotated centroid per row (see _install_rotation).
+        self._rotated_centroids: np.ndarray | None = None
         # Lifecycle state: slot -> external id, external id -> slot, and the
         # per-slot tombstone mask (True = live).
         self._ids: np.ndarray | None = None
@@ -352,7 +363,6 @@ class IVFQuantizedSearcher:
         # reused across queries; one pool *per thread*, so concurrent
         # searches never share a buffer).
         self._tls = threading.local()
-        self._pad_len: int | None = None
         # Crash-recovery state, populated by the persistence layer: the
         # UUID of the archive generation this searcher was loaded from (or
         # last saved as) and the attached mutation journal, if any.
@@ -455,6 +465,21 @@ class IVFQuantizedSearcher:
             )
         return codes, consts
 
+    def _install_rotation(
+        self, rotation: Rotation, rounding_offsets: np.ndarray
+    ) -> None:
+        """Install the shared rotation ``P`` and rounding vector; derive ``P^-1 C``.
+
+        The one owner of the rotation state, called by :meth:`fit` and by
+        :func:`repro.io.persistence.load_searcher` once the IVF centroids
+        are in place.  Centroids never change after ``fit``, so the rotated
+        centroids are derived here only — one :func:`rotate_rows` GEMV per
+        centroid, whatever holds the centroids (memory or a mapped file).
+        """
+        self._shared_rotation = rotation
+        self._rounding_offsets = rounding_offsets
+        self._rotated_centroids = rotate_rows(rotation, self._ivf.centroids)
+
     def fit(
         self, data: np.ndarray, *, kmeans_sample_size: int | None = None
     ) -> "IVFQuantizedSearcher":
@@ -473,15 +498,12 @@ class IVFQuantizedSearcher:
             mat, kmeans_sample_size=kmeans_sample_size
         )
 
-        # All clusters share one rotation so that the query only needs to
-        # be rotated once per cluster-centroid frame.
+        # All clusters share one rotation, so a query is rotated once and
+        # each probed cluster's frame is reached by subtracting P^-1 c.
         code_length = self.rabitq_config.resolve_code_length(mat.shape[1])
-        shared_rotation = make_rotation(
-            self.rabitq_config.rotation, code_length, self._rng
-        )
-        self._shared_rotation = shared_rotation
-        self._rounding_offsets = sample_rounding_offsets(
-            self.rabitq_config.seed, code_length
+        self._install_rotation(
+            make_rotation(self.rabitq_config.rotation, code_length, self._rng),
+            sample_rounding_offsets(self.rabitq_config.seed, code_length),
         )
         assignments = self._ivf.assignments
         order = np.argsort(assignments, kind="stable")
@@ -494,12 +516,6 @@ class IVFQuantizedSearcher:
             slots=order.astype(np.int64),
             sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
             bits=self.bits,
-        )
-        self._pad_len = code_length
-        self._rotation_matrix = (
-            shared_rotation.as_matrix()
-            if isinstance(shared_rotation, QRRotation)
-            else None
         )
         n = mat.shape[0]
         self._ids = np.arange(n, dtype=np.int64)
@@ -714,50 +730,31 @@ class IVFQuantizedSearcher:
             store[name] = buf
         return buf
 
-    def _rotate_row(self, unit: np.ndarray) -> np.ndarray:
-        """``P^-1`` applied to one zero-padded unit row (thread-local pad).
+    def _prepare(
+        self, queries: np.ndarray, query_rows: np.ndarray, cluster_ids: np.ndarray
+    ) -> tuple:
+        """Prepare (query, probed cluster) pairs for estimation (Alg. 2, lines 1-2).
 
-        Dense rotations go straight through the cached matrix — the very
-        same ``(1, L) @ (L, L)`` BLAS call ``Rotation.apply_inverse`` makes,
-        minus its per-call validation; structured (Hadamard) rotations fall
-        back to ``apply_inverse``.  The pad buffer is per-thread, like the
-        scratch pool.
+        Pair ``i`` is ``queries[query_rows[i]]`` in the frame of cluster
+        ``cluster_ids[i]``.  Returns ``(quantized, query_norms)``: the
+        :class:`repro.core.query.QuantizedQueryMatrix` of the rotated unit
+        residuals ``(P^-1 q - P^-1 c) / ||q - c||`` — each query rotated
+        once, the cluster's ``P^-1 c`` taken from the index — quantized
+        against the index's rounding vector, and ``||q - c||`` per pair
+        (:func:`repro.core.query.rotated_unit_residuals`).  Every step is per
+        row or elementwise, so a pair's result does not depend on the pairs
+        beside it; a query on its centroid becomes the zero row, which
+        quantizes to ``Δ = 1`` and codes 0.
         """
-        assert self._pad_len is not None
-        pad = getattr(self._tls, "pad", None)
-        if pad is None or pad.shape[1] != self._pad_len:
-            pad = np.zeros((1, self._pad_len), dtype=np.float64)
-            self._tls.pad = pad
-        pad[0, : unit.shape[0]] = unit
-        matrix = self._rotation_matrix
-        if matrix is not None:
-            return (pad @ matrix)[0]
-        return self._shared_rotation.apply_inverse(pad)[0]
-
-    def _prepare(self, residuals: np.ndarray) -> tuple:
-        """Prepare query residuals ``q - c`` for estimation (Alg. 2, lines 1-2).
-
-        One row per (query, probed cluster) pair.  Returns ``(quantized,
-        query_norms)``: the :class:`repro.core.query.QuantizedQueryMatrix`
-        of the normalized, rotated rows, quantized against the index's
-        rounding vector, and ``||q - c||`` per row.  Normalization and
-        rotation run row by row (1-D ``sqrt(dot)`` and a ``(1, L)`` GEMV),
-        so a row's result does not depend on the rows beside it; a zero
-        residual becomes the zero row, which quantizes to ``Δ = 1`` and
-        codes 0.
-        """
-        assert self._arena is not None
         config = self.rabitq_config
-        n_rows = residuals.shape[0]
-        units = np.zeros_like(residuals)
-        query_norms = np.zeros(n_rows, dtype=np.float64)
-        rotated = np.empty((n_rows, self._arena.code_length), dtype=np.float64)
-        for i in range(n_rows):
-            norm = float(np.sqrt(np.dot(residuals[i], residuals[i])))
-            if norm != 0.0:
-                np.divide(residuals[i], norm, out=units[i])
-                query_norms[i] = norm
-            rotated[i] = self._rotate_row(units[i])
+        rotated, query_norms = rotated_unit_residuals(
+            self._shared_rotation,
+            queries,
+            self._ivf.centroids,
+            self._rotated_centroids,
+            query_rows,
+            cluster_ids,
+        )
         quantized = quantize_query_matrix(
             rotated,
             config.query_bits,
@@ -837,7 +834,7 @@ class IVFQuantizedSearcher:
         """Fused estimation for all live vectors in the probed clusters.
 
         The candidate set is scored in one flat pass, in probe order: the
-        probed residuals are prepared in one :meth:`_prepare` call, the
+        query's probed pairs are prepared in one :meth:`_prepare` call, the
         probed arena rows are gathered once, and one :meth:`_dots` call
         pairs each code with its own cluster's query row before one fused
         affine/estimator pass.  Tombstoned rows are masked out *after* the
@@ -854,7 +851,7 @@ class IVFQuantizedSearcher:
         cand = arena.slots[rows]
         consts_buf = arena.consts[:, rows]
         quantized, query_norms = self._prepare(
-            query[None, :] - self._ivf.centroids[cluster_ids]
+            query[None, :], np.zeros(cluster_ids.shape[0], np.intp), cluster_ids
         )
         qdot = self._dots(
             arena.codes[rows], consts_buf, quantized, segments=counts
@@ -997,7 +994,7 @@ class IVFQuantizedSearcher:
         )
         ends = np.append(starts[1:], sorted_cids.shape[0])
         quantized, query_norms = self._prepare(
-            query_mat[order // width] - self._ivf.centroids[sorted_cids]
+            query_mat, order // width, sorted_cids
         )
         for seg_start, seg_end in zip(starts.tolist(), ends.tolist()):
             cid = int(sorted_cids[seg_start])

@@ -980,7 +980,6 @@ def _load_searcher_v6(
             )
         else:
             rotation = QRRotation.from_matrix(np.asarray(rotation_sec))
-        searcher._shared_rotation = rotation
 
         data = sections.load("data", mmap=mmap)
         if tuple(data.shape) != (n_slots, dim):
@@ -1047,16 +1046,14 @@ def _load_searcher_v6(
                 "slot layout does not match the IVF assignment array"
             )
         searcher._arena = arena
-        searcher._pad_len = code_length
-        searcher._rotation_matrix = (
-            rotation.as_matrix() if isinstance(rotation, QRRotation) else None
-        )
-
         stored = header["format_version"] >= 10
-        searcher._rounding_offsets = _rounding_offsets(
-            sections.load("rounding_offsets", mmap=False) if stored else None,
-            config.seed,
-            code_length,
+        searcher._install_rotation(
+            rotation,
+            _rounding_offsets(
+                sections.load("rounding_offsets", mmap=False) if stored else None,
+                config.seed,
+                code_length,
+            ),
         )
 
         ids = sections.load("ids", mmap=mmap)

@@ -15,10 +15,13 @@ distances of the winners, so they survive any change that keeps the same
 winners and the same re-rank work.  ``raw_ids`` / ``raw_distances`` are the
 same queries under ``NoReranker`` — the estimates themselves, which depend
 on every bit of the kernel and on the index's rounding vector.  They were
-added in PR 18 (one rounding vector per index) and pin that build's
-estimates; they are the layer the ROADMAP's "Arithmetic v2" (rotate once,
-one search path) will re-base, once, saying so.  Regenerate only when an
-*intentional*, documented output change lands:
+added when the index started keeping one rounding vector, and were
+re-based once since, when query preparation started rotating each query
+once and subtracting the rotated centroids (``(P^-1 q - P^-1 c) /
+||q - c||`` instead of ``P^-1`` of each unit residual, with ``||q - c||``
+from a row-wise ``einsum``): 110 of the 150 raw distances moved, by at most
+5.0e-14, and no other field.  Regenerate only when an *intentional*,
+documented output change lands:
 
     PYTHONPATH=src python tests/data/gen_l2_stream_gate.py
 """

@@ -226,7 +226,10 @@ class TestDegenerateQueryShapes:
             # quantize to delta 1 and codes 0 beside the ordinary rows.
             cid = int(seq.ivf.assignments[live_slots[0]])
             centroid = seq.ivf.centroids[cid]
-            quantized, norms = seq._prepare(centroid - seq.ivf.centroids)
+            n_clusters = seq.ivf.centroids.shape[0]
+            quantized, norms = seq._prepare(
+                centroid[None], np.zeros(n_clusters, np.intp), np.arange(n_clusters)
+            )
             assert norms[cid] == 0.0 and np.count_nonzero(norms) == len(norms) - 1
             assert quantized.delta[cid] == 1.0
             assert quantized.lower[cid] == 0.0
