@@ -35,10 +35,10 @@ Candidate selection avoids full ``O(n log n)`` stable sorts on the hot path:
 :func:`repro.substrates.linalg.stable_topk_indices` narrows the selection
 with an ``O(n)`` argpartition and only sorts the survivors, with ties broken
 by ascending index exactly as the stable full sort would.  Every strategy
-also exposes :meth:`Reranker.rerank_batch`, the per-query loop used by the
-batch search engine (the estimates differ per query, so re-ranking is
-inherently per-query work; all strategies keep batch output identical to
-looping :meth:`Reranker.rerank`).
+also exposes :meth:`Reranker.rerank_batch`, which takes one flat candidate
+buffer with per-query offsets and equals looping :meth:`Reranker.rerank`.
+:class:`ErrorBoundReranker` computes the first chunk of all L2 queries at
+once; only queries whose cut leaves later candidates continue one by one.
 """
 
 from __future__ import annotations
@@ -86,38 +86,48 @@ class Reranker(abc.ABC):
     def rerank_batch(
         self,
         queries: np.ndarray,
-        candidate_ids: list[np.ndarray] | tuple[np.ndarray, ...],
-        estimates: list[DistanceEstimate] | tuple[DistanceEstimate, ...],
+        candidate_ids: np.ndarray,
+        estimate: DistanceEstimate,
+        offsets: np.ndarray,
         flat_index: FlatIndex,
         k: int,
         *,
         metric: str | Metric = "l2",
     ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """Re-rank one candidate list + estimate per query row.
+        """Re-rank every query row against its own range of flat candidates.
 
-        The default implementation loops :meth:`rerank`, which guarantees
-        batch results identical to the sequential path.
+        Row ``i`` owns ``candidate_ids[offsets[i]:offsets[i + 1]]`` and the
+        same range of every ``estimate`` field: the layout the batch search
+        engine estimates into.  Rows that :meth:`_rerank_rows` leaves open
+        (by default all) get :meth:`rerank` over views of their ranges, so
+        batch results are identical to the sequential path.
         """
         queries_mat = np.asarray(queries, dtype=np.float64)
-        if queries_mat.ndim != 2 or queries_mat.shape[0] != len(candidate_ids):
-            raise InvalidParameterError(
-                "queries must be a matrix with one row per candidate list"
-            )
-        if len(candidate_ids) != len(estimates):
-            raise InvalidParameterError(
-                "need exactly one DistanceEstimate per candidate list"
-            )
-        return [
-            self.rerank(
-                queries_mat[i],
-                candidate_ids[i],
-                estimates[i],
-                flat_index,
-                k,
-                metric=metric,
-            )
-            for i in range(queries_mat.shape[0])
-        ]
+        bounds = np.asarray(offsets, dtype=np.int64)
+        if (
+            queries_mat.ndim != 2
+            or bounds.shape != (queries_mat.shape[0] + 1,)
+            or bounds[0] != 0
+            or not bounds[-1] == len(candidate_ids) == len(estimate)
+            or (np.diff(bounds) < 0).any()
+        ):
+            raise InvalidParameterError("offsets must split candidates by query row")
+        out = self._rerank_rows(
+            queries_mat, candidate_ids, estimate, bounds, flat_index, k, metric
+        )
+        bounds = bounds.tolist()
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if out[i] is None:
+                view = {name: v[lo:hi] for name, v in vars(estimate).items()}
+                out[i] = self.rerank(
+                    queries_mat[i], candidate_ids[lo:hi], DistanceEstimate(**view),
+                    flat_index, k, metric=metric,
+                )
+        return out
+
+    def _rerank_rows(self, queries, ids, estimate, offsets, flat, k, metric):
+        """The rows :meth:`rerank_batch` answers in one step; ``None`` if not."""
+        return [None] * queries.shape[0]
 
 
 class NoReranker(Reranker):
@@ -245,15 +255,11 @@ class ErrorBoundReranker(Reranker):
         if not resolved.higher_is_better:
             # Distances: keys are the values themselves, the optimistic
             # bound is the lower bound.
-            def exact_key(selected_ids: np.ndarray) -> np.ndarray:
-                diff = data[selected_ids] - vec[None, :]
-                return np.einsum("ij,ij->i", diff, diff)
-
             return self._rerank_by_min_key(
                 ids,
                 estimate.distances,
                 estimate.lower_bounds,
-                exact_key,
+                _l2_key(data, vec),
                 k,
             )
 
@@ -273,6 +279,65 @@ class ErrorBoundReranker(Reranker):
         )
         return final_ids, -final_vals, n_exact
 
+    def _rerank_rows(self, queries, ids, estimate, offsets, flat, k, metric):
+        """L2 rows whose first chunk is computed batched, in blocks of 16.
+
+        Per block, ``partition`` finds each chunk edge, a gather and a 3-D
+        ``einsum`` (:meth:`rerank`'s bits) the exact keys, ``partition`` the
+        thresholds and ``lb <= thr`` the cut.  Rows the cut empties are done;
+        the rest continue in :meth:`_rerank_by_min_key`.  A tied or NaN edge,
+        a NaN bound in the chunk, a list shorter than the chunk, a batch of
+        one and similarity metrics are left open for :meth:`rerank`.
+        """
+        out: list = [None] * queries.shape[0]
+        if resolve_metric(metric).higher_is_better or len(out) < 2:
+            return out
+        require_positive_int(k, "k")
+        ids = np.asarray(ids, dtype=np.int64)
+        est, lb, data = estimate.distances, estimate.lower_bounds, flat.data
+        chunk, bounds, lengths = max(64, k), offsets.tolist(), np.diff(offsets)
+        # Padding 16 rows to their longest takes at most 2x the batch's pairs.
+        cap = 2 * bounds[-1] // min(16, len(out))
+        fits = np.where(lengths <= cap, lengths, 0).tolist()
+        for a in range(0, len(out), 16):
+            b = min(a + 16, len(out))
+            lo, hi, n, width = bounds[a], bounds[b], lengths[a:b], max(fits[a:b])
+            if width <= chunk:
+                continue
+            padded = np.full((b - a, width), np.inf)
+            for j, i in enumerate(range(a, b)):
+                padded[j, : fits[i]] = est[bounds[i] : bounds[i] + fits[i]]
+            padded.partition(chunk, axis=1)
+            edge = padded[:, :chunk].max(axis=1)
+            # With nothing tied or NaN at the edge (padding puts +inf at a
+            # short row's), a chunk is every value <= edge, ordered stably.
+            edge[~(padded[:, chunk] > edge)] = np.nan
+            pos = np.flatnonzero(est[lo:hi] <= np.repeat(edge, n)).reshape(-1, chunk)
+            rows = a + np.flatnonzero(~np.isnan(edge))
+            by_row = np.arange(rows.shape[0])[:, None]
+            pos = lo + pos[by_row, np.argsort(est[lo + pos], axis=1, kind="stable")]
+            diff = data[ids[pos]]
+            np.subtract(diff, queries[rows, None, :], out=diff)
+            exact = np.einsum("ijk,ijk->ij", diff, diff)
+            # The cut: a bound beyond the chunk that ties or beats the k-th exact
+            # key (counts run on over later unbatched rows, whose NaN thr hits none).
+            thr, opt = np.full(b - a, np.nan), lb[pos]
+            thr[rows - a] = np.partition(exact, k - 1, axis=1)[:, k - 1]
+            hits = lb[lo:hi] <= np.repeat(thr, n)
+            beyond = np.add.reduceat(hits, offsets[rows] - lo, dtype=np.int64)
+            later = beyond > (opt <= thr[rows - a, None]).sum(axis=1)
+            top = np.argsort(exact, axis=1, kind="stable")[:, :k]
+            top_ids, top_vals = ids[pos[by_row, top]], exact[by_row, top]
+            for j in np.flatnonzero(~np.isnan(opt).any(axis=1)).tolist():
+                i, start, stop = rows[j], bounds[rows[j]], bounds[rows[j] + 1]
+                out[i] = (top_ids[j], top_vals[j], chunk) if not later[j] else (
+                    self._rerank_by_min_key(
+                        ids[start:stop], est[start:stop], lb[start:stop],
+                        _l2_key(data, queries[i]), k, first=(pos[j] - start, exact[j]),
+                    )
+                )
+        return out
+
     @staticmethod
     def _rerank_by_min_key(
         ids: np.ndarray,
@@ -280,13 +345,15 @@ class ErrorBoundReranker(Reranker):
         opt: np.ndarray,
         exact_key: Callable[[np.ndarray], np.ndarray],
         k: int,
+        first: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Error-bound re-ranking over minimization keys.
 
         ``est`` orders the visit (ascending, ties by index), ``opt`` is the
         smallest key a candidate could truly have, and
         ``exact_key(selected_ids)`` returns the exact keys of the selected
-        rows.  Similarity callers feed negated arrays.
+        rows.  Similarity callers feed negated arrays.  ``first`` is a first
+        chunk computed already, none of its bounds NaN: (positions, exact keys).
         """
         # Exact keys are computed NumPy-vectorized per chunk.  The evolving
         # k-th-best threshold is maintained with a small pooled array per
@@ -299,12 +366,12 @@ class ErrorBoundReranker(Reranker):
         kbest = np.empty(0, dtype=np.float64)  # k smallest exact keys so far
         threshold = np.inf  # their max, once there are k of them
 
-        def visit(block: np.ndarray) -> None:
+        def visit(block: np.ndarray, exact: np.ndarray | None = None) -> None:
             nonlocal kbest, threshold
             selected = ids[block[opt[block] <= threshold]]
             if selected.shape[0] == 0:
                 return
-            exact = exact_key(selected)
+            exact = exact_key(selected) if exact is None else exact
             pool_ids.append(selected)
             pool_vals.append(exact)
             # Update the k smallest multiset (only its max — the threshold —
@@ -315,8 +382,8 @@ class ErrorBoundReranker(Reranker):
                 threshold = kbest.max()
 
         chunk = max(64, k)
-        first = stable_topk_indices(est, chunk)
-        visit(first)
+        first, first_exact = first or (stable_topk_indices(est, chunk), None)
+        visit(first, first_exact)
         # The cut: only candidates whose optimistic bound ties or beats the
         # first chunk's threshold can be selected later (it only tightens).
         later = opt <= threshold
@@ -346,6 +413,16 @@ class ErrorBoundReranker(Reranker):
         # "sorted by value, ties by first computation" output.
         final = stable_topk_indices(all_vals, min(k, all_vals.shape[0]))
         return all_ids[final], all_vals[final], int(all_vals.shape[0])
+
+
+def _l2_key(data: np.ndarray, vec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact squared L2 distances from ``vec`` to selected rows of ``data``."""
+
+    def exact_key(selected_ids: np.ndarray) -> np.ndarray:
+        diff = data[selected_ids] - vec[None, :]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    return exact_key
 
 
 __all__ = [

@@ -164,8 +164,11 @@ from repro.substrates.rng import RngLike, ensure_rng
 
 
 #: Cap on the number of live (query, candidate) estimate pairs per
-#: processed query chunk in :meth:`IVFQuantizedSearcher.search_batch`
-#: (4 float64 fields => roughly 256 MiB at this setting).
+#: processed query chunk in :meth:`IVFQuantizedSearcher.search_batch`: the
+#: chunk's flat buffers (4 float64 fields and the int64 candidate slots)
+#: hold 40 B a pair, roughly 320 MB at this setting.  The reranker's
+#: ``+inf``-padded estimate blocks (``ErrorBoundReranker._rerank_rows``)
+#: never hold more than twice as many cells as the chunk has pairs.
 _SEARCH_BATCH_MAX_PAIRS = 8_000_000
 
 #: Cap on the float64 cells (rows x code length) of one encoding block in
@@ -941,19 +944,24 @@ class IVFQuantizedSearcher:
 
     def _estimate_rabitq_batch(
         self, query_mat: np.ndarray, probes: np.ndarray
-    ) -> list[tuple[np.ndarray, DistanceEstimate]]:
+    ) -> tuple[np.ndarray, DistanceEstimate, np.ndarray]:
         """Grouped-by-cluster fused batch estimation for all queries at once.
 
         The (query, probed cluster) pairs are grouped by cluster and
         prepared by one :meth:`_prepare` call; each cluster's contiguous
         code block is then scanned once for its group's rows by one
         :meth:`_dots` call, and one fused estimator transform runs per
-        group.  The result rows are scattered into flat per-query
-        candidate buffers at precomputed offsets — the query's
+        group.  The result rows are scattered into flat candidate buffers
+        at precomputed per-query offsets — each query's range in its
         probed-cluster order, exactly the layout of :meth:`_estimate_rabitq`.
         Every row of a group is prepared and estimated independently of the
         others, so each query's output is bit-identical to the sequential
         path's whatever it is batched with.
+
+        Returns ``(candidate_ids, estimate, offsets)``: query ``i`` owns
+        the range ``offsets[i]:offsets[i + 1]`` of the flat candidates and
+        of every estimate field, tombstones already masked out (once, over
+        the flat buffers).
         """
         arena = self._arena
         assert arena is not None
@@ -1042,20 +1050,23 @@ class IVFQuantizedSearcher:
             ip_flat[dest] = estimate.inner_products
             cand_flat[dest] = arena.slots[start:end][None, :]
 
-        # Per-query views into the flat buffers, tombstones masked out of
-        # the already-computed estimates exactly as on the sequential path.
-        return [
-            self._live_only(
-                cand_flat[lo:hi],
-                DistanceEstimate(
-                    distances=dist_flat[lo:hi],
-                    lower_bounds=lb_flat[lo:hi],
-                    upper_bounds=ub_flat[lo:hi],
-                    inner_products=ip_flat[lo:hi],
-                ),
-            )
-            for lo, hi in zip(qoff[:-1].tolist(), qoff[1:].tolist())
-        ]
+        # Tombstones are masked out of the already-computed estimates
+        # exactly as on the sequential path; each query keeps its live rows
+        # in order, so its offsets count the live rows before it.
+        cand, estimate = self._live_only(
+            cand_flat,
+            DistanceEstimate(
+                distances=dist_flat,
+                lower_bounds=lb_flat,
+                upper_bounds=ub_flat,
+                inner_products=ip_flat,
+            ),
+        )
+        if cand.shape[0] != total:
+            kept = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(self._live[cand_flat], out=kept[1:])
+            qoff = kept[qoff]
+        return cand, estimate, qoff
 
     def search_batch(
         self, queries: np.ndarray, k: int, *, nprobe: int = 8
@@ -1064,7 +1075,8 @@ class IVFQuantizedSearcher:
 
         Probing, query preparation and distance estimation are batched
         (queries are grouped by probed cluster so each cluster's code block
-        is scanned once per query group); re-ranking runs per query.
+        is scanned once per query group), and the reranker receives the
+        whole chunk as one flat batch (:meth:`Reranker.rerank_batch`).
         The results — ids *and* distances — are element-wise identical to
         ``[self.search(q, k, nprobe=nprobe) for q in queries]``; prefer this
         entry point whenever more than a handful of queries are available at
@@ -1110,19 +1122,21 @@ class IVFQuantizedSearcher:
                 hi += 1
             chunk_queries = query_mat[lo:hi]
             chunk_probes = probes[lo:hi]
-            per_query = self._estimate_rabitq_batch(chunk_queries, chunk_probes)
-            candidate_lists = [candidate_ids for candidate_ids, _ in per_query]
+            candidate_ids, estimate, offsets = self._estimate_rabitq_batch(
+                chunk_queries, chunk_probes
+            )
             reranked = self.reranker.rerank_batch(
                 chunk_queries,
-                candidate_lists,
-                [estimate for _, estimate in per_query],
+                candidate_ids,
+                estimate,
+                offsets,
                 self._flat,
                 k,
                 metric=self._metric,
             )
             ids_out.extend(self._to_external_ids(ids) for ids, _, _ in reranked)
             dists_out.extend(dists for _, dists, _ in reranked)
-            n_candidates.extend(ids.shape[0] for ids in candidate_lists)
+            n_candidates.extend(np.diff(offsets).tolist())
             n_exact.extend(exact for _, _, exact in reranked)
             lo = hi
         return BatchSearchResult(

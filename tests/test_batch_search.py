@@ -165,6 +165,28 @@ class TestBatchSearchEquivalence:
         )
         _assert_batch_equals_sequential(chunked, list(full))
 
+    def test_batched_first_chunk_matches_sequential(self, monkeypatch):
+        # Lists of ~700 candidates take the reranker's batched first chunk
+        # (the fixtures above rarely exceed its 64 candidates).  Some rows
+        # are deleted, and a small pair cap makes calls of a few queries.
+        import repro.index.searcher as searcher_module
+
+        rng = np.random.default_rng(29)
+        data = rng.standard_normal((2400, 16))
+        queries = rng.standard_normal((12, 16))
+        monkeypatch.setattr(searcher_module, "_SEARCH_BATCH_MAX_PAIRS", 3000)
+        n_exact = []
+        for bits in (1, 4):
+            searcher = _build_rabitq_searcher(data, n_clusters=12, bits=bits)
+            searcher.delete(np.arange(0, 2400, 9))
+            batch = searcher.search_batch(queries, 10, nprobe=4)
+            sequential = [searcher.search(q, 10, nprobe=4) for q in queries]
+            _assert_batch_equals_sequential(batch, sequential)
+            n_exact.extend(batch.n_exact.tolist())
+        # Rows that stop after the first chunk and rows that continue.
+        assert 64 in n_exact
+        assert max(n_exact) > 64
+
     def test_duplicate_query_rows(self):
         # Identical rows get identical answers, as in the sequential loop.
         rng = np.random.default_rng(19)

@@ -314,6 +314,18 @@ class TestCutContract:
             assert n_exact == want[2]
 
 
+def _flat_batch(candidate_lists, estimates):
+    """Per-query candidate lists and estimates in ``rerank_batch``'s flat form."""
+    offsets = np.cumsum([0] + [len(ids) for ids in candidate_lists])
+    flat_estimate = DistanceEstimate(
+        *(
+            np.concatenate([getattr(e, field) for e in estimates])
+            for field in ("distances", "lower_bounds", "upper_bounds", "inner_products")
+        )
+    )
+    return np.concatenate(candidate_lists), flat_estimate, offsets
+
+
 class TestRerankBatch:
     def test_default_batch_matches_loop(self, rerank_setup):
         query, ids, estimate, flat, _ = rerank_setup
@@ -321,8 +333,11 @@ class TestRerankBatch:
         queries = np.stack([query, query + 0.1 * rng.standard_normal(query.shape[0])])
         estimates = [estimate, _slice(estimate, len(ids))]
         candidate_lists = [ids, ids]
+        flat_ids, flat_estimate, offsets = _flat_batch(candidate_lists, estimates)
         for reranker in (NoReranker(), TopCandidateReranker(50), ErrorBoundReranker()):
-            batch = reranker.rerank_batch(queries, candidate_lists, estimates, flat, 5)
+            batch = reranker.rerank_batch(
+                queries, flat_ids, flat_estimate, offsets, flat, 5
+            )
             assert len(batch) == 2
             for i, (got_ids, got_dists, got_exact) in enumerate(batch):
                 want_ids, want_dists, want_exact = reranker.rerank(
@@ -336,8 +351,184 @@ class TestRerankBatch:
         query, ids, estimate, flat, _ = rerank_setup
         with pytest.raises(InvalidParameterError):
             NoReranker().rerank_batch(
-                np.stack([query, query]), [ids], [estimate], flat, 5
+                np.stack([query, query]), ids, estimate, [0, len(ids)], flat, 5
             )
+
+
+_N_POINTS = 400  # one shared 1-d flat index for every row of a drawn batch
+
+
+@st.composite
+def _batches(draw):
+    """A flat L2 batch whose rows mix every shape the batched path sorts.
+
+    Per row Hypothesis draws the list length (empty, shorter than, equal
+    to and longer than the chunk), how far estimates stray, tie blocks, a
+    tie forced at the chunk boundary, interval width (tight rows stop after
+    the first chunk, wide or missing ones continue), NaN estimates and
+    bounds, and whether the row repeats the previous one.  The points are
+    ``5 * permutation`` on a line and a row's query is 0 or 2.5, so exact
+    keys are known and sometimes tied.
+    """
+    k = draw(st.sampled_from([1, 10, 64, 100]))
+    chunk = max(64, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 5.0 * rng.permutation(_N_POINTS)
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[-1])
+            continue
+        n = draw(st.sampled_from([0, chunk // 2, chunk, chunk + 1, 2 * chunk, 3 * chunk + 7]))
+        spread = draw(st.sampled_from([0.0, 2.0**8, 2.0**14]))
+        grid = draw(st.sampled_from([0.0, 2.0**15]))
+        width = draw(st.sampled_from([0.0, 2.0**8, 2.0**17]))
+        hold = draw(st.booleans())
+        nan_frac = draw(st.sampled_from([0.0, 0.0, 0.02]))
+        query = draw(st.sampled_from([0.0, 2.5]))
+        ids = rng.choice(_N_POINTS, n, replace=False).astype(np.int64)
+        key = (x[ids] - query) ** 2
+        est = key + spread * rng.standard_normal(n)
+        if grid:
+            est = np.round(est / grid) * grid
+        if n > chunk and draw(st.booleans()):
+            order = np.argsort(est, kind="stable")
+            est[order[chunk]] = est[order[chunk - 1]]
+        opt = np.minimum(est, key if hold else est) - width * rng.random(n)
+        est[rng.random(n) < nan_frac] = np.nan
+        opt[rng.random(n) < nan_frac] = np.nan
+        rows.append((query, ids, est, opt))
+    return x, rows, k
+
+
+class TestRerankBatchContract:
+    """``ErrorBoundReranker.rerank_batch`` answers every row as ``rerank``.
+
+    Ids, value bits and the exact-computation count of each row equal both
+    the per-query reranker and the plain reference, whichever path the row
+    takes: the batched first chunk (stopping there or continuing in the
+    shared scan) or the per-query fallback.
+    """
+
+    @staticmethod
+    def _check(x, rows, k):
+        flat = FlatIndex(x[:, None])
+        queries = np.array([[query] for query, *_ in rows])
+        estimates = [
+            DistanceEstimate(
+                distances=est, lower_bounds=opt, upper_bounds=est,
+                inner_products=np.zeros_like(est),
+            )
+            for _, _, est, opt in rows
+        ]
+        id_lists = [ids for _, ids, _, _ in rows]
+        flat_ids, flat_estimate, offsets = _flat_batch(id_lists, estimates)
+        reranker = ErrorBoundReranker()
+        batch = reranker.rerank_batch(queries, flat_ids, flat_estimate, offsets, flat, k)
+        assert len(batch) == len(rows)
+        for got, query, ids, estimate in zip(batch, queries, id_lists, estimates):
+            for want in (
+                reranker.rerank(query, ids, estimate, flat, k),
+                reference_rerank_l2(query, ids, estimate, flat, k),
+            ):
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2] == want[2]
+        return batch
+
+    @given(_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_rerank_and_reference(self, batch):
+        self._check(*batch)
+
+    def test_rows_stop_after_the_first_chunk_and_continue(self):
+        # Tight intervals stop after the 64-candidate chunk; wide ones make
+        # the row continue in the scan.  Both happen in one batch.
+        rng = np.random.default_rng(5)
+        x = 5.0 * rng.permutation(_N_POINTS)
+        rows = []
+        for width in (0.0, 2.0**20, 0.0, 2.0**20):
+            ids = rng.choice(_N_POINTS, 300, replace=False).astype(np.int64)
+            key = x[ids] ** 2
+            est = key + 2.0**8 * rng.standard_normal(300)
+            rows.append((0.0, ids, est, np.minimum(est, key) - width))
+        n_exact = [row[2] for row in self._check(x, rows, 10)]
+        assert n_exact[0] == n_exact[2] == 64
+        assert n_exact[1] > 64 and n_exact[3] > 64
+
+    def test_skewed_batch_pads_within_its_candidates(self, monkeypatch):
+        # One row 50x longer than the rest: no padded block may hold more
+        # than twice the batch's candidates, and every answer holds.
+        lengths = [100] * 20 + [5000] + [100] * 20
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((6000, 8))
+        queries = rng.standard_normal((len(lengths), 8))
+        id_lists = [rng.choice(6000, n, replace=False) for n in lengths]
+        estimates = [_noisy_l2(data, q, ids, rng) for q, ids in zip(queries, id_lists)]
+        padded_cells = []
+        full = np.full
+
+        def spy(shape, *args, **kwargs):
+            padded_cells.append(int(np.prod(shape)))
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", spy)
+        batch = _assert_batch_equals_rerank(
+            ErrorBoundReranker(), queries, id_lists, estimates, FlatIndex(data), 10
+        )
+        monkeypatch.undo()
+        assert padded_cells and max(padded_cells) <= 2 * sum(lengths)
+        assert [row[2] for row in batch].count(64) > 30
+
+
+def _noisy_l2(data, query, ids, rng, spread=0.5):
+    """An L2 estimate of ``ids``: exact distances plus noise, bounds around it."""
+    key = np.einsum("ij,ij->i", data[ids] - query, data[ids] - query)
+    est = key + spread * rng.standard_normal(ids.shape[0])
+    return DistanceEstimate(
+        distances=est, lower_bounds=np.minimum(est, key) - spread,
+        upper_bounds=np.maximum(est, key) + spread, inner_products=np.zeros_like(est),
+    )
+
+
+def _assert_batch_equals_rerank(reranker, queries, id_lists, estimates, flat, k):
+    flat_ids, flat_estimate, offsets = _flat_batch(id_lists, estimates)
+    batch = reranker.rerank_batch(queries, flat_ids, flat_estimate, offsets, flat, k)
+    for got, query, ids, estimate in zip(batch, queries, id_lists, estimates):
+        want = reranker.rerank(query, ids, estimate, flat, k)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+    return batch
+
+
+class TestBatchedExactL2:
+    """The blocked gather + 3-D ``einsum`` has the per-query kernel's bits."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 128, 960])
+    def test_bits_equal_per_query_einsum(self, dim):
+        # 37 rows make blocks of 16, 16 and 5; the query rows are strided
+        # views of a wider matrix.  Bounds equal to the exact distances stop
+        # every row after its first chunk, so every value comes from the
+        # batched kernel.
+        rng = np.random.default_rng(dim)
+        data = rng.standard_normal((500, dim))
+        wide = rng.standard_normal((74, dim + 3))
+        queries = wide[::2, 1 : dim + 1]
+        assert not queries.flags.c_contiguous
+        id_lists, estimates = [], []
+        for query in queries:
+            ids = rng.choice(500, 150, replace=False)
+            key = np.einsum("ij,ij->i", data[ids] - query, data[ids] - query)
+            id_lists.append(ids)
+            estimates.append(DistanceEstimate(key, key, key, np.zeros_like(key)))
+        batch = _assert_batch_equals_rerank(
+            ErrorBoundReranker(), queries, id_lists, estimates, FlatIndex(data), 10
+        )
+        for (got_ids, got_vals, n_exact), query in zip(batch, queries):
+            assert n_exact == 64
+            diff = data[got_ids] - query[None, :]
+            assert got_vals.tobytes() == np.einsum("ij,ij->i", diff, diff).tobytes()
 
 
 class TestErrorBoundReranker:
