@@ -37,8 +37,8 @@ with an ``O(n)`` argpartition and only sorts the survivors, with ties broken
 by ascending index exactly as the stable full sort would.  Every strategy
 also exposes :meth:`Reranker.rerank_batch`, which takes one flat candidate
 buffer with per-query offsets and equals looping :meth:`Reranker.rerank`.
-:class:`ErrorBoundReranker` computes the first chunk of all L2 queries at
-once; only queries whose cut leaves later candidates continue one by one.
+:class:`ErrorBoundReranker` computes the first chunk of L2 queries 16 at a
+time; only queries whose cut leaves later candidates continue one by one.
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ class Reranker(abc.ABC):
             or bounds.shape != (queries_mat.shape[0] + 1,)
             or bounds[0] != 0
             or not bounds[-1] == len(candidate_ids) == len(estimate)
-            or (np.diff(bounds) < 0).any()
+            or (bounds[1:] < bounds[:-1]).any()
         ):
             raise InvalidParameterError("offsets must split candidates by query row")
         out = self._rerank_rows(
             queries_mat, candidate_ids, estimate, bounds, flat_index, k, metric
         )
-        bounds = bounds.tolist()
+        bounds, fields = bounds.tolist(), tuple(vars(estimate).values())
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if out[i] is None:
-                view = {name: v[lo:hi] for name, v in vars(estimate).items()}
+                view = DistanceEstimate(*[field[lo:hi] for field in fields])
                 out[i] = self.rerank(
-                    queries_mat[i], candidate_ids[lo:hi], DistanceEstimate(**view),
+                    queries_mat[i], candidate_ids[lo:hi], view,
                     flat_index, k, metric=metric,
                 )
         return out
@@ -280,27 +280,30 @@ class ErrorBoundReranker(Reranker):
         return final_ids, -final_vals, n_exact
 
     def _rerank_rows(self, queries, ids, estimate, offsets, flat, k, metric):
-        """L2 rows whose first chunk is computed batched, in blocks of 16.
+        """L2 rows whose first chunk is computed batched, in full blocks of 16.
 
         Per block, ``partition`` finds each chunk edge, a gather and a 3-D
         ``einsum`` (:meth:`rerank`'s bits) the exact keys, ``partition`` the
         thresholds and ``lb <= thr`` the cut.  Rows the cut empties are done;
         the rest continue in :meth:`_rerank_by_min_key`.  A tied or NaN edge,
-        a NaN bound in the chunk, a list shorter than the chunk, a batch of
-        one and similarity metrics are left open for :meth:`rerank`.
+        a NaN bound in the chunk, a list shorter than the chunk, rows past the
+        last full block and similarity metrics are left open for :meth:`rerank`.
         """
         out: list = [None] * queries.shape[0]
-        if resolve_metric(metric).higher_is_better or len(out) < 2:
+        # At B=1 nearly every row continues past its chunk, and a block of
+        # fewer than 16 rows costs more NumPy calls than the per-query first
+        # chunks it replaces (the break-even on the perf/ shape).
+        if resolve_metric(metric).higher_is_better or len(out) < 16:
             return out
         require_positive_int(k, "k")
         ids = np.asarray(ids, dtype=np.int64)
         est, lb, data = estimate.distances, estimate.lower_bounds, flat.data
         chunk, bounds, lengths = max(64, k), offsets.tolist(), np.diff(offsets)
         # Padding 16 rows to their longest takes at most 2x the batch's pairs.
-        cap = 2 * bounds[-1] // min(16, len(out))
+        cap = 2 * bounds[-1] // 16
         fits = np.where(lengths <= cap, lengths, 0).tolist()
-        for a in range(0, len(out), 16):
-            b = min(a + 16, len(out))
+        for a in range(0, len(out) - 15, 16):
+            b = a + 16
             lo, hi, n, width = bounds[a], bounds[b], lengths[a:b], max(fits[a:b])
             if width <= chunk:
                 continue

@@ -812,8 +812,12 @@ class IVFQuantizedSearcher:
 
     def _live_only(
         self, cand: np.ndarray, estimate: DistanceEstimate
-    ) -> tuple[np.ndarray, DistanceEstimate]:
-        """Drop tombstoned candidates from an already-computed estimate."""
+    ) -> tuple[np.ndarray, DistanceEstimate, np.ndarray | None]:
+        """Drop tombstoned candidates from an already-computed estimate.
+
+        The third item is the live mask applied, or ``None`` if every
+        candidate is live.
+        """
         if self._n_dead:
             mask = self._live[cand]
             if not mask.all():
@@ -822,8 +826,8 @@ class IVFQuantizedSearcher:
                     lower_bounds=estimate.lower_bounds[mask],
                     upper_bounds=estimate.upper_bounds[mask],
                     inner_products=estimate.inner_products[mask],
-                )
-        return cand, estimate
+                ), mask
+        return cand, estimate, None
 
     def _query_offset(self, query: np.ndarray, cid: int) -> float:
         """``<q, c> - ||c||^2``, the similarity metrics' per-cluster offset."""
@@ -892,7 +896,8 @@ class IVFQuantizedSearcher:
                 ),
                 query_rounding=qround,
             )
-        return self._live_only(cand, estimate)
+        cand, estimate, _ = self._live_only(cand, estimate)
+        return cand, estimate
 
     def search(self, query: np.ndarray, k: int, *, nprobe: int = 8) -> SearchResult:
         """Answer one ANN query.
@@ -1053,7 +1058,7 @@ class IVFQuantizedSearcher:
         # Tombstones are masked out of the already-computed estimates
         # exactly as on the sequential path; each query keeps its live rows
         # in order, so its offsets count the live rows before it.
-        cand, estimate = self._live_only(
+        cand, estimate, live = self._live_only(
             cand_flat,
             DistanceEstimate(
                 distances=dist_flat,
@@ -1062,9 +1067,9 @@ class IVFQuantizedSearcher:
                 inner_products=ip_flat,
             ),
         )
-        if cand.shape[0] != total:
+        if live is not None:
             kept = np.zeros(total + 1, dtype=np.int64)
-            np.cumsum(self._live[cand_flat], out=kept[1:])
+            np.cumsum(live, out=kept[1:])
             qoff = kept[qoff]
         return cand, estimate, qoff
 

@@ -168,13 +168,14 @@ class TestBatchSearchEquivalence:
     def test_batched_first_chunk_matches_sequential(self, monkeypatch):
         # Lists of ~700 candidates take the reranker's batched first chunk
         # (the fixtures above rarely exceed its 64 candidates).  Some rows
-        # are deleted, and a small pair cap makes calls of a few queries.
+        # are deleted, and a small pair cap makes calls of 16-22 queries: one
+        # full block of 16 and rows past it.
         import repro.index.searcher as searcher_module
 
         rng = np.random.default_rng(29)
         data = rng.standard_normal((2400, 16))
-        queries = rng.standard_normal((12, 16))
-        monkeypatch.setattr(searcher_module, "_SEARCH_BATCH_MAX_PAIRS", 3000)
+        queries = rng.standard_normal((60, 16))
+        monkeypatch.setattr(searcher_module, "_SEARCH_BATCH_MAX_PAIRS", 18000)
         n_exact = []
         for bits in (1, 4):
             searcher = _build_rabitq_searcher(data, n_clusters=12, bits=bits)

@@ -362,9 +362,10 @@ _N_POINTS = 400  # one shared 1-d flat index for every row of a drawn batch
 def _batches(draw):
     """A flat L2 batch whose rows mix every shape the batched path sorts.
 
-    Per row Hypothesis draws the list length (empty, shorter than, equal
-    to and longer than the chunk), how far estimates stray, tie blocks, a
-    tie forced at the chunk boundary, interval width (tight rows stop after
+    A batch holds 12 to 40 rows: none, one or two full blocks of 16 and
+    the rows past them.  Per row Hypothesis draws the list length (empty,
+    shorter than, equal to and longer than the chunk), how far estimates
+    stray, tie blocks, a tie forced at the chunk boundary, interval width (tight rows stop after
     the first chunk, wide or missing ones continue), NaN estimates and
     bounds, and whether the row repeats the previous one.  The points are
     ``5 * permutation`` on a line and a row's query is 0 or 2.5, so exact
@@ -375,7 +376,7 @@ def _batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = 5.0 * rng.permutation(_N_POINTS)
     rows = []
-    for _ in range(draw(st.integers(2, 6))):
+    for _ in range(draw(st.integers(12, 40))):
         if rows and draw(st.booleans()):
             rows.append(rows[-1])
             continue
@@ -441,20 +442,46 @@ class TestRerankBatchContract:
     def test_rows_equal_rerank_and_reference(self, batch):
         self._check(*batch)
 
-    def test_rows_stop_after_the_first_chunk_and_continue(self):
-        # Tight intervals stop after the 64-candidate chunk; wide ones make
-        # the row continue in the scan.  Both happen in one batch.
-        rng = np.random.default_rng(5)
-        x = 5.0 * rng.permutation(_N_POINTS)
+    @staticmethod
+    def _rows(rng, x, n_rows):
+        """Rows alternating tight intervals (they stop after the 64-candidate
+        chunk) and wide ones (they continue in the scan)."""
         rows = []
-        for width in (0.0, 2.0**20, 0.0, 2.0**20):
+        for width in (0.0, 2.0**20) * (n_rows // 2):
             ids = rng.choice(_N_POINTS, 300, replace=False).astype(np.int64)
             key = x[ids] ** 2
             est = key + 2.0**8 * rng.standard_normal(300)
             rows.append((0.0, ids, est, np.minimum(est, key) - width))
+        return rows
+
+    @pytest.mark.parametrize("n_rows, n_rerank", [(16, 0), (36, 4), (14, 14), (2, 2)])
+    def test_full_blocks_skip_rerank(self, monkeypatch, n_rows, n_rerank):
+        # Rows of a full 16-row block are answered without rerank(): the
+        # stopping ones from the batched chunk, the continuing ones by the
+        # shared scan.  Rows past the last full block go through rerank().
+        rng = np.random.default_rng(n_rows)
+        x = 5.0 * rng.permutation(_N_POINTS)
+        rows = self._rows(rng, x, n_rows)
+        calls = []
+        rerank = ErrorBoundReranker.rerank
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return rerank(self, *args, **kwargs)
+
+        monkeypatch.setattr(ErrorBoundReranker, "rerank", counted)
+        flat_ids, flat_estimate, offsets = _flat_batch(
+            [ids for _, ids, _, _ in rows],
+            [DistanceEstimate(est, opt, est, np.zeros_like(est)) for _, _, est, opt in rows],
+        )
+        ErrorBoundReranker().rerank_batch(
+            np.zeros((n_rows, 1)), flat_ids, flat_estimate, offsets, FlatIndex(x[:, None]), 10
+        )
+        monkeypatch.undo()
+        assert len(calls) == n_rerank
         n_exact = [row[2] for row in self._check(x, rows, 10)]
-        assert n_exact[0] == n_exact[2] == 64
-        assert n_exact[1] > 64 and n_exact[3] > 64
+        assert n_exact[0::2] == [64] * (n_rows // 2)
+        assert min(n_exact[1::2]) > 64
 
     def test_skewed_batch_pads_within_its_candidates(self, monkeypatch):
         # One row 50x longer than the rest: no padded block may hold more
@@ -507,10 +534,11 @@ class TestBatchedExactL2:
 
     @pytest.mark.parametrize("dim", [1, 3, 17, 128, 960])
     def test_bits_equal_per_query_einsum(self, dim):
-        # 37 rows make blocks of 16, 16 and 5; the query rows are strided
-        # views of a wider matrix.  Bounds equal to the exact distances stop
-        # every row after its first chunk, so every value comes from the
-        # batched kernel.
+        # 37 rows make two blocks of 16 and 5 rows past them (those take
+        # rerank()); the query rows are strided views of a wider matrix.
+        # Bounds equal to the exact distances stop every row after its first
+        # chunk, so the values of the first 32 rows come from the batched
+        # kernel.
         rng = np.random.default_rng(dim)
         data = rng.standard_normal((500, dim))
         wide = rng.standard_normal((74, dim + 3))
