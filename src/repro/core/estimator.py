@@ -132,7 +132,10 @@ def combined_halfwidth(
     bit-identical across them.
     """
     extra = query_rounding / np.abs(safe_alignment)
-    return np.sqrt(halfwidth * halfwidth + extra * extra)
+    extra *= extra
+    # ``a + b`` and ``b + a`` round alike, so the sum lands in ``extra``.
+    extra += halfwidth * halfwidth
+    return np.sqrt(extra, out=extra)
 
 
 def inner_product_to_squared_distance(
@@ -230,7 +233,9 @@ def estimate_distances(
 #
 # The arena-backed search path stores, for every encoded vector, a column of
 # pre-computed estimator constants so that query-time estimation reduces to
-# one integer inner-product pass plus one vectorized affine transform.  Each
+# one integer inner-product pass, the affine undo and one estimate epilogue.
+# Both of the latter form each shared subexpression once and update their
+# code-sized buffers in place, keeping the textbook grouping.  Each
 # constant is pre-computed with the *same elementwise operation* the
 # reference functions above would apply at query time, so fused results are
 # bit-identical to :func:`estimate_distances` (row by row, for a batch).
@@ -358,24 +363,28 @@ def undo_query_quantization(
     v_l D))``.  Each width keeps its own literal arithmetic.
 
     The GEMM, popcount and 4-bit LUT kernels produce the identical exact
-    integer, so whichever computed it, the output here is the same.
+    integer, so whichever computed it, the output here is the same.  The
+    per-query coefficients are formed once and the code-sized buffer is
+    updated in place, in the literal formula's order, so the result has the
+    bits of that formula evaluated as written.
     """
-    dot_f = np.asarray(integer_dot, dtype=np.float64)
+    # A float64 copy of the exact integers, so the caller's array is never
+    # written; ``x * c`` rounds as ``c * x`` does.
+    out = np.array(integer_dot, dtype=np.float64)
     sums = consts[CONST_POPCOUNT]
     if bits == 1:
         sqrt_d = np.sqrt(float(code_length))
-        return (
-            2.0 * delta / sqrt_d * dot_f
-            + 2.0 * lower / sqrt_d * sums
-            - delta / sqrt_d * sum_codes
-            - sqrt_d * lower
-        )
+        out *= 2.0 * delta / sqrt_d
+        out += 2.0 * lower / sqrt_d * sums
+        out -= delta / sqrt_d * sum_codes
+        out -= sqrt_d * lower
+        return out
     levels = float((1 << bits) - 1)
-    return np.asarray(consts[-1], dtype=np.float64) * (
-        2.0 * delta * dot_f
-        + 2.0 * lower * sums
-        - levels * (delta * sum_codes + lower * float(code_length))
-    )
+    out *= 2.0 * delta
+    out += 2.0 * lower * sums
+    out -= levels * (delta * sum_codes + lower * float(code_length))
+    out *= consts[-1]
+    return out
 
 
 def fused_estimate(
@@ -431,6 +440,15 @@ def fused_estimate(
         bracketing them; cosine scores and bounds are clipped to
         ``[-1, 1]`` and degenerate (zero-norm) pairs score 0, as the
         exact scores of :data:`repro.core.metric.COSINE` do.
+
+    Notes
+    -----
+    The three outputs share their terms: the inner products, the clamped
+    interval ends and, for L2, ``dn^2 + qn^2`` and ``2 dn qn`` (for
+    similarities the scale and the offset) are computed once, and each
+    output is updated in place.  Every operation keeps the textbook
+    grouping and order, and IEEE ``+ - * / sqrt`` round correctly, so the
+    bits equal the textbook form's in every broadcast form above.
     """
     resolved = resolve_metric(metric)
     dots = np.asarray(quantized_dot, dtype=np.float64)
@@ -450,27 +468,37 @@ def fused_estimate(
         raise InvalidParameterError(
             "quantized_dot and consts disagree on the number of codes"
         )
+    # Each output starts as a fresh array (never a view of ``consts`` or of
+    # an input) before it is updated in place.
+    ips = dots / consts[CONST_SAFE_ALIGN]
     align = consts[CONST_ALIGN]
-    ips = np.where(align != 0.0, dots / consts[CONST_SAFE_ALIGN], 0.0)
+    if not align.all():
+        np.copyto(ips, 0.0, where=align == 0.0)
     halfwidth = consts[CONST_HALFWIDTH]
     if query_rounding is not None:
         halfwidth = combined_halfwidth(
             halfwidth, consts[CONST_SAFE_ALIGN], query_rounding
         )
     qn = query_norms
-    ip_upper = np.minimum(ips + halfwidth, np.maximum(1.0, ips))
-    ip_lower = np.maximum(ips - halfwidth, np.minimum(-1.0, ips))
+    # min(ips + hw, max(1, ips)) and max(ips - hw, min(-1, ips)).
+    ip_upper = ips + halfwidth
+    cap = np.maximum(ips, 1.0)
+    np.minimum(ip_upper, cap, out=ip_upper)
+    ip_lower = ips - halfwidth
+    np.minimum(ips, -1.0, out=cap)
+    np.maximum(ip_lower, cap, out=ip_lower)
 
     if resolved.name == "l2":
-        dn_sq = consts[CONST_NORM_SQ]
-        two_dn = consts[CONST_TWO_NORM]
-        qn_sq = qn * qn
-        distances = dn_sq + qn_sq - two_dn * qn * ips
-        lower_bounds = dn_sq + qn_sq - two_dn * qn * ip_upper
-        upper_bounds = dn_sq + qn_sq - two_dn * qn * ip_lower
-        np.maximum(distances, 0.0, out=distances)
-        np.maximum(lower_bounds, 0.0, out=lower_bounds)
-        np.maximum(upper_bounds, 0.0, out=upper_bounds)
+        # dn^2 + qn^2 - 2 dn qn <o, q>, grouped (dn^2 + qn^2) - ((2 dn qn) ip).
+        base = consts[CONST_NORM_SQ] + qn * qn
+        scale = consts[CONST_TWO_NORM] * qn
+        outputs = []
+        for ip in (ips, ip_upper, ip_lower):
+            value = scale * ip
+            np.subtract(base, value, out=value)
+            np.maximum(value, 0.0, out=value)
+            outputs.append(value)
+        distances, lower_bounds, upper_bounds = outputs
         return DistanceEstimate(
             distances=distances,
             lower_bounds=lower_bounds,
@@ -487,23 +515,24 @@ def fused_estimate(
     # inner product gives the larger raw inner product (scale >= 0).
     scale = consts[CONST_NORM] * qn
     offset = consts[CONST_DOT_C] + query_offset
-    values = scale * ips + offset
-    lower_bounds = scale * ip_lower + offset
-    upper_bounds = scale * ip_upper + offset
+    outputs = []
+    for ip in (ips, ip_lower, ip_upper):
+        value = scale * ip
+        value += offset
+        outputs.append(value)
     if resolved.name == "cosine":
         if query_raw_norm is None:
             raise InvalidParameterError(
                 "metric 'cosine' requires query_raw_norm (the raw ||q_r||)"
             )
         denom = consts[CONST_RAW_NORM] * query_raw_norm
-        positive = denom > 0.0
-        safe = np.where(positive, denom, 1.0)
-        values = np.where(positive, values / safe, 0.0)
-        lower_bounds = np.where(positive, lower_bounds / safe, 0.0)
-        upper_bounds = np.where(positive, upper_bounds / safe, 0.0)
-        np.clip(values, -1.0, 1.0, out=values)
-        np.clip(lower_bounds, -1.0, 1.0, out=lower_bounds)
-        np.clip(upper_bounds, -1.0, 1.0, out=upper_bounds)
+        degenerate = ~(denom > 0.0)
+        safe = np.where(degenerate, 1.0, denom)
+        for value in outputs:
+            value /= safe
+            np.copyto(value, 0.0, where=degenerate)
+            np.clip(value, -1.0, 1.0, out=value)
+    values, lower_bounds, upper_bounds = outputs
     return DistanceEstimate(
         distances=values,
         lower_bounds=lower_bounds,

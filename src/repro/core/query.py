@@ -59,20 +59,31 @@ def _round_to_levels(
     randomized: bool,
     rng: RngLike,
     offsets: np.ndarray | None,
-) -> np.ndarray:
-    """Round ``scaled`` coordinates (in units of ``Δ``) to ``[0, levels]``.
+    live: np.ndarray | None,
+) -> None:
+    """Round ``scaled`` coordinates (in units of ``Δ``) to ``[0, levels]``, in place.
 
     ``scaled`` is a matrix of queries ``(n, L)``; ``offsets`` (shape
-    ``(L,)``, shared by all rows) are the uniforms of the randomized rule,
-    drawn from ``rng`` per coordinate in row order when not supplied.
+    ``(L,)``, shared by all rows) are the uniforms of the randomized rule.
+    When they are not supplied, they are drawn from ``rng`` per coordinate
+    in row order, for the ``live`` rows only (``None``: every row).
     """
     if not randomized:
-        return np.clip(np.round(scaled), 0, levels)
-    if offsets is None:
-        offsets = ensure_rng(rng).random(scaled.shape)
-    elif np.shape(offsets) != scaled.shape[-1:]:
-        raise DimensionMismatchError("offsets must have shape (code_length,)")
-    return np.clip(np.floor(scaled + offsets), 0, levels)
+        np.round(scaled, out=scaled)
+    else:
+        if offsets is None:
+            n_live = scaled.shape[0] if live is None else int(live.sum())
+            draws = ensure_rng(rng).random((n_live, scaled.shape[1]))
+            if live is None:
+                scaled += draws
+            else:
+                scaled[live] += draws
+        elif np.shape(offsets) != scaled.shape[-1:]:
+            raise DimensionMismatchError("offsets must have shape (code_length,)")
+        else:
+            scaled += offsets
+        np.floor(scaled, out=scaled)
+    np.clip(scaled, 0, levels, out=scaled)
 
 
 @dataclass(frozen=True)
@@ -192,21 +203,28 @@ def quantize_query_matrix(
     # A NaN range lands in the live branch (``~(step <= 0)``) and consumes
     # its rounding draw like any other live row.
     live = ~(step <= 0.0)
+    delta = np.where(live, step, 1.0)
+    if live.all():
+        live = None
 
-    codes = np.zeros((n_queries, code_length), dtype=np.float64)
-    delta = np.ones(n_queries, dtype=np.float64)
-    if live.any():
-        delta[live] = step[live]
-        scaled = (mat[live] - lower[live, None]) / delta[live, None]
-        codes[live] = _round_to_levels(scaled, levels, randomized, rng, offsets)
-    codes = codes.astype(np.uint64)
+    # One buffer, updated in place: every row is scaled (a degenerate row
+    # by Δ = 1, so nothing overflows), rounded and clipped, and the
+    # degenerate rows are zeroed last.  A live row sees exactly the
+    # operations of a row-by-row quantization, in the same order.
+    scaled = np.subtract(mat, lower[:, None])
+    scaled /= delta[:, None]
+    _round_to_levels(scaled, levels, randomized, rng, offsets, live)
+    if live is not None:
+        scaled[~live] = 0.0
+    codes = scaled.astype(np.uint64)
 
     return QuantizedQueryMatrix(
         codes=codes,
         lower=lower,
         delta=delta,
         bits=bits,
-        sum_codes=codes.sum(axis=1, dtype=np.int64),
+        # A float sum of integers below 2^53 is exact.
+        sum_codes=scaled.sum(axis=1).astype(np.int64),
         bitplanes=(
             bitplanes_from_uint_batch(codes, bits) if with_bitplanes else None
         ),

@@ -36,19 +36,23 @@ Two query entry points are provided:
   (ids *and* distances) to running :meth:`search` in a loop — batching
   changes throughput, never answers.
 
-Both entry points wrap the same two steps of Algorithm 2.
+Both entry points wrap the same steps of Algorithm 2.
 ``_prepare`` turns (query, probed cluster) pairs into quantized queries:
 ``P^-1`` is linear, so the rotated unit residual is ``(P^-1 q - P^-1 c) /
 ||q - c||``, and each query is rotated once while ``P^-1 C`` is derived
 once per index (at ``fit`` and at load); then Eq. 18 rounding against the
 index's rounding vector.  ``search`` calls it once for its ``nprobe``
 pairs, ``search_batch`` once for all its pairs, grouped by cluster.
-``_dots`` takes prepared rows against packed
-codes: one call of the integer-dot kernel, then the affine undo of
-Eq. 19-20.  The entry points differ only in how they pair rows with codes:
-``search`` gathers every probed row once and pairs each code with its own
-cluster's query row in one flat pass, ``search_batch`` meets each cluster
-group's rows with that cluster's block and scatters the results.
+``_pair_terms`` derives every per-pair query term the estimate reads
+(the undo's ``Δ``, ``v_l``, ``Σq_u``; ``||q - c||``; ``eps0 Δ/2``; the
+similarity offsets) once per call, over all pairs.  ``_estimate`` takes
+prepared rows against packed codes: one call of the integer-dot kernel,
+the affine undo of Eq. 19-20 and :func:`repro.core.estimator.fused_estimate`.
+The entry points differ only in how they pair rows with codes: ``search``
+gathers every probed row once and pairs each code with its own cluster's
+query row in one flat pass (terms repeated per code), ``search_batch``
+meets each cluster group's rows with that cluster's block (terms as
+``(g, 1)`` columns, sliced per group) and scatters the results.
 
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
 code arena that stores each code once: one ``uint64`` matrix of packed
@@ -61,8 +65,9 @@ same code: one encoder (:func:`repro.core.quantizer.encode_rows`), one
 constants builder, one integer-dot kernel and one affine undo, each told
 the width ``B``; the query-rounding term of the ``B > 1`` bound is the only
 width test here.  Distances and bounds for a candidate set are produced by
-one integer inner-product pass plus one fused affine transform
-(:func:`repro.core.estimator.fused_estimate`).  The integer pass
+one integer inner-product pass, one affine undo and one estimate epilogue
+(:func:`repro.core.estimator.fused_estimate`); the last two compute each
+shared subexpression once and update their buffers in place.  The integer pass
 (:func:`repro.core.bitops.binary_dot_uint_batch`) runs AND + popcount on
 the packed words when the work is small and unpacks into a per-thread
 scratch buffer for one BLAS call when it is large; both are *exact* (every
@@ -767,47 +772,93 @@ class IVFQuantizedSearcher:
         )
         return quantized, query_norms
 
-    def _dots(
+    def _pair_terms(
+        self,
+        queries: np.ndarray,
+        query_rows: np.ndarray,
+        cluster_ids: np.ndarray,
+        quantized,
+        query_norms: np.ndarray,
+    ) -> dict[str, np.ndarray]:
+        """The per-pair query terms of prepared pairs, one value per pair.
+
+        Pair ``i`` is as in :meth:`_prepare`, whose outputs are passed in.
+        ``delta`` (Δ), ``lower`` (``v_l``) and ``sums`` (``Σq_u``) feed the
+        affine undo; the others are :func:`fused_estimate`'s keyword terms:
+        ``query_norms`` (``||q - c||``), ``query_rounding`` (``eps0 Δ/2``,
+        ``B > 1`` only) and, under similarity metrics, ``query_offset``
+        (``<q, c> - ||c||^2``) and ``query_raw_norm`` (cosine).
+        """
+        terms = {
+            "delta": quantized.delta,
+            "lower": quantized.lower,
+            "sums": quantized.sum_codes.astype(np.float64),
+            "query_norms": query_norms,
+        }
+        if self.bits > 1:
+            eps0 = float(self.rabitq_config.epsilon0)
+            terms["query_rounding"] = 0.5 * eps0 * quantized.delta
+        if self._metric.higher_is_better:
+            terms["query_offset"] = np.array(
+                [
+                    self._query_offset(queries[qi], cid)
+                    for qi, cid in zip(query_rows.tolist(), cluster_ids.tolist())
+                ]
+            )
+        if self._metric.name == "cosine":
+            raw_norms = np.array([float(np.sqrt(np.dot(row, row))) for row in queries])
+            terms["query_raw_norm"] = raw_norms[query_rows]
+        return terms
+
+    def _estimate(
         self,
         codes: np.ndarray,
         consts: np.ndarray,
-        quantized,
-        rows: slice = slice(None),
+        query_values: np.ndarray,
+        terms: dict[str, np.ndarray],
         segments: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``<o_bar, q_bar>`` of packed arena ``codes`` for prepared rows.
+    ) -> DistanceEstimate:
+        """Estimates and bounds of packed arena ``codes`` for prepared rows.
 
-        ``quantized[rows]`` are rows of a :meth:`_prepare` result and
-        ``consts`` the codes' fused constants.  Without ``segments`` every
-        row meets every code and the output is ``(n_rows, n_codes)``; with
-        them, row ``i`` meets only the next ``segments[i]`` codes and the
-        output is ``(n_codes,)``.  One call of the integer-dot kernel
-        computes the exact ``<u, q_u>`` (popcount or unpack + BLAS,
-        whichever the work size favours; the integers are the same), then
-        one affine undo of the query quantization (Eq. 19-20) at the
-        searcher's width.
+        ``query_values`` are quantized query rows, ``consts`` the codes'
+        fused constants and ``terms`` the rows' :meth:`_pair_terms`, shaped
+        to broadcast against the output.  Without ``segments`` every row
+        meets every code (``(n_rows, 1)`` terms, ``(n_rows, n_codes)``
+        output); with them, row ``i`` meets only the next ``segments[i]``
+        codes (terms repeated per code, ``(n_codes,)`` output).  One call of
+        the integer-dot kernel computes the exact ``<u, q_u>`` (popcount or
+        unpack + BLAS, whichever the work size favours; the integers are
+        the same), then one affine undo of the query quantization (Eq.
+        19-20) at the searcher's width and one :func:`fused_estimate`.
         """
         code_length = self._arena.code_length
-        n_cells = codes.shape[0] * code_length
         integer_dot = binary_dot_uint_batch(
             codes,
-            query_values=quantized.codes[rows],
+            query_values=query_values,
             bits=self.bits,
             code_length=code_length,
             segments=segments,
-            scratch=self._scratch_get("levels", n_cells, np.float64),
+            scratch=self._scratch_get(
+                "levels", codes.shape[0] * code_length, np.float64
+            ),
         )
-        row_terms = (
-            quantized.delta[rows],
-            quantized.lower[rows],
-            quantized.sum_codes[rows].astype(np.float64),
+        quantized_dot = undo_query_quantization(
+            integer_dot,
+            consts,
+            terms["delta"],
+            terms["lower"],
+            terms["sums"],
+            code_length,
+            self.bits,
         )
-        if segments is None:
-            delta, lower, sums = (term[:, None] for term in row_terms)
-        else:
-            delta, lower, sums = (np.repeat(term, segments) for term in row_terms)
-        return undo_query_quantization(
-            integer_dot, consts, delta, lower, sums, code_length, self.bits
+        return fused_estimate(
+            quantized_dot,
+            consts,
+            terms["query_norms"],
+            metric=self._metric,
+            query_offset=terms.get("query_offset"),
+            query_raw_norm=terms.get("query_raw_norm"),
+            query_rounding=terms.get("query_rounding"),
         )
 
     def _live_only(
@@ -842,10 +893,10 @@ class IVFQuantizedSearcher:
 
         The candidate set is scored in one flat pass, in probe order: the
         query's probed pairs are prepared in one :meth:`_prepare` call, the
-        probed arena rows are gathered once, and one :meth:`_dots` call
-        pairs each code with its own cluster's query row before one fused
-        affine/estimator pass.  Tombstoned rows are masked out *after* the
-        full estimate.
+        probed arena rows are gathered once, and one :meth:`_estimate` call
+        pairs each code with its own cluster's query row (the
+        :meth:`_pair_terms` repeated over the cluster's codes).  Tombstoned
+        rows are masked out *after* the full estimate.
         """
         arena = self._arena
         assert arena is not None
@@ -856,46 +907,18 @@ class IVFQuantizedSearcher:
             return _empty_estimate()
         rows = arena.rows_of(cluster_ids)
         cand = arena.slots[rows]
-        consts_buf = arena.consts[:, rows]
-        quantized, query_norms = self._prepare(
-            query[None, :], np.zeros(cluster_ids.shape[0], np.intp), cluster_ids
+        pair_rows = np.zeros(cluster_ids.shape[0], np.intp)
+        quantized, query_norms = self._prepare(query[None, :], pair_rows, cluster_ids)
+        terms = self._pair_terms(
+            query[None, :], pair_rows, cluster_ids, quantized, query_norms
         )
-        qdot = self._dots(
-            arena.codes[rows], consts_buf, quantized, segments=counts
+        estimate = self._estimate(
+            arena.codes[rows],
+            arena.consts[:, rows],
+            quantized.codes,
+            {name: np.repeat(term, counts) for name, term in terms.items()},
+            segments=counts,
         )
-
-        # Per-pair query terms, one value per probed cluster repeated over
-        # its candidates: ||q - c||, the multi-bit query-rounding term
-        # eps0 * Δ/2 (binary codes pass None) and, for similarity metrics,
-        # the centroid offset and raw query norm.
-        qn = np.repeat(query_norms, counts)
-        qround = (
-            np.repeat(
-                0.5 * float(self.rabitq_config.epsilon0) * quantized.delta, counts
-            )
-            if self.bits > 1
-            else None
-        )
-        if not self._metric.higher_is_better:
-            estimate = fused_estimate(qdot, consts_buf, qn, query_rounding=qround)
-        else:
-            qoff = np.repeat(
-                [self._query_offset(query, cid) for cid in cluster_ids.tolist()],
-                counts,
-            )
-            estimate = fused_estimate(
-                qdot,
-                consts_buf,
-                qn,
-                metric=self._metric,
-                query_offset=qoff,
-                query_raw_norm=(
-                    float(np.sqrt(np.dot(query, query)))
-                    if self._metric.name == "cosine"
-                    else None
-                ),
-                query_rounding=qround,
-            )
         cand, estimate, _ = self._live_only(cand, estimate)
         return cand, estimate
 
@@ -952,16 +975,19 @@ class IVFQuantizedSearcher:
     ) -> tuple[np.ndarray, DistanceEstimate, np.ndarray]:
         """Grouped-by-cluster fused batch estimation for all queries at once.
 
-        The (query, probed cluster) pairs are grouped by cluster and
-        prepared by one :meth:`_prepare` call; each cluster's contiguous
-        code block is then scanned once for its group's rows by one
-        :meth:`_dots` call, and one fused estimator transform runs per
-        group.  The result rows are scattered into flat candidate buffers
-        at precomputed per-query offsets — each query's range in its
-        probed-cluster order, exactly the layout of :meth:`_estimate_rabitq`.
-        Every row of a group is prepared and estimated independently of the
-        others, so each query's output is bit-identical to the sequential
-        path's whatever it is batched with.
+        The (query, probed cluster) pairs are grouped by cluster, prepared
+        by one :meth:`_prepare` call, and their query terms
+        (:meth:`_pair_terms`: the undo's row terms, ``||q - c||``, ``eps0
+        Δ/2`` and the similarity terms) are derived once, over all pairs,
+        as ``(n_pairs, 1)`` columns; so is where each pair's run of
+        candidates starts in the flat buffers.  The group loop re-derives
+        nothing: one :meth:`_estimate` call meets a group's rows (the
+        columns sliced) with its cluster's contiguous code block, and one
+        scatter per field puts each row at its query's range, in
+        probed-cluster order, exactly the layout of
+        :meth:`_estimate_rabitq`.  Every row of a group is prepared and
+        estimated independently of the others, so each query's output is
+        bit-identical to the sequential path's whatever it is batched with.
 
         Returns ``(candidate_ids, estimate, offsets)``: query ``i`` owns
         the range ``offsets[i]:offsets[i + 1]`` of the flat candidates and
@@ -970,103 +996,58 @@ class IVFQuantizedSearcher:
         """
         arena = self._arena
         assert arena is not None
-        n_queries = query_mat.shape[0]
-        sizes = arena.sizes
-        eps0 = float(self.rabitq_config.epsilon0)
-
-        size_mat = sizes[probes]
-        query_totals = size_mat.sum(axis=1)
+        n_queries, width = probes.shape
+        flat_cids = probes.ravel()
+        pair_sizes = arena.sizes[flat_cids]
         qoff = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(query_totals, out=qoff[1:])
-        within = np.zeros_like(size_mat)
-        if size_mat.shape[1] > 1:
-            np.cumsum(size_mat[:, :-1], axis=1, out=within[:, 1:])
+        np.cumsum(pair_sizes.reshape(n_queries, width).sum(axis=1), out=qoff[1:])
         total = int(qoff[-1])
-
-        dist_flat = np.empty(total, dtype=np.float64)
-        lb_flat = np.empty(total, dtype=np.float64)
-        ub_flat = np.empty(total, dtype=np.float64)
-        ip_flat = np.empty(total, dtype=np.float64)
-        cand_flat = np.empty(total, dtype=np.int64)
-
-        qraw_all: np.ndarray | None = None
-        if self._metric.name == "cosine":
-            qraw_all = np.array(
-                [float(np.sqrt(np.dot(row, row))) for row in query_mat]
-            )
 
         # Group (query, probe position) pairs by cluster: a single stable
         # argsort of the flattened probe matrix (stable => ascending query
         # order inside every cluster group).
-        width = probes.shape[1]
-        flat_cids = probes.ravel()
         order = np.argsort(flat_cids, kind="stable")
         sorted_cids = flat_cids[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_cids, prepend=sorted_cids[:1] - 1)
-        )
-        ends = np.append(starts[1:], sorted_cids.shape[0])
-        quantized, query_norms = self._prepare(
-            query_mat, order // width, sorted_cids
-        )
-        for seg_start, seg_end in zip(starts.tolist(), ends.tolist()):
-            cid = int(sorted_cids[seg_start])
-            if sizes[cid] == 0:
-                continue
-            pair_idx = order[seg_start:seg_end]
-            qis, js = pair_idx // width, pair_idx % width
-            start, end = arena.cluster_range(cid)
-            rows = slice(seg_start, seg_end)
-            quantized_dot = self._dots(
-                arena.codes[start:end], arena.cluster_consts(cid), quantized, rows
-            )
-            query_rounding = (
-                0.5 * eps0 * quantized.delta[rows, None] if self.bits > 1 else None
-            )
-            if not self._metric.higher_is_better:
-                estimate = fused_estimate(
-                    quantized_dot,
-                    arena.cluster_consts(cid),
-                    query_norms[rows, None],
-                    query_rounding=query_rounding,
-                )
-            else:
-                offs = np.array(
-                    [[self._query_offset(query_mat[qi], cid)] for qi in qis.tolist()]
-                )
-                estimate = fused_estimate(
-                    quantized_dot,
-                    arena.cluster_consts(cid),
-                    query_norms[rows, None],
-                    metric=self._metric,
-                    query_offset=offs,
-                    query_raw_norm=(
-                        qraw_all[qis][:, None] if qraw_all is not None else None
-                    ),
-                    query_rounding=query_rounding,
-                )
+        starts = np.flatnonzero(np.diff(sorted_cids, prepend=sorted_cids[:1] - 1))
+        ends = np.append(starts[1:], order.shape[0])
+        nonempty = arena.sizes[sorted_cids[starts]] > 0
+        # Where each pair's run of candidates starts in the flat buffers
+        # (its query's range, in probe order), in group order.
+        pair_dest = np.zeros(order.shape[0] + 1, dtype=np.int64)
+        np.cumsum(pair_sizes, out=pair_dest[1:])
+        pair_dest = pair_dest[order]
 
-            # Scatter each group row into its query's flat candidate range
-            # (probe order == the sequential concatenation order).
-            dest = (qoff[qis] + within[qis, js])[:, None] + np.arange(end - start)
-            dist_flat[dest] = estimate.distances
-            lb_flat[dest] = estimate.lower_bounds
-            ub_flat[dest] = estimate.upper_bounds
-            ip_flat[dest] = estimate.inner_products
-            cand_flat[dest] = arena.slots[start:end][None, :]
+        pair_rows = order // width
+        quantized, query_norms = self._prepare(query_mat, pair_rows, sorted_cids)
+        terms = self._pair_terms(
+            query_mat, pair_rows, sorted_cids, quantized, query_norms
+        )
+        columns = {name: term[:, None] for name, term in terms.items()}
+        fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
+        cand = np.empty(total, dtype=np.int64)
+        runs = np.arange(int(arena.sizes.max(initial=0)))
+        for seg_start, seg_end in zip(
+            starts[nonempty].tolist(), ends[nonempty].tolist()
+        ):
+            start, end = arena.cluster_range(int(sorted_cids[seg_start]))
+            rows = slice(seg_start, seg_end)
+            estimate = self._estimate(
+                arena.codes[start:end],
+                arena.consts[:, start:end],
+                quantized.codes[rows],
+                {name: column[rows] for name, column in columns.items()},
+            )
+            dest = pair_dest[rows, None] + runs[: end - start]
+            fields[0][dest] = estimate.distances
+            fields[1][dest] = estimate.lower_bounds
+            fields[2][dest] = estimate.upper_bounds
+            fields[3][dest] = estimate.inner_products
+            cand[dest] = arena.slots[start:end]
 
         # Tombstones are masked out of the already-computed estimates
         # exactly as on the sequential path; each query keeps its live rows
         # in order, so its offsets count the live rows before it.
-        cand, estimate, live = self._live_only(
-            cand_flat,
-            DistanceEstimate(
-                distances=dist_flat,
-                lower_bounds=lb_flat,
-                upper_bounds=ub_flat,
-                inner_products=ip_flat,
-            ),
-        )
+        cand, estimate, live = self._live_only(cand, DistanceEstimate(*fields))
         if live is not None:
             kept = np.zeros(total + 1, dtype=np.int64)
             np.cumsum(live, out=kept[1:])

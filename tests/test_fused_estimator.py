@@ -12,17 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     CONST_ALIGN,
+    CONST_DOT_C,
     CONST_HALFWIDTH,
     CONST_NORM,
     CONST_POPCOUNT,
+    CONST_RAW_NORM,
     N_CONSTS,
     DistanceEstimate,
     build_code_consts,
+    combined_halfwidth,
     confidence_interval_halfwidth,
     estimate_distances,
     fused_estimate,
@@ -200,6 +205,228 @@ class TestUndoQueryQuantization:
             quantizer.estimate_distances(prepared).inner_products,
             got / dataset.alignments,
         )
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of ``values`` (so ``-0.0 != 0.0``)."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _literal_undo(integer_dot, consts, delta, lower, sum_codes, code_length, bits):
+    """Eq. 19-20 written out for one query (scalar row terms)."""
+    dot_f = np.asarray(integer_dot, dtype=np.float64)
+    sums = consts[CONST_POPCOUNT]
+    if bits == 1:
+        sqrt_d = np.sqrt(float(code_length))
+        return (
+            2.0 * delta / sqrt_d * dot_f
+            + 2.0 * lower / sqrt_d * sums
+            - delta / sqrt_d * sum_codes
+            - sqrt_d * lower
+        )
+    levels = float((1 << bits) - 1)
+    return consts[-1] * (
+        2.0 * delta * dot_f
+        + 2.0 * lower * sums
+        - levels * (delta * sum_codes + lower * float(code_length))
+    )
+
+
+def _textbook_estimate(dots, consts, qn, qround, metric, offset, raw_norm, length):
+    """One query's estimate from :func:`estimate_distances` and, for
+    similarities, the centroid decomposition of its interval, written out."""
+    align, norms = consts[CONST_ALIGN], consts[CONST_NORM]
+    ref = estimate_distances(
+        dots, align, norms, qn, length, _EPS0, query_rounding=qround
+    )
+    if metric == "l2":
+        return ref
+    ips = ref.inner_products
+    halfwidth = confidence_interval_halfwidth(align, length, _EPS0)
+    if qround is not None:
+        halfwidth = combined_halfwidth(
+            halfwidth, np.where(align != 0.0, align, 1.0), qround
+        )
+    ip_upper = np.minimum(ips + halfwidth, np.maximum(1.0, ips))
+    ip_lower = np.maximum(ips - halfwidth, np.minimum(-1.0, ips))
+    scale = norms * qn
+    shift = consts[CONST_DOT_C] + offset
+    fields = [scale * ip + shift for ip in (ips, ip_lower, ip_upper)]
+    if metric == "cosine":
+        denom = consts[CONST_RAW_NORM] * raw_norm
+        positive = denom > 0.0
+        safe = np.where(positive, denom, 1.0)
+        fields = [
+            np.clip(np.where(positive, f / safe, 0.0), -1.0, 1.0) for f in fields
+        ]
+    return DistanceEstimate(*fields, inner_products=ips)
+
+
+_EPS0 = 1.9
+
+
+@st.composite
+def _estimator_inputs(draw):
+    """Codes (some with alignment 0 or +-1, some with zero norms) and
+    queries (some with zero norms) for one width and metric."""
+    bits = draw(st.sampled_from([1, 2, 4, 8]))
+    metric = draw(st.sampled_from(["l2", "ip", "cosine"]))
+    n_queries = draw(st.integers(1, 4))
+    n_codes = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = 64
+    align = rng.uniform(-1.0, 1.0, n_codes)
+    align[rng.random(n_codes) < 0.2] = 0.0
+    align[rng.random(n_codes) < 0.1] = 1.0
+    norms = rng.uniform(0.0, 3.0, n_codes)
+    norms[rng.random(n_codes) < 0.2] = 0.0
+    raw_norms = rng.uniform(0.0, 5.0, n_codes)
+    raw_norms[rng.random(n_codes) < 0.2] = 0.0
+    levels = (1 << bits) - 1
+    consts = build_code_consts(
+        align,
+        norms,
+        rng.integers(0, levels * length + 1, n_codes),
+        length,
+        _EPS0,
+        metric=metric,
+        dot_centroid=rng.normal(size=n_codes) if metric != "l2" else None,
+        raw_norms=raw_norms if metric != "l2" else None,
+        rescales=rng.uniform(0.01, 0.2, n_codes) if bits > 1 else None,
+    )
+    query_norms = rng.uniform(0.0, 2.0, n_queries)
+    query_norms[rng.random(n_queries) < 0.3] = 0.0
+    delta = rng.uniform(1e-3, 0.05, n_queries)
+    terms = {
+        "delta": delta,
+        "lower": rng.uniform(-0.5, 0.0, n_queries),
+        "sums": rng.integers(0, 15 * length, n_queries).astype(np.float64),
+        "query_norms": query_norms,
+        "query_rounding": 0.5 * _EPS0 * delta if bits > 1 else None,
+        "query_offset": rng.normal(size=n_queries),
+        "query_raw_norm": np.where(
+            rng.random(n_queries) < 0.3, 0.0, rng.uniform(0.1, 4.0, n_queries)
+        ),
+    }
+    integer_dots = rng.integers(0, levels * 15 * length, (n_queries, n_codes))
+    return bits, metric, length, consts, terms, integer_dots
+
+
+class TestBroadcastFormsBitIdentity:
+    """The undo and :func:`fused_estimate` in the three broadcast forms
+    their callers use (a scalar row term, per-candidate flat arrays as in
+    ``search()``, ``(g, 1)`` columns as in ``search_batch`` and ``RaBitQ``)
+    equal the textbook estimator, query by query, bit for bit."""
+
+    @given(inputs=_estimator_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_form_equals_the_textbook(self, inputs):
+        bits, metric, length, consts, terms, integer_dots = inputs
+        n_queries, n_codes = integer_dots.shape
+
+        def undo(dots, delta, lower, sums):
+            return undo_query_quantization(
+                dots, consts, delta, lower, sums, length, bits
+            )
+
+        def estimate(dots, qn, qround, offset, raw_norm, table=consts):
+            similarity = metric != "l2"
+            return fused_estimate(
+                dots,
+                table,
+                qn,
+                metric=metric,
+                query_rounding=qround,
+                query_offset=offset if similarity else None,
+                query_raw_norm=raw_norm if metric == "cosine" else None,
+            )
+
+        def row(name, i):
+            term = terms[name]
+            return None if term is None else float(term[i])
+
+        def flat(name):
+            term = terms[name]
+            return None if term is None else np.repeat(term, n_codes)
+
+        def column(name):
+            term = terms[name]
+            return None if term is None else term[:, None]
+
+        # Column form: every query against every code, (g, 1) terms.
+        column_dots = undo(
+            integer_dots, column("delta"), column("lower"), column("sums")
+        )
+        column_est = estimate(
+            column_dots,
+            column("query_norms"),
+            column("query_rounding"),
+            column("query_offset"),
+            column("query_raw_norm"),
+        )
+        # Flat form: the queries' runs one after another, terms repeated.
+        tiled = np.tile(consts, (1, n_queries))
+        flat_dots = undo_query_quantization(
+            integer_dots.reshape(-1),
+            tiled,
+            flat("delta"),
+            flat("lower"),
+            flat("sums"),
+            length,
+            bits,
+        )
+        flat_est = estimate(
+            flat_dots,
+            flat("query_norms"),
+            flat("query_rounding"),
+            flat("query_offset"),
+            flat("query_raw_norm"),
+            table=tiled,
+        )
+        for i in range(n_queries):
+            run = slice(i * n_codes, (i + 1) * n_codes)
+            scalar_dots = undo(
+                integer_dots[i], row("delta", i), row("lower", i), row("sums", i)
+            )
+            want_dots = _literal_undo(
+                integer_dots[i],
+                consts,
+                row("delta", i),
+                row("lower", i),
+                row("sums", i),
+                length,
+                bits,
+            )
+            for got in (scalar_dots, column_dots[i], flat_dots[run]):
+                np.testing.assert_array_equal(_bits(got), _bits(want_dots))
+            want = _textbook_estimate(
+                want_dots,
+                consts,
+                row("query_norms", i),
+                row("query_rounding", i),
+                metric,
+                row("query_offset", i),
+                row("query_raw_norm", i),
+                length,
+            )
+            scalar_est = estimate(
+                want_dots,
+                row("query_norms", i),
+                row("query_rounding", i),
+                row("query_offset", i),
+                row("query_raw_norm", i),
+            )
+            for got, index in (
+                (scalar_est, ...),
+                (column_est, i),
+                (flat_est, run),
+            ):
+                for name in _FIELDS:
+                    np.testing.assert_array_equal(
+                        _bits(getattr(got, name)[index]),
+                        _bits(getattr(want, name)),
+                        err_msg=f"{name} ({metric}, B={bits})",
+                    )
 
 
 class TestGemvDotExactness:

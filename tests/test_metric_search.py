@@ -16,7 +16,7 @@ from repro.core.config import RaBitQConfig
 from repro.core.metric import resolve_metric
 from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.exceptions import InvalidParameterError, PersistenceError
-from repro.index.rerank import TopCandidateReranker
+from repro.index.rerank import NoReranker, TopCandidateReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io.persistence import load_searcher, save_searcher
 from test_searcher_persistence import _tamper
@@ -124,6 +124,42 @@ class TestBatchSequentialShardedEquivalence:
         for seq_stage, batch_stage in zip(sequential, batched):
             for a, b in zip(seq_stage, batch_stage):
                 _assert_result_equal(a, b)
+
+
+class TestSimilarityGroupsOfManyQueries:
+    """``search_batch`` ≡ ``search`` where the batch path's per-group
+    similarity terms meet groups of many queries: 2,400 points, 16
+    clusters, 64 queries probing 4 each, some rows deleted."""
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("metric", SIM_METRICS)
+    def test_batch_equals_sequential(self, metric, bits):
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((2400, DIM)) + 0.25
+        queries = rng.standard_normal((64, DIM)) + 0.25
+        searcher = IVFQuantizedSearcher(
+            "rabitq",
+            n_clusters=16,
+            rabitq_config=RaBitQConfig(seed=5),
+            rng=9,
+            metric=metric,
+            bits=bits,
+            compact_threshold=None,
+        ).fit(data)
+        searcher.delete(np.arange(0, 2400, 7))
+        probes = searcher.ivf.probe_batch(queries, 4, metric=searcher._metric)
+        assert np.bincount(probes.ravel()).max() > 1
+        for reranker in (searcher.reranker, NoReranker()):
+            searcher.reranker = reranker
+            batch = searcher.search_batch(queries, 10, nprobe=4)
+            for query, got in zip(queries, batch):
+                want = searcher.search(query, 10, nprobe=4)
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(
+                    got.distances.view(np.int64), want.distances.view(np.int64)
+                )
+                assert got.n_candidates == want.n_candidates
+                assert got.n_exact == want.n_exact
 
 
 class TestMetricPersistence:

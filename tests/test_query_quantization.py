@@ -179,3 +179,71 @@ class TestSubnormalRange:
             np.testing.assert_array_equal(matrix.bitplanes[i], single.bitplanes[0])
             for name in ("lower", "delta", "sum_codes"):
                 assert getattr(matrix, name)[i] == getattr(single, name)[0]
+
+
+def _masked_quantize(mat, bits, *, randomized=True, rng=None, offsets=None):
+    """Reference: the masked quantizer, live rows copied out and scattered
+    back.  Returns ``(codes, lower, delta, sum_codes)``."""
+    levels = (1 << bits) - 1
+    lower, upper = mat.min(axis=1), mat.max(axis=1)
+    step = (upper - lower) / levels
+    live = ~(step <= 0.0)
+    codes = np.zeros(mat.shape, dtype=np.float64)
+    delta = np.ones(mat.shape[0], dtype=np.float64)
+    if live.any():
+        delta[live] = step[live]
+        scaled = (mat[live] - lower[live, None]) / delta[live, None]
+        if not randomized:
+            codes[live] = np.clip(np.round(scaled), 0, levels)
+        else:
+            if offsets is None:
+                offsets = np.random.default_rng(rng).random(scaled.shape)
+            codes[live] = np.clip(np.floor(scaled + offsets), 0, levels)
+    codes = codes.astype(np.uint64)
+    return codes, lower, delta, codes.sum(axis=1, dtype=np.int64)
+
+
+class TestInPlaceQuantizer:
+    """One in-place pass over one buffer equals the masked quantizer: codes,
+    ``lower``, ``delta`` and ``sum_codes`` (int64), bit for bit."""
+
+    @staticmethod
+    def _mixed_batch(rng, length=37):
+        rows = [
+            rng.standard_normal(length),
+            np.full(length, 2.5),  # constant
+            rng.standard_normal(length) * 1e3,
+            np.zeros(length),  # zero
+            TestSubnormalRange.QUERY[np.arange(length) % 8],  # step underflows
+            rng.uniform(-1e-3, 1e-3, length),
+        ]
+        return np.vstack([rows[i] for i in rng.permutation(len(rows))])
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("source", ["offsets", "rng", "round"])
+    def test_matches_the_masked_quantizer(self, bits, source, rng):
+        for trial in range(5):
+            batch = self._mixed_batch(rng)
+            if trial == 0:
+                batch = batch[[0]]  # a single live row
+            kwargs = {}
+            if source == "offsets":
+                kwargs["offsets"] = rng.random(batch.shape[1])
+            elif source == "round":
+                kwargs["randomized"] = False
+            want = _masked_quantize(
+                batch, bits, rng=trial if source == "rng" else None, **kwargs
+            )
+            got = quantize_query_matrix(
+                batch,
+                bits,
+                rng=trial if source == "rng" else None,
+                with_bitplanes=False,
+                **kwargs,
+            )
+            assert got.codes.dtype == np.uint64
+            assert got.sum_codes.dtype == np.int64
+            for name, value in zip(("codes", "lower", "delta", "sum_codes"), want):
+                np.testing.assert_array_equal(getattr(got, name), value)
+                assert getattr(got, name).dtype == value.dtype
+
