@@ -49,7 +49,7 @@ def test_integer_dot_kernel(benchmark, kernel_setup, kernel):
     so ``binary_dot_uint_batch`` runs its popcount path here.
     """
     quantizer, prepared = kernel_setup
-    codes = quantizer.dataset.packed_codes
+    codes = quantizer.arena.codes
     query = prepared.quantized
     popcount = bitops.binary_dot_uint_batch(codes, query.bitplanes)[0]
     if kernel == "popcount":
@@ -92,4 +92,4 @@ def test_index_phase_encoding(benchmark):
         return RaBitQ(RaBitQConfig(seed=0)).fit(data)
 
     quantizer = benchmark(build)
-    assert len(quantizer.dataset) == 2000
+    assert quantizer.arena.n_rows == 2000

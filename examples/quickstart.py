@@ -59,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import RaBitQ, RaBitQConfig, load_searcher, save_searcher
+from repro.core.estimator import CONST_ALIGN
 from repro.index.searcher import IVFQuantizedSearcher
 from _example_scale import scaled as _scaled
 
@@ -75,12 +76,12 @@ def main() -> None:
     # length = D rounded up to a multiple of 64).
     config = RaBitQConfig(seed=0)
     quantizer = RaBitQ(config).fit(data)
-    dataset = quantizer.dataset
+    arena = quantizer.arena
     print(f"Quantization code length : {quantizer.code_length} bits")
     print(f"Compression vs float32   : {quantizer.compression_ratio():.1f}x")
-    print(f"Index memory             : {dataset.memory_bytes() / 1024:.1f} KiB "
+    print(f"Index memory             : {arena.memory_bytes() / 1024:.1f} KiB "
           f"(raw vectors: {data.astype(np.float32).nbytes / 1024:.1f} KiB)")
-    print(f"Mean <o_bar, o> alignment: {dataset.alignments.mean():.4f} "
+    print(f"Mean <o_bar, o> alignment: {arena.consts[CONST_ALIGN].mean():.4f} "
           "(theory predicts ~0.8)")
 
     # Query phase: estimate the squared distances — the same fused pipeline

@@ -24,11 +24,7 @@ Quickstart
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import DistanceEstimate
 from repro.core.metric import COSINE, IP, L2, METRICS, Metric, resolve_metric
-from repro.core.quantizer import (
-    QuantizedDataset,
-    QuantizedQueryBatch,
-    RaBitQ,
-)
+from repro.core.quantizer import QuantizedQueryBatch, RaBitQ
 from repro.exceptions import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -37,12 +33,7 @@ from repro.exceptions import (
     PersistenceError,
     ReproError,
 )
-from repro.io import (
-    load_rabitq,
-    load_searcher,
-    save_rabitq,
-    save_searcher,
-)
+from repro.io import load_searcher, save_searcher
 
 __version__ = "1.0.0"
 
@@ -50,7 +41,6 @@ __all__ = [
     "RaBitQ",
     "RaBitQConfig",
     "DistanceEstimate",
-    "QuantizedDataset",
     "QuantizedQueryBatch",
     "Metric",
     "resolve_metric",
@@ -58,8 +48,6 @@ __all__ = [
     "L2",
     "IP",
     "COSINE",
-    "save_rabitq",
-    "load_rabitq",
     "save_searcher",
     "load_searcher",
     "ReproError",

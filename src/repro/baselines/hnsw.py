@@ -417,16 +417,5 @@ class HNSWIndex:
             vals[i, :found] = row_vals[:found]
         return ids, vals
 
-    def degree_statistics(self) -> dict[str, float]:
-        """Mean/max out-degree of layer 0 (diagnostic helper)."""
-        if not self._layers:
-            raise NotFittedError("HNSWIndex must be fitted before use")
-        degrees = np.asarray([len(v) for v in self._layers[0].values()], dtype=np.int64)
-        return {
-            "mean_degree": float(degrees.mean()),
-            "max_degree": float(degrees.max()),
-            "n_layers": float(len(self._layers)),
-        }
-
 
 __all__ = ["HNSWIndex", "STAT_KEY_EVALS"]

@@ -33,7 +33,7 @@ from repro.core.estimator import (
     confidence_interval_halfwidth,
     estimate_inner_product,
 )
-from repro.core.quantizer import QuantizedDataset, QuantizedQueryBatch, RaBitQ
+from repro.core.quantizer import QuantizedQueryBatch, RaBitQ
 from repro.core.rotation import (
     FastHadamardRotation,
     QRRotation,
@@ -49,7 +49,6 @@ from repro.core.theory import (
 __all__ = [
     "RaBitQ",
     "RaBitQConfig",
-    "QuantizedDataset",
     "QuantizedQueryBatch",
     "DistanceEstimate",
     "estimate_inner_product",

@@ -23,8 +23,9 @@ arithmetic is a bit-identity contract — so the query-rounding term
 :func:`combined_halfwidth`) is applied to multi-bit codes only.
 
 Both query paths — :class:`repro.core.quantizer.RaBitQ` and the IVF
-searcher, under every metric — estimate through the fused kernels below
-(:func:`build_code_consts`, the affine undo, :func:`fused_estimate`);
+searcher, under every metric — estimate packed codes through one function,
+:func:`estimate_codes` (the integer-dot kernel, the affine undo,
+:func:`fused_estimate`), on constants from :func:`build_code_consts`;
 :func:`estimate_distances` is the textbook form they are tested against.
 """
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bitops import binary_dot_uint_batch
 from repro.core.metric import resolve_metric
 from repro.exceptions import InvalidParameterError
 
@@ -541,6 +543,63 @@ def fused_estimate(
     )
 
 
+def estimate_codes(
+    codes: np.ndarray,
+    consts: np.ndarray,
+    query_values: np.ndarray,
+    terms: dict[str, np.ndarray],
+    *,
+    code_length: int,
+    bits: int,
+    metric="l2",
+    segments: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> DistanceEstimate:
+    """Estimates and bounds of packed ``codes`` for quantized query rows.
+
+    ``query_values`` are quantized query rows, ``consts`` the codes' fused
+    constants (:func:`build_code_consts`) and ``terms`` the rows' query
+    terms, shaped to broadcast against the output: ``delta`` (Δ),
+    ``lower`` (``v_l``) and ``sums`` (``Σq_u``) for the undo,
+    ``query_norms`` (``||q - c||``) and, when present, ``query_rounding``
+    (``eps0 Δ/2``, ``B > 1``), ``query_offset`` and ``query_raw_norm``
+    for :func:`fused_estimate`.  Without ``segments`` every row meets every
+    code (``(n_rows, 1)`` terms, ``(n_rows, n_codes)`` output); with them,
+    row ``i`` meets only the next ``segments[i]`` codes (terms repeated per
+    code, ``(n_codes,)`` output).  One call of the integer-dot kernel
+    computes the exact ``<u, q_u>`` (popcount or unpack + BLAS into
+    ``scratch``, whichever the work size favours; the integers are the
+    same), then one affine undo of the query quantization (Eq. 19-20) at
+    width ``bits`` and one :func:`fused_estimate`.
+    """
+    integer_dot = binary_dot_uint_batch(
+        codes,
+        query_values=query_values,
+        bits=bits,
+        code_length=code_length,
+        segments=segments,
+        scratch=scratch,
+    )
+    quantized_dot = undo_query_quantization(
+        integer_dot,
+        consts,
+        terms["delta"],
+        terms["lower"],
+        terms["sums"],
+        code_length,
+        bits,
+    )
+    return fused_estimate(
+        quantized_dot,
+        consts,
+        terms["query_norms"],
+        metric=metric,
+        query_offset=terms.get("query_offset"),
+        query_raw_norm=terms.get("query_raw_norm"),
+        query_rounding=terms.get("query_rounding"),
+    )
+
+
 __all__ = [
     "DistanceEstimate",
     "CONST_NORM",
@@ -558,6 +617,7 @@ __all__ = [
     "build_code_consts",
     "undo_query_quantization",
     "fused_estimate",
+    "estimate_codes",
     "estimate_inner_product",
     "confidence_interval_halfwidth",
     "inner_product_to_squared_distance",

@@ -14,110 +14,16 @@ time; ``||q_r - c||`` is computed once per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError
-from repro.substrates.linalg import as_float_matrix, normalize_rows
-
-
-@dataclass(frozen=True)
-class NormalizedVectors:
-    """Raw vectors normalized relative to a centroid.
-
-    Attributes
-    ----------
-    unit_vectors:
-        The unit vectors ``o = (o_r - c) / ||o_r - c||``; zero residuals stay
-        zero vectors.
-    norms:
-        The residual norms ``||o_r - c||``.
-    centroid:
-        The centroid ``c`` used for the normalization.
-    """
-
-    unit_vectors: np.ndarray
-    norms: np.ndarray
-    centroid: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Dimensionality of the vectors."""
-        return int(self.unit_vectors.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.unit_vectors.shape[0])
+from repro.substrates.linalg import as_float_matrix
 
 
 def compute_centroid(data: np.ndarray) -> np.ndarray:
     """Mean of the raw data vectors (the default normalization centroid)."""
     mat = as_float_matrix(data, "data")
     return mat.mean(axis=0)
-
-
-def normalize_to_centroid(
-    data: np.ndarray, centroid: np.ndarray | None = None
-) -> NormalizedVectors:
-    """Centre ``data`` on ``centroid`` and normalize each residual to unit norm.
-
-    ``centroid`` defaults to the mean of ``data``.
-    """
-    mat = as_float_matrix(data, "data")
-    if centroid is None:
-        centroid = mat.mean(axis=0)
-    centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
-    if centre.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(
-            f"centroid has dimension {centre.shape[0]}, data has {mat.shape[1]}"
-        )
-    residuals = mat - centre[None, :]
-    unit, norms = normalize_rows(residuals, return_norms=True)
-    return NormalizedVectors(unit_vectors=unit, norms=norms, centroid=centre)
-
-
-def normalize_query(query: np.ndarray, centroid: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalize a single raw query vector relative to ``centroid``.
-
-    Returns ``(unit_query, ||q_r - c||)``; a query that coincides with the
-    centroid returns the zero vector and norm 0.
-    """
-    vec = np.asarray(query, dtype=np.float64).reshape(-1)
-    centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != centre.shape[0]:
-        raise DimensionMismatchError(
-            f"query has dimension {vec.shape[0]}, centroid has {centre.shape[0]}"
-        )
-    residual = vec - centre
-    norm = float(np.linalg.norm(residual))
-    if norm == 0.0:
-        return np.zeros_like(residual), 0.0
-    return residual / norm, norm
-
-
-def normalize_queries(
-    queries: np.ndarray, centroid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a matrix of raw queries relative to ``centroid``.
-
-    Returns ``(unit_queries, norms)`` with one row / entry per query.  The
-    norms are computed row by row with the exact same reduction as
-    :func:`normalize_query` (``np.linalg.norm`` on a 1-D vector) rather than
-    an axis-reduction over the matrix: BLAS reduces 1-D and 2-D inputs in
-    different accumulation orders, and the batch search engine relies on
-    batch preparation being bit-identical to the per-query path.
-    """
-    mat = as_float_matrix(queries, "queries")
-    centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
-    if mat.shape[1] != centre.shape[0]:
-        raise DimensionMismatchError(
-            f"queries have dimension {mat.shape[1]}, centroid has {centre.shape[0]}"
-        )
-    units = np.empty_like(mat)
-    norms = np.empty(mat.shape[0], dtype=np.float64)
-    for i in range(mat.shape[0]):
-        units[i], norms[i] = normalize_query(mat[i], centre)
-    return units, norms
 
 
 def pad_vectors(vectors: np.ndarray, target_dim: int) -> np.ndarray:
@@ -141,10 +47,6 @@ def pad_vectors(vectors: np.ndarray, target_dim: int) -> np.ndarray:
 
 
 __all__ = [
-    "NormalizedVectors",
     "compute_centroid",
-    "normalize_to_centroid",
-    "normalize_query",
-    "normalize_queries",
     "pad_vectors",
 ]

@@ -5,9 +5,12 @@
 * **Index phase** (:meth:`RaBitQ.fit`): normalize the raw vectors relative to
   a centroid, pad them to the code length, inversely rotate them, encode
   each coordinate as a ``B``-bit level (the sign bit at ``B = 1``; one
-  encoder, :func:`encode_rows`, for every width), store the levels as
-  packed bit-planes, and pre-compute the residual norms ``||o_r - c||`` and
-  the alignments ``<o_bar, o>``.
+  encoder, :func:`encode_rows`, for every width), and store the codes in
+  the searcher's layout: a one-region :class:`repro.index.arena.CodeArena`
+  (:attr:`RaBitQ.arena`) holding the packed bit-planes and the fused
+  per-code constants of :func:`repro.core.estimator.build_code_consts` —
+  the residual norms ``||o_r - c||``, the alignments ``<o_bar, o>`` and
+  the terms derived from them.
 * **Query phase** (:meth:`RaBitQ.prepare_queries` then
   :meth:`RaBitQ.estimate_distances_batch`): normalize and inversely rotate
   the raw queries, scalar-quantize them, and estimate the squared distance
@@ -16,42 +19,41 @@
   :meth:`RaBitQ.estimate_distances` are the same calls on one row — a
   prepared query is a one-row :class:`QuantizedQueryBatch` — so a batch
   returns bit-identical estimates to looping over its queries.
-* **Mutation** (:meth:`RaBitQ.add` and :meth:`RaBitQ.keep_rows`): new rows
-  can be encoded incrementally against the fitted centroid/rotation and
-  appended, and stored rows can be dropped (tombstone compaction).  Both
-  operations leave the estimates of the untouched rows bit-identical.
 
 ``RaBitQ(config, metric=)`` serves every metric of :mod:`repro.core.metric`
 through the one estimator, via the centroid decomposition there.  Under
-``"ip"`` / ``"cosine"`` the dataset keeps ``<o_r, c>`` and ``||o_r||`` per
-row, prepared queries carry ``<q_r, c> - ||c||^2`` and ``||q_r||``, and the
-``distances`` field holds similarity scores (larger is better).
+``"ip"`` / ``"cosine"`` the constants carry ``<o_r, c>`` and ``||o_r||``
+per row, prepared queries carry ``<q_r, c> - ||c||^2`` and ``||q_r||``, and
+the ``distances`` field holds similarity scores (larger is better).
 
-Estimation is the searcher's fused pipeline on one centroid: the integer
-dot ``<x_b, q_u>`` (the plane-weighted popcount of Eq. 21-22, one plane for
-``B = 1``), the affine undo of the query quantization (Eq. 19-20), then
-:func:`repro.core.estimator.fused_estimate` on the constants
-:func:`repro.core.estimator.build_code_consts` derives from the stored
-dataset.  A one-cluster searcher with the same centroid, rotation and
-rounding vector returns the same estimates bit for bit.  ``compute="float"``
-replaces the first two steps by the exact inner product with the
-unquantized rotated query — the reference the unbiasedness tests use.
+Estimation is the searcher's one estimate function on one centroid,
+:func:`repro.core.estimator.estimate_codes`: the integer dot ``<x_b, q_u>``
+(the plane-weighted popcount of Eq. 21-22, one plane for ``B = 1``), the
+affine undo of the query quantization (Eq. 19-20), then
+:func:`repro.core.estimator.fused_estimate`.  A one-cluster searcher with
+the same centroid, rotation and rounding vector holds the same arena and
+returns the same estimates bit for bit.  ``compute="float"`` replaces the
+first two steps by the exact inner product with the unquantized rotated
+query — the reference the unbiasedness tests use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
+    CONST_ALIGN,
+    CONST_HALFWIDTH,
     DistanceEstimate,
     build_code_consts,
+    confidence_interval_halfwidth,
+    estimate_codes,
     fused_estimate,
-    undo_query_quantization,
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import compute_centroid, pad_vectors
@@ -72,6 +74,9 @@ from repro.exceptions import (
 from repro.substrates.linalg import as_float_matrix, as_int_ids, normalize_rows
 from repro.substrates.rng import spawn_rngs
 
+if TYPE_CHECKING:
+    from repro.index.arena import CodeArena
+
 #: Supported computation paths for ``<o_bar, q>``.
 COMPUTE_MODES = ("float", "bitwise")
 
@@ -86,8 +91,8 @@ def encode_rows(
     """Encode raw rows against their centroids with ``rotation`` (Algorithm 1).
 
     The one encoder for every code width ``bits``, shared by
-    :meth:`RaBitQ.fit`, the incremental :meth:`RaBitQ.add` path and the
-    arena-backed :class:`repro.index.searcher.IVFQuantizedSearcher`.
+    :meth:`RaBitQ.fit` and :class:`repro.index.searcher.IVFQuantizedSearcher`
+    (``fit`` and ``insert``).
     ``centroids`` is one centroid for all rows or an ``(n, dim)`` matrix of
     per-row centroids, so rows of many IVF clusters encode in one pass.
     Rows are normalized, padded to ``code_length`` and inversely rotated
@@ -146,70 +151,6 @@ def encode_rows(
 
 
 @dataclass(frozen=True)
-class QuantizedDataset:
-    """Everything RaBitQ stores about an encoded set of vectors.
-
-    Attributes
-    ----------
-    packed_codes:
-        Packed ``uint64`` code words, shape ``(n_vectors, bits * n_words)``.
-        For ``bits = 1`` these are the historical packed sign bit strings;
-        for ``bits > 1`` they are plane-major level bit-planes
-        (:func:`repro.core.bitops.pack_level_planes`).
-    code_popcounts:
-        ``sum_j u_j`` per code — the popcount of the sign bits for
-        ``bits = 1`` (Eq. 20) and the level sum for ``bits > 1``.
-    alignments:
-        Pre-computed ``<o_bar, o>`` per vector.
-    norms:
-        Residual norms ``||o_r - c||`` per vector.
-    centroid:
-        Normalization centroid ``c``.
-    code_length:
-        Number of quantized dimensions per code (including padding).
-    dim:
-        Original data dimensionality (before padding).
-    bits:
-        Bits per dimension ``B`` (1 for the paper's binary construction).
-    rescales:
-        Per-code rescale factors ``1 / ||v||`` (``bits > 1`` only; ``None``
-        for binary codes, whose rescale ``1/sqrt(D)`` is a constant).
-    dot_centroid / raw_norms:
-        ``<o_r, c>`` and ``||o_r||`` per vector, the raw terms of the
-        ``"ip"`` / ``"cosine"`` centroid decomposition (``None`` under
-        ``"l2"``).
-    """
-
-    packed_codes: np.ndarray
-    code_popcounts: np.ndarray
-    alignments: np.ndarray
-    norms: np.ndarray
-    centroid: np.ndarray
-    code_length: int
-    dim: int
-    bits: int = 1
-    rescales: np.ndarray | None = None
-    dot_centroid: np.ndarray | None = None
-    raw_norms: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return int(self.packed_codes.shape[0])
-
-    @property
-    def n_words(self) -> int:
-        """Number of 64-bit words per code (all ``bits`` planes included)."""
-        return int(self.packed_codes.shape[1])
-
-    def code_bytes_per_vector(self) -> float:
-        """Bytes of packed code per stored vector (``bits * code_length / 8``)."""
-        return self.bits * self.code_length / 8.0
-
-    def memory_bytes(self) -> int:
-        """Approximate index memory footprint in bytes (codes + per-vector floats)."""
-        return int(sum(rows.nbytes for _, rows in _row_fields(self)))
-
-
-@dataclass(frozen=True)
 class QuantizedQueryBatch:
     """A batch of queries prepared for batched distance estimation.
 
@@ -241,6 +182,8 @@ class QuantizedQueryBatch:
     def code_length(self) -> int:
         """Code length the queries were prepared for."""
         return int(self.rotated.shape[1])
+
+
 
 
 class RaBitQ:
@@ -280,7 +223,8 @@ class RaBitQ:
         self._rotation: Rotation | None = None
         # Eq. 18's uniforms: like the rotation, sampled at fit, then only read.
         self._rounding_offsets: np.ndarray | None = None
-        self._dataset: QuantizedDataset | None = None
+        self._arena: CodeArena | None = None
+        self._centroid: np.ndarray | None = None
         self._rotation_rng = spawn_rngs(self.config.seed, 2)[0]
 
     # ------------------------------------------------------------------ #
@@ -295,14 +239,23 @@ class RaBitQ:
     @property
     def is_fitted(self) -> bool:
         """Whether :meth:`fit` has been called."""
-        return self._dataset is not None
+        return self._arena is not None
 
     @property
-    def dataset(self) -> QuantizedDataset:
-        """The encoded dataset produced by :meth:`fit`."""
-        if self._dataset is None:
+    def arena(self) -> CodeArena:
+        """The codes and fused constants :meth:`fit` produced, as a
+        one-region :class:`repro.index.arena.CodeArena` (slot ``i`` is row
+        ``i`` of the fitted data)."""
+        if self._arena is None:
             raise NotFittedError("RaBitQ must be fitted before use")
-        return self._dataset
+        return self._arena
+
+    @property
+    def centroid(self) -> np.ndarray:
+        """The normalization centroid ``c`` (available after :meth:`fit`)."""
+        if self._centroid is None:
+            raise NotFittedError("RaBitQ must be fitted before use")
+        return self._centroid
 
     @property
     def rotation(self) -> Rotation:
@@ -314,12 +267,12 @@ class RaBitQ:
     @property
     def code_length(self) -> int:
         """Code length in bits (available after :meth:`fit`)."""
-        return self.dataset.code_length
+        return self.arena.code_length
 
     @property
     def dim(self) -> int:
         """Original data dimensionality (available after :meth:`fit`)."""
-        return self.dataset.dim
+        return int(self.centroid.shape[0])
 
     def fit(
         self,
@@ -329,6 +282,12 @@ class RaBitQ:
         rotation: Rotation | None = None,
     ) -> "RaBitQ":
         """Encode ``data`` (Algorithm 1) and return ``self``.
+
+        The codes and constants are built as the searcher builds a
+        cluster's: :func:`encode_rows`, the packed level planes, then
+        :func:`repro.core.estimator.build_code_consts` with the config's
+        ``epsilon0`` (and ``<o_r, c>``, ``||o_r||`` under similarity
+        metrics).
 
         Parameters
         ----------
@@ -343,11 +302,14 @@ class RaBitQ:
             that the query needs to be rotated only once).  When omitted a
             fresh rotation is sampled according to the config.
         """
+        # The index package imports this module, so the arena is imported
+        # where it is first needed.
+        from repro.index.arena import CodeArena
+
         raw = as_float_matrix(data, "data")
         if raw.shape[0] == 0:
             raise EmptyDatasetError("cannot fit RaBitQ on an empty dataset")
-        dim = raw.shape[1]
-        code_length = self.config.resolve_code_length(dim)
+        code_length = self.config.resolve_code_length(raw.shape[1])
 
         if rotation is not None:
             if rotation.dim != code_length:
@@ -366,87 +328,38 @@ class RaBitQ:
 
         if centroid is None:
             centroid = compute_centroid(raw)
-        self._dataset = self._encode(raw, centroid, code_length)
-        return self
-
-    def _encode(
-        self, raw: np.ndarray, centroid: np.ndarray, code_length: int
-    ) -> QuantizedDataset:
-        """Encode raw rows against ``centroid`` with the current rotation.
-
-        The one encoding pipeline behind :meth:`fit` and the incremental
-        :meth:`add`, so newly inserted rows are encoded exactly like
-        fit-time rows.  Similarity metrics also keep each row's raw terms,
-        with the expressions the searcher uses per cluster.
-        """
-        assert self._rotation is not None
         centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
         bits = int(self.config.bits)
+        levels, level_sums, alignments, norms, rescales = encode_rows(
+            raw, centre, self._rotation, code_length, bits
+        )
         raw_terms = {}
         if self._metric.higher_is_better:
             raw_terms = {
                 "dot_centroid": raw @ centre,
                 "raw_norms": np.sqrt(np.einsum("ij,ij->i", raw, raw)),
             }
-        levels, level_sums, alignments, norms, rescales = encode_rows(
-            raw, centre, self._rotation, code_length, bits
-        )
-        return QuantizedDataset(
-            packed_codes=bitops.pack_level_planes(levels, bits),
-            code_popcounts=level_sums,
-            alignments=alignments,
-            norms=norms,
-            centroid=centre,
-            code_length=code_length,
-            dim=raw.shape[1],
-            bits=bits,
+        consts = build_code_consts(
+            alignments,
+            norms,
+            level_sums,
+            code_length,
+            self.config.epsilon0,
+            metric=self._metric,
             rescales=rescales,
             **raw_terms,
         )
-
-    def add(self, data: np.ndarray) -> "RaBitQ":
-        """Incrementally encode new rows against the fitted centroid/rotation.
-
-        The new rows are appended to the stored dataset: they are normalized
-        to the *existing* centroid, inversely rotated with the *existing*
-        rotation and packed exactly like fit-time rows, so distance estimates
-        for previously stored vectors are completely unaffected.  A new
-        row's ``<o_r, c>`` is a GEMV over the added rows, which BLAS may
-        round 1 ULP apart from a fit over all rows (as the searcher's
-        ``insert`` may).
-        """
-        dataset = self.dataset
-        raw = as_float_matrix(data, "data")
-        if raw.shape[0] == 0:
-            return self
-        if raw.shape[1] != dataset.dim:
-            raise DimensionMismatchError(
-                f"new rows have dimension {raw.shape[1]}, index expects "
-                f"{dataset.dim}"
-            )
-        new = self._encode(raw, dataset.centroid, dataset.code_length)
-        self._dataset = _map_rows(
-            dataset, lambda name, rows: np.concatenate([rows, getattr(new, name)])
+        n_rows = raw.shape[0]
+        self._arena = CodeArena.from_sections(
+            code_length,
+            consts.shape[0],
+            codes=bitops.pack_level_planes(levels, bits),
+            consts=consts,
+            slots=np.arange(n_rows, dtype=np.int64),
+            sizes=np.array([n_rows]),
+            bits=bits,
         )
-        return self
-
-    def keep_rows(self, keep: np.ndarray) -> "RaBitQ":
-        """Drop all stored rows where ``keep`` is ``False`` (order-preserving).
-
-        ``keep`` is a boolean mask over the stored rows.  Row-local metadata
-        (codes, popcounts, alignments, norms) is sliced, so estimates for the
-        surviving rows are bit-identical to the pre-compaction values.
-        """
-        dataset = self.dataset
-        mask = np.asarray(keep, dtype=bool).reshape(-1)
-        if mask.shape[0] != len(dataset):
-            raise DimensionMismatchError(
-                f"keep mask has length {mask.shape[0]}, dataset has "
-                f"{len(dataset)} rows"
-            )
-        if mask.all():
-            return self
-        self._dataset = _map_rows(dataset, lambda name, rows: rows[mask])
+        self._centroid = centre
         return self
 
     # ------------------------------------------------------------------ #
@@ -474,13 +387,13 @@ class RaBitQ:
         metrics add each row's ``<q_r, c> - ||c||^2`` and ``||q_r||``,
         scalar for scalar as the searcher computes them.
         """
-        dataset = self.dataset
+        centre = self.centroid
         mat = as_float_matrix(queries, "queries")
-        if mat.shape[0] and mat.shape[1] != dataset.dim:
+        if mat.shape[0] and mat.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"queries have dimension {mat.shape[1]}, index expects {dataset.dim}"
+                f"queries have dimension {mat.shape[1]}, index expects {self.dim}"
             )
-        centroid = dataset.centroid[None]
+        centroid = centre[None]
         rotated, norms = rotated_unit_residuals(
             self.rotation,
             mat,
@@ -499,8 +412,7 @@ class RaBitQ:
         if self._metric.higher_is_better:
             # ||c||^2 as the IVF layer computes it: an einsum over centroid
             # rows (a BLAS dot can round differently).
-            centre = dataset.centroid
-            centre_sq = float(np.einsum("ij,ij->i", centre[None], centre[None])[0])
+            centre_sq = float(np.einsum("ij,ij->i", centroid, centroid)[0])
             query_terms = {
                 "query_offsets": np.array(
                     [float(np.dot(row, centre)) - centre_sq for row in mat]
@@ -596,9 +508,7 @@ class RaBitQ:
             if isinstance(queries, QuantizedQueryBatch)
             else self.prepare_queries(queries)
         )
-        rows = self._rows(subset)
-        eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
-        return self._estimate(prepared, rows, compute, eps)
+        return self._estimate(prepared, self._rows(subset), compute, epsilon0)
 
     def _rows(self, indices) -> slice | np.ndarray:
         """Row selector for ``indices`` (``None`` selects every row).
@@ -610,7 +520,7 @@ class RaBitQ:
         if indices is None:
             return slice(None)
         rows = as_int_ids(indices, "row indices")
-        n_rows = len(self.dataset)
+        n_rows = self.arena.n_rows
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise InvalidParameterError(
                 f"row indices must lie in [0, {n_rows}), got "
@@ -618,42 +528,43 @@ class RaBitQ:
             )
         return rows
 
-    def _code_consts(self, rows, epsilon0: float) -> np.ndarray:
-        """Fused estimator constants of the selected codes, in the arena's
-        layout: the metric's rows, then the rescale row when ``B > 1``."""
-        selected = _map_rows(self.dataset, lambda name, values: values[rows])
-        return build_code_consts(
-            selected.alignments,
-            selected.norms,
-            selected.code_popcounts,
-            selected.code_length,
-            epsilon0,
-            metric=self._metric,
-            dot_centroid=selected.dot_centroid,
-            raw_norms=selected.raw_norms,
-            rescales=selected.rescales,
-        )
-
     def _estimate(
         self,
         prepared: QuantizedQueryBatch,
         rows,
         compute: str,
-        epsilon0: float,
+        epsilon0: float | None,
     ) -> DistanceEstimate:
-        """``<o_bar, q>`` for the selected codes, then :func:`fused_estimate`.
+        """Estimates of the selected codes for every prepared query.
 
-        On the ``"bitwise"`` path the arithmetic is the searcher's, operation
-        for operation, for every metric.
+        The ``"bitwise"`` path is :func:`estimate_codes` in cross form, the
+        searcher's own estimate with ``(n_queries, 1)`` query terms, for
+        every metric.  An ``epsilon0`` override rewrites the half-width row
+        of a copy of the selected constants with the call
+        :func:`build_code_consts` makes.
         """
         if compute not in COMPUTE_MODES:
             raise InvalidParameterError(
                 f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
             )
-        consts = self._code_consts(rows, epsilon0)
-        dataset = self.dataset
-        code_length, bits = dataset.code_length, dataset.bits
+        arena = self.arena
+        code_length, bits = arena.code_length, arena.bits
+        consts = arena.consts[:, rows]
+        if epsilon0 is None:
+            eps = self.config.epsilon0
+        else:
+            eps = float(epsilon0)
+            consts = consts.copy()
+            consts[CONST_HALFWIDTH] = confidence_interval_halfwidth(
+                consts[CONST_ALIGN], code_length, eps
+            )
         quantized = prepared.quantized
+        terms = {"query_norms": prepared.query_norms[:, None]}
+        if bits > 1:
+            terms["query_rounding"] = 0.5 * eps * quantized.delta[:, None]
+        if self._metric.higher_is_better:
+            terms["query_offset"] = prepared.query_offsets[:, None]
+            terms["query_raw_norm"] = prepared.query_raw_norms[:, None]
         if compute == "float":
             # One GEMV per query, as a one-query call would run it (a single
             # GEMM would round differently).
@@ -661,53 +572,29 @@ class RaBitQ:
             quantized_dot = np.empty((len(prepared), decoded.shape[0]))
             for i in range(len(prepared)):
                 quantized_dot[i] = decoded @ prepared.rotated[i]
-        else:
-            # <u, q_u> from the packed code planes (Eq. 21-22; one plane for
-            # B = 1), then the affine undo (Eq. 19-20).
-            integer_dot = bitops.binary_dot_uint_batch(
-                dataset.packed_codes[rows],
-                quantized.bitplanes,
-                query_values=quantized.codes,
-                bits=bits,
-                code_length=code_length,
-            )
-            quantized_dot = undo_query_quantization(
-                integer_dot,
-                consts,
-                quantized.delta[:, None],
-                quantized.lower[:, None],
-                quantized.sum_codes.astype(np.float64)[:, None],
-                code_length,
-                bits,
-            )
-        query_terms = {}
-        if self._metric.higher_is_better:
-            query_terms = {
-                "query_offset": prepared.query_offsets[:, None],
-                "query_raw_norm": prepared.query_raw_norms[:, None],
-            }
-        return fused_estimate(
-            quantized_dot,
+            return fused_estimate(quantized_dot, consts, metric=self._metric, **terms)
+        terms["delta"] = quantized.delta[:, None]
+        terms["lower"] = quantized.lower[:, None]
+        terms["sums"] = quantized.sum_codes.astype(np.float64)[:, None]
+        return estimate_codes(
+            arena.codes[rows],
             consts,
-            prepared.query_norms[:, None],
+            quantized.codes,
+            terms,
+            code_length=code_length,
+            bits=bits,
             metric=self._metric,
-            query_rounding=(
-                0.5 * epsilon0 * quantized.delta[:, None] if bits > 1 else None
-            ),
-            **query_terms,
         )
 
     def _decoded(self, rows) -> np.ndarray:
         """The reconstructed unit codes ``x_bar`` (rotated frame) of ``rows``."""
-        dataset = self.dataset
-        packed = dataset.packed_codes[rows]
-        if dataset.bits == 1:
-            return codebook.decode_codes(packed, dataset.code_length)
-        levels = bitops.unpack_level_planes(
-            packed, dataset.code_length, dataset.bits
-        )
-        v = 2.0 * levels.astype(np.float64) - float((1 << dataset.bits) - 1)
-        return v * dataset.rescales[rows][:, None]
+        arena = self.arena
+        packed = arena.codes[rows]
+        if arena.bits == 1:
+            return codebook.decode_codes(packed, arena.code_length)
+        levels = bitops.unpack_level_planes(packed, arena.code_length, arena.bits)
+        v = 2.0 * levels.astype(np.float64) - float((1 << arena.bits) - 1)
+        return v * arena.consts[-1, rows][:, None]
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -727,44 +614,19 @@ class RaBitQ:
         0/1 for the binary construction; level values in ``[0, 2^B - 1]``
         for multi-bit codes.
         """
-        dataset = self.dataset
-        packed = dataset.packed_codes[self._rows(indices)]
-        return bitops.unpack_level_planes(packed, dataset.code_length, dataset.bits)
+        arena = self.arena
+        packed = arena.codes[self._rows(indices)]
+        return bitops.unpack_level_planes(packed, arena.code_length, arena.bits)
 
     def compression_ratio(self) -> float:
         """Raw-vector bytes divided by quantization-code bytes."""
-        dataset = self.dataset
-        raw_bits = 32 * dataset.dim
-        code_bits = dataset.code_length * dataset.bits
-        return raw_bits / code_bits
-
-
-#: The per-row fields of a :class:`QuantizedDataset`.
-_ROW_FIELDS = (
-    "packed_codes", "code_popcounts", "alignments", "norms",  # always set
-    "rescales", "dot_centroid", "raw_norms",  # None when absent
-)
-
-
-def _row_fields(dataset: QuantizedDataset):
-    """``(name, rows)`` for every per-row field ``dataset`` carries."""
-    for name in _ROW_FIELDS:
-        rows = getattr(dataset, name)
-        if rows is not None:
-            yield name, rows
-
-
-def _map_rows(dataset: QuantizedDataset, fn) -> QuantizedDataset:
-    """``dataset`` with every per-row field replaced by ``fn(name, rows)``."""
-    return replace(
-        dataset, **{name: fn(name, rows) for name, rows in _row_fields(dataset)}
-    )
+        arena = self.arena
+        return 32 * self.dim / (arena.code_length * arena.bits)
 
 
 __all__ = [
     "RaBitQ",
     "encode_rows",
-    "QuantizedDataset",
     "QuantizedQueryBatch",
     "COMPUTE_MODES",
 ]

@@ -16,12 +16,17 @@ import numpy as np
 
 from repro.core import codebook
 from repro.core.config import RaBitQConfig
+from repro.core.normalization import pad_vectors
 from repro.core.quantizer import RaBitQ
 from repro.core.rotation import QRRotation
 from repro.datasets.synthetic import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.metrics.relative_error import average_relative_error, max_relative_error
-from repro.substrates.linalg import pairwise_squared_distances
+from repro.substrates.linalg import (
+    as_float_matrix,
+    normalize_rows,
+    pairwise_squared_distances,
+)
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,10 @@ def run_codebook_ablation(
     # Learned codebook: learn a rotation on the normalized data, then reuse
     # the RaBitQ machinery with that (non-random) rotation.  The learned
     # rotation must live in the padded code-length space.
-    from repro.core.normalization import normalize_to_centroid, pad_vectors
-
     code_length = config.resolve_code_length(dataset.dim)
-    normalized = normalize_to_centroid(dataset.data)
-    padded_units = pad_vectors(normalized.unit_vectors, code_length)
+    raw = as_float_matrix(dataset.data, "data")
+    units = normalize_rows(raw - raw.mean(axis=0)[None, :])
+    padded_units = pad_vectors(units, code_length)
     learned_matrix = learn_sign_rotation(padded_units)
     # RaBitQ applies P^-1 to the data; provide P = learned_matrix so that
     # P^-1 x = x @ learned_matrix gives the learned projection.

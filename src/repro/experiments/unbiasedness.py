@@ -21,7 +21,11 @@ import numpy as np
 
 from repro.baselines import OptimizedProductQuantizer
 from repro.core.config import RaBitQConfig
-from repro.core.estimator import inner_product_to_squared_distance
+from repro.core.estimator import (
+    CONST_ALIGN,
+    CONST_NORM,
+    inner_product_to_squared_distance,
+)
 from repro.core.quantizer import RaBitQ
 from repro.datasets.synthetic import Dataset
 from repro.exceptions import InvalidParameterError
@@ -104,15 +108,15 @@ def run_unbiasedness_experiment(
     quantizer = RaBitQ(RaBitQConfig(seed=seed)).fit(dataset.data)
     unbiased = np.empty_like(true)
     naive = np.empty_like(true)
-    ds = quantizer.dataset
+    consts = quantizer.arena.consts
     for i, query in enumerate(queries):
         prepared = quantizer.prepare_query(query)
         estimate = quantizer.estimate_distances(prepared)
         unbiased[i] = estimate.distances
         # Naive estimator: use <o_bar, q> directly as the inner product.
-        naive_ip = estimate.inner_products * ds.alignments
+        naive_ip = estimate.inner_products * consts[CONST_ALIGN]
         naive[i] = inner_product_to_squared_distance(
-            naive_ip, ds.norms, prepared.query_norms[0]
+            naive_ip, consts[CONST_NORM], prepared.query_norms[0]
         )
 
     scale = float(true.max()) if normalize else 1.0

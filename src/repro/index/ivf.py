@@ -476,9 +476,5 @@ class IVFIndex:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(lists)
 
-    def bucket_sizes(self) -> np.ndarray:
-        """Number of vectors per bucket."""
-        return np.asarray([len(bucket) for bucket in self.buckets], dtype=np.int64)
-
 
 __all__ = ["IVFIndex", "IVFBucket", "default_n_clusters", "STAT_KEY_EVALS"]

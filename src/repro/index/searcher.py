@@ -45,9 +45,10 @@ index's rounding vector.  ``search`` calls it once for its ``nprobe``
 pairs, ``search_batch`` once for all its pairs, grouped by cluster.
 ``_pair_terms`` derives every per-pair query term the estimate reads
 (the undo's ``Δ``, ``v_l``, ``Σq_u``; ``||q - c||``; ``eps0 Δ/2``; the
-similarity offsets) once per call, over all pairs.  ``_estimate`` takes
-prepared rows against packed codes: one call of the integer-dot kernel,
-the affine undo of Eq. 19-20 and :func:`repro.core.estimator.fused_estimate`.
+similarity offsets) once per call, over all pairs.
+:func:`repro.core.estimator.estimate_codes` takes prepared rows against
+packed codes: one call of the integer-dot kernel, the affine undo of Eq.
+19-20 and :func:`repro.core.estimator.fused_estimate`.
 The entry points differ only in how they pair rows with codes: ``search``
 gathers every probed row once and pairs each code with its own cluster's
 query row in one flat pass (terms repeated per code), ``search_batch``
@@ -132,14 +133,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core.bitops import binary_dot_uint_batch, pack_level_planes
+from repro.core.bitops import pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     DistanceEstimate,
     build_code_consts,
-    fused_estimate,
+    estimate_codes,
     n_consts_for,
-    undo_query_quantization,
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows
@@ -782,7 +782,8 @@ class IVFQuantizedSearcher:
     ) -> dict[str, np.ndarray]:
         """The per-pair query terms of prepared pairs, one value per pair.
 
-        Pair ``i`` is as in :meth:`_prepare`, whose outputs are passed in.
+        Pair ``i`` is as in :meth:`_prepare`, whose outputs are passed in;
+        the result is the ``terms`` of :func:`estimate_codes`.
         ``delta`` (Δ), ``lower`` (``v_l``) and ``sums`` (``Σq_u``) feed the
         affine undo; the others are :func:`fused_estimate`'s keyword terms:
         ``query_norms`` (``||q - c||``), ``query_rounding`` (``eps0 Δ/2``,
@@ -809,57 +810,6 @@ class IVFQuantizedSearcher:
             raw_norms = np.array([float(np.sqrt(np.dot(row, row))) for row in queries])
             terms["query_raw_norm"] = raw_norms[query_rows]
         return terms
-
-    def _estimate(
-        self,
-        codes: np.ndarray,
-        consts: np.ndarray,
-        query_values: np.ndarray,
-        terms: dict[str, np.ndarray],
-        segments: np.ndarray | None = None,
-    ) -> DistanceEstimate:
-        """Estimates and bounds of packed arena ``codes`` for prepared rows.
-
-        ``query_values`` are quantized query rows, ``consts`` the codes'
-        fused constants and ``terms`` the rows' :meth:`_pair_terms`, shaped
-        to broadcast against the output.  Without ``segments`` every row
-        meets every code (``(n_rows, 1)`` terms, ``(n_rows, n_codes)``
-        output); with them, row ``i`` meets only the next ``segments[i]``
-        codes (terms repeated per code, ``(n_codes,)`` output).  One call of
-        the integer-dot kernel computes the exact ``<u, q_u>`` (popcount or
-        unpack + BLAS, whichever the work size favours; the integers are
-        the same), then one affine undo of the query quantization (Eq.
-        19-20) at the searcher's width and one :func:`fused_estimate`.
-        """
-        code_length = self._arena.code_length
-        integer_dot = binary_dot_uint_batch(
-            codes,
-            query_values=query_values,
-            bits=self.bits,
-            code_length=code_length,
-            segments=segments,
-            scratch=self._scratch_get(
-                "levels", codes.shape[0] * code_length, np.float64
-            ),
-        )
-        quantized_dot = undo_query_quantization(
-            integer_dot,
-            consts,
-            terms["delta"],
-            terms["lower"],
-            terms["sums"],
-            code_length,
-            self.bits,
-        )
-        return fused_estimate(
-            quantized_dot,
-            consts,
-            terms["query_norms"],
-            metric=self._metric,
-            query_offset=terms.get("query_offset"),
-            query_raw_norm=terms.get("query_raw_norm"),
-            query_rounding=terms.get("query_rounding"),
-        )
 
     def _live_only(
         self, cand: np.ndarray, estimate: DistanceEstimate
@@ -893,8 +843,8 @@ class IVFQuantizedSearcher:
 
         The candidate set is scored in one flat pass, in probe order: the
         query's probed pairs are prepared in one :meth:`_prepare` call, the
-        probed arena rows are gathered once, and one :meth:`_estimate` call
-        pairs each code with its own cluster's query row (the
+        probed arena rows are gathered once, and one :func:`estimate_codes`
+        call pairs each code with its own cluster's query row (the
         :meth:`_pair_terms` repeated over the cluster's codes).  Tombstoned
         rows are masked out *after* the full estimate.
         """
@@ -912,12 +862,18 @@ class IVFQuantizedSearcher:
         terms = self._pair_terms(
             query[None, :], pair_rows, cluster_ids, quantized, query_norms
         )
-        estimate = self._estimate(
+        estimate = estimate_codes(
             arena.codes[rows],
             arena.consts[:, rows],
             quantized.codes,
             {name: np.repeat(term, counts) for name, term in terms.items()},
+            code_length=arena.code_length,
+            bits=self.bits,
+            metric=self._metric,
             segments=counts,
+            scratch=self._scratch_get(
+                "levels", total * arena.code_length, np.float64
+            ),
         )
         cand, estimate, _ = self._live_only(cand, estimate)
         return cand, estimate
@@ -981,7 +937,7 @@ class IVFQuantizedSearcher:
         Δ/2`` and the similarity terms) are derived once, over all pairs,
         as ``(n_pairs, 1)`` columns; so is where each pair's run of
         candidates starts in the flat buffers.  The group loop re-derives
-        nothing: one :meth:`_estimate` call meets a group's rows (the
+        nothing: one :func:`estimate_codes` call meets a group's rows (the
         columns sliced) with its cluster's contiguous code block, and one
         scatter per field puts each row at its query's range, in
         probed-cluster order, exactly the layout of
@@ -1031,11 +987,17 @@ class IVFQuantizedSearcher:
         ):
             start, end = arena.cluster_range(int(sorted_cids[seg_start]))
             rows = slice(seg_start, seg_end)
-            estimate = self._estimate(
+            estimate = estimate_codes(
                 arena.codes[start:end],
                 arena.consts[:, start:end],
                 quantized.codes[rows],
                 {name: column[rows] for name, column in columns.items()},
+                code_length=arena.code_length,
+                bits=self.bits,
+                metric=self._metric,
+                scratch=self._scratch_get(
+                    "levels", (end - start) * arena.code_length, np.float64
+                ),
             )
             dest = pair_dest[rows, None] + runs[: end - start]
             fields[0][dest] = estimate.distances

@@ -1,34 +1,27 @@
-"""Save/load support for fitted RaBitQ quantizers and full IVF searchers.
+"""Save/load support for fitted IVF searchers.
 
-Two archive flavours are provided:
+:func:`save_searcher` / :func:`load_searcher` store a complete
+:class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
+assignments, the cluster-grouped packed codes, the raw vectors of the flat
+re-ranking index, the tombstone mask and external-id mapping of the
+mutable lifecycle, the re-ranker, the rotation and the rounding vector
+(queries draw no randomness, so there is no generator state to store).  A
+reloaded searcher answers ``search`` / ``search_batch`` *bit-identically*
+(ids, distances and cost counters) to the saved one, and supports further
+``insert`` / ``delete`` / ``compact`` calls.
 
-* :func:`save_rabitq` / :func:`load_rabitq` — a single fitted ``"l2"``
-  :class:`repro.core.quantizer.RaBitQ`: configuration, rotation matrix,
-  rounding vector, packed codes, per-vector metadata and centroid.  Enough
-  for a query-serving process that does estimation only (no raw vectors,
-  so no exact re-ranking).  NumPy ``.npz``, format v4 (reads v2–v4).
-* :func:`save_searcher` / :func:`load_searcher` — a complete
-  :class:`repro.index.searcher.IVFQuantizedSearcher`: IVF centroids and
-  assignments, the cluster-grouped packed codes, the raw vectors of the
-  flat re-ranking index, the tombstone mask and external-id mapping of the
-  mutable lifecycle, the re-ranker, the rotation and the rounding vector
-  (queries draw no randomness, so there is no generator state to store).
-  A reloaded searcher answers ``search`` / ``search_batch``
-  *bit-identically* (ids, distances and cost counters) to the saved one,
-  and supports further ``insert`` / ``delete`` / ``compact`` calls.
-
-  The searcher has exactly one on-disk container (``RBQARCH6``, written
-  as format **v11**, read as v9–v11): a binary file holding a JSON header
-  plus 64-byte-aligned raw sections for every large array — the arena's
-  packed code words (``arena_codes``: plane-major bit-planes, exactly the
-  arena's resident matrix, which queries read), the fused constants, the
-  slot map, and the raw re-rank vectors.  Sections can be read zero-copy
-  via ``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm
-  restart skips decompression and bit-unpacking entirely and supports
-  datasets larger than RAM.  Retired layouts are refused by name, with
-  the last commit that reads them: container formats v6–v8 (``aaf8be8``),
-  the npz searcher layouts v1–v5 and the sharded directory archive
-  (``422ac16``).
+The searcher has exactly one on-disk container (``RBQARCH6``, written as
+format **v11**, read as v9–v11): a binary file holding a JSON header plus
+64-byte-aligned raw sections for every large array — the arena's packed
+code words (``arena_codes``: plane-major bit-planes, exactly the arena's
+resident matrix, which queries read), the fused constants, the slot map,
+and the raw re-rank vectors.  Sections can be read zero-copy via
+``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm restart skips
+decompression and bit-unpacking entirely and supports datasets larger
+than RAM.  Retired layouts are refused by name, with the last commit that
+reads them: container formats v6–v8 (``aaf8be8``), the npz searcher
+layouts v1–v5 and the sharded directory archive (``422ac16``), and the
+bare-quantizer npz (magic ``rabitq/quantizer``, v2–v4; ``3b59eee``).
 
 Every save is **crash-safe**: archives are written to a temporary file,
 fsynced, and atomically renamed over the destination, so a crash mid-save
@@ -58,9 +51,8 @@ import numpy as np
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
 from repro.core.estimator import n_consts_for
 from repro.core.metric import resolve_metric
-from repro.core.quantizer import QuantizedDataset, RaBitQ
 from repro.core.query import sample_rounding_offsets
-from repro.core.rotation import FastHadamardRotation, QRRotation, Rotation
+from repro.core.rotation import FastHadamardRotation, QRRotation
 from repro.exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -87,19 +79,8 @@ from repro.io.journal import (
 
 PathLike = Union[str, os.PathLike]
 
-#: Magic identifiers distinguishing the archive flavours.
-MAGIC_RABITQ = "rabitq/quantizer"
+#: Magic identifier of a searcher archive.
 MAGIC_SEARCHER = "rabitq/searcher"
-
-#: Quantizer-archive format, bumped on incompatible changes.  Version 2
-#: added the magic header, version 3 the code width and per-code rescale
-#: factors of multi-bit codes (binary quantizers kept writing v2).
-#: Version 4, written for every width, stores the rounding vector as
-#: ``rounding_offsets`` in place of v2/v3's query-generator state.
-FORMAT_VERSION = 4
-
-#: Quantizer-archive versions this build can read (v2 loads as binary).
-_RABITQ_VERSIONS = (2, 3, 4)
 
 #: Searcher-archive format, bumped on incompatible changes.  Version 6
 #: introduced the memmap-able binary container described in the module
@@ -131,6 +112,10 @@ _PRE_V9_COMMIT = "aaf8be8"
 #: Last commit whose ``load_searcher`` reads the retired layouts: the npz
 #: searcher archives (v1–v5) and the sharded directory archive.
 _RETIRED_LAYOUTS_COMMIT = "422ac16"
+
+#: Last commit that reads the retired bare-quantizer npz (magic
+#: ``rabitq/quantizer``, format v2–v4).
+_RETIRED_QUANTIZER_COMMIT = "3b59eee"
 
 #: The one journal kind (the header field predates the retired layouts).
 _JOURNAL_KIND = "searcher"
@@ -195,60 +180,6 @@ def _new_archive_uuid() -> str:
     return _uuid.uuid4().hex
 
 
-def _open_archive(
-    path: PathLike, *, magic: str, versions: tuple[int, ...], kind: str
-):
-    """Open an ``.npz`` archive and validate its magic header and version.
-
-    ``versions`` lists every format version this build can read for the
-    given archive flavour (the current one plus any legacy ones).
-    """
-    candidate = _resolve_path(path)
-    try:
-        archive = np.load(candidate)
-    except _READ_ERRORS as exc:
-        raise PersistenceError(
-            f"cannot read {kind} file {candidate!s}: corrupt or truncated "
-            f"archive ({exc})"
-        ) from exc
-    try:
-        if "magic" not in archive.files:
-            # Pre-magic archives (quantizer format v1) still carried a
-            # format_version entry: report those as outdated, not foreign.
-            if (
-                "format_version" in archive.files
-                and int(archive["format_version"]) not in versions
-            ):
-                raise PersistenceError(
-                    f"unsupported {kind} format version "
-                    f"{int(archive['format_version'])}; this build reads "
-                    f"version(s) {', '.join(map(str, versions))}"
-                )
-            raise PersistenceError(
-                f"{candidate!s} is not a {kind} archive (missing magic header)"
-            )
-        if "format_version" not in archive.files:
-            raise PersistenceError(
-                f"{candidate!s} is not a {kind} archive (missing format version)"
-            )
-        found_magic = str(archive["magic"])
-        found_version = int(archive["format_version"])
-        if found_magic != magic:
-            raise PersistenceError(
-                f"{candidate!s} is not a {kind} archive "
-                f"(magic {found_magic!r}, expected {magic!r})"
-            )
-        if found_version not in versions:
-            raise PersistenceError(
-                f"unsupported {kind} format version {found_version}; "
-                f"this build reads version(s) {', '.join(map(str, versions))}"
-            )
-    except Exception:
-        archive.close()
-        raise
-    return archive
-
-
 def _rounding_offsets(
     stored: np.ndarray | None, seed: int | None, code_length: int
 ) -> np.ndarray:
@@ -270,22 +201,6 @@ def _rounding_offsets(
     return offsets
 
 
-def _save_rotation(rotation: Rotation) -> dict:
-    """Archive entries that reconstruct ``rotation`` bit-identically."""
-    if isinstance(rotation, FastHadamardRotation):
-        # The sign diagonals fully determine the transform; storing them
-        # (rather than the dense materialization) keeps the reloaded
-        # rotation's floating-point behaviour exactly identical.
-        return {"rotation_signs": rotation.signs}
-    return {"rotation_matrix": rotation.as_matrix()}
-
-
-def _load_rotation(archive, dim: int) -> Rotation:
-    if "rotation_signs" in archive.files:
-        return FastHadamardRotation.from_signs(dim, archive["rotation_signs"])
-    return QRRotation.from_matrix(archive["rotation_matrix"])
-
-
 # --------------------------------------------------------------------- #
 # Crash-safe write primitives
 # --------------------------------------------------------------------- #
@@ -301,27 +216,10 @@ def _write_all(f, data) -> None:
         view = view[written:]
 
 
-def _fsync_existing(path: Path) -> None:
-    """Fsync a file written by a third party (``np.savez_compressed``)."""
-    f = _fsio.open_append(path)
-    try:
-        _fsio.fsync_file(f)
-    finally:
-        f.close()
-
-
 def _commit_temp(tmp: Path, final: Path) -> None:
     """Atomically publish ``tmp`` (already fsynced) as ``final``."""
     _fsio.replace(tmp, final)
     _fsio.fsync_dir(final.parent)
-
-
-def _savez_atomic(final: Path, **entries) -> None:
-    """``np.savez_compressed`` with temp-file + fsync + atomic rename."""
-    tmp = final.with_name(final.name + ".tmp.npz")
-    np.savez_compressed(tmp, **entries)
-    _fsync_existing(tmp)
-    _commit_temp(tmp, final)
 
 
 # --------------------------------------------------------------------- #
@@ -402,7 +300,8 @@ def _not_a_container(path: Path, head: bytes) -> PersistenceError:
     """The error for a file that does not start with ``RBQARCH6``.
 
     Names what the file is when that can be told — in particular the
-    retired npz searcher layouts, with the last commit that reads them.
+    retired npz searcher layouts and the retired quantizer npz, with the
+    last commit that reads them.
     """
     if head[:2] == b"PK":  # a zip file, i.e. an ``.npz``
         try:
@@ -420,10 +319,16 @@ def _not_a_container(path: Path, head: bytes) -> PersistenceError:
                     f"{_RETIRED_LAYOUTS_COMMIT} (load it there and re-save "
                     f"to upgrade)"
                 )
+            if magic == "rabitq/quantizer":
+                return PersistenceError(
+                    f"{path!s} is a quantizer npz archive (magic {magic!r}, "
+                    f"format v{version}); the quantizer npz v2-v4 is retired "
+                    f"and the last commit that reads it is "
+                    f"{_RETIRED_QUANTIZER_COMMIT}"
+                )
             return PersistenceError(
                 f"{path!s} is an npz archive with magic {magic!r} (format "
-                f"v{version}), not a searcher archive; quantizer archives "
-                f"are read by load_rabitq"
+                f"v{version}), not a searcher archive"
             )
     return PersistenceError(
         f"{path!s} is not a searcher archive (it does not start with the "
@@ -570,134 +475,6 @@ class _V6Sections:
                 f"section-table entry: corrupt or truncated archive"
             )
         return array.reshape(shape)
-
-
-# --------------------------------------------------------------------- #
-# Bare quantizer archives
-# --------------------------------------------------------------------- #
-
-
-def save_rabitq(quantizer: RaBitQ, path: PathLike) -> None:
-    """Serialize a fitted RaBitQ quantizer to ``path`` (NumPy ``.npz``).
-
-    The archive is written to a temporary file and atomically renamed
-    into place, so a crash mid-save never corrupts an existing archive.
-
-    Raises
-    ------
-    NotFittedError
-        If the quantizer has not been fitted.
-    InvalidParameterError
-        If the quantizer serves ``"ip"`` or ``"cosine"``: the format has no
-        place for the metric or the per-row raw terms.  Nothing is written.
-    """
-    if not quantizer.is_fitted:
-        raise NotFittedError("cannot save an unfitted RaBitQ quantizer")
-    if quantizer.metric != "l2":
-        raise InvalidParameterError(
-            f"save_rabitq stores metric='l2' quantizers only, not "
-            f"metric={quantizer.metric!r}"
-        )
-    dataset = quantizer.dataset
-    config = quantizer.config
-    final = Path(path)
-    if not final.name.endswith(".npz"):
-        final = final.with_name(final.name + ".npz")
-    # Only multi-bit codes carry per-code rescale factors.
-    rescales = {"rescales": dataset.rescales} if dataset.bits > 1 else {}
-    _savez_atomic(
-        final,
-        magic=np.str_(MAGIC_RABITQ),
-        format_version=np.int64(FORMAT_VERSION),
-        bits=np.int64(dataset.bits),
-        **rescales,
-        packed_codes=dataset.packed_codes,
-        code_popcounts=dataset.code_popcounts,
-        alignments=dataset.alignments,
-        norms=dataset.norms,
-        centroid=dataset.centroid,
-        code_length=np.int64(dataset.code_length),
-        dim=np.int64(dataset.dim),
-        epsilon0=np.float64(config.epsilon0),
-        query_bits=np.int64(config.query_bits),
-        randomized_rounding=np.bool_(config.randomized_rounding),
-        rotation_kind=np.str_(config.rotation),
-        seed=np.int64(-1 if config.seed is None else config.seed),
-        rounding_offsets=quantizer._rounding_offsets,
-        **_save_rotation(quantizer.rotation),
-    )
-
-
-def load_rabitq(path: PathLike) -> RaBitQ:
-    """Load a RaBitQ quantizer previously stored with :func:`save_rabitq`.
-
-    The returned quantizer answers queries exactly as the saved one would
-    have (identical codes, rotation, configuration and rounding vector).
-    The ``.npz`` extension is appended by NumPy when saving, so both
-    ``index`` and ``index.npz`` are accepted here.
-
-    Raises
-    ------
-    PersistenceError
-        If the file is missing, truncated or corrupt, is not a RaBitQ
-        quantizer archive, or uses an unsupported format version.
-    """
-    with _open_archive(
-        path, magic=MAGIC_RABITQ, versions=_RABITQ_VERSIONS, kind="RaBitQ index"
-    ) as archive:
-        try:
-            seed = int(archive["seed"])
-            code_length = int(archive["code_length"])
-            # v2 archives predate multi-bit codes: they are always binary.
-            bits = int(archive["bits"]) if "bits" in archive.files else 1
-            if bits not in SUPPORTED_CODE_BITS:
-                raise PersistenceError(
-                    f"archive declares an unsupported code width "
-                    f"bits={bits}; this build reads "
-                    f"{', '.join(map(str, SUPPORTED_CODE_BITS))}"
-                )
-            rescales = None
-            if bits > 1:
-                if "rescales" not in archive.files:
-                    raise PersistenceError(
-                        f"archive declares bits={bits} but stores no "
-                        f"per-code rescale factors"
-                    )
-                rescales = np.asarray(archive["rescales"], dtype=np.float64)
-            config = RaBitQConfig(
-                epsilon0=float(archive["epsilon0"]),
-                query_bits=int(archive["query_bits"]),
-                code_length=code_length,
-                randomized_rounding=bool(archive["randomized_rounding"]),
-                rotation=str(archive["rotation_kind"]),
-                seed=None if seed < 0 else seed,
-                bits=bits,
-            )
-            quantizer = RaBitQ(config)
-            quantizer._rotation = _load_rotation(archive, code_length)
-            quantizer._dataset = QuantizedDataset(
-                packed_codes=archive["packed_codes"],
-                code_popcounts=archive["code_popcounts"],
-                alignments=archive["alignments"],
-                norms=archive["norms"],
-                centroid=archive["centroid"],
-                code_length=code_length,
-                dim=int(archive["dim"]),
-                bits=bits,
-                rescales=rescales,
-            )
-            stored = int(archive["format_version"]) >= 4
-            quantizer._rounding_offsets = _rounding_offsets(
-                archive["rounding_offsets"] if stored else None,
-                config.seed,
-                code_length,
-            )
-        except _PARSE_ERRORS as exc:
-            raise PersistenceError(
-                f"cannot read RaBitQ index file {path!s}: corrupt or "
-                f"truncated archive ({exc})"
-            ) from exc
-    return quantizer
 
 
 # --------------------------------------------------------------------- #
@@ -1137,14 +914,10 @@ def _attach_journal(
 
 
 __all__ = [
-    "save_rabitq",
-    "load_rabitq",
     "save_searcher",
     "load_searcher",
     "default_journal_path",
-    "FORMAT_VERSION",
     "SEARCHER_FORMAT_VERSION",
-    "MAGIC_RABITQ",
     "MAGIC_SEARCHER",
     "V6_MAGIC",
 ]

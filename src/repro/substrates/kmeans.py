@@ -236,13 +236,6 @@ class KMeans:
         )
         return self
 
-    def predict(self, data: np.ndarray) -> np.ndarray:
-        """Return the id of the nearest centroid for each row of ``data``."""
-        result = self._require_result()
-        points = as_float_matrix(data, "data")
-        assignments, _ = _assign(points, result.centroids)
-        return assignments
-
     def transform(self, data: np.ndarray) -> np.ndarray:
         """Return squared distances from each row of ``data`` to every centroid."""
         result = self._require_result()

@@ -31,8 +31,10 @@ from repro.core.estimator import (
     CONST_NORM,
     CONST_POPCOUNT,
     DistanceEstimate,
+    build_code_consts,
 )
-from repro.core.quantizer import QuantizedDataset, RaBitQ
+from repro.core.quantizer import RaBitQ
+from repro.index.arena import CodeArena
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import load_searcher, save_searcher
 
@@ -43,8 +45,8 @@ class PreArenaReference:
     """Snapshot of a searcher as the pre-arena implementation stored it.
 
     Rebuilds one ``RaBitQ`` object per non-empty cluster from the arena
-    regions (the arena's packed codes, popcounts,
-    alignments, norms) and gives each the
+    regions (the arena's packed codes, popcounts, alignments, norms; every
+    other constant re-derived by ``build_code_consts``) and gives each the
     searcher's rounding vector, then answers queries with the former
     per-cluster estimation loop and the reference re-ranker.
     """
@@ -56,7 +58,6 @@ class PreArenaReference:
         self._flat = searcher.flat
         self._live = searcher._live.copy()
         self._ids = searcher._ids.copy()
-        dim = searcher.flat.dim
         self._quantizers: list[RaBitQ | None] = []
         for cid in range(arena.n_clusters):
             start, end = arena.cluster_range(cid)
@@ -64,17 +65,25 @@ class PreArenaReference:
                 self._quantizers.append(None)
                 continue
             consts = arena.consts[:, start:end]
+            # Only the stored rows are taken; the derived rows are rebuilt.
+            rebuilt = build_code_consts(
+                consts[CONST_ALIGN].copy(),
+                consts[CONST_NORM].copy(),
+                consts[CONST_POPCOUNT].astype(np.int64),
+                arena.code_length,
+                searcher.rabitq_config.epsilon0,
+            )
             quantizer = RaBitQ(searcher.rabitq_config)
             quantizer._rotation = searcher._shared_rotation
-            quantizer._dataset = QuantizedDataset(
-                packed_codes=arena.codes[start:end].copy(),
-                code_popcounts=consts[CONST_POPCOUNT].astype(np.int64),
-                alignments=consts[CONST_ALIGN].copy(),
-                norms=consts[CONST_NORM].copy(),
-                centroid=self._ivf.centroids[cid],
-                code_length=arena.code_length,
-                dim=dim,
+            quantizer._arena = CodeArena.from_sections(
+                arena.code_length,
+                rebuilt.shape[0],
+                codes=arena.codes[start:end].copy(),
+                consts=rebuilt,
+                slots=np.arange(end - start, dtype=np.int64),
+                sizes=np.array([end - start]),
             )
+            quantizer._centroid = self._ivf.centroids[cid]
             quantizer._rounding_offsets = searcher._rounding_offsets
             self._quantizers.append(quantizer)
 

@@ -85,9 +85,7 @@ class TestEncodeDecode:
     def test_reconstruct_rotates_decoded_codes(self, rng):
         # RaBitQ.reconstruct is o_bar = P x_bar of the stored codes.
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(rng.standard_normal((3, 32)))
-        decoded = decode_codes(
-            quantizer.dataset.packed_codes, quantizer.code_length
-        )
+        decoded = decode_codes(quantizer.arena.codes, quantizer.code_length)
         reconstructed = quantizer.reconstruct()
         np.testing.assert_array_equal(
             reconstructed, quantizer.rotation.apply(decoded)

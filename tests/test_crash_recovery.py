@@ -40,9 +40,8 @@ from fault_injection import (
     trace,
 )
 from repro.core.config import RaBitQConfig
-from repro.core.quantizer import RaBitQ
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.io import load_rabitq, load_searcher, save_rabitq, save_searcher
+from repro.io import load_searcher, save_searcher
 
 # Scenario constants: small enough that a full crash-point sweep stays
 # fast, large enough that every cluster is populated and deletes span
@@ -291,39 +290,3 @@ def test_curated_crash_points_recover_for_each_metric(
             event,
             lose_unsynced=True,
         )
-
-
-def test_npz_resave_crash_never_corrupts_previous_archive(tmp_path):
-    """Satellite pin: the quantizer npz (``save_rabitq``) is atomic too."""
-    previous = RaBitQ(RaBitQConfig(seed=5)).fit(_DATA)
-    resaved = RaBitQ(RaBitQConfig(seed=6)).fit(_DATA[::2])
-
-    def answers(archive):
-        quantizer = load_rabitq(archive)
-        return (
-            quantizer.dataset.packed_codes,
-            quantizer.estimate_distances(_QUERIES[0]).distances,
-        )
-
-    pristine = tmp_path / "quant.npz"
-    save_rabitq(previous, pristine)
-    save_rabitq(resaved, tmp_path / "resaved.npz")
-    want = {False: answers(pristine), True: answers(tmp_path / "resaved.npz")}
-
-    probe = tmp_path / "probe.npz"
-    shutil.copyfile(pristine, probe)
-    events = trace(lambda: save_rabitq(resaved, probe))
-    assert events, "npz save goes through no crash-safe seam"
-    for event in range(len(events)):
-        work = tmp_path / f"k{event}"
-        work.mkdir()
-        archive = work / "quant.npz"
-        shutil.copyfile(pristine, archive)
-        fs = crash_at(
-            lambda: save_rabitq(resaved, archive), event, lose_unsynced=True
-        )
-        committed = "replace:quant.npz.tmp.npz->quant.npz" in fs.events[:-1]
-        for got, expected in zip(answers(archive), want[committed]):
-            np.testing.assert_array_equal(
-                got, expected, f"npz event {event} ({fs.events[-1]})"
-            )

@@ -31,7 +31,7 @@ from repro.experiments.indexing_time import run_indexing_time_experiment
 from repro.experiments.report import format_table, rows_from_dataclasses
 from repro.experiments.unbiasedness import run_unbiasedness_experiment
 from repro.exceptions import InvalidParameterError
-from repro.substrates.linalg import is_orthogonal
+from repro.substrates.linalg import is_orthogonal, normalize_rows
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +184,8 @@ class TestIndexingTime:
 
 class TestCodebookAblation:
     def test_learned_rotation_is_orthogonal(self, tiny_gaussian):
-        from repro.core.normalization import normalize_to_centroid
-
-        units = normalize_to_centroid(tiny_gaussian.data[:200]).unit_vectors
+        data = tiny_gaussian.data[:200]
+        units = normalize_rows(data - data.mean(axis=0))
         rotation = learn_sign_rotation(units, n_iterations=3)
         assert is_orthogonal(rotation, atol=1e-6)
 

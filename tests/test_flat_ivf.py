@@ -158,11 +158,6 @@ class TestIVFIndex:
         all_ids = np.concatenate([bucket.vector_ids for bucket in index.buckets])
         assert sorted(all_ids.tolist()) == list(range(200))
 
-    def test_bucket_sizes_sum(self, flat_data):
-        data, _ = flat_data
-        index = IVFIndex(8, rng=0).fit(data)
-        assert int(index.bucket_sizes().sum()) == 200
-
     def test_probe_returns_nearest_centroids(self, flat_data):
         data, query = flat_data
         index = IVFIndex(8, rng=0).fit(data)

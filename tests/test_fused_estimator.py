@@ -144,34 +144,27 @@ class TestUndoQueryQuantization:
         data = rng.standard_normal((80, 32))
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
         prepared = quantizer.prepare_query(rng.standard_normal(32))
-        dataset = quantizer.dataset
+        arena = quantizer.arena
         quantized = prepared.quantized
         integer_dot = bitops.binary_dot_uint_batch(
-            dataset.packed_codes, quantized.bitplanes
+            arena.codes, quantized.bitplanes
         )[0]
-        consts = build_code_consts(
-            dataset.alignments,
-            dataset.norms,
-            dataset.code_popcounts,
-            dataset.code_length,
-            1.9,
-        )
         got = undo_query_quantization(
             integer_dot,
-            consts,
+            arena.consts,
             float(quantized.delta[0]),
             float(quantized.lower[0]),
             float(quantized.sum_codes[0]),
-            dataset.code_length,
+            arena.code_length,
             1,
         )
-        decoded = codebook.decode_codes(dataset.packed_codes, dataset.code_length)
+        decoded = codebook.decode_codes(arena.codes, arena.code_length)
         np.testing.assert_allclose(
             got, decoded @ quantized.dequantize()[0], rtol=0, atol=1e-12
         )
         np.testing.assert_array_equal(
             quantizer.estimate_distances(prepared).inner_products,
-            got / dataset.alignments,
+            got / arena.consts[CONST_ALIGN],
         )
 
 
@@ -183,27 +176,30 @@ class TestUndoQueryQuantization:
         data = rng.standard_normal((80, 32))
         quantizer = RaBitQ(RaBitQConfig(seed=0, bits=bits)).fit(data)
         prepared = quantizer.prepare_query(rng.standard_normal(32))
-        dataset, quantized = quantizer.dataset, prepared.quantized
+        quantized = prepared.quantized
         levels = quantizer.code_bits()
         integer_dot = levels.astype(np.int64) @ quantized.codes[0].astype(np.int64)
-        consts = quantizer._code_consts(slice(None), 1.9)
-        np.testing.assert_array_equal(consts[-1], dataset.rescales)
+        consts = quantizer.arena.consts
+        *_, rescales = encode_rows(
+            data, quantizer.centroid, quantizer.rotation, quantizer.code_length, bits
+        )
+        np.testing.assert_array_equal(consts[-1], rescales)
         got = undo_query_quantization(
             integer_dot,
             consts,
             float(quantized.delta[0]),
             float(quantized.lower[0]),
             float(quantized.sum_codes[0]),
-            dataset.code_length,
+            quantizer.code_length,
             bits,
         )
-        decoded = (2.0 * levels - ((1 << bits) - 1)) * dataset.rescales[:, None]
+        decoded = (2.0 * levels - ((1 << bits) - 1)) * rescales[:, None]
         np.testing.assert_allclose(
             got, decoded @ quantized.dequantize()[0], rtol=0, atol=1e-12
         )
         np.testing.assert_array_equal(
             quantizer.estimate_distances(prepared).inner_products,
-            got / dataset.alignments,
+            got / consts[CONST_ALIGN],
         )
 
 
@@ -454,21 +450,21 @@ class TestEncodeRows:
         for bits in (1, 2, 4, 8):
             config = RaBitQConfig(seed=4, bits=bits)
             quantizer = RaBitQ(config).fit(data, centroid=centroid)
-            dataset = quantizer.dataset
+            arena = quantizer.arena
             levels, level_sums, alignments, norms, rescales = encode_rows(
-                data, centroid, quantizer.rotation, dataset.code_length, bits
+                data, centroid, quantizer.rotation, arena.code_length, bits
             )
             assert levels.dtype == np.uint8 and int(levels.max()) < 1 << bits
             np.testing.assert_array_equal(
-                bitops.pack_level_planes(levels, bits), dataset.packed_codes
+                bitops.pack_level_planes(levels, bits), arena.codes
             )
-            np.testing.assert_array_equal(level_sums, dataset.code_popcounts)
-            np.testing.assert_array_equal(alignments, dataset.alignments)
-            np.testing.assert_array_equal(norms, dataset.norms)
+            np.testing.assert_array_equal(level_sums, arena.consts[CONST_POPCOUNT])
+            np.testing.assert_array_equal(alignments, arena.consts[CONST_ALIGN])
+            np.testing.assert_array_equal(norms, arena.consts[CONST_NORM])
             if bits == 1:
-                assert rescales is None and dataset.rescales is None
+                assert rescales is None and arena.n_consts == N_CONSTS
             else:
-                np.testing.assert_array_equal(rescales, dataset.rescales)
+                np.testing.assert_array_equal(rescales, arena.consts[-1])
 
 
 def _one_cluster(bits, rotation, metric="l2"):
@@ -533,3 +529,20 @@ class TestOneCentroidViews:
     def test_similarity_equals_raw_pass(self, metric, bits, rotation):
         _, queries, searcher, quantizer = _one_cluster(bits, rotation, metric)
         _assert_raw_pass_views(searcher, quantizer, queries)
+
+
+class TestOneCodeStore:
+    """RaBitQ stores its codes as the searcher does: a one-cluster
+    searcher's arena and the quantizer's hold the same words and constants."""
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_arena_equals_one_cluster_searcher_arena(self, bits, metric):
+        _, _, searcher, quantizer = _one_cluster(bits, "qr", metric)
+        mine, theirs = quantizer.arena, searcher.arena
+        assert mine.codes.dtype == theirs.codes.dtype == np.uint64
+        np.testing.assert_array_equal(mine.codes, theirs.codes)
+        np.testing.assert_array_equal(
+            mine.consts.view(np.int64), theirs.consts.view(np.int64)
+        )
+        assert (mine.bits, mine.code_length) == (theirs.bits, theirs.code_length)

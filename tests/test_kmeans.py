@@ -78,12 +78,6 @@ class TestKMeansFit:
 
 
 class TestKMeansClass:
-    def test_fit_predict_roundtrip(self, rng):
-        data = _blob_data(rng)
-        model = KMeans(3, rng=0).fit(data)
-        predictions = model.predict(data)
-        np.testing.assert_array_equal(predictions, model.labels)
-
     def test_transform_shape(self, rng):
         data = _blob_data(rng)
         model = KMeans(3, rng=0).fit(data)
@@ -92,10 +86,6 @@ class TestKMeansClass:
     def test_not_fitted_raises(self):
         with pytest.raises(NotFittedError):
             KMeans(2).centroids
-
-    def test_predict_before_fit_raises(self, rng):
-        with pytest.raises(NotFittedError):
-            KMeans(2).predict(rng.standard_normal((3, 2)))
 
     def test_is_fitted_flag(self, rng):
         model = KMeans(2, rng=0)
@@ -106,14 +96,6 @@ class TestKMeansClass:
     def test_invalid_n_clusters(self):
         with pytest.raises(InvalidParameterError):
             KMeans(0)
-
-    def test_predict_assigns_nearest_centroid(self, rng):
-        data = _blob_data(rng)
-        model = KMeans(3, rng=0).fit(data)
-        probe = np.array([[10.0, 10.0]])
-        label = model.predict(probe)[0]
-        centroid = model.centroids[label]
-        assert np.linalg.norm(centroid - probe[0]) < 2.0
 
 
 class TestChunkedAssign:

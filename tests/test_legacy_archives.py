@@ -39,7 +39,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
-from repro.core.quantizer import RaBitQ
 from repro.core.query import sample_rounding_offsets
 from repro.exceptions import JournalError, PersistenceError
 from repro.index.rerank import NoReranker
@@ -52,7 +51,6 @@ from repro.io.persistence import (
     _write_v6_archive,
     default_journal_path,
     load_searcher,
-    save_rabitq,
     save_searcher,
 )
 
@@ -68,6 +66,7 @@ _spec.loader.exec_module(_gen)
 
 L2_V9, IP_V9 = "v9_l2_b1.rbq", "v9_ip_b4.rbq"
 V6_V8_COMMIT = "aaf8be8"
+QUANTIZER_NPZ_COMMIT = "3b59eee"
 
 N, DIM, N_CLUSTERS = 400, 64, 6
 K, NPROBE = 5, 3
@@ -381,9 +380,30 @@ class TestRetiredLayouts:
     @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
     def test_quantizer_npz_is_refused_by_name(self, tmp_path, kwargs):
         path = tmp_path / "quantizer.npz"
-        save_rabitq(RaBitQ(RaBitQConfig(seed=0)).fit(_DATA), path)
+        np.savez(
+            path,
+            magic=np.str_("rabitq/quantizer"),
+            format_version=np.int64(4),
+            packed_codes=np.zeros((len(_DATA), 1), dtype=np.uint64),
+        )
         with pytest.raises(PersistenceError, match="rabitq/quantizer"):
             load_searcher(path, **kwargs)
+
+    @pytest.mark.parametrize("version", (2, 3, 4))
+    def test_quantizer_npz_names_the_last_commit_that_reads_it(
+        self, tmp_path, version
+    ):
+        path = tmp_path / "quantizer.npz"
+        np.savez(
+            path,
+            magic=np.str_("rabitq/quantizer"),
+            format_version=np.int64(version),
+        )
+        for kwargs in _LOAD_MODES:
+            with pytest.raises(PersistenceError, match="retired") as e:
+                load_searcher(path, **kwargs)
+            assert f"format v{version}" in str(e.value)
+            assert QUANTIZER_NPZ_COMMIT in str(e.value)
 
     @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
     def test_sharded_directory_is_refused_by_name(self, tmp_path, kwargs):

@@ -13,8 +13,8 @@ suite pins the contracts the width parameter introduces:
   every width;
 * the fast-scan LUT modes (binary by design) refuse multi-bit codes with a
   typed error at construction and at property-assignment time;
-* memory accounting (``memory_bytes`` / ``compression_ratio`` /
-  ``code_bytes_per_vector``) scales with the width.
+* memory accounting (the arena's ``memory_bytes`` and code bytes,
+  ``compression_ratio``) scales with the width.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
-from repro.core.estimator import n_consts_for
+from repro.core.estimator import CONST_ALIGN, CONST_POPCOUNT, n_consts_for
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError
 from repro.index.searcher import IVFQuantizedSearcher
@@ -60,17 +60,17 @@ class TestQuantizer:
         data, _ = corpus
         implicit = RaBitQ(RaBitQConfig(seed=5)).fit(data)
         explicit = _fit(data, 1)
+        np.testing.assert_array_equal(implicit.arena.codes, explicit.arena.codes)
         np.testing.assert_array_equal(
-            implicit.dataset.packed_codes, explicit.dataset.packed_codes
+            implicit.arena.consts[CONST_POPCOUNT],
+            explicit.arena.consts[CONST_POPCOUNT],
         )
         np.testing.assert_array_equal(
-            implicit.dataset.code_popcounts, explicit.dataset.code_popcounts
+            implicit.arena.consts[CONST_ALIGN], explicit.arena.consts[CONST_ALIGN]
         )
-        np.testing.assert_array_equal(
-            implicit.dataset.alignments, explicit.dataset.alignments
-        )
-        assert explicit.dataset.bits == 1
-        assert explicit.dataset.rescales is None
+        assert explicit.arena.bits == 1
+        # No rescale row: the binary constants layout.
+        assert explicit.arena.n_consts == n_consts_for("l2", 1)
 
     def test_reconstruction_error_decreases_with_bits(self, corpus):
         data, _ = corpus
@@ -112,35 +112,12 @@ class TestQuantizer:
         ).mean()
         assert covered >= 0.85
 
-    @pytest.mark.parametrize("bits", ALL_BITS)
-    def test_add_is_split_invariant(self, corpus, bits):
-        # Incremental encoding is per-row against the fitted rotation and
-        # centroid, so how the added rows are batched cannot matter.
-        data, _ = corpus
-        one_call = RaBitQ(RaBitQConfig(seed=5, bits=bits)).fit(data[:300])
-        one_call.add(data[300:])
-        two_calls = RaBitQ(RaBitQConfig(seed=5, bits=bits)).fit(data[:300])
-        two_calls.add(data[300:350])
-        two_calls.add(data[350:])
-        np.testing.assert_array_equal(
-            one_call.dataset.packed_codes, two_calls.dataset.packed_codes
-        )
-        np.testing.assert_array_equal(
-            one_call.dataset.alignments, two_calls.dataset.alignments
-        )
-        if bits > 1:
-            np.testing.assert_array_equal(
-                one_call.dataset.rescales, two_calls.dataset.rescales
-            )
-
     def test_memory_accounting_scales_with_bits(self, corpus):
         data, _ = corpus
         one = _fit(data, 1)
         four = _fit(data, 4)
-        assert four.dataset.code_bytes_per_vector() == pytest.approx(
-            4 * one.dataset.code_bytes_per_vector()
-        )
-        assert four.dataset.memory_bytes() > one.dataset.memory_bytes()
+        assert four.arena.codes.nbytes == 4 * one.arena.codes.nbytes
+        assert four.arena.memory_bytes() > one.arena.memory_bytes()
         # Compression counts the packed code bytes, so the ratio shrinks
         # by the width (the shared constant-size metadata aside).
         assert four.compression_ratio() == pytest.approx(

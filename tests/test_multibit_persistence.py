@@ -13,12 +13,7 @@ dimension).  This suite pins the contract from the multi-bit refactor:
   no other code section, this build answers from it, and the ``uint8``
   ``arena_bits`` section of v10 archives is ignored;
 * a corrupted ``bits`` value in the header is rejected with
-  :class:`PersistenceError`, not mis-decoded;
-* quantizer npz archives are written as version 4 for every width (a
-  ``bits`` entry always, ``rescales`` only for ``bits > 1``, the rounding
-  vector in place of v2/v3's generator state) and round-trip
-  bit-identically; ``tests/test_persistence.py`` pins that v2/v3 files
-  still load.
+  :class:`PersistenceError`, not mis-decoded.
 """
 
 from __future__ import annotations
@@ -30,16 +25,12 @@ import numpy as np
 import pytest
 
 from repro.core.bitops import pack_level_planes
-from repro.core.config import RaBitQConfig
-from repro.core.quantizer import RaBitQ
 from repro.exceptions import PersistenceError
 from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io.persistence import (
     _write_v6_archive,
-    load_rabitq,
     load_searcher,
-    save_rabitq,
     save_searcher,
 )
 from test_legacy_archives import _read
@@ -202,49 +193,3 @@ class TestCorruption:
         _rewrite_header_bits(path, 2)
         with pytest.raises(PersistenceError):
             load_searcher(path)
-
-
-class TestQuantizerArchives:
-    def test_one_bit_archive_round_trips_as_v4(self, corpus, tmp_path):
-        data, queries = corpus
-        quantizer = RaBitQ(RaBitQConfig(seed=3, bits=1)).fit(data)
-        path = tmp_path / "q1"
-        save_rabitq(quantizer, path)
-        with np.load(str(path) + ".npz") as archive:
-            assert int(archive["format_version"]) == 4
-            assert int(archive["bits"]) == 1
-            assert "rescales" not in archive.files
-            assert "query_rng_state" not in archive.files
-        reference = quantizer.estimate_distances(queries[0])
-        loaded = load_rabitq(path)
-        assert loaded.config.bits == 1
-        estimate = loaded.estimate_distances(queries[0])
-        np.testing.assert_array_equal(reference.distances, estimate.distances)
-
-    def test_multibit_archive_round_trips_as_v4(self, corpus, tmp_path):
-        data, queries = corpus
-        quantizer = RaBitQ(RaBitQConfig(seed=3, bits=4)).fit(data)
-        path = tmp_path / "q4"
-        save_rabitq(quantizer, path)
-        with np.load(str(path) + ".npz") as archive:
-            assert int(archive["format_version"]) == 4
-            assert int(archive["bits"]) == 4
-            assert archive["rescales"].shape == (len(data),)
-        reference = quantizer.estimate_distances(queries[0])
-        loaded = load_rabitq(path)
-        assert loaded.config.bits == 4
-        estimate = loaded.estimate_distances(queries[0])
-        np.testing.assert_array_equal(reference.distances, estimate.distances)
-
-    def test_unsupported_quantizer_bits_rejected(self, corpus, tmp_path):
-        data, _ = corpus
-        quantizer = RaBitQ(RaBitQConfig(seed=3, bits=4)).fit(data)
-        path = tmp_path / "qbad"
-        save_rabitq(quantizer, path)
-        npz_path = str(path) + ".npz"
-        with np.load(npz_path) as archive:
-            entries = {name: archive[name] for name in archive.files}
-        entries["bits"] = np.int64(5)
-        np.savez(npz_path.removesuffix(".npz"), **entries)
-        with pytest.raises(PersistenceError, match="unsupported code width"):
-            load_rabitq(path)

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.normalization import (
-    compute_centroid,
-    normalize_queries,
-    normalize_query,
-    normalize_to_centroid,
-    pad_vectors,
-)
+from repro.core.normalization import compute_centroid, pad_vectors
 from repro.exceptions import DimensionMismatchError
 
 
@@ -19,85 +13,6 @@ class TestComputeCentroid:
     def test_mean(self, rng):
         data = rng.standard_normal((20, 5))
         np.testing.assert_allclose(compute_centroid(data), data.mean(axis=0))
-
-
-class TestNormalizeToCentroid:
-    def test_unit_norms(self, rng):
-        data = rng.standard_normal((30, 8))
-        normalized = normalize_to_centroid(data)
-        norms = np.linalg.norm(normalized.unit_vectors, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-    def test_norms_recover_residuals(self, rng):
-        data = rng.standard_normal((30, 8))
-        normalized = normalize_to_centroid(data)
-        rebuilt = (
-            normalized.unit_vectors * normalized.norms[:, None]
-            + normalized.centroid[None, :]
-        )
-        np.testing.assert_allclose(rebuilt, data, atol=1e-12)
-
-    def test_explicit_centroid(self, rng):
-        data = rng.standard_normal((10, 4))
-        centroid = np.zeros(4)
-        normalized = normalize_to_centroid(data, centroid)
-        np.testing.assert_allclose(
-            normalized.norms, np.linalg.norm(data, axis=1), atol=1e-12
-        )
-
-    def test_vector_equal_to_centroid_stays_zero(self):
-        data = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-        normalized = normalize_to_centroid(data, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(normalized.unit_vectors[0], [0.0, 0.0])
-        assert normalized.norms[0] == 0.0
-
-    def test_centroid_dim_mismatch(self, rng):
-        with pytest.raises(DimensionMismatchError):
-            normalize_to_centroid(rng.standard_normal((5, 4)), np.zeros(3))
-
-    def test_properties(self, rng):
-        normalized = normalize_to_centroid(rng.standard_normal((7, 6)))
-        assert normalized.dim == 6
-        assert len(normalized) == 7
-
-
-class TestNormalizeQuery:
-    def test_unit_norm(self, rng):
-        query = rng.standard_normal(8)
-        centroid = rng.standard_normal(8)
-        unit, norm = normalize_query(query, centroid)
-        assert np.linalg.norm(unit) == pytest.approx(1.0)
-        assert norm == pytest.approx(np.linalg.norm(query - centroid))
-
-    def test_query_at_centroid(self):
-        unit, norm = normalize_query(np.ones(4), np.ones(4))
-        np.testing.assert_allclose(unit, 0.0)
-        assert norm == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            normalize_query(np.zeros(4), np.zeros(5))
-
-
-class TestNormalizeQueries:
-    def test_matches_per_row_exactly(self, rng):
-        queries = rng.standard_normal((6, 8))
-        centroid = rng.standard_normal(8)
-        queries[2] = centroid  # zero-residual row
-        units, norms = normalize_queries(queries, centroid)
-        assert units.shape == (6, 8) and norms.shape == (6,)
-        for i in range(6):
-            unit, norm = normalize_query(queries[i], centroid)
-            np.testing.assert_array_equal(units[i], unit)
-            assert norms[i] == norm
-
-    def test_empty_batch(self):
-        units, norms = normalize_queries(np.empty((0, 5)), np.zeros(5))
-        assert units.shape == (0, 5) and norms.shape == (0,)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            normalize_queries(np.zeros((2, 4)), np.zeros(5))
 
 
 class TestPadVectors:

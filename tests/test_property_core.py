@@ -19,10 +19,10 @@ from hypothesis.extra import numpy as hnp
 from repro.core.codebook import bits_to_signed, signed_to_bits
 from repro.core.config import RaBitQConfig, padded_code_length
 from repro.core.estimator import estimate_distances, inner_product_to_squared_distance
-from repro.core.normalization import normalize_query, normalize_to_centroid
 from repro.core.quantizer import RaBitQ
 from repro.core.query import quantize_query_matrix
 from repro.core.rotation import QRRotation
+from repro.substrates.linalg import normalize_rows
 
 _SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -73,10 +73,12 @@ class TestNormalizationProperties:
         points = data.draw(hnp.arrays(np.float64, (n, dim), elements=finite_floats))
         query = data.draw(hnp.arrays(np.float64, dim, elements=finite_floats))
         centroid = data.draw(hnp.arrays(np.float64, dim, elements=finite_floats))
-        normalized = normalize_to_centroid(points, centroid)
-        unit_query, query_norm = normalize_query(query, centroid)
-        ips = normalized.unit_vectors @ unit_query
-        rebuilt = inner_product_to_squared_distance(ips, normalized.norms, query_norm)
+        units, norms = normalize_rows(points - centroid, return_norms=True)
+        unit_query, query_norm = normalize_rows(
+            (query - centroid)[None, :], return_norms=True
+        )
+        ips = units @ unit_query[0]
+        rebuilt = inner_product_to_squared_distance(ips, norms, query_norm[0])
         expected = ((points - query) ** 2).sum(axis=1)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-6, rtol=1e-6)
 

@@ -28,7 +28,7 @@ class TestExceptionHierarchy:
 
     def test_catching_base_class_catches_library_errors(self):
         with pytest.raises(ReproError):
-            repro.RaBitQ().dataset  # not fitted
+            repro.RaBitQ().arena  # not fitted
 
     def test_library_errors_do_not_mask_unrelated_exceptions(self):
         # A malformed query raises NumPy's own conversion error, not a
@@ -49,8 +49,6 @@ class TestTopLevelExports:
         import repro.io
 
         assert set(repro.io.__all__) == {
-            "save_rabitq",
-            "load_rabitq",
             "save_searcher",
             "load_searcher",
             "default_journal_path",
@@ -115,19 +113,6 @@ class TestTopLevelExports:
 
 
 class TestEndToEndViaPublicApi:
-    def test_save_load_roundtrip_via_top_level(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((100, 32))
-        quantizer = repro.RaBitQ(repro.RaBitQConfig(seed=0)).fit(data)
-        path = tmp_path / "index.npz"
-        repro.save_rabitq(quantizer, path)
-        loaded = repro.load_rabitq(path)
-        query = rng.standard_normal(32)
-        np.testing.assert_allclose(
-            loaded.estimate_distances(query, compute="float").distances,
-            quantizer.estimate_distances(query, compute="float").distances,
-        )
-
     def test_similarity_estimator_via_top_level(self):
         # Similarity estimation is RaBitQ(metric=...); the separate
         # estimator class is gone from the package.

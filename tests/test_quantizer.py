@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
+from repro.core.estimator import CONST_ALIGN, CONST_NORM
+from repro.core.normalization import pad_vectors
 from repro.core.quantizer import COMPUTE_MODES, RaBitQ
 from repro.core.rotation import QRRotation
 from repro.core.theory import expected_alignment
@@ -15,6 +17,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
+from repro.substrates.linalg import normalize_rows
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +37,23 @@ class TestFit:
 
     def test_dataset_shapes(self, data_and_query):
         data, _ = data_and_query
-        dataset = RaBitQ(RaBitQConfig(seed=0)).fit(data).dataset
-        assert dataset.packed_codes.shape == (400, 1)
-        assert dataset.alignments.shape == (400,)
-        assert dataset.norms.shape == (400,)
-        assert len(dataset) == 400
-        assert dataset.n_words == 1
+        arena = RaBitQ(RaBitQConfig(seed=0)).fit(data).arena
+        assert arena.codes.shape == (400, 1)
+        assert arena.consts[CONST_ALIGN].shape == (400,)
+        assert arena.consts[CONST_NORM].shape == (400,)
+        assert arena.n_rows == 400
+        assert arena.n_words == 1
 
     def test_alignment_near_expected_value(self, data_and_query):
         data, _ = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        mean_alignment = float(quantizer.dataset.alignments.mean())
+        mean_alignment = float(quantizer.arena.consts[CONST_ALIGN].mean())
         assert abs(mean_alignment - expected_alignment(64)) < 0.02
 
     def test_alignments_positive(self, data_and_query):
         data, _ = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        assert (quantizer.dataset.alignments > 0.0).all()
+        assert (quantizer.arena.consts[CONST_ALIGN] > 0.0).all()
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
@@ -58,7 +61,7 @@ class TestFit:
 
     def test_not_fitted_raises(self):
         with pytest.raises(NotFittedError):
-            RaBitQ().dataset
+            RaBitQ().arena
         with pytest.raises(NotFittedError):
             RaBitQ().rotation
 
@@ -71,9 +74,9 @@ class TestFit:
         data, _ = data_and_query
         centroid = np.zeros(60)
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data, centroid=centroid)
-        np.testing.assert_allclose(quantizer.dataset.centroid, centroid)
+        np.testing.assert_allclose(quantizer.centroid, centroid)
         np.testing.assert_allclose(
-            quantizer.dataset.norms, np.linalg.norm(data, axis=1)
+            quantizer.arena.consts[CONST_NORM], np.linalg.norm(data, axis=1)
         )
 
     def test_shared_rotation_reused(self, data_and_query):
@@ -89,8 +92,8 @@ class TestFit:
 
     def test_deterministic_given_seed(self, data_and_query):
         data, _ = data_and_query
-        a = RaBitQ(RaBitQConfig(seed=9)).fit(data).dataset.packed_codes
-        b = RaBitQ(RaBitQConfig(seed=9)).fit(data).dataset.packed_codes
+        a = RaBitQ(RaBitQConfig(seed=9)).fit(data).arena.codes
+        b = RaBitQ(RaBitQConfig(seed=9)).fit(data).arena.codes
         np.testing.assert_array_equal(a, b)
 
     def test_hadamard_rotation_config(self, data_and_query):
@@ -103,10 +106,10 @@ class TestFit:
 
     def test_memory_accounting(self, data_and_query):
         data, _ = data_and_query
-        dataset = RaBitQ(RaBitQConfig(seed=0)).fit(data).dataset
-        assert dataset.memory_bytes() > 0
+        arena = RaBitQ(RaBitQConfig(seed=0)).fit(data).arena
+        assert arena.memory_bytes() > 0
         # 400 codes x 8 bytes plus per-vector floats must dominate the total.
-        assert dataset.memory_bytes() >= 400 * 8
+        assert arena.memory_bytes() >= 400 * 8
 
 
 class TestEstimateDistances:
@@ -166,6 +169,27 @@ class TestEstimateDistances:
         wide = quantizer.estimate_distances(query, epsilon0=3.0)
         assert (wide.upper_bounds - wide.lower_bounds >= narrow.upper_bounds - narrow.lower_bounds - 1e-9).all()
 
+    @pytest.mark.parametrize("subset", [None, np.array([7, 2, 2, 40, 0])])
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("epsilon0", [0.0, 0.5, 1.9, 3.0])
+    def test_epsilon_override_equals_a_fit_at_that_epsilon(
+        self, data_and_query, epsilon0, bits, metric, subset
+    ):
+        # The override rewrites the half-width row with the call the fit
+        # makes, so every field matches a quantizer fitted at that epsilon0.
+        data, query = data_and_query
+        config = RaBitQConfig(seed=11, bits=bits)
+        quantizer = RaBitQ(config, metric=metric).fit(data)
+        refit = RaBitQ(config.with_overrides(epsilon0=epsilon0), metric=metric)
+        refit.fit(data)
+        got = quantizer.estimate_distances(query, subset=subset, epsilon0=epsilon0)
+        want = refit.estimate_distances(query, subset=subset)
+        for name in ("distances", "lower_bounds", "upper_bounds", "inner_products"):
+            np.testing.assert_array_equal(
+                getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
+            )
+
     def test_estimation_unbiased_over_rotations(self):
         # Average the estimator over independently seeded quantizers: the
         # mean estimate should approach the true distance (Theorem 3.2).
@@ -212,14 +236,13 @@ class TestIntrospection:
         # the reconstruction and the normalized (padded) data vector.
         data, _ = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        dataset = quantizer.dataset
-        from repro.core.normalization import normalize_to_centroid, pad_vectors
-
-        normalized = normalize_to_centroid(data, dataset.centroid)
-        padded = pad_vectors(normalized.unit_vectors, dataset.code_length)
+        units = normalize_rows(data - quantizer.centroid)
+        padded = pad_vectors(units, quantizer.code_length)
         reconstruction = quantizer.reconstruct()
         recomputed = np.einsum("ij,ij->i", reconstruction, padded)
-        np.testing.assert_allclose(recomputed, dataset.alignments, atol=1e-9)
+        np.testing.assert_allclose(
+            recomputed, quantizer.arena.consts[CONST_ALIGN], atol=1e-9
+        )
 
     def test_compression_ratio(self, data_and_query):
         data, _ = data_and_query
@@ -232,73 +255,3 @@ class TestIntrospection:
         assert not quantizer.is_fitted
         quantizer.fit(data)
         assert quantizer.is_fitted
-
-
-class TestIncrementalEncode:
-    """RaBitQ.add / RaBitQ.keep_rows — the mutable-lifecycle primitives."""
-
-    def test_add_matches_joint_fit_exactly(self, data_and_query):
-        # Encoding is deterministic given centroid + rotation, so fitting on
-        # A then adding B must equal fitting on A ∪ B bit for bit.
-        data, _ = data_and_query
-        part_a, part_b = data[:250], data[250:]
-        centroid = data.mean(axis=0)
-        rotation = QRRotation(64, rng=0)
-        incremental = RaBitQ(RaBitQConfig(seed=1)).fit(
-            part_a, centroid=centroid, rotation=rotation
-        )
-        incremental.add(part_b)
-        joint = RaBitQ(RaBitQConfig(seed=1)).fit(
-            data, centroid=centroid, rotation=rotation
-        )
-        np.testing.assert_array_equal(
-            incremental.dataset.packed_codes, joint.dataset.packed_codes
-        )
-        np.testing.assert_array_equal(
-            incremental.dataset.code_popcounts, joint.dataset.code_popcounts
-        )
-        np.testing.assert_array_equal(
-            incremental.dataset.alignments, joint.dataset.alignments
-        )
-        np.testing.assert_array_equal(
-            incremental.dataset.norms, joint.dataset.norms
-        )
-
-    def test_add_leaves_existing_rows_untouched(self, data_and_query):
-        data, query = data_and_query
-        quantizer = RaBitQ(RaBitQConfig(seed=2)).fit(data[:300])
-        before = quantizer.estimate_distances(query, compute="float")
-        quantizer.add(data[300:])
-        after = quantizer.estimate_distances(query, compute="float")
-        np.testing.assert_array_equal(
-            after.distances[:300], before.distances
-        )
-        assert len(quantizer.dataset) == 400
-
-    def test_add_validates_dimension_and_fit_state(self, data_and_query):
-        data, _ = data_and_query
-        with pytest.raises(NotFittedError):
-            RaBitQ().add(data)
-        quantizer = RaBitQ(RaBitQConfig(seed=3)).fit(data)
-        with pytest.raises(DimensionMismatchError):
-            quantizer.add(np.zeros((2, 7)))
-        quantizer.add(np.empty((0, 60)))  # no-op
-        assert len(quantizer.dataset) == 400
-
-    def test_keep_rows_slices_metadata(self, data_and_query):
-        data, query = data_and_query
-        quantizer = RaBitQ(RaBitQConfig(seed=4)).fit(data)
-        reference = RaBitQ(RaBitQConfig(seed=4)).fit(data)
-        keep = np.ones(400, dtype=bool)
-        keep[::4] = False
-        quantizer.keep_rows(keep)
-        assert len(quantizer.dataset) == int(keep.sum())
-        full = reference.estimate_distances(query, compute="float")
-        kept = quantizer.estimate_distances(query, compute="float")
-        np.testing.assert_array_equal(kept.distances, full.distances[keep])
-
-    def test_keep_rows_validates_mask(self, data_and_query):
-        data, _ = data_and_query
-        quantizer = RaBitQ(RaBitQConfig(seed=5)).fit(data)
-        with pytest.raises(DimensionMismatchError):
-            quantizer.keep_rows(np.ones(3, dtype=bool))

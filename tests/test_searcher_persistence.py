@@ -249,11 +249,13 @@ class TestSearcherArchiveErrors:
     def test_quantizer_archive_rejected_by_searcher_loader(
         self, lifecycle_data, tmp_path
     ):
-        from repro.core.quantizer import RaBitQ
-        from repro.io import save_rabitq
-
         data, _, _ = lifecycle_data
         path = tmp_path / "quantizer.npz"
-        save_rabitq(RaBitQ(RaBitQConfig(seed=0)).fit(data), path)
+        np.savez(
+            path,
+            magic=np.str_("rabitq/quantizer"),
+            format_version=np.int64(4),
+            packed_codes=np.zeros((len(data), 1), dtype=np.uint64),
+        )
         with pytest.raises(PersistenceError, match="magic"):
             load_searcher(path)

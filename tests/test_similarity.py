@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
+from repro.core.estimator import (
+    CONST_ALIGN,
+    CONST_DOT_C,
+    CONST_NORM,
+    CONST_POPCOUNT,
+    CONST_RAW_NORM,
+    N_CONSTS,
+    build_code_consts,
+)
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index.rerank import NoReranker
 from repro.index.searcher import IVFQuantizedSearcher
-from repro.io import save_rabitq
 
 FIELDS = ("distances", "lower_bounds", "upper_bounds", "inner_products")
 
@@ -37,31 +43,39 @@ class TestConstruction:
 
     def test_requires_raw_terms_before_estimation(self, similarity_setup):
         data, query, ip, _ = similarity_setup
+        consts = ip.arena.consts
+        np.testing.assert_array_equal(consts[CONST_DOT_C], data @ ip.centroid)
         np.testing.assert_array_equal(
-            ip.dataset.dot_centroid, data @ ip.dataset.centroid
+            consts[CONST_RAW_NORM], np.sqrt(np.einsum("ij,ij->i", data, data))
         )
-        np.testing.assert_array_equal(
-            ip.dataset.raw_norms, np.sqrt(np.einsum("ij,ij->i", data, data))
-        )
-        assert RaBitQ(RaBitQConfig(seed=1)).fit(data).dataset.raw_norms is None
+        assert RaBitQ(RaBitQConfig(seed=1)).fit(data).arena.n_consts == N_CONSTS
         stripped = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
-        stripped._dataset = replace(
-            stripped.dataset, dot_centroid=None, raw_norms=None
-        )
-        with pytest.raises(InvalidParameterError, match="dot_centroid"):
+        stripped.arena.consts = stripped.arena.consts[:N_CONSTS]
+        with pytest.raises(InvalidParameterError, match="metric 'ip'"):
             stripped.estimate_distances(query)
 
     def test_raw_terms_shape_validation(self, similarity_setup):
         data, query, _, _ = similarity_setup
         quantizer = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
-        dataset = quantizer.dataset
+        consts = quantizer.arena.consts
+        rows = (
+            consts[CONST_ALIGN],
+            consts[CONST_NORM],
+            consts[CONST_POPCOUNT],
+            quantizer.code_length,
+            1.9,
+        )
         for bad in (
-            {"dot_centroid": dataset.dot_centroid[:10]},
+            {"dot_centroid": consts[CONST_DOT_C][:10]},
             {"raw_norms": np.zeros(data.shape[0] + 1)},
         ):
-            quantizer._dataset = replace(dataset, **bad)
+            terms = {
+                "dot_centroid": consts[CONST_DOT_C],
+                "raw_norms": consts[CONST_RAW_NORM],
+                **bad,
+            }
             with pytest.raises(InvalidParameterError, match="one entry per code"):
-                quantizer.estimate_distances(query)
+                build_code_consts(*rows, metric="ip", **terms)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(InvalidParameterError, match="hamming"):
@@ -190,64 +204,3 @@ class TestTopKInnerProduct:
         _, query, _, _ = similarity_setup
         with pytest.raises(InvalidParameterError):
             mips_searcher.search(query, 0, nprobe=1)
-
-
-def _estimates(quantizer, query, subset=None):
-    estimate = quantizer.estimate_distances(query, subset=subset)
-    return [getattr(estimate, name) for name in FIELDS]
-
-
-class TestMutation:
-    """``add`` / ``keep_rows`` carry the per-row raw terms with the codes,
-    so similarity estimates stay whole after every mutation."""
-
-    @pytest.mark.parametrize("bits", [1, 4])
-    @pytest.mark.parametrize("metric", ["ip", "cosine"])
-    def test_add_equals_a_fit_over_all_rows(self, metric, bits):
-        rng = np.random.default_rng(bits)
-        data = rng.standard_normal((55, 40)) + 0.4
-        query = rng.standard_normal(40) + 0.4
-        config = RaBitQConfig(seed=2, bits=bits)
-        grown = RaBitQ(config, metric=metric).fit(data[:50])
-        before = _estimates(grown, query)
-        grown.add(data[50:])
-        fresh = RaBitQ(config, metric=metric).fit(
-            data, centroid=grown.dataset.centroid, rotation=grown.rotation
-        )
-        got, want = _estimates(grown, query), _estimates(fresh, query)
-        for name in ("packed_codes", "alignments", "norms", "raw_norms"):
-            np.testing.assert_array_equal(
-                getattr(grown.dataset, name), getattr(fresh.dataset, name)
-            )
-        # <o_r, c> of the added rows is a GEMV over those rows alone: BLAS
-        # may round it 1 ULP apart from the fit's GEMV over all 55 rows.
-        np.testing.assert_allclose(
-            grown.dataset.dot_centroid, fresh.dataset.dot_centroid, rtol=1e-14
-        )
-        for got_field, want_field, old_field in zip(got, want, before):
-            np.testing.assert_allclose(got_field, want_field, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(got_field[:50], old_field)
-
-    @pytest.mark.parametrize("bits", [1, 4])
-    @pytest.mark.parametrize("metric", ["ip", "cosine"])
-    def test_keep_rows_equals_the_subset_estimate(self, metric, bits):
-        rng = np.random.default_rng(10 + bits)
-        data = rng.standard_normal((55, 40)) + 0.4
-        query = rng.standard_normal(40) + 0.4
-        quantizer = RaBitQ(RaBitQConfig(seed=2, bits=bits), metric=metric)
-        quantizer.fit(data)
-        keep = np.ones(55, dtype=bool)
-        keep[::3] = False
-        want = _estimates(quantizer, query, subset=np.flatnonzero(keep))
-        got = _estimates(quantizer.keep_rows(keep), query)
-        for got_field, want_field in zip(got, want):
-            np.testing.assert_array_equal(got_field, want_field)
-
-
-@pytest.mark.parametrize("metric", ["ip", "cosine"])
-def test_save_rabitq_refuses_similarity_and_writes_nothing(tmp_path, metric):
-    data = np.random.default_rng(3).standard_normal((30, 16))
-    quantizer = RaBitQ(RaBitQConfig(seed=0), metric=metric).fit(data)
-    with pytest.raises(InvalidParameterError, match=metric):
-        save_rabitq(quantizer, tmp_path / "similarity")
-    assert list(tmp_path.iterdir()) == []
