@@ -51,9 +51,12 @@ def test_integer_dot_kernel(benchmark, kernel_setup, kernel):
     quantizer, prepared = kernel_setup
     codes = quantizer.arena.codes
     query = prepared.quantized
-    popcount = bitops.binary_dot_uint_batch(codes, query.bitplanes)[0]
+    planes = bitops.bitplanes_from_uint_batch(
+        query.codes, quantizer.config.query_bits
+    )
+    popcount = bitops.binary_dot_uint_batch(codes, planes)[0]
     if kernel == "popcount":
-        result = benchmark(bitops.binary_dot_uint_batch, codes, query.bitplanes)[0]
+        result = benchmark(bitops.binary_dot_uint_batch, codes, planes)[0]
     else:
         segments = lut.split_into_segments(
             bitops.unpack_bits(codes, quantizer.code_length)

@@ -18,10 +18,12 @@ This example mirrors the paper's Algorithm 1 (index phase) and Algorithm 2
    (the randomized-rounding vector is part of the index, like the rotation).
 
 The searcher stores its codes in a contiguous *code arena* — one
-cluster-grouped packed code matrix plus one fused matrix of per-code
-estimator constants — so probing clusters yields contiguous array slices
-and estimation runs as one integer inner-product pass plus one fused
-affine transform (see ``benchmarks/README.md`` for the layout, the
+cluster-grouped packed code matrix plus one matrix of the two per-code
+constants the estimator cannot recompute (``||o_r - c||`` and
+``<o_bar, o>``; the rest is derived per query) — so probing clusters
+yields contiguous array slices and estimation runs as one integer
+inner-product pass plus one fused affine transform (see
+``benchmarks/README.md`` for the layout, the
 archive format, and ``benchmarks/run_bench.py`` for the tracked
 single-query/batch QPS trajectory in ``BENCH_ann.json``).
 
@@ -81,7 +83,10 @@ def main() -> None:
     print(f"Compression vs float32   : {quantizer.compression_ratio():.1f}x")
     print(f"Index memory             : {arena.memory_bytes() / 1024:.1f} KiB "
           f"(raw vectors: {data.astype(np.float32).nbytes / 1024:.1f} KiB)")
-    print(f"Mean <o_bar, o> alignment: {arena.consts[CONST_ALIGN].mean():.4f} "
+    print(f"  per vector             : {arena.codes.nbytes // arena.n_rows} B code "
+          f"+ {arena.consts.nbytes // arena.n_rows} B stored constants")
+    alignments = arena.cluster_consts(0)[CONST_ALIGN]
+    print(f"Mean <o_bar, o> alignment: {alignments.mean():.4f} "
           "(theory predicts ~0.8)")
 
     # Query phase: estimate the squared distances — the same fused pipeline

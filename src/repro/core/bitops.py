@@ -364,6 +364,25 @@ def _dot_popcount(
     return dots[0] if segments is not None else dots
 
 
+def level_sums(
+    codes: np.ndarray, code_length: int, bits: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``sum_j u_j`` of plane-major packed ``codes``, as float64 (into ``out``).
+
+    ``sum_p 2^p popcount(plane p)`` over each row's words, with any padding
+    bits past ``code_length`` masked off: the popcount of a ``B = 1`` code,
+    the level sum of a multi-bit one.  Every count is a small integer, so
+    the float64 weighting is exact.
+    """
+    n_codes = codes.shape[0]
+    n_words = codes.shape[1] // bits
+    mask, weights = _popcount_operands(bits, 1, n_words, code_length)
+    if code_length % WORD_BITS:
+        codes = codes.reshape(n_codes, bits, n_words) & mask
+    counts = np.bitwise_count(codes).reshape(n_codes, bits * n_words)
+    return np.matmul(counts, weights, out=out)
+
+
 def _unpack_levels(codes: np.ndarray, code_length: int, bits: int) -> np.ndarray:
     """``uint8`` levels of plane-major packed ``codes`` (unvalidated).
 
@@ -553,6 +572,7 @@ __all__ = [
     "unpack_bits",
     "popcount",
     "popcount_total",
+    "level_sums",
     "binary_dot_uint_batch",
     "bitplanes_from_uint_batch",
     "pack_level_planes",

@@ -54,16 +54,8 @@ def decode_codes(packed_codes: np.ndarray, code_length: int) -> np.ndarray:
     return bits_to_signed(bits, code_length)
 
 
-def code_popcounts(bits: np.ndarray) -> np.ndarray:
-    """Sum of each code's entries: the pre-computed ``sum_i x̄_b[i]`` of
-    Eq. 20 (the popcount of a 0/1 code, the level sum of a multi-bit one)."""
-    arr = np.asarray(bits)
-    return arr.astype(np.int64).sum(axis=-1)
-
-
 __all__ = [
     "signed_to_bits",
     "bits_to_signed",
     "decode_codes",
-    "code_popcounts",
 ]

@@ -25,8 +25,10 @@ arithmetic is a bit-identity contract — so the query-rounding term
 Both query paths — :class:`repro.core.quantizer.RaBitQ` and the IVF
 searcher, under every metric — estimate packed codes through one function,
 :func:`estimate_codes` (the integer-dot kernel, the affine undo,
-:func:`fused_estimate`), on constants from :func:`build_code_consts`;
-:func:`estimate_distances` is the textbook form they are tested against.
+:func:`fused_estimate`), on the constants :func:`derive_code_consts`
+derives per call from the stored ones (:func:`stored_code_consts`);
+:func:`build_code_consts` is their reference form and
+:func:`estimate_distances` the textbook estimate they are tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitops import binary_dot_uint_batch
+from repro.core.bitops import binary_dot_uint_batch, level_sums
 from repro.core.metric import resolve_metric
 from repro.exceptions import InvalidParameterError
 
@@ -233,44 +235,113 @@ def estimate_distances(
 # Fused estimation kernels (code-arena hot path)
 # --------------------------------------------------------------------- #
 #
-# The arena-backed search path stores, for every encoded vector, a column of
-# pre-computed estimator constants so that query-time estimation reduces to
-# one integer inner-product pass, the affine undo and one estimate epilogue.
+# The estimate reads, for every encoded vector, a column of estimator
+# constants (the *view*), so that query-time estimation reduces to one
+# integer inner-product pass, the affine undo and one estimate epilogue.
 # Both of the latter form each shared subexpression once and update their
 # code-sized buffers in place, keeping the textbook grouping.  Each
-# constant is pre-computed with the *same elementwise operation* the
-# reference functions above would apply at query time, so fused results are
+# constant is computed with the *same elementwise operation* the reference
+# functions above would apply at query time, so fused results are
 # bit-identical to :func:`estimate_distances` (row by row, for a batch).
+#
+# Only the constants nothing else determines are stored (the arena and the
+# archive keep them, 16 B per code at B = 1 under l2): ``||o_r - c||`` and
+# ``<o_bar, o>``, plus ``<o_r, c>`` and ``||o_r||`` under ip / cosine and
+# the rescale of a B > 1 code.  :func:`derive_code_consts` rebuilds the
+# view from them, the packed codes (whose level sum is ``CONST_POPCOUNT``),
+# ``epsilon0`` and the code length once per search call, over the codes it
+# reads; :func:`build_code_consts` is the same view from unpacked inputs.
 
-#: Row indices of the fused per-code constants matrix (``N_CONSTS`` rows,
-#: one column per code).  Stored constants-major so each constant's slice
-#: over a contiguous code range is itself contiguous.
-CONST_NORM = 0  #: ``||o_r - c||``
+#: Row indices of the view (``N_CONSTS`` rows, one column per code).  Laid
+#: out constants-major so each constant's slice over a contiguous code
+#: range is itself contiguous.
+CONST_NORM = 0  #: ``||o_r - c||`` (stored)
 CONST_NORM_SQ = 1  #: ``norm * norm`` (the estimator's ``dn * dn``)
 CONST_TWO_NORM = 2  #: ``2.0 * norm`` (the estimator's ``2.0 * dn``)
-CONST_ALIGN = 3  #: ``<o_bar, o>``
+CONST_ALIGN = 3  #: ``<o_bar, o>`` (stored)
 CONST_SAFE_ALIGN = 4  #: ``align`` with zeros replaced by 1 (division guard)
-CONST_HALFWIDTH = 5  #: confidence-interval half-width for the config epsilon0
+CONST_HALFWIDTH = 5  #: confidence-interval half-width for the index epsilon0
 CONST_POPCOUNT = 6  #: ``popcount(x_b)`` as float64 (Eq. 20 affine term)
 N_CONSTS = 7
 
-#: Similarity metrics (``ip`` / ``cosine``) extend the matrix with the
-#: centroid-decomposition terms of :mod:`repro.core.metric`.
+#: Similarity metrics (``ip`` / ``cosine``) extend the view with the
+#: centroid-decomposition terms of :mod:`repro.core.metric` (both stored).
 CONST_DOT_C = 7  #: ``<o_r, c>`` — raw data vector dot normalization centroid
 CONST_RAW_NORM = 8  #: ``||o_r||`` — raw data-vector norm (cosine denominator)
 N_CONSTS_SIM = 9
 
 # Multi-bit (B > 1) codes append one more row *after* the metric's rows:
 # the per-code rescale factor ``1 / ||v||`` of the level vector
-# ``v = 2u - (2^B - 1)``.  It is always the last row of the matrix
-# (``consts[-1]``), for any metric; B = 1 matrices never carry it, keeping
-# the historical layout bit-identical.  ``CONST_POPCOUNT`` holds the level
-# sum ``sum_j u_j``, which is the popcount at B = 1.
+# ``v = 2u - (2^B - 1)``.  It is always the last row of the view and of
+# the stored rows (``consts[-1]``), for any metric; B = 1 codes never carry
+# it.  ``CONST_POPCOUNT`` holds the level sum ``sum_j u_j``, which is the
+# popcount at B = 1.
+
+#: The view rows that are stored, in stored order (the rescale row of a
+#: ``B > 1`` code follows them).  The other ``N_DERIVED`` view rows are
+#: derived.
+_STORED_VIEW_ROWS = (CONST_NORM, CONST_ALIGN, CONST_DOT_C, CONST_RAW_NORM)
+N_DERIVED = 5
 
 
 def n_consts_for(metric, bits: int = 1) -> int:
-    """Fused-constants rows for ``metric`` (name or instance) at width ``bits``."""
+    """View rows for ``metric`` (name or instance) at code width ``bits``."""
     return resolve_metric(metric).n_consts + (1 if bits > 1 else 0)
+
+
+def n_stored_consts_for(metric, bits: int = 1) -> int:
+    """Stored rows for ``metric`` (name or instance) at code width ``bits``."""
+    return n_consts_for(metric, bits) - N_DERIVED
+
+
+def stored_view_rows(n_consts: int, rescaled: bool) -> list[int]:
+    """The view row of each stored row of an ``n_consts``-row view
+    (``rescaled``: the codes are multi-bit, and the last row is stored)."""
+    rows = list(_STORED_VIEW_ROWS[: n_consts - N_DERIVED - rescaled])
+    return rows + [n_consts - 1] if rescaled else rows
+
+
+def stored_code_consts(
+    alignments: np.ndarray,
+    norms: np.ndarray,
+    *,
+    metric="l2",
+    dot_centroid: np.ndarray | None = None,
+    raw_norms: np.ndarray | None = None,
+    rescales: np.ndarray | None = None,
+) -> np.ndarray:
+    """The stored per-code constants, shape ``(n_stored, n_codes)``.
+
+    ``||o_r - c||`` and ``<o_bar, o>``; similarity metrics add ``<o_r, c>``
+    and ``||o_r||`` (``dot_centroid`` / ``raw_norms``, then required) and
+    multi-bit codes their ``rescales`` as the last row.  These are the
+    rows of the view :func:`build_code_consts` returns that
+    :func:`derive_code_consts` cannot recompute.
+    """
+    resolved = resolve_metric(metric)
+    align = np.asarray(alignments, dtype=np.float64).reshape(-1)
+    data_norms = np.asarray(norms, dtype=np.float64).reshape(-1)
+    if align.shape != data_norms.shape:
+        raise InvalidParameterError(
+            "alignments and norms must have the same length"
+        )
+    rows = [data_norms, align]
+    if resolved.n_consts > N_CONSTS:
+        if dot_centroid is None or raw_norms is None:
+            raise InvalidParameterError(
+                f"metric {resolved.name!r} requires dot_centroid and "
+                f"raw_norms per code"
+            )
+        dot_c = np.asarray(dot_centroid, dtype=np.float64).reshape(-1)
+        raw = np.asarray(raw_norms, dtype=np.float64).reshape(-1)
+        if dot_c.shape != align.shape or raw.shape != align.shape:
+            raise InvalidParameterError(
+                "dot_centroid and raw_norms must have one entry per code"
+            )
+        rows += [dot_c, raw]
+    if rescales is not None:
+        rows.append(np.asarray(rescales, dtype=np.float64).reshape(-1))
+    return np.stack(rows)
 
 
 def build_code_consts(
@@ -285,57 +356,100 @@ def build_code_consts(
     raw_norms: np.ndarray | None = None,
     rescales: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fused per-code estimator constants, shape ``(n_consts, n_codes)``.
+    """The estimator's per-code constants (the view), ``(n_consts, n_codes)``.
 
-    Every row is computed with the exact operation the reference estimator
-    applies at query time (e.g. ``norm * norm``, not ``norm ** 2``), so
-    consuming these constants in :func:`fused_estimate` reproduces
-    :func:`estimate_distances` bit for bit.
+    Every derived row is computed with the exact operation the reference
+    estimator applies at query time (e.g. ``norm * norm``, not
+    ``norm ** 2``), so consuming these constants in :func:`fused_estimate`
+    reproduces :func:`estimate_distances` bit for bit.  This is the
+    reference form of :func:`derive_code_consts`, which builds the same
+    matrix from the stored rows and the packed codes.
 
-    For ``metric="l2"`` (the default) the matrix has the historical
-    ``N_CONSTS`` rows and is bit-identical to the metric-oblivious layout.
+    For ``metric="l2"`` (the default) the matrix has ``N_CONSTS`` rows.
     Similarity metrics append the centroid-decomposition rows
     (``CONST_DOT_C`` = ``<o_r, c>``, ``CONST_RAW_NORM`` = ``||o_r||``),
     which must then be supplied via ``dot_centroid`` / ``raw_norms``.
     Multi-bit codes pass their level sums as ``code_popcounts`` and their
     ``rescales``, which become the trailing row.
     """
-    resolved = resolve_metric(metric)
-    align = np.asarray(alignments, dtype=np.float64).reshape(-1)
-    data_norms = np.asarray(norms, dtype=np.float64).reshape(-1)
+    stored = stored_code_consts(
+        alignments,
+        norms,
+        metric=metric,
+        dot_centroid=dot_centroid,
+        raw_norms=raw_norms,
+        rescales=rescales,
+    )
     pops = np.asarray(code_popcounts).reshape(-1)
-    if align.shape != data_norms.shape or align.shape != pops.shape:
+    if pops.shape[0] != stored.shape[1]:
         raise InvalidParameterError(
             "alignments, norms and code_popcounts must have the same length"
         )
-    n_rows = resolved.n_consts + (0 if rescales is None else 1)
-    consts = np.empty((n_rows, align.shape[0]), dtype=np.float64)
-    consts[CONST_NORM] = data_norms
+    n_rows = stored.shape[0] + N_DERIVED
+    consts = np.empty((n_rows, stored.shape[1]), dtype=np.float64)
+    consts[stored_view_rows(n_rows, rescales is not None)] = stored
+    data_norms, align = consts[CONST_NORM], consts[CONST_ALIGN]
     consts[CONST_NORM_SQ] = data_norms * data_norms
     consts[CONST_TWO_NORM] = 2.0 * data_norms
-    consts[CONST_ALIGN] = align
     consts[CONST_SAFE_ALIGN] = np.where(align != 0.0, align, 1.0)
     consts[CONST_HALFWIDTH] = confidence_interval_halfwidth(
         align, code_length, epsilon0
     )
     consts[CONST_POPCOUNT] = pops.astype(np.float64)
-    if resolved.n_consts > N_CONSTS:
-        if dot_centroid is None or raw_norms is None:
-            raise InvalidParameterError(
-                f"metric {resolved.name!r} requires dot_centroid and "
-                f"raw_norms per code"
-            )
-        dot_c = np.asarray(dot_centroid, dtype=np.float64).reshape(-1)
-        raw = np.asarray(raw_norms, dtype=np.float64).reshape(-1)
-        if dot_c.shape != align.shape or raw.shape != align.shape:
-            raise InvalidParameterError(
-                "dot_centroid and raw_norms must have one entry per code"
-            )
-        consts[CONST_DOT_C] = dot_c
-        consts[CONST_RAW_NORM] = raw
-    if rescales is not None:
-        consts[-1] = rescales
     return consts
+
+
+def derive_code_consts(
+    stored: np.ndarray,
+    codes: np.ndarray,
+    code_length: int,
+    bits: int,
+    epsilon0: float,
+    *,
+    columns=None,
+) -> np.ndarray:
+    """The view of packed ``codes`` from their stored constants.
+
+    ``stored`` holds the codes' stored rows (:func:`stored_code_consts`,
+    one column per code), or, with ``columns``, a wider matrix whose
+    ``columns`` are those codes: they are gathered straight into the view.
+    ``codes`` are the packed plane-major words (``bits`` planes of
+    ``code_length`` bits).  The result equals :func:`build_code_consts` of
+    the same codes bit for bit: each derived row is the same IEEE
+    operation, done in place in its view row, and ``CONST_POPCOUNT`` is the
+    codes' :func:`repro.core.bitops.level_sums` (padding bits masked off).
+    """
+    n_stored = stored.shape[0]
+    n_rows = n_stored + N_DERIVED
+    if n_stored - (bits > 1) not in (2, 4):
+        raise InvalidParameterError(
+            f"{n_stored} stored constants per code match no layout at "
+            f"bits={bits}"
+        )
+    n_codes = codes.shape[0]
+    view = np.empty((n_rows, n_codes), dtype=np.float64)
+    for src, dst in enumerate(stored_view_rows(n_rows, bits > 1)):
+        view[dst] = stored[src] if columns is None else stored[src].take(columns)
+    norm, align = view[CONST_NORM], view[CONST_ALIGN]
+    np.multiply(norm, norm, out=view[CONST_NORM_SQ])
+    np.multiply(2.0, norm, out=view[CONST_TWO_NORM])
+    # confidence_interval_halfwidth and the division guard, in place.
+    safe, halfwidth = view[CONST_SAFE_ALIGN], view[CONST_HALFWIDTH]
+    zero = None if align.all() else align == 0.0
+    np.copyto(safe, align)
+    if zero is not None:
+        np.copyto(safe, 1.0, where=zero)
+    np.multiply(align, align, out=halfwidth)
+    np.subtract(1.0, halfwidth, out=halfwidth)
+    np.maximum(halfwidth, 0.0, out=halfwidth)
+    halfwidth /= safe * safe
+    np.sqrt(halfwidth, out=halfwidth)
+    halfwidth *= float(epsilon0)
+    halfwidth /= np.sqrt(code_length - 1)
+    if zero is not None:
+        np.copyto(halfwidth, np.inf, where=zero)
+    level_sums(codes, code_length, bits, out=view[CONST_POPCOUNT])
+    return view
 
 
 def undo_query_quantization(
@@ -350,7 +464,7 @@ def undo_query_quantization(
     """Affine undo of the scalar query quantization (Eq. 19-20).
 
     ``integer_dot`` is the exact ``<u, q_u>`` of the codes whose constants
-    are ``consts`` (:func:`build_code_consts`, one column per code); it
+    are ``consts`` (the view, one column per code); it
     reads their level sums ``Σu`` and, for ``bits > 1``, their rescales.
     ``delta`` (Δ), ``lower`` (``v_l``) and ``sum_codes`` (``Σq_u``) are
     per-query ``(n_queries, 1)`` columns against a 2-D ``integer_dot``, or
@@ -407,9 +521,9 @@ def fused_estimate(
         ``<o_bar, q>`` per code — ``(n,)`` for one query (or a flat
         multi-cluster candidate set) or ``(n_queries, n)`` for a batch.
     consts:
-        Output of :func:`build_code_consts` for exactly those ``n`` codes
-        (columns aligned with ``quantized_dot``'s last axis), built for the
-        same ``metric``.
+        The view (:func:`derive_code_consts` or :func:`build_code_consts`)
+        of exactly those ``n`` codes (columns aligned with
+        ``quantized_dot``'s last axis), for the same ``metric``.
     query_norms:
         ``||q_r - c||`` — a scalar, an ``(n,)`` per-candidate array (flat
         layout spanning clusters with different centroids), or an
@@ -557,8 +671,8 @@ def estimate_codes(
 ) -> DistanceEstimate:
     """Estimates and bounds of packed ``codes`` for quantized query rows.
 
-    ``query_values`` are quantized query rows, ``consts`` the codes' fused
-    constants (:func:`build_code_consts`) and ``terms`` the rows' query
+    ``query_values`` are quantized query rows, ``consts`` the codes' view
+    (:func:`derive_code_consts`) and ``terms`` the rows' query
     terms, shaped to broadcast against the output: ``delta`` (Δ),
     ``lower`` (``v_l``) and ``sums`` (``Σq_u``) for the undo,
     ``query_norms`` (``||q - c||``) and, when present, ``query_rounding``
@@ -613,8 +727,13 @@ __all__ = [
     "CONST_DOT_C",
     "CONST_RAW_NORM",
     "N_CONSTS_SIM",
+    "N_DERIVED",
     "n_consts_for",
+    "n_stored_consts_for",
+    "stored_view_rows",
+    "stored_code_consts",
     "build_code_consts",
+    "derive_code_consts",
     "undo_query_quantization",
     "fused_estimate",
     "estimate_codes",

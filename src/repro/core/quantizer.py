@@ -7,10 +7,11 @@
   each coordinate as a ``B``-bit level (the sign bit at ``B = 1``; one
   encoder, :func:`encode_rows`, for every width), and store the codes in
   the searcher's layout: a one-region :class:`repro.index.arena.CodeArena`
-  (:attr:`RaBitQ.arena`) holding the packed bit-planes and the fused
-  per-code constants of :func:`repro.core.estimator.build_code_consts` —
-  the residual norms ``||o_r - c||``, the alignments ``<o_bar, o>`` and
-  the terms derived from them.
+  (:attr:`RaBitQ.arena`, without a slot map) holding the packed
+  bit-planes and the stored per-code constants of
+  :func:`repro.core.estimator.stored_code_consts` — the residual norms
+  ``||o_r - c||`` and the alignments ``<o_bar, o>``; every estimate derives
+  the other terms from them (``arena.cluster_consts(0)`` is that view).
 * **Query phase** (:meth:`RaBitQ.prepare_queries` then
   :meth:`RaBitQ.estimate_distances_batch`): normalize and inversely rotate
   the raw queries, scalar-quantize them, and estimate the squared distance
@@ -47,13 +48,11 @@ import numpy as np
 from repro.core import bitops, codebook
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
-    CONST_ALIGN,
-    CONST_HALFWIDTH,
     DistanceEstimate,
-    build_code_consts,
-    confidence_interval_halfwidth,
     estimate_codes,
     fused_estimate,
+    n_consts_for,
+    stored_code_consts,
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import compute_centroid, pad_vectors
@@ -87,7 +86,7 @@ def encode_rows(
     rotation: Rotation,
     code_length: int,
     bits: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Encode raw rows against their centroids with ``rotation`` (Algorithm 1).
 
     The one encoder for every code width ``bits``, shared by
@@ -106,12 +105,12 @@ def encode_rows(
       ``v = 2u - (2^bits - 1)``.  For ``bits = 1`` this map is the sign
       code, but that width keeps its literal sign arithmetic, bit for bit.
 
-    Returns ``(levels, level_sums, alignments, norms, rescales)``:
+    Returns ``(levels, alignments, norms, rescales)``:
 
     * ``levels`` — the ``uint8`` level matrix ``u`` (0/1 at ``bits = 1``),
-      packed by :func:`repro.core.bitops.pack_level_planes` for storage;
-    * ``level_sums`` — ``sum_j u_j`` per row (``int64``; the popcount term
-      of Eq. 20 at ``bits = 1``);
+      packed by :func:`repro.core.bitops.pack_level_planes` for storage
+      (their sums, Eq. 20's popcount term, are derived from the packed
+      words when a query needs them);
     * ``alignments`` — ``<x_bar, P^-1 o>`` per row, computed exactly;
     * ``norms`` — residual norms ``||o_r - c||``;
     * ``rescales`` — ``1 / ||v||`` per row for ``bits > 1`` (every ``v_j``
@@ -146,8 +145,7 @@ def encode_rows(
         v = 2.0 * levels.astype(np.float64) - float(n_levels)
         rescales = 1.0 / np.sqrt(np.einsum("ij,ij->i", v, v))
         alignments = np.einsum("ij,ij->i", v, rotated) * rescales
-    level_sums = codebook.code_popcounts(levels)
-    return levels, level_sums, alignments, norms, rescales
+    return levels, alignments, norms, rescales
 
 
 @dataclass(frozen=True)
@@ -243,9 +241,9 @@ class RaBitQ:
 
     @property
     def arena(self) -> CodeArena:
-        """The codes and fused constants :meth:`fit` produced, as a
-        one-region :class:`repro.index.arena.CodeArena` (slot ``i`` is row
-        ``i`` of the fitted data)."""
+        """The codes and stored constants :meth:`fit` produced, as a
+        one-region :class:`repro.index.arena.CodeArena` without a slot map
+        (row ``i`` is row ``i`` of the fitted data)."""
         if self._arena is None:
             raise NotFittedError("RaBitQ must be fitted before use")
         return self._arena
@@ -285,9 +283,9 @@ class RaBitQ:
 
         The codes and constants are built as the searcher builds a
         cluster's: :func:`encode_rows`, the packed level planes, then
-        :func:`repro.core.estimator.build_code_consts` with the config's
-        ``epsilon0`` (and ``<o_r, c>``, ``||o_r||`` under similarity
-        metrics).
+        :func:`repro.core.estimator.stored_code_consts` (with ``<o_r, c>``,
+        ``||o_r||`` under similarity metrics); the arena keeps the config's
+        ``epsilon0`` for the constants it derives.
 
         Parameters
         ----------
@@ -330,7 +328,7 @@ class RaBitQ:
             centroid = compute_centroid(raw)
         centre = np.asarray(centroid, dtype=np.float64).reshape(-1)
         bits = int(self.config.bits)
-        levels, level_sums, alignments, norms, rescales = encode_rows(
+        levels, alignments, norms, rescales = encode_rows(
             raw, centre, self._rotation, code_length, bits
         )
         raw_terms = {}
@@ -339,25 +337,18 @@ class RaBitQ:
                 "dot_centroid": raw @ centre,
                 "raw_norms": np.sqrt(np.einsum("ij,ij->i", raw, raw)),
             }
-        consts = build_code_consts(
-            alignments,
-            norms,
-            level_sums,
-            code_length,
-            self.config.epsilon0,
-            metric=self._metric,
-            rescales=rescales,
-            **raw_terms,
+        consts = stored_code_consts(
+            alignments, norms, metric=self._metric, rescales=rescales, **raw_terms
         )
-        n_rows = raw.shape[0]
         self._arena = CodeArena.from_sections(
             code_length,
-            consts.shape[0],
+            n_consts_for(self._metric, bits),
             codes=bitops.pack_level_planes(levels, bits),
             consts=consts,
-            slots=np.arange(n_rows, dtype=np.int64),
-            sizes=np.array([n_rows]),
+            slots=None,
+            sizes=np.array([raw.shape[0]]),
             bits=bits,
+            epsilon0=self.config.epsilon0,
         )
         self._centroid = centre
         return self
@@ -383,7 +374,9 @@ class RaBitQ:
         row alone — the searcher's own preparation
         (:func:`repro.core.query.rotated_unit_residuals`) on one centroid:
         each query is rotated once and ``P^-1 c`` subtracted, while the
-        scalar quantization and bit-plane packing are vectorized.  Similarity
+        scalar quantization is vectorized.  No bit-planes are packed
+        (``quantized.bitplanes`` is ``None``): the integer-dot kernel packs
+        its own when it takes the popcount path.  Similarity
         metrics add each row's ``<q_r, c> - ||c||^2`` and ``||q_r||``,
         scalar for scalar as the searcher computes them.
         """
@@ -407,6 +400,7 @@ class RaBitQ:
             self.config.query_bits,
             randomized=self.config.randomized_rounding,
             offsets=self._rounding_offsets,
+            with_bitplanes=False,
         )
         query_terms = {}
         if self._metric.higher_is_better:
@@ -539,9 +533,9 @@ class RaBitQ:
 
         The ``"bitwise"`` path is :func:`estimate_codes` in cross form, the
         searcher's own estimate with ``(n_queries, 1)`` query terms, for
-        every metric.  An ``epsilon0`` override rewrites the half-width row
-        of a copy of the selected constants with the call
-        :func:`build_code_consts` makes.
+        every metric, on the constants' view of the selected codes
+        (:meth:`CodeArena.consts_view`, derived with the ``epsilon0``
+        override when one is given).
         """
         if compute not in COMPUTE_MODES:
             raise InvalidParameterError(
@@ -549,15 +543,9 @@ class RaBitQ:
             )
         arena = self.arena
         code_length, bits = arena.code_length, arena.bits
-        consts = arena.consts[:, rows]
-        if epsilon0 is None:
-            eps = self.config.epsilon0
-        else:
-            eps = float(epsilon0)
-            consts = consts.copy()
-            consts[CONST_HALFWIDTH] = confidence_interval_halfwidth(
-                consts[CONST_ALIGN], code_length, eps
-            )
+        eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
+        codes = arena.codes[rows]
+        consts = arena.consts_view(rows, codes, epsilon0=eps)
         quantized = prepared.quantized
         terms = {"query_norms": prepared.query_norms[:, None]}
         if bits > 1:
@@ -577,7 +565,7 @@ class RaBitQ:
         terms["lower"] = quantized.lower[:, None]
         terms["sums"] = quantized.sum_codes.astype(np.float64)[:, None]
         return estimate_codes(
-            arena.codes[rows],
+            codes,
             consts,
             quantized.codes,
             terms,

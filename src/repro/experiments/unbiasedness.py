@@ -108,7 +108,7 @@ def run_unbiasedness_experiment(
     quantizer = RaBitQ(RaBitQConfig(seed=seed)).fit(dataset.data)
     unbiased = np.empty_like(true)
     naive = np.empty_like(true)
-    consts = quantizer.arena.consts
+    consts = quantizer.arena.cluster_consts(0)
     for i, query in enumerate(queries):
         prepared = quantizer.prepare_query(query)
         estimate = quantizer.estimate_distances(prepared)

@@ -14,16 +14,23 @@ stores every code once:
   ``B = 1``).  This is the one resident form: the integer-dot kernel
   :func:`repro.core.bitops.binary_dot_uint_batch` reads it directly, and
   the archive's ``arena_codes`` section is the same matrix;
-* ``consts`` — one ``(n_consts, capacity)`` float64 matrix of fused
-  estimator constants (see :func:`repro.core.estimator.build_code_consts`),
-  stored constants-major so each constant's slice over a cluster is
-  contiguous;
-* ``slots`` — the searcher slot id of every arena row;
+* ``consts`` — one ``(n_stored, capacity)`` float64 matrix of the stored
+  estimator constants (:func:`repro.core.estimator.stored_code_consts`:
+  ``||o_r - c||`` and ``<o_bar, o>``, plus ``<o_r, c>`` and ``||o_r||``
+  under ip / cosine and the rescale of a ``B > 1`` code), stored
+  constants-major so each constant's slice over a cluster is contiguous.
+  The estimator's other constants are derived from these, the codes and
+  the index's ``epsilon0`` when a query reads them (:meth:`consts_view`),
+  so a code of ``D = 128`` at ``B = 1`` under l2 costs 16 B of words and
+  16 B of constants;
+* ``slots`` — the searcher slot id of every arena row (8 B each; a
+  :class:`repro.core.quantizer.RaBitQ` arena, whose row ``i`` is slot
+  ``i``, stores none);
 * a CSR-style region table (``starts`` / ``sizes`` / ``caps``) mapping each
   cluster to its contiguous row range.
 
-Probing a cluster therefore yields *views* — zero-copy contiguous slices of
-``codes`` / ``consts`` / ``slots`` — instead of per-object Python iteration.
+Probing a cluster therefore reads contiguous slices of ``codes`` /
+``consts`` / ``slots`` instead of iterating per-object Python state.
 Row order inside a cluster region always equals the IVF bucket's id order
 (ascending slot id), which is exactly the row order the per-cluster
 quantizers used to store, so estimates read from the arena are bit-identical
@@ -45,7 +52,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitops import unpack_level_planes
-from repro.core.estimator import N_CONSTS
+from repro.core.config import DEFAULT_EPSILON0
+from repro.core.estimator import N_CONSTS, N_DERIVED, derive_code_consts
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
 #: Extra capacity factor applied to a cluster region when it overflows.
@@ -53,7 +61,7 @@ _GROWTH_FACTOR = 2.0
 
 
 class CodeArena:
-    """Contiguous cluster-grouped storage of packed codes + fused constants.
+    """Contiguous cluster-grouped storage of packed codes + stored constants.
 
     Parameters
     ----------
@@ -62,12 +70,17 @@ class CodeArena:
     code_length:
         Code length in dimensions (bits per code plane).
     n_consts:
-        Rows of the fused estimator-constants matrix —
+        Rows of the estimator's view of a code —
         :func:`repro.core.estimator.n_consts_for` of the served metric and
         code width (``N_CONSTS`` for binary squared-L2 serving, the
-        default).
+        default).  ``consts`` stores ``n_stored = n_consts - N_DERIVED``
+        of them.
     bits:
         Code width ``B``: bit-planes per code.
+    epsilon0:
+        The index's confidence parameter, which the derived half-widths
+        are computed for (default: the paper's, as in
+        :class:`repro.core.config.RaBitQConfig`).
     """
 
     __slots__ = (
@@ -80,6 +93,7 @@ class CodeArena:
         "code_length",
         "n_consts",
         "bits",
+        "epsilon0",
     )
 
     def __init__(
@@ -88,6 +102,8 @@ class CodeArena:
         code_length: int,
         n_consts: int = N_CONSTS,
         bits: int = 1,
+        *,
+        epsilon0: float = DEFAULT_EPSILON0,
     ) -> None:
         if n_clusters <= 0:
             raise InvalidParameterError("n_clusters must be positive")
@@ -98,8 +114,9 @@ class CodeArena:
         self.code_length = int(code_length)
         self.n_consts = int(n_consts)
         self.bits = int(bits)
+        self.epsilon0 = float(epsilon0)
         self.codes = np.empty((0, self.n_words), dtype=np.uint64)
-        self.consts = np.empty((self.n_consts, 0), dtype=np.float64)
+        self.consts = np.empty((self.n_stored, 0), dtype=np.float64)
         self.slots = np.empty(0, dtype=np.int64)
         self.starts = np.zeros(n_clusters, dtype=np.int64)
         self.sizes = np.zeros(n_clusters, dtype=np.int64)
@@ -120,12 +137,17 @@ class CodeArena:
         return self.bits * -(-self.code_length // 64)
 
     @property
+    def n_stored(self) -> int:
+        """Stored constants per code (rows of ``consts``)."""
+        return self.n_consts - N_DERIVED
+
+    @property
     def n_rows(self) -> int:
         """Number of stored codes (live regions, excluding slack)."""
         return int(self.sizes.sum())
 
     def memory_bytes(self) -> int:
-        """Approximate arena footprint (codes + constants + ids)."""
+        """Arena footprint: code words, stored constants and slot ids."""
         return int(self.codes.nbytes + self.consts.nbytes + self.slots.nbytes)
 
     def cluster_range(self, cid: int) -> tuple[int, int]:
@@ -146,9 +168,32 @@ class CodeArena:
         return _region_rows(self.starts[cluster_ids], self.sizes[cluster_ids])
 
     def cluster_consts(self, cid: int) -> np.ndarray:
-        """Fused constants of cluster ``cid``, shape ``(n_consts, size)``."""
+        """The estimator's view of cluster ``cid``, ``(n_consts, size)``."""
         start, end = self.cluster_range(cid)
-        return self.consts[:, start:end]
+        return self.consts_view(slice(start, end))
+
+    def consts_view(
+        self, rows, codes: np.ndarray | None = None, *, epsilon0=None
+    ) -> np.ndarray:
+        """The estimator's view of arena ``rows`` (an index array or a slice).
+
+        One :func:`repro.core.estimator.derive_code_consts` call over the
+        rows' stored constants and codes; ``codes`` passes the rows' words
+        when the caller has gathered them already.  ``epsilon0`` overrides
+        the index's for the half-width row.
+        """
+        if isinstance(rows, slice):
+            stored, columns = self.consts[:, rows], None
+            if codes is None:
+                codes = self.codes[rows]
+        else:
+            stored, columns = self.consts, rows
+            if codes is None:
+                codes = self.codes.take(rows, axis=0)
+        eps = self.epsilon0 if epsilon0 is None else epsilon0
+        return derive_code_consts(
+            stored, codes, self.code_length, self.bits, eps, columns=columns
+        )
 
     # ------------------------------------------------------------------ #
     # Construction and mutation
@@ -162,9 +207,10 @@ class CodeArena:
         *,
         codes: np.ndarray,
         consts: np.ndarray,
-        slots: np.ndarray,
+        slots: np.ndarray | None,
         sizes: np.ndarray,
         bits: int = 1,
+        epsilon0: float = DEFAULT_EPSILON0,
     ) -> "CodeArena":
         """Adopt pre-laid-out tight backing arrays (the archive layout).
 
@@ -176,19 +222,25 @@ class CodeArena:
         adopted arrays: with ``caps == sizes`` there is no slack, so the
         first :meth:`append` or :meth:`compact` reallocates fresh in-memory
         arrays and thereby materializes the mutated arena.
+
+        ``slots=None`` builds an arena without a slot map (row ``i`` is
+        slot ``i``): a read-only store, which :class:`RaBitQ` keeps; it is
+        never appended to or compacted.
         """
         sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
         if sizes.shape[0] == 0:
             raise InvalidParameterError("n_clusters must be positive")
         if sizes.min(initial=0) < 0:
             raise InvalidParameterError("cluster sizes must be non-negative")
-        arena = cls(sizes.shape[0], code_length, n_consts, bits)
+        arena = cls(sizes.shape[0], code_length, n_consts, bits, epsilon0=epsilon0)
         total = int(sizes.sum())
-        for name, array, expected in (
+        sections = [
             ("codes", codes, (total, arena.n_words)),
-            ("consts", consts, (arena.n_consts, total)),
-            ("slots", slots, (total,)),
-        ):
+            ("consts", consts, (arena.n_stored, total)),
+        ]
+        if slots is not None:
+            sections.append(("slots", slots, (total,)))
+        for name, array, expected in sections:
             if tuple(array.shape) != expected:
                 raise DimensionMismatchError(
                     f"arena section {name!r} has shape {tuple(array.shape)}, "
@@ -200,7 +252,8 @@ class CodeArena:
             )
         arena.codes = codes
         arena.consts = consts
-        arena.slots = slots
+        if slots is not None:
+            arena.slots = slots
         arena.sizes = sizes.copy()
         arena.caps = sizes.copy()
         arena.starts = np.cumsum(sizes) - sizes
@@ -240,7 +293,7 @@ class CodeArena:
         clusters = np.asarray(cluster_ids, dtype=np.int64).reshape(-1)
         n_new = clusters.shape[0]
         if codes.shape != (n_new, self.n_words) or consts.shape != (
-            self.n_consts,
+            self.n_stored,
             n_new,
         ):
             raise DimensionMismatchError(
@@ -280,7 +333,7 @@ class CodeArena:
         starts = np.cumsum(caps) - caps
         total = int(caps.sum())
         codes = np.zeros((total, self.n_words), dtype=np.uint64)
-        consts = np.zeros((self.n_consts, total), dtype=np.float64)
+        consts = np.zeros((self.n_stored, total), dtype=np.float64)
         slots = np.full(total, -1, dtype=np.int64)
         dst = _region_rows(starts, sizes)
         codes[dst] = self.codes[rows]

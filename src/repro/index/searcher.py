@@ -58,12 +58,20 @@ meets each cluster group's rows with that cluster's block (terms as
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
 code arena that stores each code once: one ``uint64`` matrix of packed
 code words (``B`` bit-planes of ``D`` bits, plane-major — the paper's
-``D``-bit string at ``B = 1``) and one fused matrix of per-code estimator
-constants (norms, ``<o_bar, o>`` correction terms, error-bound
-half-widths, level sums, and the rescales of ``B > 1`` codes — see
-:func:`repro.core.estimator.build_code_consts`).  Every width runs the
+``D``-bit string at ``B = 1``) and one matrix of the per-code constants
+the estimator cannot recompute (``||o_r - c||`` and ``<o_bar, o>``, plus
+``<o_r, c>`` and ``||o_r||`` under ip / cosine and the rescales of
+``B > 1`` codes — see :func:`repro.core.estimator.stored_code_consts`):
+at ``B = 1`` under l2 a 128-d code costs 16 B of words, 16 B of constants
+and an 8 B slot id.  The rest of the estimator's view (squared and
+doubled norms, the division guard, error-bound half-widths, level sums)
+is derived once per call over the rows it reads
+(:func:`repro.core.estimator.derive_code_consts`, from the stored rows,
+the packed words and the index's ``epsilon0``): ``search`` over its
+gathered rows, ``search_batch`` over the probed clusters' rows, sliced
+per cluster group.  Every width runs the
 same code: one encoder (:func:`repro.core.quantizer.encode_rows`), one
-constants builder, one integer-dot kernel and one affine undo, each told
+derivation, one integer-dot kernel and one affine undo, each told
 the width ``B``; the query-rounding term of the ``B > 1`` bound is the only
 width test here.  Distances and bounds for a candidate set are produced by
 one integer inner-product pass, one affine undo and one estimate epilogue
@@ -137,9 +145,10 @@ from repro.core.bitops import pack_level_planes
 from repro.core.config import RaBitQConfig
 from repro.core.estimator import (
     DistanceEstimate,
-    build_code_consts,
     estimate_codes,
     n_consts_for,
+    n_stored_consts_for,
+    stored_code_consts,
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows
@@ -429,9 +438,10 @@ class IVFQuantizedSearcher:
 
         ``cluster_ids`` must be grouped, as a stable sort by cluster leaves
         them.  Returns ``(codes, consts)`` in the arena's layout: packed
-        code words (:func:`pack_level_planes` of the levels) and the fused
+        code words (:func:`pack_level_planes` of the levels) and the stored
         constants (with ``<o_r, c>`` and ``||o_r||`` under similarity
-        metrics, and the rescale row for ``B > 1``).  One :func:`encode_rows` call covers a block of rows of
+        metrics, and the rescale row for ``B > 1``).  One
+        :func:`encode_rows` call covers a block of rows of
         any clusters, so memory stays bounded; blocks are cut at cluster
         boundaries because ``<o_r, c>`` stays one GEMV per cluster, whose
         BLAS rounding depends on its rows and which archives pin.
@@ -440,14 +450,14 @@ class IVFQuantizedSearcher:
         code_length = self._shared_rotation.dim
         n = order.shape[0]
         codes = np.empty((n, self.bits * -(-code_length // 64)), np.uint64)
-        consts = np.empty((n_consts_for(self._metric, self.bits), n))
+        consts = np.empty((n_stored_consts_for(self._metric, self.bits), n))
         runs = np.flatnonzero(np.diff(cluster_ids)) + 1
         heads = np.concatenate([[0], runs, [n]])
         step = max(1, _ENCODE_BLOCK_CELLS // code_length)
         cuts = np.union1d(heads[np.searchsorted(heads, np.arange(0, n, step))], n)
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             rows, cids = data[order[lo:hi]], cluster_ids[lo:hi]
-            block_levels, level_sums, alignments, norms, rescales = encode_rows(
+            block_levels, alignments, norms, rescales = encode_rows(
                 rows, centroids[cids], self._shared_rotation, code_length, self.bits
             )
             codes[lo:hi] = pack_level_planes(block_levels, self.bits)
@@ -461,12 +471,9 @@ class IVFQuantizedSearcher:
                     "dot_centroid": dots,
                     "raw_norms": np.sqrt(np.einsum("ij,ij->i", rows, rows)),
                 }
-            consts[:, lo:hi] = build_code_consts(
+            consts[:, lo:hi] = stored_code_consts(
                 alignments,
                 norms,
-                level_sums,
-                code_length,
-                self.rabitq_config.epsilon0,
                 metric=self._metric,
                 rescales=rescales,
                 **raw_terms,
@@ -518,12 +525,13 @@ class IVFQuantizedSearcher:
         codes, consts = self._encode(mat, order, assignments[order])
         self._arena = CodeArena.from_sections(
             code_length,
-            consts.shape[0],
+            n_consts_for(self._metric, self.bits),
             codes=codes,
             consts=consts,
             slots=order.astype(np.int64),
             sizes=np.bincount(assignments, minlength=len(self._ivf.buckets)),
             bits=self.bits,
+            epsilon0=self.rabitq_config.epsilon0,
         )
         n = mat.shape[0]
         self._ids = np.arange(n, dtype=np.int64)
@@ -843,10 +851,11 @@ class IVFQuantizedSearcher:
 
         The candidate set is scored in one flat pass, in probe order: the
         query's probed pairs are prepared in one :meth:`_prepare` call, the
-        probed arena rows are gathered once, and one :func:`estimate_codes`
-        call pairs each code with its own cluster's query row (the
-        :meth:`_pair_terms` repeated over the cluster's codes).  Tombstoned
-        rows are masked out *after* the full estimate.
+        probed arena rows' codes are gathered once and the constants'
+        view derived over them (:meth:`CodeArena.consts_view`), and one
+        :func:`estimate_codes` call pairs each code with its own cluster's
+        query row (the :meth:`_pair_terms` repeated over the cluster's
+        codes).  Tombstoned rows are masked out *after* the full estimate.
         """
         arena = self._arena
         assert arena is not None
@@ -857,14 +866,16 @@ class IVFQuantizedSearcher:
             return _empty_estimate()
         rows = arena.rows_of(cluster_ids)
         cand = arena.slots[rows]
+        # take, not fancy indexing: one copy loop over the short rows.
+        codes = arena.codes.take(rows, axis=0)
         pair_rows = np.zeros(cluster_ids.shape[0], np.intp)
         quantized, query_norms = self._prepare(query[None, :], pair_rows, cluster_ids)
         terms = self._pair_terms(
             query[None, :], pair_rows, cluster_ids, quantized, query_norms
         )
         estimate = estimate_codes(
-            arena.codes[rows],
-            arena.consts[:, rows],
+            codes,
+            arena.consts_view(rows, codes),
             quantized.codes,
             {name: np.repeat(term, counts) for name, term in terms.items()},
             code_length=arena.code_length,
@@ -936,9 +947,12 @@ class IVFQuantizedSearcher:
         (:meth:`_pair_terms`: the undo's row terms, ``||q - c||``, ``eps0
         Δ/2`` and the similarity terms) are derived once, over all pairs,
         as ``(n_pairs, 1)`` columns; so is where each pair's run of
-        candidates starts in the flat buffers.  The group loop re-derives
+        candidates starts in the flat buffers, and so is the constants'
+        view of every probed cluster's codes (one
+        :meth:`CodeArena.consts_view` call).  The group loop re-derives
         nothing: one :func:`estimate_codes` call meets a group's rows (the
-        columns sliced) with its cluster's contiguous code block, and one
+        columns sliced) with its cluster's contiguous code block and its
+        slice of the view, and one
         scatter per field puts each row at its query's range, in
         probed-cluster order, exactly the layout of
         :meth:`_estimate_rabitq`.  Every row of a group is prepared and
@@ -979,17 +993,23 @@ class IVFQuantizedSearcher:
             query_mat, pair_rows, sorted_cids, quantized, query_norms
         )
         columns = {name: term[:, None] for name, term in terms.items()}
+        group_cids = sorted_cids[starts[nonempty]]
+        consts = arena.consts_view(arena.rows_of(group_cids))
+        view_ends = np.cumsum(arena.sizes[group_cids]).tolist()
         fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
         cand = np.empty(total, dtype=np.int64)
         runs = np.arange(int(arena.sizes.max(initial=0)))
-        for seg_start, seg_end in zip(
-            starts[nonempty].tolist(), ends[nonempty].tolist()
+        for cid, seg_start, seg_end, view_end in zip(
+            group_cids.tolist(),
+            starts[nonempty].tolist(),
+            ends[nonempty].tolist(),
+            view_ends,
         ):
-            start, end = arena.cluster_range(int(sorted_cids[seg_start]))
+            start, end = arena.cluster_range(cid)
             rows = slice(seg_start, seg_end)
             estimate = estimate_codes(
                 arena.codes[start:end],
-                arena.consts[:, start:end],
+                consts[:, view_end - (end - start) : view_end],
                 quantized.codes[rows],
                 {name: column[rows] for name, column in columns.items()},
                 code_length=arena.code_length,

@@ -11,12 +11,13 @@ reloaded searcher answers ``search`` / ``search_batch`` *bit-identically*
 ``insert`` / ``delete`` / ``compact`` calls.
 
 The searcher has exactly one on-disk container (``RBQARCH6``, written as
-format **v11**, read as v9–v11): a binary file holding a JSON header plus
+format **v12**, read as v9–v12): a binary file holding a JSON header plus
 64-byte-aligned raw sections for every large array — the arena's packed
 code words (``arena_codes``: plane-major bit-planes, exactly the arena's
-resident matrix, which queries read), the fused constants, the slot map,
-and the raw re-rank vectors.  Sections can be read zero-copy via
-``np.memmap`` (``load_searcher(path, mmap=True)``), so a warm restart skips
+resident matrix, which queries read), the stored estimator constants
+(``arena_consts``), the slot map, and the raw re-rank vectors.  Sections
+can be read zero-copy via ``np.memmap`` (``load_searcher(path,
+mmap=True)``), so a warm restart skips
 decompression and bit-unpacking entirely and supports datasets larger
 than RAM.  Retired layouts are refused by name, with the last commit that
 reads them: container formats v6–v8 (``aaf8be8``), the npz searcher
@@ -49,7 +50,11 @@ from typing import Union
 import numpy as np
 
 from repro.core.config import SUPPORTED_CODE_BITS, RaBitQConfig
-from repro.core.estimator import n_consts_for
+from repro.core.estimator import (
+    n_consts_for,
+    n_stored_consts_for,
+    stored_view_rows,
+)
 from repro.core.metric import resolve_metric
 from repro.core.query import sample_rounding_offsets
 from repro.core.rotation import FastHadamardRotation, QRRotation
@@ -100,11 +105,20 @@ MAGIC_SEARCHER = "rabitq/searcher"
 #: written by ``aaf8be8``.  Version 11 drops the ``arena_bits`` section
 #: (the codes' ``uint8`` levels) that v9 and v10 wrote beside
 #: ``arena_codes``: the packed codes are the arena's one resident form, and
-#: every version this build reads is loaded from them.
-SEARCHER_FORMAT_VERSION = 11
+#: every version this build reads is loaded from them.  Version 12 stores
+#: only the constants the estimator cannot derive
+#: (:func:`repro.core.estimator.stored_code_consts`; the header's
+#: ``n_consts`` counts them): 16 B per code at ``B = 1`` under l2, where
+#: v9–v11 stored the whole 56 B view.  A v9–v11 archive loads by keeping
+#: its stored rows and dropping the derived ones (a copy, so its constants
+#: are read into memory even under ``mmap=True``).
+SEARCHER_FORMAT_VERSION = 12
 
 #: Binary-container format versions this build can read.
-_SEARCHER_BINARY_VERSIONS = (9, 10, 11)
+_SEARCHER_BINARY_VERSIONS = (9, 10, 11, 12)
+
+#: The first version that stores only the stored constants.
+_STORED_CONSTS_VERSION = 12
 
 #: Last commit whose ``load_searcher`` reads container formats v6–v8.
 _PRE_V9_COMMIT = "aaf8be8"
@@ -521,7 +535,7 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
     """Serialize a fitted :class:`IVFQuantizedSearcher` to ``path``.
 
     The archive captures the complete query-time and lifecycle state —
-    the packed code words, the fused estimator-constants matrix,
+    the packed code words, the stored estimator constants,
     IVF centroids/assignments, raw vectors, tombstones, external-id
     mapping, rotation and rounding vector — so that :func:`load_searcher`
     reproduces search results bit-identically and supports further mutation.
@@ -579,7 +593,7 @@ def save_searcher(searcher: IVFQuantizedSearcher, path: PathLike) -> None:
         "n_slots": int(len(flat)),
         "n_clusters": int(arena.n_clusters),
         "n_words": (arena.code_length + 63) // 64 * searcher.bits,
-        "n_consts": int(arena.n_consts),
+        "n_consts": int(arena.n_stored),
         "arena_sizes": dump["sizes"].tolist(),
         "rotation": rotation_entry[0],
         "bits": searcher.bits,
@@ -737,12 +751,16 @@ def _load_searcher_v6(
         n_slots = int(meta["n_slots"])
         n_clusters = int(meta["n_clusters"])
         dim = int(meta["dim"])
-        expected_consts = n_consts_for(metric, bits)
+        view_consts = n_consts_for(metric, bits)
+        stores_view = header["format_version"] < _STORED_CONSTS_VERSION
+        expected_consts = (
+            view_consts if stores_view else n_stored_consts_for(metric, bits)
+        )
         if n_consts != expected_consts:
             raise PersistenceError(
-                f"archive stores {n_consts} fused constants per code; "
-                f"metric {metric.name!r} at bits={bits} expects "
-                f"{expected_consts}"
+                f"format v{header['format_version']} archive stores "
+                f"{n_consts} fused constants per code; metric "
+                f"{metric.name!r} at bits={bits} expects {expected_consts}"
             )
         if n_words != (code_length + 63) // 64 * bits:
             raise PersistenceError(
@@ -788,14 +806,23 @@ def _load_searcher_v6(
                 f"archive has inconsistent per-slot arrays: arena regions "
                 f"hold {int(sizes.sum())} rows, data has {n_slots}"
             )
+        consts = sections.load("arena_consts", mmap=mmap)
+        if stores_view:
+            if consts.shape[0] != view_consts:
+                raise PersistenceError(
+                    f"archive section 'arena_consts' has {consts.shape[0]} "
+                    f"rows, its header declares {view_consts}"
+                )
+            consts = consts[stored_view_rows(view_consts, bits > 1)]
         arena = CodeArena.from_sections(
             code_length,
-            n_consts,
+            view_consts,
             codes=sections.load("arena_codes", mmap=mmap),
-            consts=sections.load("arena_consts", mmap=mmap),
+            consts=consts,
             slots=sections.load("arena_slots", mmap=mmap),
             sizes=sizes,
             bits=bits,
+            epsilon0=config.epsilon0,
         )
         # The arena's cluster-grouped row order must equal the bucket id
         # lists rebuilt from the assignment array — the invariant every

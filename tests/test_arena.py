@@ -6,18 +6,26 @@ import numpy as np
 import pytest
 
 from repro.core.bitops import pack_level_planes
-from repro.core.estimator import N_CONSTS
+from repro.core.estimator import (
+    build_code_consts,
+    derive_code_consts,
+    n_consts_for,
+    n_stored_consts_for,
+)
 from repro.exceptions import DimensionMismatchError
 from repro.index.arena import CodeArena
 
 
 #: Code width of the test arenas: levels in [0, 15], four bit-planes.
 BITS = 4
+#: Rows of a code's view and of its stored constants (l2 at ``BITS``).
+N_VIEW, N_STORED = n_consts_for("l2", BITS), n_stored_consts_for("l2", BITS)
+EPS0 = 2.5
 
 
 def _block(rng, n, code_length, slot_start):
     levels = rng.integers(0, 1 << BITS, size=(n, code_length)).astype(np.uint8)
-    consts = rng.normal(size=(N_CONSTS, n))
+    consts = rng.normal(size=(N_STORED, n))
     slots = np.arange(slot_start, slot_start + n, dtype=np.int64)
     return levels, consts, slots
 
@@ -25,6 +33,12 @@ def _block(rng, n, code_length, slot_start):
 def _slots(arena, cid):
     start, end = arena.cluster_range(cid)
     return arena.slots[start:end]
+
+
+def _stored(arena, cid):
+    """The stored constants of cluster ``cid``."""
+    start, end = arena.cluster_range(cid)
+    return arena.consts[:, start:end]
 
 
 def _append(arena, cid, levels, consts, slots):
@@ -44,12 +58,13 @@ def arena_and_blocks():
     }
     arena = CodeArena.from_sections(
         code_length,
-        N_CONSTS,
+        N_VIEW,
         codes=pack_level_planes(np.concatenate([blocks[0][0], blocks[2][0]]), BITS),
         consts=np.hstack([blocks[0][1], blocks[2][1]]),
         slots=np.concatenate([blocks[0][2], blocks[2][2]]),
         sizes=np.array([5, 0, 3, 0]),
         bits=BITS,
+        epsilon0=EPS0,
     )
     return arena, blocks
 
@@ -62,8 +77,49 @@ class TestBuildAndViews:
         assert list(arena.sizes) == [5, 0, 3, 0]
         for cid, (levels, consts, slots) in blocks.items():
             np.testing.assert_array_equal(arena.cluster_bits(cid), levels)
-            np.testing.assert_array_equal(arena.cluster_consts(cid), consts)
+            np.testing.assert_array_equal(_stored(arena, cid), consts)
             np.testing.assert_array_equal(_slots(arena, cid), slots)
+
+    def test_cluster_consts_is_the_derived_view(self, arena_and_blocks):
+        # The stored rows plus the rows derived from them, the levels and
+        # the arena's epsilon0: build_code_consts of the same codes.
+        arena, blocks = arena_and_blocks
+        for cid, (levels, consts, _) in blocks.items():
+            want = build_code_consts(
+                consts[1],
+                consts[0],
+                levels.sum(axis=1),
+                arena.code_length,
+                EPS0,
+                rescales=consts[-1],
+            )
+            got = arena.cluster_consts(cid)
+            assert got.shape == (N_VIEW, levels.shape[0])
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            rows = np.array([2, 0, 1, 4]) if cid == 0 else np.array([7, 5])
+            np.testing.assert_array_equal(
+                arena.consts_view(rows), want[:, rows - arena.starts[cid]]
+            )
+
+    def test_one_region_arena_without_slots(self, arena_and_blocks):
+        # RaBitQ's read-only arena: row i is slot i, and no slot is stored.
+        levels, consts, _ = arena_and_blocks[1][0]
+        arena = CodeArena.from_sections(
+            128,
+            N_VIEW,
+            codes=pack_level_planes(levels, BITS),
+            consts=consts,
+            slots=None,
+            sizes=np.array([levels.shape[0]]),
+            bits=BITS,
+        )
+        assert arena.slots.shape == (0,)
+        assert arena.memory_bytes() == 5 * (8 * arena.n_words + 8 * N_STORED)
+        assert arena.epsilon0 == 1.9
+        np.testing.assert_array_equal(
+            arena.cluster_consts(0),
+            derive_code_consts(consts, arena.codes, 128, BITS, 1.9),
+        )
 
     def test_views_are_contiguous(self, arena_and_blocks):
         arena, _ = arena_and_blocks
@@ -80,10 +136,11 @@ class TestBuildAndViews:
 
     def test_memory_bytes_positive(self, arena_and_blocks):
         # Each code is stored once: its packed words (B bits per dimension),
-        # constants and slot id.
+        # stored constants and slot id.
         arena, _ = arena_and_blocks
         assert arena.n_words == BITS * 2
-        assert arena.memory_bytes() == 8 * (8 * arena.n_words + 8 * N_CONSTS + 8)
+        assert arena.n_stored == N_STORED
+        assert arena.memory_bytes() == 8 * (8 * arena.n_words + 8 * N_STORED + 8)
 
 
 class TestAppend:
@@ -95,7 +152,7 @@ class TestAppend:
         np.testing.assert_array_equal(arena.cluster_bits(1), extra[0])
         # Existing regions are untouched by the rebuild.
         np.testing.assert_array_equal(arena.cluster_bits(0), blocks[0][0])
-        np.testing.assert_array_equal(arena.cluster_consts(2), blocks[2][1])
+        np.testing.assert_array_equal(_stored(arena, 2), blocks[2][1])
         assert arena.n_rows == 12
 
     def test_append_order_is_preserved(self, arena_and_blocks):
@@ -131,7 +188,11 @@ class TestAppend:
         # grows by the one rule, and each keeps the call's row order.
         arena, blocks = arena_and_blocks
         twin = CodeArena.from_sections(
-            arena.code_length, arena.n_consts, **arena.dump_tight(), bits=BITS
+            arena.code_length,
+            arena.n_consts,
+            **arena.dump_tight(),
+            bits=BITS,
+            epsilon0=EPS0,
         )
         rng = np.random.default_rng(6)
         levels, consts, slots = _block(rng, 7, arena.code_length, 8)
@@ -146,7 +207,7 @@ class TestAppend:
                 arena.cluster_bits(cid), np.concatenate([old[0], levels[mine]])
             )
             np.testing.assert_array_equal(
-                arena.cluster_consts(cid), np.hstack([old[1], consts[:, mine]])
+                _stored(arena, cid), np.hstack([old[1], consts[:, mine]])
             )
             np.testing.assert_array_equal(
                 _slots(arena, cid), np.concatenate([old[2], slots[mine]])
@@ -189,7 +250,7 @@ class TestCompact:
             arena.cluster_bits(0), blocks[0][0][keep[blocks[0][2]]]
         )
         np.testing.assert_array_equal(
-            arena.cluster_consts(2), blocks[2][1][:, keep[blocks[2][2]]]
+            _stored(arena, 2), blocks[2][1][:, keep[blocks[2][2]]]
         )
 
     def test_compact_can_empty_a_cluster(self, arena_and_blocks):

@@ -26,13 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RaBitQConfig
-from repro.core.estimator import (
-    CONST_ALIGN,
-    CONST_NORM,
-    CONST_POPCOUNT,
-    DistanceEstimate,
-    build_code_consts,
-)
+from repro.core.estimator import DistanceEstimate
 from repro.core.quantizer import RaBitQ
 from repro.index.arena import CodeArena
 from repro.index.searcher import IVFQuantizedSearcher
@@ -45,10 +39,10 @@ class PreArenaReference:
     """Snapshot of a searcher as the pre-arena implementation stored it.
 
     Rebuilds one ``RaBitQ`` object per non-empty cluster from the arena
-    regions (the arena's packed codes, popcounts, alignments, norms; every
-    other constant re-derived by ``build_code_consts``) and gives each the
-    searcher's rounding vector, then answers queries with the former
-    per-cluster estimation loop and the reference re-ranker.
+    regions (the arena's packed codes and stored constants; the quantizer
+    derives the others) and gives each the searcher's rounding vector,
+    then answers queries with the former per-cluster estimation loop and
+    the reference re-ranker.
     """
 
     def __init__(self, searcher: IVFQuantizedSearcher) -> None:
@@ -64,24 +58,17 @@ class PreArenaReference:
             if start == end:
                 self._quantizers.append(None)
                 continue
-            consts = arena.consts[:, start:end]
-            # Only the stored rows are taken; the derived rows are rebuilt.
-            rebuilt = build_code_consts(
-                consts[CONST_ALIGN].copy(),
-                consts[CONST_NORM].copy(),
-                consts[CONST_POPCOUNT].astype(np.int64),
-                arena.code_length,
-                searcher.rabitq_config.epsilon0,
-            )
+            # Only the stored rows are taken; the quantizer derives the rest.
             quantizer = RaBitQ(searcher.rabitq_config)
             quantizer._rotation = searcher._shared_rotation
             quantizer._arena = CodeArena.from_sections(
                 arena.code_length,
-                rebuilt.shape[0],
+                arena.n_consts,
                 codes=arena.codes[start:end].copy(),
-                consts=rebuilt,
-                slots=np.arange(end - start, dtype=np.int64),
+                consts=arena.consts[:, start:end].copy(),
+                slots=None,
                 sizes=np.array([end - start]),
+                epsilon0=searcher.rabitq_config.epsilon0,
             )
             quantizer._centroid = self._ivf.centroids[cid]
             quantizer._rounding_offsets = searcher._rounding_offsets

@@ -10,6 +10,7 @@ from repro.core.bitops import (
     binary_dot_uint_batch,
     bitplanes_from_uint_batch,
     hamming_distance,
+    level_sums,
     pack_bits,
     pack_level_planes,
     popcount,
@@ -308,6 +309,21 @@ class TestLevelPlanes:
     def test_empty_rows(self):
         packed = pack_level_planes(np.zeros((0, 64), dtype=np.uint8), 4)
         assert packed.shape == (0, 4)
+        assert level_sums(packed, 64, 4).shape == (0,)
+
+    @pytest.mark.parametrize("length", [64, 130])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_level_sums_ignore_padding_bits(self, rng, bits, length):
+        levels = rng.integers(0, 1 << bits, size=(9, length)).astype(np.uint8)
+        packed = pack_level_planes(levels, bits)
+        if length % WORD_BITS:
+            # Garbage past the code length in every plane's last word.
+            words = packed.shape[1] // bits
+            last = np.arange(words - 1, packed.shape[1], words)
+            packed[:, last] |= np.uint64(0xFFFF) << np.uint64(length % WORD_BITS)
+        sums = level_sums(packed, length, bits)
+        assert sums.dtype == np.float64
+        np.testing.assert_array_equal(sums, levels.sum(axis=1))
 
     def test_out_of_range_levels_raise(self):
         with pytest.raises(InvalidParameterError):

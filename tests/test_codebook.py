@@ -8,7 +8,6 @@ import pytest
 from repro.core.bitops import pack_bits
 from repro.core.codebook import (
     bits_to_signed,
-    code_popcounts,
     decode_codes,
     signed_to_bits,
 )
@@ -62,13 +61,12 @@ class TestEncodeDecode:
         # At B = 1 the encoder's levels are the sign pattern of P^-1 o.
         rotation = QRRotation(70, 0)
         data = rng.standard_normal((4, 70))
-        levels, sums, _, _, rescales = encode_rows(
+        levels, _, _, rescales = encode_rows(
             data, np.zeros(70), rotation, 70, 1
         )
         units = data / np.linalg.norm(data, axis=1)[:, None]
         rotated = rotation.apply_inverse(units)
         np.testing.assert_array_equal(levels, (rotated >= 0).astype(np.uint8))
-        np.testing.assert_array_equal(sums, code_popcounts(levels))
         assert rescales is None
 
     def test_decode_produces_unit_vectors(self, rng):
@@ -95,12 +93,3 @@ class TestEncodeDecode:
         )
         # Rotation preserves unit norms.
         np.testing.assert_allclose(np.linalg.norm(reconstructed, axis=1), 1.0)
-
-
-class TestCodePopcounts:
-    def test_matches_sum(self, rng):
-        bits = rng.integers(0, 2, size=(6, 50))
-        np.testing.assert_array_equal(code_popcounts(bits), bits.sum(axis=1))
-
-    def test_single_vector(self):
-        assert code_popcounts(np.array([1, 1, 0, 1])) == 3

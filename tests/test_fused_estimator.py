@@ -29,8 +29,12 @@ from repro.core.estimator import (
     build_code_consts,
     combined_halfwidth,
     confidence_interval_halfwidth,
+    derive_code_consts,
     estimate_distances,
     fused_estimate,
+    n_consts_for,
+    n_stored_consts_for,
+    stored_code_consts,
     undo_query_quantization,
 )
 from repro.core.quantizer import RaBitQ, encode_rows
@@ -68,6 +72,70 @@ class TestBuildCodeConsts:
         alignments, norms, popcounts, code_length = random_codes
         with pytest.raises(InvalidParameterError):
             build_code_consts(alignments[:-1], norms, popcounts, code_length, 1.9)
+
+
+@st.composite
+def _stored_inputs(draw):
+    """Packed codes (padding bits past the code length set at random) with
+    their levels and stored constants: some alignments 0 (an infinite
+    half-width), +-1 or one ULP past it (``1 - a^2 < 0``, clipped), some
+    norms 0, one width, metric and epsilon0."""
+    bits = draw(st.sampled_from([1, 2, 4, 8]))
+    metric = draw(st.sampled_from(["l2", "ip", "cosine"]))
+    epsilon0 = draw(st.sampled_from([0.0, 1.9, 3.0]))
+    length = draw(st.sampled_from([2, 63, 64, 100, 128, 200]))
+    n_codes = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(0, 1 << bits, (n_codes, length)).astype(np.uint8)
+    codes = bitops.pack_level_planes(levels, bits)
+    if length % 64:
+        n_words = codes.shape[1] // bits
+        last = np.arange(n_words - 1, codes.shape[1], n_words)
+        garbage = rng.integers(0, 2**63, (n_codes, bits), dtype=np.uint64)
+        codes[:, last] |= garbage << np.uint64(length % 64)
+    align = rng.uniform(-1.0, 1.0, n_codes)
+    align[rng.random(n_codes) < 0.2] = 0.0
+    edges = [-1.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+    align[rng.random(n_codes) < 0.1] = rng.choice(edges)
+    norms = rng.uniform(0.0, 3.0, n_codes)
+    norms[rng.random(n_codes) < 0.2] = 0.0
+    terms = {"metric": metric}
+    if metric != "l2":
+        terms["dot_centroid"] = rng.normal(size=n_codes)
+        terms["raw_norms"] = rng.uniform(0.0, 5.0, n_codes)
+    if bits > 1:
+        terms["rescales"] = rng.uniform(0.01, 0.2, n_codes)
+    return bits, epsilon0, length, levels, codes, align, norms, terms
+
+
+class TestDeriveCodeConsts:
+    """The view derived from the stored rows and the packed codes is
+    :func:`build_code_consts` of the same codes, bit for bit."""
+
+    @given(inputs=_stored_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_build_code_consts(self, inputs):
+        bits, epsilon0, length, levels, codes, align, norms, terms = inputs
+        want = build_code_consts(
+            align, norms, levels.sum(axis=1), length, epsilon0, **terms
+        )
+        stored = stored_code_consts(align, norms, **terms)
+        assert stored.shape[0] == n_stored_consts_for(terms["metric"], bits)
+        assert want.shape[0] == n_consts_for(terms["metric"], bits)
+        got = derive_code_consts(stored, codes, length, bits, epsilon0)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        # Gathered columns of a wider matrix: the same columns of the view.
+        columns = np.random.default_rng(0).permutation(len(align))[: len(align) // 2]
+        gathered = derive_code_consts(
+            stored, codes[columns], length, bits, epsilon0, columns=columns
+        )
+        np.testing.assert_array_equal(_bits(gathered), _bits(want[:, columns]))
+
+    def test_unknown_stored_layout_rejected(self):
+        codes = np.zeros((3, 1), dtype=np.uint64)
+        with pytest.raises(InvalidParameterError, match="3 stored constants"):
+            derive_code_consts(np.zeros((3, 3)), codes, 64, 1, 1.9)
 
 
 class TestFusedEstimate:
@@ -146,12 +214,13 @@ class TestUndoQueryQuantization:
         prepared = quantizer.prepare_query(rng.standard_normal(32))
         arena = quantizer.arena
         quantized = prepared.quantized
-        integer_dot = bitops.binary_dot_uint_batch(
-            arena.codes, quantized.bitplanes
-        )[0]
+        planes = bitops.bitplanes_from_uint_batch(
+            quantized.codes, quantizer.config.query_bits
+        )
+        integer_dot = bitops.binary_dot_uint_batch(arena.codes, planes)[0]
         got = undo_query_quantization(
             integer_dot,
-            arena.consts,
+            arena.cluster_consts(0),
             float(quantized.delta[0]),
             float(quantized.lower[0]),
             float(quantized.sum_codes[0]),
@@ -164,7 +233,7 @@ class TestUndoQueryQuantization:
         )
         np.testing.assert_array_equal(
             quantizer.estimate_distances(prepared).inner_products,
-            got / arena.consts[CONST_ALIGN],
+            got / arena.cluster_consts(0)[CONST_ALIGN],
         )
 
 
@@ -179,7 +248,7 @@ class TestUndoQueryQuantization:
         quantized = prepared.quantized
         levels = quantizer.code_bits()
         integer_dot = levels.astype(np.int64) @ quantized.codes[0].astype(np.int64)
-        consts = quantizer.arena.consts
+        consts = quantizer.arena.cluster_consts(0)
         *_, rescales = encode_rows(
             data, quantizer.centroid, quantizer.rotation, quantizer.code_length, bits
         )
@@ -451,16 +520,17 @@ class TestEncodeRows:
             config = RaBitQConfig(seed=4, bits=bits)
             quantizer = RaBitQ(config).fit(data, centroid=centroid)
             arena = quantizer.arena
-            levels, level_sums, alignments, norms, rescales = encode_rows(
+            levels, alignments, norms, rescales = encode_rows(
                 data, centroid, quantizer.rotation, arena.code_length, bits
             )
             assert levels.dtype == np.uint8 and int(levels.max()) < 1 << bits
             np.testing.assert_array_equal(
                 bitops.pack_level_planes(levels, bits), arena.codes
             )
-            np.testing.assert_array_equal(level_sums, arena.consts[CONST_POPCOUNT])
-            np.testing.assert_array_equal(alignments, arena.consts[CONST_ALIGN])
-            np.testing.assert_array_equal(norms, arena.consts[CONST_NORM])
+            view = arena.cluster_consts(0)
+            np.testing.assert_array_equal(levels.sum(axis=1), view[CONST_POPCOUNT])
+            np.testing.assert_array_equal(alignments, view[CONST_ALIGN])
+            np.testing.assert_array_equal(norms, view[CONST_NORM])
             if bits == 1:
                 assert rescales is None and arena.n_consts == N_CONSTS
             else:

@@ -1,4 +1,4 @@
-"""Archives written before the current format: v9 loads, v6–v8 are refused.
+"""Archives written before the current format: v9–v11 load, v6–v8 are refused.
 
 Format v10 stores the index's rounding vector as the ``rounding_offsets``
 section and dropped the generator states (``quantizer_rng_states`` /
@@ -17,8 +17,17 @@ tombstones and a non-trivial id map.  The contract pinned here:
   0, so two loads agree) and never reads the retired generator states;
 * a v6, v7 or v8 header is refused with a ``PersistenceError`` naming the
   version and ``aaf8be8``, the last commit that reads it;
-* this build writes v10 without any of the retired state, and a v10
+* this build writes v12 without any of the retired state, and a v12
   archive of a seedless index reloads bit-identically to the live one;
+* format v12 stores only the constants the estimator cannot derive.
+  ``tests/data`` holds two v11 archives written by ``f7bf855`` (see
+  ``tests/data/gen_legacy_v11.py``) for the layouts the v9 ones do not
+  cover, ``l2`` at ``B = 4`` (with a journal) and ``cosine`` at ``B = 1``.
+  Each loads materialized, memory-mapped and with its journal, keeps only
+  its stored rows (the view derived from them is the one v11 stored, bit
+  for bit), answers like its twin and re-saves as v12; an archive whose
+  ``n_consts`` (or constants section) does not match its version's
+  layout is a ``PersistenceError``;
 * a stored rounding vector that is missing, mis-sized, non-finite or
   outside ``[0, 1)`` is a ``PersistenceError``;
 * the removed constructor arguments are gone, not silently accepted;
@@ -39,6 +48,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import RaBitQConfig
+from repro.core.estimator import (
+    n_consts_for,
+    n_stored_consts_for,
+    stored_view_rows,
+)
 from repro.core.query import sample_rounding_offsets
 from repro.exceptions import JournalError, PersistenceError
 from repro.index.rerank import NoReranker
@@ -56,15 +70,23 @@ from repro.io.persistence import (
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
-# The generator owns the fixture scenario (data, seeds, mutations); the twins
+
+def _generator(name: str):
+    spec = importlib.util.spec_from_file_location(name, _DATA_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The generators own the fixture scenario (data, seeds, mutations); the twins
 # below are built by exactly the functions that built the archived indexes.
-_spec = importlib.util.spec_from_file_location(
-    "gen_legacy_v9", _DATA_DIR / "gen_legacy_v9.py"
-)
-_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_gen)
+_gen = _generator("gen_legacy_v9")
+_gen11 = _generator("gen_legacy_v11")
+#: Every committed fixture: archive name -> (metric, bits).
+_FIXTURES = {**_gen.ARCHIVES, **_gen11.ARCHIVES}
 
 L2_V9, IP_V9 = "v9_l2_b1.rbq", "v9_ip_b4.rbq"
+L2_V11, COSINE_V11 = "v11_l2_b4.rbq", "v11_cosine_b1.rbq"
 V6_V8_COMMIT = "aaf8be8"
 QUANTIZER_NPZ_COMMIT = "3b59eee"
 
@@ -120,7 +142,7 @@ def _fixture(tmp_path: Path, name: str = L2_V9) -> Path:
 def _twin(name: str = L2_V9, *, journaled: bool = False, metric=None):
     """What this build makes of the fixture's scenario: the archived state,
     plus the journaled mutations when ``journaled``."""
-    archived_metric, bits = _gen.ARCHIVES[name]
+    archived_metric, bits = _FIXTURES[name]
     searcher = _gen.build(metric or archived_metric, bits)
     if journaled:
         _gen.mutate(searcher)
@@ -240,7 +262,7 @@ class TestParentFormatSearcherArchive:
         assert _v9_stream(loaded) == _v9_stream(_twin(IP_V9, metric=metric))
 
     def test_resave_upgrades_to_current_format(self, tmp_path):
-        assert SEARCHER_FORMAT_VERSION == 11
+        assert SEARCHER_FORMAT_VERSION == 12
         upgraded = tmp_path / "upgraded.rbq"
         save_searcher(load_searcher(_fixture(tmp_path)), upgraded)
         _assert_clean(upgraded)
@@ -304,6 +326,109 @@ class TestV9:
 
         _rewrite(path, garble)
         assert _v9_stream(load_searcher(path)) == _v9_stream(_twin())
+
+
+class TestV11:
+    """The parent format: every row of the constants view stored."""
+
+    def test_fixtures_are_faithful_v11_archives(self):
+        paths = [_DATA_DIR / name for name in _gen11.ARCHIVES]
+        assert sum(path.stat().st_size for path in paths) <= 64 * 1024
+        for path, (metric, bits) in zip(paths, _gen11.ARCHIVES.values()):
+            _assert_clean(path, version=11)
+            header, arrays = _read(path)
+            meta = header["meta"]
+            assert (meta["metric"], meta["bits"]) == (metric, bits)
+            assert meta["n_consts"] == n_consts_for(metric, bits)
+            assert arrays["arena_consts"].shape[0] == meta["n_consts"]
+        journal = read_journal(default_journal_path(_DATA_DIR / L2_V11))
+        assert journal.archive_uuid == _read(_DATA_DIR / L2_V11)[0]["archive_uuid"]
+        assert [r.op for r in journal.records] == ["insert", "delete", "compact"]
+        assert not default_journal_path(_DATA_DIR / COSINE_V11).exists()
+
+    @pytest.mark.parametrize("kwargs", _LOAD_MODES, ids=str)
+    @pytest.mark.parametrize("name", (L2_V11, COSINE_V11))
+    def test_loads_and_answers_like_head_twin(self, tmp_path, name, kwargs):
+        path = _fixture(tmp_path, name)
+        journal = kwargs.get("journal", False)
+        loaded = load_searcher(path, **kwargs)
+        twin = _twin(name, journaled=journal and name == L2_V11)
+        assert _v9_stream(loaded) == _v9_stream(twin)
+        _mutate_more(loaded)
+        _mutate_more(twin)
+        assert _v9_stream(loaded) == _v9_stream(twin)
+        if journal:
+            recovered = load_searcher(path, **kwargs)
+            assert _v9_stream(recovered) == _v9_stream(twin)
+
+    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
+    @pytest.mark.parametrize("name", (L2_V11, COSINE_V11))
+    def test_keeps_the_stored_rows_and_derives_the_rest(self, tmp_path, name, mmap):
+        _, bits = _gen11.ARCHIVES[name]
+        view = _read(_DATA_DIR / name)[1]["arena_consts"]
+        arena = load_searcher(_fixture(tmp_path, name), mmap=mmap).arena
+        np.testing.assert_array_equal(
+            arena.consts, view[stored_view_rows(view.shape[0], bits > 1)]
+        )
+        derived = np.hstack(
+            [arena.cluster_consts(cid) for cid in range(arena.n_clusters)]
+        )
+        np.testing.assert_array_equal(derived.view(np.int64), view.view(np.int64))
+
+    @pytest.mark.parametrize("name", (L2_V11, COSINE_V11))
+    def test_resave_writes_v12_with_the_stored_rows_only(self, tmp_path, name):
+        metric, bits = _gen11.ARCHIVES[name]
+        upgraded = tmp_path / "upgraded.rbq"
+        save_searcher(load_searcher(_fixture(tmp_path, name), mmap=True), upgraded)
+        _assert_clean(upgraded)
+        header, arrays = _read(upgraded)
+        n_stored = n_stored_consts_for(metric, bits)
+        assert header["meta"]["n_consts"] == n_stored
+        assert arrays["arena_consts"].shape[0] == n_stored
+        assert upgraded.stat().st_size < (_DATA_DIR / name).stat().st_size
+        assert _v9_stream(load_searcher(upgraded)) == _v9_stream(_twin(name))
+
+
+class TestConstsLayoutMismatch:
+    """``n_consts`` counts the view in v9–v11 and the stored rows in v12;
+    either count in the other's archive fails typed."""
+
+    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
+    def test_v12_archive_declaring_the_view_count_is_refused(self, tmp_path, mmap):
+        path = tmp_path / "v12.rbq"
+        save_searcher(_twin(L2_V11), path)
+        view_count = n_consts_for("l2", 4)
+        _rewrite(path, lambda header, _: header["meta"].update(n_consts=view_count))
+        with pytest.raises(PersistenceError, match="v12 archive stores 8 fused"):
+            load_searcher(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
+    def test_v11_archive_declaring_the_stored_count_is_refused(self, tmp_path, mmap):
+        path = _fixture(tmp_path, L2_V11)
+        stored_count = n_stored_consts_for("l2", 4)
+        _rewrite(
+            path, lambda header, _: header["meta"].update(n_consts=stored_count)
+        )
+        with pytest.raises(PersistenceError, match="v11 archive stores 3 fused"):
+            load_searcher(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", (False, True), ids=("materialized", "mmap"))
+    def test_constants_section_of_the_other_layout_is_refused(self, tmp_path, mmap):
+        # The header count matches the version, the section does not.
+        v11 = _fixture(tmp_path, L2_V11)
+        v12 = tmp_path / "v12.rbq"
+        save_searcher(_twin(L2_V11), v12)
+        stored = _read(v12)[1]["arena_consts"]
+        view = _read(v11)[1]["arena_consts"]
+
+        def swap(consts):
+            return lambda _, arrays: arrays.update(arena_consts=consts)
+
+        _rewrite(v11, swap(stored))
+        _rewrite(v12, swap(view))
+        for path in (v11, v12):
+            with pytest.raises(PersistenceError, match="section '(arena_)?consts'"):
+                load_searcher(path, mmap=mmap)
 
 
 class TestV10:

@@ -62,11 +62,12 @@ class TestQuantizer:
         explicit = _fit(data, 1)
         np.testing.assert_array_equal(implicit.arena.codes, explicit.arena.codes)
         np.testing.assert_array_equal(
-            implicit.arena.consts[CONST_POPCOUNT],
-            explicit.arena.consts[CONST_POPCOUNT],
+            implicit.arena.cluster_consts(0)[CONST_POPCOUNT],
+            explicit.arena.cluster_consts(0)[CONST_POPCOUNT],
         )
         np.testing.assert_array_equal(
-            implicit.arena.consts[CONST_ALIGN], explicit.arena.consts[CONST_ALIGN]
+            implicit.arena.cluster_consts(0)[CONST_ALIGN],
+            explicit.arena.cluster_consts(0)[CONST_ALIGN],
         )
         assert explicit.arena.bits == 1
         # No rescale row: the binary constants layout.

@@ -9,9 +9,9 @@ dimension).  This suite pins the contract from the multi-bit refactor:
 * the committed format-v9 fixture of ``tests/test_legacy_archives.py``
   pins a parent-written ``bits = 4`` archive;
 * the ``arena_codes`` section is exactly the codes' levels packed as
-  plane-major bit-planes, at every width and metric; v11 archives store
-  no other code section, this build answers from it, and the ``uint8``
-  ``arena_bits`` section of v10 archives is ignored;
+  plane-major bit-planes, at every width and metric; v11 and v12 archives
+  store no other code section, this build answers from it, and the
+  ``uint8`` ``arena_bits`` section of v10 archives is ignored;
 * a corrupted ``bits`` value in the header is rejected with
   :class:`PersistenceError`, not mis-decoded.
 """
@@ -115,7 +115,7 @@ class TestPackedCodesSection:
         path = tmp_path / "codes.rbq"
         save_searcher(searcher, path)
         header, arrays = _read(path)
-        assert header["format_version"] == 11
+        assert header["format_version"] == 12
         assert "arena_bits" not in arrays
         codes = arrays["arena_codes"]
         assert codes.dtype == np.dtype("<u8")
@@ -155,11 +155,18 @@ class TestPackedCodesSection:
         # change no answer.
         data, queries = corpus
         path = tmp_path / "v10.rbq"
-        save_searcher(_build(data, bits), path)
+        searcher = _build(data, bits)
+        save_searcher(searcher, path)
         expected = [load_searcher(path).search(q, 5, nprobe=4) for q in queries]
         header, arrays = _read(path)
         header.pop("sections")
         header["format_version"] = 10
+        # v10 stores every row of the constants' view.
+        arena = searcher.arena
+        arrays["arena_consts"] = np.hstack(
+            [arena.cluster_consts(cid) for cid in range(arena.n_clusters)]
+        )
+        header["meta"]["n_consts"] = arena.n_consts
         n_rows = arrays["arena_codes"].shape[0]
         arrays["arena_bits"] = np.zeros(
             (n_rows, header["meta"]["code_length"]), dtype=np.uint8

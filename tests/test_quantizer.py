@@ -39,21 +39,21 @@ class TestFit:
         data, _ = data_and_query
         arena = RaBitQ(RaBitQConfig(seed=0)).fit(data).arena
         assert arena.codes.shape == (400, 1)
-        assert arena.consts[CONST_ALIGN].shape == (400,)
-        assert arena.consts[CONST_NORM].shape == (400,)
+        assert arena.cluster_consts(0)[CONST_ALIGN].shape == (400,)
+        assert arena.cluster_consts(0)[CONST_NORM].shape == (400,)
         assert arena.n_rows == 400
         assert arena.n_words == 1
 
     def test_alignment_near_expected_value(self, data_and_query):
         data, _ = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        mean_alignment = float(quantizer.arena.consts[CONST_ALIGN].mean())
+        mean_alignment = float(quantizer.arena.cluster_consts(0)[CONST_ALIGN].mean())
         assert abs(mean_alignment - expected_alignment(64)) < 0.02
 
     def test_alignments_positive(self, data_and_query):
         data, _ = data_and_query
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data)
-        assert (quantizer.arena.consts[CONST_ALIGN] > 0.0).all()
+        assert (quantizer.arena.cluster_consts(0)[CONST_ALIGN] > 0.0).all()
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
@@ -76,7 +76,7 @@ class TestFit:
         quantizer = RaBitQ(RaBitQConfig(seed=0)).fit(data, centroid=centroid)
         np.testing.assert_allclose(quantizer.centroid, centroid)
         np.testing.assert_allclose(
-            quantizer.arena.consts[CONST_NORM], np.linalg.norm(data, axis=1)
+            quantizer.arena.cluster_consts(0)[CONST_NORM], np.linalg.norm(data, axis=1)
         )
 
     def test_shared_rotation_reused(self, data_and_query):
@@ -241,7 +241,7 @@ class TestIntrospection:
         reconstruction = quantizer.reconstruct()
         recomputed = np.einsum("ij,ij->i", reconstruction, padded)
         np.testing.assert_allclose(
-            recomputed, quantizer.arena.consts[CONST_ALIGN], atol=1e-9
+            recomputed, quantizer.arena.cluster_consts(0)[CONST_ALIGN], atol=1e-9
         )
 
     def test_compression_ratio(self, data_and_query):

@@ -14,6 +14,7 @@ from repro.core.estimator import (
     CONST_RAW_NORM,
     N_CONSTS,
     build_code_consts,
+    n_stored_consts_for,
 )
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import InvalidParameterError, NotFittedError
@@ -43,21 +44,21 @@ class TestConstruction:
 
     def test_requires_raw_terms_before_estimation(self, similarity_setup):
         data, query, ip, _ = similarity_setup
-        consts = ip.arena.consts
+        consts = ip.arena.cluster_consts(0)
         np.testing.assert_array_equal(consts[CONST_DOT_C], data @ ip.centroid)
         np.testing.assert_array_equal(
             consts[CONST_RAW_NORM], np.sqrt(np.einsum("ij,ij->i", data, data))
         )
         assert RaBitQ(RaBitQConfig(seed=1)).fit(data).arena.n_consts == N_CONSTS
         stripped = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
-        stripped.arena.consts = stripped.arena.consts[:N_CONSTS]
+        stripped.arena.consts = stripped.arena.consts[: n_stored_consts_for("l2")]
         with pytest.raises(InvalidParameterError, match="metric 'ip'"):
             stripped.estimate_distances(query)
 
     def test_raw_terms_shape_validation(self, similarity_setup):
         data, query, _, _ = similarity_setup
         quantizer = RaBitQ(RaBitQConfig(seed=1), metric="ip").fit(data)
-        consts = quantizer.arena.consts
+        consts = quantizer.arena.cluster_consts(0)
         rows = (
             consts[CONST_ALIGN],
             consts[CONST_NORM],
