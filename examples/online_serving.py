@@ -1,9 +1,10 @@
 """Online serving: micro-batched concurrent queries with deadlines.
 
 Production traffic is concurrent single queries, not pre-formed batches —
-yet the batch engine does meaningfully less work per query than the
-sequential path.  This example walks the serving front end that converts
-one into the other:
+yet the batch engine does less work per query than single calls only once
+micro-batches grow large (at B=1 from about 64 rows per call; see
+``perf/``'s ``index.searcher.batch_ms_per_query_b*``).  This example walks
+the serving front end that converts one into the other:
 
 1. point a ``ServingEngine`` at a fitted ``IVFQuantizedSearcher`` — a
    worker thread coalesces concurrent ``submit`` calls that share

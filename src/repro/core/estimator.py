@@ -672,15 +672,18 @@ def estimate_codes(
     """Estimates and bounds of packed ``codes`` for quantized query rows.
 
     ``query_values`` are quantized query rows, ``consts`` the codes' view
-    (:func:`derive_code_consts`) and ``terms`` the rows' query
-    terms, shaped to broadcast against the output: ``delta`` (Δ),
-    ``lower`` (``v_l``) and ``sums`` (``Σq_u``) for the undo,
-    ``query_norms`` (``||q - c||``) and, when present, ``query_rounding``
-    (``eps0 Δ/2``, ``B > 1``), ``query_offset`` and ``query_raw_norm``
-    for :func:`fused_estimate`.  Without ``segments`` every row meets every
-    code (``(n_rows, 1)`` terms, ``(n_rows, n_codes)`` output); with them,
-    row ``i`` meets only the next ``segments[i]`` codes (terms repeated per
-    code, ``(n_codes,)`` output).  One call of the integer-dot kernel
+    (:func:`derive_code_consts`) and ``terms`` the rows' query terms of
+    :func:`repro.core.query.prepare_pairs`, shaped to broadcast against the
+    output: ``delta`` (Δ), ``lower`` (``v_l``) and ``sums`` (``Σq_u``) for
+    the undo, ``query_norms`` (``||q - c||``) and, when present,
+    ``query_rounding`` (``eps0 Δ/2``, ``B > 1``), ``query_offset`` and
+    ``query_raw_norm`` for :func:`fused_estimate`.  Without ``segments``
+    every row meets every code (``(n_rows, 1)`` terms, ``(n_rows,
+    n_codes)`` output: the searcher's per-cluster-group form for several
+    queries, and :class:`repro.core.quantizer.RaBitQ`'s); with them, row
+    ``i`` meets only the next ``segments[i]`` codes (terms repeated per
+    code, ``(n_codes,)`` output: the searcher's form for one query, each
+    probed code against its own cluster's row).  One call of the integer-dot kernel
     computes the exact ``<u, q_u>`` (popcount or unpack + BLAS into
     ``scratch``, whichever the work size favours; the integers are the
     same), then one affine undo of the query quantization (Eq. 19-20) at

@@ -13,19 +13,26 @@
   ``||o_r - c||`` and the alignments ``<o_bar, o>``; every estimate derives
   the other terms from them (``arena.cluster_consts(0)`` is that view).
 * **Query phase** (:meth:`RaBitQ.prepare_queries` then
-  :meth:`RaBitQ.estimate_distances_batch`): normalize and inversely rotate
-  the raw queries, scalar-quantize them, and estimate the squared distance
-  to every stored vector together with confidence bounds, as an
-  ``(n_queries, n_codes)`` matrix.  :meth:`RaBitQ.prepare_query` and
-  :meth:`RaBitQ.estimate_distances` are the same calls on one row — a
-  prepared query is a one-row :class:`QuantizedQueryBatch` — so a batch
-  returns bit-identical estimates to looping over its queries.
+  :meth:`RaBitQ.estimate_distances_batch`): prepare the raw queries with
+  the searcher's pair preparation on the one centroid
+  (:func:`repro.core.query.prepare_pairs`: normalize, inversely rotate and
+  scalar-quantize them, with every per-query term the estimate reads),
+  then estimate the squared distance to every stored vector together with
+  confidence bounds, as an ``(n_queries, n_codes)`` matrix.
+  :meth:`RaBitQ.prepare_query` and :meth:`RaBitQ.estimate_distances` are
+  the same calls on one row — a prepared query is a one-row
+  :class:`QuantizedQueryBatch` — so a batch returns bit-identical
+  estimates to looping over its queries.
 
 ``RaBitQ(config, metric=)`` serves every metric of :mod:`repro.core.metric`
 through the one estimator, via the centroid decomposition there.  Under
 ``"ip"`` / ``"cosine"`` the constants carry ``<o_r, c>`` and ``||o_r||``
-per row, prepared queries carry ``<q_r, c> - ||c||^2`` and ``||q_r||``, and
-the ``distances`` field holds similarity scores (larger is better).
+per row, prepared queries carry ``<q_r, c> - ||c||^2`` (and ``||q_r||``
+under cosine), and the ``distances`` field holds similarity scores (larger
+is better).  An ``epsilon0=`` override of an estimate call re-forms the
+``B > 1`` query-rounding term of a prepared query
+(:func:`repro.core.query.query_rounding_term`) along with the codes'
+half-widths, so a query prepared once serves a whole ``epsilon0`` sweep.
 
 Estimation is the searcher's one estimate function on one centroid,
 :func:`repro.core.estimator.estimate_codes`: the integer dot ``<x_b, q_u>``
@@ -58,9 +65,9 @@ from repro.core.metric import Metric, resolve_metric
 from repro.core.normalization import compute_centroid, pad_vectors
 from repro.core.query import (
     QuantizedQueryMatrix,
-    quantize_query_matrix,
+    prepare_pairs,
+    query_rounding_term,
     rotate_rows,
-    rotated_unit_residuals,
     sample_rounding_offsets,
 )
 from repro.core.rotation import Rotation, make_rotation
@@ -159,19 +166,17 @@ class QuantizedQueryBatch:
     rotated:
         The (unquantized) rotated unit queries, shape
         ``(n_queries, code_length)``.
-    query_norms:
-        ``||q_r - c||`` per query, shape ``(n_queries,)``.
-    query_offsets / query_raw_norms:
-        ``<q_r, c> - ||c||^2`` and ``||q_r||`` per query, the query terms
-        of the ``"ip"`` / ``"cosine"`` decomposition (``None`` under
-        ``"l2"``).
+    terms:
+        The per-query terms the estimate reads, each of shape
+        ``(n_queries,)`` (:func:`repro.core.query.prepare_pairs`):
+        ``query_norms`` (``||q_r - c||``) and the undo's ``delta`` /
+        ``lower`` / ``sums`` always, ``query_rounding`` for ``B > 1``, and
+        ``query_offset`` / ``query_raw_norm`` under ``"ip"`` / ``"cosine"``.
     """
 
     quantized: QuantizedQueryMatrix
     rotated: np.ndarray
-    query_norms: np.ndarray
-    query_offsets: np.ndarray | None = None
-    query_raw_norms: np.ndarray | None = None
+    terms: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return int(self.rotated.shape[0])
@@ -180,8 +185,6 @@ class QuantizedQueryBatch:
     def code_length(self) -> int:
         """Code length the queries were prepared for."""
         return int(self.rotated.shape[1])
-
-
 
 
 class RaBitQ:
@@ -370,54 +373,34 @@ class RaBitQ:
         """Normalize, rotate and quantize a matrix of raw queries at once.
 
         One call prepares every row of ``queries`` for
-        :meth:`estimate_distances_batch`.  Each row's result depends on that
-        row alone — the searcher's own preparation
-        (:func:`repro.core.query.rotated_unit_residuals`) on one centroid:
-        each query is rotated once and ``P^-1 c`` subtracted, while the
-        scalar quantization is vectorized.  No bit-planes are packed
+        :meth:`estimate_distances_batch`: the searcher's pair preparation
+        (:func:`repro.core.query.prepare_pairs`) on the one centroid, so
+        each row's result depends on that row alone, scalar for scalar as
+        the searcher prepares it.  No bit-planes are packed
         (``quantized.bitplanes`` is ``None``): the integer-dot kernel packs
-        its own when it takes the popcount path.  Similarity
-        metrics add each row's ``<q_r, c> - ||c||^2`` and ``||q_r||``,
-        scalar for scalar as the searcher computes them.
+        its own when it takes the popcount path.
         """
-        centre = self.centroid
         mat = as_float_matrix(queries, "queries")
         if mat.shape[0] and mat.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"queries have dimension {mat.shape[1]}, index expects {self.dim}"
             )
-        centroid = centre[None]
-        rotated, norms = rotated_unit_residuals(
-            self.rotation,
+        centroid = self.centroid[None]
+        quantized, rotated, terms = prepare_pairs(
             mat,
-            centroid,
-            rotate_rows(self.rotation, centroid),
             np.arange(mat.shape[0]),
             np.zeros(mat.shape[0], dtype=np.intp),
-        )
-        quantized = quantize_query_matrix(
-            rotated,
-            self.config.query_bits,
-            randomized=self.config.randomized_rounding,
-            offsets=self._rounding_offsets,
-            with_bitplanes=False,
-        )
-        query_terms = {}
-        if self._metric.higher_is_better:
+            rotation=self.rotation,
+            centroids=centroid,
+            rotated_centroids=rotate_rows(self.rotation, centroid),
             # ||c||^2 as the IVF layer computes it: an einsum over centroid
             # rows (a BLAS dot can round differently).
-            centre_sq = float(np.einsum("ij,ij->i", centroid, centroid)[0])
-            query_terms = {
-                "query_offsets": np.array(
-                    [float(np.dot(row, centre)) - centre_sq for row in mat]
-                ),
-                "query_raw_norms": np.array(
-                    [float(np.sqrt(np.dot(row, row))) for row in mat]
-                ),
-            }
-        return QuantizedQueryBatch(
-            quantized=quantized, rotated=rotated, query_norms=norms, **query_terms
+            centroid_sq_norms=np.einsum("ij,ij->i", centroid, centroid),
+            rounding_offsets=self._rounding_offsets,
+            config=self.config,
+            metric=self._metric,
         )
+        return QuantizedQueryBatch(quantized=quantized, rotated=rotated, terms=terms)
 
     def estimate_distances(
         self,
@@ -534,25 +517,22 @@ class RaBitQ:
         The ``"bitwise"`` path is :func:`estimate_codes` in cross form, the
         searcher's own estimate with ``(n_queries, 1)`` query terms, for
         every metric, on the constants' view of the selected codes
-        (:meth:`CodeArena.consts_view`, derived with the ``epsilon0``
-        override when one is given).
+        (:meth:`CodeArena.consts_view`); an ``epsilon0`` override reaches
+        both that view's half-widths and the queries' rounding term.
         """
         if compute not in COMPUTE_MODES:
             raise InvalidParameterError(
                 f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
             )
         arena = self.arena
-        code_length, bits = arena.code_length, arena.bits
         eps = self.config.epsilon0 if epsilon0 is None else float(epsilon0)
         codes = arena.codes[rows]
         consts = arena.consts_view(rows, codes, epsilon0=eps)
-        quantized = prepared.quantized
-        terms = {"query_norms": prepared.query_norms[:, None]}
-        if bits > 1:
-            terms["query_rounding"] = 0.5 * eps * quantized.delta[:, None]
-        if self._metric.higher_is_better:
-            terms["query_offset"] = prepared.query_offsets[:, None]
-            terms["query_raw_norm"] = prepared.query_raw_norms[:, None]
+        terms = {name: term[:, None] for name, term in prepared.terms.items()}
+        if epsilon0 is not None and "query_rounding" in terms:
+            terms["query_rounding"] = query_rounding_term(
+                prepared.quantized.delta, eps
+            )[:, None]
         if compute == "float":
             # One GEMV per query, as a one-query call would run it (a single
             # GEMM would round differently).
@@ -560,17 +540,16 @@ class RaBitQ:
             quantized_dot = np.empty((len(prepared), decoded.shape[0]))
             for i in range(len(prepared)):
                 quantized_dot[i] = decoded @ prepared.rotated[i]
+            for name in ("delta", "lower", "sums"):
+                del terms[name]
             return fused_estimate(quantized_dot, consts, metric=self._metric, **terms)
-        terms["delta"] = quantized.delta[:, None]
-        terms["lower"] = quantized.lower[:, None]
-        terms["sums"] = quantized.sum_codes.astype(np.float64)[:, None]
         return estimate_codes(
             codes,
             consts,
-            quantized.codes,
+            prepared.quantized.codes,
             terms,
-            code_length=code_length,
-            bits=bits,
+            code_length=arena.code_length,
+            bits=arena.bits,
             metric=self._metric,
         )
 

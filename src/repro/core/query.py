@@ -20,15 +20,18 @@ drawn from ``rng`` (Algorithm 2 as written in the paper).
 a one-row matrix as for many.  Each row is quantized on its own range, and
 every row is rounded against the same ``offsets`` (or ``rng`` is consumed
 in row order, degenerate constant rows drawing nothing), so a row's codes
-do not depend on the rows beside it.  The searcher prepares one matrix per
-query (its probed residuals) or per batch (all its query-cluster pairs), and
-:class:`repro.core.quantizer.RaBitQ` one per ``prepare_queries`` call.
+do not depend on the rows beside it.
 
-Both build that matrix with :func:`rotated_unit_residuals`.  ``P^-1`` is
-linear, so the rotated unit residual of a (query, centroid) pair is
-``(P^-1 q - P^-1 c) / ||q - c||``: each query is rotated once, however many
-centroids it is paired with, and the searcher derives ``P^-1 C`` once per
-index (:func:`rotate_rows`).
+:func:`prepare_pairs` is the one query preparation: it builds the matrix of
+(query, centroid) pairs with :func:`rotated_unit_residuals`, quantizes it
+and derives every per-pair term the estimator reads.  The searcher calls it
+once per search call (per query chunk of a very large batch) with all the
+probed pairs, and
+:class:`repro.core.quantizer.RaBitQ` once per ``prepare_queries`` call with
+its one centroid.  ``P^-1`` is linear, so the rotated unit residual of a
+pair is ``(P^-1 q - P^-1 c) / ||q - c||``: each query is rotated once,
+however many centroids it is paired with, and the searcher derives
+``P^-1 C`` once per index (:func:`rotate_rows`).
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bitops import bitplanes_from_uint_batch
+from repro.core.config import RaBitQConfig
+from repro.core.metric import Metric
 from repro.core.rotation import Rotation
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.substrates.rng import RngLike, ensure_rng, spawn_rngs
@@ -274,6 +279,80 @@ def rotated_unit_residuals(
     return units, norms
 
 
+def query_rounding_term(delta: np.ndarray, epsilon0: float) -> np.ndarray:
+    """``eps0 Δ/2``, the query-rounding term of the ``B > 1`` bound."""
+    return 0.5 * float(epsilon0) * delta
+
+
+def prepare_pairs(
+    queries: np.ndarray,
+    query_rows: np.ndarray,
+    centroid_ids: np.ndarray,
+    *,
+    rotation: Rotation,
+    centroids: np.ndarray,
+    rotated_centroids: np.ndarray,
+    centroid_sq_norms: np.ndarray,
+    rounding_offsets: np.ndarray,
+    config: RaBitQConfig,
+    metric: Metric,
+) -> tuple[QuantizedQueryMatrix, np.ndarray, dict[str, np.ndarray]]:
+    """Prepare (query, centroid) pairs for estimation (Alg. 2, lines 1-2).
+
+    Pair ``i`` is ``queries[query_rows[i]]`` in the frame of centroid
+    ``centroid_ids[i]``; ``rotated_centroids`` and ``centroid_sq_norms``
+    are :func:`rotate_rows` and ``||c||^2`` of ``centroids``.  Returns
+    ``(quantized, rotated, terms)``: the rotated unit residuals of
+    :func:`rotated_unit_residuals`, quantized against ``rounding_offsets``
+    at ``config.query_bits`` (no bit-planes), and every per-pair term
+    :func:`repro.core.estimator.estimate_codes` reads, one value per pair:
+
+    * ``delta`` (Δ), ``lower`` (``v_l``) and ``sums`` (``Σq_u``), the
+      affine undo's;
+    * ``query_norms`` (``||q - c||``);
+    * ``query_rounding`` (:func:`query_rounding_term` at
+      ``config.epsilon0``), for ``B > 1`` codes only;
+    * ``query_offset`` (``<q, c> - ||c||^2``) under similarity metrics and
+      ``query_raw_norm`` (``||q||``) under cosine.
+
+    Every step is per row or elementwise, so a pair's result does not
+    depend on the pairs beside it; a query on its centroid becomes the zero
+    row, which quantizes to ``Δ = 1`` and codes 0.
+    """
+    rotated, query_norms = rotated_unit_residuals(
+        rotation, queries, centroids, rotated_centroids, query_rows, centroid_ids
+    )
+    quantized = quantize_query_matrix(
+        rotated,
+        config.query_bits,
+        randomized=config.randomized_rounding,
+        offsets=rounding_offsets,
+        with_bitplanes=False,
+    )
+    terms = {
+        "delta": quantized.delta,
+        "lower": quantized.lower,
+        "sums": quantized.sum_codes.astype(np.float64),
+        "query_norms": query_norms,
+    }
+    if config.bits > 1:
+        terms["query_rounding"] = query_rounding_term(
+            quantized.delta, config.epsilon0
+        )
+    if metric.higher_is_better:
+        terms["query_offset"] = np.array(
+            [
+                float(np.dot(queries[qi], centroids[cid]))
+                - float(centroid_sq_norms[cid])
+                for qi, cid in zip(query_rows.tolist(), centroid_ids.tolist())
+            ]
+        )
+    if metric.name == "cosine":
+        raw_norms = np.array([float(np.sqrt(np.dot(row, row))) for row in queries])
+        terms["query_raw_norm"] = raw_norms[query_rows]
+    return quantized, rotated, terms
+
+
 def dequantization_error(
     rotated_queries: np.ndarray, quantized: QuantizedQueryMatrix
 ) -> np.ndarray:
@@ -291,6 +370,8 @@ def dequantization_error(
 __all__ = [
     "QuantizedQueryMatrix",
     "quantize_query_matrix",
+    "prepare_pairs",
+    "query_rounding_term",
     "sample_rounding_offsets",
     "dequantization_error",
 ]

@@ -116,7 +116,7 @@ def run_unbiasedness_experiment(
         # Naive estimator: use <o_bar, q> directly as the inner product.
         naive_ip = estimate.inner_products * consts[CONST_ALIGN]
         naive[i] = inner_product_to_squared_distance(
-            naive_ip, consts[CONST_NORM], prepared.query_norms[0]
+            naive_ip, consts[CONST_NORM], prepared.terms["query_norms"][0]
         )
 
     scale = float(true.max()) if normalize else 1.0

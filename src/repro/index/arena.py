@@ -1,11 +1,7 @@
 """Contiguous code arena: cluster-grouped storage for quantized codes.
 
-The pre-arena searcher kept one :class:`repro.core.quantizer.RaBitQ` object
-per IVF cluster, each owning its own small code matrix and per-vector float
-arrays.  Scanning ``nprobe`` clusters then meant iterating Python objects and
-concatenating dozens of small arrays per query.  The :class:`CodeArena`
-replaces that object soup with one contiguous, cluster-grouped layout that
-stores every code once:
+The :class:`CodeArena` keeps the codes of every IVF cluster in one
+contiguous, cluster-grouped layout that stores every code once:
 
 * ``codes`` — one ``(capacity, bits * n_words)`` ``uint64`` matrix of
   packed code words, ``n_words = ceil(code_length / 64)``: each row is
@@ -30,8 +26,7 @@ stores every code once:
   cluster to its contiguous row range.
 
 Probing a cluster therefore reads contiguous slices of ``codes`` /
-``consts`` / ``slots`` instead of iterating per-object Python state.
-Row order inside a cluster region always equals the IVF bucket's id order
+``consts`` / ``slots``.  Row order inside a cluster region always equals the IVF bucket's id order
 (ascending slot id), which is exactly the row order the per-cluster
 quantizers used to store, so estimates read from the arena are bit-identical
 to the pre-arena layout.  :meth:`CodeArena.cluster_bits` unpacks a
@@ -269,9 +264,9 @@ class CodeArena:
         """
         rows = _region_rows(self.starts, self.sizes)
         return {
-            "codes": np.ascontiguousarray(self.codes[rows]),
-            "consts": np.ascontiguousarray(self.consts[:, rows]),
-            "slots": np.ascontiguousarray(self.slots[rows]),
+            "codes": np.ascontiguousarray(self.codes.take(rows, axis=0)),
+            "consts": np.ascontiguousarray(self.consts.take(rows, axis=1)),
+            "slots": np.ascontiguousarray(self.slots.take(rows)),
             "sizes": self.sizes.copy(),
         }
 
@@ -336,9 +331,9 @@ class CodeArena:
         consts = np.zeros((self.n_stored, total), dtype=np.float64)
         slots = np.full(total, -1, dtype=np.int64)
         dst = _region_rows(starts, sizes)
-        codes[dst] = self.codes[rows]
-        consts[:, dst] = self.consts[:, rows]
-        slots[dst] = self.slots[rows]
+        codes[dst] = self.codes.take(rows, axis=0)
+        consts[:, dst] = self.consts.take(rows, axis=1)
+        slots[dst] = self.slots.take(rows)
         self.codes, self.consts, self.slots = codes, consts, slots
         self.starts, self.caps = starts, caps
         self.sizes = sizes.astype(np.int64, copy=True)

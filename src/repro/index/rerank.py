@@ -104,21 +104,27 @@ class Reranker(abc.ABC):
         """
         queries_mat = np.asarray(queries, dtype=np.float64)
         bounds = np.asarray(offsets, dtype=np.int64)
+        edges = bounds.tolist()
         if (
             queries_mat.ndim != 2
             or bounds.shape != (queries_mat.shape[0] + 1,)
-            or bounds[0] != 0
-            or not bounds[-1] == len(candidate_ids) == len(estimate)
-            or (bounds[1:] < bounds[:-1]).any()
+            or edges[0] != 0
+            or not edges[-1] == len(candidate_ids) == len(estimate)
+            or any(hi < lo for lo, hi in zip(edges, edges[1:]))
         ):
             raise InvalidParameterError("offsets must split candidates by query row")
         out = self._rerank_rows(
             queries_mat, candidate_ids, estimate, bounds, flat_index, k, metric
         )
-        bounds, fields = bounds.tolist(), tuple(vars(estimate).values())
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        fields = tuple(vars(estimate).values())
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             if out[i] is None:
-                view = DistanceEstimate(*[field[lo:hi] for field in fields])
+                # A row that owns every candidate takes the estimate as is.
+                view = (
+                    estimate
+                    if hi - lo == edges[-1]
+                    else DistanceEstimate(*[field[lo:hi] for field in fields])
+                )
                 out[i] = self.rerank(
                     queries_mat[i], candidate_ids[lo:hi], view,
                     flat_index, k, metric=metric,

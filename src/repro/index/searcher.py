@@ -21,39 +21,28 @@ extremum of the optimistic bounds, and results are ordered best-first
 bit-identical to the historical metric-oblivious implementation
 (``tests/test_l2_stream_gate.py`` pins archived result streams).
 
-Two query entry points are provided:
-
-* :meth:`IVFQuantizedSearcher.search` — one query at a time, returning a
-  :class:`SearchResult` with the retrieved ids, their distances, and cost
-  counters (number of estimated distances and of exact re-ranking
-  computations) so the benchmark harness can report both accuracy and work.
-* :meth:`IVFQuantizedSearcher.search_batch` — the vectorized batch engine.
-  IVF probing runs once for the whole query matrix, queries are grouped by
-  probed cluster so each cluster's code block is scanned once per query
-  group, and re-ranking runs per query on the assembled estimates.  The
-  returned :class:`BatchSearchResult` carries per-query results plus
-  aggregate cost counters, and is guaranteed to be element-wise identical
-  (ids *and* distances) to running :meth:`search` in a loop — batching
-  changes throughput, never answers.
-
-Both entry points wrap the same steps of Algorithm 2.
-``_prepare`` turns (query, probed cluster) pairs into quantized queries:
-``P^-1`` is linear, so the rotated unit residual is ``(P^-1 q - P^-1 c) /
-||q - c||``, and each query is rotated once while ``P^-1 C`` is derived
-once per index (at ``fit`` and at load); then Eq. 18 rounding against the
-index's rounding vector.  ``search`` calls it once for its ``nprobe``
-pairs, ``search_batch`` once for all its pairs, grouped by cluster.
-``_pair_terms`` derives every per-pair query term the estimate reads
-(the undo's ``Δ``, ``v_l``, ``Σq_u``; ``||q - c||``; ``eps0 Δ/2``; the
-similarity offsets) once per call, over all pairs.
-:func:`repro.core.estimator.estimate_codes` takes prepared rows against
-packed codes: one call of the integer-dot kernel, the affine undo of Eq.
-19-20 and :func:`repro.core.estimator.fused_estimate`.
-The entry points differ only in how they pair rows with codes: ``search``
-gathers every probed row once and pairs each code with its own cluster's
-query row in one flat pass (terms repeated per code), ``search_batch``
-meets each cluster group's rows with that cluster's block (terms as
-``(g, 1)`` columns, sliced per group) and scatters the results.
+One query driver serves both entry points:
+:meth:`IVFQuantizedSearcher.search_batch` answers a query matrix with a
+:class:`BatchSearchResult` (per-query ids, distances and cost counters:
+estimated candidates and exact re-ranking computations), and
+:meth:`IVFQuantizedSearcher.search` is ``search_batch`` of the one-row
+matrix.  A call runs the steps of Algorithm 2 once for all its queries:
+IVF probing; :func:`repro.core.query.prepare_pairs`, which turns every
+(query, probed cluster) pair into a quantized query row and its per-pair
+terms (the query rotated once, the cluster's ``P^-1 c`` derived once per
+index, Eq. 18 rounding against the index's rounding vector); the estimate
+(:func:`repro.core.estimator.estimate_codes`: one call of the integer-dot
+kernel, the affine undo of Eq. 19-20 and
+:func:`repro.core.estimator.fused_estimate`); then re-ranking of the flat
+candidate batch (:meth:`repro.index.rerank.Reranker.rerank_batch`).
+The estimate takes its form from the query count.  One query pairs each
+gathered probed code with its own cluster's query row in one call (terms
+repeated per code); several queries meet each cluster group's rows with
+that cluster's block, one call per group (terms as ``(g, 1)`` columns),
+and the results are scattered to each query's range.  Every pair is
+prepared and estimated on its own, so a query's answer is the same bits in
+either form, whatever it is batched with: batching changes throughput,
+never answers.
 
 **Hot-path layout.**  Quantized codes live in a contiguous, cluster-grouped
 code arena that stores each code once: one ``uint64`` matrix of packed
@@ -65,16 +54,15 @@ the estimator cannot recompute (``||o_r - c||`` and ``<o_bar, o>``, plus
 at ``B = 1`` under l2 a 128-d code costs 16 B of words, 16 B of constants
 and an 8 B slot id.  The rest of the estimator's view (squared and
 doubled norms, the division guard, error-bound half-widths, level sums)
-is derived once per call over the rows it reads
+is derived once per call over the probed rows
 (:func:`repro.core.estimator.derive_code_consts`, from the stored rows,
-the packed words and the index's ``epsilon0``): ``search`` over its
-gathered rows, ``search_batch`` over the probed clusters' rows, sliced
-per cluster group.  Every width runs the
+the packed words and the index's ``epsilon0``).  Every width runs the
 same code: one encoder (:func:`repro.core.quantizer.encode_rows`), one
 derivation, one integer-dot kernel and one affine undo, each told
-the width ``B``; the query-rounding term of the ``B > 1`` bound is the only
-width test here.  Distances and bounds for a candidate set are produced by
-one integer inner-product pass, one affine undo and one estimate epilogue
+the width ``B``; the query-rounding term of the ``B > 1`` bound (formed in
+:func:`repro.core.query.prepare_pairs`) is the only other width test.
+Distances and bounds for a candidate set are produced by one integer
+inner-product pass, one affine undo and one estimate epilogue
 (:func:`repro.core.estimator.fused_estimate`); the last two compute each
 shared subexpression once and update their buffers in place.  The integer pass
 (:func:`repro.core.bitops.binary_dot_uint_batch`) runs AND + popcount on
@@ -83,13 +71,10 @@ scratch buffer for one BLAS call when it is large; both are *exact* (every
 partial sum is an integer far below 2^53), so the choice never changes an
 answer.
 
-``_prepare`` rotates each query with its own ``(1, L)`` GEMV and
-otherwise works per row or elementwise, so a row's quantized query does
-not depend on the rows prepared beside it.  :class:`repro.core.quantizer.RaBitQ`
-prepares its queries with the same helper
-(:func:`repro.core.query.rotated_unit_residuals`), so search results are
-bit-identical to per-cluster quantizers sharing the index's rotation and
-rounding vector — the equivalence suite in
+:class:`repro.core.quantizer.RaBitQ` prepares its queries with the same
+:func:`repro.core.query.prepare_pairs` on its one centroid, so search
+results are bit-identical to per-cluster quantizers sharing the index's
+rotation and rounding vector — the equivalence suite in
 ``tests/test_arena_equivalence.py`` checks this against a literal port of
 the pre-arena implementation.
 
@@ -123,11 +108,11 @@ lifecycle required by a serving deployment):
   the external ids are ``0 .. n-1`` (the row positions), so existing code
   is unaffected.
 
-Tombstone filtering is applied identically on the sequential and batch
-paths (the full per-cluster estimate is always computed, then dead rows are
-masked out), so the batch ≡ sequential guarantee holds at every point of the
-lifecycle.  A fitted searcher — including tombstones, id mapping and the
-rounding vector — can be serialized with
+Tombstones are filtered after the full per-cluster estimate (dead rows
+are masked out of it), in either form of the estimate, so a query's answer
+does not depend on its batch at any point of the lifecycle.  A fitted
+searcher — including tombstones, id mapping and the rounding vector — can
+be serialized with
 :func:`repro.io.persistence.save_searcher` and reloaded bit-identically with
 :func:`repro.io.persistence.load_searcher`.
 """
@@ -152,12 +137,7 @@ from repro.core.estimator import (
 )
 from repro.core.metric import Metric, resolve_metric
 from repro.core.quantizer import encode_rows
-from repro.core.query import (
-    quantize_query_matrix,
-    rotate_rows,
-    rotated_unit_residuals,
-    sample_rounding_offsets,
-)
+from repro.core.query import prepare_pairs, rotate_rows, sample_rounding_offsets
 from repro.core.rotation import Rotation, make_rotation
 from repro.exceptions import (
     DimensionMismatchError,
@@ -271,16 +251,6 @@ class BatchSearchResult:
     def total_exact(self) -> int:
         """Total number of exact re-ranking computations across the batch."""
         return int(self.n_exact.sum())
-
-
-def _empty_estimate() -> tuple[np.ndarray, DistanceEstimate]:
-    empty = np.empty(0, dtype=np.float64)
-    return np.empty(0, dtype=np.int64), DistanceEstimate(
-        distances=empty,
-        lower_bounds=empty.copy(),
-        upper_bounds=empty.copy(),
-        inner_products=empty.copy(),
-    )
 
 
 class IVFQuantizedSearcher:
@@ -746,151 +716,8 @@ class IVFQuantizedSearcher:
             store[name] = buf
         return buf
 
-    def _prepare(
-        self, queries: np.ndarray, query_rows: np.ndarray, cluster_ids: np.ndarray
-    ) -> tuple:
-        """Prepare (query, probed cluster) pairs for estimation (Alg. 2, lines 1-2).
-
-        Pair ``i`` is ``queries[query_rows[i]]`` in the frame of cluster
-        ``cluster_ids[i]``.  Returns ``(quantized, query_norms)``: the
-        :class:`repro.core.query.QuantizedQueryMatrix` of the rotated unit
-        residuals ``(P^-1 q - P^-1 c) / ||q - c||`` — each query rotated
-        once, the cluster's ``P^-1 c`` taken from the index — quantized
-        against the index's rounding vector, and ``||q - c||`` per pair
-        (:func:`repro.core.query.rotated_unit_residuals`).  Every step is per
-        row or elementwise, so a pair's result does not depend on the pairs
-        beside it; a query on its centroid becomes the zero row, which
-        quantizes to ``Δ = 1`` and codes 0.
-        """
-        config = self.rabitq_config
-        rotated, query_norms = rotated_unit_residuals(
-            self._shared_rotation,
-            queries,
-            self._ivf.centroids,
-            self._rotated_centroids,
-            query_rows,
-            cluster_ids,
-        )
-        quantized = quantize_query_matrix(
-            rotated,
-            config.query_bits,
-            randomized=config.randomized_rounding,
-            offsets=self._rounding_offsets,
-            with_bitplanes=False,
-        )
-        return quantized, query_norms
-
-    def _pair_terms(
-        self,
-        queries: np.ndarray,
-        query_rows: np.ndarray,
-        cluster_ids: np.ndarray,
-        quantized,
-        query_norms: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        """The per-pair query terms of prepared pairs, one value per pair.
-
-        Pair ``i`` is as in :meth:`_prepare`, whose outputs are passed in;
-        the result is the ``terms`` of :func:`estimate_codes`.
-        ``delta`` (Δ), ``lower`` (``v_l``) and ``sums`` (``Σq_u``) feed the
-        affine undo; the others are :func:`fused_estimate`'s keyword terms:
-        ``query_norms`` (``||q - c||``), ``query_rounding`` (``eps0 Δ/2``,
-        ``B > 1`` only) and, under similarity metrics, ``query_offset``
-        (``<q, c> - ||c||^2``) and ``query_raw_norm`` (cosine).
-        """
-        terms = {
-            "delta": quantized.delta,
-            "lower": quantized.lower,
-            "sums": quantized.sum_codes.astype(np.float64),
-            "query_norms": query_norms,
-        }
-        if self.bits > 1:
-            eps0 = float(self.rabitq_config.epsilon0)
-            terms["query_rounding"] = 0.5 * eps0 * quantized.delta
-        if self._metric.higher_is_better:
-            terms["query_offset"] = np.array(
-                [
-                    self._query_offset(queries[qi], cid)
-                    for qi, cid in zip(query_rows.tolist(), cluster_ids.tolist())
-                ]
-            )
-        if self._metric.name == "cosine":
-            raw_norms = np.array([float(np.sqrt(np.dot(row, row))) for row in queries])
-            terms["query_raw_norm"] = raw_norms[query_rows]
-        return terms
-
-    def _live_only(
-        self, cand: np.ndarray, estimate: DistanceEstimate
-    ) -> tuple[np.ndarray, DistanceEstimate, np.ndarray | None]:
-        """Drop tombstoned candidates from an already-computed estimate.
-
-        The third item is the live mask applied, or ``None`` if every
-        candidate is live.
-        """
-        if self._n_dead:
-            mask = self._live[cand]
-            if not mask.all():
-                return cand[mask], DistanceEstimate(
-                    distances=estimate.distances[mask],
-                    lower_bounds=estimate.lower_bounds[mask],
-                    upper_bounds=estimate.upper_bounds[mask],
-                    inner_products=estimate.inner_products[mask],
-                ), mask
-        return cand, estimate, None
-
-    def _query_offset(self, query: np.ndarray, cid: int) -> float:
-        """``<q, c> - ||c||^2``, the similarity metrics' per-cluster offset."""
-        return float(np.dot(query, self._ivf.centroids[cid])) - float(
-            self._ivf.centroid_sq_norms[cid]
-        )
-
-    def _estimate_rabitq(
-        self, query: np.ndarray, cluster_ids: np.ndarray
-    ) -> tuple[np.ndarray, DistanceEstimate]:
-        """Fused estimation for all live vectors in the probed clusters.
-
-        The candidate set is scored in one flat pass, in probe order: the
-        query's probed pairs are prepared in one :meth:`_prepare` call, the
-        probed arena rows' codes are gathered once and the constants'
-        view derived over them (:meth:`CodeArena.consts_view`), and one
-        :func:`estimate_codes` call pairs each code with its own cluster's
-        query row (the :meth:`_pair_terms` repeated over the cluster's
-        codes).  Tombstoned rows are masked out *after* the full estimate.
-        """
-        arena = self._arena
-        assert arena is not None
-        cluster_ids = cluster_ids[arena.sizes[cluster_ids] > 0]
-        counts = arena.sizes[cluster_ids]
-        total = int(counts.sum())
-        if total == 0:
-            return _empty_estimate()
-        rows = arena.rows_of(cluster_ids)
-        cand = arena.slots[rows]
-        # take, not fancy indexing: one copy loop over the short rows.
-        codes = arena.codes.take(rows, axis=0)
-        pair_rows = np.zeros(cluster_ids.shape[0], np.intp)
-        quantized, query_norms = self._prepare(query[None, :], pair_rows, cluster_ids)
-        terms = self._pair_terms(
-            query[None, :], pair_rows, cluster_ids, quantized, query_norms
-        )
-        estimate = estimate_codes(
-            codes,
-            arena.consts_view(rows, codes),
-            quantized.codes,
-            {name: np.repeat(term, counts) for name, term in terms.items()},
-            code_length=arena.code_length,
-            bits=self.bits,
-            metric=self._metric,
-            segments=counts,
-            scratch=self._scratch_get(
-                "levels", total * arena.code_length, np.float64
-            ),
-        )
-        cand, estimate, _ = self._live_only(cand, estimate)
-        return cand, estimate
-
     def search(self, query: np.ndarray, k: int, *, nprobe: int = 8) -> SearchResult:
-        """Answer one ANN query.
+        """Answer one ANN query: :meth:`search_batch` of the one-row matrix.
 
         Parameters
         ----------
@@ -902,18 +729,7 @@ class IVFQuantizedSearcher:
             Number of IVF clusters to scan.
         """
         row = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        vec = self._checked_queries(row, k, nprobe)[0]
-        cluster_ids = self._ivf.probe(vec, nprobe, metric=self._metric)
-        candidate_ids, estimate = self._estimate_rabitq(vec, cluster_ids)
-        ids, dists, n_exact = self.reranker.rerank(
-            vec, candidate_ids, estimate, self._flat, k, metric=self._metric
-        )
-        return SearchResult(
-            ids=self._to_external_ids(ids),
-            distances=dists,
-            n_candidates=int(candidate_ids.shape[0]),
-            n_exact=n_exact,
-        )
+        return self.search_batch(row, k, nprobe=nprobe)[0]
 
     def _checked_queries(
         self, queries: np.ndarray, k: int, nprobe: int
@@ -937,32 +753,33 @@ class IVFQuantizedSearcher:
         assert self._ids is not None
         return self._ids[np.asarray(slots, dtype=np.intp)]
 
-    def _estimate_rabitq_batch(
+    def _estimate(
         self, query_mat: np.ndarray, probes: np.ndarray
     ) -> tuple[np.ndarray, DistanceEstimate, np.ndarray]:
-        """Grouped-by-cluster fused batch estimation for all queries at once.
+        """Fused estimation of every query's probed candidates (Alg. 2).
 
-        The (query, probed cluster) pairs are grouped by cluster, prepared
-        by one :meth:`_prepare` call, and their query terms
-        (:meth:`_pair_terms`: the undo's row terms, ``||q - c||``, ``eps0
-        Δ/2`` and the similarity terms) are derived once, over all pairs,
-        as ``(n_pairs, 1)`` columns; so is where each pair's run of
-        candidates starts in the flat buffers, and so is the constants'
-        view of every probed cluster's codes (one
-        :meth:`CodeArena.consts_view` call).  The group loop re-derives
-        nothing: one :func:`estimate_codes` call meets a group's rows (the
-        columns sliced) with its cluster's contiguous code block and its
-        slice of the view, and one
-        scatter per field puts each row at its query's range, in
-        probed-cluster order, exactly the layout of
-        :meth:`_estimate_rabitq`.  Every row of a group is prepared and
-        estimated independently of the others, so each query's output is
-        bit-identical to the sequential path's whatever it is batched with.
+        Row ``i`` of ``probes`` lists the clusters query ``i`` probes.  The
+        call's (query, probed cluster) pairs are prepared by one
+        :func:`prepare_pairs` call and the constants' view of the probed
+        codes is derived once (:meth:`CodeArena.consts_view`); the form of
+        the estimate follows the query count:
 
-        Returns ``(candidate_ids, estimate, offsets)``: query ``i`` owns
-        the range ``offsets[i]:offsets[i + 1]`` of the flat candidates and
-        of every estimate field, tombstones already masked out (once, over
-        the flat buffers).
+        * one query: one :func:`estimate_codes` call pairs each gathered
+          probed code with its own cluster's query row (the pair terms
+          repeated over the cluster's codes, ``segments`` the cluster
+          sizes);
+        * several queries: the pairs are grouped by cluster, one
+          :func:`estimate_codes` call per group meets the group's rows
+          (terms as ``(g, 1)`` columns) with the cluster's contiguous code
+          block, and one scatter per field puts each row at its query's
+          range.
+
+        Every pair is prepared and estimated independently of the others,
+        so a query's output is bit-identical in either form, whatever it is
+        batched with.  Returns ``(candidate_ids, estimate, offsets)``: query
+        ``i`` owns the range ``offsets[i]:offsets[i + 1]`` of the flat
+        candidates and of every estimate field, its probed clusters' codes
+        in probe order, tombstones masked out after the full estimate.
         """
         arena = self._arena
         assert arena is not None
@@ -972,83 +789,119 @@ class IVFQuantizedSearcher:
         qoff = np.zeros(n_queries + 1, dtype=np.int64)
         np.cumsum(pair_sizes.reshape(n_queries, width).sum(axis=1), out=qoff[1:])
         total = int(qoff[-1])
-
-        # Group (query, probe position) pairs by cluster: a single stable
-        # argsort of the flattened probe matrix (stable => ascending query
-        # order inside every cluster group).
-        order = np.argsort(flat_cids, kind="stable")
-        sorted_cids = flat_cids[order]
-        starts = np.flatnonzero(np.diff(sorted_cids, prepend=sorted_cids[:1] - 1))
-        ends = np.append(starts[1:], order.shape[0])
-        nonempty = arena.sizes[sorted_cids[starts]] > 0
-        # Where each pair's run of candidates starts in the flat buffers
-        # (its query's range, in probe order), in group order.
-        pair_dest = np.zeros(order.shape[0] + 1, dtype=np.int64)
-        np.cumsum(pair_sizes, out=pair_dest[1:])
-        pair_dest = pair_dest[order]
-
-        pair_rows = order // width
-        quantized, query_norms = self._prepare(query_mat, pair_rows, sorted_cids)
-        terms = self._pair_terms(
-            query_mat, pair_rows, sorted_cids, quantized, query_norms
+        if total == 0:
+            empty = DistanceEstimate(*(np.empty(0) for _ in range(4)))
+            return np.empty(0, dtype=np.int64), empty, qoff
+        if n_queries == 1:
+            pair_cids = flat_cids[pair_sizes > 0]
+            pair_rows = np.zeros(pair_cids.shape[0], np.intp)
+        else:
+            # Group (query, probe position) pairs by cluster: a single
+            # stable argsort of the flattened probe matrix (stable =>
+            # ascending query order inside every cluster group).
+            order = np.argsort(flat_cids, kind="stable")
+            pair_cids = flat_cids[order]
+            pair_rows = order // width
+        quantized, _, terms = prepare_pairs(
+            query_mat,
+            pair_rows,
+            pair_cids,
+            rotation=self._shared_rotation,
+            centroids=self._ivf.centroids,
+            rotated_centroids=self._rotated_centroids,
+            centroid_sq_norms=self._ivf.centroid_sq_norms,
+            rounding_offsets=self._rounding_offsets,
+            config=self.rabitq_config,
+            metric=self._metric,
         )
-        columns = {name: term[:, None] for name, term in terms.items()}
-        group_cids = sorted_cids[starts[nonempty]]
-        consts = arena.consts_view(arena.rows_of(group_cids))
-        view_ends = np.cumsum(arena.sizes[group_cids]).tolist()
-        fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
-        cand = np.empty(total, dtype=np.int64)
-        runs = np.arange(int(arena.sizes.max(initial=0)))
-        for cid, seg_start, seg_end, view_end in zip(
-            group_cids.tolist(),
-            starts[nonempty].tolist(),
-            ends[nonempty].tolist(),
-            view_ends,
-        ):
-            start, end = arena.cluster_range(cid)
-            rows = slice(seg_start, seg_end)
+
+        if n_queries == 1:
+            counts = arena.sizes[pair_cids]
+            rows = arena.rows_of(pair_cids)
+            cand = arena.slots[rows]
+            # take, not fancy indexing: one copy loop over the short rows.
+            codes = arena.codes.take(rows, axis=0)
             estimate = estimate_codes(
-                arena.codes[start:end],
-                consts[:, view_end - (end - start) : view_end],
-                quantized.codes[rows],
-                {name: column[rows] for name, column in columns.items()},
+                codes,
+                arena.consts_view(rows, codes),
+                quantized.codes,
+                {name: np.repeat(term, counts) for name, term in terms.items()},
                 code_length=arena.code_length,
                 bits=self.bits,
                 metric=self._metric,
+                segments=counts,
                 scratch=self._scratch_get(
-                    "levels", (end - start) * arena.code_length, np.float64
+                    "levels", total * arena.code_length, np.float64
                 ),
             )
-            dest = pair_dest[rows, None] + runs[: end - start]
-            fields[0][dest] = estimate.distances
-            fields[1][dest] = estimate.lower_bounds
-            fields[2][dest] = estimate.upper_bounds
-            fields[3][dest] = estimate.inner_products
-            cand[dest] = arena.slots[start:end]
+        else:
+            starts = np.flatnonzero(np.diff(pair_cids, prepend=pair_cids[:1] - 1))
+            ends = np.append(starts[1:], order.shape[0])
+            nonempty = arena.sizes[pair_cids[starts]] > 0
+            # Where each pair's run of candidates starts in the flat buffers
+            # (its query's range, in probe order), in group order.
+            pair_dest = np.zeros(order.shape[0] + 1, dtype=np.int64)
+            np.cumsum(pair_sizes, out=pair_dest[1:])
+            pair_dest = pair_dest[order]
+            columns = {name: term[:, None] for name, term in terms.items()}
+            group_cids = pair_cids[starts[nonempty]]
+            consts = arena.consts_view(arena.rows_of(group_cids))
+            view_ends = np.cumsum(arena.sizes[group_cids]).tolist()
+            fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
+            cand = np.empty(total, dtype=np.int64)
+            runs = np.arange(int(arena.sizes.max(initial=0)))
+            for cid, seg_start, seg_end, view_end in zip(
+                group_cids.tolist(),
+                starts[nonempty].tolist(),
+                ends[nonempty].tolist(),
+                view_ends,
+            ):
+                start, end = arena.cluster_range(cid)
+                group = slice(seg_start, seg_end)
+                group_estimate = estimate_codes(
+                    arena.codes[start:end],
+                    consts[:, view_end - (end - start) : view_end],
+                    quantized.codes[group],
+                    {name: column[group] for name, column in columns.items()},
+                    code_length=arena.code_length,
+                    bits=self.bits,
+                    metric=self._metric,
+                    scratch=self._scratch_get(
+                        "levels", (end - start) * arena.code_length, np.float64
+                    ),
+                )
+                dest = pair_dest[group, None] + runs[: end - start]
+                for field, values in zip(fields, vars(group_estimate).values()):
+                    field[dest] = values
+                cand[dest] = arena.slots[start:end]
+            estimate = DistanceEstimate(*fields)
 
-        # Tombstones are masked out of the already-computed estimates
-        # exactly as on the sequential path; each query keeps its live rows
-        # in order, so its offsets count the live rows before it.
-        cand, estimate, live = self._live_only(cand, DistanceEstimate(*fields))
-        if live is not None:
-            kept = np.zeros(total + 1, dtype=np.int64)
-            np.cumsum(live, out=kept[1:])
-            qoff = kept[qoff]
+        # Each query keeps its live rows in order, so its offsets count the
+        # live rows before it.
+        if self._n_dead:
+            live = self._live[cand]
+            if not live.all():
+                kept = np.flatnonzero(live)
+                cand = cand.take(kept)
+                estimate = DistanceEstimate(
+                    *(field.take(kept) for field in vars(estimate).values())
+                )
+                qoff = np.searchsorted(kept, qoff)
         return cand, estimate, qoff
 
     def search_batch(
         self, queries: np.ndarray, k: int, *, nprobe: int = 8
     ) -> BatchSearchResult:
-        """Answer a batch of ANN queries with the vectorized engine.
+        """Answer a batch of ANN queries: the searcher's one query driver.
 
-        Probing, query preparation and distance estimation are batched
-        (queries are grouped by probed cluster so each cluster's code block
-        is scanned once per query group), and the reranker receives the
-        whole chunk as one flat batch (:meth:`Reranker.rerank_batch`).
-        The results — ids *and* distances — are element-wise identical to
-        ``[self.search(q, k, nprobe=nprobe) for q in queries]``; prefer this
-        entry point whenever more than a handful of queries are available at
-        once.
+        Probing, query preparation and distance estimation run once for
+        all the queries of a chunk (one paired kernel call for a single
+        query; several queries are grouped by probed cluster, so each
+        cluster's code block is scanned once per query group), and the
+        reranker receives the chunk as one flat batch
+        (:meth:`Reranker.rerank_batch`).  Each query's result — ids *and*
+        distances — does not depend on the queries beside it, so it equals
+        ``self.search(q, k, nprobe=nprobe)``.
 
         Parameters
         ----------
@@ -1076,7 +929,7 @@ class IVFQuantizedSearcher:
         # bucket sizes (an average would under-estimate on skewed data, where
         # queries gravitate to the largest clusters).  No query's answer
         # depends on its chunk: this is purely a peak-memory cap.
-        pair_counts = self._arena.sizes[probes].sum(axis=1)
+        pair_counts = self._arena.sizes[probes].sum(axis=1).tolist()
         ids_out: list[np.ndarray] = []
         dists_out: list[np.ndarray] = []
         n_candidates: list[int] = []
@@ -1084,13 +937,13 @@ class IVFQuantizedSearcher:
         lo = 0
         while lo < n_queries:
             hi = lo + 1
-            budget = _SEARCH_BATCH_MAX_PAIRS - int(pair_counts[lo])
-            while hi < n_queries and int(pair_counts[hi]) <= budget:
-                budget -= int(pair_counts[hi])
+            budget = _SEARCH_BATCH_MAX_PAIRS - pair_counts[lo]
+            while hi < n_queries and pair_counts[hi] <= budget:
+                budget -= pair_counts[hi]
                 hi += 1
             chunk_queries = query_mat[lo:hi]
             chunk_probes = probes[lo:hi]
-            candidate_ids, estimate, offsets = self._estimate_rabitq_batch(
+            candidate_ids, estimate, offsets = self._estimate(
                 chunk_queries, chunk_probes
             )
             reranked = self.reranker.rerank_batch(
@@ -1102,10 +955,11 @@ class IVFQuantizedSearcher:
                 k,
                 metric=self._metric,
             )
-            ids_out.extend(self._to_external_ids(ids) for ids, _, _ in reranked)
-            dists_out.extend(dists for _, dists, _ in reranked)
-            n_candidates.extend(np.diff(offsets).tolist())
-            n_exact.extend(exact for _, _, exact in reranked)
+            for ids, dists, exact in reranked:
+                ids_out.append(self._to_external_ids(ids))
+                dists_out.append(dists)
+                n_exact.append(exact)
+            n_candidates.extend((offsets[1:] - offsets[:-1]).tolist())
             lo = hi
         return BatchSearchResult(
             ids=tuple(ids_out),

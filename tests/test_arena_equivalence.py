@@ -146,7 +146,7 @@ def _assert_matches_reference(searcher, queries, k, nprobe):
     # estimates themselves are compared here, field by field.
     for query in queries:
         cluster_ids = searcher.ivf.probe(query, nprobe)
-        got_ids, got = searcher._estimate_rabitq(query, cluster_ids)
+        got_ids, got, _ = searcher._estimate(query[None], cluster_ids[None])
         want_ids, want = reference._estimate(query, cluster_ids)
         np.testing.assert_array_equal(got_ids, want_ids)
         for field in (

@@ -200,6 +200,36 @@ class TestBatchSearchEquivalence:
         sequential = [seq_searcher.search(q, 4, nprobe=3) for q in queries]
         _assert_batch_equals_sequential(batch, sequential)
 
+    def test_estimate_calls_per_search_call(self, monkeypatch):
+        # One query, through search() or a one-row search_batch(), is one
+        # paired kernel call over all its probed codes; several queries make
+        # one call per probed cluster group.
+        import repro.index.searcher as searcher_module
+
+        rng = np.random.default_rng(23)
+        data = rng.standard_normal((300, 12))
+        queries = rng.standard_normal((2, 12))
+        searcher = _build_rabitq_searcher(data, n_clusters=8)
+        probes = searcher.ivf.probe_batch(queries, 4)
+        assert (searcher.arena.sizes[probes] > 0).all()
+        estimate_codes = searcher_module.estimate_codes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("segments"))
+            return estimate_codes(*args, **kwargs)
+
+        monkeypatch.setattr(searcher_module, "estimate_codes", counting)
+        searcher.search(queries[0], 5, nprobe=4)
+        assert len(calls) == 1 and calls[0] is not None
+        calls.clear()
+        searcher.search_batch(queries[:1], 5, nprobe=4)
+        assert len(calls) == 1 and calls[0] is not None
+        calls.clear()
+        searcher.search_batch(queries, 5, nprobe=4)
+        assert len(calls) == np.unique(probes).shape[0]
+        assert all(segments is None for segments in calls)
+
 
 class TestBatchSearchResult:
     @pytest.fixture(scope="class")

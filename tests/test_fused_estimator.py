@@ -572,7 +572,7 @@ def _assert_raw_pass_views(searcher, quantizer, queries):
     batch = quantizer.estimate_distances_batch(queries)
     for i, query in enumerate(queries):
         # The raw pass lists the codes in arena order, as slots.
-        slots, want = searcher._estimate_rabitq(query, np.array([0]))
+        slots, want, _ = searcher._estimate(query[None], np.array([[0]]))
         np.testing.assert_array_equal(np.sort(slots), np.arange(90))
         _assert_same(quantizer.estimate_distances(query), want, slots)
         prepared = quantizer.prepare_query(query)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.query
 from repro.core.config import RaBitQConfig
-from repro.core.query import quantize_query_matrix, rotated_unit_residuals
+from repro.core.metric import resolve_metric
+from repro.core.query import prepare_pairs, rotated_unit_residuals
 from repro.index.searcher import IVFQuantizedSearcher
 from repro.io import load_searcher, save_searcher
 
@@ -60,6 +62,22 @@ def _per_residual(searcher, queries, query_rows, cluster_ids):
     return units, norms
 
 
+def _prepare(searcher, queries, query_rows, cluster_ids):
+    """The searcher's pair preparation of the given pairs."""
+    return prepare_pairs(
+        queries,
+        query_rows,
+        cluster_ids,
+        rotation=searcher._shared_rotation,
+        centroids=searcher.ivf.centroids,
+        rotated_centroids=searcher._rotated_centroids,
+        centroid_sq_norms=searcher.ivf.centroid_sq_norms,
+        rounding_offsets=searcher._rounding_offsets,
+        config=searcher.rabitq_config,
+        metric=resolve_metric(searcher.metric),
+    )
+
+
 def _all_pairs(searcher, queries):
     n_clusters = searcher.ivf.centroids.shape[0]
     query_rows = np.repeat(np.arange(len(queries)), n_clusters)
@@ -89,8 +107,9 @@ def test_rotated_rows_match_per_residual_formula(rotation, shift):
     assert not got[on_centroid].any()
     rows = np.linalg.norm(got[~on_centroid], axis=1)
     np.testing.assert_allclose(rows, 1.0, rtol=0, atol=1e-9)
-    # Through _prepare, the zero row quantizes to delta 1, lower 0, codes 0.
-    quantized, _ = searcher._prepare(queries, query_rows, cluster_ids)
+    # Through prepare_pairs, the zero row quantizes to delta 1, lower 0,
+    # codes 0.
+    quantized, _, _ = _prepare(searcher, queries, query_rows, cluster_ids)
     (zero,) = np.flatnonzero(on_centroid)
     assert quantized.delta[zero] == 1.0 and quantized.lower[zero] == 0.0
     assert not quantized.codes[zero].any()
@@ -98,24 +117,17 @@ def test_rotated_rows_match_per_residual_formula(rotation, shift):
 
 @pytest.mark.parametrize("shift", [0.0, 1e4])
 @pytest.mark.parametrize("rotation", ROTATIONS)
-def test_ids_match_a_per_residual_searcher(rotation, shift):
+def test_ids_match_a_per_residual_searcher(rotation, shift, monkeypatch):
     searcher, queries = _fitted(rotation, shift)
     reference, _ = _fitted(rotation, shift)
-    config = reference.rabitq_config
 
-    def prepare(batch, query_rows, cluster_ids):
-        units, norms = _per_residual(reference, batch, query_rows, cluster_ids)
-        quantized = quantize_query_matrix(
-            units,
-            config.query_bits,
-            randomized=config.randomized_rounding,
-            offsets=reference._rounding_offsets,
-            with_bitplanes=False,
-        )
-        return quantized, norms
+    def per_residual(rotation, batch, centroids, rotated, query_rows, cluster_ids):
+        return _per_residual(reference, batch, query_rows, cluster_ids)
 
-    reference._prepare = prepare
-    want = [reference.search(q, K, nprobe=NPROBE) for q in queries]
+    # The reference prepares every pair by the per-residual formula.
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.core.query, "rotated_unit_residuals", per_residual)
+        want = [reference.search(q, K, nprobe=NPROBE) for q in queries]
     batch = searcher.search_batch(queries, K, nprobe=NPROBE)
     for i, query in enumerate(queries):
         got = searcher.search(query, K, nprobe=NPROBE)

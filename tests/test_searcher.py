@@ -7,6 +7,8 @@ import pytest
 
 from repro.baselines.pq import ProductQuantizer
 from repro.core.config import RaBitQConfig
+from repro.core.metric import resolve_metric
+from repro.core.query import prepare_pairs
 from repro.datasets.ground_truth import brute_force_ground_truth
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.experiments.ann_search import ivf_baseline_search
@@ -228,9 +230,19 @@ class TestDegenerateQueryShapes:
             cid = int(seq.ivf.assignments[live_slots[0]])
             centroid = seq.ivf.centroids[cid]
             n_clusters = seq.ivf.centroids.shape[0]
-            quantized, norms = seq._prepare(
-                centroid[None], np.zeros(n_clusters, np.intp), np.arange(n_clusters)
+            quantized, _, terms = prepare_pairs(
+                centroid[None],
+                np.zeros(n_clusters, np.intp),
+                np.arange(n_clusters),
+                rotation=seq._shared_rotation,
+                centroids=seq.ivf.centroids,
+                rotated_centroids=seq._rotated_centroids,
+                centroid_sq_norms=seq.ivf.centroid_sq_norms,
+                rounding_offsets=seq._rounding_offsets,
+                config=seq.rabitq_config,
+                metric=resolve_metric(seq.metric),
             )
+            norms = terms["query_norms"]
             assert norms[cid] == 0.0 and np.count_nonzero(norms) == len(norms) - 1
             assert quantized.delta[cid] == 1.0
             assert quantized.lower[cid] == 0.0
