@@ -26,11 +26,10 @@ contiguous, cluster-grouped layout that stores every code once:
   cluster to its contiguous row range.
 
 Probing a cluster therefore reads contiguous slices of ``codes`` /
-``consts`` / ``slots``.  Row order inside a cluster region always equals the IVF bucket's id order
-(ascending slot id), which is exactly the row order the per-cluster
-quantizers used to store, so estimates read from the arena are bit-identical
-to the pre-arena layout.  :meth:`CodeArena.cluster_bits` unpacks a
-cluster's levels on demand; no query needs them.
+``consts`` / ``slots``.  Row order inside a cluster region always equals
+the IVF bucket's id order (ascending slot id).
+:meth:`CodeArena.cluster_bits` unpacks a cluster's levels on demand; no
+query needs them.
 
 The arena is built tight (:meth:`CodeArena.from_sections`, both at fit,
 which encodes in row blocks, and at load) and maintained incrementally

@@ -119,12 +119,7 @@ class Reranker(abc.ABC):
         fields = tuple(vars(estimate).values())
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             if out[i] is None:
-                # A row that owns every candidate takes the estimate as is.
-                view = (
-                    estimate
-                    if hi - lo == edges[-1]
-                    else DistanceEstimate(*[field[lo:hi] for field in fields])
-                )
+                view = DistanceEstimate(*[field[lo:hi] for field in fields])
                 out[i] = self.rerank(
                     queries_mat[i], candidate_ids[lo:hi], view,
                     flat_index, k, metric=metric,

@@ -793,88 +793,13 @@ class IVFQuantizedSearcher:
             empty = DistanceEstimate(*(np.empty(0) for _ in range(4)))
             return np.empty(0, dtype=np.int64), empty, qoff
         if n_queries == 1:
-            pair_cids = flat_cids[pair_sizes > 0]
-            pair_rows = np.zeros(pair_cids.shape[0], np.intp)
-        else:
-            # Group (query, probe position) pairs by cluster: a single
-            # stable argsort of the flattened probe matrix (stable =>
-            # ascending query order inside every cluster group).
-            order = np.argsort(flat_cids, kind="stable")
-            pair_cids = flat_cids[order]
-            pair_rows = order // width
-        quantized, _, terms = prepare_pairs(
-            query_mat,
-            pair_rows,
-            pair_cids,
-            rotation=self._shared_rotation,
-            centroids=self._ivf.centroids,
-            rotated_centroids=self._rotated_centroids,
-            centroid_sq_norms=self._ivf.centroid_sq_norms,
-            rounding_offsets=self._rounding_offsets,
-            config=self.rabitq_config,
-            metric=self._metric,
-        )
-
-        if n_queries == 1:
-            counts = arena.sizes[pair_cids]
-            rows = arena.rows_of(pair_cids)
-            cand = arena.slots[rows]
-            # take, not fancy indexing: one copy loop over the short rows.
-            codes = arena.codes.take(rows, axis=0)
-            estimate = estimate_codes(
-                codes,
-                arena.consts_view(rows, codes),
-                quantized.codes,
-                {name: np.repeat(term, counts) for name, term in terms.items()},
-                code_length=arena.code_length,
-                bits=self.bits,
-                metric=self._metric,
-                segments=counts,
-                scratch=self._scratch_get(
-                    "levels", total * arena.code_length, np.float64
-                ),
+            cand, estimate = self._estimate_paired(
+                query_mat, flat_cids[pair_sizes > 0], total
             )
         else:
-            starts = np.flatnonzero(np.diff(pair_cids, prepend=pair_cids[:1] - 1))
-            ends = np.append(starts[1:], order.shape[0])
-            nonempty = arena.sizes[pair_cids[starts]] > 0
-            # Where each pair's run of candidates starts in the flat buffers
-            # (its query's range, in probe order), in group order.
-            pair_dest = np.zeros(order.shape[0] + 1, dtype=np.int64)
-            np.cumsum(pair_sizes, out=pair_dest[1:])
-            pair_dest = pair_dest[order]
-            columns = {name: term[:, None] for name, term in terms.items()}
-            group_cids = pair_cids[starts[nonempty]]
-            consts = arena.consts_view(arena.rows_of(group_cids))
-            view_ends = np.cumsum(arena.sizes[group_cids]).tolist()
-            fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
-            cand = np.empty(total, dtype=np.int64)
-            runs = np.arange(int(arena.sizes.max(initial=0)))
-            for cid, seg_start, seg_end, view_end in zip(
-                group_cids.tolist(),
-                starts[nonempty].tolist(),
-                ends[nonempty].tolist(),
-                view_ends,
-            ):
-                start, end = arena.cluster_range(cid)
-                group = slice(seg_start, seg_end)
-                group_estimate = estimate_codes(
-                    arena.codes[start:end],
-                    consts[:, view_end - (end - start) : view_end],
-                    quantized.codes[group],
-                    {name: column[group] for name, column in columns.items()},
-                    code_length=arena.code_length,
-                    bits=self.bits,
-                    metric=self._metric,
-                    scratch=self._scratch_get(
-                        "levels", (end - start) * arena.code_length, np.float64
-                    ),
-                )
-                dest = pair_dest[group, None] + runs[: end - start]
-                for field, values in zip(fields, vars(group_estimate).values()):
-                    field[dest] = values
-                cand[dest] = arena.slots[start:end]
-            estimate = DistanceEstimate(*fields)
+            cand, estimate = self._estimate_grouped(
+                query_mat, flat_cids, width, pair_sizes, total
+            )
 
         # Each query keeps its live rows in order, so its offsets count the
         # live rows before it.
@@ -888,6 +813,94 @@ class IVFQuantizedSearcher:
                 )
                 qoff = np.searchsorted(kept, qoff)
         return cand, estimate, qoff
+
+    def _prepare_pairs(self, query_mat, pair_rows, pair_cids):
+        """:func:`prepare_pairs` with this searcher's rotation and centroids."""
+        return prepare_pairs(
+            query_mat,
+            pair_rows,
+            pair_cids,
+            rotation=self._shared_rotation,
+            centroids=self._ivf.centroids,
+            rotated_centroids=self._rotated_centroids,
+            centroid_sq_norms=self._ivf.centroid_sq_norms,
+            rounding_offsets=self._rounding_offsets,
+            config=self.rabitq_config,
+            metric=self._metric,
+        )
+
+    def _estimate_paired(self, query_mat, pair_cids, total):
+        """One query: one paired call over the codes of its probed clusters."""
+        arena = self._arena
+        quantized, _, terms = self._prepare_pairs(
+            query_mat, np.zeros(pair_cids.shape[0], np.intp), pair_cids
+        )
+        counts = arena.sizes[pair_cids]
+        rows = arena.rows_of(pair_cids)
+        # take, not fancy indexing: one copy loop over the short rows.
+        codes = arena.codes.take(rows, axis=0)
+        estimate = estimate_codes(
+            codes,
+            arena.consts_view(rows, codes),
+            quantized.codes,
+            {name: np.repeat(term, counts) for name, term in terms.items()},
+            code_length=arena.code_length,
+            bits=self.bits,
+            metric=self._metric,
+            segments=counts,
+            scratch=self._scratch_get("levels", total * arena.code_length, np.float64),
+        )
+        return arena.slots[rows], estimate
+
+    def _estimate_grouped(self, query_mat, flat_cids, width, pair_sizes, total):
+        """Several queries: one call per group of pairs that share a cluster."""
+        arena = self._arena
+        # Group (query, probe position) pairs by cluster: a single stable
+        # argsort of the flattened probe matrix (stable => ascending query
+        # order inside every cluster group).
+        order = np.argsort(flat_cids, kind="stable")
+        pair_cids = flat_cids[order]
+        quantized, _, terms = self._prepare_pairs(query_mat, order // width, pair_cids)
+        starts = np.flatnonzero(np.diff(pair_cids, prepend=pair_cids[:1] - 1))
+        ends = np.append(starts[1:], order.shape[0])
+        nonempty = arena.sizes[pair_cids[starts]] > 0
+        # Where each pair's run of candidates starts in the flat buffers
+        # (its query's range, in probe order), in group order.
+        pair_dest = np.zeros(order.shape[0] + 1, dtype=np.int64)
+        np.cumsum(pair_sizes, out=pair_dest[1:])
+        pair_dest = pair_dest[order]
+        columns = {name: term[:, None] for name, term in terms.items()}
+        group_cids = pair_cids[starts[nonempty]]
+        consts = arena.consts_view(arena.rows_of(group_cids))
+        view_ends = np.cumsum(arena.sizes[group_cids]).tolist()
+        fields = [np.empty(total, dtype=np.float64) for _ in range(4)]
+        cand = np.empty(total, dtype=np.int64)
+        runs = np.arange(int(arena.sizes.max(initial=0)))
+        for cid, seg_start, seg_end, view_end in zip(
+            group_cids.tolist(),
+            starts[nonempty].tolist(),
+            ends[nonempty].tolist(),
+            view_ends,
+        ):
+            start, end = arena.cluster_range(cid)
+            group = slice(seg_start, seg_end)
+            group_estimate = estimate_codes(
+                arena.codes[start:end],
+                consts[:, view_end - (end - start) : view_end],
+                quantized.codes[group],
+                {name: column[group] for name, column in columns.items()},
+                code_length=arena.code_length,
+                bits=self.bits,
+                metric=self._metric,
+                scratch=self._scratch_get(
+                    "levels", (end - start) * arena.code_length, np.float64
+                ),
+            )
+            dest = pair_dest[group, None] + runs[: end - start]
+            for field, values in zip(fields, vars(group_estimate).values()):
+                field[dest] = values
+            cand[dest] = arena.slots[start:end]
+        return cand, DistanceEstimate(*fields)
 
     def search_batch(
         self, queries: np.ndarray, k: int, *, nprobe: int = 8

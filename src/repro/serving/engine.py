@@ -4,9 +4,7 @@ Production ANN traffic arrives as concurrent *single* queries, while
 ``search_batch`` does less work per query than ``search`` only in large
 calls.  A call of one row *is* ``search``; a call of several rows makes one
 kernel call per probed cluster group, which at B=1 pays off from about 64
-rows per call: on the ``perf/`` shape (2-vCPU host, seed 0),
-``index.searcher.batch_ms_per_query_b1 / b4 / b16 / b64 / b256`` read
-0.68 / 1.12 / 0.78 / 0.48 / 0.38 ms against 0.72 ms of CPU per ``search``.
+rows per call (``perf/``'s ``index.searcher.batch_ms_per_query_b*``).
 :class:`ServingEngine` converts one into the other: callers submit single
 queries from any thread, a dedicated worker thread groups compatible
 requests (same ``k`` and requested ``nprobe`` against the same searcher)
