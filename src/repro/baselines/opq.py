@@ -23,7 +23,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.substrates.linalg import as_float_matrix
+from repro.substrates.linalg import as_float_matrix, require_finite
 from repro.substrates.rng import RngLike, ensure_rng
 
 
@@ -102,6 +102,8 @@ class OptimizedProductQuantizer:
                 f"dimension {mat.shape[1]} is not divisible by "
                 f"n_segments={self.n_segments}"
             )
+        # Before the first rotation turns an inf into NaNs and a warning.
+        require_finite(mat, "data")
         self._dim = mat.shape[1]
         rotation = np.eye(self._dim)
 

@@ -35,6 +35,7 @@ from repro.exceptions import (
 from repro.substrates.kmeans import kmeans_fit
 from repro.substrates.linalg import (
     as_float_matrix,
+    require_finite,
     require_positive_int,
     topk_indices,
 )
@@ -178,6 +179,7 @@ class IVFIndex:
         )
         n_clusters = min(n_clusters, mat.shape[0])
         if kmeans_sample_size is not None and kmeans_sample_size < mat.shape[0]:
+            require_finite(mat, "data")  # kmeans_fit below sees only the sample
             sample_size = max(int(kmeans_sample_size), n_clusters)
             sample = np.sort(
                 self._rng.choice(mat.shape[0], size=sample_size, replace=False)

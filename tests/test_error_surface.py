@@ -14,7 +14,9 @@ error, covered by ``tests/test_rng.py``).
 
 Hostile *values* fail typed and early too: a NaN or infinite coordinate is
 an ``InvalidParameterError`` at ``fit``, ``insert`` (before the index or
-the journal is touched), ``search``, ``search_batch`` and ``submit``, and so
+the journal is touched), ``search``, ``search_batch`` and ``submit``, and
+in every KMeans fit (``kmeans_fit``, ``KMeans``, ``IVFIndex`` and the
+PQ / OPQ / LSQ codebooks) before any seeding draw, and so
 is a non-integral ``k`` / ``nprobe``, and so are fractional, bool or
 non-finite sizes at construction (``n_clusters``, a re-rank count, the
 serving engine's batch, queue and window) and row indices that are not
@@ -30,6 +32,9 @@ import functools
 import numpy as np
 import pytest
 
+from repro.baselines.lsq import AdditiveQuantizer
+from repro.baselines.opq import OptimizedProductQuantizer
+from repro.baselines.pq import ProductQuantizer
 from repro.core.config import RaBitQConfig
 from repro.core.quantizer import RaBitQ
 from repro.exceptions import (
@@ -52,6 +57,7 @@ from repro.io.persistence import load_searcher
 from repro.metrics.timing import LatencyRecorder
 from repro.serving import BudgetController, ServingEngine
 from repro.substrates import linalg, rng as rng_utils
+from repro.substrates.kmeans import KMeans, kmeans_fit
 
 
 class TestExceptionHierarchy:
@@ -113,6 +119,13 @@ def _poisoned(value: float, rows: int | None = None) -> np.ndarray:
     """A 6-d query (or ``rows`` of them) with one hostile coordinate."""
     out = np.ones(6) if rows is None else np.ones((rows, 6))
     out[..., 2] = value
+    return out
+
+
+def _poisoned_row(value: float) -> np.ndarray:
+    """20 random 6-d training rows, the last with one hostile coordinate."""
+    out = np.random.default_rng(5).standard_normal((20, 6))
+    out[-1, 2] = value
     return out
 
 
@@ -319,6 +332,34 @@ _CASES = [
             ("submit", lambda v=value: _engine_submit(_poisoned(v), 1)),
         )
     ),
+    # Non-finite training data fails before k-means++ seeding on every path
+    # into KMeans (it used to surface as NumPy's bare "Probabilities contain
+    # NaN" ValueError); a sampled IVF fit checks the rows outside its sample.
+    *(
+        (f"{entry} {label}", call, InvalidParameterError)
+        for label, value in (
+            ("nan", float("nan")),
+            ("inf", float("inf")),
+            ("-inf", float("-inf")),
+        )
+        for entry, call in (
+            ("kmeans_fit", lambda v=value: kmeans_fit(_poisoned(v, rows=8), 2)),
+            ("KMeans.fit", lambda v=value: KMeans(2).fit(_poisoned(v, rows=8))),
+            ("IVFIndex.fit", lambda v=value: IVFIndex(2).fit(_poisoned_row(v))),
+            (
+                "IVFIndex.fit sampled",
+                lambda v=value: IVFIndex(2).fit(
+                    _poisoned_row(v), kmeans_sample_size=4
+                ),
+            ),
+            ("PQ fit", lambda v=value: ProductQuantizer(2, 2).fit(_poisoned_row(v))),
+            (
+                "OPQ fit",
+                lambda v=value: OptimizedProductQuantizer(2, 2).fit(_poisoned_row(v)),
+            ),
+            ("LSQ fit", lambda v=value: AdditiveQuantizer(2, 2).fit(_poisoned_row(v))),
+        )
+    ),
     # serving/
     (
         "submit bad k",
@@ -438,6 +479,14 @@ def test_public_surface_raises_repro_errors(name, call, expected):
     with pytest.raises(expected) as excinfo:
         call()
     assert isinstance(excinfo.value, ReproError)
+
+
+def test_non_finite_kmeans_data_is_refused_before_seeding():
+    generator = np.random.default_rng(0)
+    state = generator.bit_generator.state
+    with pytest.raises(InvalidParameterError, match="finite"):
+        kmeans_fit(_poisoned_row(float("nan")), 3, rng=generator)
+    assert generator.bit_generator.state == state
 
 
 def test_rejected_insert_leaves_index_and_journal_untouched(tmp_path):
